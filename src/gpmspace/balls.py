@@ -7,8 +7,18 @@ topology, so every report carries the grids it used.
 
 Ball membership uses exact float comparison: strict "<" for open balls,
 "<=" for closed balls, no epsilon fuzzing.
+
+The derived structures -- each point's grid balls and the family tau_P --
+are computed once per instance and memoized, weakly keyed by the instance,
+so is_open, interior, closures, the ball theorems, separation and the
+countable-base checks share one derivation.  This is sound because an
+instance is immutable after construction (the carrier's distance table is a
+read-only copy).  The memoized values are immutable too: tuples of
+SubsetMask, and a TopologyFamily.
 """
 from __future__ import annotations
+
+import weakref
 
 from .binop import eval_op
 from .core import GpmsInstance, eval_P
@@ -177,18 +187,32 @@ def closed_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
     return SubsetMask(car.size, bits)
 
 
+_DERIVED = weakref.WeakKeyDictionary()  # instance -> {"balls": ..., "topology": ...}
+
+
+def _derived(inst: GpmsInstance) -> dict:
+    return _DERIVED.setdefault(inst, {})
+
+
 def grid_ball_masks(inst: GpmsInstance):
-    """Per point, the deduplicated open balls over the alpha and t grids."""
+    """Per point, the deduplicated open balls over the alpha and t grids.
+
+    Returns a tuple (one entry per carrier point) of tuples of SubsetMask,
+    ordered by bitmask; computed once per instance.
+    """
     _require_finite(inst)
-    out = []
-    for a in inst.carrier.labels:
-        seen = {}
-        for alpha in inst.alpha_grid:
-            for t in inst.t_grid:
-                m = open_ball(inst, a, alpha, t)
-                seen[m.bits] = m
-        out.append([seen[b] for b in sorted(seen)])
-    return out
+    memo = _derived(inst)
+    if "balls" not in memo:
+        out = []
+        for a in inst.carrier.labels:
+            seen = {}
+            for alpha in inst.alpha_grid:
+                for t in inst.t_grid:
+                    m = open_ball(inst, a, alpha, t)
+                    seen[m.bits] = m
+            out.append(tuple(seen[b] for b in sorted(seen)))
+        memo["balls"] = tuple(out)
+    return memo["balls"]
 
 
 def admitted_family(n: int, balls_per_point) -> list:
@@ -211,14 +235,21 @@ def admitted_family(n: int, balls_per_point) -> list:
 
 
 def generate_topology(inst: GpmsInstance, max_points: int = 15) -> TopologyFamily:
-    """Enumerate tau_P over the grids and verify the topology axioms."""
+    """Enumerate tau_P over the grids and verify the topology axioms.
+
+    The verified family is computed once per instance; ``max_points`` only
+    guards the 2^n enumeration.
+    """
     _require_finite(inst)
     n = inst.carrier.size
     if n > max_points:
         raise SizeError(f"carrier size {n} exceeds max_points={max_points}")
-    fam = TopologyFamily(n, admitted_family(n, grid_ball_masks(inst)))
-    fam.verify()
-    return fam
+    memo = _derived(inst)
+    if "topology" not in memo:
+        fam = TopologyFamily(n, admitted_family(n, grid_ball_masks(inst)))
+        fam.verify()
+        memo["topology"] = fam
+    return memo["topology"]
 
 
 def is_open(inst: GpmsInstance, s: SubsetMask) -> bool:

@@ -21,9 +21,14 @@ The axioms checked against an instance:
 
 Quantifiers over "all t > 0" run over the declared t grid; quantifiers over
 an interval carrier run over its sample points.  Verdicts are
-falsification-only and comparisons are exact (no epsilon fuzzing), which is
-sound because the gallery families are computed from the same float inputs
-on both sides of each inequality.
+falsification-only and comparisons are exact (no epsilon fuzzing).  Exact
+comparison is not rounding-proof: the two sides of an inequality come from
+different sequences of float operations, so a true axiom can fail by one
+ulp.  For example scaled/max is a GPMS, yet on the collinear points 0, 6, 14
+with the t grid (1.7999999999999998, 2.4) the exhaustive P3 scan reports
+lhs 3.333333333333334 against rhs 3.3333333333333335, although the
+inequality holds in exact arithmetic on the same float inputs.  A fail
+witness is a float counterexample, not one confirmed in exact arithmetic.
 """
 from __future__ import annotations
 
@@ -54,7 +59,7 @@ class FiniteCarrier:
             raise ConstructionError("carrier needs at least one point")
         if len(set(labels)) != len(labels):
             raise ConstructionError("carrier labels must be unique")
-        d = np.asarray(d, dtype=float)
+        d = np.array(d, dtype=float)  # private copy, made read-only below
         n = len(labels)
         if d.shape != (n, n):
             raise ConstructionError(f"distance table must be {n}x{n}, got {d.shape}")
@@ -69,12 +74,14 @@ class FiniteCarrier:
             raise ConstructionError("off-diagonal distances must be positive", axiom="P1")
         slack = tri_slack if tri_slack is not None else 1e-12 * max(1.0, float(d.max(initial=0.0)))
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if d[i, j] > d[i, k] + d[k, j] + slack:
-                        raise ConstructionError(
-                            f"triangle inequality fails on ({labels[i]}, {labels[j]}, {labels[k]})",
-                            axiom="triangle")
+            # bad[j, k]: d[i, j] > d[i, k] + d[k, j] + slack, one row of O(n^2) memory
+            bad = d[i][:, None] > (d[i][None, :] + d.T) + slack
+            if bad.any():
+                j, k = np.argwhere(bad)[0]
+                raise ConstructionError(
+                    f"triangle inequality fails on ({labels[i]}, {labels[j]}, {labels[k]})",
+                    axiom="triangle")
+        d.flags.writeable = False
         self.labels = labels
         self.d = d
         self._index = {lab: i for i, lab in enumerate(labels)}

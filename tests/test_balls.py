@@ -1,9 +1,14 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpmspace as g
-from helpers import make_instance, three_point_carrier, two_point_carrier
+from gpmspace import balls as balls_module
+from helpers import (ALPHA_GRID, T_GRID, line_carrier, make_instance, three_point_carrier,
+                     two_point_carrier)
 
 FINE = make_instance("scaled", op=g.MAX)
 
@@ -214,3 +219,139 @@ def test_fine_grids_generate_discrete_topology(inst):
     topo = g.generate_topology(inst)
     assert len(topo) == 1 << inst.carrier.size
     topo.verify()
+
+
+# -- memoized derivations against a from-scratch oracle -------------------------
+
+@st.composite
+def random_finite_instances(draw):
+    n = draw(st.integers(min_value=2, max_value=7))
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(st.integers(min_value=1, max_value=6))
+    for k in range(n):  # shortest-path closure makes d a metric
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    labels = [f"p{i}" for i in range(n)]
+    carrier = g.FiniteCarrier(labels, d)
+    t_grid = tuple(sorted(draw(st.sets(st.sampled_from([1e-4, 0.25, 0.5, 1.0, 2.0, 4.0, 50.0]),
+                                       min_size=1, max_size=4))))
+    alpha_grid = tuple(sorted(draw(st.sets(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]),
+                                           min_size=1, max_size=4))))
+    family = draw(st.sampled_from(g.FAMILIES))
+    params = {}
+    if family == "discrete":
+        params = {"c": draw(st.floats(min_value=0.1, max_value=5.0))}
+    elif family == "tabulated":
+        nodes = [0.5, 1.0, 2.0]
+        tables = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                vals = draw(st.lists(st.floats(min_value=0.05, max_value=6.0),
+                                     min_size=len(nodes), max_size=len(nodes)))
+                tables.append({"pair": [labels[i], labels[j]], "t": nodes,
+                               "v": sorted(vals, reverse=True)})
+        params = {"tables": tables}
+    return g.gallery_construct(family, params, carrier, g.MAX, t_grid, alpha_grid)
+
+
+def _oracle_balls(inst):
+    return [sorted({g.open_ball(inst, a, alpha, t).bits
+                    for alpha in inst.alpha_grid for t in inst.t_grid})
+            for a in inst.carrier.labels]
+
+
+def _oracle_open(balls, bits):
+    return all(any(b & ~bits == 0 for b in balls[i])
+               for i in range(len(balls)) if (bits >> i) & 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_finite_instances(), st.data())
+def test_memoized_derivations_match_from_scratch_oracle(inst, data):
+    n = inst.carrier.size
+    oracle = _oracle_balls(inst)
+    family = {bits for bits in range(1 << n) if _oracle_open(oracle, bits)}
+    # P is non-increasing in t, so B(x, min alpha, min t) lies in every grid ball
+    # at x and the admitted family is closed under intersection
+    assert all((x & y) in family for x in family for y in family)
+
+    for _ in range(2):  # first call derives, second reads the memo
+        masks = balls_module.grid_ball_masks(inst)
+        assert isinstance(masks, tuple) and all(isinstance(row, tuple) for row in masks)
+        assert [[m.bits for m in row] for row in masks] == oracle
+        assert {m.bits for m in g.generate_topology(inst)} == family
+    assert g.generate_topology(inst) is g.generate_topology(inst)
+    assert balls_module.grid_ball_masks(inst) is balls_module.grid_ball_masks(inst)
+
+    for bits in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8)):
+        s = g.SubsetMask(n, bits)
+        assert g.is_open(inst, s) == (bits in family)
+        inner = 0
+        for u in family:
+            if u & ~bits == 0:
+                inner |= u
+        assert g.interior(inst, s).bits == inner
+        limits = 0
+        for i, a in enumerate(inst.carrier.labels):
+            if all(g.open_ball(inst, a, alpha, t).bits & ~(1 << i) & bits
+                   for alpha in inst.alpha_grid for t in inst.t_grid):
+                limits |= 1 << i
+        closure, lim = g.closure_and_limit_points(inst, s)
+        assert lim.bits == limits
+        assert closure.bits == bits | limits
+
+
+def test_generate_topology_checks_size_before_the_memo():
+    inst = make_instance("scaled", op=g.MAX)
+    g.generate_topology(inst)
+    with pytest.raises(g.SizeError):
+        g.generate_topology(inst, max_points=2)
+
+
+def test_memo_does_not_keep_instances_alive():
+    gc.collect()
+    before = len(balls_module._DERIVED)
+    inst = make_instance("scaled", op=g.MAX)
+    g.generate_topology(inst)
+    assert len(balls_module._DERIVED) == before + 1
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None
+    assert len(balls_module._DERIVED) == before
+
+
+# -- work counts (machine independent) -------------------------------------------
+
+def _count_calls(monkeypatch, name):
+    calls = [0]
+    real = getattr(balls_module, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(balls_module, name, counting)
+    return calls
+
+
+def test_ball_open_theorem_derives_grid_balls_once(monkeypatch):
+    n = 9
+    inst = make_instance("scaled", op=g.MAX, carrier=line_carrier(n))
+    calls = _count_calls(monkeypatch, "eval_P")
+    assert g.verify_ball_theorem(inst, "ball_open").ok
+    # n * |A| * |T| target balls plus one n * |A| * |T| derivation, n evaluations each
+    assert calls[0] <= 2 * n * n * len(ALPHA_GRID) * len(T_GRID)
+
+
+def test_cantor_intersection_derives_grid_balls_once(monkeypatch):
+    n = 20
+    inst = make_instance("constant", op=g.MAX, carrier=line_carrier(n))
+    fam = [g.SubsetMask.from_indices(n, range(n - k)) for k in range(n)]
+    calls = _count_calls(monkeypatch, "open_ball")
+    _, _, rep = g.cantor_intersection(inst, fam)
+    assert rep.ok
+    assert calls[0] == n * len(ALPHA_GRID) * len(T_GRID)

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,58 @@ def test_carrier_rejects_triangle_violation():
     with pytest.raises(g.ConstructionError) as err:
         g.FiniteCarrier(("a", "b", "c"), [[0, 1, 5], [1, 0, 2], [5, 2, 0]])
     assert err.value.axiom == "triangle"
+
+
+def _first_triangle_violation(d, slack):
+    # oracle: the triple loop the vectorized check replaces
+    n = len(d)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i, j] > d[i, k] + d[k, j] + slack:
+                    return i, j, k
+    return None
+
+
+@st.composite
+def symmetric_tables(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    vals = st.floats(min_value=0.1, max_value=10.0) | st.integers(min_value=1, max_value=6)
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = draw(vals)
+    if draw(st.booleans()):  # close under shortest paths: a metric, or a near miss
+        for k in range(n):
+            d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
+    slack = draw(st.sampled_from([None, 0.0, 0.5]))
+    return d, slack
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_tables())
+def test_triangle_check_matches_triple_loop(table):
+    d, slack = table
+    labels = [f"p{i}" for i in range(len(d))]
+    eff = slack if slack is not None else 1e-12 * max(1.0, float(d.max(initial=0.0)))
+    first = _first_triangle_violation(d, eff)
+    if first is None:
+        g.FiniteCarrier(labels, d, tri_slack=slack)
+        return
+    with pytest.raises(g.ConstructionError) as err:
+        g.FiniteCarrier(labels, d, tri_slack=slack)
+    i, j, k = first
+    assert str(err.value) == f"triangle inequality fails on ({labels[i]}, {labels[j]}, {labels[k]})"
+    assert err.value.axiom == "triangle"
+
+
+def test_carrier_distance_table_is_a_read_only_copy():
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    car = g.FiniteCarrier(("a", "b"), d)
+    d[0, 1] = d[1, 0] = 7.0
+    assert car.base_distance("a", "b") == 1.0
+    with pytest.raises(ValueError):
+        car.d[0, 1] = 2.0
 
 
 def test_gallery_rejects_bad_discrete_parameter():
