@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import weakref
 
+import numpy as np
+
 from .binop import eval_op
-from .core import GpmsInstance, eval_P
+from .core import GpmsInstance, P, eval_P
 from .errors import DomainError, PreconditionError, SizeError, VerificationError
 from .reports import FAIL, PASS, CheckReport, Witness
 
@@ -161,17 +163,18 @@ def _require_finite(inst: GpmsInstance):
         raise DomainError("this operation needs a finite carrier")
 
 
+def _mask_of_flags(flags) -> SubsetMask:
+    """The subset whose members are the True entries of a 1-D bool array."""
+    return SubsetMask(flags.size, int.from_bytes(np.packbits(flags, bitorder="little").tobytes(),
+                                                 "little"))
+
+
 def open_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
     """B(a, alpha, t) = { b : P(a,b,t) < alpha }; always contains the center."""
     _require_finite(inst)
     if not alpha > 0:
         raise DomainError(f"open ball radius must be positive, got {alpha}")
-    car = inst.carrier
-    bits = 0
-    for i, b in enumerate(car.labels):
-        if eval_P(inst, a, b, t) < alpha:
-            bits |= 1 << i
-    return SubsetMask(car.size, bits)
+    return _mask_of_flags(P(inst, a, inst.carrier.labels, t) < alpha)
 
 
 def closed_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
@@ -179,12 +182,7 @@ def closed_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
     _require_finite(inst)
     if alpha < 0:
         raise DomainError(f"closed ball radius must be >= 0, got {alpha}")
-    car = inst.carrier
-    bits = 0
-    for i, b in enumerate(car.labels):
-        if eval_P(inst, a, b, t) <= alpha:
-            bits |= 1 << i
-    return SubsetMask(car.size, bits)
+    return _mask_of_flags(P(inst, a, inst.carrier.labels, t) <= alpha)
 
 
 _DERIVED = weakref.WeakKeyDictionary()  # instance -> {"balls": ..., "topology": ...}

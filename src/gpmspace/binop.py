@@ -80,8 +80,11 @@ class BinaryOperation:
         Evaluation clamps arguments into the table hull, so the map is total
         and continuous.  Axiom scans are meaningful on the nodes themselves.
         """
-        g = np.asarray(grid, dtype=float)
-        v = np.asarray(values, dtype=float)
+        try:
+            g = np.asarray(grid, dtype=float)
+            v = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError("op table grid and values must be lists of numbers") from None
         if g.ndim != 1 or g.size == 0 or not np.all(np.diff(g) > 0) or g[0] < 0:
             raise DomainError("op table grid must be non-empty, strictly increasing, >= 0")
         if v.shape != (g.size, g.size):

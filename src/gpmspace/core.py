@@ -29,6 +29,15 @@ with the t grid (1.7999999999999998, 2.4) the exhaustive P3 scan reports
 lhs 3.333333333333334 against rhs 3.3333333333333335, although the
 inequality holds in exact arithmetic on the same float inputs.  A fail
 witness is a float counterexample, not one confirmed in exact arithmetic.
+
+P is computed by one kernel: one family formula applied to a distance (a
+float or an array) and a float t, where the distance comes from the
+carrier's table d, from |x - y| on an interval, or, for tabulated families,
+from padded per-pair step tables built at construction.  ``eval_P`` is the
+scalar front end and ``P`` the array front end; both perform the same float
+operations.  The grid scans (P1, P2, P4, P5, monotone, ``p4_violations``,
+the construction sanity pass) read one points x points x t_grid tensor and
+list witnesses in the order of nested loops over (a, b, t).
 """
 from __future__ import annotations
 
@@ -45,7 +54,10 @@ FAMILIES = ("scaled", "constant", "damped", "discrete", "tabulated")
 
 P_AXIOMS = ("P1", "P2", "P3", "P4", "P5", "monotone")
 
-_QUANTIFIER_CAP = 128  # max interval sample points used by exhaustive scans
+# approximate number of quantifier points for exhaustive scans: carriers with
+# more points are sampled at a stride of len // cap, which keeps fewer than
+# 2 * cap points (135 of 401 at cap 128; all 48 of 48 at cap 33)
+_QUANTIFIER_CAP = 128
 
 
 class FiniteCarrier:
@@ -59,7 +71,10 @@ class FiniteCarrier:
             raise ConstructionError("carrier needs at least one point")
         if len(set(labels)) != len(labels):
             raise ConstructionError("carrier labels must be unique")
-        d = np.array(d, dtype=float)  # private copy, made read-only below
+        try:
+            d = np.array(d, dtype=float)  # private copy, made read-only below
+        except (TypeError, ValueError):
+            raise ConstructionError("distance table d must be a square matrix of numbers") from None
         n = len(labels)
         if d.shape != (n, n):
             raise ConstructionError(f"distance table must be {n}x{n}, got {d.shape}")
@@ -122,7 +137,10 @@ class IntervalCarrier:
     kind = "interval"
 
     def __init__(self, lo, hi, resolution):
-        lo, hi, resolution = float(lo), float(hi), float(resolution)
+        try:
+            lo, hi, resolution = float(lo), float(hi), float(resolution)
+        except (TypeError, ValueError):
+            raise ConstructionError("interval bounds and resolution must be numbers") from None
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConstructionError(f"need finite lo < hi, got [{lo}, {hi}]")
         if not (math.isfinite(resolution) and resolution > 0):
@@ -178,14 +196,12 @@ class GpmsInstance:
         self.op = op
         self.t_grid = _validate_grid(t_grid, "t_grid")
         self.alpha_grid = _validate_grid(alpha_grid, "alpha_grid")
-        self._tables = None
         if family == "discrete":
             c = self.params.get("c")
             if c is None or not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
                 raise ConstructionError("discrete family needs a parameter c > 0")
             self.params["c"] = float(c)
-        elif family == "tabulated":
-            self._tables = _normalize_tables(carrier, self.params)
+        self._steps = _step_tables(carrier, self.params) if family == "tabulated" else None
 
     # -- evaluation ------------------------------------------------------
 
@@ -222,19 +238,35 @@ def _pair_key(a, b):
     return (a, b) if str(a) <= str(b) else (b, a)
 
 
-def _normalize_tables(carrier, params):
+def _step_tables(carrier, params):
+    """Padded step tables: P(i, j, t) = values[i, j, k], node k the first above t.
+
+    Both are n x n x (w + 1), w the most nodes of any pair.  nodes is padded
+    with +inf, at least once per row.  Column k of values is P on
+    [node k-1, node k): column 0 extends the first value to the left,
+    padding repeats the last value, and the diagonal is 0.
+    """
     if carrier.kind != "finite":
         raise ConstructionError("tabulated family requires a finite carrier")
     raw = params.get("tables")
     if not raw:
         raise ConstructionError("tabulated family needs per-pair tables")
+    if not isinstance(raw, (list, tuple)):
+        raise ConstructionError("params.tables must be a list of {pair, t, v} entries")
     tables = {}
-    for entry in raw:
+    for k, entry in enumerate(raw):
+        where = f"params.tables[{k}]"
+        if not (isinstance(entry, dict) and {"pair", "t", "v"} <= entry.keys()
+                and isinstance(entry["pair"], (list, tuple))):
+            raise ConstructionError(f"{where} must be an object with a 'pair' list, 't' and 'v'")
         pair = tuple(str(p) for p in entry["pair"])
         if len(pair) != 2 or not all(carrier.contains(p) for p in pair) or pair[0] == pair[1]:
             raise ConstructionError(f"table pair {pair!r} must name two distinct carrier points")
-        nodes = np.asarray(entry["t"], dtype=float)
-        vals = np.asarray(entry["v"], dtype=float)
+        try:
+            nodes = np.asarray(entry["t"], dtype=float)
+            vals = np.asarray(entry["v"], dtype=float)
+        except (TypeError, ValueError):
+            raise ConstructionError(f"{where}: 't' and 'v' must be lists of numbers") from None
         if nodes.ndim != 1 or nodes.size == 0 or not np.all(np.diff(nodes) > 0) or nodes[0] <= 0:
             raise ConstructionError(f"table t nodes for {pair!r} must be strictly increasing positives")
         if vals.shape != nodes.shape or not np.all(np.isfinite(vals)) or np.any(vals < 0):
@@ -243,40 +275,82 @@ def _normalize_tables(carrier, params):
             raise ConstructionError(
                 f"table values for {pair!r} increase in t; P must be non-increasing in t",
                 axiom="monotone")
-        tables[_pair_key(*pair)] = (nodes, vals)
-    labels = carrier.labels
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            if _pair_key(a, b) not in tables:
-                raise ConstructionError(f"tabulated family is missing a table for pair ({a}, {b})")
-    return tables
+        i, j = sorted((carrier.index(pair[0]), carrier.index(pair[1])))
+        if (i, j) in tables:
+            raise ConstructionError(f"{where} repeats the table for pair {pair!r}")
+        tables[i, j] = (nodes, vals)
+    n = carrier.size
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in tables:
+                raise ConstructionError(
+                    f"tabulated family is missing a table for pair "
+                    f"({carrier.labels[i]}, {carrier.labels[j]})")
+    width = max(nodes.size for nodes, _ in tables.values()) + 1
+    step_nodes = np.full((n, n, width), np.inf)
+    step_vals = np.zeros((n, n, width))
+    for (i, j), (nodes, vals) in tables.items():
+        step_nodes[[i, j], [j, i], :nodes.size] = nodes
+        step_vals[[i, j], [j, i]] = np.pad(vals, (1, width - 1 - vals.size), mode="edge")
+    step_nodes.flags.writeable = False
+    step_vals.flags.writeable = False
+    return step_nodes, step_vals
 
 
 def _params_jsonable(family, params):
     if family == "tabulated":
-        out = []
-        for (a, b), (nodes, vals) in sorted(params_tables_view(params)):
-            out.append({"pair": [a, b], "t": [float(x) for x in nodes],
-                        "v": [float(x) for x in vals]})
-        return {"tables": out}
+        out = [{"pair": list(_pair_key(*(str(p) for p in e["pair"]))),
+                "t": np.asarray(e["t"], dtype=float).tolist(),
+                "v": np.asarray(e["v"], dtype=float).tolist()} for e in params["tables"]]
+        return {"tables": sorted(out, key=lambda e: e["pair"])}
     return {k: params[k] for k in sorted(params)}
-
-
-def params_tables_view(params):
-    # tables may be raw (list entries) or normalized; present a uniform view
-    raw = params.get("tables")
-    if isinstance(raw, dict):
-        return list(raw.items())
-    view = []
-    for entry in raw or []:
-        pair = _pair_key(*(str(p) for p in entry["pair"]))
-        view.append((pair, (np.asarray(entry["t"], float), np.asarray(entry["v"], float))))
-    return view
 
 
 def _check_t(t):
     if not isinstance(t, (int, float)) or not math.isfinite(t) or t <= 0:
         raise DomainError(f"t must be a finite positive real, got {t!r}")
+
+
+# -- the evaluation kernel -------------------------------------------------
+
+
+def _formula(family, params, dist, t: float):
+    """The family formula at base distance ``dist`` (a float or an array)."""
+    if family == "scaled":
+        return dist / t
+    if family == "constant":
+        return dist
+    if family == "damped":
+        return dist * (1.0 + math.exp(-t))
+    if family == "discrete":  # the base distance is 0 exactly on the diagonal
+        if isinstance(dist, float):
+            return 0.0 if dist == 0.0 else params["c"] / t
+        return np.where(dist == 0.0, 0.0, params["c"] / t)
+    raise DomainError(f"no formula for family {family!r}")
+
+
+def _kernel(inst: GpmsInstance, u, v, t: float):
+    """P at carrier coordinates ``u`` and ``v``, broadcast together: point
+    indices on a finite carrier, the points themselves on an interval."""
+    if inst._steps is not None:
+        nodes, vals = inst._steps
+        return vals[u, v, (nodes[u, v] > t).argmax(axis=-1)]
+    dist = inst.carrier.d[u, v] if inst.carrier.kind == "finite" else np.abs(u - v)
+    return _formula(inst.family, inst.params, dist, t)
+
+
+def _coords(inst: GpmsInstance, pts) -> np.ndarray:
+    """Kernel coordinates of an array of carrier points, shape preserved."""
+    car = inst.carrier
+    if car.kind == "finite":
+        if isinstance(pts, str):  # one label
+            return car.index(pts)
+        arr = np.asarray(pts, dtype=object)
+        return np.fromiter(map(car.index, arr.flat), np.intp, arr.size).reshape(arr.shape)
+    arr = np.asarray(pts, dtype=float)
+    if not np.all((arr >= car.lo) & (arr <= car.hi)):
+        raise DomainError("point not in carrier: an array entry leaves the interval")
+    return arr
 
 
 def eval_P(inst: GpmsInstance, a, b, t: float) -> float:
@@ -290,59 +364,36 @@ def eval_P(inst: GpmsInstance, a, b, t: float) -> float:
     car = inst.carrier
     if not car.contains(a) or not car.contains(b):
         raise DomainError(f"point not in carrier: {a!r} or {b!r}")
-    same = a == b
-    if inst.family == "tabulated":
-        if same:
-            return 0.0
-        nodes, vals = inst._tables[_pair_key(a, b)]
-        idx = int(np.searchsorted(nodes, t, side="right")) - 1
-        return float(vals[max(idx, 0)])
-    dist = 0.0 if same else car.base_distance(a, b)
-    return _family_scalar(inst.family, inst.params, dist, same, float(t))
+    if inst._steps is not None:
+        return float(_kernel(inst, car.index(a), car.index(b), float(t)))
+    return _formula(inst.family, inst.params, car.base_distance(a, b), float(t))
 
 
-def _family_scalar(family, params, dist, same, t):
-    if family == "scaled":
-        return dist / t
-    if family == "constant":
-        return dist
-    if family == "damped":
-        return dist * (1.0 + math.exp(-t))
-    if family == "discrete":
-        return 0.0 if same else params["c"] / t
-    raise DomainError(f"no scalar formula for family {family!r}")
-
-
-def eval_P_pairwise(inst: GpmsInstance, xs, ys, t: float) -> np.ndarray:
-    """Vectorized P over elementwise pairs of two equal-length point lists."""
+def P(inst: GpmsInstance, xs, ys, t: float) -> np.ndarray:
+    """P(x, y, t) over two arrays of carrier points, broadcast together;
+    each value equals ``eval_P`` bit for bit.  ``P(inst, pts, x, t)`` is a row
+    and ``P(inst, np.asarray(pts, dtype=object)[:, None], pts, t)`` a matrix."""
     _check_t(t)
-    xs = list(xs)
-    ys = list(ys)
-    if inst.family == "tabulated":
-        return np.array([eval_P(inst, x, y, t) for x, y in zip(xs, ys)])
-    if inst.carrier.kind == "finite":
-        xi = np.fromiter((inst.carrier.index(x) for x in xs), dtype=int)
-        yi = np.fromiter((inst.carrier.index(y) for y in ys), dtype=int)
-        dist = inst.carrier.d[xi, yi]
-        same = xi == yi
-    else:
-        xa = np.asarray(xs, dtype=float)
-        ya = np.asarray(ys, dtype=float)
-        dist = np.abs(xa - ya)
-        same = xa == ya
-    return _family_vector(inst.family, inst.params, dist, same, t)
+    return np.asarray(_kernel(inst, _coords(inst, xs), _coords(inst, ys), float(t)))
 
 
-def _family_vector(family, params, dist, same, t):
-    if family == "scaled":
-        return dist / t
-    if family == "constant":
-        return np.array(dist, dtype=float, copy=True)
-    if family == "damped":
-        return dist * (1.0 + math.exp(-t))
-    if family == "discrete":
-        return np.where(same, 0.0, params["c"] / t)
-    raise DomainError(f"no vector formula for family {family!r}")
+def _pair_grid(inst: GpmsInstance, pts, ts):
+    """grid[i, j, k] = P(pts[i], pts[j], ts[k]), and the mask of pairs i < j."""
+    c = _coords(inst, pts)
+    grid = np.empty((len(pts), len(pts), len(ts)))
+    for k, t in enumerate(ts):
+        grid[:, :, k] = _kernel(inst, c[:, None], c[None, :], t)
+    return grid, np.triu(np.ones((len(pts), len(pts)), dtype=bool), 1)
+
+
+def step_ray_start(inst: GpmsInstance, a, b, alpha: float) -> float:
+    """inf { t > 0 : P(a, b, t) < alpha }, read off a tabulated family's steps."""
+    nodes, vals = inst._steps
+    i, j = inst.carrier.index(a), inst.carrier.index(b)
+    below = np.flatnonzero(vals[i, j] < alpha)
+    if not below.size:
+        return math.inf
+    return 0.0 if below[0] == 0 else float(nodes[i, j, below[0] - 1])
 
 
 def gallery_construct(family, params, carrier, op: BinaryOperation,
@@ -355,25 +406,29 @@ def gallery_construct(family, params, carrier, op: BinaryOperation,
     inst = GpmsInstance(carrier, family, params, op, t_grid, alpha_grid)
     pts = inst.quantifier_points(cap=33)
     tg = inst.t_grid
-    for x in pts:
-        for t in tg:
-            if eval_P(inst, x, x, t) != 0.0:
-                raise ConstructionError(f"P({x},{x},{t}) != 0", axiom="P1")
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            vals = [eval_P(inst, x, y, t) for t in tg]
-            if all(v == 0.0 for v in vals):
-                raise ConstructionError(
-                    f"distinct points ({x}, {y}) are indistinguishable on the t grid",
-                    axiom="P1")
-            for t, v in zip(tg, vals):
-                if v != eval_P(inst, y, x, t):
-                    raise ConstructionError(f"P not symmetric at ({x}, {y}, {t})", axiom="P2")
-            for (t1, v1), (t2, v2) in zip(zip(tg, vals), zip(tg[1:], vals[1:])):
-                if v1 < v2:
-                    raise ConstructionError(
-                        f"P({x},{y},.) increases from t={t1} to t={t2}; must be non-increasing",
-                        axiom="monotone")
+    grid, upper = _pair_grid(inst, pts, tg)
+    bad = np.argwhere(grid.diagonal().T != 0.0)
+    if bad.size:
+        i, k = bad[0]
+        raise ConstructionError(f"P({pts[i]},{pts[i]},{tg[k]}) != 0", axiom="P1")
+    # the first bad pair in loop order, then its first failing test in order
+    blank = np.all(grid == 0.0, axis=-1)
+    asym = grid != grid.transpose(1, 0, 2)
+    rising = grid[:, :, :-1] < grid[:, :, 1:]
+    bad = np.argwhere(upper & (blank | asym.any(-1) | rising.any(-1)))
+    if bad.size:
+        i, j = bad[0]
+        x, y = pts[i], pts[j]
+        if blank[i, j]:
+            raise ConstructionError(
+                f"distinct points ({x}, {y}) are indistinguishable on the t grid", axiom="P1")
+        if asym[i, j].any():
+            raise ConstructionError(f"P not symmetric at ({x}, {y}, {tg[np.argmax(asym[i, j])]})",
+                                    axiom="P2")
+        k = np.argmax(rising[i, j])
+        raise ConstructionError(
+            f"P({x},{y},.) increases from t={tg[k]} to t={tg[k + 1]}; must be non-increasing",
+            axiom="monotone")
     return inst
 
 
@@ -410,80 +465,80 @@ def check_P_axiom(inst: GpmsInstance, axiom: str, seed: int = 0,
     sampled_note = "" if inst.carrier.kind == "finite" else \
         f"; interval carrier quantified over {len(pts)} sample points"
 
-    if axiom == "P1":
-        witnesses = []
-        samples = 0
-        for x in pts:
-            for t in tg:
-                samples += 1
-                v = eval_P(inst, x, x, t)
-                if v != 0.0:
-                    witnesses.append(Witness(points=(x,), values={"t": t, "value": v},
-                                             detail="P(a,a,t) != 0"))
-        for i, x in enumerate(pts):
-            for y in pts[i + 1:]:
-                samples += 1
-                if all(eval_P(inst, x, y, t) == 0.0 for t in tg):
-                    witnesses.append(Witness(points=(x, y), values={},
-                                             detail="distinct pair with P = 0 on the whole t grid"))
-        return _grid_report("P1", witnesses, samples, sampled_note)
-
-    if axiom == "P2":
-        witnesses = []
-        samples = 0
-        for i, x in enumerate(pts):
-            for y in pts[i + 1:]:
-                for t in tg:
-                    samples += 1
-                    lhs = eval_P(inst, x, y, t)
-                    rhs = eval_P(inst, y, x, t)
-                    if lhs != rhs:
-                        witnesses.append(Witness(points=(x, y), values={"t": t, "lhs": lhs, "rhs": rhs},
-                                                 detail="P(a,b,t) != P(b,a,t)"))
-        return _grid_report("P2", witnesses, samples, sampled_note)
-
     if axiom == "P3":
         witnesses, samples = p3_violations(inst, seed=seed, n_samples=n_samples,
                                            exhaustive=exhaustive, points=pts)
         mode = "exhaustive scan" if exhaustive else f"{samples} seeded samples"
         return _grid_report("P3", witnesses, samples, f"; {mode}" + sampled_note)
 
+    if axiom == "P5" and inst._steps is not None:
+        return _check_P5_steps(inst)
+
+    # the other axioms read one tensor (P4 only its smallest t); argwhere
+    # lists witnesses in C order, the order of nested loops over a, b, t
+    grid, upper = _pair_grid(inst, pts, tg[:1] if axiom == "P4" else tg)
+    pairs = int(upper.sum())
+
+    if axiom == "P1":
+        witnesses = [Witness(points=(pts[i],), values={"t": tg[k], "value": float(grid[i, i, k])},
+                             detail="P(a,a,t) != 0")
+                     for i, k in np.argwhere(grid.diagonal().T != 0.0)]
+        witnesses += [Witness(points=(pts[i], pts[j]), values={},
+                              detail="distinct pair with P = 0 on the whole t grid")
+                      for i, j in np.argwhere(upper & np.all(grid == 0.0, axis=-1))]
+        return _grid_report("P1", witnesses, len(pts) * len(tg) + pairs, sampled_note)
+
+    if axiom == "P2":
+        asym = upper[:, :, None] & (grid != grid.transpose(1, 0, 2))
+        witnesses = [Witness(points=(pts[i], pts[j]),
+                             values={"t": tg[k], "lhs": float(grid[i, j, k]),
+                                     "rhs": float(grid[j, i, k])},
+                             detail="P(a,b,t) != P(b,a,t)")
+                     for i, j, k in np.argwhere(asym)]
+        return _grid_report("P2", witnesses, pairs * len(tg), sampled_note)
+
     if axiom == "P4":
-        witnesses = []
-        samples = 0
-        t_min = tg[0]
-        for alpha in inst.alpha_grid:
-            for i, x in enumerate(pts):
-                for y in pts[i + 1:]:
-                    samples += 1
-                    v = eval_P(inst, x, y, t_min)
-                    if v < alpha:
-                        witnesses.append(Witness(
-                            points=(x, y), values={"alpha": alpha, "t": t_min, "value": v},
-                            detail="distinct pair below alpha for every grid t"))
+        witnesses = [Witness(points=(pts[i], pts[j]),
+                             values={"alpha": alpha, "t": tg[0], "value": float(grid[i, j, 0])},
+                             detail="distinct pair below alpha for every grid t")
+                     for alpha in inst.alpha_grid
+                     for i, j in np.argwhere(upper & (grid[:, :, 0] < alpha))]
         note = ("per-alpha reading; certified at the smallest grid t "
                 "(P is non-increasing in t)") + sampled_note
         verdict = FAIL if witnesses else PASS
-        return CheckReport(name="P4", verdict=verdict, samples_tested=samples,
+        return CheckReport(name="P4", verdict=verdict, samples_tested=len(inst.alpha_grid) * pairs,
                            note=note, witnesses=tuple(witnesses))
 
     if axiom == "P5":
-        return _check_P5(inst, pts, sampled_note)
+        # difference-quotient budget: jumps must stay within 10x the largest
+        # on-grid Lipschitz estimate; cannot prove continuity, only refute wild ones
+        quotients = grid[:, :, :-1] - grid[:, :, 1:]
+        np.abs(quotients, out=quotients)
+        quotients /= np.diff(tg)
+        # the largest over the pairs a < b as Python's max gives it in loop
+        # order: a NaN counts only when it comes first, at (0, 1) and step 0
+        lead = float(quotients[0, 1, 0]) if pairs and len(tg) > 1 else 0.0
+        l_est = lead if math.isnan(lead) else \
+            float(np.nanmax(quotients, where=upper[:, :, None], initial=0.0))
+        budget = 10.0 * max(l_est, 1e-12)
+        witnesses = [Witness(points=(pts[i], pts[j]),
+                             values={"t1": tg[k], "t2": tg[k + 1],
+                                     "quotient": float(quotients[i, j, k])},
+                             detail="difference quotient exceeds the continuity budget")
+                     for i, j, k in np.argwhere(upper[:, :, None] & (quotients > budget))]
+        return CheckReport(name="P5", verdict=FAIL if witnesses else PASS,
+                           samples_tested=pairs * (len(tg) - 1), witnesses=tuple(witnesses),
+                           note="difference-quotient budget check; falsification-only" + sampled_note,
+                           data={"max_difference_quotient": l_est, "budget_factor": 10.0})
 
     # monotone
-    witnesses = []
-    samples = 0
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            for t1, t2 in zip(tg, tg[1:]):
-                samples += 1
-                v1 = eval_P(inst, x, y, t1)
-                v2 = eval_P(inst, x, y, t2)
-                if v1 < v2:
-                    witnesses.append(Witness(points=(x, y),
-                                             values={"t1": t1, "t2": t2, "v1": v1, "v2": v2},
-                                             detail="P increases between adjacent grid t"))
-    return _grid_report("monotone", witnesses, samples, sampled_note)
+    rising = upper[:, :, None] & (grid[:, :, :-1] < grid[:, :, 1:])
+    witnesses = [Witness(points=(pts[i], pts[j]),
+                         values={"t1": tg[k], "t2": tg[k + 1], "v1": float(grid[i, j, k]),
+                                 "v2": float(grid[i, j, k + 1])},
+                         detail="P increases between adjacent grid t")
+                 for i, j, k in np.argwhere(rising)]
+    return _grid_report("monotone", witnesses, pairs * (len(tg) - 1), sampled_note)
 
 
 def _grid_report(name, witnesses, samples, extra_note=""):
@@ -494,50 +549,23 @@ def _grid_report(name, witnesses, samples, extra_note=""):
                        note=note, witnesses=tuple(witnesses))
 
 
-def _check_P5(inst, pts, sampled_note):
-    if inst.family == "tabulated":
-        # a step function is discontinuous wherever its table value drops;
-        # all-constant tables are the one continuous degenerate case
-        best = None
-        for (a, b), (nodes, vals) in sorted(inst._tables.items()):
-            for k in range(1, len(nodes)):
-                jump = float(vals[k - 1] - vals[k])
-                if jump > 0 and (best is None or jump > best.values["jump"]):
-                    best = Witness(points=(a, b), values={"t": float(nodes[k]), "jump": jump},
-                                   detail="step drop in the pair table")
-        if best is None:
-            return CheckReport(name="P5", verdict=PASS,
-                               note="step family with constant tables: continuous in t")
-        return CheckReport(name="P5", verdict=FAIL, witnesses=(best,),
-                           note="step-interpolated in t: discontinuous by construction")
-    # difference-quotient budget: jumps must stay within 10x the largest
-    # on-grid Lipschitz estimate; cannot prove continuity, only refute wild ones
-    tg = inst.t_grid
-    quotients = []
-    samples = 0
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            for t1, t2 in zip(tg, tg[1:]):
-                samples += 1
-                q = abs(eval_P(inst, x, y, t1) - eval_P(inst, x, y, t2)) / (t2 - t1)
-                quotients.append(q)
-    l_est = max(quotients, default=0.0)
-    budget = 10.0 * max(l_est, 1e-12)
-    witnesses = []
-    k = 0
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            for t1, t2 in zip(tg, tg[1:]):
-                if quotients[k] > budget:
-                    witnesses.append(Witness(points=(x, y),
-                                             values={"t1": t1, "t2": t2, "quotient": quotients[k]},
-                                             detail="difference quotient exceeds the continuity budget"))
-                k += 1
-    verdict = FAIL if witnesses else PASS
-    return CheckReport(name="P5", verdict=verdict, samples_tested=samples,
-                       witnesses=tuple(witnesses),
-                       note="difference-quotient budget check; falsification-only" + sampled_note,
-                       data={"max_difference_quotient": l_est, "budget_factor": 10.0})
+def _check_P5_steps(inst):
+    # a step function is discontinuous wherever its table value drops (at node
+    # k, from value column k to k + 1); all-constant tables are continuous.
+    # The largest drop is reported, the first in (label pair, node) order.
+    nodes, vals = inst._steps
+    labels = inst.carrier.labels
+    drops = vals[:, :, :-1] - vals[:, :, 1:]
+    if not drops.max() > 0:
+        return CheckReport(name="P5", verdict=PASS,
+                           note="step family with constant tables: continuous in t")
+    i, j, k = min(np.argwhere(drops == drops.max()).tolist(),
+                  key=lambda c: (labels[c[0]], labels[c[1]], c[2]))
+    best = Witness(points=(labels[i], labels[j]),
+                   values={"t": float(nodes[i, j, k]), "jump": float(drops[i, j, k])},
+                   detail="step drop in the pair table")
+    return CheckReport(name="P5", verdict=FAIL, witnesses=(best,),
+                       note="step-interpolated in t: discontinuous by construction")
 
 
 def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
@@ -587,10 +615,5 @@ def p4_violations(inst: GpmsInstance, alpha: float):
     if not alpha > 0:
         raise DomainError("alpha must be positive")
     pts = inst.quantifier_points()
-    t_min = inst.t_grid[0]
-    out = []
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            if eval_P(inst, x, y, t_min) < alpha:
-                out.append((x, y))
-    return out
+    grid, upper = _pair_grid(inst, pts, inst.t_grid[:1])
+    return [(pts[i], pts[j]) for i, j in np.argwhere(upper & (grid[:, :, 0] < alpha))]

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .balls import SubsetMask, TopologyFamily, admitted_family, generate_topology
-from .core import GpmsInstance, eval_P, p4_violations, _pair_key
+from .core import GpmsInstance, eval_P, p4_violations, step_ray_start, _pair_key
 from .errors import ConvergenceError, DomainError, HypothesisError, SizeError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -67,14 +67,7 @@ def _solve_d_alpha(inst, a, b, alpha, st: BisectionSettings) -> float:
     if a == b:
         return 0.0
     if inst.family == "tabulated":
-        nodes, vals = inst._tables[_pair_key(a, b)]
-        # left of the first node P extends by vals[0]
-        if vals[0] < alpha:
-            return 0.0
-        for t, v in zip(nodes, vals):
-            if v < alpha:
-                return float(t)
-        return math.inf
+        return step_ray_start(inst, a, b, alpha)
 
     def in_ray(t):
         return eval_P(inst, a, b, t) < alpha

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balls import SubsetMask, closure_and_limit_points, is_open
-from .core import GpmsInstance, eval_P, eval_P_pairwise, _family_scalar
+from .core import GpmsInstance, P, eval_P
 from .errors import DomainError, HypothesisError, PreconditionError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -112,7 +112,7 @@ def check_convergence(inst: GpmsInstance, seq: SequenceSpec, x, tol: float = 1e-
     samples = 0
     tails = {}
     for t in inst.t_grid:
-        vals = eval_P_pairwise(inst, win, [x] * len(win), t)
+        vals = P(inst, win, x, t)
         samples += len(win)
         worst = int(np.argmax(vals))
         tails[f"{t:.12g}"] = float(vals[worst])
@@ -135,8 +135,9 @@ def check_cauchy(inst: GpmsInstance, seq: SequenceSpec, tol: float = 1e-6) -> Ch
     witnesses = []
     samples = 0
     tails = {}
+    col = np.asarray(win, dtype=object)[:, None]
     for t in inst.t_grid:
-        mat = _pairwise_P_matrix(inst, win, t)
+        mat = P(inst, col, win, t)
         samples += mat.size
         worst_flat = int(np.argmax(mat))
         i, j = divmod(worst_flat, mat.shape[1])
@@ -151,26 +152,6 @@ def check_cauchy(inst: GpmsInstance, seq: SequenceSpec, tol: float = 1e-6) -> Ch
                        witnesses=tuple(witnesses),
                        note=f"tail window = last {len(win)} of {len(terms)} terms",
                        data={"max_tail_P": tails})
-
-
-def _pairwise_P_matrix(inst, pts, t) -> np.ndarray:
-    if inst.family == "tabulated":
-        n = len(pts)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = eval_P(inst, pts[i], pts[j], t)
-        return out
-    if inst.carrier.kind == "finite":
-        idx = np.fromiter((inst.carrier.index(p) for p in pts), dtype=int)
-        dist = inst.carrier.d[np.ix_(idx, idx)]
-        same = idx[:, None] == idx[None, :]
-    else:
-        arr = np.asarray(pts, dtype=float)
-        dist = np.abs(arr[:, None] - arr[None, :])
-        same = arr[:, None] == arr[None, :]
-    from .core import _family_vector
-    return _family_vector(inst.family, inst.params, dist, same, t)
 
 
 def _points_of(inst, s):
@@ -197,8 +178,7 @@ def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None) -> Check
             raise DomainError("interval subsets need an interval carrier")
         if not (inst.carrier.contains(s.lo) and inst.carrier.contains(s.hi)):
             raise DomainError("interval subset leaves the carrier")
-        k_t = {f"{t:.12g}": _family_scalar(inst.family, inst.params, s.width, s.width == 0.0, t)
-               for t in inst.t_grid}
+        k_t = {f"{t:.12g}": eval_P(inst, s.lo, s.hi, t) for t in inst.t_grid}
         samples = len(inst.t_grid)
     else:
         pts = _points_of(inst, s)
@@ -206,8 +186,9 @@ def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None) -> Check
             raise DomainError("bounded check needs a non-empty set")
         k_t = {}
         samples = 0
+        col = np.asarray(pts, dtype=object)[:, None]
         for t in inst.t_grid:
-            mat = _pairwise_P_matrix(inst, pts, t)
+            mat = P(inst, col, pts, t)
             samples += mat.size
             k_t[f"{t:.12g}"] = float(mat.max())
     data["K_t"] = k_t
@@ -254,7 +235,7 @@ def joint_continuity_check(inst: GpmsInstance, seqx: SequenceSpec, seqy: Sequenc
     limits = {}
     for t in inst.t_grid:
         target = eval_P(inst, x, y, t)
-        vals = eval_P_pairwise(inst, winx, winy, t)
+        vals = P(inst, winx, winy, t)
         samples += len(vals)
         dev = np.abs(vals - target)
         worst = int(np.argmax(dev))
@@ -267,8 +248,8 @@ def joint_continuity_check(inst: GpmsInstance, seqx: SequenceSpec, seqy: Sequenc
     slack = 3 * tol
     for t1, t2 in zip(inst.t_grid, inst.t_grid[1:]):
         samples += 2
-        lim1 = float(eval_P_pairwise(inst, [tx[-1]], [ty[-1]], t1)[0])
-        lim2 = float(eval_P_pairwise(inst, [tx[-1]], [ty[-1]], t2)[0])
+        lim1 = eval_P(inst, tx[-1], ty[-1], t1)
+        lim2 = eval_P(inst, tx[-1], ty[-1], t2)
         if eval_P(inst, x, y, t2) > lim1 + slack:
             witnesses.append(Witness(values={"t": t1, "t_next": t2},
                                      detail="upper squeeze inequality fails at one grid step"))
@@ -293,15 +274,15 @@ def diameter(inst: GpmsInstance, s, divergence_factor: float = 1.5,
             raise DomainError("interval subsets need an interval carrier")
         if s.width == 0.0:
             return 0.0
-        vals = [_family_scalar(inst.family, inst.params, s.width, False, t)
-                for t in inst.t_grid[:2]]
+        vals = [eval_P(inst, s.lo, s.hi, t) for t in inst.t_grid[:2]]
     else:
         pts = _points_of(inst, s)
         if not pts:
             raise DomainError("diameter of the empty set is undefined")
         if len(set(pts)) == 1:
             return 0.0
-        vals = [float(_pairwise_P_matrix(inst, pts, t).max()) for t in inst.t_grid[:2]]
+        col = np.asarray(pts, dtype=object)[:, None]
+        vals = [float(P(inst, col, pts, t).max()) for t in inst.t_grid[:2]]
     v0 = vals[0]
     if len(vals) > 1 and vals[1] > 0 and v0 / vals[1] > divergence_factor and v0 > cap:
         return math.inf

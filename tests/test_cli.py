@@ -89,6 +89,44 @@ def test_tabulated_op_descriptor(tmp_path):
     assert f.instance.op.kind == "tabulated"
 
 
+TABULATED = dict(BASE, family="tabulated", params={"tables": [
+    {"pair": ["a", "b"], "t": [1, 2], "v": [2, 1]},
+    {"pair": ["a", "c"], "t": [1], "v": [3]},
+    {"pair": ["b", "c"], "t": [1, 2], "v": [2, 1]}]})
+
+
+def _table_entry(k, **changes):
+    tables = [dict(e) for e in TABULATED["params"]["tables"]]
+    tables[k].update(changes)
+    return dict(TABULATED, params={"tables": [
+        {f: v for f, v in e.items() if v is not None} for e in tables]})
+
+
+MALFORMED = {
+    "tables-object": (dict(TABULATED, params={"tables": {"ab": 1}}), "params.tables"),
+    "entry-not-object": (dict(TABULATED, params={"tables": [[1, 2]]}), "params.tables[0]"),
+    "entry-without-v": (_table_entry(0, v=None), "params.tables[0]"),
+    "v-not-numeric": (_table_entry(1, v=["x"]), "params.tables[1]"),
+    "pair-not-a-list": (_table_entry(2, pair=5), "params.tables[2]"),
+    "pair-repeated": (dict(TABULATED, params={"tables": TABULATED["params"]["tables"] + [
+        {"pair": ["b", "a"], "t": [1], "v": [1]}]}), "params.tables[3]"),
+    "d-not-numeric": (dict(BASE, d=[[0, "x", 3], [1, 0, 2], [3, 2, 0]]), "distance table d"),
+    "d-ragged": (dict(BASE, d=[[0, 1, 3], [1, 0], [3, 2, 0]]), "distance table d"),
+    "op-table-ragged": (dict(BASE, op={"table": {"grid": [0, 1], "values": [[0, 1], [1]]}}),
+                        "op table"),
+    "interval-not-numeric": ({**{k: v for k, v in BASE.items() if k not in ("points", "d")},
+                              "interval": ["x", 2], "resolution": 0.5}, "interval"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, case):
+    doc, field = MALFORMED[case]
+    assert g.main(["axioms", write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
 def test_axioms_command_all_pass(tmp_path):
     f = g.load_instance(write(tmp_path, BASE))
     report = g.run_command("axioms", f)
