@@ -5,20 +5,31 @@ grid ball B(a, alpha, t) inside it, with alpha and t drawn from the declared
 grids.  At coarse grids the admitted family is a sub-collection of the true
 topology, so every report carries the grids it used.
 
+Every gallery family is non-increasing in t (tabulated tables that rise are
+rejected at construction), so the least grid ball U_x = B(x, min alpha,
+min t) lies inside every other grid ball at x.  A subset S is therefore open
+exactly when U_x is inside S for every x in S: tau_P is the family of
+down-sets of the least balls (Alexandroff 1937; Stong 1966).  is_open,
+interior, limit points and the family itself are all read off U and its
+transitive closure, and the family is a topology by construction;
+TopologyFamily.verify stays as an O(|F|^2) oracle for tests.
+
 Ball membership uses exact float comparison: strict "<" for open balls,
 "<=" for closed balls, no epsilon fuzzing.
 
-The derived structures -- each point's grid balls and the family tau_P --
-are computed once per instance and memoized, weakly keyed by the instance,
-so is_open, interior, closures, the ball theorems, separation and the
-countable-base checks share one derivation.  This is sound because an
-instance is immutable after construction (the carrier's distance table is a
-read-only copy).  The memoized values are immutable too: tuples of
-SubsetMask, and a TopologyFamily.
+The derived structures -- each point's grid balls, the least balls and
+tau_P -- are computed once per instance and memoized, weakly keyed by the
+instance, so is_open, interior, closures, the ball theorems, separation and
+the countable-base checks share one derivation.  This is sound because an
+instance is immutable after construction (the carrier's distance table and
+the tabulated parameters are private copies).  The memoized values are
+immutable too: tuples of SubsetMask or int bitmasks, and a TopologyFamily.
 """
 from __future__ import annotations
 
 import weakref
+from functools import reduce
+from operator import and_
 
 import numpy as np
 
@@ -139,7 +150,9 @@ class TopologyFamily:
         """Assert the topology axioms exactly; raise VerificationError otherwise.
 
         Closure under pairwise union implies closure under arbitrary unions
-        for a finite family, so pairwise checks suffice.
+        for a finite family, so pairwise checks suffice.  The O(|F|^2) pass
+        is a test oracle: families built by topology_from_least are
+        topologies by construction.
         """
         full = (1 << self.n) - 1
         if 0 not in self._bitset or full not in self._bitset:
@@ -185,7 +198,7 @@ def closed_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
     return _mask_of_flags(P(inst, a, inst.carrier.labels, t) <= alpha)
 
 
-_DERIVED = weakref.WeakKeyDictionary()  # instance -> {"balls": ..., "topology": ...}
+_DERIVED = weakref.WeakKeyDictionary()  # instance -> {"balls": ..., "least": ..., "topology": ...}
 
 
 def _derived(inst: GpmsInstance) -> dict:
@@ -213,30 +226,51 @@ def grid_ball_masks(inst: GpmsInstance):
     return memo["balls"]
 
 
-def admitted_family(n: int, balls_per_point) -> list:
-    """All subsets where every member point has one of its balls inside."""
-    masks = []
-    for bits in range(1 << n):
-        ok = True
-        i = 0
-        rest = bits
-        while rest:
-            if rest & 1:
-                if not any((b.bits & ~bits) == 0 for b in balls_per_point[i]):
-                    ok = False
-                    break
-            rest >>= 1
-            i += 1
-        if ok:
-            masks.append(SubsetMask(n, bits))
-    return masks
+def _reach(least) -> tuple:
+    """Transitive closure of x -> U_x (Warshall on bitmasks).
+
+    reach[x] is the smallest set containing x that holds U_y for each of its
+    members y: the least open set around x.
+    """
+    reach = list(least)
+    for k in range(len(reach)):
+        for i, r in enumerate(reach):
+            if r >> k & 1:
+                reach[i] = r | reach[k]
+    return tuple(reach)
+
+
+def _least(inst: GpmsInstance):
+    """(U, reach) as int bitmasks per point; computed once per instance.
+
+    U_x is the intersection of the grid balls at x.  P is non-increasing in
+    t, so this is itself a grid ball, B(x, min alpha, min t), and a set
+    holding some grid ball at x holds U_x.
+    """
+    memo = _derived(inst)
+    if "least" not in memo:
+        least = tuple(reduce(and_, (b.bits for b in row)) for row in grid_ball_masks(inst))
+        memo["least"] = (least, _reach(least))
+    return memo["least"]
+
+
+def topology_from_least(n: int, least) -> TopologyFamily:
+    """The family {S : U_x inside S for every x in S}, given U as bitmasks.
+
+    Its members are exactly the unions of the least open sets reach[x], so
+    the family is a topology by construction.
+    """
+    opens = {0}
+    for r in _reach(least):
+        opens |= {s | r for s in opens}
+    return TopologyFamily(n, [SubsetMask(n, b) for b in opens])
 
 
 def generate_topology(inst: GpmsInstance, max_points: int = 15) -> TopologyFamily:
-    """Enumerate tau_P over the grids and verify the topology axioms.
+    """tau_P over the grids: the down-sets of the least grid balls.
 
-    The verified family is computed once per instance; ``max_points`` only
-    guards the 2^n enumeration.
+    The family is computed once per instance; ``max_points`` caps the
+    size of the explicit family, which can hold 2^n sets.
     """
     _require_finite(inst)
     n = inst.carrier.size
@@ -244,32 +278,20 @@ def generate_topology(inst: GpmsInstance, max_points: int = 15) -> TopologyFamil
         raise SizeError(f"carrier size {n} exceeds max_points={max_points}")
     memo = _derived(inst)
     if "topology" not in memo:
-        fam = TopologyFamily(n, admitted_family(n, grid_ball_masks(inst)))
-        fam.verify()
-        memo["topology"] = fam
+        memo["topology"] = topology_from_least(n, _least(inst)[0])
     return memo["topology"]
 
 
 def is_open(inst: GpmsInstance, s: SubsetMask) -> bool:
-    """True iff every point of s has a grid ball inside s."""
-    _require_finite(inst)
-    balls = grid_ball_masks(inst)
-    return all(any(b.issubset(s) for b in balls[i]) for i in s.indices())
+    """True iff every point of s has a grid ball inside s, i.e. U_x inside s."""
+    least, _ = _least(inst)
+    return all(least[i] & ~s.bits == 0 for i in s.indices())
 
 
 def interior(inst: GpmsInstance, s: SubsetMask) -> SubsetMask:
-    """Largest admitted (open) subset of s, by greatest-fixpoint pruning."""
-    _require_finite(inst)
-    balls = grid_ball_masks(inst)
-    cur = s
-    changed = True
-    while changed:
-        changed = False
-        for i in cur.indices():
-            if not any(b.issubset(cur) for b in balls[i]):
-                cur = SubsetMask(cur.n, cur.bits & ~(1 << i))
-                changed = True
-    return cur
+    """Largest open subset of s: the points whose least open set lies in s."""
+    _, reach = _least(inst)
+    return SubsetMask(s.n, sum(1 << i for i in s.indices() if reach[i] & ~s.bits == 0))
 
 
 def closure_and_limit_points(inst: GpmsInstance, s: SubsetMask):
@@ -279,26 +301,21 @@ def closure_and_limit_points(inst: GpmsInstance, s: SubsetMask):
     the punctured ball (B(x, alpha, t) minus x) meets s.  A "for any t
     there exists alpha" quantifier would be degenerate on bounded carriers
     (huge alpha makes every point a limit point), so the standard for-all
-    reading over both grids is used.
+    reading over both grids is used.  Every grid ball at x holds U_x, so
+    this is the same as U_x minus x meeting s.
 
-    When every grid ball is itself open, the result provably equals the
+    When every U_x is itself open, the result provably equals the
     complement of the largest open set disjoint from s; that identity is
     cross-checked and a mismatch raises VerificationError.
     """
-    _require_finite(inst)
+    least, reach = _least(inst)
     n = inst.carrier.size
-    balls = grid_ball_masks(inst)
-    limit_bits = 0
-    for i in range(n):
-        punct = ~(1 << i)
-        if all((b.bits & punct & s.bits) != 0 for b in balls[i]):
-            limit_bits |= 1 << i
-    limits = SubsetMask(n, limit_bits)
+    limits = SubsetMask(n, sum(1 << i for i in range(n) if least[i] & ~(1 << i) & s.bits))
     closure = s.union(limits)
-    if all(is_open(inst, b) for pt in balls for b in pt):
+    if least == reach:
         alt = interior(inst, s.complement()).complement()
         if alt != closure:
-            raise VerificationError("closure cross-check failed with open grid balls")
+            raise VerificationError("closure cross-check failed with open least balls")
     return closure, limits
 
 

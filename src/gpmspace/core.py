@@ -202,6 +202,8 @@ class GpmsInstance:
                 raise ConstructionError("discrete family needs a parameter c > 0")
             self.params["c"] = float(c)
         self._steps = _step_tables(carrier, self.params) if family == "tabulated" else None
+        if family == "tabulated":  # a private copy: the caller's tables may change later
+            self.params = _params_jsonable(family, self.params)
 
     # -- evaluation ------------------------------------------------------
 

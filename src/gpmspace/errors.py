@@ -46,8 +46,9 @@ class PreconditionError(GpmsError):
     """A documented operation precondition was violated."""
 
 
-class SizeError(GpmsError):
-    """A carrier is too large for exhaustive enumeration."""
+class SizeError(PreconditionError):
+    """A carrier is too large for exhaustive enumeration (a battery guard
+    reports the check it stops as inconclusive)."""
 
 
 class VerificationError(GpmsError):

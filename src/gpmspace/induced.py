@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .balls import SubsetMask, TopologyFamily, admitted_family, generate_topology
+from .balls import generate_topology, topology_from_least
 from .core import GpmsInstance, eval_P, p4_violations, step_ray_start, _pair_key
 from .errors import ConvergenceError, DomainError, HypothesisError, SizeError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
@@ -190,43 +190,6 @@ def check_alpha_monotonicity(inst: GpmsInstance, a, b, alpha_list,
                        data={"alphas": alphas, "values": values})
 
 
-def metric_ball_masks(am: AlphaMetric):
-    """Per point, metric balls of d_alpha over an epsilon grid fine enough to
-    realize every ball a finite carrier admits.
-
-    Metric balls only change at realized distances, so radii one tolerance
-    on either side of each realized value, plus midpoints of consecutive
-    values, realize them all.
-    """
-    inst = am.instance
-    labels = inst.carrier.labels
-    n = len(labels)
-    tol = am.solver.tolerance
-    realized = sorted({0.0} | {d_alpha(am, a, b) for a in labels for b in labels
-                              if not math.isinf(d_alpha(am, a, b))})
-    eps = set()
-    for v in realized:
-        eps.add(v + tol)
-        if v - tol > 0:
-            eps.add(v - tol)
-    for v1, v2 in zip(realized, realized[1:]):
-        eps.add(0.5 * (v1 + v2))
-    if realized:
-        eps.add(realized[-1] + 1.0)
-    radii = sorted(e for e in eps if e > 0)
-    out = []
-    for a in labels:
-        seen = {}
-        for r in radii:
-            bits = 0
-            for i, b in enumerate(labels):
-                if d_alpha(am, a, b) < r:
-                    bits |= 1 << i
-            seen[bits] = SubsetMask(n, bits)
-        out.append([seen[b] for b in sorted(seen)])
-    return out
-
-
 def compare_topologies(inst: GpmsInstance, alpha: float, max_points: int = 15,
                        solver: BisectionSettings | None = None) -> CheckReport:
     """Compare tau_P against the metric topology of d_alpha for set equality.
@@ -249,8 +212,14 @@ def compare_topologies(inst: GpmsInstance, alpha: float, max_points: int = 15,
             f"per-alpha separation fails at alpha={alpha:.12g} (pairs {pairs}); "
             "d_alpha is not a metric here")
     tau_p = generate_topology(inst, max_points)
-    tau_d = TopologyFamily(n, admitted_family(n, metric_ball_masks(am)))
-    tau_d.verify()
+    # the least d_alpha ball: the smallest radius that realizes every ball
+    # (tol, and v1/2 or v1 - tol below the smallest positive distance v1)
+    table = alpha_metric_table(am)
+    tol = am.solver.tolerance
+    v1 = min((v for row in table for v in row if 0 < v < math.inf), default=math.inf)
+    radius = min(tol, v1 / 2, v1 - tol if v1 - tol > 0 else math.inf)
+    tau_d = topology_from_least(n, [sum(1 << j for j, v in enumerate(row) if v < radius)
+                                    for row in table])
     car = inst.carrier
     missing_in_p = [m for m in tau_d if m not in tau_p]
     missing_in_d = [m for m in tau_p if m not in tau_d]

@@ -262,3 +262,24 @@ def test_seed_and_tol_recorded(tmp_path):
     payload = report.to_jsonable()
     assert payload["seed"] == 123
     assert payload["tol"] == 1e-7
+
+
+def test_carrier_above_max_points_makes_topology_identity_inconclusive(tmp_path, capsys):
+    n = 16
+    doc = dict(BASE, points=[f"x{i}" for i in range(n)],
+               d=[[abs(i - j) for j in range(n)] for i in range(n)])
+    path = write(tmp_path, doc)
+    for command in ("topology", "separation"):
+        assert g.main([command, path]) == 2
+        assert "max-points" in capsys.readouterr().err
+    for command in ("dalpha", "full-report"):
+        assert g.main([command, path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        identity = [c for c in report["checks"] if c["name"].startswith("topology_identity")]
+        assert [c["verdict"] for c in identity] == ["inconclusive"]
+        assert "max_points=15" in identity[0]["note"]
+    # within the cap the same check runs
+    assert g.main(["dalpha", path, "--max-points", "16"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["verdict"] for c in report["checks"]
+            if c["name"].startswith("topology_identity")] == ["pass"]

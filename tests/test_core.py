@@ -290,6 +290,26 @@ def test_tabulated_step_lookup_between_nodes():
     assert g.eval_P(inst, "0", "1", 1e-6) == g.eval_P(inst, "0", "1", 1e-4)
 
 
+def test_tabulated_instance_ignores_later_changes_to_the_callers_tables():
+    carrier = three_point_carrier()
+    tables = [{"pair": ["b", "a"], "t": [0.5], "v": [2.0]},
+              {"pair": ["a", "c"], "t": [0.3, 1.5], "v": [5.0, 3.0]},
+              {"pair": ["b", "c"], "t": [1.0], "v": [1.0]}]
+    params = {"tables": tables}
+    inst = g.gallery_construct("tabulated", params, carrier, g.MAX, (0.1, 1.0), ALPHA_GRID)
+    described = inst.describe()
+    tables[0]["v"][0] = 9.0
+    tables[1]["t"].append(4.0)
+    tables[1]["pair"][0] = "b"
+    tables.append({"pair": ["a", "b"], "t": [1.0], "v": [7.0]})
+    params["tables"] = []
+    assert inst.describe() == described
+    assert described["params"]["tables"][0] == {"pair": ["a", "b"], "t": [0.5], "v": [2.0]}
+    assert g.eval_P(inst, "a", "b", 1.0) == 2.0
+    inst.describe()["params"]["tables"][0]["v"][0] = 9.0
+    assert inst.describe() == described
+
+
 @st.composite
 def euclidean_carriers(draw):
     n = draw(st.integers(min_value=2, max_value=5))

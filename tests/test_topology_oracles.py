@@ -1,0 +1,176 @@
+"""tau_P, tau_d_alpha and the countable-base checks against the 2^n scan.
+
+The oracles below are the enumerations the toolkit used before it derived
+both families from one least ball per point: ``admitted_family`` scans all
+2^n subsets, ``metric_ball_masks`` builds d_alpha balls over a radius grid
+fine enough to realize every ball of a finite carrier, and
+``countable_base_oracle`` loops over the scanned family.
+"""
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gpmspace as g
+from gpmspace import balls as balls_module
+
+
+def admitted_family(n, balls_per_point):
+    """All subsets where every member point has one of its balls inside."""
+    masks = []
+    for bits in range(1 << n):
+        if all(any(b.bits & ~bits == 0 for b in balls_per_point[i])
+               for i in range(n) if (bits >> i) & 1):
+            masks.append(g.SubsetMask(n, bits))
+    return masks
+
+
+def metric_ball_masks(am):
+    """Per point, d_alpha balls over radii one tolerance on either side of each
+    realized distance, midpoints of consecutive ones and one past the largest."""
+    labels = am.instance.carrier.labels
+    n = len(labels)
+    tol = am.solver.tolerance
+    realized = sorted({0.0} | {g.d_alpha(am, a, b) for a in labels for b in labels
+                              if not math.isinf(g.d_alpha(am, a, b))})
+    eps = set()
+    for v in realized:
+        eps.add(v + tol)
+        if v - tol > 0:
+            eps.add(v - tol)
+    for v1, v2 in zip(realized, realized[1:]):
+        eps.add(0.5 * (v1 + v2))
+    eps.add(realized[-1] + 1.0)
+    radii = sorted(e for e in eps if e > 0)
+    out = []
+    for a in labels:
+        seen = {}
+        for r in radii:
+            bits = sum(1 << i for i, b in enumerate(labels) if g.d_alpha(am, a, b) < r)
+            seen[bits] = g.SubsetMask(n, bits)
+        out.append([seen[b] for b in sorted(seen)])
+    return out
+
+
+def countable_base_oracle(inst, family, mode, x=None, n_max=None):
+    """(specs, verdict, samples, first failing set) by looping over ``family``."""
+    car = inst.carrier
+
+    def isolating_n(p, cap=64):
+        for k in range(1, cap + 1):
+            if g.open_ball(inst, p, 1.0 / k, 1.0 / k).count == 1:
+                return k
+        return cap
+
+    if mode == "local":
+        n_top = n_max if n_max is not None else isolating_n(x)
+        specs = [g.BallSpec(x, 1.0 / k, 1.0 / k) for k in range(1, n_top + 1)]
+        masks = [g.open_ball(inst, x, s.radius, s.scale) for s in specs]
+        around = [u for u in family if u.contains(car.index(x))]
+        failures = [u for u in around if not any(m.issubset(u) for m in masks)]
+        samples = len(around)
+    else:
+        n_top = n_max if n_max is not None else max(isolating_n(p) for p in car.labels)
+        specs = [g.BallSpec(p, 1.0 / k, 1.0 / k) for p in car.labels for k in range(1, n_top + 1)]
+        masks = [g.open_ball(inst, s.center, s.radius, s.scale) for s in specs]
+        failures = []
+        for u in family:
+            union = 0
+            for m in masks:
+                if m.issubset(u):
+                    union |= m.bits
+            if union != u.bits:
+                failures.append(u)
+        samples = len(family)
+    verdict = g.INCONCLUSIVE if failures else g.PASS
+    first = failures[0].labels(car) if failures else None
+    return specs, verdict, samples, first
+
+
+@st.composite
+def gallery_instances(draw, ops=(g.PLUS, g.MAX)):
+    n = draw(st.integers(min_value=2, max_value=8))
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(st.integers(min_value=1, max_value=6))
+    for k in range(n):  # shortest-path closure makes d a metric
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    labels = [f"p{i}" for i in range(n)]
+    carrier = g.FiniteCarrier(labels, d)
+    t_grid = tuple(sorted(draw(st.sets(st.sampled_from([1e-4, 0.25, 0.5, 1.0, 2.0, 4.0, 50.0]),
+                                       min_size=1, max_size=4))))
+    alpha_grid = tuple(sorted(draw(st.sets(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]),
+                                           min_size=1, max_size=4))))
+    family = draw(st.sampled_from(g.FAMILIES))
+    params = {}
+    if family == "discrete":
+        params = {"c": draw(st.floats(min_value=0.1, max_value=5.0))}
+    elif family == "tabulated":
+        tables = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                nodes = sorted(draw(st.sets(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+                                            min_size=1, max_size=4)))
+                vals = draw(st.lists(st.floats(min_value=0.05, max_value=6.0),
+                                     min_size=len(nodes), max_size=len(nodes)))
+                tables.append({"pair": [labels[i], labels[j]], "t": nodes,
+                               "v": sorted(vals, reverse=True)})
+        params = {"tables": tables}
+    op = draw(st.sampled_from(ops))
+    return g.gallery_construct(family, params, carrier, op, t_grid, alpha_grid)
+
+
+def oracle_tau_p(inst):
+    n = inst.carrier.size
+    return g.TopologyFamily(n, admitted_family(n, balls_module.grid_ball_masks(inst)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(gallery_instances())
+def test_tau_p_equals_the_subset_scan(inst):
+    tau_p = g.generate_topology(inst)
+    assert tau_p == oracle_tau_p(inst)
+    tau_p.verify()
+
+
+@settings(max_examples=80, deadline=None)
+@given(gallery_instances(ops=(g.MAX,)), st.sampled_from([0.05, 0.25, 1.0, 4.0]))
+def test_tau_d_alpha_equals_the_radius_grid_scan(inst, alpha):
+    n = inst.carrier.size
+    am = g.AlphaMetric(inst, alpha)
+    if not am.p4_ok:
+        return  # compare_topologies raises HypothesisError; nothing to compare
+    rep = g.compare_topologies(inst, alpha)
+    tau_p = oracle_tau_p(inst)
+    tau_d = g.TopologyFamily(n, admitted_family(n, metric_ball_masks(am)))
+    tau_d.verify()
+    car = inst.carrier
+    assert rep.data == {
+        "alpha": alpha,
+        "tau_P_size": len(tau_p),
+        "tau_d_alpha_size": len(tau_d),
+        "missing_from_tau_P": [list(m.labels(car)) for m in tau_d if m not in tau_p],
+        "missing_from_tau_d_alpha": [list(m.labels(car)) for m in tau_p if m not in tau_d],
+    }
+    # the report fixes the family it compared: tau_d = (tau_P - missing) + missing
+    built = {m.bits for m in g.generate_topology(inst)}
+    built -= {g.SubsetMask.from_labels(car, s).bits for s in rep.data["missing_from_tau_d_alpha"]}
+    built |= {g.SubsetMask.from_labels(car, s).bits for s in rep.data["missing_from_tau_P"]}
+    g.TopologyFamily(n, [g.SubsetMask(n, b) for b in built]).verify()
+
+
+@settings(max_examples=60, deadline=None)
+@given(gallery_instances(), st.sampled_from([None, 1, 2, 4]), st.data())
+def test_countable_base_matches_a_loop_over_the_subset_scan(inst, n_max, data):
+    family = list(oracle_tau_p(inst))
+    x = data.draw(st.sampled_from(inst.carrier.labels))
+    for mode, point in (("local", x), ("global", None)):
+        specs, rep = g.countable_base(inst, mode, x=point, n_max=n_max)
+        want_specs, verdict, samples, first = countable_base_oracle(inst, family, mode,
+                                                                    point, n_max)
+        assert specs == want_specs
+        assert (rep.verdict, rep.samples_tested) == (verdict, samples)
+        assert (rep.witness.points if rep.witnesses else None) == first
