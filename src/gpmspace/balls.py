@@ -282,15 +282,22 @@ def generate_topology(inst: GpmsInstance, max_points: int = 15) -> TopologyFamil
     return memo["topology"]
 
 
+def _require_size(least, s: SubsetMask):
+    if s.n != len(least):
+        raise DomainError("mask size mismatch")
+
+
 def is_open(inst: GpmsInstance, s: SubsetMask) -> bool:
     """True iff every point of s has a grid ball inside s, i.e. U_x inside s."""
     least, _ = _least(inst)
+    _require_size(least, s)
     return all(least[i] & ~s.bits == 0 for i in s.indices())
 
 
 def interior(inst: GpmsInstance, s: SubsetMask) -> SubsetMask:
     """Largest open subset of s: the points whose least open set lies in s."""
     _, reach = _least(inst)
+    _require_size(reach, s)
     return SubsetMask(s.n, sum(1 << i for i in s.indices() if reach[i] & ~s.bits == 0))
 
 

@@ -233,52 +233,31 @@ def _guarded(name, fn):
 
 
 def _separation_checks(inst, max_points):
-    car = inst.carrier
-    labels = car.labels
-    checks = []
-    for i, a in enumerate(labels):
-        for b in labels[i + 1:]:
-            for kind in ("T0", "T1", "T2"):
-                def build(kind=kind, a=a, b=b):
-                    w = separation.separation_witness(inst, kind, a=a, b=b)
-                    rep = separation.verify_witness(inst, w)
-                    rep.name = f"{kind}({a},{b})"
-                    return rep
-                checks.append(_guarded(f"{kind}({a},{b})", build))
-    if len(labels) >= 2:
-        n = car.size
-        for i, a in enumerate(labels):
-            single = balls.SubsetMask.from_indices(n, [i])
-            for x in labels:
-                if x == a:
-                    continue
-                def build_reg(a=a, x=x, single=single):
-                    w = separation.separation_witness(inst, "regular", a=x, subset=single)
-                    rep = separation.verify_witness(inst, w)
-                    rep.name = f"regular({{{a}}},{x})"
-                    return rep
-                checks.append(_guarded(f"regular({{{a}}},{x})", build_reg))
-        for i, a in enumerate(labels):
-            for j in range(i + 1, len(labels)):
-                b = labels[j]
-                sa = balls.SubsetMask.from_indices(n, [i])
-                sb = balls.SubsetMask.from_indices(n, [j])
-                def build_norm(a=a, b=b, sa=sa, sb=sb):
-                    w = separation.separation_witness(inst, "normal", subset=sa, subset_b=sb)
-                    rep = separation.verify_witness(inst, w)
-                    rep.name = f"normal({{{a}}},{{{b}}})"
-                    return rep
-                checks.append(_guarded(f"normal({{{a}}},{{{b}}})", build_norm))
-    for x in labels:
-        def build_local(x=x):
-            _, rep = separation.countable_base(inst, "local", x=x, max_points=max_points)
-            return rep
-        checks.append(_guarded(f"countable_base[local@{x}]", build_local))
+    labels = inst.carrier.labels
+    n = len(labels)
+    single = [balls.SubsetMask.from_indices(n, [i]) for i in range(n)]
 
-    def build_global():
-        _, rep = separation.countable_base(inst, "global", max_points=max_points)
-        return rep
-    checks.append(_guarded("countable_base[global]", build_global))
+    def witness(name, kind, **kw):
+        def build():
+            rep = separation.separation_witness(inst, kind, **kw).report
+            rep.name = name
+            return rep
+        return _guarded(name, build)
+
+    def base(name, mode, x=None):
+        return _guarded(name, lambda: separation.countable_base(
+            inst, mode, x=x, max_points=max_points)[1])
+
+    checks = [witness(f"{kind}({a},{b})", kind, a=a, b=b)
+              for i, a in enumerate(labels) for b in labels[i + 1:]
+              for kind in ("T0", "T1", "T2")]
+    checks += [witness(f"regular({{{a}}},{x})", "regular", a=x, subset=single[i])
+               for i, a in enumerate(labels) for x in labels if x != a]
+    checks += [witness(f"normal({{{a}}},{{{labels[j]}}})", "normal",
+                       subset=single[i], subset_b=single[j])
+               for i, a in enumerate(labels) for j in range(i + 1, n)]
+    checks += [base(f"countable_base[local@{x}]", "local", x) for x in labels]
+    checks.append(base("countable_base[global]", "global"))
     return checks
 
 

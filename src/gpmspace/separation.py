@@ -3,16 +3,24 @@ countable bases on finite carriers.
 
 Witness construction picks t0 as the smallest grid t, which maximizes
 P(a,b,t0) by monotonicity and therefore gives the most robust alpha0 to
-separate below.  Every witness is re-verified before it is returned.
+separate below; the minimum of P over a set is one kernel slice.  Every
+witness is verified once before it is returned: its ball masks U and V are
+built once, and the verification report travels with the witness.
+
+Countable bases read the least open sets of tau_P (``balls._least``):
+every open set around a point y holds reach[y], so a base question about
+all open sets around y is decided by reach[y] alone.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .balls import SubsetMask, generate_topology, is_open, open_ball
+import numpy as np
+
+from .balls import SubsetMask, _least, generate_topology, is_open, open_ball
 from .binop import eval_op, sub_idempotent
-from .core import GpmsInstance, eval_P
+from .core import GpmsInstance, P, eval_P
 from .errors import DomainError, PreconditionError, WitnessNotFoundError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -44,6 +52,8 @@ class SeparationWitness:
     u_mask: SubsetMask | None = None
     v_mask: SubsetMask | None = None
     note: str = ""
+    # the verification separation_witness ran on u_mask and v_mask
+    report: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_jsonable(self, carrier=None):
         out = {
@@ -68,6 +78,11 @@ def _mask_of(inst, specs) -> SubsetMask:
     for s in specs:
         m = m.union(open_ball(inst, s.center, s.radius, s.scale))
     return m
+
+
+def _min_P(inst, xs, ys, t) -> float:
+    """min of P(x, y, t) over x in xs and y in ys, one kernel slice."""
+    return float(P(inst, np.asarray(xs, dtype=object)[:, None], ys, t).min())
 
 
 def _pick_t0(inst, value_fn):
@@ -125,7 +140,7 @@ def separation_witness(inst: GpmsInstance, kind: str, a=None, b=None,
         if subset.contains(car.index(a)):
             raise PreconditionError(f"point {a!r} must lie outside the closed set")
         members = subset.labels(car)
-        t0, alpha0 = _pick_t0(inst, lambda t: min(eval_P(inst, a, m, t) for m in members))
+        t0, alpha0 = _pick_t0(inst, lambda t: _min_P(inst, (a,), members, t))
         alpha1 = sub_idempotent(inst.op, alpha0)
         w = SeparationWitness(kind, t0, alpha0, alpha1,
                               (BallSpec(a, alpha1, t0 / 2),),
@@ -138,8 +153,7 @@ def separation_witness(inst: GpmsInstance, kind: str, a=None, b=None,
             raise PreconditionError("the two closed sets must be disjoint")
         mem_a = subset.labels(car)
         mem_b = subset_b.labels(car)
-        t0, alpha0 = _pick_t0(inst, lambda t: min(eval_P(inst, x, y, t)
-                                                  for x in mem_a for y in mem_b))
+        t0, alpha0 = _pick_t0(inst, lambda t: _min_P(inst, mem_a, mem_b, t))
         alpha1 = sub_idempotent(inst.op, alpha0)
         w = SeparationWitness(kind, t0, alpha0, alpha1,
                               tuple(BallSpec(m, alpha1, t0 / 2) for m in mem_a),
@@ -148,10 +162,10 @@ def separation_witness(inst: GpmsInstance, kind: str, a=None, b=None,
 
     w.u_mask = _mask_of(inst, w.balls_u)
     w.v_mask = _mask_of(inst, w.balls_v)
-    report = verify_witness(inst, w)
-    if not report.ok:
+    w.report = _check_claims(inst, w, w.u_mask, w.v_mask)
+    if not w.report.ok:
         raise WitnessNotFoundError(
-            f"constructed {kind} witness failed verification: {report.witness.detail}")
+            f"constructed {kind} witness failed verification: {w.report.witness.detail}")
     return w
 
 
@@ -167,8 +181,12 @@ def verify_witness(inst: GpmsInstance, w: SeparationWitness) -> CheckReport:
         car.index(w.a)
     if w.b is not None:
         car.index(w.b)
-    u = _mask_of(inst, w.balls_u)
-    v = _mask_of(inst, w.balls_v) if w.balls_v else SubsetMask.empty(car.size)
+    return _check_claims(inst, w, _mask_of(inst, w.balls_u), _mask_of(inst, w.balls_v))
+
+
+def _check_claims(inst, w: SeparationWitness, u: SubsetMask, v: SubsetMask) -> CheckReport:
+    """The claims of ``verify_witness``, given the masks U and V of w's balls."""
+    car = inst.carrier
     witnesses = []
     samples = 0
 
@@ -203,7 +221,7 @@ def verify_witness(inst: GpmsInstance, w: SeparationWitness) -> CheckReport:
         claim(w.set_a is not None and w.set_a.issubset(v), "closed set not covered by V")
         claim(u.intersection(v).is_empty, "U and V overlap")
         if w.set_a is not None and w.alpha1 is not None:
-            sep = min(eval_P(inst, w.a, m, w.t0) for m in w.set_a.labels(car))
+            sep = _min_P(inst, (w.a,), w.set_a.labels(car), w.t0)
             claim(eval_op(inst.op, w.alpha1, w.alpha1) < w.alpha0 and w.alpha0 <= sep,
                   "inequality chain fails against the set separation value",
                   alpha0=w.alpha0, alpha1=w.alpha1, separation=sep)
@@ -214,8 +232,7 @@ def verify_witness(inst: GpmsInstance, w: SeparationWitness) -> CheckReport:
         claim(w.set_b is not None and w.set_b.issubset(v), "second closed set not covered by V")
         claim(u.intersection(v).is_empty, "U and V overlap")
         if w.set_a is not None and w.set_b is not None and w.alpha1 is not None:
-            sep = min(eval_P(inst, x, y, w.t0)
-                      for x in w.set_a.labels(car) for y in w.set_b.labels(car))
+            sep = _min_P(inst, w.set_a.labels(car), w.set_b.labels(car), w.t0)
             claim(eval_op(inst.op, w.alpha1, w.alpha1) < w.alpha0 and w.alpha0 <= sep,
                   "inequality chain fails against the set separation value",
                   alpha0=w.alpha0, alpha1=w.alpha1, separation=sep)
@@ -235,9 +252,15 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
                    max_points: int = 15):
     """Balls B(., 1/n, 1/n) as a local base at x or a global base.
 
-    Local mode verifies that every generated open set containing x admits a
-    base ball inside it; global mode uses the whole finite carrier as the
-    dense set and verifies every open set is a union of base members.
+    Every open set around a point y holds reach[y], the least open set
+    around y.  Local mode verifies that every generated open set containing
+    x admits a base ball inside it, which holds iff some base ball at x
+    lies inside reach[x]; otherwise reach[x] is the first open set that
+    fails.  Global mode uses the whole finite carrier as the dense set and
+    verifies every open set is a union of base members, which holds iff
+    every point y lies in some base ball inside reach[y]; otherwise the
+    first set that fails is the smallest such reach[y] by bitmask.  The
+    listed family is read only for the counts in the report.
     Returns ``(ball_specs, CheckReport)``; verification failures are
     inconclusive (the base may isolate only at larger n).
     """
@@ -246,66 +269,46 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
     if inst.carrier.kind != "finite":
         raise DomainError("countable bases are verified on finite carriers only")
     car = inst.carrier
+    n = car.size
     topo = generate_topology(inst, max_points)
+    _, reach = _least(inst)
 
     def isolating_n(p, cap=64):
-        for n in range(1, cap + 1):
-            if open_ball(inst, p, 1.0 / n, 1.0 / n).count == 1:
-                return n
+        for k in range(1, cap + 1):
+            if open_ball(inst, p, 1.0 / k, 1.0 / k).count == 1:
+                return k
         return cap
 
     if mode == "local":
         if x is None:
             raise DomainError("local mode needs a point x")
-        xi = car.index(x)
-        n_top = n_max if n_max is not None else isolating_n(x)
-        specs = [BallSpec(x, 1.0 / n, 1.0 / n) for n in range(1, n_top + 1)]
-        masks = [open_ball(inst, x, s.radius, s.scale) for s in specs]
-        failures = []
-        samples = 0
-        for g in topo:
-            if not g.contains(xi):
-                continue
-            samples += 1
-            if not any(m.issubset(g) for m in masks):
-                failures.append(g)
-        if failures:
-            named = list(failures[0].labels(car))
-            report = CheckReport(
-                name=f"countable_base[local@{x}]", verdict=INCONCLUSIVE,
-                samples_tested=samples,
-                witnesses=(Witness(points=tuple(named),
-                                   values={"n_max": float(n_top)},
-                                   detail="open set admits no base ball at this depth"),),
-                note=f"no base ball fits inside the open set {named}; "
-                     f"try a larger n_max")
-        else:
-            report = CheckReport(name=f"countable_base[local@{x}]", verdict=PASS,
-                                 samples_tested=samples,
-                                 note=f"local base verified against {len(topo)} open sets")
-        return specs, report
-
-    n_top = n_max if n_max is not None else max(isolating_n(p) for p in car.labels)
-    specs = [BallSpec(p, 1.0 / n, 1.0 / n)
-             for p in car.labels for n in range(1, n_top + 1)]
-    masks = [(s, open_ball(inst, s.center, s.radius, s.scale)) for s in specs]
-    failures = []
-    for g in topo:
-        union = SubsetMask.empty(car.size)
-        for _, m in masks:
-            if m.issubset(g):
-                union = union.union(m)
-        if union != g:
-            failures.append(g)
-    if failures:
-        named = list(failures[0].labels(car))
-        report = CheckReport(
-            name="countable_base[global]", verdict=INCONCLUSIVE, samples_tested=len(topo),
-            witnesses=(Witness(points=tuple(named), values={"n_max": float(n_top)},
-                               detail="open set is not a union of base members"),),
-            note=f"open set {named} not generated; the dense-set base needs larger n_max")
+        points, centers = [car.index(x)], [x]
     else:
-        report = CheckReport(name="countable_base[global]", verdict=PASS,
-                             samples_tested=len(topo),
-                             note=f"base generates all {len(topo)} open sets")
-    return specs, report
+        points, centers = range(n), car.labels
+    n_top = n_max if n_max is not None else max(isolating_n(p) for p in centers)
+    specs = [BallSpec(p, 1.0 / k, 1.0 / k) for p in centers for k in range(1, n_top + 1)]
+    covered = 0  # the points y that lie in some base ball inside reach[y]
+    for s in specs:
+        m = open_ball(inst, s.center, s.radius, s.scale)
+        covered |= sum(1 << y for y in m.indices() if m.bits & ~reach[y] == 0)
+    failing = min((reach[y] for y in points if not covered >> y & 1), default=None)
+    named = list(SubsetMask(n, failing).labels(car)) if failing is not None else None
+
+    if mode == "local":
+        name = f"countable_base[local@{x}]"
+        samples = sum(g.contains(points[0]) for g in topo)
+        passed = f"local base verified against {len(topo)} open sets"
+        detail = "open set admits no base ball at this depth"
+        note = f"no base ball fits inside the open set {named}; try a larger n_max"
+    else:
+        name = "countable_base[global]"
+        samples = len(topo)
+        passed = f"base generates all {len(topo)} open sets"
+        detail = "open set is not a union of base members"
+        note = f"open set {named} not generated; the dense-set base needs larger n_max"
+    if failing is None:
+        return specs, CheckReport(name=name, verdict=PASS, samples_tested=samples, note=passed)
+    return specs, CheckReport(
+        name=name, verdict=INCONCLUSIVE, samples_tested=samples,
+        witnesses=(Witness(points=tuple(named), values={"n_max": float(n_top)}, detail=detail),),
+        note=note)

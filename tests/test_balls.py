@@ -69,6 +69,21 @@ def test_ball_domain_errors():
         g.closed_ball(FINE, "a", -1.0, 1.0)
 
 
+@pytest.mark.parametrize("mask", [g.SubsetMask(5, 0b10001), g.SubsetMask(2, 0b01)],
+                         ids=["larger", "smaller"])
+@pytest.mark.parametrize("call", [
+    lambda m: g.is_open(FINE, m),
+    lambda m: g.interior(FINE, m),
+    lambda m: g.closure_and_limit_points(FINE, m),
+    lambda m: g.separation_witness(FINE, "regular", a="c", subset=m),
+    lambda m: g.check_compact_closed_bounded(FINE, m),
+], ids=["is_open", "interior", "closure", "regular_witness", "compact"])
+def test_mask_of_the_wrong_size_is_a_domain_error(call, mask):
+    # FINE has 3 points
+    with pytest.raises(g.DomainError, match="mask size mismatch"):
+        call(mask)
+
+
 def test_ball_monotone_in_radius_and_scale():
     for a in FINE.carrier.labels:
         for t in FINE.t_grid:
