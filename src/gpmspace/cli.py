@@ -265,6 +265,7 @@ def _dalpha_checks(inst, alpha, tol, max_points, seed):
     solver = induced.BisectionSettings(tolerance=min(tol, 1e-6))
     am = induced.AlphaMetric(inst, alpha, solver)
     checks = []
+    table = None
     if inst.carrier.kind == "finite":
         table = induced.alpha_metric_table(am)
         checks.append(CheckReport(
@@ -279,8 +280,7 @@ def _dalpha_checks(inst, alpha, tol, max_points, seed):
         checks.append(_guarded(
             f"topology_identity[alpha={alpha:.12g}]",
             lambda: induced.compare_topologies(inst, alpha, max_points, solver)))
-    table_payload = induced.alpha_metric_table(am) if inst.carrier.kind == "finite" else None
-    return checks, table_payload
+    return checks, table
 
 
 def _sequences_checks(inst, tol):

@@ -205,11 +205,6 @@ class GpmsInstance:
         if family == "tabulated":  # a private copy: the caller's tables may change later
             self.params = _params_jsonable(family, self.params)
 
-    # -- evaluation ------------------------------------------------------
-
-    def eval(self, a, b, t: float) -> float:
-        return eval_P(self, a, b, t)
-
     def quantifier_points(self, cap: int = _QUANTIFIER_CAP):
         """Points standing in for "all of X" in exhaustive scans."""
         pts = self.carrier.points()

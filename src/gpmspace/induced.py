@@ -2,30 +2,34 @@
 
 Requires op = max.  Because P(a,b,.) is non-increasing in t, the set
 { t : P(a,b,t) < alpha } is an upward-closed ray; d_alpha is its left
-endpoint, found by bracket doubling plus bisection.  Tabulated step
-families skip the solver and return the exact step location.  An empty ray
-yields +inf, which the metric-axiom checks treat as "cannot certify".
+endpoint, found by bracket doubling from t = 1 (0 below 2^-64, +inf for an
+empty ray above 2^64) and bisection down to the tolerance or to float
+spacing.  Tabulated step families return the exact step location.  Each
+AlphaMetric caches solved pairs, and every check reads one k x k matrix.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .balls import generate_topology, topology_from_least
-from .core import GpmsInstance, eval_P, p4_violations, step_ray_start, _pair_key
-from .errors import ConvergenceError, DomainError, HypothesisError, SizeError
+from .core import GpmsInstance, eval_P, p4_violations, step_ray_start
+from .errors import DomainError, HypothesisError, SizeError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
+
+_GROWTH = 2.0
+_T_START = 1.0
+_T_CAP = 2.0 ** 64
+_T_FLOOR = 2.0 ** -64
 
 
 @dataclass(frozen=True)
 class BisectionSettings:
-    growth: float = 2.0
     tolerance: float = 1e-6
-    max_iter: int = 200
-    t_start: float = 1.0
-    t_cap: float = 2.0 ** 64
-    t_floor: float = 2.0 ** -64
 
 
 class AlphaMetric:
@@ -39,20 +43,16 @@ class AlphaMetric:
         self.instance = inst
         self.alpha = float(alpha)
         self.solver = solver or BisectionSettings()
-        self.p4_failures = tuple(p4_violations(inst, self.alpha))
         self._cache: dict = {}
+
+    @cached_property
+    def p4_failures(self) -> tuple:
+        """Distinct pairs below alpha on the whole t grid, scanned on first read."""
+        return tuple(p4_violations(self.instance, self.alpha))
 
     @property
     def p4_ok(self) -> bool:
         return not self.p4_failures
-
-    def distance(self, a, b) -> float:
-        key = _pair_key(a, b) if self.instance.carrier.kind == "finite" else \
-            (min(a, b), max(a, b))
-        if key not in self._cache:
-            self._cache[key] = _solve_d_alpha(self.instance, key[0], key[1],
-                                              self.alpha, self.solver)
-        return self._cache[key]
 
 
 def d_alpha(am: AlphaMetric, a, b) -> float:
@@ -60,10 +60,14 @@ def d_alpha(am: AlphaMetric, a, b) -> float:
     car = am.instance.carrier
     if not car.contains(a) or not car.contains(b):
         raise DomainError(f"point not in carrier: {a!r} or {b!r}")
-    return am.distance(a, b)
+    key = (min(a, b), max(a, b))
+    if key not in am._cache:
+        am._cache[key] = _solve_d_alpha(am.instance, key[0], key[1], am.alpha,
+                                        am.solver.tolerance)
+    return am._cache[key]
 
 
-def _solve_d_alpha(inst, a, b, alpha, st: BisectionSettings) -> float:
+def _solve_d_alpha(inst, a, b, alpha, tolerance) -> float:
     if a == b:
         return 0.0
     if inst.family == "tabulated":
@@ -72,36 +76,42 @@ def _solve_d_alpha(inst, a, b, alpha, st: BisectionSettings) -> float:
     def in_ray(t):
         return eval_P(inst, a, b, t) < alpha
 
-    t = st.t_start
-    if in_ray(t):
-        tt = t
-        prev = t
-        while tt > st.t_floor:
-            prev, tt = tt, tt / st.growth
-            if not in_ray(tt):
-                lo, hi = tt, prev
+    if in_ray(_T_START):
+        hi = _T_START
+        while hi > _T_FLOOR:
+            lo = hi / _GROWTH
+            if not in_ray(lo):
                 break
+            hi = lo
         else:
             return 0.0  # the ray reaches arbitrarily small t at this resolution
     else:
-        tt = t
-        prev = t
-        while tt < st.t_cap:
-            prev, tt = tt, tt * st.growth
-            if in_ray(tt):
-                lo, hi = prev, tt
+        lo = _T_START
+        while lo < _T_CAP:
+            hi = lo * _GROWTH
+            if in_ray(hi):
                 break
+            lo = hi
         else:
             return math.inf
-    for _ in range(st.max_iter):
-        if hi - lo <= st.tolerance:
-            return 0.5 * (lo + hi)
+    while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # float spacing reached before the tolerance
+            break
         if in_ray(mid):
             hi = mid
         else:
             lo = mid
-    raise ConvergenceError("d_alpha bisection exceeded its iteration budget")
+    return 0.5 * (lo + hi)
+
+
+def _distance_matrix(am: AlphaMetric, pts) -> np.ndarray:
+    """D[i, j] = d_alpha(pts[i], pts[j]), each pair solved once through the cache."""
+    D = np.empty((len(pts), len(pts)))
+    for i, x in enumerate(pts):
+        for j in range(i, len(pts)):
+            D[i, j] = D[j, i] = d_alpha(am, x, pts[j])
+    return D
 
 
 def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 64) -> CheckReport:
@@ -119,43 +129,37 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
         rng = random.Random(seed)
         lo, hi = inst.carrier.lo, inst.carrier.hi
         pts = sorted(lo + (hi - lo) * rng.random() for _ in range(max(3, n_samples)))
-    witnesses = []
-    samples = 0
-    has_inf = False
-    dval = {}
-    for i, x in enumerate(pts):
-        for y in pts[i:]:
-            dval[(x, y)] = dval[(y, x)] = d_alpha(am, x, y)
-
-    for x in pts:
-        samples += 1
-        if dval[(x, x)] != 0.0:
-            witnesses.append(Witness(points=(x,), values={"value": dval[(x, x)]},
-                                     detail="d_alpha(a,a) != 0"))
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            samples += 1
-            v = dval[(x, y)]
-            if math.isinf(v):
-                has_inf = True
-            elif not v > 0:
-                witnesses.append(Witness(points=(x, y), values={"value": v, "alpha": am.alpha},
-                                         detail="distinct pair at d_alpha = 0 "
-                                                "(the per-alpha separation hypothesis fails here)"))
-            if abs(dval[(x, y)] - dval[(y, x)]) > tol:
-                witnesses.append(Witness(points=(x, y),
-                                         values={"lhs": dval[(x, y)], "rhs": dval[(y, x)]},
-                                         detail="d_alpha not symmetric"))
+    k = len(pts)
+    D = _distance_matrix(am, pts)
+    witnesses = [Witness(points=(pts[i],), values={"value": float(D[i, i])},
+                         detail="d_alpha(a,a) != 0")
+                 for i in np.flatnonzero(np.diag(D) != 0.0)]
+    upper = np.triu(np.ones((k, k), dtype=bool), 1)
+    infinite = np.isinf(D)
+    has_inf = bool((upper & infinite).any())
+    not_positive = ~infinite & ~(D > 0)
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, and nan > tol is False
+        asymmetric = np.abs(D - D.T) > tol
+    for i, j in np.argwhere(upper & (not_positive | asymmetric)):
+        x, y = pts[i], pts[j]
+        if not_positive[i, j]:
+            witnesses.append(Witness(points=(x, y), values={"value": float(D[i, j]),
+                                                            "alpha": am.alpha},
+                                     detail="distinct pair at d_alpha = 0 "
+                                            "(the per-alpha separation hypothesis fails here)"))
+        if asymmetric[i, j]:
+            witnesses.append(Witness(points=(x, y),
+                                     values={"lhs": float(D[i, j]), "rhs": float(D[j, i])},
+                                     detail="d_alpha not symmetric"))
     slack = 4 * tol
-    for x in pts:
-        for y in pts:
-            for z in pts:
-                samples += 1
-                if dval[(x, z)] > dval[(x, y)] + dval[(y, z)] + slack:
-                    witnesses.append(Witness(points=(x, y, z),
-                                             values={"lhs": dval[(x, z)],
-                                                     "rhs": dval[(x, y)] + dval[(y, z)]},
-                                             detail="triangle inequality fails"))
+    for i in range(k):
+        # bad[j, l]: D[i, l] > D[i, j] + D[j, l] + slack, one row of O(k^2) memory
+        bad = D[i][None, :] > (D[i][:, None] + D) + slack
+        for j, l in np.argwhere(bad):
+            witnesses.append(Witness(points=(pts[i], pts[j], pts[l]),
+                                     values={"lhs": float(D[i, l]),
+                                             "rhs": float(D[i, j] + D[j, l])},
+                                     detail="triangle inequality fails"))
     if witnesses:
         verdict = FAIL
         note = "metric axiom violated"
@@ -166,7 +170,8 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
         verdict = PASS
         note = "all metric axioms hold at solver tolerance"
     return CheckReport(name=f"alpha_metric_axioms[alpha={am.alpha:.12g}]", verdict=verdict,
-                       samples_tested=samples, note=note, witnesses=tuple(witnesses))
+                       samples_tested=k + k * (k - 1) // 2 + k ** 3, note=note,
+                       witnesses=tuple(witnesses))
 
 
 def check_alpha_monotonicity(inst: GpmsInstance, a, b, alpha_list,
@@ -214,12 +219,12 @@ def compare_topologies(inst: GpmsInstance, alpha: float, max_points: int = 15,
     tau_p = generate_topology(inst, max_points)
     # the least d_alpha ball: the smallest radius that realizes every ball
     # (tol, and v1/2 or v1 - tol below the smallest positive distance v1)
-    table = alpha_metric_table(am)
+    D = _distance_matrix(am, inst.carrier.labels)
     tol = am.solver.tolerance
-    v1 = min((v for row in table for v in row if 0 < v < math.inf), default=math.inf)
+    v1 = float(D[(D > 0) & (D < math.inf)].min(initial=math.inf))
     radius = min(tol, v1 / 2, v1 - tol if v1 - tol > 0 else math.inf)
-    tau_d = topology_from_least(n, [sum(1 << j for j, v in enumerate(row) if v < radius)
-                                    for row in table])
+    tau_d = topology_from_least(n, [sum(1 << int(j) for j in np.flatnonzero(row < radius))
+                                    for row in D])
     car = inst.carrier
     missing_in_p = [m for m in tau_d if m not in tau_p]
     missing_in_d = [m for m in tau_p if m not in tau_d]
@@ -250,5 +255,4 @@ def alpha_metric_table(am: AlphaMetric):
     """Square list-of-lists of d_alpha values in carrier label order."""
     if am.instance.carrier.kind != "finite":
         raise DomainError("tables need a finite carrier")
-    labels = am.instance.carrier.labels
-    return [[d_alpha(am, a, b) for b in labels] for a in labels]
+    return _distance_matrix(am, am.instance.carrier.labels).tolist()

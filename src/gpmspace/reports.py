@@ -32,7 +32,7 @@ class Witness:
     def to_jsonable(self):
         return {
             "points": [p for p in self.points],
-            "values": canonical(self.values),
+            "values": self.values,
             "detail": self.detail,
         }
 
@@ -68,7 +68,7 @@ class CheckReport:
             "witness": self.witness.to_jsonable() if self.witness else None,
             "witness_count": len(self.witnesses),
             "witnesses": [w.to_jsonable() for w in self.witnesses[:_MAX_SERIALIZED_WITNESSES]],
-            "data": canonical(self.data),
+            "data": self.data,
         }
 
 
@@ -94,5 +94,5 @@ def canonical(obj):
     if hasattr(obj, "item"):  # numpy scalar
         return canonical(obj.item())
     if hasattr(obj, "to_jsonable"):
-        return obj.to_jsonable()
+        return canonical(obj.to_jsonable())
     return str(obj)

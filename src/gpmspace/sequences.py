@@ -18,6 +18,9 @@ from .errors import DomainError, HypothesisError, PreconditionError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
 SEQUENCE_KINDS = ("explicit", "geometric", "reciprocal", "alternating")
+_DIVERGENCE_FACTOR = 1.5  # diameter's +inf heuristic, with the cap below
+_DIAMETER_CAP = 1e3
+_SHRINK_RATIO = 0.5  # cantor_intersection: the last diameter at most this share of the first
 
 
 @dataclass(frozen=True)
@@ -261,13 +264,12 @@ def joint_continuity_check(inst: GpmsInstance, seqx: SequenceSpec, seqy: Sequenc
                        witnesses=tuple(witnesses), data={"tail_limit_estimate": limits})
 
 
-def diameter(inst: GpmsInstance, s, divergence_factor: float = 1.5,
-             cap: float = 1e3) -> float:
+def diameter(inst: GpmsInstance, s) -> float:
     """sup over pairs and over t of P, estimated at the smallest grid t.
 
     P is non-increasing in t, so the inner sup is the t -> 0+ limit.  If the
-    value still grows by more than ``divergence_factor`` between the two
-    smallest grid nodes and exceeds ``cap``, the sup is flagged +inf.
+    value still grows by more than ``_DIVERGENCE_FACTOR`` between the two
+    smallest grid nodes and exceeds ``_DIAMETER_CAP``, the sup is flagged +inf.
     """
     if isinstance(s, ClosedInterval):
         if inst.carrier.kind != "interval":
@@ -284,21 +286,20 @@ def diameter(inst: GpmsInstance, s, divergence_factor: float = 1.5,
         col = np.asarray(pts, dtype=object)[:, None]
         vals = [float(P(inst, col, pts, t).max()) for t in inst.t_grid[:2]]
     v0 = vals[0]
-    if len(vals) > 1 and vals[1] > 0 and v0 / vals[1] > divergence_factor and v0 > cap:
+    if len(vals) > 1 and vals[1] > 0 and v0 / vals[1] > _DIVERGENCE_FACTOR and v0 > _DIAMETER_CAP:
         return math.inf
     return v0
 
 
-def check_closure_diameter(inst: GpmsInstance, s: SubsetMask, tol: float = 1e-9,
-                           **diam_kw) -> CheckReport:
+def check_closure_diameter(inst: GpmsInstance, s: SubsetMask, tol: float = 1e-9) -> CheckReport:
     """diameter(s) must equal diameter(closure(s)), or both be infinite."""
     if inst.carrier.kind != "finite":
         raise DomainError("closure diameters need a finite carrier")
     if s.is_empty:
         raise DomainError("diameter of the empty set is undefined")
     closure, _ = closure_and_limit_points(inst, s)
-    d_s = diameter(inst, s, **diam_kw)
-    d_c = diameter(inst, closure, **diam_kw)
+    d_s = diameter(inst, s)
+    d_c = diameter(inst, closure)
     data = {"diameter": d_s, "closure_diameter": d_c,
             "closure": list(closure.labels(inst.carrier))}
     if (math.isinf(d_s) and math.isinf(d_c)) or abs(d_s - d_c) <= tol:
@@ -313,8 +314,7 @@ def check_closure_diameter(inst: GpmsInstance, s: SubsetMask, tol: float = 1e-9,
                        note=note, data=data)
 
 
-def cantor_intersection(inst: GpmsInstance, fam, point_tol: float = 1e-6,
-                        shrink_ratio: float = 0.5, **diam_kw):
+def cantor_intersection(inst: GpmsInstance, fam, point_tol: float = 1e-6):
     """Nested non-empty closed sets with shrinking diameters meet in one point.
 
     Returns ``(point_estimate, diameters, CheckReport)``.  Hypothesis
@@ -352,14 +352,14 @@ def cantor_intersection(inst: GpmsInstance, fam, point_tol: float = 1e-6,
             if not small.issubset(big):
                 raise HypothesisError("family is not nested")
 
-    diams = [diameter(inst, m, **diam_kw) for m in members]
+    diams = [diameter(inst, m) for m in members]
     if any(math.isinf(d) for d in diams):
         raise HypothesisError("a member has infinite diameter; the intersection "
                               "theorem needs finite shrinking diameters")
     for d1, d2 in zip(diams, diams[1:]):
         if d2 > d1 + 1e-12:
             raise HypothesisError("diameters are not non-increasing")
-    if diams[0] > 0 and diams[-1] > shrink_ratio * diams[0]:
+    if diams[0] > 0 and diams[-1] > _SHRINK_RATIO * diams[0]:
         raise HypothesisError("diameters do not shrink toward zero within the family")
 
     if interval_mode:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -162,6 +163,18 @@ def test_dalpha_command_table_is_double_the_base(tmp_path):
     for i in range(3):
         for j in range(3):
             assert table[i][j] == pytest.approx(2 * BASE["d"][i][j], abs=2e-6)
+
+
+@pytest.mark.parametrize("command", ["dalpha", "full-report"])
+def test_tolerance_below_float_spacing_still_gives_a_report(tmp_path, capsys, command):
+    # bisection stops at float spacing instead of running out of iterations
+    path = write(tmp_path, dict(BASE, tol=1e-17))
+    out = tmp_path / "report.json"
+    assert g.main([command, path, "--out", str(out)]) in (0, 1)
+    doc = json.loads(out.read_text())
+    table = next(c for c in doc["checks"] if c["name"].startswith("d_alpha_table"))["data"]["table"]
+    assert all(isinstance(v, float) and math.isfinite(v) for row in table for v in row)
+    assert table[0][2] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_dalpha_command_requires_max(tmp_path):

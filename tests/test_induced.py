@@ -1,10 +1,15 @@
+import json
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gpmspace as g
-from helpers import (ALPHA_GRID, T_GRID, make_instance,
-                     squared_distance_table_instance, two_point_carrier)
+from gpmspace import core, induced
+from helpers import (ALPHA_GRID, T_GRID, gallery_instances, interval_instance, line_carrier,
+                     make_instance, squared_distance_table_instance, two_point_carrier)
 
 FINE = make_instance("scaled", op=g.MAX)
 TOL = g.BisectionSettings().tolerance
@@ -179,3 +184,184 @@ def test_alpha_metric_table_exports():
     assert len(table) == 3 and len(table[0]) == 3
     assert table[0][0] == 0.0
     assert table[0][1] == pytest.approx(1.0, abs=2 * TOL)
+
+
+def old_solve_d_alpha(inst, a, b, alpha, tolerance, max_iter=200):
+    """The solver before float spacing stopped it: a fixed iteration budget."""
+    if a == b:
+        return 0.0
+    if inst.family == "tabulated":
+        return core.step_ray_start(inst, a, b, alpha)
+
+    def in_ray(t):
+        return g.eval_P(inst, a, b, t) < alpha
+
+    t = 1.0
+    if in_ray(t):
+        tt = prev = t
+        while tt > 2.0 ** -64:
+            prev, tt = tt, tt / 2.0
+            if not in_ray(tt):
+                lo, hi = tt, prev
+                break
+        else:
+            return 0.0
+    else:
+        tt = prev = t
+        while tt < 2.0 ** 64:
+            prev, tt = tt, tt * 2.0
+            if in_ray(tt):
+                lo, hi = prev, tt
+                break
+        else:
+            return math.inf
+    for _ in range(max_iter):
+        if hi - lo <= tolerance:
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        if in_ray(mid):
+            hi = mid
+        else:
+            lo = mid
+    raise g.ConvergenceError("d_alpha bisection exceeded its iteration budget")
+
+
+def old_metric_axioms(am, seed=0, n_samples=64):
+    """The pairwise-dictionary, triple-loop metric-axiom check, kept as an oracle."""
+    inst = am.instance
+    tol = am.solver.tolerance
+    if inst.carrier.kind == "finite":
+        pts = list(inst.carrier.labels)
+    else:
+        rng = random.Random(seed)
+        lo, hi = inst.carrier.lo, inst.carrier.hi
+        pts = sorted(lo + (hi - lo) * rng.random() for _ in range(max(3, n_samples)))
+    witnesses = []
+    samples = 0
+    has_inf = False
+    dval = {}
+    for i, x in enumerate(pts):
+        for y in pts[i:]:
+            dval[(x, y)] = dval[(y, x)] = g.d_alpha(am, x, y)
+    for x in pts:
+        samples += 1
+        if dval[(x, x)] != 0.0:
+            witnesses.append(g.Witness(points=(x,), values={"value": dval[(x, x)]},
+                                       detail="d_alpha(a,a) != 0"))
+    for i, x in enumerate(pts):
+        for y in pts[i + 1:]:
+            samples += 1
+            v = dval[(x, y)]
+            if math.isinf(v):
+                has_inf = True
+            elif not v > 0:
+                witnesses.append(g.Witness(points=(x, y), values={"value": v, "alpha": am.alpha},
+                                           detail="distinct pair at d_alpha = 0 "
+                                                  "(the per-alpha separation hypothesis fails here)"))
+            if abs(dval[(x, y)] - dval[(y, x)]) > tol:
+                witnesses.append(g.Witness(points=(x, y),
+                                           values={"lhs": dval[(x, y)], "rhs": dval[(y, x)]},
+                                           detail="d_alpha not symmetric"))
+    slack = 4 * tol
+    for x in pts:
+        for y in pts:
+            for z in pts:
+                samples += 1
+                if dval[(x, z)] > dval[(x, y)] + dval[(y, z)] + slack:
+                    witnesses.append(g.Witness(points=(x, y, z),
+                                               values={"lhs": dval[(x, z)],
+                                                       "rhs": dval[(x, y)] + dval[(y, z)]},
+                                               detail="triangle inequality fails"))
+    if witnesses:
+        return g.FAIL, "metric axiom violated", samples, witnesses
+    if has_inf:
+        return (g.INCONCLUSIVE, "d_alpha takes the value inf; positivity holds but the map "
+                "is not real-valued", samples, witnesses)
+    return g.PASS, "all metric axioms hold at solver tolerance", samples, witnesses
+
+
+def assert_axioms_match_oracle(am, seed=0, n_samples=64):
+    rep = g.check_alpha_metric_axioms(am, seed=seed, n_samples=n_samples)
+    oracle = old_metric_axioms(induced.AlphaMetric(am.instance, am.alpha, am.solver),
+                               seed=seed, n_samples=n_samples)
+    assert (rep.verdict, rep.note, rep.samples_tested, list(rep.witnesses)) == oracle
+    return rep
+
+
+@st.composite
+def interval_instances(draw):
+    family = draw(st.sampled_from(("scaled", "constant", "damped", "discrete")))
+    params = {"c": draw(st.floats(min_value=0.1, max_value=5.0))} if family == "discrete" else {}
+    lo = draw(st.sampled_from((-2.0, 0.0)))
+    return interval_instance(family, lo=lo, hi=lo + draw(st.sampled_from((0.5, 1.0, 4.0))),
+                             **params)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gallery_instances(ops=(g.MAX,)), st.sampled_from([0.05, 0.25, 1.0, 4.0, 8.0]),
+       st.sampled_from([1e-6, 1e-3, 0.5]))
+def test_metric_axioms_match_the_triple_loop_on_finite_carriers(inst, alpha, tol):
+    assert_axioms_match_oracle(g.AlphaMetric(inst, alpha, g.BisectionSettings(tol)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(interval_instances(), st.sampled_from([0.25, 1.0, 1.5, 4.0]), st.integers(0, 99),
+       st.integers(3, 12))
+def test_metric_axioms_match_the_triple_loop_on_interval_carriers(inst, alpha, seed, n_samples):
+    assert_axioms_match_oracle(g.AlphaMetric(inst, alpha), seed=seed, n_samples=n_samples)
+
+
+def test_metric_axioms_oracle_sees_positivity_and_triangle_failures():
+    constant = g.gallery_construct("constant", {}, line_carrier(4), g.MAX, T_GRID, ALPHA_GRID)
+    rep = assert_axioms_match_oracle(g.AlphaMetric(constant, 2.0))  # d(0,1) = 1 < 2: zero
+    assert any("separation hypothesis" in w.detail for w in rep.witnesses)
+    rep = assert_axioms_match_oracle(g.AlphaMetric(squared_distance_table_instance(), 0.05))
+    assert any("triangle" in w.detail for w in rep.witnesses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(gallery_instances(ops=(g.MAX,)), interval_instances()),
+       st.sampled_from([0.05, 0.25, 1.0, 1.5, 4.0]),
+       st.sampled_from([0.5, 1e-3, 1e-6, 1e-12, 1e-17, 0.0]), st.data())
+def test_solver_matches_the_budgeted_solver_and_always_stops(inst, alpha, tol, data):
+    pts = inst.carrier.points()
+    a, b = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
+    got = g.d_alpha(g.AlphaMetric(inst, alpha, g.BisectionSettings(tol)), a, b)
+    try:
+        want = old_solve_d_alpha(inst, min(a, b), max(a, b), alpha, tol)
+    except g.ConvergenceError:  # float spacing reached before the tolerance
+        assert 0 < got < math.inf
+        assert g.eval_P(inst, a, b, math.nextafter(got, math.inf) * 2) < alpha
+    else:
+        assert got == want
+
+
+def test_one_dalpha_operation_scans_p4_once_and_solves_each_pair_once(tmp_path, monkeypatch):
+    n = 9
+    doc = {"version": 1, "points": [f"x{i}" for i in range(n)],
+           "d": [[abs(i - j) for j in range(n)] for i in range(n)], "family": "scaled",
+           "params": {}, "op": "max", "t_grid": list(T_GRID), "alpha_grid": list(ALPHA_GRID),
+           "seed": 11, "tol": 1e-6}
+    path = tmp_path / "line9.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    inst_file = g.load_instance(str(path))
+    scans, solves, metrics = [], [], []
+    real_scan, real_solve = induced.p4_violations, induced._solve_d_alpha
+
+    class Recorded(induced.AlphaMetric):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            metrics.append(self)
+
+    monkeypatch.setattr(induced, "p4_violations", lambda *a: scans.append(a) or real_scan(*a))
+    monkeypatch.setattr(induced, "_solve_d_alpha",
+                        lambda *a: solves.append(a) or real_solve(*a))
+    monkeypatch.setattr(induced, "AlphaMetric", Recorded)
+    g.run_command("dalpha", inst_file)
+    assert len(scans) == 1  # compare_topologies reads p4_ok; nothing else does
+    # the command's metric, one per monotonicity alpha, compare_topologies' own metric
+    assert len(metrics) == 2 + len(ALPHA_GRID)
+    assert len(solves) == sum(len(am._cache) for am in metrics) == 45 + len(ALPHA_GRID) + 45
+    scans.clear()
+    g.check_alpha_monotonicity(inst_file.instance, "x0", "x8", ALPHA_GRID)
+    assert scans == []

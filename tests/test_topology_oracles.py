@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import gpmspace as g
 from gpmspace import balls as balls_module
+from helpers import gallery_instances
 
 
 def admitted_family(n, balls_per_point):
@@ -85,42 +86,6 @@ def countable_base_oracle(inst, family, mode, x=None, n_max=None):
     verdict = g.INCONCLUSIVE if failures else g.PASS
     first = failures[0].labels(car) if failures else None
     return specs, verdict, samples, first
-
-
-@st.composite
-def gallery_instances(draw, ops=(g.PLUS, g.MAX)):
-    n = draw(st.integers(min_value=2, max_value=8))
-    d = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i][j] = d[j][i] = draw(st.integers(min_value=1, max_value=6))
-    for k in range(n):  # shortest-path closure makes d a metric
-        for i in range(n):
-            for j in range(n):
-                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
-    labels = [f"p{i}" for i in range(n)]
-    carrier = g.FiniteCarrier(labels, d)
-    t_grid = tuple(sorted(draw(st.sets(st.sampled_from([1e-4, 0.25, 0.5, 1.0, 2.0, 4.0, 50.0]),
-                                       min_size=1, max_size=4))))
-    alpha_grid = tuple(sorted(draw(st.sets(st.sampled_from([0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]),
-                                           min_size=1, max_size=4))))
-    family = draw(st.sampled_from(g.FAMILIES))
-    params = {}
-    if family == "discrete":
-        params = {"c": draw(st.floats(min_value=0.1, max_value=5.0))}
-    elif family == "tabulated":
-        tables = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                nodes = sorted(draw(st.sets(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
-                                            min_size=1, max_size=4)))
-                vals = draw(st.lists(st.floats(min_value=0.05, max_value=6.0),
-                                     min_size=len(nodes), max_size=len(nodes)))
-                tables.append({"pair": [labels[i], labels[j]], "t": nodes,
-                               "v": sorted(vals, reverse=True)})
-        params = {"tables": tables}
-    op = draw(st.sampled_from(ops))
-    return g.gallery_construct(family, params, carrier, op, t_grid, alpha_grid)
 
 
 def oracle_tau_p(inst):
