@@ -215,12 +215,10 @@ def grid_ball_masks(inst: GpmsInstance):
     memo = _derived(inst)
     if "balls" not in memo:
         out = []
-        for a in inst.carrier.labels:
-            seen = {}
-            for alpha in inst.alpha_grid:
-                for t in inst.t_grid:
-                    m = open_ball(inst, a, alpha, t)
-                    seen[m.bits] = m
+        for a in inst.carrier.labels:  # one kernel row per grid t, read by every alpha
+            rows = [P(inst, a, inst.carrier.labels, t) for t in inst.t_grid]
+            seen = {m.bits: m for m in (_mask_of_flags(row < alpha)
+                                        for alpha in inst.alpha_grid for row in rows)}
             out.append(tuple(seen[b] for b in sorted(seen)))
         memo["balls"] = tuple(out)
     return memo["balls"]
@@ -349,15 +347,14 @@ def verify_ball_theorem(inst: GpmsInstance, theorem: str, **params) -> CheckRepo
         witnesses = []
         samples = 0
         for a in car.labels:
+            rows = [P(inst, a, car.labels, t) for t in inst.t_grid]
             for alpha in inst.alpha_grid:
-                for t in inst.t_grid:
+                for t, row in zip(inst.t_grid, rows):
                     samples += 1
                     if theorem == "ball_open":
-                        target = open_ball(inst, a, alpha, t)
-                        good = is_open(inst, target)
+                        good = is_open(inst, _mask_of_flags(row < alpha))
                     else:
-                        target = closed_ball(inst, a, alpha, t)
-                        good = is_open(inst, target.complement())
+                        good = is_open(inst, _mask_of_flags(row <= alpha).complement())
                     if not good:
                         witnesses.append(Witness(points=(a,),
                                                  values={"alpha": alpha, "t": t},

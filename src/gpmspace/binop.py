@@ -27,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    ConvergenceError,
     DomainError,
     NoSolutionError,
     PreconditionError,
@@ -268,11 +267,11 @@ def _continuity_witnesses(op: BinaryOperation, grid: SampleGrid):
 
 
 def solve_third(op: BinaryOperation, alpha1: float, alpha2: float,
-                tolerance: float = 1e-6, max_iter: int = 200) -> float:
+                tolerance: float = 1e-6) -> float:
     """Find a3 > 0 with alpha2 o a3 <= alpha1, given alpha1 > alpha2 > 0.
 
-    Exploits monotonicity (axiom b) for a boolean bisection over a3; returns
-    the largest bracketed value minus one tolerance unit of safety margin.
+    Bisects over a3 by monotonicity (axiom b), to the tolerance or to float
+    spacing; returns the largest bracketed value minus one tolerance unit.
     """
     if not (alpha1 > alpha2 > 0):
         raise PreconditionError(f"need alpha1 > alpha2 > 0, got ({alpha1}, {alpha2})")
@@ -291,16 +290,14 @@ def solve_third(op: BinaryOperation, alpha1: float, alpha2: float,
     if fits(alpha1):
         return float(alpha1)
     lo, hi = eps, alpha1  # fits(lo) True, fits(hi) False
-    for _ in range(max_iter):
-        if hi - lo <= tolerance:
-            break
+    while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # float spacing reached before the tolerance
+            break
         if fits(mid):
             lo = mid
         else:
             hi = mid
-    else:
-        raise ConvergenceError("solve_third bisection exceeded its iteration budget")
     out = lo - tolerance
     if out <= 0:
         out = lo / 2

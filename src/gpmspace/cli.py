@@ -302,8 +302,8 @@ def _sequences_checks(inst, tol):
                                lambda: sequences.subsequence_completeness_check(
                                    inst, seqx, indices, mid, tol)))
         terms = seqx.terms(inst.carrier)
-        trace = [(n + 1, t, core.eval_P(inst, terms[n], mid, t))
-                 for t in inst.t_grid for n in range(len(terms))]
+        trace = [(n + 1, t, v) for t in inst.t_grid
+                 for n, v in enumerate(core.P(inst, terms, mid, t).tolist())]
     else:
         labels = inst.carrier.labels
         for p in labels:

@@ -30,14 +30,14 @@ lhs 3.333333333333334 against rhs 3.3333333333333335, although the
 inequality holds in exact arithmetic on the same float inputs.  A fail
 witness is a float counterexample, not one confirmed in exact arithmetic.
 
-P is computed by one kernel: one family formula applied to a distance (a
-float or an array) and a float t, where the distance comes from the
+P is computed in one place, ``_kernel``: one family formula applied to a
+distance and a t, broadcast together, where the distance comes from the
 carrier's table d, from |x - y| on an interval, or, for tabulated families,
-from padded per-pair step tables built at construction.  ``eval_P`` is the
-scalar front end and ``P`` the array front end; both perform the same float
-operations.  The grid scans (P1, P2, P4, P5, monotone, ``p4_violations``,
-the construction sanity pass) read one points x points x t_grid tensor and
-list witnesses in the order of nested loops over (a, b, t).
+from padded per-pair step tables built at construction.  ``P`` is its front
+end over arrays of points and of t; ``eval_P`` is the kernel at one pair and
+one t.  The grid scans (P1, P2, P4, P5, monotone, ``p4_violations``, the
+construction sanity pass) read one points x points x t_grid tensor and list
+witnesses in the order of nested loops over (a, b, t).
 """
 from __future__ import annotations
 
@@ -304,34 +304,40 @@ def _params_jsonable(family, params):
 
 
 def _check_t(t):
-    if not isinstance(t, (int, float)) or not math.isfinite(t) or t <= 0:
-        raise DomainError(f"t must be a finite positive real, got {t!r}")
+    """``t`` as a float, or as a float array; every entry a finite positive real."""
+    if isinstance(t, (int, float)) and math.isfinite(t) and t > 0:
+        return float(t)
+    if isinstance(t, np.ndarray) and t.dtype.kind in "fi" and np.all(np.isfinite(t) & (t > 0)):
+        return t.astype(float)
+    raise DomainError(f"t must be a finite positive real, got {t!r}")
 
 
 # -- the evaluation kernel -------------------------------------------------
 
 
-def _formula(family, params, dist, t: float):
-    """The family formula at base distance ``dist`` (a float or an array)."""
+_EXP = np.frompyfunc(math.exp, 1, 1)  # math.exp per entry: np.exp may differ by one ulp
+
+
+def _formula(family, params, dist, t):
+    """The family formula at base distance ``dist`` and ``t``, broadcast together."""
     if family == "scaled":
         return dist / t
     if family == "constant":
-        return dist
+        return dist - 0.0 * t  # broadcast with t: x - 0.0 is x for every float x
     if family == "damped":
-        return dist * (1.0 + math.exp(-t))
+        return dist * (1.0 + np.asarray(_EXP(-t), dtype=float))
     if family == "discrete":  # the base distance is 0 exactly on the diagonal
-        if isinstance(dist, float):
-            return 0.0 if dist == 0.0 else params["c"] / t
         return np.where(dist == 0.0, 0.0, params["c"] / t)
     raise DomainError(f"no formula for family {family!r}")
 
 
-def _kernel(inst: GpmsInstance, u, v, t: float):
-    """P at carrier coordinates ``u`` and ``v``, broadcast together: point
-    indices on a finite carrier, the points themselves on an interval."""
+def _kernel(inst: GpmsInstance, u, v, t):
+    """P at carrier coordinates ``u`` and ``v`` and at ``t`` (a float or an
+    array), broadcast together: point indices on a finite carrier, the points
+    themselves on an interval."""
     if inst._steps is not None:
         nodes, vals = inst._steps
-        return vals[u, v, (nodes[u, v] > t).argmax(axis=-1)]
+        return vals[u, v, (nodes[u, v] > np.asarray(t)[..., None]).argmax(axis=-1)]
     dist = inst.carrier.d[u, v] if inst.carrier.kind == "finite" else np.abs(u - v)
     return _formula(inst.family, inst.params, dist, t)
 
@@ -351,35 +357,36 @@ def _coords(inst: GpmsInstance, pts) -> np.ndarray:
 
 
 def eval_P(inst: GpmsInstance, a, b, t: float) -> float:
-    """Evaluate P(a, b, t).
+    """Evaluate P(a, b, t): the kernel at one pair of points and one t.
 
     Tabulated families use step interpolation: the value at the largest
     table node <= t, extended left of the first node by its value (which
     keeps P non-increasing).
     """
-    _check_t(t)
+    if isinstance(t, np.ndarray):
+        raise DomainError(f"eval_P takes one t, got {t!r}; P takes arrays")
+    t = _check_t(t)
     car = inst.carrier
     if not car.contains(a) or not car.contains(b):
         raise DomainError(f"point not in carrier: {a!r} or {b!r}")
-    if inst._steps is not None:
-        return float(_kernel(inst, car.index(a), car.index(b), float(t)))
-    return _formula(inst.family, inst.params, car.base_distance(a, b), float(t))
+    if car.kind == "finite":
+        return float(_kernel(inst, car.index(a), car.index(b), t))
+    return float(_kernel(inst, float(a), float(b), t))
 
 
-def P(inst: GpmsInstance, xs, ys, t: float) -> np.ndarray:
-    """P(x, y, t) over two arrays of carrier points, broadcast together;
-    each value equals ``eval_P`` bit for bit.  ``P(inst, pts, x, t)`` is a row
-    and ``P(inst, np.asarray(pts, dtype=object)[:, None], pts, t)`` a matrix."""
-    _check_t(t)
-    return np.asarray(_kernel(inst, _coords(inst, xs), _coords(inst, ys), float(t)))
+def P(inst: GpmsInstance, xs, ys, t) -> np.ndarray:
+    """P(x, y, t) over arrays of carrier points and of t (or one t), broadcast
+    together; each value equals ``eval_P`` bit for bit.  ``P(inst, pts, x, t)``
+    is a row and ``P(inst, np.asarray(pts, dtype=object)[:, None], pts, t)`` a
+    matrix."""
+    t = _check_t(t)
+    return np.asarray(_kernel(inst, _coords(inst, xs), _coords(inst, ys), t))
 
 
 def _pair_grid(inst: GpmsInstance, pts, ts):
     """grid[i, j, k] = P(pts[i], pts[j], ts[k]), and the mask of pairs i < j."""
     c = _coords(inst, pts)
-    grid = np.empty((len(pts), len(pts), len(ts)))
-    for k, t in enumerate(ts):
-        grid[:, :, k] = _kernel(inst, c[:, None], c[None, :], t)
+    grid = _kernel(inst, c[:, None, None], c[None, :, None], np.asarray(ts, dtype=float))
     return grid, np.triu(np.ones((len(pts), len(pts)), dtype=bool), 1)
 
 
@@ -570,41 +577,29 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
     """Witnesses for P3 violations, sampled or exhaustive.
 
     Each sampled trial draws a triple (a, b, x) and a grid pair (s, t) from a
-    seeded RNG, so identical seeds give identical reports.
+    seeded RNG, so identical seeds give identical reports; the exhaustive
+    scan takes every trial in nested-loop order.  The trials are evaluated
+    together, with three P gathers, and the op is applied per trial.
     """
     pts = points if points is not None else inst.quantifier_points()
     tg = inst.t_grid
-    op = inst.op
-    witnesses = []
-    samples = 0
-
-    def trial(a, b, x, s, t):
-        lhs = eval_P(inst, a, b, s + t)
-        rhs = eval_op(op, eval_P(inst, a, x, s), eval_P(inst, b, x, t))
-        if lhs > rhs:
-            witnesses.append(Witness(points=(a, b, x),
-                                     values={"s": s, "t": t, "lhs": lhs, "rhs": rhs},
-                                     detail="P(a,b,s+t) > P(a,x,s) o P(b,x,t)"))
-
+    shape = (len(pts),) * 3 + (len(tg),) * 2
     if exhaustive:
-        for a in pts:
-            for b in pts:
-                for x in pts:
-                    for s in tg:
-                        for t in tg:
-                            samples += 1
-                            trial(a, b, x, s, t)
+        a, b, x, s, t = np.indices(shape).reshape(5, -1)
     else:
-        rng = random.Random(seed)
-        for _ in range(n_samples):
-            samples += 1
-            a = rng.choice(pts)
-            b = rng.choice(pts)
-            x = rng.choice(pts)
-            s = rng.choice(tg)
-            t = rng.choice(tg)
-            trial(a, b, x, s, t)
-    return witnesses, samples
+        rng = random.Random(seed)  # randrange(m) draws as choice does from m items
+        trials = [[rng.randrange(m) for m in shape] for _ in range(n_samples)]
+        a, b, x, s, t = np.array(trials, dtype=np.intp).reshape(-1, 5).T
+    A, T = np.asarray(pts, dtype=object), np.asarray(tg)
+    lhs = P(inst, A[a], A[b], T[s] + T[t])
+    rhs = np.array([eval_op(inst.op, u, w) for u, w in
+                    zip(P(inst, A[a], A[x], T[s]).tolist(), P(inst, A[b], A[x], T[t]).tolist())])
+    witnesses = [Witness(points=(pts[a[k]], pts[b[k]], pts[x[k]]),
+                         values={"s": tg[s[k]], "t": tg[t[k]], "lhs": float(lhs[k]),
+                                 "rhs": float(rhs[k])},
+                         detail="P(a,b,s+t) > P(a,x,s) o P(b,x,t)")
+                 for k in np.flatnonzero(lhs > rhs)]
+    return witnesses, lhs.size
 
 
 def p4_violations(inst: GpmsInstance, alpha: float):

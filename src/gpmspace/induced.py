@@ -4,8 +4,9 @@ Requires op = max.  Because P(a,b,.) is non-increasing in t, the set
 { t : P(a,b,t) < alpha } is an upward-closed ray; d_alpha is its left
 endpoint, found by bracket doubling from t = 1 (0 below 2^-64, +inf for an
 empty ray above 2^64) and bisection down to the tolerance or to float
-spacing.  Tabulated step families return the exact step location.  Each
-AlphaMetric caches solved pairs, and every check reads one k x k matrix.
+spacing, for all the pairs a request needs at once.  Tabulated step
+families return the exact step location.  Each AlphaMetric caches solved
+pairs, and ``d_alpha`` and every check read that cache.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .balls import generate_topology, topology_from_least
-from .core import GpmsInstance, eval_P, p4_violations, step_ray_start
+from .core import GpmsInstance, P, p4_violations, step_ray_start
 from .errors import DomainError, HypothesisError, SizeError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -60,57 +61,67 @@ def d_alpha(am: AlphaMetric, a, b) -> float:
     car = am.instance.carrier
     if not car.contains(a) or not car.contains(b):
         raise DomainError(f"point not in carrier: {a!r} or {b!r}")
-    key = (min(a, b), max(a, b))
-    if key not in am._cache:
-        am._cache[key] = _solve_d_alpha(am.instance, key[0], key[1], am.alpha,
-                                        am.solver.tolerance)
-    return am._cache[key]
+    return _cached(am, [(a, b)])[0]
 
 
-def _solve_d_alpha(inst, a, b, alpha, tolerance) -> float:
-    if a == b:
-        return 0.0
+def _cached(am: AlphaMetric, pairs) -> list:
+    """d_alpha of each pair; the pairs not in the cache are solved together."""
+    keys = [(min(a, b), max(a, b)) for a, b in pairs]
+    missing = [k for k in dict.fromkeys(keys) if k not in am._cache]
+    if missing:
+        am._cache.update(zip(missing, _solve_d_alpha(am.instance, missing, am.alpha,
+                                                     am.solver.tolerance)))
+    return [am._cache[k] for k in keys]
+
+
+def _solve_d_alpha(inst, pairs, alpha, tolerance) -> list:
+    """d_alpha of each (a, b) in ``pairs``, searched together with one P call
+    per step on the pairs still searching; each pair makes the float
+    operations of a search of it alone.  The pairs still halving (or
+    doubling) from t = 1 share one bracket end."""
     if inst.family == "tabulated":
-        return step_ray_start(inst, a, b, alpha)
+        return [0.0 if a == b else step_ray_start(inst, a, b, alpha) for a, b in pairs]
+    out = np.zeros(len(pairs))  # a == b, and a ray reaching below 2^-64, give 0
+    todo = np.array([i for i, (a, b) in enumerate(pairs) if a != b], dtype=np.intp)
+    xs, ys = np.empty((2, len(pairs)), dtype=object)
+    xs[:], ys[:] = zip(*pairs)
 
-    def in_ray(t):
-        return eval_P(inst, a, b, t) < alpha
+    def in_ray(idx, t):
+        return P(inst, xs[idx], ys[idx], t) < alpha
 
-    if in_ray(_T_START):
-        hi = _T_START
-        while hi > _T_FLOOR:
-            lo = hi / _GROWTH
-            if not in_ray(lo):
-                break
-            hi = lo
-        else:
-            return 0.0  # the ray reaches arbitrarily small t at this resolution
-    else:
-        lo = _T_START
-        while lo < _T_CAP:
-            hi = lo * _GROWTH
-            if in_ray(hi):
-                break
-            lo = hi
-        else:
-            return math.inf
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # float spacing reached before the tolerance
-            break
-        if in_ray(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    lo, hi = np.full((2, len(pairs)), np.nan)  # a bracketed pair gets finite ends
+    inside = in_ray(todo, _T_START)
+    halving, doubling = todo[inside], todo[~inside]
+    end = _T_START  # hi of every pair still halving
+    while halving.size and end > _T_FLOOR:
+        inside = in_ray(halving, end / _GROWTH)
+        lo[halving[~inside]], hi[halving[~inside]] = end / _GROWTH, end
+        halving, end = halving[inside], end / _GROWTH
+    end = _T_START  # lo of every pair still doubling
+    while doubling.size and end < _T_CAP:
+        inside = in_ray(doubling, end * _GROWTH)
+        lo[doubling[inside]], hi[doubling[inside]] = end, end * _GROWTH
+        doubling, end = doubling[~inside], end * _GROWTH
+    out[doubling] = math.inf
+    active = bracketed = np.flatnonzero(~np.isnan(lo))
+    while active.size:
+        left, right = lo[active], hi[active]
+        mid = 0.5 * (left + right)
+        go = (right - left > tolerance) & (mid != left) & (mid != right)
+        active, mid = active[go], mid[go]
+        inside = in_ray(active, mid)
+        hi[active[inside]] = mid[inside]
+        lo[active[~inside]] = mid[~inside]
+    out[bracketed] = 0.5 * (lo[bracketed] + hi[bracketed])
+    return out.tolist()
 
 
 def _distance_matrix(am: AlphaMetric, pts) -> np.ndarray:
-    """D[i, j] = d_alpha(pts[i], pts[j]), each pair solved once through the cache."""
+    """D[i, j] = d_alpha(pts[i], pts[j]); the pairs not in the cache are solved together."""
+    rows, cols = np.triu_indices(len(pts))
     D = np.empty((len(pts), len(pts)))
-    for i, x in enumerate(pts):
-        for j in range(i, len(pts)):
-            D[i, j] = D[j, i] = d_alpha(am, x, pts[j])
+    D[rows, cols] = D[cols, rows] = _cached(am, [(pts[i], pts[j]) for i, j
+                                                 in zip(rows.tolist(), cols.tolist())])
     return D
 
 

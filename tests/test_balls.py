@@ -366,17 +366,16 @@ def test_ball_open_theorem_derives_grid_balls_once(monkeypatch):
 
     monkeypatch.setattr(balls_module, "P", counting)
     assert g.verify_ball_theorem(inst, "ball_open").ok
-    # n * |A| * |T| target balls plus one n * |A| * |T| derivation, each one
-    # kernel row of n values
-    n_balls = n * len(ALPHA_GRID) * len(T_GRID)
-    assert n_balls * n <= evaluated[0] <= 2 * n_balls * n
+    # one kernel row of n values per (point, t) for the theorem and one per
+    # (point, t) for the derivation; every alpha reads the same row
+    assert evaluated[0] == 2 * n * len(T_GRID) * n == 972
 
 
 def test_cantor_intersection_derives_grid_balls_once(monkeypatch):
     n = 20
     inst = make_instance("constant", op=g.MAX, carrier=line_carrier(n))
     fam = [g.SubsetMask.from_indices(n, range(n - k)) for k in range(n)]
-    calls = _count_calls(monkeypatch, "open_ball")
+    rows = _count_calls(monkeypatch, "P")
     _, _, rep = g.cantor_intersection(inst, fam)
     assert rep.ok
-    assert calls[0] == n * len(ALPHA_GRID) * len(T_GRID)
+    assert rows[0] == n * len(T_GRID)  # one kernel row per (point, t)

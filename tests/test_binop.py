@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpmspace as g
@@ -156,6 +156,47 @@ def test_solve_third_postcondition_property(alpha1, frac):
         assert out > 0
         assert g.eval_op(op, alpha2, out) <= alpha1
     assert abs(g.solve_third(g.PLUS, alpha1, alpha2) - (alpha1 - alpha2)) <= 2e-6
+
+
+def budgeted_solve_third(op, alpha1, alpha2, tolerance=1e-6, max_iter=200):
+    """solve_third with a fixed iteration budget, as it was before float
+    spacing stopped it, kept as an oracle (preconditions as in solve_third)."""
+    def fits(x):
+        return g.eval_op(op, alpha2, x) <= alpha1
+
+    if fits(alpha1):
+        return float(alpha1)
+    lo, hi = tolerance, alpha1
+    for _ in range(max_iter):
+        if hi - lo <= tolerance:
+            break
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    else:
+        raise g.ConvergenceError("solve_third bisection exceeded its iteration budget")
+    out = lo - tolerance
+    return float(out if out > 0 else lo / 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=1e15), st.floats(min_value=1e-4, max_value=0.99),
+       st.floats(min_value=1e-17, max_value=1e-6))
+@example(1e10, 1e-10, 1e-6)  # alpha2 = 1: float spacing at 1e10 exceeds the tolerance
+@example(3.0, 1 / 3, 1e-17)  # alpha2 = 1: a tolerance below float spacing
+def test_solve_third_stops_at_float_spacing(alpha1, frac, tolerance):
+    alpha2 = alpha1 * frac
+    for op in (g.PLUS, g.MAX):
+        out = g.solve_third(op, alpha1, alpha2, tolerance)
+        assert 0 < out <= alpha1
+        assert g.eval_op(op, alpha2, out) <= alpha1
+        try:
+            want = budgeted_solve_third(op, alpha1, alpha2, tolerance)
+        except g.ConvergenceError:
+            continue
+        assert out == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
+import bisect
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -404,20 +406,143 @@ def kernel_instances(draw, tamper=False):
     return g.GpmsInstance(carrier, family, params, g.MAX, t_grid, alpha_grid)
 
 
+def reference_P(inst, a, b, t):
+    """P(a, b, t) by the scalar family formula on the base distance, and by a
+    per-pair step lookup for tabulated families: the evaluation before one
+    kernel served both front ends, kept as an oracle independent of it."""
+    if inst.family == "tabulated":
+        if a == b:
+            return 0.0
+        entry = next(e for e in inst.params["tables"] if sorted(e["pair"]) == sorted((a, b)))
+        return float(entry["v"][max(bisect.bisect_right(entry["t"], t) - 1, 0)])
+    dist = inst.carrier.base_distance(a, b)
+    if inst.family == "scaled":
+        return dist / t
+    if inst.family == "constant":
+        return dist
+    if inst.family == "damped":
+        return dist * (1.0 + math.exp(-t))
+    return 0.0 if dist == 0.0 else inst.params["c"] / t  # discrete
+
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_instances() | kernel_instances(tamper=True), st.data())
 def test_array_front_end_equals_scalar_eval_P(inst, data):
+    # eval_P and P, with one t and with arrays of t, against the scalar formula
     pts = list(inst.quantifier_points())
+    A = np.asarray(pts, dtype=object)
     tg = inst.t_grid
     s, t = data.draw(st.sampled_from(tg)), data.draw(st.sampled_from(tg))
     lo, hi = sorted((data.draw(st.sampled_from(tg)), 3.0))
     probes = list(tg) + [s + t, tg[0] / 2, 1e-3, 0.5 * (lo + hi), 0.5 * (lo + 0.5 * (lo + hi))]
     for t in probes:
-        mat = P(inst, np.asarray(pts, dtype=object)[:, None], pts, t)
-        oracle = [[g.eval_P(inst, a, b, t) for b in pts] for a in pts]
-        assert exact(mat.tolist()) == exact(oracle)
+        oracle = [[reference_P(inst, a, b, t) for b in pts] for a in pts]
+        assert exact([[g.eval_P(inst, a, b, t) for b in pts] for a in pts]) == exact(oracle)
+        assert exact(P(inst, A[:, None], pts, t).tolist()) == exact(oracle)
         row = P(inst, pts, pts[-1], t)
-        assert exact(row.tolist()) == exact([g.eval_P(inst, a, pts[-1], t) for a in pts])
+        assert exact(row.tolist()) == exact([reference_P(inst, a, pts[-1], t) for a in pts])
+    ts = np.array([[data.draw(st.sampled_from(probes)) for _ in pts] for _ in pts])
+    assert exact(P(inst, A[:, None], pts, ts).tolist()) == \
+        exact([[reference_P(inst, a, b, ts[i, j]) for j, b in enumerate(pts)]
+               for i, a in enumerate(pts)])
+    # t on its own axis, broadcast against a matrix of points
+    stack = P(inst, A[None, :, None], A[None, None, :], np.array(probes)[:, None, None])
+    assert stack.shape == (len(probes), len(pts), len(pts))
+    assert exact(stack.tolist()) == exact([[[reference_P(inst, a, b, t) for b in pts]
+                                            for a in pts] for t in probes])
+
+
+def test_t_arrays_are_checked_like_one_t():
+    inst = make_instance("damped")
+    pts = inst.carrier.labels
+    for bad in (np.array([1.0, 0.0, 2.0]), np.array([1.0, np.inf, 2.0]), np.array([-1.0]),
+                np.array([np.nan]), np.array(["1.0"])):
+        with pytest.raises(g.DomainError):
+            P(inst, pts, "a", bad)
+    with pytest.raises(g.DomainError):
+        g.eval_P(inst, "a", "b", np.array([1.0, 2.0]))
+    assert P(inst, pts, "a", np.array([1, 2, 3])).tolist() == \
+        [g.eval_P(inst, p, "a", t) for p, t in zip(pts, (1.0, 2.0, 3.0))]
+
+
+def loop_p3(inst, seed=0, n_samples=1000, exhaustive=False, points=None):
+    """The per-trial P3 loop the three gathers replaced, kept as an oracle."""
+    pts = points if points is not None else inst.quantifier_points()
+    tg = inst.t_grid
+    witnesses = []
+    samples = 0
+
+    def trial(a, b, x, s, t):
+        lhs = g.eval_P(inst, a, b, s + t)
+        rhs = g.eval_op(inst.op, g.eval_P(inst, a, x, s), g.eval_P(inst, b, x, t))
+        if lhs > rhs:
+            witnesses.append(g.Witness(points=(a, b, x),
+                                       values={"s": s, "t": t, "lhs": lhs, "rhs": rhs},
+                                       detail="P(a,b,s+t) > P(a,x,s) o P(b,x,t)"))
+
+    if exhaustive:
+        for a in pts:
+            for b in pts:
+                for x in pts:
+                    for s in tg:
+                        for t in tg:
+                            samples += 1
+                            trial(a, b, x, s, t)
+    else:
+        rng = random.Random(seed)
+        for _ in range(n_samples):
+            samples += 1
+            a = rng.choice(pts)
+            b = rng.choice(pts)
+            x = rng.choice(pts)
+            s = rng.choice(tg)
+            t = rng.choice(tg)
+            trial(a, b, x, s, t)
+    return witnesses, samples
+
+
+# a bilinear table op on [0, 4]: below plus, above max, so it fails P3 on many instances
+TABLE_OP = g.BinaryOperation.tabulated([0.0, 1.0, 2.0, 4.0],
+                                       [[0.0, 1.0, 2.0, 4.0], [1.0, 1.5, 2.5, 4.5],
+                                        [2.0, 2.5, 3.0, 5.0], [4.0, 4.5, 5.0, 6.0]])
+
+
+def assert_p3_matches_loop(inst, seed, n_samples, exhaustive, points=None):
+    def outcome(fn):
+        try:
+            return exact(fn(inst, seed=seed, n_samples=n_samples, exhaustive=exhaustive,
+                            points=points))
+        except g.DomainError:  # a negative P on a tampered table reaches the op
+            return "DomainError"
+
+    got = outcome(core.p3_violations)
+    assert got == outcome(loop_p3)
+    return got
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_instances() | kernel_instances(tamper=True),
+       st.sampled_from((g.PLUS, g.MAX, TABLE_OP)), st.integers(0, 99), st.integers(1, 300),
+       st.integers(1, 4))
+def test_p3_trials_match_the_scalar_loop(inst, op, seed, n_samples, n_points):
+    inst = g.GpmsInstance(inst.carrier, inst.family, inst.params, op, inst.t_grid,
+                          inst.alpha_grid)
+    assert_p3_matches_loop(inst, seed, n_samples, exhaustive=False)
+    assert_p3_matches_loop(inst, seed, n_samples, exhaustive=True,
+                           points=inst.quantifier_points()[:n_points])
+
+
+@pytest.mark.parametrize("op", (g.PLUS, g.MAX, TABLE_OP))
+def test_p3_trials_match_the_scalar_loop_on_failing_instances(op):
+    # P(a, c) = 10 against P(a, b) = P(b, c) = 1 fails P3 for every op, so
+    # both modes find witnesses and the comparison is not vacuous
+    params = {"tables": [{"pair": ["a", "b"], "t": [1.0], "v": [1.0]},
+                         {"pair": ["b", "c"], "t": [1.0], "v": [1.0]},
+                         {"pair": ["a", "c"], "t": [1.0], "v": [10.0]}]}
+    inst = g.gallery_construct("tabulated", params, three_point_carrier(), op, T_GRID, ALPHA_GRID)
+    for exhaustive in (False, True):
+        witnesses, samples = assert_p3_matches_loop(inst, 3, 500, exhaustive)
+        assert witnesses and samples == (3 ** 3 * len(T_GRID) ** 2 if exhaustive else 500)
 
 
 # the scalar loops the tensor scans replaced, kept as oracles
@@ -586,9 +711,8 @@ def test_interval_sweep_scans_make_no_scalar_calls(monkeypatch):
     for axiom in ("P1", "P2", "P4", "P5", "monotone"):
         g.check_P_axiom(inst, axiom)
     g.p4_violations(inst, 1.0)
+    g.check_P_axiom(inst, "P3", n_samples=10)  # the P3 trials are gathered too
     assert calls[0] == 0
-    g.check_P_axiom(inst, "P3", n_samples=10)  # P3 trials stay scalar
-    assert calls[0] == 30
 
 
 def test_tabulated_steps_left_of_the_first_node_and_ragged_pairs():

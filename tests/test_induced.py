@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +227,55 @@ def old_solve_d_alpha(inst, a, b, alpha, tolerance, max_iter=200):
     raise g.ConvergenceError("d_alpha bisection exceeded its iteration budget")
 
 
+def scalar_solve_d_alpha(inst, a, b, alpha, tolerance):
+    """The one-pair search the batched solver replaced, kept as an oracle: it
+    stops at the tolerance or at float spacing."""
+    if a == b:
+        return 0.0
+    if inst.family == "tabulated":
+        return core.step_ray_start(inst, a, b, alpha)
+
+    def in_ray(t):
+        return g.eval_P(inst, a, b, t) < alpha
+
+    if in_ray(1.0):
+        hi = 1.0
+        while hi > 2.0 ** -64:
+            lo = hi / 2.0
+            if not in_ray(lo):
+                break
+            hi = lo
+        else:
+            return 0.0
+    else:
+        lo = 1.0
+        while lo < 2.0 ** 64:
+            hi = lo * 2.0
+            if in_ray(hi):
+                break
+            lo = hi
+        else:
+            return math.inf
+    while hi - lo > tolerance:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if in_ray(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def assert_matrix_matches_scalar_solver(inst, alpha, tol, pts):
+    D = induced._distance_matrix(g.AlphaMetric(inst, alpha, g.BisectionSettings(tol)), pts)
+    want = [[scalar_solve_d_alpha(inst, min(x, y), max(x, y), alpha, tol) for y in pts]
+            for x in pts]
+    assert [[v.hex() for v in row] for row in D.tolist()] == \
+        [[v.hex() for v in row] for row in want]
+    return D
+
+
 def old_metric_axioms(am, seed=0, n_samples=64):
     """The pairwise-dictionary, triple-loop metric-axiom check, kept as an oracle."""
     inst = am.instance
@@ -336,6 +386,39 @@ def test_solver_matches_the_budgeted_solver_and_always_stops(inst, alpha, tol, d
         assert got == want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(gallery_instances(ops=(g.MAX,)), interval_instances()),
+       st.sampled_from([0.05, 0.25, 1.0, 1.5, 4.0]), st.sampled_from([0.5, 1e-6, 1e-17, 0.0]),
+       st.data())
+def test_batched_matrix_matches_the_scalar_solver(inst, alpha, tol, data):
+    pts = list(inst.carrier.points())
+    if inst.carrier.kind == "interval":  # grid points and points off the grid
+        pts = sorted(data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=6))
+                     + data.draw(st.lists(st.floats(inst.carrier.lo, inst.carrier.hi),
+                                          max_size=4)))
+    assert_matrix_matches_scalar_solver(inst, alpha, tol, pts)
+
+
+@pytest.mark.parametrize("tol", [0.5, 1e-6, 1e-17, 0.0])
+def test_batched_matrix_mixes_every_kind_of_search(tol):
+    # one batch holds pairs that bracket upward and downward, and pairs at 0 and
+    # inf; rays start on both sides of the 2^-64 floor and of the 2^64 cap
+    tiny = g.FiniteCarrier(("a", "b", "c"), [[0, 3e-20, 1.5e-19], [3e-20, 0, 1.2e-19],
+                                             [1.5e-19, 1.2e-19, 0]])
+    huge = g.FiniteCarrier(("a", "b", "c"), [[0, 1e19, 3e19], [1e19, 0, 2e19], [3e19, 2e19, 0]])
+    values = []
+    for family, carrier in (("scaled", line_carrier(4)), ("constant", line_carrier(4)),
+                            ("scaled", tiny), ("scaled", huge)):
+        inst = g.gallery_construct(family, {}, carrier, g.MAX, T_GRID, ALPHA_GRID)
+        for alpha in (0.5, 1.5, 2.5):
+            D = assert_matrix_matches_scalar_solver(inst, alpha, tol, carrier.labels)
+            values += D[~np.eye(carrier.size, dtype=bool)].tolist()
+    assert 0.0 in values and math.inf in values
+    assert any(0 < v < 1 for v in values) and any(1 < v < math.inf for v in values)
+    assert any(2.0 ** -64 < v < 2.0 ** -62 for v in values)
+    assert any(2.0 ** 63 < v < 2.0 ** 64 for v in values)
+
+
 def test_one_dalpha_operation_scans_p4_once_and_solves_each_pair_once(tmp_path, monkeypatch):
     n = 9
     doc = {"version": 1, "points": [f"x{i}" for i in range(n)],
@@ -355,13 +438,16 @@ def test_one_dalpha_operation_scans_p4_once_and_solves_each_pair_once(tmp_path, 
 
     monkeypatch.setattr(induced, "p4_violations", lambda *a: scans.append(a) or real_scan(*a))
     monkeypatch.setattr(induced, "_solve_d_alpha",
-                        lambda *a: solves.append(a) or real_solve(*a))
+                        lambda *a: solves.append(a[1]) or real_solve(*a))
     monkeypatch.setattr(induced, "AlphaMetric", Recorded)
     g.run_command("dalpha", inst_file)
     assert len(scans) == 1  # compare_topologies reads p4_ok; nothing else does
     # the command's metric, one per monotonicity alpha, compare_topologies' own metric
     assert len(metrics) == 2 + len(ALPHA_GRID)
-    assert len(solves) == sum(len(am._cache) for am in metrics) == 45 + len(ALPHA_GRID) + 45
+    # one solver batch per metric, and each pair handed to the solver once per metric
+    assert len(solves) == len(metrics)
+    assert sum(map(len, solves)) == sum(len(am._cache) for am in metrics) == \
+        45 + len(ALPHA_GRID) + 45
     scans.clear()
     g.check_alpha_monotonicity(inst_file.instance, "x0", "x8", ALPHA_GRID)
     assert scans == []
