@@ -23,7 +23,15 @@ from .errors import (
     VerificationError,
     WitnessNotFoundError,
 )
-from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness, canonical
+from .reports import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    CheckReport,
+    ScanWitnesses,
+    Witness,
+    canonical,
+)
 from .binop import (
     MAX,
     OP_AXIOMS,

@@ -37,7 +37,9 @@ from padded per-pair step tables built at construction.  ``P`` is its front
 end over arrays of points and of t; ``eval_P`` is the kernel at one pair and
 one t.  The grid scans (P1, P2, P4, P5, monotone, ``p4_violations``, the
 construction sanity pass) read one points x points x t_grid tensor and list
-witnesses in the order of nested loops over (a, b, t).
+witnesses in the order of nested loops over (a, b, t).  The scans and the P3
+trials keep their witnesses as index rows plus the values gathered there
+(``ScanWitnesses``), so a witness is built only when it is read.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ import numpy as np
 
 from .binop import BinaryOperation, eval_op
 from .errors import ConstructionError, DomainError
-from .reports import FAIL, PASS, CheckReport, Witness
+from .reports import FAIL, PASS, CheckReport, ScanWitnesses, Witness
 
 FAMILIES = ("scaled", "constant", "damped", "discrete", "tabulated")
 
@@ -58,6 +60,8 @@ P_AXIOMS = ("P1", "P2", "P3", "P4", "P5", "monotone")
 # more points are sampled at a stride of len // cap, which keeps fewer than
 # 2 * cap points (135 of 401 at cap 128; all 48 of 48 at cap 33)
 _QUANTIFIER_CAP = 128
+
+_MAX_INTERVAL_POINTS = 65536  # sample points of an interval carrier
 
 
 class FiniteCarrier:
@@ -148,11 +152,13 @@ class IntervalCarrier:
         self.lo = lo
         self.hi = hi
         self.resolution = resolution
-        n = int(math.floor((hi - lo) / resolution + 1e-9))
-        pts = [lo + k * resolution for k in range(n + 1)]
+        steps = (hi - lo) / resolution + 1e-9
+        if steps >= _MAX_INTERVAL_POINTS:  # floor(steps) + 1 points, refused before the list
+            raise ConstructionError("resolution produces too many sample points")
+        pts = [lo + k * resolution for k in range(math.floor(steps) + 1)]
         if pts[-1] < hi - 1e-12 * max(1.0, abs(hi)):
             pts.append(hi)
-        if len(pts) > 65536:
+        if len(pts) > _MAX_INTERVAL_POINTS:
             raise ConstructionError("resolution produces too many sample points")
         self._points = tuple(min(p, hi) for p in pts)
 
@@ -383,6 +389,14 @@ def P(inst: GpmsInstance, xs, ys, t) -> np.ndarray:
     return np.asarray(_kernel(inst, _coords(inst, xs), _coords(inst, ys), t))
 
 
+def P_pairs(inst: GpmsInstance, xs, ys):
+    """``f(idx, t) = P(xs[idx], ys[idx], t)`` for fixed arrays of carrier
+    points, bit for bit; the points are mapped to kernel coordinates once,
+    so a search that reads the same pairs at many t looks up each label once."""
+    u, v = _coords(inst, xs), _coords(inst, ys)
+    return lambda idx, t: np.asarray(_kernel(inst, u[idx], v[idx], _check_t(t)))
+
+
 def _pair_grid(inst: GpmsInstance, pts, ts):
     """grid[i, j, k] = P(pts[i], pts[j], ts[k]), and the mask of pairs i < j."""
     c = _coords(inst, pts)
@@ -478,40 +492,39 @@ def check_P_axiom(inst: GpmsInstance, axiom: str, seed: int = 0,
     if axiom == "P5" and inst._steps is not None:
         return _check_P5_steps(inst)
 
-    # the other axioms read one tensor (P4 only its smallest t); argwhere
-    # lists witnesses in C order, the order of nested loops over a, b, t
+    # the other axioms read one tensor (P4 only its smallest t)
     grid, upper = _pair_grid(inst, pts, tg[:1] if axiom == "P4" else tg)
     pairs = int(upper.sum())
+    T = np.asarray(tg)
 
-    if axiom == "P1":
-        witnesses = [Witness(points=(pts[i],), values={"t": tg[k], "value": float(grid[i, i, k])},
-                             detail="P(a,a,t) != 0")
-                     for i, k in np.argwhere(grid.diagonal().T != 0.0)]
-        witnesses += [Witness(points=(pts[i], pts[j]), values={},
-                              detail="distinct pair with P = 0 on the whole t grid")
-                      for i, j in np.argwhere(upper & np.all(grid == 0.0, axis=-1))]
+    if axiom == "P1":  # joined eagerly: only an unchecked instance fails P1
+        witnesses = (*_scan_witnesses(pts, grid.diagonal().T != 0.0, "P(a,a,t) != 0",
+                                      lambda i, k: {"t": T[k], "value": grid[i, i, k]},
+                                      points=slice(0, 1)),
+                     *_scan_witnesses(pts, upper & np.all(grid == 0.0, axis=-1),
+                                      "distinct pair with P = 0 on the whole t grid",
+                                      lambda i, j: {}))
         return _grid_report("P1", witnesses, len(pts) * len(tg) + pairs, sampled_note)
 
     if axiom == "P2":
-        asym = upper[:, :, None] & (grid != grid.transpose(1, 0, 2))
-        witnesses = [Witness(points=(pts[i], pts[j]),
-                             values={"t": tg[k], "lhs": float(grid[i, j, k]),
-                                     "rhs": float(grid[j, i, k])},
-                             detail="P(a,b,t) != P(b,a,t)")
-                     for i, j, k in np.argwhere(asym)]
+        witnesses = _scan_witnesses(
+            pts, upper[:, :, None] & (grid != grid.transpose(1, 0, 2)), "P(a,b,t) != P(b,a,t)",
+            lambda i, j, k: {"t": T[k], "lhs": grid[i, j, k], "rhs": grid[j, i, k]})
         return _grid_report("P2", witnesses, pairs * len(tg), sampled_note)
 
     if axiom == "P4":
-        witnesses = [Witness(points=(pts[i], pts[j]),
-                             values={"alpha": alpha, "t": tg[0], "value": float(grid[i, j, 0])},
-                             detail="distinct pair below alpha for every grid t")
-                     for alpha in inst.alpha_grid
-                     for i, j in np.argwhere(upper & (grid[:, :, 0] < alpha))]
+        alphas = np.asarray(inst.alpha_grid)
+        witnesses = _scan_witnesses(  # alpha outermost, then the pair
+            pts, upper & (grid[:, :, 0] < alphas[:, None, None]),
+            "distinct pair below alpha for every grid t",
+            lambda a, i, j: {"alpha": alphas[a], "t": np.full(a.size, tg[0]),
+                             "value": grid[i, j, 0]},
+            points=slice(1, 3))
         note = ("per-alpha reading; certified at the smallest grid t "
                 "(P is non-increasing in t)") + sampled_note
         verdict = FAIL if witnesses else PASS
         return CheckReport(name="P4", verdict=verdict, samples_tested=len(inst.alpha_grid) * pairs,
-                           note=note, witnesses=tuple(witnesses))
+                           note=note, witnesses=witnesses)
 
     if axiom == "P5":
         # difference-quotient budget: jumps must stay within 10x the largest
@@ -525,24 +538,31 @@ def check_P_axiom(inst: GpmsInstance, axiom: str, seed: int = 0,
         l_est = lead if math.isnan(lead) else \
             float(np.nanmax(quotients, where=upper[:, :, None], initial=0.0))
         budget = 10.0 * max(l_est, 1e-12)
-        witnesses = [Witness(points=(pts[i], pts[j]),
-                             values={"t1": tg[k], "t2": tg[k + 1],
-                                     "quotient": float(quotients[i, j, k])},
-                             detail="difference quotient exceeds the continuity budget")
-                     for i, j, k in np.argwhere(upper[:, :, None] & (quotients > budget))]
+        witnesses = _scan_witnesses(
+            pts, upper[:, :, None] & (quotients > budget),
+            "difference quotient exceeds the continuity budget",
+            lambda i, j, k: {"t1": T[k], "t2": T[k + 1], "quotient": quotients[i, j, k]})
         return CheckReport(name="P5", verdict=FAIL if witnesses else PASS,
-                           samples_tested=pairs * (len(tg) - 1), witnesses=tuple(witnesses),
+                           samples_tested=pairs * (len(tg) - 1), witnesses=witnesses,
                            note="difference-quotient budget check; falsification-only" + sampled_note,
                            data={"max_difference_quotient": l_est, "budget_factor": 10.0})
 
     # monotone
-    rising = upper[:, :, None] & (grid[:, :, :-1] < grid[:, :, 1:])
-    witnesses = [Witness(points=(pts[i], pts[j]),
-                         values={"t1": tg[k], "t2": tg[k + 1], "v1": float(grid[i, j, k]),
-                                 "v2": float(grid[i, j, k + 1])},
-                         detail="P increases between adjacent grid t")
-                 for i, j, k in np.argwhere(rising)]
+    witnesses = _scan_witnesses(
+        pts, upper[:, :, None] & (grid[:, :, :-1] < grid[:, :, 1:]),
+        "P increases between adjacent grid t",
+        lambda i, j, k: {"t1": T[k], "t2": T[k + 1], "v1": grid[i, j, k],
+                         "v2": grid[i, j, k + 1]})
     return _grid_report("monotone", witnesses, pairs * (len(tg) - 1), sampled_note)
+
+
+def _scan_witnesses(pts, mask, detail, gather, points=slice(0, 2)):
+    """The witnesses at the true entries of ``mask``, in C order (nested loops
+    over its axes), built on read: the ``points`` columns of an entry's
+    index row name its points in ``pts``, and ``gather(*index columns)``
+    returns its named values, one array entry per witness."""
+    rows = np.argwhere(mask)
+    return ScanWitnesses(pts, rows[:, points], gather(*rows.T), detail)
 
 
 def _grid_report(name, witnesses, samples, extra_note=""):
@@ -550,7 +570,7 @@ def _grid_report(name, witnesses, samples, extra_note=""):
     note = ("no counterexample at this resolution" if verdict == PASS else
             "counterexample found") + extra_note
     return CheckReport(name=name, verdict=verdict, samples_tested=samples,
-                       note=note, witnesses=tuple(witnesses))
+                       note=note, witnesses=witnesses)
 
 
 def _check_P5_steps(inst):
@@ -574,7 +594,7 @@ def _check_P5_steps(inst):
 
 def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
                   exhaustive: bool = False, points=None):
-    """Witnesses for P3 violations, sampled or exhaustive.
+    """Witnesses for P3 violations (a ``ScanWitnesses``), sampled or exhaustive.
 
     Each sampled trial draws a triple (a, b, x) and a grid pair (s, t) from a
     seeded RNG, so identical seeds give identical reports; the exhaustive
@@ -594,11 +614,10 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
     lhs = P(inst, A[a], A[b], T[s] + T[t])
     rhs = np.array([eval_op(inst.op, u, w) for u, w in
                     zip(P(inst, A[a], A[x], T[s]).tolist(), P(inst, A[b], A[x], T[t]).tolist())])
-    witnesses = [Witness(points=(pts[a[k]], pts[b[k]], pts[x[k]]),
-                         values={"s": tg[s[k]], "t": tg[t[k]], "lhs": float(lhs[k]),
-                                 "rhs": float(rhs[k])},
-                         detail="P(a,b,s+t) > P(a,x,s) o P(b,x,t)")
-                 for k in np.flatnonzero(lhs > rhs)]
+    hit = np.flatnonzero(lhs > rhs)
+    witnesses = ScanWitnesses(pts, np.stack((a[hit], b[hit], x[hit]), axis=1),
+                              {"s": T[s[hit]], "t": T[t[hit]], "lhs": lhs[hit], "rhs": rhs[hit]},
+                              "P(a,b,s+t) > P(a,x,s) o P(b,x,t)")
     return witnesses, lhs.size
 
 

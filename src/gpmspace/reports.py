@@ -4,10 +4,20 @@ Every checker in this package is falsification-only: a "pass" verdict means
 no counterexample was found at the declared grid/sample resolution, never a
 proof.  A "fail" verdict always carries at least one witness, and
 re-evaluating the violated inequality on that witness reproduces the failure.
+
+A report's ``witnesses`` is a sequence, not always a tuple.  The grid scans
+of ``core`` can find tens of thousands of witnesses and a report serializes
+eight of them, so they return a ``ScanWitnesses``: it keeps the scan's
+witness index rows and the values gathered at those rows, and builds a
+``Witness`` only when one is read.  ``len`` (the report's ``witness_count``)
+is exact and costs nothing, a slice is a tuple, and iterating builds every
+witness in order.
 """
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -37,6 +47,43 @@ class Witness:
         }
 
 
+class ScanWitnesses(Sequence):
+    """The witnesses of a grid scan, each built when it is read.
+
+    Witness ``k`` has the points ``pts[i]`` for the indices ``i`` in
+    ``rows[k]``, the value ``float(column[k])`` for each named column of
+    ``values`` (in that order) and ``detail``.  Only the rows and the
+    gathered columns are kept, never the scan tensor they came from.
+    """
+
+    __slots__ = ("_pts", "_rows", "_values", "_detail")
+
+    def __init__(self, pts, rows, values, detail):
+        self._pts = pts
+        self._rows = rows
+        self._values = values
+        self._detail = detail
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self._witness(i) for i in range(*k.indices(len(self))))
+        k = operator.index(k)
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"witness {k} of {len(self)}")
+        return self._witness(k % len(self))
+
+    def __iter__(self):
+        return (self._witness(k) for k in range(len(self)))
+
+    def _witness(self, k):
+        return Witness(points=tuple(self._pts[i] for i in self._rows[k].tolist()),
+                       values={name: float(col[k]) for name, col in self._values.items()},
+                       detail=self._detail)
+
+
 @dataclass
 class CheckReport:
     name: str
@@ -44,7 +91,7 @@ class CheckReport:
     witness: Witness | None = None
     samples_tested: int = 0
     note: str = ""
-    witnesses: tuple = ()
+    witnesses: Sequence = ()
     data: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -117,6 +117,9 @@ MALFORMED = {
                         "op table"),
     "interval-not-numeric": ({**{k: v for k, v in BASE.items() if k not in ("points", "d")},
                               "interval": ["x", 2], "resolution": 0.5}, "interval"),
+    # about 1e9 sample points: refused before the point list is built
+    "interval-too-fine": ({**{k: v for k, v in BASE.items() if k not in ("points", "d")},
+                           "interval": [0, 1], "resolution": 1e-9}, "resolution"),
 }
 
 

@@ -1,7 +1,9 @@
 import bisect
 import itertools
+import json
 import math
 import random
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -166,6 +168,15 @@ def test_interval_carrier_sampling_and_membership():
     assert pts[0] == -2.0 and pts[-1] == 2.0 and len(pts) == 17
     assert car.contains(1.0 / 3.0)
     assert not car.contains(2.5)
+
+
+def test_interval_carrier_size_cap():
+    assert g.IntervalCarrier(0.0, 65535.0, 1.0).size == 65536
+    for hi in (65536.0, 65535.5, 1e300):  # 65537 steps; 65536 steps and hi; overflow
+        with pytest.raises(g.ConstructionError, match="resolution"):
+            g.IntervalCarrier(0.0, hi, 1.0)
+    with pytest.raises(g.ConstructionError, match="resolution"):
+        g.IntervalCarrier(-1e308, 1e308, 1e-9)  # hi - lo overflows to inf
 
 
 # -- axiom checks -----------------------------------------------------------
@@ -342,7 +353,7 @@ def exact(x):
         return ("float", x.hex())
     if isinstance(x, dict):
         return tuple((k, exact(v)) for k, v in x.items())
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, Sequence) and not isinstance(x, str):  # lists, tuples, ScanWitnesses
         return tuple(exact(v) for v in x)
     if isinstance(x, g.Witness):
         return (exact(x.points), exact(x.values), x.detail)
@@ -713,6 +724,69 @@ def test_interval_sweep_scans_make_no_scalar_calls(monkeypatch):
     g.p4_violations(inst, 1.0)
     g.check_P_axiom(inst, "P3", n_samples=10)  # the P3 trials are gathered too
     assert calls[0] == 0
+
+
+def tampered_instance():
+    """P1 (a diagonal entry and a zero pair), P2 and monotone all fail on this
+    table, swapped in behind the carrier's checks."""
+    carrier = g.FiniteCarrier(("a", "b", "c", "x"), [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1],
+                                                     [3, 2, 1, 0]])
+    d = np.array([[0.0, 0.0, 1.0, 2.0], [0.0, 0.5, -1.0, 1.0], [2.0, -1.0, 0.0, 0.5],
+                  [2.0, 1.0, 0.5, 0.0]])
+    d.flags.writeable = False
+    carrier.d = d
+    return g.GpmsInstance(carrier, "scaled", {}, g.MAX, (0.5, 1.0, 2.0), (0.25, 1.0))
+
+
+def test_scan_witnesses_are_a_sequence_built_on_read():
+    inst = tampered_instance()
+    for axiom in ("P1", "P2", "monotone"):
+        rep = g.check_P_axiom(inst, axiom)
+        eager, _, _ = scalar_scan(inst, axiom)
+        assert rep.verdict == "fail" and eager, axiom
+        assert exact(tuple(rep.witnesses)) == exact(eager), axiom
+    seqs = [g.check_P_axiom(inst, axiom).witnesses for axiom in ("P2", "P4", "monotone")]
+    seqs.append(g.check_P_axiom(make_instance("constant"), "P3", exhaustive=True).witnesses)
+    for seq in seqs:
+        assert isinstance(seq, g.ScanWitnesses) and len(seq) > 0
+        eager = list(seq)
+        assert len(seq) == len(eager)
+        assert exact(seq[0]) == exact(eager[0]) and exact(seq[-1]) == exact(eager[-1])
+        assert exact(seq[-len(seq)]) == exact(eager[0])
+        head = seq[:8]
+        assert type(head) is tuple and exact(head) == exact(eager[:8])
+        assert exact(seq[1::2]) == exact(eager[1::2])
+        for k in (len(seq), -len(seq) - 1):
+            with pytest.raises(IndexError):
+                seq[k]
+        assert exact(list(iter(seq))) == exact(eager)
+
+
+def test_interval_sweep_report_builds_nine_p4_witnesses(tmp_path, monkeypatch):
+    # the damped interval-sweep instance: 32,044 P4 witnesses, of which a
+    # report builds the first (CheckReport.witness) and the eight it prints
+    doc = {"version": 1, "interval": [-2.0, 2.0], "resolution": 0.02, "family": "damped",
+           "params": {}, "op": "plus", "t_grid": list(T_GRID), "alpha_grid": list(ALPHA_GRID),
+           "seed": 11, "tol": 1e-6}
+    path = tmp_path / "damped.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    inst_file = g.load_instance(str(path))
+    built = []
+    real = g.Witness.__init__
+
+    def counting(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self.detail)
+
+    monkeypatch.setattr(g.Witness, "__init__", counting)
+    report = g.run_command("full-report", inst_file)
+    text = report.to_canonical_json()
+    detail = "distinct pair below alpha for every grid t"
+    assert built.count(detail) <= 9
+    (p4,) = [c for c in json.loads(text)["checks"] if c["name"] == "P4"]
+    assert p4["witness_count"] == 32044 and len(p4["witnesses"]) == 8
+    rep = next(c for c in report.checks if c.name == "P4")
+    assert len(list(rep.witnesses)) == 32044
 
 
 def test_tabulated_steps_left_of_the_first_node_and_ragged_pairs():

@@ -451,3 +451,35 @@ def test_one_dalpha_operation_scans_p4_once_and_solves_each_pair_once(tmp_path, 
     scans.clear()
     g.check_alpha_monotonicity(inst_file.instance, "x0", "x8", ALPHA_GRID)
     assert scans == []
+
+
+def test_dalpha_looks_up_each_solver_pair_once(tmp_path, monkeypatch):
+    # n = 48, constant/max on a random shortest-path metric: each solver step
+    # reads the pairs it still searches, but their labels are mapped to
+    # indices once per request (the old path mapped them at every step)
+    n, rng = 48, random.Random(48)
+    d = [[0 if i == j else rng.randint(1, 10) for j in range(n)] for i in range(n)]
+    d = [[min(d[i][j], d[j][i]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    doc = {"version": 1, "points": [f"w{i}" for i in range(n)], "d": d, "family": "constant",
+           "params": {}, "op": "max", "t_grid": list(T_GRID), "alpha_grid": list(ALPHA_GRID),
+           "seed": 11, "tol": 1e-6}
+    path = tmp_path / "wide48.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    inst_file = g.load_instance(str(path))
+    lookups, solved = [0], []
+    real_index, real_solve = core.FiniteCarrier.index, induced._solve_d_alpha
+
+    def counting(self, p):
+        lookups[0] += 1
+        return real_index(self, p)
+
+    monkeypatch.setattr(core.FiniteCarrier, "index", counting)
+    monkeypatch.setattr(induced, "_solve_d_alpha",
+                        lambda *a: solved.append(len(a[1])) or real_solve(*a))
+    g.run_command("dalpha", inst_file)
+    assert sum(solved) >= n * (n - 1) // 2
+    assert lookups[0] <= 2 * sum(solved)
