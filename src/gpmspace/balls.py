@@ -15,7 +15,9 @@ transitive closure, and the family is a topology by construction;
 TopologyFamily.verify stays as an O(|F|^2) oracle for tests.
 
 Ball membership uses exact float comparison: strict "<" for open balls,
-"<=" for closed balls, no epsilon fuzzing.
+"<=" for closed balls, no epsilon fuzzing.  A ball is one comparison on a
+kernel row; all grid balls come from one kernel tensor over (x, t, y) that
+every alpha reads, and grid_ball_masks and both ball theorems share it.
 
 The derived structures -- each point's grid balls, the least balls and
 tau_P -- are computed once per instance and memoized, weakly keyed by the
@@ -27,6 +29,7 @@ immutable too: tuples of SubsetMask or int bitmasks, and a TopologyFamily.
 """
 from __future__ import annotations
 
+import itertools
 import weakref
 from functools import reduce
 from operator import and_
@@ -34,7 +37,7 @@ from operator import and_
 import numpy as np
 
 from .binop import eval_op
-from .core import GpmsInstance, P, eval_P
+from .core import GpmsInstance, P_at, coords
 from .errors import DomainError, PreconditionError, SizeError, VerificationError
 from .reports import FAIL, PASS, CheckReport, Witness
 
@@ -187,7 +190,7 @@ def open_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
     _require_finite(inst)
     if not alpha > 0:
         raise DomainError(f"open ball radius must be positive, got {alpha}")
-    return _mask_of_flags(P(inst, a, inst.carrier.labels, t) < alpha)
+    return _mask_of_flags(P_at(inst, coords(inst, a), np.arange(inst.carrier.size), t) < alpha)
 
 
 def closed_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
@@ -195,7 +198,23 @@ def closed_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
     _require_finite(inst)
     if alpha < 0:
         raise DomainError(f"closed ball radius must be >= 0, got {alpha}")
-    return _mask_of_flags(P(inst, a, inst.carrier.labels, t) <= alpha)
+    return _mask_of_flags(P_at(inst, coords(inst, a), np.arange(inst.carrier.size), t) <= alpha)
+
+
+def _grid_ball_bits(inst: GpmsInstance, closed: bool = False) -> list:
+    """Every grid ball's bitmask, open B(x, alpha, t) or closed B[x, alpha, t],
+    in (x, alpha, t) order: one kernel tensor over (x, t, y), read by every alpha."""
+    c = np.arange(inst.carrier.size)
+    grid = P_at(inst, c[:, None, None], c, np.asarray(inst.t_grid)[:, None])[:, None]
+    alphas = np.asarray(inst.alpha_grid)[:, None, None]
+    packed = np.packbits(grid <= alphas if closed else grid < alphas, axis=-1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[-1]
+    return [int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
+
+
+def _min_P(inst: GpmsInstance, xs, ys, t: float) -> float:
+    """min of P(x, y, t) over x in xs and y in ys, two arrays of point indices."""
+    return float(P_at(inst, np.asarray(xs)[:, None], ys, t).min())
 
 
 _DERIVED = weakref.WeakKeyDictionary()  # instance -> {"balls": ..., "least": ..., "topology": ...}
@@ -214,13 +233,10 @@ def grid_ball_masks(inst: GpmsInstance):
     _require_finite(inst)
     memo = _derived(inst)
     if "balls" not in memo:
-        out = []
-        for a in inst.carrier.labels:  # one kernel row per grid t, read by every alpha
-            rows = [P(inst, a, inst.carrier.labels, t) for t in inst.t_grid]
-            seen = {m.bits: m for m in (_mask_of_flags(row < alpha)
-                                        for alpha in inst.alpha_grid for row in rows)}
-            out.append(tuple(seen[b] for b in sorted(seen)))
-        memo["balls"] = tuple(out)
+        n, per = inst.carrier.size, len(inst.alpha_grid) * len(inst.t_grid)
+        bits = _grid_ball_bits(inst)
+        memo["balls"] = tuple(tuple(SubsetMask(n, b) for b in sorted(set(bits[k:k + per])))
+                              for k in range(0, n * per, per))
     return memo["balls"]
 
 
@@ -344,26 +360,20 @@ def verify_ball_theorem(inst: GpmsInstance, theorem: str, **params) -> CheckRepo
     car = inst.carrier
 
     if theorem in ("ball_open", "closed_ball_closed"):
-        witnesses = []
-        samples = 0
-        for a in car.labels:
-            rows = [P(inst, a, car.labels, t) for t in inst.t_grid]
-            for alpha in inst.alpha_grid:
-                for t, row in zip(inst.t_grid, rows):
-                    samples += 1
-                    if theorem == "ball_open":
-                        good = is_open(inst, _mask_of_flags(row < alpha))
-                    else:
-                        good = is_open(inst, _mask_of_flags(row <= alpha).complement())
-                    if not good:
-                        witnesses.append(Witness(points=(a,),
-                                                 values={"alpha": alpha, "t": t},
-                                                 detail=f"{theorem} fails for this grid ball"))
+        closed = theorem == "closed_ball_closed"
+        flip = (1 << car.size) - 1 if closed else 0  # a closed ball's complement must be open
+        grid_balls = zip(itertools.product(car.labels, inst.alpha_grid, inst.t_grid),
+                         _grid_ball_bits(inst, closed))
+        witnesses = tuple(Witness(points=(a,), values={"alpha": alpha, "t": t},
+                                  detail=f"{theorem} fails for this grid ball")
+                          for (a, alpha, t), bits in grid_balls
+                          if not is_open(inst, SubsetMask(car.size, bits ^ flip)))
         verdict = FAIL if witnesses else PASS
         note = "exhaustive over grid balls" if verdict == PASS else \
             "violations may be grid artifacts at coarse resolutions"
-        return CheckReport(name=theorem, verdict=verdict, samples_tested=samples,
-                           note=note, witnesses=tuple(witnesses))
+        return CheckReport(name=theorem, verdict=verdict,
+                           samples_tested=car.size * len(inst.alpha_grid) * len(inst.t_grid),
+                           note=note, witnesses=witnesses)
 
     if theorem == "nested_closure":
         alpha = params["alpha"]
@@ -394,16 +404,16 @@ def verify_ball_theorem(inst: GpmsInstance, theorem: str, **params) -> CheckRepo
     point = params["point"]
     if subset.is_empty:
         raise PreconditionError("the separated set must be non-empty")
-    if subset.contains(car.index(point)):
+    if subset.contains(x := car.index(point)):
         raise PreconditionError(f"point {point!r} must lie outside the set")
     if not is_open(inst, subset.complement()):
         raise PreconditionError("the set is not closed at these grids")
     scales = params.get("scales") or list(inst.t_grid)
-    members = subset.labels(car)
+    members = subset.indices()
     witnesses = []
     infima = {}
     for t in scales:
-        m = min(eval_P(inst, point, a, t) for a in members)
+        m = _min_P(inst, [x], members, t)
         infima[f"{t:.12g}"] = m
         if not m > 0:
             witnesses.append(Witness(points=(point,), values={"t": t, "inf": m},

@@ -301,9 +301,9 @@ def _sequences_checks(inst, tol):
         checks.append(_guarded("subsequence_completeness",
                                lambda: sequences.subsequence_completeness_check(
                                    inst, seqx, indices, mid, tol)))
-        terms = seqx.terms(inst.carrier)
-        trace = [(n + 1, t, v) for t in inst.t_grid
-                 for n, v in enumerate(core.P(inst, terms, mid, t).tolist())]
+        u, v = core.coords(inst, seqx.terms(inst.carrier)), core.coords(inst, mid)
+        trace = [(n + 1, t, value) for t in inst.t_grid
+                 for n, value in enumerate(core.P_at(inst, u, v, t).tolist())]
     else:
         labels = inst.carrier.labels
         for p in labels:
@@ -348,6 +348,8 @@ def run_command(command: str, inst_file: InstanceFile, options: Options | None =
     inst = inst_file.instance
     seed = opts.seed if opts.seed is not None else inst_file.seed
     tol = opts.tol if opts.tol is not None else inst_file.tol
+    if not (math.isfinite(tol) and tol > 0):  # the file's rule, for --tol
+        raise DomainError(f"tol must be a positive finite number, got {tol!r}")
     start = time.perf_counter()
     report = Report(command=command, digest=inst_file.digest,
                     grids={"t_grid": list(inst.t_grid), "alpha_grid": list(inst.alpha_grid)},

@@ -33,9 +33,12 @@ witness is a float counterexample, not one confirmed in exact arithmetic.
 P is computed in one place, ``_kernel``: one family formula applied to a
 distance and a t, broadcast together, where the distance comes from the
 carrier's table d, from |x - y| on an interval, or, for tabulated families,
-from padded per-pair step tables built at construction.  ``P`` is its front
-end over arrays of points and of t; ``eval_P`` is the kernel at one pair and
-one t.  The grid scans (P1, P2, P4, P5, monotone, ``p4_violations``, the
+from padded per-pair step tables built at construction.  It reads kernel
+coordinates: a point's index on a finite carrier, the point on an interval.
+``coords`` maps points to them, so labels are mapped once, where they enter,
+and ``P_at`` is the kernel at coordinates.  ``P`` is its front end over
+arrays of points and of t; ``eval_P`` is the kernel at one pair and one t.
+The grid scans (P1, P2, P4, P5, monotone, ``p4_violations``, the
 construction sanity pass) read one points x points x t_grid tensor and list
 witnesses in the order of nested loops over (a, b, t).  The scans and the P3
 trials keep their witnesses as index rows plus the values gathered there
@@ -348,8 +351,9 @@ def _kernel(inst: GpmsInstance, u, v, t):
     return _formula(inst.family, inst.params, dist, t)
 
 
-def _coords(inst: GpmsInstance, pts) -> np.ndarray:
-    """Kernel coordinates of an array of carrier points, shape preserved."""
+def coords(inst: GpmsInstance, pts) -> np.ndarray:
+    """Kernel coordinates of carrier points (one point or an array), shape
+    preserved: indices on a finite carrier, floats on an interval."""
     car = inst.carrier
     if car.kind == "finite":
         if isinstance(pts, str):  # one label
@@ -380,26 +384,23 @@ def eval_P(inst: GpmsInstance, a, b, t: float) -> float:
     return float(_kernel(inst, float(a), float(b), t))
 
 
+def P_at(inst: GpmsInstance, u, v, t) -> np.ndarray:
+    """P at kernel coordinates ``u`` and ``v`` (see ``coords``) and at ``t``
+    (one t or an array), broadcast together; ``u`` and ``v`` are trusted."""
+    return np.asarray(_kernel(inst, u, v, _check_t(t)))
+
+
 def P(inst: GpmsInstance, xs, ys, t) -> np.ndarray:
     """P(x, y, t) over arrays of carrier points and of t (or one t), broadcast
     together; each value equals ``eval_P`` bit for bit.  ``P(inst, pts, x, t)``
-    is a row and ``P(inst, np.asarray(pts, dtype=object)[:, None], pts, t)`` a
-    matrix."""
-    t = _check_t(t)
-    return np.asarray(_kernel(inst, _coords(inst, xs), _coords(inst, ys), t))
-
-
-def P_pairs(inst: GpmsInstance, xs, ys):
-    """``f(idx, t) = P(xs[idx], ys[idx], t)`` for fixed arrays of carrier
-    points, bit for bit; the points are mapped to kernel coordinates once,
-    so a search that reads the same pairs at many t looks up each label once."""
-    u, v = _coords(inst, xs), _coords(inst, ys)
-    return lambda idx, t: np.asarray(_kernel(inst, u[idx], v[idx], _check_t(t)))
+    is a row; a matrix over all pairs is ``P_at(inst, c[:, None], c, t)`` with
+    ``c = coords(inst, pts)``."""
+    return P_at(inst, coords(inst, xs), coords(inst, ys), t)
 
 
 def _pair_grid(inst: GpmsInstance, pts, ts):
     """grid[i, j, k] = P(pts[i], pts[j], ts[k]), and the mask of pairs i < j."""
-    c = _coords(inst, pts)
+    c = coords(inst, pts)
     grid = _kernel(inst, c[:, None, None], c[None, :, None], np.asarray(ts, dtype=float))
     return grid, np.triu(np.ones((len(pts), len(pts)), dtype=bool), 1)
 
@@ -598,8 +599,9 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
 
     Each sampled trial draws a triple (a, b, x) and a grid pair (s, t) from a
     seeded RNG, so identical seeds give identical reports; the exhaustive
-    scan takes every trial in nested-loop order.  The trials are evaluated
-    together, with three P gathers, and the op is applied per trial.
+    scan takes every trial in nested-loop order.  The points are mapped to
+    kernel coordinates once; the trials are evaluated together, with three
+    kernel gathers at the drawn indices, and the op is applied per trial.
     """
     pts = points if points is not None else inst.quantifier_points()
     tg = inst.t_grid
@@ -610,10 +612,10 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
         rng = random.Random(seed)  # randrange(m) draws as choice does from m items
         trials = [[rng.randrange(m) for m in shape] for _ in range(n_samples)]
         a, b, x, s, t = np.array(trials, dtype=np.intp).reshape(-1, 5).T
-    A, T = np.asarray(pts, dtype=object), np.asarray(tg)
-    lhs = P(inst, A[a], A[b], T[s] + T[t])
-    rhs = np.array([eval_op(inst.op, u, w) for u, w in
-                    zip(P(inst, A[a], A[x], T[s]).tolist(), P(inst, A[b], A[x], T[t]).tolist())])
+    c, T = coords(inst, pts), np.asarray(tg)
+    lhs = P_at(inst, c[a], c[b], T[s] + T[t])
+    left, right = P_at(inst, c[a], c[x], T[s]), P_at(inst, c[b], c[x], T[t])
+    rhs = np.array([eval_op(inst.op, u, w) for u, w in zip(left.tolist(), right.tolist())])
     hit = np.flatnonzero(lhs > rhs)
     witnesses = ScanWitnesses(pts, np.stack((a[hit], b[hit], x[hit]), axis=1),
                               {"s": T[s[hit]], "t": T[t[hit]], "lhs": lhs[hit], "rhs": rhs[hit]},

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .balls import generate_topology, topology_from_least
-from .core import GpmsInstance, P_pairs, p4_violations, step_ray_start
+from .core import GpmsInstance, P_at, coords, p4_violations, step_ray_start
 from .errors import DomainError, HypothesisError, SizeError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -84,10 +84,10 @@ def _solve_d_alpha(inst, pairs, alpha, tolerance) -> list:
         return [0.0 if a == b else step_ray_start(inst, a, b, alpha) for a, b in pairs]
     out = np.zeros(len(pairs))  # a == b, and a ray reaching below 2^-64, give 0
     todo = np.array([i for i, (a, b) in enumerate(pairs) if a != b], dtype=np.intp)
-    P_at = P_pairs(inst, *zip(*pairs))
+    u, v = (coords(inst, side) for side in zip(*pairs))
 
     def in_ray(idx, t):
-        return P_at(idx, t) < alpha
+        return P_at(inst, u[idx], v[idx], t) < alpha
 
     lo, hi = np.full((2, len(pairs)), np.nan)  # a bracketed pair gets finite ends
     inside = in_ray(todo, _T_START)

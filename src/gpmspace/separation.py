@@ -1,11 +1,15 @@
 """Constructive separation witnesses (T0, T1, T2, regular, normal) and
 countable bases on finite carriers.
 
-Witness construction picks t0 as the smallest grid t, which maximizes
-P(a,b,t0) by monotonicity and therefore gives the most robust alpha0 to
-separate below; the minimum of P over a set is one kernel slice.  Every
-witness is verified once before it is returned: its ball masks U and V are
-built once, and the verification report travels with the witness.
+Every kind is one construction.  Its preconditions give two center sets X
+and Y: the two points for T0/T1/T2, the outside point and the closed set for
+regular, the two closed sets for normal.  t0 is the smallest grid t where
+alpha0 = min P(x, y, t0) over X x Y is positive (the minimum is one kernel
+slice over point indices).  U holds the balls at X and V the balls at Y
+(T0 builds no V): radius alpha0 at scale t0 for T0/T1, and radius
+alpha1 = sub_idempotent(alpha0) at scale t0/2 for T2, regular and normal.
+Every witness is verified once before it is returned: its ball masks U and V
+are built once, and the verification report travels with the witness.
 
 Countable bases read the least open sets of tau_P (``balls._least``):
 every open set around a point y holds reach[y], so a base question about
@@ -16,11 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .balls import SubsetMask, _least, generate_topology, is_open, open_ball
+from .balls import SubsetMask, _least, _min_P, generate_topology, is_open, open_ball
 from .binop import eval_op, sub_idempotent
-from .core import GpmsInstance, P, eval_P
+from .core import GpmsInstance, eval_P
 from .errors import DomainError, PreconditionError, WitnessNotFoundError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -80,20 +82,6 @@ def _mask_of(inst, specs) -> SubsetMask:
     return m
 
 
-def _min_P(inst, xs, ys, t) -> float:
-    """min of P(x, y, t) over x in xs and y in ys, one kernel slice."""
-    return float(P(inst, np.asarray(xs, dtype=object)[:, None], ys, t).min())
-
-
-def _pick_t0(inst, value_fn):
-    """Smallest grid t where the separating value is positive."""
-    for t in inst.t_grid:
-        v = value_fn(t)
-        if v > 0:
-            return t, v
-    raise WitnessNotFoundError("no grid t gives a positive separating value")
-
-
 def _require_closed(inst, subset: SubsetMask, name: str):
     if subset is None or subset.is_empty:
         raise PreconditionError(f"{name} must be a non-empty subset")
@@ -115,50 +103,43 @@ def separation_witness(inst: GpmsInstance, kind: str, a=None, b=None,
     if kind not in KINDS:
         raise DomainError(f"unknown separation kind {kind!r}; expected one of {KINDS}")
     car = inst.carrier
+    points = kind in ("T0", "T1", "T2")
 
-    if kind in ("T0", "T1", "T2"):
+    if points:
         if a is None or b is None or a == b:
             raise PreconditionError("need two distinct points")
-        car.index(a), car.index(b)
-        t0, alpha0 = _pick_t0(inst, lambda t: eval_P(inst, a, b, t))
-        if kind == "T0":
-            w = SeparationWitness(kind, t0, alpha0, None,
-                                  (BallSpec(a, alpha0, t0),), (), a=a, b=b)
-        elif kind == "T1":
-            w = SeparationWitness(kind, t0, alpha0, None,
-                                  (BallSpec(a, alpha0, t0),), (BallSpec(b, alpha0, t0),),
-                                  a=a, b=b)
-        else:
-            alpha1 = sub_idempotent(inst.op, alpha0)
-            w = SeparationWitness(kind, t0, alpha0, alpha1,
-                                  (BallSpec(a, alpha1, t0 / 2),),
-                                  (BallSpec(b, alpha1, t0 / 2),), a=a, b=b)
+        xs, ys = [car.index(a)], [car.index(b)]
     elif kind == "regular":
         if a is None:
             raise PreconditionError("regular needs the outside point as a")
         _require_closed(inst, subset, "subset")
-        if subset.contains(car.index(a)):
+        xs, ys = [car.index(a)], subset.indices()
+        if subset.contains(xs[0]):
             raise PreconditionError(f"point {a!r} must lie outside the closed set")
-        members = subset.labels(car)
-        t0, alpha0 = _pick_t0(inst, lambda t: _min_P(inst, (a,), members, t))
-        alpha1 = sub_idempotent(inst.op, alpha0)
-        w = SeparationWitness(kind, t0, alpha0, alpha1,
-                              (BallSpec(a, alpha1, t0 / 2),),
-                              tuple(BallSpec(m, alpha1, t0 / 2) for m in members),
-                              a=a, set_a=subset)
     else:  # normal
         _require_closed(inst, subset, "subset")
         _require_closed(inst, subset_b, "subset_b")
         if not subset.intersection(subset_b).is_empty:
             raise PreconditionError("the two closed sets must be disjoint")
-        mem_a = subset.labels(car)
-        mem_b = subset_b.labels(car)
-        t0, alpha0 = _pick_t0(inst, lambda t: _min_P(inst, mem_a, mem_b, t))
+        xs, ys = subset.indices(), subset_b.indices()
+
+    for t0 in inst.t_grid:  # the smallest grid t with a positive min P over xs x ys
+        alpha0 = _min_P(inst, xs, ys, t0)
+        if alpha0 > 0:
+            break
+    else:
+        raise WitnessNotFoundError("no grid t gives a positive separating value")
+    if kind in ("T0", "T1"):
+        alpha1, radius, scale = None, alpha0, t0
+    else:
         alpha1 = sub_idempotent(inst.op, alpha0)
-        w = SeparationWitness(kind, t0, alpha0, alpha1,
-                              tuple(BallSpec(m, alpha1, t0 / 2) for m in mem_a),
-                              tuple(BallSpec(m, alpha1, t0 / 2) for m in mem_b),
-                              set_a=subset, set_b=subset_b)
+        radius, scale = alpha1, t0 / 2
+    balls_u = tuple(BallSpec(car.labels[i], radius, scale) for i in xs)
+    balls_v = () if kind == "T0" else tuple(BallSpec(car.labels[j], radius, scale) for j in ys)
+    w = SeparationWitness(kind, t0, alpha0, alpha1, balls_u, balls_v,
+                          a=a if kind != "normal" else None, b=b if points else None,
+                          set_a=None if points else subset,
+                          set_b=subset_b if kind == "normal" else None)
 
     w.u_mask = _mask_of(inst, w.balls_u)
     w.v_mask = _mask_of(inst, w.balls_v)
@@ -221,7 +202,7 @@ def _check_claims(inst, w: SeparationWitness, u: SubsetMask, v: SubsetMask) -> C
         claim(w.set_a is not None and w.set_a.issubset(v), "closed set not covered by V")
         claim(u.intersection(v).is_empty, "U and V overlap")
         if w.set_a is not None and w.alpha1 is not None:
-            sep = _min_P(inst, (w.a,), w.set_a.labels(car), w.t0)
+            sep = _min_P(inst, [car.index(w.a)], w.set_a.indices(), w.t0)
             claim(eval_op(inst.op, w.alpha1, w.alpha1) < w.alpha0 and w.alpha0 <= sep,
                   "inequality chain fails against the set separation value",
                   alpha0=w.alpha0, alpha1=w.alpha1, separation=sep)
@@ -232,7 +213,7 @@ def _check_claims(inst, w: SeparationWitness, u: SubsetMask, v: SubsetMask) -> C
         claim(w.set_b is not None and w.set_b.issubset(v), "second closed set not covered by V")
         claim(u.intersection(v).is_empty, "U and V overlap")
         if w.set_a is not None and w.set_b is not None and w.alpha1 is not None:
-            sep = _min_P(inst, w.set_a.labels(car), w.set_b.labels(car), w.t0)
+            sep = _min_P(inst, w.set_a.indices(), w.set_b.indices(), w.t0)
             claim(eval_op(inst.op, w.alpha1, w.alpha1) < w.alpha0 and w.alpha0 <= sep,
                   "inequality chain fails against the set separation value",
                   alpha0=w.alpha0, alpha1=w.alpha1, separation=sep)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balls import SubsetMask, closure_and_limit_points, is_open
-from .core import GpmsInstance, P, eval_P
+from .core import GpmsInstance, P_at, coords, eval_P
 from .errors import DomainError, HypothesisError, PreconditionError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -111,11 +111,12 @@ def check_convergence(inst: GpmsInstance, seq: SequenceSpec, x, tol: float = 1e-
         raise DomainError(f"limit candidate {x!r} is not in the carrier")
     terms = seq.terms(inst.carrier)
     win, start = _window(terms)
+    u, v = coords(inst, win), coords(inst, x)
     witnesses = []
     samples = 0
     tails = {}
     for t in inst.t_grid:
-        vals = P(inst, win, x, t)
+        vals = P_at(inst, u, v, t)
         samples += len(win)
         worst = int(np.argmax(vals))
         tails[f"{t:.12g}"] = float(vals[worst])
@@ -138,9 +139,9 @@ def check_cauchy(inst: GpmsInstance, seq: SequenceSpec, tol: float = 1e-6) -> Ch
     witnesses = []
     samples = 0
     tails = {}
-    col = np.asarray(win, dtype=object)[:, None]
+    c = coords(inst, win)
     for t in inst.t_grid:
-        mat = P(inst, col, win, t)
+        mat = P_at(inst, c[:, None], c, t)
         samples += mat.size
         worst_flat = int(np.argmax(mat))
         i, j = divmod(worst_flat, mat.shape[1])
@@ -157,14 +158,15 @@ def check_cauchy(inst: GpmsInstance, seq: SequenceSpec, tol: float = 1e-6) -> Ch
                        data={"max_tail_P": tails})
 
 
-def _points_of(inst, s):
+def _coords_of(inst, s) -> np.ndarray:
+    """Kernel coordinates of a subset mask, a sequence's terms or a point list."""
     if isinstance(s, SubsetMask):
         if inst.carrier.kind != "finite":
             raise DomainError("subset masks need a finite carrier")
-        return list(s.labels(inst.carrier))
+        return np.array(s.indices(), dtype=np.intp)
     if isinstance(s, SequenceSpec):
-        return s.terms(inst.carrier)
-    return list(s)
+        return coords(inst, s.terms(inst.carrier))
+    return coords(inst, list(s))
 
 
 def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None) -> CheckReport:
@@ -184,14 +186,13 @@ def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None) -> Check
         k_t = {f"{t:.12g}": eval_P(inst, s.lo, s.hi, t) for t in inst.t_grid}
         samples = len(inst.t_grid)
     else:
-        pts = _points_of(inst, s)
-        if not pts:
+        c = _coords_of(inst, s)
+        if not c.size:
             raise DomainError("bounded check needs a non-empty set")
         k_t = {}
         samples = 0
-        col = np.asarray(pts, dtype=object)[:, None]
         for t in inst.t_grid:
-            mat = P(inst, col, pts, t)
+            mat = P_at(inst, c[:, None], c, t)
             samples += mat.size
             k_t[f"{t:.12g}"] = float(mat.max())
     data["K_t"] = k_t
@@ -236,9 +237,10 @@ def joint_continuity_check(inst: GpmsInstance, seqx: SequenceSpec, seqy: Sequenc
     witnesses = []
     samples = 0
     limits = {}
+    u, v = coords(inst, winx), coords(inst, winy)
     for t in inst.t_grid:
         target = eval_P(inst, x, y, t)
-        vals = P(inst, winx, winy, t)
+        vals = P_at(inst, u, v, t)
         samples += len(vals)
         dev = np.abs(vals - target)
         worst = int(np.argmax(dev))
@@ -278,13 +280,12 @@ def diameter(inst: GpmsInstance, s) -> float:
             return 0.0
         vals = [eval_P(inst, s.lo, s.hi, t) for t in inst.t_grid[:2]]
     else:
-        pts = _points_of(inst, s)
-        if not pts:
+        c = _coords_of(inst, s)
+        if not c.size:
             raise DomainError("diameter of the empty set is undefined")
-        if len(set(pts)) == 1:
+        if np.all(c == c[0]):
             return 0.0
-        col = np.asarray(pts, dtype=object)[:, None]
-        vals = [float(P(inst, col, pts, t).max()) for t in inst.t_grid[:2]]
+        vals = [float(P_at(inst, c[:, None], c, t).max()) for t in inst.t_grid[:2]]
     v0 = vals[0]
     if len(vals) > 1 and vals[1] > 0 and v0 / vals[1] > _DIVERGENCE_FACTOR and v0 > _DIAMETER_CAP:
         return math.inf

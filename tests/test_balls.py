@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 import gpmspace as g
 from gpmspace import balls as balls_module
-from helpers import (ALPHA_GRID, T_GRID, line_carrier, make_instance, three_point_carrier,
-                     two_point_carrier)
+from helpers import (ALPHA_GRID, T_GRID, gallery_instances, line_carrier, make_instance,
+                     three_point_carrier, two_point_carrier)
 
 FINE = make_instance("scaled", op=g.MAX)
 
@@ -319,6 +320,23 @@ def test_memoized_derivations_match_from_scratch_oracle(inst, data):
         assert closure.bits == bits | limits
 
 
+@settings(max_examples=80, deadline=None)
+@given(gallery_instances())
+def test_grid_ball_tensor_matches_one_ball_at_a_time(inst):
+    n = inst.carrier.size
+    order = list(itertools.product(inst.carrier.labels, inst.alpha_grid, inst.t_grid))
+    for theorem, ball, closed in (("ball_open", g.open_ball, False),
+                                  ("closed_ball_closed", g.closed_ball, True)):
+        masks = [ball(inst, a, alpha, t) for a, alpha, t in order]
+        assert balls_module._grid_ball_bits(inst, closed) == [m.bits for m in masks]
+        # the theorem's witnesses are the balls a per-ball loop rejects, in order
+        checked = [m.complement() if closed else m for m in masks]
+        rejected = [ball for ball, m in zip(order, checked) if not g.is_open(inst, m)]
+        rep = g.verify_ball_theorem(inst, theorem)
+        assert rep.samples_tested == len(order)
+        assert [(w.points[0], w.values["alpha"], w.values["t"]) for w in rep.witnesses] == rejected
+
+
 def test_generate_topology_checks_size_before_the_memo():
     inst = make_instance("scaled", op=g.MAX)
     g.generate_topology(inst)
@@ -341,41 +359,35 @@ def test_memo_does_not_keep_instances_alive():
 
 # -- work counts (machine independent) -------------------------------------------
 
-def _count_calls(monkeypatch, name):
-    calls = [0]
-    real = getattr(balls_module, name)
+def _count_values(monkeypatch):
+    """The size of every kernel evaluation ``balls`` makes, in call order."""
+    sizes = []
+    real = balls_module.P_at
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return real(*args, **kwargs)
+    def counting(*args):
+        values = real(*args)
+        sizes.append(values.size)
+        return values
 
-    monkeypatch.setattr(balls_module, name, counting)
-    return calls
+    monkeypatch.setattr(balls_module, "P_at", counting)
+    return sizes
 
 
 def test_ball_open_theorem_derives_grid_balls_once(monkeypatch):
     n = 9
     inst = make_instance("scaled", op=g.MAX, carrier=line_carrier(n))
-    evaluated = [0]
-    real = balls_module.P
-
-    def counting(*args):
-        row = real(*args)
-        evaluated[0] += row.size
-        return row
-
-    monkeypatch.setattr(balls_module, "P", counting)
+    sizes = _count_values(monkeypatch)
     assert g.verify_ball_theorem(inst, "ball_open").ok
-    # one kernel row of n values per (point, t) for the theorem and one per
-    # (point, t) for the derivation; every alpha reads the same row
-    assert evaluated[0] == 2 * n * len(T_GRID) * n == 972
+    # one kernel tensor over (point, t, point) for the theorem and one for the
+    # derivation; every alpha reads the same tensor
+    assert sum(sizes) == 2 * n * len(T_GRID) * n == 972
 
 
 def test_cantor_intersection_derives_grid_balls_once(monkeypatch):
     n = 20
     inst = make_instance("constant", op=g.MAX, carrier=line_carrier(n))
     fam = [g.SubsetMask.from_indices(n, range(n - k)) for k in range(n)]
-    rows = _count_calls(monkeypatch, "P")
+    sizes = _count_values(monkeypatch)
     _, _, rep = g.cantor_intersection(inst, fam)
     assert rep.ok
-    assert rows[0] == n * len(T_GRID)  # one kernel row per (point, t)
+    assert sizes == [n * len(T_GRID) * n]  # one kernel tensor over (point, t, point)

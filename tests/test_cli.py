@@ -131,6 +131,17 @@ def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, case):
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize("command", ("dalpha", "sequences"))
+@pytest.mark.parametrize("tol", ("nan", "-1", "0", "inf"))
+def test_bad_tol_flag_exits_2_naming_tol(tmp_path, capsys, tol, command):
+    # the flag follows the file's rule: a positive finite number
+    out = tmp_path / "report.json"
+    assert g.main([command, write(tmp_path, BASE), "--tol", tol, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tol" in err
+    assert not out.exists()
+
+
 def test_axioms_command_all_pass(tmp_path):
     f = g.load_instance(write(tmp_path, BASE))
     report = g.run_command("axioms", f)

@@ -726,6 +726,21 @@ def test_interval_sweep_scans_make_no_scalar_calls(monkeypatch):
     assert calls[0] == 0
 
 
+def test_sampled_p3_looks_up_each_point_once(monkeypatch):
+    inst = make_instance("scaled", op=g.MAX)
+    calls = [0]
+    real = g.FiniteCarrier.index
+
+    def counting(self, p):
+        calls[0] += 1
+        return real(self, p)
+
+    monkeypatch.setattr(g.FiniteCarrier, "index", counting)
+    _, samples = core.p3_violations(inst, seed=11, n_samples=1000)
+    # the drawn trials index the points' kernel coordinates, mapped once
+    assert samples == 1000 and calls[0] <= len(inst.quantifier_points())
+
+
 def tampered_instance():
     """P1 (a diagonal entry and a zero pair), P2 and monotone all fail on this
     table, swapped in behind the carrier's checks."""
