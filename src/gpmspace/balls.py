@@ -16,28 +16,27 @@ TopologyFamily.verify stays as an O(|F|^2) oracle for tests.
 
 Ball membership uses exact float comparison: strict "<" for open balls,
 "<=" for closed balls, no epsilon fuzzing.  A ball is one comparison on a
-kernel row; all grid balls come from one kernel tensor over (x, t, y) that
-every alpha reads, and grid_ball_masks and both ball theorems share it.
+kernel row; all grid balls, open and closed, come from one kernel tensor
+over (x, t, y) that every alpha reads.
 
-The derived structures -- each point's grid balls, the least balls and
-tau_P -- are computed once per instance and memoized, weakly keyed by the
-instance, so is_open, interior, closures, the ball theorems, separation and
-the countable-base checks share one derivation.  This is sound because an
-instance is immutable after construction (the carrier's distance table and
-the tabulated parameters are private copies).  The memoized values are
-immutable too: tuples of SubsetMask or int bitmasks, and a TopologyFamily.
+The open and closed grid-ball bitmasks, each point's deduplicated grid
+balls, the least balls and tau_P are derived once per instance
+(``core.derive``) and live as long as the instance, so is_open, interior,
+closures, the ball theorems, separation and the countable bases share one
+derivation.  The memo keeps int bitmasks, not the float kernel tensor; its
+values (bitmask lists and tuples, SubsetMask tuples, a TopologyFamily) are
+shared, so callers only read them.
 """
 from __future__ import annotations
 
 import itertools
-import weakref
 from functools import reduce
 from operator import and_
 
 import numpy as np
 
 from .binop import eval_op
-from .core import GpmsInstance, P_at, coords
+from .core import GpmsInstance, P_at, coords, derive
 from .errors import DomainError, PreconditionError, SizeError, VerificationError
 from .reports import FAIL, PASS, CheckReport, Witness
 
@@ -168,9 +167,7 @@ class TopologyFamily:
                 if (x & y) not in self._bitset:
                     raise VerificationError(f"family not closed under intersection: {x:#x} & {y:#x}")
 
-    def to_jsonable(self, carrier=None):
-        if carrier is None:
-            return [m.indices() for m in self.members]
+    def to_jsonable(self, carrier):
         return [list(m.labels(carrier)) for m in self.members]
 
 
@@ -203,25 +200,23 @@ def closed_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
 
 def _grid_ball_bits(inst: GpmsInstance, closed: bool = False) -> list:
     """Every grid ball's bitmask, open B(x, alpha, t) or closed B[x, alpha, t],
-    in (x, alpha, t) order: one kernel tensor over (x, t, y), read by every alpha."""
-    c = np.arange(inst.carrier.size)
-    grid = P_at(inst, c[:, None, None], c, np.asarray(inst.t_grid)[:, None])[:, None]
-    alphas = np.asarray(inst.alpha_grid)[:, None, None]
-    packed = np.packbits(grid <= alphas if closed else grid < alphas, axis=-1, bitorder="little")
-    raw, width = packed.tobytes(), packed.shape[-1]
-    return [int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
+    in (x, alpha, t) order: both lists come from one kernel tensor over
+    (x, t, y), read by every alpha, once per instance."""
+    def build():
+        c = np.arange(inst.carrier.size)
+        grid = P_at(inst, c[:, None, None], c, np.asarray(inst.t_grid)[:, None])[:, None]
+        alphas = np.asarray(inst.alpha_grid)[:, None, None]
+        packed = np.packbits([grid < alphas, grid <= alphas], axis=-1, bitorder="little")
+        raw, width = packed.tobytes(), packed.shape[-1]
+        bits = [int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
+        return bits[:len(bits) // 2], bits[len(bits) // 2:]
+
+    return derive(inst, "grid_ball_bits", build)[closed]
 
 
 def _min_P(inst: GpmsInstance, xs, ys, t: float) -> float:
     """min of P(x, y, t) over x in xs and y in ys, two arrays of point indices."""
     return float(P_at(inst, np.asarray(xs)[:, None], ys, t).min())
-
-
-_DERIVED = weakref.WeakKeyDictionary()  # instance -> {"balls": ..., "least": ..., "topology": ...}
-
-
-def _derived(inst: GpmsInstance) -> dict:
-    return _DERIVED.setdefault(inst, {})
 
 
 def grid_ball_masks(inst: GpmsInstance):
@@ -231,13 +226,11 @@ def grid_ball_masks(inst: GpmsInstance):
     ordered by bitmask; computed once per instance.
     """
     _require_finite(inst)
-    memo = _derived(inst)
-    if "balls" not in memo:
-        n, per = inst.carrier.size, len(inst.alpha_grid) * len(inst.t_grid)
-        bits = _grid_ball_bits(inst)
-        memo["balls"] = tuple(tuple(SubsetMask(n, b) for b in sorted(set(bits[k:k + per])))
-                              for k in range(0, n * per, per))
-    return memo["balls"]
+    n, per = inst.carrier.size, len(inst.alpha_grid) * len(inst.t_grid)
+    bits = _grid_ball_bits(inst)
+    return derive(inst, "balls", lambda: tuple(
+        tuple(SubsetMask(n, b) for b in sorted(set(bits[k:k + per])))
+        for k in range(0, n * per, per)))
 
 
 def _reach(least) -> tuple:
@@ -261,11 +254,11 @@ def _least(inst: GpmsInstance):
     t, so this is itself a grid ball, B(x, min alpha, min t), and a set
     holding some grid ball at x holds U_x.
     """
-    memo = _derived(inst)
-    if "least" not in memo:
+    def build():
         least = tuple(reduce(and_, (b.bits for b in row)) for row in grid_ball_masks(inst))
-        memo["least"] = (least, _reach(least))
-    return memo["least"]
+        return least, _reach(least)
+
+    return derive(inst, "least", build)
 
 
 def topology_from_least(n: int, least) -> TopologyFamily:
@@ -290,10 +283,7 @@ def generate_topology(inst: GpmsInstance, max_points: int = 15) -> TopologyFamil
     n = inst.carrier.size
     if n > max_points:
         raise SizeError(f"carrier size {n} exceeds max_points={max_points}")
-    memo = _derived(inst)
-    if "topology" not in memo:
-        memo["topology"] = topology_from_least(n, _least(inst)[0])
-    return memo["topology"]
+    return derive(inst, "topology", lambda: topology_from_least(n, _least(inst)[0]))
 
 
 def _require_size(least, s: SubsetMask):

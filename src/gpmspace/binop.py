@@ -306,23 +306,21 @@ def solve_third(op: BinaryOperation, alpha1: float, alpha2: float,
     return float(out)
 
 
-def split_below(op: BinaryOperation, beta1: float,
-                tolerance: float = 1e-6, max_iter: int = 200) -> tuple:
+def split_below(op: BinaryOperation, beta1: float) -> tuple:
     """Find b2, b3 > 0 with b2 o b3 <= beta1, by symmetric halving probes."""
     if not beta1 > 0:
         raise PreconditionError(f"need beta1 > 0, got {beta1}")
     x = float(beta1)
-    for _ in range(max_iter):
+    for _ in range(200):
         if eval_op(op, x, x) <= beta1:
             return (x, x)
         x /= 2
-        if x < tolerance * 1e-6:
+        if x < 1e-12:
             break
     raise NoSolutionError(f"{op.name}: no symmetric pair below {beta1} at probe resolution")
 
 
-def sub_idempotent(op: BinaryOperation, alpha0: float,
-                   tolerance: float = 1e-9, max_iter: int = 100) -> float:
+def sub_idempotent(op: BinaryOperation, alpha0: float) -> float:
     """Find a1 > 0 with a1 o a1 strictly below alpha0 (never fails for plus/max)."""
     if not alpha0 > 0:
         raise PreconditionError(f"need alpha0 > 0, got {alpha0}")
@@ -331,12 +329,12 @@ def sub_idempotent(op: BinaryOperation, alpha0: float,
         if eval_op(op, cand, cand) < alpha0:
             return cand
     if op.kind == "plus":
-        margin = min(tolerance, alpha0 / 4)
+        margin = min(1e-9, alpha0 / 4)
         cand = alpha0 / 2 - margin
         if cand > 0 and eval_op(op, cand, cand) < alpha0:
             return cand
     x = alpha0 / 2
-    for _ in range(max_iter):
+    for _ in range(100):
         if x <= 0:
             break
         if eval_op(op, x, x) < alpha0:

@@ -213,6 +213,7 @@ class GpmsInstance:
         self._steps = _step_tables(carrier, self.params) if family == "tabulated" else None
         if family == "tabulated":  # a private copy: the caller's tables may change later
             self.params = _params_jsonable(family, self.params)
+        self._memo = {}  # see derive
 
     def quantifier_points(self, cap: int = _QUANTIFIER_CAP):
         """Points standing in for "all of X" in exhaustive scans."""
@@ -238,6 +239,14 @@ class GpmsInstance:
     def __repr__(self):
         return (f"GpmsInstance({self.family}/{self.op.name}, "
                 f"{self.carrier.kind} carrier of size {self.carrier.size})")
+
+
+def derive(inst: GpmsInstance, key, build):
+    """``build()`` on the first request for ``key``, the same object after: the
+    one cache of values derived from an instance, which is immutable."""
+    if key not in inst._memo:
+        inst._memo[key] = build()
+    return inst._memo[key]
 
 
 def _pair_key(a, b):

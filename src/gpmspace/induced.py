@@ -5,20 +5,19 @@ Requires op = max.  Because P(a,b,.) is non-increasing in t, the set
 endpoint, found by bracket doubling from t = 1 (0 below 2^-64, +inf for an
 empty ray above 2^64) and bisection down to the tolerance or to float
 spacing, for all the pairs a request needs at once.  Tabulated step
-families return the exact step location.  Each AlphaMetric caches solved
-pairs, and ``d_alpha`` and every check read that cache.
+families return the exact step location.  Solved pairs and P4 scans are
+derived once per instance (``core.derive``), shared by every AlphaMetric.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .balls import generate_topology, topology_from_least
-from .core import GpmsInstance, P_at, coords, p4_violations, step_ray_start
+from .core import GpmsInstance, P_at, coords, derive, p4_violations, step_ray_start
 from .errors import DomainError, HypothesisError, SizeError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -44,12 +43,12 @@ class AlphaMetric:
         self.instance = inst
         self.alpha = float(alpha)
         self.solver = solver or BisectionSettings()
-        self._cache: dict = {}
 
-    @cached_property
+    @property
     def p4_failures(self) -> tuple:
-        """Distinct pairs below alpha on the whole t grid, scanned on first read."""
-        return tuple(p4_violations(self.instance, self.alpha))
+        """Distinct pairs below alpha on the whole t grid, scanned once per instance."""
+        return derive(self.instance, ("p4", self.alpha),
+                      lambda: tuple(p4_violations(self.instance, self.alpha)))
 
     @property
     def p4_ok(self) -> bool:
@@ -65,13 +64,14 @@ def d_alpha(am: AlphaMetric, a, b) -> float:
 
 
 def _cached(am: AlphaMetric, pairs) -> list:
-    """d_alpha of each pair; the pairs not in the cache are solved together."""
+    """d_alpha of each pair; the pairs not solved yet are solved together."""
+    inst, tolerance = am.instance, am.solver.tolerance
+    solved = derive(inst, ("d_alpha", am.alpha, tolerance), dict)
     keys = [(min(a, b), max(a, b)) for a, b in pairs]
-    missing = [k for k in dict.fromkeys(keys) if k not in am._cache]
+    missing = [k for k in dict.fromkeys(keys) if k not in solved]
     if missing:
-        am._cache.update(zip(missing, _solve_d_alpha(am.instance, missing, am.alpha,
-                                                     am.solver.tolerance)))
-    return [am._cache[k] for k in keys]
+        solved.update(zip(missing, _solve_d_alpha(inst, missing, am.alpha, tolerance)))
+    return [solved[k] for k in keys]
 
 
 def _solve_d_alpha(inst, pairs, alpha, tolerance) -> list:
@@ -117,7 +117,7 @@ def _solve_d_alpha(inst, pairs, alpha, tolerance) -> list:
 
 
 def _distance_matrix(am: AlphaMetric, pts) -> np.ndarray:
-    """D[i, j] = d_alpha(pts[i], pts[j]); the pairs not in the cache are solved together."""
+    """D[i, j] = d_alpha(pts[i], pts[j]); the pairs not solved yet are solved together."""
     rows, cols = np.triu_indices(len(pts))
     D = np.empty((len(pts), len(pts)))
     D[rows, cols] = D[cols, rows] = _cached(am, [(pts[i], pts[j]) for i, j

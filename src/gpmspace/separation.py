@@ -53,7 +53,6 @@ class SeparationWitness:
     set_b: SubsetMask | None = None
     u_mask: SubsetMask | None = None
     v_mask: SubsetMask | None = None
-    note: str = ""
     # the verification separation_witness ran on u_mask and v_mask
     report: CheckReport | None = field(default=None, init=False, repr=False, compare=False)
 

@@ -1,11 +1,20 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gpmspace as g
+from gpmspace import core, induced
 from gpmspace.cli import Options
 
 BASE = {
@@ -129,6 +138,66 @@ def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, case):
     assert g.main(["axioms", write(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_DOCS = []
+for _name in sorted(os.listdir(GOLDEN)):
+    if _name.endswith(".instance.json"):
+        with open(os.path.join(GOLDEN, _name), encoding="utf-8") as _fh:
+            GOLDEN_DOCS.append(json.load(_fh))
+
+ODD_VALUES = (None, True, 0, -1, 1, 2.5, 1e-300, 1e300, math.nan, math.inf, "", "x",
+              [], [0], [1, 2], {}, {"table": 1})
+
+
+@st.composite
+def mutated_documents(draw):
+    """A golden instance document with one or two values perturbed, replaced,
+    deleted or duplicated at drawn paths (at least one level below the top)."""
+    doc = copy.deepcopy(draw(st.sampled_from(GOLDEN_DOCS)))
+    for _ in range(draw(st.integers(1, 2))):
+        parent = doc
+        key = draw(st.sampled_from(sorted(parent)))
+        while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.integers(0, 3)):
+            parent = parent[key]
+            key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
+                                       else range(len(parent))))
+        action = draw(st.sampled_from(("perturb", "replace", "delete", "duplicate")))
+        value = parent[key]
+        if action == "perturb" and isinstance(value, (int, float)) and not isinstance(value, bool):
+            parent[key] = draw(st.sampled_from((2 * value, value / 2, value + 1, -value, 0)))
+        elif action in ("perturb", "replace"):
+            parent[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[draw(st.sampled_from(("extra", "t", "pair", "grid")))] = \
+                copy.deepcopy(parent[key])
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents(), st.sampled_from(g.COMMANDS))
+def test_mutated_golden_documents_never_raise(doc, command):
+    # every outcome is a report (exit 0 or 1) or one error line (exit 2)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = g.main([command, path])
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        report = json.loads(out.getvalue())
+        assert report["command"] == command
+        assert code == (0 if all(c["verdict"] == "pass" for c in report["checks"]) else 1)
 
 
 @pytest.mark.parametrize("command", ("dalpha", "sequences"))
@@ -310,3 +379,29 @@ def test_carrier_above_max_points_makes_topology_identity_inconclusive(tmp_path,
     report = json.loads(capsys.readouterr().out)
     assert [c["verdict"] for c in report["checks"]
             if c["name"].startswith("topology_identity")] == ["pass"]
+
+
+def test_full_report_work_counts(tmp_path, monkeypatch):
+    # machine-independent work of one fresh line-9 scaled/max full-report;
+    # a change that derives something twice raises these counts
+    n = 9
+    doc = dict(BASE, points=[f"x{i}" for i in range(n)],
+               d=[[abs(i - j) for j in range(n)] for i in range(n)])
+    inst_file = g.load_instance(write(tmp_path, doc))
+    values, pairs = [], []
+    real_kernel, real_solve = core._kernel, induced._solve_d_alpha
+
+    def kernel(*args):
+        out = real_kernel(*args)
+        values.append(np.size(out))
+        return out
+
+    def solve(inst, todo, *args):
+        pairs.append(len(todo))
+        return real_solve(inst, todo, *args)
+
+    monkeypatch.setattr(core, "_kernel", kernel)
+    monkeypatch.setattr(induced, "_solve_d_alpha", solve)
+    g.run_command("full-report", inst_file)
+    assert (len(values), sum(values)) == (1065, 12840)
+    assert (len(pairs), sum(pairs)) == (5, 49)

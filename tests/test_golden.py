@@ -12,10 +12,12 @@ import contextlib
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
 import gpmspace as g
+from gpmspace import balls
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -34,11 +36,13 @@ def _instance_path(name):
     return os.path.join(GOLDEN, f"{name}.instance.json")
 
 
+def _load_doc(name):
+    with open(_instance_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_golden_set_covers_every_family_and_op():
-    docs = []
-    for name in MANIFEST:
-        with open(_instance_path(name), encoding="utf-8") as fh:
-            docs.append(json.load(fh))
+    docs = [_load_doc(name) for name in MANIFEST]
     assert {d["family"] for d in docs} == set(g.FAMILIES)
     assert {d["op"] if isinstance(d["op"], str) else "table" for d in docs} == \
         {"plus", "max", "table"}
@@ -69,3 +73,49 @@ def test_csv_payload_bytes_match_golden(tmp_path, name, command):
         assert not path.exists()
         return
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_MANIFEST[key]
+
+
+def _invariants(inst):
+    """What must not depend on the order of the points: verdicts, and the
+    topology, least open sets and d_alpha table keyed by labels."""
+    car = inst.carrier
+    verdicts = {ax: g.check_P_axiom(inst, ax).verdict for ax in ("P1", "P2", "P4", "P5", "monotone")}
+    verdicts["P3"] = g.check_P_axiom(inst, "P3", exhaustive=True).verdict
+    for theorem in ("ball_open", "closed_ball_closed"):
+        verdicts[theorem] = g.verify_ball_theorem(inst, theorem).verdict
+
+    def labels(bits):
+        return frozenset(g.SubsetMask(car.size, bits).labels(car))
+
+    out = {"verdicts": verdicts,
+           "tau_P": {labels(m.bits) for m in g.generate_topology(inst)},
+           "reach": {a: labels(r) for a, r in zip(car.labels, balls._least(inst)[1])}}
+    if inst.op.kind == "max":
+        alpha = inst.alpha_grid[len(inst.alpha_grid) // 2]
+        try:
+            verdicts["topology_identity"] = g.compare_topologies(inst, alpha).verdict
+        except g.HypothesisError:
+            verdicts["topology_identity"] = "hypothesis fails"
+        table = g.alpha_metric_table(g.AlphaMetric(inst, alpha))
+        out["d_alpha"] = {(a, b): table[i][j] for i, a in enumerate(car.labels)
+                          for j, b in enumerate(car.labels)}
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(n for n in MANIFEST if "points" in _load_doc(n)))
+def test_permuting_the_points_permutes_every_result(tmp_path, name):
+    # sampled P3 is left out: it draws its trials by point index
+    doc = _load_doc(name)
+    n = len(doc["points"])
+    perm = list(range(n))
+    random.Random(name).shuffle(perm)
+    if perm == sorted(perm):
+        perm = perm[1:] + perm[:1]
+    shuffled = dict(doc, points=[doc["points"][i] for i in perm],
+                    d=[[doc["d"][i][j] for j in perm] for i in perm])
+    path = tmp_path / "permuted.json"
+    path.write_text(json.dumps(shuffled), encoding="utf-8")
+    permuted = g.load_instance(str(path)).instance
+    original = g.load_instance(_instance_path(name)).instance
+    assert permuted.carrier.labels != original.carrier.labels
+    assert _invariants(permuted) == _invariants(original)

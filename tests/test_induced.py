@@ -444,13 +444,15 @@ def test_one_dalpha_operation_scans_p4_once_and_solves_each_pair_once(tmp_path, 
     assert len(scans) == 1  # compare_topologies reads p4_ok; nothing else does
     # the command's metric, one per monotonicity alpha, compare_topologies' own metric
     assert len(metrics) == 2 + len(ALPHA_GRID)
-    # one solver batch per metric, and each pair handed to the solver once per metric
-    assert len(solves) == len(metrics)
-    assert sum(map(len, solves)) == sum(len(am._cache) for am in metrics) == \
-        45 + len(ALPHA_GRID) + 45
+    # metrics of one alpha and tolerance share their solved pairs: the table's
+    # 45 in one batch, then (x0, x8) at each monotonicity alpha but the
+    # command's; compare_topologies solves none
+    assert len(solves) == len(ALPHA_GRID)
+    assert sum(map(len, solves)) == 45 + len(ALPHA_GRID) - 1 == 49
     scans.clear()
+    solves.clear()
     g.check_alpha_monotonicity(inst_file.instance, "x0", "x8", ALPHA_GRID)
-    assert scans == []
+    assert scans == [] and solves == []
 
 
 def test_dalpha_looks_up_each_solver_pair_once(tmp_path, monkeypatch):

@@ -85,6 +85,21 @@ def test_bounded_single_point_is_zero():
     assert all(v == 0.0 for v in rep.data["K_t"].values())
 
 
+def test_bounded_closed_interval_reads_its_endpoints():
+    # on an interval carrier the diameter of [lo, hi] under P(., ., t) is
+    # P(lo, hi, t): the endpoints are the farthest pair
+    inst = scaled_interval()
+    rep = g.check_bounded(inst, g.ClosedInterval(-0.5, 1.5))
+    assert rep.ok
+    assert rep.samples_tested == len(inst.t_grid)
+    assert rep.data["K_t"] == {f"{t:.12g}": g.eval_P(inst, -0.5, 1.5, t) for t in inst.t_grid}
+    assert rep.data["K_t"]["0.5"] == 4.0
+    with pytest.raises(g.DomainError, match="interval carrier"):
+        g.check_bounded(make_instance("scaled"), g.ClosedInterval(0.0, 1.0))
+    with pytest.raises(g.DomainError, match="leaves the carrier"):
+        g.check_bounded(inst, g.ClosedInterval(-0.5, 2.5))
+
+
 def test_bounded_convergent_sequence_coupling():
     inst = scaled_interval()
     rep = g.check_bounded(inst, RECIP, tol=SEQ_TOL, limit=0.0)
