@@ -3,8 +3,10 @@
 ``golden/`` holds small instance files that cover the plus, max and table
 operations and all five families, finite and interval carriers.
 ``golden/full-report.sha256`` lists the sha256 of each instance's canonical
-full-report, and ``golden/csv.sha256`` the sha256 of the ``--csv`` payload of
-``dalpha`` and ``sequences`` on every instance where the command writes one.
+full-report, ``golden/commands.sha256`` that of the canonical report of every
+(instance, command) pair, or ``exit-2`` where the command refuses the instance,
+and ``golden/csv.sha256`` the sha256 of the ``--csv`` payload of ``dalpha`` and
+``sequences`` on every instance where the command writes one.
 Any change of report or payload bytes fails here; a change that means to
 alter them regenerates the manifest and says so.
 """
@@ -29,6 +31,7 @@ def _manifest(name):
 
 
 MANIFEST = _manifest("full-report.sha256")
+COMMANDS_MANIFEST = _manifest("commands.sha256")
 CSV_MANIFEST = _manifest("csv.sha256")
 
 
@@ -58,6 +61,26 @@ def test_full_report_bytes_match_golden(name):
     for _ in range(2):
         text = g.run_command("full-report", f).to_canonical_json()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MANIFEST[name]
+
+
+def test_commands_manifest_covers_every_pair():
+    assert set(COMMANDS_MANIFEST) == {f"{name} {command}" for name in MANIFEST
+                                      for command in g.cli.COMMANDS}
+    for name in MANIFEST:
+        assert COMMANDS_MANIFEST[f"{name} full-report"] == MANIFEST[name]
+
+
+@pytest.mark.parametrize("command", g.cli.COMMANDS)
+@pytest.mark.parametrize("name", sorted(MANIFEST))
+def test_command_report_bytes_match_golden(name, command):
+    f = g.load_instance(_instance_path(name))
+    expected = COMMANDS_MANIFEST[f"{name} {command}"]
+    if expected == "exit-2":
+        with pytest.raises(g.GpmsError):
+            g.run_command(command, f)
+        return
+    text = g.run_command(command, f).to_canonical_json()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
 
 
 @pytest.mark.parametrize("command", ("dalpha", "sequences"))
