@@ -40,6 +40,7 @@ from .binop import (
     SampleGrid,
     check_op_axiom,
     eval_op,
+    eval_op_array,
     solve_third,
     split_below,
     sub_idempotent,

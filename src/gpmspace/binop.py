@@ -125,6 +125,25 @@ def eval_op(op: BinaryOperation, a: float, b: float) -> float:
     return out
 
 
+def eval_op_array(op: BinaryOperation, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``eval_op`` on each pair ``(a[k], b[k])`` of two float arrays.
+
+    Plus and max are array arithmetic; max keeps ``max_``'s ``a if a >= b
+    else b``, so ``(0.0, -0.0)`` gives 0.0 where ``np.maximum`` gives -0.0.
+    A bad pair raises ``eval_op``'s error for the first one.  Other ops are
+    evaluated pair by pair.
+    """
+    if op.kind not in ("plus", "max"):
+        return np.array([eval_op(op, u, w) for u, w in zip(a.tolist(), b.tolist())])
+    with np.errstate(over="ignore", invalid="ignore"):  # a bad pair raises below
+        out = a + b if op.kind == "plus" else np.where(a >= b, a, b)
+    bad = ~(np.isfinite(a) & (a >= 0) & np.isfinite(b) & (b >= 0) & np.isfinite(out))
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        eval_op(op, a[k].item(), b[k].item())
+    return out
+
+
 @dataclass(frozen=True)
 class SampleGrid:
     """Sample values for axiom scans, plus the seed and comparison tolerance."""
@@ -141,8 +160,8 @@ class SampleGrid:
             raise DomainError("sample grid values must be finite and >= 0")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise DomainError("sample grid values must be strictly increasing")
-        if self.tolerance < 0:
-            raise DomainError("tolerance must be non-negative")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise DomainError("tolerance must be finite and non-negative")
         object.__setattr__(self, "values", vals)
 
 
@@ -277,8 +296,8 @@ def solve_third(op: BinaryOperation, alpha1: float, alpha2: float,
         raise PreconditionError(f"need alpha1 > alpha2 > 0, got ({alpha1}, {alpha2})")
     if "b" not in op.declared:
         raise PreconditionError("solve_third requires an op with monotonicity (axiom b) declared")
-    if tolerance <= 0:
-        raise DomainError("tolerance must be positive")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise DomainError("tolerance must be positive and finite")
 
     def fits(x: float) -> bool:
         return eval_op(op, alpha2, x) <= alpha1

@@ -46,7 +46,7 @@ from .errors import (
     SizeError,
     WitnessNotFoundError,
 )
-from .reports import INCONCLUSIVE, PASS, CheckReport, canonical
+from .reports import INCONCLUSIVE, PASS, CheckReport, canonical, canonical_json
 
 COMMANDS = ("axioms", "topology", "separation", "dalpha", "sequences",
             "cantor", "full-report")
@@ -93,8 +93,8 @@ class Report:
     def exit_code(self) -> int:
         return 0 if all(c.verdict == PASS for c in self.checks) else 1
 
-    def to_jsonable(self):
-        return canonical({
+    def _body(self):
+        return {
             "report_version": REPORT_VERSION,
             "command": self.command,
             "instance_digest": self.digest,
@@ -103,10 +103,13 @@ class Report:
             "tol": self.tol,
             "checks": [c.to_jsonable() for c in self.checks],
             "notes": list(self.notes),
-        })
+        }
+
+    def to_jsonable(self):
+        return canonical(self._body())
 
     def to_canonical_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self._body())
 
 
 def _parse_op(spec) -> BinaryOperation:

@@ -51,7 +51,7 @@ import random
 
 import numpy as np
 
-from .binop import BinaryOperation, eval_op
+from .binop import BinaryOperation, eval_op_array
 from .errors import ConstructionError, DomainError
 from .reports import FAIL, PASS, CheckReport, ScanWitnesses, Witness
 
@@ -610,7 +610,7 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
     seeded RNG, so identical seeds give identical reports; the exhaustive
     scan takes every trial in nested-loop order.  The points are mapped to
     kernel coordinates once; the trials are evaluated together, with three
-    kernel gathers at the drawn indices, and the op is applied per trial.
+    kernel gathers at the drawn indices and one ``eval_op_array``.
     """
     pts = points if points is not None else inst.quantifier_points()
     tg = inst.t_grid
@@ -624,7 +624,7 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
     c, T = coords(inst, pts), np.asarray(tg)
     lhs = P_at(inst, c[a], c[b], T[s] + T[t])
     left, right = P_at(inst, c[a], c[x], T[s]), P_at(inst, c[b], c[x], T[t])
-    rhs = np.array([eval_op(inst.op, u, w) for u, w in zip(left.tolist(), right.tolist())])
+    rhs = eval_op_array(inst.op, left, right)
     hit = np.flatnonzero(lhs > rhs)
     witnesses = ScanWitnesses(pts, np.stack((a[hit], b[hit], x[hit]), axis=1),
                               {"s": T[s[hit]], "t": T[t[hit]], "lhs": lhs[hit], "rhs": rhs[hit]},

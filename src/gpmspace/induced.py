@@ -29,7 +29,14 @@ _T_FLOOR = 2.0 ** -64
 
 @dataclass(frozen=True)
 class BisectionSettings:
+    """``tolerance`` is finite and >= 0; at 0 the bisection stops at float spacing."""
+
     tolerance: float = 1e-6
+
+    def __post_init__(self):
+        tol = self.tolerance
+        if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol >= 0):
+            raise DomainError(f"solver tolerance must be finite and >= 0, got {tol!r}")
 
 
 class AlphaMetric:

@@ -12,6 +12,15 @@ witness index rows and the values gathered at those rows, and builds a
 ``Witness`` only when one is read.  ``len`` (the report's ``witness_count``)
 is exact and costs nothing, a slice is a tuple, and iterating builds every
 witness in order.
+
+Reports serialize through one writer, ``canonical_json``: sorted keys,
+2-space indentation, ASCII escapes and a trailing newline, exactly the bytes
+of ``json.dumps(canonical(x), sort_keys=True, indent=2) + "\n"``.  It
+normalizes as it writes, in one pass, and escapes strings with ``json``'s C
+escaper; ``json``'s pure-Python encoder, which ``indent`` selects, never
+runs.  ``canonical`` builds the normalized tree, for the compact instance
+digest and ``Report.to_jsonable``.  Both walks take their scalar rules from
+one helper, ``_plain``.
 """
 from __future__ import annotations
 
@@ -19,6 +28,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _escape
 
 PASS = "pass"
 FAIL = "fail"
@@ -119,27 +129,102 @@ class CheckReport:
         }
 
 
-def canonical(obj):
-    """Normalize a value tree for byte-stable JSON output.
+def _plain(obj):
+    """``obj`` as a JSON value, by the scalar rules of both walks below.
 
-    Floats are rounded to 12 significant digits, infinities become the
-    strings "inf"/"-inf" (JSON has no representation for them), numpy
-    scalars are unwrapped, tuples become lists.
+    Floats are rounded to 12 significant digits, infinities and NaN become
+    the strings "inf"/"-inf"/"nan" (JSON has no representation for them),
+    numpy scalars are unwrapped with ``.item()``, objects with
+    ``to_jsonable`` are replaced by its result and anything else by its
+    ``str``.  None, bools, ints and strings are returned as they are, and so
+    are dicts, lists and tuples, whose contents the caller walks.
     """
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        if math.isnan(obj):
-            return "nan"
-        return float(format(obj, ".12g"))
+    while True:
+        if isinstance(obj, float):
+            if math.isfinite(obj):
+                return float(format(obj, ".12g"))
+            return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
+        if obj is None or isinstance(obj, (str, int, dict, list, tuple)):
+            return obj
+        if hasattr(obj, "item"):  # numpy scalar
+            obj = obj.item()
+        elif hasattr(obj, "to_jsonable"):
+            obj = obj.to_jsonable()
+        else:
+            return str(obj)
+
+
+def canonical(obj):
+    """Normalize a value tree for byte-stable JSON output (see ``_plain``).
+
+    Dict keys become ``str(key)``, the last of two colliding keys winning,
+    and tuples become lists.
+    """
+    obj = _plain(obj)
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
-    if hasattr(obj, "item"):  # numpy scalar
-        return canonical(obj.item())
-    if hasattr(obj, "to_jsonable"):
-        return canonical(obj.to_jsonable())
-    return str(obj)
+    return obj
+
+
+def canonical_json(obj) -> str:
+    """The canonical report text of a value tree, normalized as it is written.
+
+    The result is exactly ``json.dumps(canonical(obj), sort_keys=True,
+    indent=2) + "\n"``, built in one pass with the C string escaper instead
+    of the pure-Python encoder that ``indent`` selects.
+    """
+    out = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out, newline):
+    """Append the JSON text of ``obj``, whose line breaks are ``newline``.
+
+    JSON values are written as they are; anything else, floats included,
+    is first made plain by ``_plain``.
+    """
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        items = {str(k): v for k, v in obj.items()}
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key in sorted(items):
+            out += (sep, _escape(key), ": ")
+            _write(items[key], out, inner)
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = comma
+        out.append(newline + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        obj = _plain(obj)
+        if isinstance(obj, float):
+            out.append(float.__repr__(obj))
+        else:
+            _write(obj, out, newline)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -123,6 +124,59 @@ def test_solve_third_no_solution():
     op = g.BinaryOperation.closed_form("offset", lambda a, b: a + b + 10.0, declared="b")
     with pytest.raises(g.NoSolutionError):
         g.solve_third(op, 5.0, 3.0)
+
+
+def op_outcome(fn):
+    """Each float's bits, or the DomainError text."""
+    try:
+        return [float(v).hex() for v in fn()]
+    except g.DomainError as exc:
+        return str(exc)
+
+
+OPERANDS = st.sampled_from([0.0, -0.0, 0.5, 2.0, 5e-324, 1e300, 1.7976931348623157e308]) | \
+    st.floats(0, 1e308)
+BAD_OPERANDS = OPERANDS | st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -5e-324])
+TABLE = g.BinaryOperation.tabulated([0.0, 1.0, 2.0], [[0.0, 1.0, 2.0], [1.0, 1.5, 2.5],
+                                                      [2.0, 2.5, 3.0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((g.PLUS, g.MAX, TABLE)),
+       st.lists(st.tuples(OPERANDS, OPERANDS), min_size=1, max_size=12) |
+       st.lists(st.tuples(BAD_OPERANDS, BAD_OPERANDS), min_size=1, max_size=12))
+@example(g.MAX, [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+@example(g.PLUS, [(0.0, -0.0), (-0.0, -0.0), (1e308, 1e308), (math.nan, 1.0)])
+@example(g.MAX, [(1.0, 2.0), (-1.0, math.nan), (math.inf, 0.0)])
+def test_eval_op_array_matches_eval_op(op, pairs):
+    a = np.array([u for u, _ in pairs])
+    b = np.array([w for _, w in pairs])
+    assert op_outcome(lambda: g.eval_op_array(op, a, b)) == \
+        op_outcome(lambda: [g.eval_op(op, u, w) for u, w in pairs])
+
+
+def test_eval_op_array_max_keeps_the_scalar_sign_of_zero():
+    out = g.eval_op_array(g.MAX, np.array([0.0, -0.0]), np.array([-0.0, 0.0]))
+    assert [math.copysign(1, v) for v in out] == [1.0, -1.0]  # np.maximum gives -0.0 first
+
+
+A_PLUS_2B = g.BinaryOperation.closed_form("a+2b", lambda a, b: a + 2 * b, declared="abcdef")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
+def test_sample_grid_tolerance_is_validated(bad):
+    # tolerance nan used to turn this real fail into a pass
+    rep = g.check_op_axiom(A_PLUS_2B, "c", SampleGrid((0, 0.5, 1, 2), tolerance=1e-9))
+    assert rep.failed and len(rep.witnesses) == 6
+    assert g.check_op_axiom(A_PLUS_2B, "c", SampleGrid((0, 0.5, 1, 2), tolerance=0.0)).failed
+    with pytest.raises(g.DomainError):
+        SampleGrid((0, 0.5, 1, 2), tolerance=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1e-6])
+def test_solve_third_tolerance_is_validated(bad):
+    with pytest.raises(g.DomainError, match="tolerance"):
+        g.solve_third(g.PLUS, 5.0, 3.0, tolerance=bad)
 
 
 def test_solve_third_preconditions():

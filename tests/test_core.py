@@ -523,8 +523,8 @@ def assert_p3_matches_loop(inst, seed, n_samples, exhaustive, points=None):
         try:
             return exact(fn(inst, seed=seed, n_samples=n_samples, exhaustive=exhaustive,
                             points=points))
-        except g.DomainError:  # a negative P on a tampered table reaches the op
-            return "DomainError"
+        except g.DomainError as exc:  # a negative P on a tampered table reaches the op
+            return str(exc)
 
     got = outcome(core.p3_violations)
     assert got == outcome(loop_p3)
@@ -554,6 +554,26 @@ def test_p3_trials_match_the_scalar_loop_on_failing_instances(op):
     for exhaustive in (False, True):
         witnesses, samples = assert_p3_matches_loop(inst, 3, 500, exhaustive)
         assert witnesses and samples == (3 ** 3 * len(T_GRID) ** 2 if exhaustive else 500)
+
+
+@pytest.mark.parametrize("op", (g.PLUS, g.MAX))
+@pytest.mark.parametrize("family", ("scaled", "damped"))
+def test_p3_op_arrays_match_the_scalar_loop_with_signed_zeros(family, op):
+    # a table with -0.0 entries behind the carrier's back: the trial (a, b, x)
+    # = (a, b, a) gives the op (P(a,a,s), P(b,a,t)) = (0.0, -0.0) and (c, a, c)
+    # gives (-0.0, 0.0), both with P(a,b,s+t) > 0, so the rhs zeros reach the
+    # witnesses; np.maximum would return the other zero for (0.0, -0.0)
+    carrier = three_point_carrier()
+    d = np.array([[0.0, 1.0, 0.0], [-0.0, 0.0, 1.0], [1.0, 1.0, -0.0]])
+    d.flags.writeable = False
+    carrier.d = d
+    inst = g.GpmsInstance(carrier, family, {}, op, T_GRID, ALPHA_GRID)
+    for seed in range(5):
+        assert_p3_matches_loop(inst, seed, 400, exhaustive=False)
+    assert_p3_matches_loop(inst, 0, 0, exhaustive=True)
+    witnesses, _ = core.p3_violations(inst, exhaustive=True)
+    signs = {math.copysign(1, w.values["rhs"]) for w in witnesses if w.values["rhs"] == 0}
+    assert signs == ({1.0, -1.0} if op is g.MAX else {1.0})
 
 
 # the scalar loops the tensor scans replaced, kept as oracles

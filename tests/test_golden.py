@@ -79,8 +79,24 @@ def test_command_report_bytes_match_golden(name, command):
         with pytest.raises(g.GpmsError):
             g.run_command(command, f)
         return
-    text = g.run_command(command, f).to_canonical_json()
+    report = g.run_command(command, f)
+    text = report.to_canonical_json()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
+    # the one-pass writer against the indenting encoder it replaced
+    assert text == json.dumps(report.to_jsonable(), sort_keys=True, indent=2) + "\n"
+
+
+def test_reports_never_enter_the_pure_python_encoder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was entered")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError):  # the guard is live: indent selects that encoder
+        json.dumps([1], indent=2)
+    name = "scaled-max-line4"
+    f = g.load_instance(_instance_path(name))  # the instance digest: compact C encoder
+    text = g.run_command("full-report", f).to_canonical_json()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MANIFEST[name]
 
 
 @pytest.mark.parametrize("command", ("dalpha", "sequences"))

@@ -26,6 +26,18 @@ def test_d_alpha_matches_closed_form_for_scaled():
                 assert abs(g.d_alpha(am, a, b) - expected) <= 2 * TOL
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, "1e-6", None])
+def test_solver_tolerance_is_validated(bad):
+    # nan and inf used to stop the bisection at its first bracket: d_alpha(a, b)
+    # came out 3.0 instead of 2.0 and the axiom check still passed; -1 gave a false fail
+    with pytest.raises(g.DomainError):
+        g.BisectionSettings(tolerance=bad)
+    for tol in (0.0, 1e-6):
+        am = g.AlphaMetric(FINE, 0.5, g.BisectionSettings(tolerance=tol))
+        assert abs(g.d_alpha(am, "a", "b") - 2.0) <= 1e-6
+        assert g.check_alpha_metric_axioms(am).ok
+
+
 def test_d_alpha_specific_values():
     assert abs(g.d_alpha(g.AlphaMetric(FINE, 0.5), "a", "b") - 2.0) <= 1e-6
     assert abs(g.d_alpha(g.AlphaMetric(FINE, 2.0), "a", "b") - 0.5) <= 1e-6
