@@ -12,7 +12,6 @@ falsification-only.
 
 from .errors import (
     ConstructionError,
-    ConvergenceError,
     DomainError,
     GpmsError,
     HypothesisError,

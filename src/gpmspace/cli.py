@@ -19,8 +19,25 @@ Instance file schema (JSON, version 1); unknown fields are rejected::
       "tol": 1e-6
     }
 
-Commands: axioms, topology, separation, dalpha, sequences, cantor,
-full-report.  Exit status is 0 iff every emitted check passes, 1 otherwise,
+Every number in the file must be a JSON number: booleans, numeric strings
+and integers beyond the float range are refused, naming the field.
+
+Each command but ``full-report`` runs one battery of checks; ``full-report``
+runs all six in this order.  A battery that does not apply refuses its own
+command and is skipped with a note under ``full-report``::
+
+    command     checks                                  applies when
+    axioms      P1-P5, monotone                         always
+    topology    tau_P and the two ball theorems         finite carrier within --max-points
+    separation  T0-T2, regular, normal, countable base  finite carrier within --max-points
+    dalpha      the d_alpha table, axioms, monotone,    op = max
+                topology identity
+    sequences   convergence, Cauchy, bounded, ...       always
+    cantor      Cantor's intersection theorem           always
+
+``--csv`` writes the d_alpha table (``dalpha`` and ``full-report``, finite
+carriers) or the P trace of the test sequence (``sequences``, intervals).
+Exit status is 0 iff every emitted check passes, 1 otherwise,
 2 on errors.  Reports serialize canonically (sorted keys, floats at 12
 significant digits) so byte-identical output certifies determinism; wall
 time goes to stderr only.
@@ -34,6 +51,8 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable, NamedTuple
 
 from . import balls, core, induced, separation, sequences
 from .binop import MAX, PLUS, BinaryOperation
@@ -47,9 +66,6 @@ from .errors import (
     WitnessNotFoundError,
 )
 from .reports import INCONCLUSIVE, PASS, CheckReport, canonical, canonical_json
-
-COMMANDS = ("axioms", "topology", "separation", "dalpha", "sequences",
-            "cantor", "full-report")
 
 REPORT_VERSION = 1
 
@@ -138,13 +154,66 @@ def _positive_grid(doc, key):
     raw = _expect(doc, key, list, "a list of numbers")
     vals = []
     for v in raw:
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v) or v <= 0:
+        if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
             raise ParseError(f"{key} entries must be positive finite numbers "
                              f"(t and alpha must be positive), got {v!r}", field=key)
         vals.append(float(v))
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ParseError(f"{key} must be strictly increasing", field=key)
     return vals
+
+
+def _number_fields(doc):
+    """``(field, value)`` for each value of the file that holds numbers only."""
+    fields = [(key, doc[key]) for key in ("version", "d", "interval", "resolution",
+                                          "t_grid", "alpha_grid", "seed", "tol") if key in doc]
+    params = doc.get("params")
+    if isinstance(params, dict):
+        if "c" in params:
+            fields.append(("params.c", params["c"]))
+        if isinstance(params.get("tables"), list):
+            for k, entry in enumerate(params["tables"]):
+                if isinstance(entry, dict):
+                    fields += [(f"params.tables[{k}].{key}", entry[key])
+                               for key in ("t", "v") if key in entry]
+    op = doc.get("op")
+    if isinstance(op, dict) and isinstance(op.get("table"), dict):
+        fields += [(f"op.table.{key}", op["table"][key])
+                   for key in ("grid", "values") if key in op["table"]]
+    return fields
+
+
+def _non_number(value):
+    """Why ``value`` (a number, or nested lists of them) holds something other
+    than a JSON number within the float range, or None if it does not."""
+    level = [value]
+    while level:
+        kinds = set(map(type, level))
+        if not kinds <= {int, float, list}:
+            bad = next(v for v in level if type(v) not in (int, float, list))
+            return f"must hold JSON numbers only, got {bad!r}"
+        rows = [v for v in level if type(v) is list] if list in kinds else []
+        if int in kinds:
+            try:  # adding an int to a float converts it
+                sum([v for v in level if type(v) is not list] if rows else level, 0.0)
+            except OverflowError:
+                return "holds an integer beyond the float range"
+        level = list(chain.from_iterable(rows))
+    return None
+
+
+def _check_numbers(doc):
+    """Refuse anything but JSON numbers where the schema holds numbers, naming
+    the field: numpy and ``float`` read ``true`` and ``"1"`` as 1, and raise
+    ``OverflowError`` on an integer beyond the float range."""
+    fields = _number_fields(doc)
+    # one walk over every field; a tabulated file has two fields per pair
+    if _non_number([value for _, value in fields]) is None:
+        return
+    for key, value in fields:
+        why = _non_number(value)
+        if why is not None:
+            raise ParseError(f"{'distance table d' if key == 'd' else key} {why}", field=key)
 
 
 def load_instance(path) -> InstanceFile:
@@ -162,9 +231,10 @@ def load_instance(path) -> InstanceFile:
     if unknown:
         raise ParseError(f"unknown field {unknown[0]!r}", field=unknown[0])
 
+    _check_numbers(doc)
     version = _expect(doc, "version", int, "an integer")
-    if isinstance(version, bool) or version < 1:
-        raise ParseError("version must be a positive integer", field="version")
+    if version != 1:
+        raise ParseError(f"version must be 1, got {version}", field="version")
 
     has_finite = "points" in doc or "d" in doc
     has_interval = "interval" in doc or "resolution" in doc
@@ -190,7 +260,7 @@ def load_instance(path) -> InstanceFile:
     alpha_grid = _positive_grid(doc, "alpha_grid")
     seed = _expect(doc, "seed", int, "an integer")
     tol = _expect(doc, "tol", (int, float), "a positive number")
-    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
+    if not (math.isfinite(tol) and tol > 0):
         raise ParseError("tol must be a positive finite number", field="tol")
 
     inst = core.gallery_construct(family, params, carrier, op, t_grid, alpha_grid)
@@ -206,15 +276,18 @@ def validate_instance_file(path) -> core.GpmsInstance:
 
 
 # -- command batteries ----------------------------------------------------
+#
+# Each battery is ``(inst, opts, seed, tol) -> (checks, notes, csv_rows)``;
+# ``csv_rows`` is None or a list of rows, the header row first.
 
 
-def _axioms_checks(inst, seed, n_samples):
-    return [core.check_P_axiom(inst, ax, seed=seed, n_samples=n_samples)
-            for ax in core.P_AXIOMS]
+def _axioms_checks(inst, opts, seed, tol):
+    return [core.check_P_axiom(inst, ax, seed=seed, n_samples=opts.n_samples)
+            for ax in core.P_AXIOMS], [], None
 
 
-def _topology_checks(inst, max_points):
-    fam = balls.generate_topology(inst, max_points)
+def _topology_checks(inst, opts, seed, tol):
+    fam = balls.generate_topology(inst, opts.max_points)
     # the family is a topology by construction; note and sample count keep
     # the report bytes of the 2^n scan with its pairwise check
     checks = [CheckReport(
@@ -223,7 +296,7 @@ def _topology_checks(inst, max_points):
         data={"open_sets": fam.to_jsonable(inst.carrier), "count": len(fam)})]
     checks.append(balls.verify_ball_theorem(inst, "ball_open"))
     checks.append(balls.verify_ball_theorem(inst, "closed_ball_closed"))
-    return checks
+    return checks, [], None
 
 
 def _guarded(name, fn):
@@ -235,7 +308,7 @@ def _guarded(name, fn):
                            note=f"not certifiable on this instance: {exc}")
 
 
-def _separation_checks(inst, max_points):
+def _separation_checks(inst, opts, seed, tol):
     labels = inst.carrier.labels
     n = len(labels)
     single = [balls.SubsetMask.from_indices(n, [i]) for i in range(n)]
@@ -249,7 +322,7 @@ def _separation_checks(inst, max_points):
 
     def base(name, mode, x=None):
         return _guarded(name, lambda: separation.countable_base(
-            inst, mode, x=x, max_points=max_points)[1])
+            inst, mode, x=x, max_points=opts.max_points)[1])
 
     checks = [witness(f"{kind}({a},{b})", kind, a=a, b=b)
               for i, a in enumerate(labels) for b in labels[i + 1:]
@@ -261,20 +334,23 @@ def _separation_checks(inst, max_points):
                for i, a in enumerate(labels) for j in range(i + 1, n)]
     checks += [base(f"countable_base[local@{x}]", "local", x) for x in labels]
     checks.append(base("countable_base[global]", "global"))
-    return checks
+    return checks, [], None
 
 
-def _dalpha_checks(inst, alpha, tol, max_points, seed):
+def _dalpha_checks(inst, opts, seed, tol):
+    alpha = opts.alpha if opts.alpha is not None else inst.alpha_grid[len(inst.alpha_grid) // 2]
     solver = induced.BisectionSettings(tolerance=min(tol, 1e-6))
     am = induced.AlphaMetric(inst, alpha, solver)
     checks = []
-    table = None
+    rows = None
     if inst.carrier.kind == "finite":
         table = induced.alpha_metric_table(am)
         checks.append(CheckReport(
             name=f"d_alpha_table[alpha={alpha:.12g}]", verdict=PASS,
             samples_tested=len(table) ** 2,
             data={"labels": list(inst.carrier.labels), "table": table}))
+        labels = inst.carrier.labels
+        rows = [["", *labels]] + [[lab, *row] for lab, row in zip(labels, table)]
     checks.append(induced.check_alpha_metric_axioms(am, seed=seed))
     checks.append(_guarded("alpha_monotonicity", lambda: induced.check_alpha_monotonicity(
         inst, inst.carrier.points()[0], inst.carrier.points()[-1],
@@ -282,17 +358,20 @@ def _dalpha_checks(inst, alpha, tol, max_points, seed):
     if inst.carrier.kind == "finite":
         checks.append(_guarded(
             f"topology_identity[alpha={alpha:.12g}]",
-            lambda: induced.compare_topologies(inst, alpha, max_points, solver)))
-    return checks, table
+            lambda: induced.compare_topologies(inst, alpha, opts.max_points, solver)))
+    return checks, [], rows
 
 
-def _sequences_checks(inst, tol):
+def _interval_frame(carrier):
+    """The middle of an interval carrier and a quarter of its width."""
+    return 0.5 * (carrier.lo + carrier.hi), 0.25 * (carrier.hi - carrier.lo)
+
+
+def _sequences_checks(inst, opts, seed, tol):
     checks = []
-    trace = None
+    rows = None
     if inst.carrier.kind == "interval":
-        lo, hi = inst.carrier.lo, inst.carrier.hi
-        mid = 0.5 * (lo + hi)
-        w = 0.25 * (hi - lo)
+        mid, w = _interval_frame(inst.carrier)
         seqx = sequences.SequenceSpec("geometric", c=mid, a=w, r=0.5, n_terms=200)
         seqy = sequences.SequenceSpec("geometric", c=mid, a=-w, r=0.5, n_terms=200)
         checks.append(sequences.check_convergence(inst, seqx, mid, tol))
@@ -305,8 +384,9 @@ def _sequences_checks(inst, tol):
                                lambda: sequences.subsequence_completeness_check(
                                    inst, seqx, indices, mid, tol)))
         u, v = core.coords(inst, seqx.terms(inst.carrier)), core.coords(inst, mid)
-        trace = [(n + 1, t, value) for t in inst.t_grid
-                 for n, value in enumerate(core.P_at(inst, u, v, t).tolist())]
+        rows = [["n", "t", "value"]] + [
+            [n + 1, t, value] for t in inst.t_grid
+            for n, value in enumerate(core.P_at(inst, u, v, t).tolist())]
     else:
         labels = inst.carrier.labels
         for p in labels:
@@ -317,17 +397,13 @@ def _sequences_checks(inst, tol):
         full = balls.SubsetMask.full(inst.carrier.size)
         checks.append(sequences.check_bounded(inst, full, tol))
         checks.append(sequences.check_compact_closed_bounded(inst, full, tol))
-    return checks, trace
+    return checks, [], rows
 
 
-def _cantor_checks(inst, tol):
-    checks = []
-    notes = []
+def _cantor_checks(inst, opts, seed, tol):
     try:
         if inst.carrier.kind == "interval":
-            lo, hi = inst.carrier.lo, inst.carrier.hi
-            mid = 0.5 * (lo + hi)
-            w = 0.25 * (hi - lo)
+            mid, w = _interval_frame(inst.carrier)
             # depth 24 halvings leave a width of about 1.2e-7, below default tol
             fam = [sequences.ClosedInterval(mid - w * 0.5 ** i, mid + w * 0.5 ** i)
                    for i in range(1, 25)]
@@ -336,15 +412,41 @@ def _cantor_checks(inst, tol):
             fam = [balls.SubsetMask.from_indices(n, range(n - k))
                    for k in range(n)]
         estimate, diams, rep = sequences.cantor_intersection(inst, fam, point_tol=tol)
-        rep.data["estimate"] = estimate
-        checks.append(rep)
     except (HypothesisError, DomainError) as exc:
-        notes.append(f"cantor: skipped (hypotheses not satisfiable on this instance: {exc})")
-    return checks, notes
+        return [], [f"cantor: skipped (hypotheses not satisfiable on this instance: {exc})"], None
+    rep.data["estimate"] = estimate
+    return [rep], [], None
+
+
+class _Rule(NamedTuple):
+    """When a battery applies, and what refuses it when it does not."""
+    applies: Callable[[core.GpmsInstance, Options], bool]
+    error: type
+    why: str
+
+
+_SMALL_FINITE = _Rule(
+    lambda inst, opts: inst.carrier.kind == "finite" and inst.carrier.size <= opts.max_points,
+    SizeError, "needs a finite carrier within --max-points")
+_OP_MAX = _Rule(lambda inst, opts: inst.op.kind == "max", HypothesisError, "requires op = max")
+
+# name -> (battery, rule or None), in the order full-report runs them
+_BATTERIES = {
+    "axioms": (_axioms_checks, None),
+    "topology": (_topology_checks, _SMALL_FINITE),
+    "separation": (_separation_checks, _SMALL_FINITE),
+    "dalpha": (_dalpha_checks, _OP_MAX),
+    "sequences": (_sequences_checks, None),
+    "cantor": (_cantor_checks, None),
+}
+
+COMMANDS = (*_BATTERIES, "full-report")
 
 
 def run_command(command: str, inst_file: InstanceFile, options: Options | None = None) -> Report:
-    """Dispatch one command and aggregate its check reports."""
+    """Run one battery, or all of them for ``full-report``, and aggregate the
+    check reports.  A battery that does not apply refuses its own command and
+    is skipped with a note under ``full-report``."""
     if command not in COMMANDS:
         raise DomainError(f"unknown command {command!r}; expected one of {COMMANDS}")
     opts = options or Options()
@@ -357,49 +459,23 @@ def run_command(command: str, inst_file: InstanceFile, options: Options | None =
     report = Report(command=command, digest=inst_file.digest,
                     grids={"t_grid": list(inst.t_grid), "alpha_grid": list(inst.alpha_grid)},
                     seed=seed, tol=tol)
-    csv_payload = None
-
-    def topology_applicable():
-        return inst.carrier.kind == "finite" and inst.carrier.size <= opts.max_points
-
-    if command in ("axioms", "full-report"):
-        report.checks.extend(_axioms_checks(inst, seed, opts.n_samples))
-    if command in ("topology", "full-report"):
-        if topology_applicable():
-            report.checks.extend(_topology_checks(inst, opts.max_points))
-        elif command == "topology":
-            raise SizeError("topology generation needs a finite carrier within --max-points")
-        else:
-            report.notes.append("topology: skipped (needs a finite carrier within --max-points)")
-    if command in ("separation", "full-report"):
-        if topology_applicable():
-            report.checks.extend(_separation_checks(inst, opts.max_points))
-        elif command == "separation":
-            raise SizeError("separation needs a finite carrier within --max-points")
-        else:
-            report.notes.append("separation: skipped (needs a finite carrier within --max-points)")
-    if command in ("dalpha", "full-report"):
-        alpha = opts.alpha if opts.alpha is not None else inst.alpha_grid[len(inst.alpha_grid) // 2]
-        if inst.op.kind == "max":
-            checks, csv_payload = _dalpha_checks(inst, alpha, tol, opts.max_points, seed)
-            report.checks.extend(checks)
-        elif command == "dalpha":
-            raise HypothesisError("the dalpha command requires op = max")
-        else:
-            report.notes.append("dalpha: skipped (requires op = max)")
-    if command in ("sequences", "full-report"):
-        checks, trace = _sequences_checks(inst, tol)
-        report.checks.extend(checks)
-        if command == "sequences":
-            csv_payload = trace
-    if command in ("cantor", "full-report"):
-        checks, notes = _cantor_checks(inst, tol)
-        report.checks.extend(checks)
-        report.notes.extend(notes)
+    csv_rows = None
+    for name in _BATTERIES if command == "full-report" else (command,):
+        battery, rule = _BATTERIES[name]
+        if rule is not None and not rule.applies(inst, opts):
+            if name == command:
+                raise rule.error(f"{name} {rule.why}")
+            report.notes.append(f"{name}: skipped ({rule.why})")
+            continue
+        checks, notes, rows = battery(inst, opts, seed, tol)
+        report.checks += checks
+        report.notes += notes
+        if name in (command, "dalpha"):  # full-report writes the d_alpha table
+            csv_rows = rows
 
     report.wall_time = time.perf_counter() - start
-    if opts.csv and csv_payload is not None:
-        _write_csv(opts.csv, command, inst, csv_payload)
+    if opts.csv and csv_rows is not None:
+        _write_csv(opts.csv, csv_rows)
     return report
 
 
@@ -411,20 +487,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, command, inst, payload):
+def _write_csv(path, rows):
     # '.' decimal separator and '\n' line endings regardless of locale
-    lines = []
-    if command in ("dalpha", "full-report"):
-        labels = list(inst.carrier.labels)
-        lines.append(",".join([""] + labels))
-        for lab, row in zip(labels, payload):
-            lines.append(",".join([lab] + [_fmt(v) for v in row]))
-    else:
-        lines.append("n,t,value")
-        for n, t, v in payload:
-            lines.append(f"{n},{_fmt(t)},{_fmt(v)}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
 def main(argv=None) -> int:

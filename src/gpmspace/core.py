@@ -36,8 +36,8 @@ carrier's table d, from |x - y| on an interval, or, for tabulated families,
 from padded per-pair step tables built at construction.  It reads kernel
 coordinates: a point's index on a finite carrier, the point on an interval.
 ``coords`` maps points to them, so labels are mapped once, where they enter,
-and ``P_at`` is the kernel at coordinates.  ``P`` is its front end over
-arrays of points and of t; ``eval_P`` is the kernel at one pair and one t.
+and ``P_at`` is the kernel at coordinates, over arrays of them and of t
+broadcast together; ``eval_P`` is the kernel at one pair and one t.
 The grid scans (P1, P2, P4, P5, monotone, ``p4_violations``, the
 construction sanity pass) read one points x points x t_grid tensor and list
 witnesses in the order of nested loops over (a, b, t).  The scans and the P3
@@ -95,14 +95,15 @@ class FiniteCarrier:
         if off.size and np.any(off <= 0.0):
             raise ConstructionError("off-diagonal distances must be positive", axiom="P1")
         slack = tri_slack if tri_slack is not None else 1e-12 * max(1.0, float(d.max(initial=0.0)))
-        for i in range(n):
-            # bad[j, k]: d[i, j] > d[i, k] + d[k, j] + slack, one row of O(n^2) memory
-            bad = d[i][:, None] > (d[i][None, :] + d.T) + slack
-            if bad.any():
-                j, k = np.argwhere(bad)[0]
-                raise ConstructionError(
-                    f"triangle inequality fails on ({labels[i]}, {labels[j]}, {labels[k]})",
-                    axiom="triangle")
+        with np.errstate(over="ignore"):  # a sum that overflows to inf bounds every distance
+            for i in range(n):
+                # bad[j, k]: d[i, j] > d[i, k] + d[k, j] + slack, one row of O(n^2) memory
+                bad = d[i][:, None] > (d[i][None, :] + d.T) + slack
+                if bad.any():
+                    j, k = np.argwhere(bad)[0]
+                    raise ConstructionError(
+                        f"triangle inequality fails on ({labels[i]}, {labels[j]}, {labels[k]})",
+                        axiom="triangle")
         d.flags.writeable = False
         self.labels = labels
         self.d = d
@@ -399,14 +400,6 @@ def P_at(inst: GpmsInstance, u, v, t) -> np.ndarray:
     return np.asarray(_kernel(inst, u, v, _check_t(t)))
 
 
-def P(inst: GpmsInstance, xs, ys, t) -> np.ndarray:
-    """P(x, y, t) over arrays of carrier points and of t (or one t), broadcast
-    together; each value equals ``eval_P`` bit for bit.  ``P(inst, pts, x, t)``
-    is a row; a matrix over all pairs is ``P_at(inst, c[:, None], c, t)`` with
-    ``c = coords(inst, pts)``."""
-    return P_at(inst, coords(inst, xs), coords(inst, ys), t)
-
-
 def _pair_grid(inst: GpmsInstance, pts, ts):
     """grid[i, j, k] = P(pts[i], pts[j], ts[k]), and the mask of pairs i < j."""
     c = coords(inst, pts)
@@ -426,15 +419,17 @@ def step_ray_start(inst: GpmsInstance, a, b, alpha: float) -> float:
 
 def gallery_construct(family, params, carrier, op: BinaryOperation,
                       t_grid, alpha_grid) -> GpmsInstance:
-    """Build an instance and run fast sanity checks (P1, P2, monotone).
+    """Build an instance and run fast sanity checks (P1, P2, monotone, finite P).
 
     Rejects with a ConstructionError naming the failed axiom, so broken
-    tables or asymmetric inputs never produce a usable instance.
+    tables, asymmetric inputs or a P that overflows to inf never produce a
+    usable instance.
     """
     inst = GpmsInstance(carrier, family, params, op, t_grid, alpha_grid)
     pts = inst.quantifier_points(cap=33)
     tg = inst.t_grid
-    grid, upper = _pair_grid(inst, pts, tg)
+    with np.errstate(over="ignore"):  # a P that overflows to inf is refused below
+        grid, upper = _pair_grid(inst, pts, tg)
     bad = np.argwhere(grid.diagonal().T != 0.0)
     if bad.size:
         i, k = bad[0]
@@ -457,6 +452,23 @@ def gallery_construct(family, params, carrier, op: BinaryOperation,
         raise ConstructionError(
             f"P({x},{y},.) increases from t={tg[k]} to t={tg[k + 1]}; must be non-increasing",
             axiom="monotone")
+    # past the monotone check each pair is largest at the smallest t of the grid
+    largest = grid[:, :, 0]
+    if not np.isfinite(largest).all():
+        i, j = np.argwhere(~np.isfinite(largest))[0]
+        raise ConstructionError(f"P({pts[i]},{pts[j]},{tg[0]}) is not finite", axiom="finite")
+    # a formula family is largest at the largest distance, at a pair the grid
+    # misses when it samples the carrier
+    car = inst.carrier
+    if car.kind == "finite":
+        u, v = np.unravel_index(np.argmax(car.d), car.d.shape)
+        x, y = car.labels[u], car.labels[v]
+    else:
+        u, v = x, y = car.lo, car.hi
+    with np.errstate(over="ignore"):
+        far = P_at(inst, u, v, tg[0])
+    if not np.isfinite(far):
+        raise ConstructionError(f"P({x},{y},{tg[0]}) is not finite", axiom="finite")
     return inst
 
 

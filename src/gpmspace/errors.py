@@ -13,7 +13,7 @@ class ConstructionError(GpmsError, ValueError):
     """An instance or carrier failed a construction-time sanity check.
 
     ``axiom`` names the violated requirement ("P1", "P2", "monotone",
-    "triangle", ...) so callers can report it without string matching.
+    "triangle", "finite", ...) so callers can report it without string matching.
     """
 
     def __init__(self, message, axiom=None):
@@ -32,10 +32,6 @@ class ParseError(GpmsError, ValueError):
 
 class NoSolutionError(GpmsError):
     """A residual problem has no solution at the probe resolution."""
-
-
-class ConvergenceError(GpmsError):
-    """An iterative solver exceeded its iteration budget."""
 
 
 class HypothesisError(GpmsError):

@@ -212,6 +212,10 @@ def test_solve_third_postcondition_property(alpha1, frac):
     assert abs(g.solve_third(g.PLUS, alpha1, alpha2) - (alpha1 - alpha2)) <= 2e-6
 
 
+class BudgetExceeded(Exception):
+    """The budgeted oracle ran out of iterations before its tolerance."""
+
+
 def budgeted_solve_third(op, alpha1, alpha2, tolerance=1e-6, max_iter=200):
     """solve_third with a fixed iteration budget, as it was before float
     spacing stopped it, kept as an oracle (preconditions as in solve_third)."""
@@ -230,7 +234,7 @@ def budgeted_solve_third(op, alpha1, alpha2, tolerance=1e-6, max_iter=200):
         else:
             hi = mid
     else:
-        raise g.ConvergenceError("solve_third bisection exceeded its iteration budget")
+        raise BudgetExceeded("solve_third bisection exceeded its iteration budget")
     out = lo - tolerance
     return float(out if out > 0 else lo / 2)
 
@@ -248,7 +252,7 @@ def test_solve_third_stops_at_float_spacing(alpha1, frac, tolerance):
         assert g.eval_op(op, alpha2, out) <= alpha1
         try:
             want = budgeted_solve_third(op, alpha1, alpha2, tolerance)
-        except g.ConvergenceError:
+        except BudgetExceeded:
             continue
         assert out == want
 

@@ -112,6 +112,9 @@ def _table_entry(k, **changes):
         {f: v for f, v in e.items() if v is not None} for e in tables]})
 
 
+INTERVAL = {**{k: v for k, v in BASE.items() if k not in ("points", "d")},
+            "interval": [-2.0, 2.0], "resolution": 0.5}
+
 MALFORMED = {
     "tables-object": (dict(TABULATED, params={"tables": {"ab": 1}}), "params.tables"),
     "entry-not-object": (dict(TABULATED, params={"tables": [[1, 2]]}), "params.tables[0]"),
@@ -124,11 +127,33 @@ MALFORMED = {
     "d-ragged": (dict(BASE, d=[[0, 1, 3], [1, 0], [3, 2, 0]]), "distance table d"),
     "op-table-ragged": (dict(BASE, op={"table": {"grid": [0, 1], "values": [[0, 1], [1]]}}),
                         "op table"),
-    "interval-not-numeric": ({**{k: v for k, v in BASE.items() if k not in ("points", "d")},
-                              "interval": ["x", 2], "resolution": 0.5}, "interval"),
+    "interval-not-numeric": ({**INTERVAL, "interval": ["x", 2]}, "interval"),
     # about 1e9 sample points: refused before the point list is built
-    "interval-too-fine": ({**{k: v for k, v in BASE.items() if k not in ("points", "d")},
-                           "interval": [0, 1], "resolution": 1e-9}, "resolution"),
+    "interval-too-fine": ({**INTERVAL, "interval": [0, 1], "resolution": 1e-9}, "resolution"),
+    # numbers must be JSON numbers: numpy and float() read true and "1" as 1
+    "seed-true": (dict(BASE, seed=True), "seed"),
+    "resolution-true": ({**INTERVAL, "resolution": True}, "resolution"),
+    "c-true": (dict(BASE, family="discrete", params={"c": True}), "params.c"),
+    "d-true": (dict(BASE, d=[[0, True, 3], [True, 0, 2], [3, 2, 0]]), "distance table d"),
+    "d-numeric-string": (dict(BASE, d=[[0, "1", 3], ["1", 0, 2], [3, 2, 0]]),
+                         "distance table d"),
+    "d-integer-beyond-float": (dict(BASE, d=[[0, 1, 10 ** 400], [1, 0, 2], [10 ** 400, 2, 0]]),
+                               "distance table d"),
+    "interval-numeric-string": ({**INTERVAL, "interval": ["-2", 2]}, "interval"),
+    "op-grid-numeric-string": (dict(BASE, op={"table": {"grid": ["0", 1],
+                                                        "values": [[0, 1], [1, 2]]}}),
+                               "op.table.grid"),
+    "op-values-numeric-string": (dict(BASE, op={"table": {"grid": [0, 1],
+                                                          "values": [[0, 1], [1, "2"]]}}),
+                                 "op.table.values"),
+    "table-t-numeric-string": (_table_entry(0, t=["1", 2]), "params.tables[0].t"),
+    "table-v-numeric-string": (_table_entry(2, v=[2, "1"]), "params.tables[2].v"),
+    "version-2": (dict(BASE, version=2), "version"),
+    # P overflows to inf: at t = 5e-324, and at 1e308 / 0.5
+    "P-inf-at-subnormal-t": (dict(BASE, t_grid=[5e-324, 1]), "P(a,b,5e-324) is not finite"),
+    "P-inf-at-huge-d": (dict(BASE, d=[[0, 1e308, 1e308], [1e308, 0, 1e308],
+                                      [1e308, 1e308, 0]], t_grid=[0.5, 1]),
+                        "P(a,b,0.5) is not finite"),
 }
 
 

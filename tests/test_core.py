@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import gpmspace as g
 from gpmspace import core
-from gpmspace.core import P
+from gpmspace.core import P_at, coords
 from helpers import (ALPHA_GRID, T_GRID, interval_instance, make_instance,
                      squared_distance_table_instance, three_point_carrier)
 
@@ -160,6 +160,18 @@ def test_gallery_rejects_indistinguishable_pair():
     with pytest.raises(g.ConstructionError) as err:
         g.gallery_construct("tabulated", params, carrier, g.MAX, (1.0, 2.0), ALPHA_GRID)
     assert err.value.axiom == "P1"
+
+
+def test_gallery_rejects_P_that_overflows_off_the_construction_grid():
+    # scaled P = d / t: 1e308 / 0.6 is finite, 1.7e308 / 0.6 is inf.  On 70 points
+    # the construction grid keeps every second point and misses the pair (x1, x2)
+    n = 70
+    d = [[0.0 if i == j else 1e308 for j in range(n)] for i in range(n)]
+    d[1][2] = d[2][1] = 1.7e308
+    carrier = g.FiniteCarrier([f"x{i}" for i in range(n)], d)
+    with pytest.raises(g.ConstructionError) as err:
+        g.gallery_construct("scaled", {}, carrier, g.MAX, (0.6, 1.0), ALPHA_GRID)
+    assert (str(err.value), err.value.axiom) == ("P(x1,x2,0.6) is not finite", "finite")
 
 
 def test_interval_carrier_sampling_and_membership():
@@ -439,7 +451,7 @@ def reference_P(inst, a, b, t):
 @settings(max_examples=150, deadline=None)
 @given(kernel_instances() | kernel_instances(tamper=True), st.data())
 def test_array_front_end_equals_scalar_eval_P(inst, data):
-    # eval_P and P, with one t and with arrays of t, against the scalar formula
+    # eval_P and P_at, with one t and with arrays of t, against the scalar formula
     pts = list(inst.quantifier_points())
     A = np.asarray(pts, dtype=object)
     tg = inst.t_grid
@@ -449,15 +461,17 @@ def test_array_front_end_equals_scalar_eval_P(inst, data):
     for t in probes:
         oracle = [[reference_P(inst, a, b, t) for b in pts] for a in pts]
         assert exact([[g.eval_P(inst, a, b, t) for b in pts] for a in pts]) == exact(oracle)
-        assert exact(P(inst, A[:, None], pts, t).tolist()) == exact(oracle)
-        row = P(inst, pts, pts[-1], t)
+        matrix = P_at(inst, coords(inst, A[:, None]), coords(inst, pts), t)
+        assert exact(matrix.tolist()) == exact(oracle)
+        row = P_at(inst, coords(inst, pts), coords(inst, pts[-1]), t)
         assert exact(row.tolist()) == exact([reference_P(inst, a, pts[-1], t) for a in pts])
     ts = np.array([[data.draw(st.sampled_from(probes)) for _ in pts] for _ in pts])
-    assert exact(P(inst, A[:, None], pts, ts).tolist()) == \
+    assert exact(P_at(inst, coords(inst, A[:, None]), coords(inst, pts), ts).tolist()) == \
         exact([[reference_P(inst, a, b, ts[i, j]) for j, b in enumerate(pts)]
                for i, a in enumerate(pts)])
     # t on its own axis, broadcast against a matrix of points
-    stack = P(inst, A[None, :, None], A[None, None, :], np.array(probes)[:, None, None])
+    stack = P_at(inst, coords(inst, A[None, :, None]), coords(inst, A[None, None, :]),
+                 np.array(probes)[:, None, None])
     assert stack.shape == (len(probes), len(pts), len(pts))
     assert exact(stack.tolist()) == exact([[[reference_P(inst, a, b, t) for b in pts]
                                             for a in pts] for t in probes])
@@ -469,10 +483,10 @@ def test_t_arrays_are_checked_like_one_t():
     for bad in (np.array([1.0, 0.0, 2.0]), np.array([1.0, np.inf, 2.0]), np.array([-1.0]),
                 np.array([np.nan]), np.array(["1.0"])):
         with pytest.raises(g.DomainError):
-            P(inst, pts, "a", bad)
+            P_at(inst, coords(inst, pts), coords(inst, "a"), bad)
     with pytest.raises(g.DomainError):
         g.eval_P(inst, "a", "b", np.array([1.0, 2.0]))
-    assert P(inst, pts, "a", np.array([1, 2, 3])).tolist() == \
+    assert P_at(inst, coords(inst, pts), coords(inst, "a"), np.array([1, 2, 3])).tolist() == \
         [g.eval_P(inst, p, "a", t) for p, t in zip(pts, (1.0, 2.0, 3.0))]
 
 
@@ -687,6 +701,16 @@ def scalar_sanity_error(inst):
                 if v1 < v2:
                     return (f"P({x},{y},.) increases from t={t1} to t={t2}; must be non-increasing",
                             "monotone")
+    for x in pts:
+        for y in pts:
+            for t in tg:
+                if not math.isfinite(g.eval_P(inst, x, y, t)):
+                    return f"P({x},{y},{t}) is not finite", "finite"
+    everywhere = inst.carrier.points()
+    x, y = max(((x, y) for x in everywhere for y in everywhere),
+               key=lambda pair: inst.carrier.base_distance(*pair))
+    if not math.isfinite(g.eval_P(inst, x, y, tg[0])):
+        return f"P({x},{y},{tg[0]}) is not finite", "finite"
     return None
 
 

@@ -5,8 +5,8 @@ operations and all five families, finite and interval carriers.
 ``golden/full-report.sha256`` lists the sha256 of each instance's canonical
 full-report, ``golden/commands.sha256`` that of the canonical report of every
 (instance, command) pair, or ``exit-2`` where the command refuses the instance,
-and ``golden/csv.sha256`` the sha256 of the ``--csv`` payload of ``dalpha`` and
-``sequences`` on every instance where the command writes one.
+and ``golden/csv.sha256`` the sha256 of the ``--csv`` payload of ``dalpha``,
+``sequences`` and ``full-report`` on every instance where the command writes one.
 Any change of report or payload bytes fails here; a change that means to
 alter them regenerates the manifest and says so.
 """
@@ -17,9 +17,11 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import gpmspace as g
 from gpmspace import balls
+from helpers import gallery_instances
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -99,7 +101,7 @@ def test_reports_never_enter_the_pure_python_encoder(monkeypatch):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MANIFEST[name]
 
 
-@pytest.mark.parametrize("command", ("dalpha", "sequences"))
+@pytest.mark.parametrize("command", ("dalpha", "sequences", "full-report"))
 @pytest.mark.parametrize("name", sorted(MANIFEST))
 def test_csv_payload_bytes_match_golden(tmp_path, name, command):
     path = tmp_path / "payload.csv"
@@ -112,6 +114,47 @@ def test_csv_payload_bytes_match_golden(tmp_path, name, command):
         assert not path.exists()
         return
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_MANIFEST[key]
+
+
+def _single_commands(inst_file):
+    """The checks of the six single commands concatenated in ``COMMANDS`` order,
+    their notes, the skip note of each command that refuses the instance, and
+    the refused commands."""
+    checks, notes, refused = [], [], []
+    for command in g.COMMANDS[:-1]:
+        try:
+            report = g.run_command(command, inst_file)
+        except g.GpmsError as exc:
+            notes.append(f"{command}: skipped ({str(exc).removeprefix(command + ' ')})")
+            refused.append(command)
+            continue
+        checks += report.to_jsonable()["checks"]
+        notes += report.notes
+    return checks, notes, refused
+
+
+def _assert_full_report_is_the_six_commands(inst_file):
+    full = g.run_command("full-report", inst_file).to_jsonable()
+    checks, notes, refused = _single_commands(inst_file)
+    assert full["checks"] == checks
+    assert full["notes"] == notes
+    return refused
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST))
+def test_full_report_is_the_six_commands_in_order(capsys, name):
+    refused = _assert_full_report_is_the_six_commands(g.load_instance(_instance_path(name)))
+    for command in refused:
+        assert g.main([command, _instance_path(name)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {command} ")
+
+
+@settings(max_examples=40, deadline=None)
+@given(gallery_instances())
+def test_full_report_is_the_six_commands_on_gallery_instances(inst):
+    inst_file = g.InstanceFile(version=1, instance=inst, seed=0, tol=1e-6, digest="",
+                               source={})
+    _assert_full_report_is_the_six_commands(inst_file)
 
 
 def _invariants(inst):

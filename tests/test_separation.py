@@ -203,7 +203,7 @@ def pick_t0_oracle(inst, xs, ys):
 def test_battery_witnesses_match_the_scalar_oracles(inst, data):
     labels = inst.carrier.labels
     n = len(labels)
-    battery = {c.name: c for c in cli._separation_checks(inst, 15)}
+    battery = {c.name: c for c in cli._separation_checks(inst, cli.Options(), 0, 1e-6)[0]}
     single = [g.SubsetMask.from_indices(n, [i]) for i in range(n)]
     cases = [(f"{kind}({a},{b})", kind, dict(a=a, b=b), [a], [b])
              for i, a in enumerate(labels) for b in labels[i + 1:]
@@ -243,7 +243,7 @@ def test_battery_builds_each_witness_once(monkeypatch):
     # and 36 normal witnesses x 2 balls, and 36 base balls make 432 open_ball
     # calls; T0 and T2 read one scalar P in t0 and one in verification, T1 one
     inst = make_instance("scaled", op=g.MAX, carrier=line_carrier(9))
-    cli._separation_checks(inst, 15)  # warm the memo
+    cli._separation_checks(inst, cli.Options(), 0, 1e-6)  # warm the memo
     calls = {"open_ball": 0, "eval_P": 0, "issubset": 0}
 
     def counting(name, fn):
@@ -255,7 +255,7 @@ def test_battery_builds_each_witness_once(monkeypatch):
     monkeypatch.setattr(separation, "open_ball", counting("open_ball", separation.open_ball))
     monkeypatch.setattr(separation, "eval_P", counting("eval_P", separation.eval_P))
     monkeypatch.setattr(g.SubsetMask, "issubset", counting("issubset", g.SubsetMask.issubset))
-    checks = cli._separation_checks(inst, 15)
+    checks, _, _ = cli._separation_checks(inst, cli.Options(), 0, 1e-6)
     assert all(c.ok for c in checks)
     assert calls["open_ball"] <= 432
     assert calls["eval_P"] <= 180
