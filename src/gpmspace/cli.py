@@ -52,7 +52,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, NamedTuple
 
 from . import balls, core, induced, separation, sequences
 from .binop import MAX, PLUS, BinaryOperation
@@ -206,11 +205,7 @@ def _check_numbers(doc):
     """Refuse anything but JSON numbers where the schema holds numbers, naming
     the field: numpy and ``float`` read ``true`` and ``"1"`` as 1, and raise
     ``OverflowError`` on an integer beyond the float range."""
-    fields = _number_fields(doc)
-    # one walk over every field; a tabulated file has two fields per pair
-    if _non_number([value for _, value in fields]) is None:
-        return
-    for key, value in fields:
+    for key, value in _number_fields(doc):
         why = _non_number(value)
         if why is not None:
             raise ParseError(f"{'distance table d' if key == 'd' else key} {why}", field=key)
@@ -418,26 +413,28 @@ def _cantor_checks(inst, opts, seed, tol):
     return [rep], [], None
 
 
-class _Rule(NamedTuple):
-    """When a battery applies, and what refuses it when it does not."""
-    applies: Callable[[core.GpmsInstance, Options], bool]
-    error: type
-    why: str
+def _small_finite(inst, opts):
+    return inst.carrier.kind == "finite" and inst.carrier.size <= opts.max_points
 
 
-_SMALL_FINITE = _Rule(
-    lambda inst, opts: inst.carrier.kind == "finite" and inst.carrier.size <= opts.max_points,
-    SizeError, "needs a finite carrier within --max-points")
-_OP_MAX = _Rule(lambda inst, opts: inst.op.kind == "max", HypothesisError, "requires op = max")
+def _op_max(inst, opts):
+    return inst.op.kind == "max"
 
-# name -> (battery, rule or None), in the order full-report runs them
+
+_SMALL_FINITE = "needs a finite carrier within --max-points"
+
+# name -> (battery, applies, error, refusal, skip reason), in the order
+# full-report runs them; a battery whose ``applies`` is None always applies
 _BATTERIES = {
-    "axioms": (_axioms_checks, None),
-    "topology": (_topology_checks, _SMALL_FINITE),
-    "separation": (_separation_checks, _SMALL_FINITE),
-    "dalpha": (_dalpha_checks, _OP_MAX),
-    "sequences": (_sequences_checks, None),
-    "cantor": (_cantor_checks, None),
+    "axioms": (_axioms_checks, None, None, None, None),
+    "topology": (_topology_checks, _small_finite, SizeError,
+                 f"topology generation {_SMALL_FINITE}", _SMALL_FINITE),
+    "separation": (_separation_checks, _small_finite, SizeError,
+                   f"separation {_SMALL_FINITE}", _SMALL_FINITE),
+    "dalpha": (_dalpha_checks, _op_max, HypothesisError,
+               "the dalpha command requires op = max", "requires op = max"),
+    "sequences": (_sequences_checks, None, None, None, None),
+    "cantor": (_cantor_checks, None, None, None, None),
 }
 
 COMMANDS = (*_BATTERIES, "full-report")
@@ -461,11 +458,11 @@ def run_command(command: str, inst_file: InstanceFile, options: Options | None =
                     seed=seed, tol=tol)
     csv_rows = None
     for name in _BATTERIES if command == "full-report" else (command,):
-        battery, rule = _BATTERIES[name]
-        if rule is not None and not rule.applies(inst, opts):
+        battery, applies, error, refusal, why = _BATTERIES[name]
+        if applies is not None and not applies(inst, opts):
             if name == command:
-                raise rule.error(f"{name} {rule.why}")
-            report.notes.append(f"{name}: skipped ({rule.why})")
+                raise error(refusal)
+            report.notes.append(f"{name}: skipped ({why})")
             continue
         checks, notes, rows = battery(inst, opts, seed, tol)
         report.checks += checks

@@ -428,8 +428,18 @@ def gallery_construct(family, params, carrier, op: BinaryOperation,
     inst = GpmsInstance(carrier, family, params, op, t_grid, alpha_grid)
     pts = inst.quantifier_points(cap=33)
     tg = inst.t_grid
+    # every family is largest at the largest distance and the smallest t
+    # (tabulated values are finite by construction), at a pair the grid
+    # misses when it samples the carrier
+    car = inst.carrier
+    if car.kind == "finite":
+        u, v = np.unravel_index(np.argmax(car.d), car.d.shape)
+        far_x, far_y = car.labels[u], car.labels[v]
+    else:
+        u, v = far_x, far_y = car.lo, car.hi
     with np.errstate(over="ignore"):  # a P that overflows to inf is refused below
         grid, upper = _pair_grid(inst, pts, tg)
+        far = P_at(inst, u, v, tg[0])
     bad = np.argwhere(grid.diagonal().T != 0.0)
     if bad.size:
         i, k = bad[0]
@@ -452,23 +462,8 @@ def gallery_construct(family, params, carrier, op: BinaryOperation,
         raise ConstructionError(
             f"P({x},{y},.) increases from t={tg[k]} to t={tg[k + 1]}; must be non-increasing",
             axiom="monotone")
-    # past the monotone check each pair is largest at the smallest t of the grid
-    largest = grid[:, :, 0]
-    if not np.isfinite(largest).all():
-        i, j = np.argwhere(~np.isfinite(largest))[0]
-        raise ConstructionError(f"P({pts[i]},{pts[j]},{tg[0]}) is not finite", axiom="finite")
-    # a formula family is largest at the largest distance, at a pair the grid
-    # misses when it samples the carrier
-    car = inst.carrier
-    if car.kind == "finite":
-        u, v = np.unravel_index(np.argmax(car.d), car.d.shape)
-        x, y = car.labels[u], car.labels[v]
-    else:
-        u, v = x, y = car.lo, car.hi
-    with np.errstate(over="ignore"):
-        far = P_at(inst, u, v, tg[0])
     if not np.isfinite(far):
-        raise ConstructionError(f"P({x},{y},{tg[0]}) is not finite", axiom="finite")
+        raise ConstructionError(f"P({far_x},{far_y},{tg[0]}) is not finite", axiom="finite")
     return inst
 
 

@@ -701,11 +701,6 @@ def scalar_sanity_error(inst):
                 if v1 < v2:
                     return (f"P({x},{y},.) increases from t={t1} to t={t2}; must be non-increasing",
                             "monotone")
-    for x in pts:
-        for y in pts:
-            for t in tg:
-                if not math.isfinite(g.eval_P(inst, x, y, t)):
-                    return f"P({x},{y},{t}) is not finite", "finite"
     everywhere = inst.carrier.points()
     x, y = max(((x, y) for x in everywhere for y in everywhere),
                key=lambda pair: inst.carrier.base_distance(*pair))
