@@ -23,7 +23,7 @@ The open and closed grid-ball bitmasks, each point's deduplicated grid
 balls, the least balls and tau_P are derived once per instance
 (``core.derive``) and live as long as the instance, so is_open, interior,
 closures, the ball theorems, separation and the countable bases share one
-derivation.  The memo keeps int bitmasks, not the float kernel tensor; its
+derivation.  These entries keep int bitmasks, not the float kernel tensor; their
 values (bitmask lists and tuples, SubsetMask tuples, a TopologyFamily) are
 shared, so callers only read them.
 """

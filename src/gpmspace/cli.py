@@ -38,7 +38,8 @@ command and is skipped with a note under ``full-report``::
 ``--csv`` writes the d_alpha table (``dalpha`` and ``full-report``, finite
 carriers) or the P trace of the test sequence (``sequences``, intervals).
 Exit status is 0 iff every emitted check passes, 1 otherwise,
-2 on errors.  Reports serialize canonically (sorted keys, floats at 12
+2 on errors, among them an instance file that cannot be read as UTF-8 JSON
+and an ``--out`` or ``--csv`` path that cannot be written.  Reports serialize canonically (sorted keys, floats at 12
 significant digits) so byte-identical output certifies determinism; wall
 time goes to stderr only.
 """
@@ -52,6 +53,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from itertools import chain
+
+import numpy as np
 
 from . import balls, core, induced, separation, sequences
 from .binop import MAX, PLUS, BinaryOperation
@@ -218,7 +221,7 @@ def load_instance(path) -> InstanceFile:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read instance file: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("instance file must hold a JSON object")
@@ -306,11 +309,17 @@ def _guarded(name, fn):
 def _separation_checks(inst, opts, seed, tol):
     labels = inst.carrier.labels
     n = len(labels)
-    single = [balls.SubsetMask.from_indices(n, [i]) for i in range(n)]
+    single = np.eye(n, dtype=bool)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    outside = [(x, i) for i in range(n) for x in range(n) if x != i]  # point x, closed {i}
 
-    def witness(name, kind, **kw):
+    def batch(kind, rows):  # one row per (X, Y) of single points
+        return separation.witness_batch(inst, kind, single[[x for x, _ in rows]],
+                                        single[[y for _, y in rows]])
+
+    def witness(name, b, r):
         def build():
-            rep = separation.separation_witness(inst, kind, **kw).report
+            rep = b.report(r)
             rep.name = name
             return rep
         return _guarded(name, build)
@@ -319,14 +328,14 @@ def _separation_checks(inst, opts, seed, tol):
         return _guarded(name, lambda: separation.countable_base(
             inst, mode, x=x, max_points=opts.max_points)[1])
 
-    checks = [witness(f"{kind}({a},{b})", kind, a=a, b=b)
-              for i, a in enumerate(labels) for b in labels[i + 1:]
-              for kind in ("T0", "T1", "T2")]
-    checks += [witness(f"regular({{{a}}},{x})", "regular", a=x, subset=single[i])
-               for i, a in enumerate(labels) for x in labels if x != a]
-    checks += [witness(f"normal({{{a}}},{{{labels[j]}}})", "normal",
-                       subset=single[i], subset_b=single[j])
-               for i, a in enumerate(labels) for j in range(i + 1, n)]
+    t_kinds = [batch(kind, pairs) for kind in ("T0", "T1", "T2")]
+    regular, normal = batch("regular", outside), batch("normal", pairs)
+    checks = [witness(f"{b.kind}({labels[i]},{labels[j]})", b, r)
+              for r, (i, j) in enumerate(pairs) for b in t_kinds]
+    checks += [witness(f"regular({{{labels[i]}}},{labels[x]})", regular, r)
+               for r, (x, i) in enumerate(outside)]
+    checks += [witness(f"normal({{{labels[i]}}},{{{labels[j]}}})", normal, r)
+               for r, (i, j) in enumerate(pairs)]
     checks += [base(f"countable_base[local@{x}]", "local", x) for x in labels]
     checks.append(base("countable_base[global]", "global"))
     return checks, [], None
@@ -472,7 +481,9 @@ def run_command(command: str, inst_file: InstanceFile, options: Options | None =
 
     report.wall_time = time.perf_counter() - start
     if opts.csv and csv_rows is not None:
-        _write_csv(opts.csv, csv_rows)
+        # '.' decimal separator and '\n' line endings regardless of locale
+        text = "".join(",".join(map(_fmt, row)) + "\n" for row in csv_rows)
+        _write_text("--csv", opts.csv, text)
     return report
 
 
@@ -484,10 +495,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, rows):
-    # '.' decimal separator and '\n' line endings regardless of locale
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
+def _write_text(option, path, text):
+    """Write ``text`` to the ``path`` that ``option`` names; a path that cannot
+    be written is an error naming both."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {option} {path}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -510,6 +525,9 @@ def main(argv=None) -> int:
     try:
         inst_file = load_instance(args.instance)
         report = run_command(args.command, inst_file, opts)
+        text = report.to_canonical_json()
+        if opts.out:
+            _write_text("--out", opts.out, text)
     except ParseError as exc:
         where = f" (field {exc.field!r})" if exc.field else \
             f" (line {exc.line})" if exc.line else ""
@@ -519,11 +537,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = report.to_canonical_json()
-    if opts.out:
-        with open(opts.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if not opts.out:
         sys.stdout.write(text)
     print(f"wall time: {report.wall_time:.3f}s", file=sys.stderr)
     return report.exit_code

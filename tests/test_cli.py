@@ -33,8 +33,12 @@ BASE = {
 
 
 def write(tmp_path, doc, name="inst.json"):
+    """Write ``doc`` as a JSON instance file, or as it is if it holds bytes."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -155,6 +159,8 @@ MALFORMED = {
     "P-inf-at-huge-d": (dict(BASE, d=[[0, 1e308, 1e308], [1e308, 0, 1e308],
                                       [1e308, 1e308, 0]], t_grid=[0.5, 1]),
                         "P(a,b,0.5) is not finite"),
+    # a byte-order mark of UTF-16 and "{": not UTF-8
+    "not-utf-8": (b"\xff\xfe{", "cannot read instance file"),
 }
 
 
@@ -369,6 +375,17 @@ def test_cli_out_and_csv(tmp_path):
     assert row_a[0] == "a" and float(row_a[2]) == pytest.approx(1.0, abs=2e-6)
 
 
+@pytest.mark.parametrize("option", ["--out", "--csv"])
+def test_unwritable_output_path_exits_2_naming_option_and_path(tmp_path, capsys, option):
+    # exit 1 means a check failed, so an unwritable path must not die with it
+    target = str(tmp_path / "missing" / "x.out")
+    assert g.main(["dalpha", write(tmp_path, BASE), option, target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{option} {target}" in captured.err
+
+
 def test_inconclusive_checks_exit_one(tmp_path):
     # a coarse grid leaves the topology comparison inconclusive; "0 iff all
     # pass" therefore yields exit status 1
@@ -432,5 +449,7 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     monkeypatch.setattr(core, "_kernel", kernel)
     monkeypatch.setattr(induced, "_solve_d_alpha", solve)
     g.run_command("full-report", inst_file)
-    assert (len(values), sum(values)) == (1065, 12840)
+    # separation reads two per-instance tensors: P at the t grid and its halves
+    # (12 x 81 values) and the 64 base-ball depths (64 x 81 values)
+    assert (len(values), sum(values)) == (239, 14712)
     assert (len(pairs), sum(pairs)) == (5, 49)

@@ -1,10 +1,13 @@
+import gc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpmspace as g
-from gpmspace import cli, separation
-from helpers import line_carrier, make_instance, two_point_carrier
+from gpmspace import balls, cli, core, separation
+from helpers import line_carrier, make_instance, three_point_carrier, two_point_carrier
 from test_topology_oracles import countable_base_oracle, gallery_instances, oracle_tau_p
 
 FINE = make_instance("scaled", op=g.MAX)
@@ -239,28 +242,183 @@ def test_battery_witnesses_match_the_scalar_oracles(inst, data):
 
 
 def test_battery_builds_each_witness_once(monkeypatch):
-    # line n=9, scaled/max, default grids: 36 pairs x (1+2+2) T-balls, 72 regular
-    # and 36 normal witnesses x 2 balls, and 36 base balls make 432 open_ball
-    # calls; T0 and T2 read one scalar P in t0 and one in verification, T1 one
-    inst = make_instance("scaled", op=g.MAX, carrier=line_carrier(9))
-    cli._separation_checks(inst, cli.Options(), 0, 1e-6)  # warm the memo
-    calls = {"open_ball": 0, "eval_P": 0, "issubset": 0}
+    # the battery reads per-instance kernel tensors: cold, the grid balls (for
+    # the least open sets), P at the t grid and its halves, and the base balls,
+    # however many pairs there are; warm, none
+    calls = []
+    real_kernel = core._kernel
 
-    def counting(name, fn):
-        def wrapper(*args, **kw):
-            calls[name] += 1
-            return fn(*args, **kw)
-        return wrapper
+    def kernel(*args):
+        calls.append(args)
+        return real_kernel(*args)
 
-    monkeypatch.setattr(separation, "open_ball", counting("open_ball", separation.open_ball))
-    monkeypatch.setattr(separation, "eval_P", counting("eval_P", separation.eval_P))
-    monkeypatch.setattr(g.SubsetMask, "issubset", counting("issubset", g.SubsetMask.issubset))
-    checks, _, _ = cli._separation_checks(inst, cli.Options(), 0, 1e-6)
-    assert all(c.ok for c in checks)
-    assert calls["open_ball"] <= 432
-    assert calls["eval_P"] <= 180
-    calls["issubset"] = 0
-    for x in inst.carrier.labels:
-        separation.countable_base(inst, "local", x=x)
-    separation.countable_base(inst, "global")
-    assert calls["issubset"] == 0
+    monkeypatch.setattr(core, "_kernel", kernel)
+    for n in (4, 9):
+        inst = make_instance("scaled", op=g.MAX, carrier=line_carrier(n))
+        calls.clear()
+        checks, _, _ = cli._separation_checks(inst, cli.Options(), 0, 1e-6)
+        assert all(c.ok for c in checks)
+        cold = len(calls)
+        calls.clear()
+        cli._separation_checks(inst, cli.Options(), 0, 1e-6)
+        assert (cold, len(calls)) == (3, 0)
+
+
+# x o x = 3 for every x: sub_idempotent finds no alpha1 below an alpha0 of 3 or less
+FLAT = g.BinaryOperation.tabulated([0.0, 1.0], [[3.0, 3.0], [3.0, 3.0]])
+
+
+def per_pair_witness(inst, kind, xs, ys):
+    """The witness the per-pair construction builds for the center index
+    lists ``xs`` and ``ys``, ball by ball with scalar P, and its verification
+    report; or the error that construction raises."""
+    car = inst.carrier
+    n = car.size
+    la, lb = [car.labels[i] for i in xs], [car.labels[j] for j in ys]
+    set_x, set_y = g.SubsetMask.from_indices(n, xs), g.SubsetMask.from_indices(n, ys)
+    closed = {"regular": [("subset", set_y)], "normal": [("subset", set_x), ("subset_b", set_y)]}
+    for name, subset in closed.get(kind, []):
+        if not g.is_open(inst, subset.complement()):
+            raise g.PreconditionError(f"{name} is not closed at these grids")
+    picked = pick_t0_oracle(inst, la, lb)
+    if picked is None:
+        raise g.WitnessNotFoundError("no grid t gives a positive separating value")
+    t0, alpha0 = picked
+    if kind in ("T0", "T1"):
+        alpha1, radius, scale = None, alpha0, t0
+    else:
+        alpha1 = g.sub_idempotent(inst.op, alpha0)
+        radius, scale = alpha1, t0 / 2
+    points = kind in ("T0", "T1", "T2")
+    w = g.SeparationWitness(
+        kind, t0, alpha0, alpha1, tuple(g.BallSpec(p, radius, scale) for p in la),
+        () if kind == "T0" else tuple(g.BallSpec(p, radius, scale) for p in lb),
+        a=la[0] if kind != "normal" else None, b=lb[0] if points else None,
+        set_a=None if points else set_y if kind == "regular" else set_x,
+        set_b=set_y if kind == "normal" else None)
+    rep = g.verify_witness(inst, w)
+    if not rep.ok:
+        raise g.WitnessNotFoundError(
+            f"constructed {kind} witness failed verification: {rep.witness.detail}")
+    return w, rep
+
+
+def assert_rows_match_the_per_pair_path(inst, kind, rows):
+    """Each row of one witness batch against ``per_pair_witness``; returns
+    the errors the rows raised."""
+    n = inst.carrier.size
+    centers = np.zeros((2, len(rows), n), dtype=bool)
+    for r, (xs, ys) in enumerate(rows):
+        centers[0, r, xs] = centers[1, r, ys] = True
+    batch = separation.witness_batch(inst, kind, *centers)
+    errors = []
+    for r, (xs, ys) in enumerate(rows):
+        try:
+            w, want = per_pair_witness(inst, kind, xs, ys)
+        except g.GpmsError as exc:
+            with pytest.raises(g.GpmsError) as got:
+                batch.report(r)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            errors.append(got.value)
+            continue
+        assert batch.report(r).to_jsonable() == want.to_jsonable()
+        assert (batch.t0[r], batch.alpha0[r], batch.alpha1[r]) == (w.t0, w.alpha0, w.alpha1)
+        assert batch.balls(r) == (w.balls_u, w.balls_v)
+        assert balls._mask_of_flags(batch.u[r]) == mask_oracle(inst, w.balls_u)
+        assert balls._mask_of_flags(batch.v[r]) == mask_oracle(inst, w.balls_v)
+    return errors
+
+
+@settings(max_examples=60, deadline=None)
+@given(gallery_instances(ops=(g.PLUS, g.MAX, FLAT)), st.data())
+def test_witness_batch_rows_match_the_per_pair_path(inst, data):
+    n = inst.carrier.size
+    rows = dict.fromkeys(("T0", "T1", "T2"), [([i], [j]) for i in range(n)
+                                              for j in range(n) if i != j])
+    rows["regular"], rows["normal"] = [], []
+    # drawn sets of one or more points: every point outside one, and a
+    # drawn set of the points outside it
+    for bits in data.draw(st.lists(st.integers(1, (1 << n) - 2), min_size=1, max_size=4)):
+        inner = [i for i in range(n) if bits >> i & 1]
+        outer = [i for i in range(n) if not bits >> i & 1]
+        rows["regular"] += [([x], inner) for x in outer]
+        picked = data.draw(st.integers(1, (1 << len(outer)) - 1))
+        rows["normal"].append((inner, [x for k, x in enumerate(outer) if picked >> k & 1]))
+    for kind, kind_rows in rows.items():
+        assert_rows_match_the_per_pair_path(inst, kind, kind_rows)
+
+
+def _constant_tables(carrier, values):
+    return {"tables": [{"pair": list(pair), "t": [1.0], "v": [v]} for pair, v in values.items()]}
+
+
+# one instance and row per way a row can fail, with the start of its error
+ERROR_ROWS = {
+    # P = 0 between two distinct points: built without the construction's sanity pass
+    "no positive t": (lambda: g.GpmsInstance(
+        two_point_carrier(), "tabulated", _constant_tables(two_point_carrier(), {"ab": 0.0}),
+        g.MAX, (1.0,), (0.5,)), "T0", ([0], [1]), "no grid t gives a positive"),
+    "set not closed": (lambda: two_point_instance(alpha_grid=(2.0,)), "regular", ([0], [1]),
+                       "subset is not closed"),
+    # least balls {a}, {b, c}, {b, c}: {a} is closed, {b} is not
+    "second set not closed": (lambda: g.gallery_construct(
+        "constant", {}, g.FiniteCarrier(("a", "b", "c"), [[0, 3, 3], [3, 0, 1], [3, 1, 0]]),
+        g.MAX, (1.0,), (2.0,)), "normal", ([0], [1]), "subset_b is not closed"),
+    "no alpha1": (lambda: g.gallery_construct("scaled", {}, two_point_carrier(), FLAT,
+                                              (1.0,), (0.5,)), "T2", ([0], [1]),
+                  "tabulated: found no value whose self-combination stays below 1.0"),
+    # the balls of a T2 witness are built at t0 / 2, which underflows to 0 ...
+    "ball at t = 0": (lambda: g.gallery_construct("constant", {}, two_point_carrier(), g.MAX,
+                                                  (5e-324,), (0.5,)), "T2", ([0], [1]),
+                      "t must be a finite positive real, got 0.0"),
+    # ... and of radius alpha1 = alpha0 / 2, which does too
+    "ball of radius 0": (lambda: g.gallery_construct(
+        "constant", {}, g.FiniteCarrier(("a", "b"), [[0, 5e-324], [5e-324, 0]]), g.MAX,
+        (1.0,), (0.5,)), "T2", ([0], [1]), "open ball radius must be positive, got 0.0"),
+    # P(a, b) = 4 but P(a, c) = P(b, c) = 1: c lies in both balls of radius 2
+    "failed claim": (lambda: g.gallery_construct(
+        "tabulated", _constant_tables(three_point_carrier(), {"ab": 4.0, "ac": 1.0, "bc": 1.0}),
+        three_point_carrier(), g.MAX, (1.0,), (0.5,)), "T2", ([0], [1]),
+        "constructed T2 witness failed verification: U and V overlap"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_ROWS))
+def test_witness_batch_error_rows_match_the_per_pair_path(case):
+    build, kind, row, error = ERROR_ROWS[case]
+    inst = build()
+    got = assert_rows_match_the_per_pair_path(inst, kind, [row])
+    assert len(got) == 1 and str(got[0]).startswith(error)
+    # separation_witness, a batch of one, raises it too
+    car = inst.carrier
+    (x,), (y,) = row
+    single = [g.SubsetMask.from_indices(car.size, [i]) for i in (x, y)]
+    kw = {"regular": dict(a=car.labels[x], subset=single[1]),
+          "normal": dict(subset=single[0], subset_b=single[1])}.get(
+              kind, dict(a=car.labels[x], b=car.labels[y]))
+    with pytest.raises(type(got[0]), match=error):
+        g.separation_witness(inst, kind, **kw)
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_ROWS))
+def test_error_rows_leave_no_reference_cycles(case):
+    # a row keeps its error: if that error held the frames of the batch that
+    # keeps it, every battery would leave a cycle for the collector, and the
+    # peak memory of repeated passes would grow
+    build, kind, ((x,), (y,)), _ = ERROR_ROWS[case]
+    inst = build()
+    single = np.eye(inst.carrier.size, dtype=bool)
+    separation.witness_batch(inst, kind, single[[x]], single[[y]])  # derive the tables
+    gc.collect()
+    gc.disable()
+    try:
+        batch = separation.witness_batch(inst, kind, single[[x]], single[[y]])
+        for _ in range(2):
+            try:
+                batch.report(0)
+            except g.GpmsError:
+                pass
+        del batch
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
