@@ -23,9 +23,10 @@ The open and closed grid-ball bitmasks, each point's deduplicated grid
 balls, the least balls and tau_P are derived once per instance
 (``core.derive``) and live as long as the instance, so is_open, interior,
 closures, the ball theorems, separation and the countable bases share one
-derivation.  These entries keep int bitmasks, not the float kernel tensor; their
-values (bitmask lists and tuples, SubsetMask tuples, a TopologyFamily) are
-shared, so callers only read them.
+derivation.  These entries keep int bitmasks, not the float kernel tensor, and
+the least balls also as bool matrices for array callers; their values
+(bitmask lists and tuples, bool matrices, SubsetMask tuples, a
+TopologyFamily) are shared, so callers only read them.
 """
 from __future__ import annotations
 
@@ -182,6 +183,13 @@ def _mask_of_flags(flags) -> SubsetMask:
                                                  "little"))
 
 
+def _flags_of_bits(bits, n):
+    """The (len(bits), n) bool matrix of a list of int bitmasks over n points."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), np.uint8)
+    return np.unpackbits(raw.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
+
+
 def open_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
     """B(a, alpha, t) = { b : P(a,b,t) < alpha }; always contains the center."""
     _require_finite(inst)
@@ -259,6 +267,12 @@ def _least(inst: GpmsInstance):
         return least, _reach(least)
 
     return derive(inst, "least", build)
+
+
+def _least_flags(inst: GpmsInstance):
+    """(U, reach) of ``_least`` as (n, n) bool matrices, once per instance."""
+    n = inst.carrier.size
+    return derive(inst, "least_flags", lambda: tuple(_flags_of_bits(m, n) for m in _least(inst)))
 
 
 def topology_from_least(n: int, least) -> TopologyFamily:

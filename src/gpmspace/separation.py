@@ -37,7 +37,9 @@ import numpy as np
 
 from .balls import (
     SubsetMask,
+    _flags_of_bits,
     _least,
+    _least_flags,
     _mask_of_flags,
     _min_P,
     generate_topology,
@@ -97,7 +99,7 @@ class SeparationWitness:
 
 
 # the claims verify_witness makes for each kind, in order, by the detail a
-# failed claim reports
+# failed claim reports (``_check_claims`` spells its own out, as the oracle)
 _CLAIMS = {
     "T0": ("a not inside U", "b not excluded from U", "alpha0 does not match P(a,b,t0)"),
     "T1": ("a not inside U", "b not excluded from U", "b not inside V", "a not excluded from V"),
@@ -129,19 +131,6 @@ def _require_closed(inst, subset: SubsetMask, name: str):
         raise PreconditionError(f"{name} must be a non-empty subset")
     if not is_open(inst, subset.complement()):
         raise _not_closed(name)
-
-
-def _flags(bits, n):
-    """The (len(bits), n) bool matrix of a list of int bitmasks."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), np.uint8)
-    return np.unpackbits(raw.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
-
-
-def _least_flags(inst):
-    """(U, reach) of ``balls._least`` as (n, n) bool matrices, once per instance."""
-    n = inst.carrier.size
-    return derive(inst, "least_flags", lambda: tuple(_flags(m, n) for m in _least(inst)))
 
 
 def _tables(inst):
@@ -376,7 +365,6 @@ def verify_witness(inst: GpmsInstance, w: SeparationWitness) -> CheckReport:
 def _check_claims(inst, w: SeparationWitness, u: SubsetMask, v: SubsetMask) -> CheckReport:
     """The claims of ``verify_witness``, given the masks U and V of w's balls."""
     car = inst.carrier
-    d = _CLAIMS.get(w.kind)
     witnesses = []
     samples = 0
 
@@ -388,40 +376,43 @@ def _check_claims(inst, w: SeparationWitness, u: SubsetMask, v: SubsetMask) -> C
                                      values=values, detail=detail))
 
     if w.kind == "T0":
-        claim(u.contains(car.index(w.a)), d[0])
-        claim(not u.contains(car.index(w.b)), d[1])
-        claim(w.alpha0 == eval_P(inst, w.a, w.b, w.t0), d[2], alpha0=w.alpha0)
+        claim(u.contains(car.index(w.a)), "a not inside U")
+        claim(not u.contains(car.index(w.b)), "b not excluded from U")
+        claim(w.alpha0 == eval_P(inst, w.a, w.b, w.t0),
+              "alpha0 does not match P(a,b,t0)", alpha0=w.alpha0)
     elif w.kind == "T1":
-        claim(u.contains(car.index(w.a)), d[0])
-        claim(not u.contains(car.index(w.b)), d[1])
-        claim(v.contains(car.index(w.b)), d[2])
-        claim(not v.contains(car.index(w.a)), d[3])
+        claim(u.contains(car.index(w.a)), "a not inside U")
+        claim(not u.contains(car.index(w.b)), "b not excluded from U")
+        claim(v.contains(car.index(w.b)), "b not inside V")
+        claim(not v.contains(car.index(w.a)), "a not excluded from V")
     elif w.kind == "T2":
-        claim(u.contains(car.index(w.a)), d[0])
-        claim(v.contains(car.index(w.b)), d[1])
-        claim(u.intersection(v).is_empty, d[2])
+        claim(u.contains(car.index(w.a)), "a not inside U")
+        claim(v.contains(car.index(w.b)), "b not inside V")
+        claim(u.intersection(v).is_empty, "U and V overlap")
         chain_ok = (w.alpha1 is not None
                     and eval_op(inst.op, w.alpha1, w.alpha1) < w.alpha0
                     and w.alpha0 == eval_P(inst, w.a, w.b, w.t0))
-        claim(chain_ok, d[3],
+        claim(chain_ok, "inequality chain alpha1 o alpha1 < alpha0 = P(a,b,t0) fails",
               alpha0=w.alpha0, alpha1=w.alpha1 if w.alpha1 is not None else math.nan)
     elif w.kind == "regular":
-        claim(u.contains(car.index(w.a)), d[0])
-        claim(w.set_a is not None and w.set_a.issubset(v), d[1])
-        claim(u.intersection(v).is_empty, d[2])
+        claim(u.contains(car.index(w.a)), "x not inside U")
+        claim(w.set_a is not None and w.set_a.issubset(v), "closed set not covered by V")
+        claim(u.intersection(v).is_empty, "U and V overlap")
         if w.set_a is not None and w.alpha1 is not None:
             sep = _min_P(inst, [car.index(w.a)], w.set_a.indices(), w.t0)
-            claim(eval_op(inst.op, w.alpha1, w.alpha1) < w.alpha0 and w.alpha0 <= sep, d[3],
+            claim(eval_op(inst.op, w.alpha1, w.alpha1) < w.alpha0 and w.alpha0 <= sep,
+                  "inequality chain fails against the set separation value",
                   alpha0=w.alpha0, alpha1=w.alpha1, separation=sep)
         else:
             claim(False, "regular witness lacks set_a or alpha1")
     elif w.kind == "normal":
-        claim(w.set_a is not None and w.set_a.issubset(u), d[0])
-        claim(w.set_b is not None and w.set_b.issubset(v), d[1])
-        claim(u.intersection(v).is_empty, d[2])
+        claim(w.set_a is not None and w.set_a.issubset(u), "first closed set not covered by U")
+        claim(w.set_b is not None and w.set_b.issubset(v), "second closed set not covered by V")
+        claim(u.intersection(v).is_empty, "U and V overlap")
         if w.set_a is not None and w.set_b is not None and w.alpha1 is not None:
             sep = _min_P(inst, w.set_a.indices(), w.set_b.indices(), w.t0)
-            claim(eval_op(inst.op, w.alpha1, w.alpha1) < w.alpha0 and w.alpha0 <= sep, d[3],
+            claim(eval_op(inst.op, w.alpha1, w.alpha1) < w.alpha0 and w.alpha0 <= sep,
+                  "inequality chain fails against the set separation value",
                   alpha0=w.alpha0, alpha1=w.alpha1, separation=sep)
         else:
             claim(False, "normal witness lacks sets or alpha1")
@@ -437,17 +428,17 @@ def _check_claims(inst, w: SeparationWitness, u: SubsetMask, v: SubsetMask) -> C
 
 def _base_balls(inst, depth):
     """inside[k - 1, x, y]: y lies in the base ball B(x, 1/k, 1/k), for k = 1
-    up to at least ``depth``; one kernel tensor per instance (and per depth
-    beyond 64)."""
-    depth = max(depth, _BASE_DEPTH)
-
-    def build():
+    up to at least ``depth``: one kernel tensor, kept per instance for the
+    64 depths that isolating depths try and built afresh for a deeper one."""
+    def build(depth):
         c = np.arange(inst.carrier.size)
         r = (1.0 / np.arange(1, depth + 1))[:, None, None]
         with np.errstate(over="ignore"):  # an overflow is +inf, inside no ball
             return P_at(inst, c[:, None], c, r) < r
 
-    return derive(inst, ("base_balls", depth), build)
+    if depth > _BASE_DEPTH:
+        return build(depth)
+    return derive(inst, "base_balls", lambda: build(_BASE_DEPTH))
 
 
 def _isolating_depths(inst):
@@ -459,11 +450,12 @@ def _isolating_depths(inst):
     return derive(inst, "isolating_depths", build)
 
 
-def _open_set_counts(inst, topo):
-    """Per point, the number of members of ``topo`` (tau_P) holding it."""
+def _open_set_counts(inst):
+    """Per point, the number of open sets of tau_P holding it; the caller
+    has checked the carrier against its ``max_points``."""
     n = inst.carrier.size
-    return derive(inst, "open_set_counts",
-                  lambda: _flags([m.bits for m in topo], n).sum(0).tolist())
+    return derive(inst, "open_set_counts", lambda: _flags_of_bits(
+        [m.bits for m in generate_topology(inst, n)], n).sum(0).tolist())
 
 
 def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = None,
@@ -510,7 +502,7 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
 
     if mode == "local":
         name = f"countable_base[local@{x}]"
-        samples = _open_set_counts(inst, topo)[points[0]]
+        samples = _open_set_counts(inst)[points[0]]
         passed = f"local base verified against {len(topo)} open sets"
         detail = "open set admits no base ball at this depth"
         note = f"no base ball fits inside the open set {named}; try a larger n_max"

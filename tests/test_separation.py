@@ -264,6 +264,27 @@ def test_battery_builds_each_witness_once(monkeypatch):
         assert (cold, len(calls)) == (3, 0)
 
 
+def test_countable_base_scans_no_open_set_family(monkeypatch):
+    # a base question is decided from reach[y]: once warm, no open set of the
+    # 2^n family is tested for a point or against a base ball
+    inst = make_instance("scaled", op=g.MAX, carrier=line_carrier(9))
+    cli._separation_checks(inst, cli.Options(), 0, 1e-6)  # warm the memo
+    calls = {"issubset": 0, "contains": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(g.SubsetMask, name, counting(name, getattr(g.SubsetMask, name)))
+    reports = [separation.countable_base(inst, "local", x=x)[1] for x in inst.carrier.labels]
+    reports.append(separation.countable_base(inst, "global")[1])
+    assert all(r.ok for r in reports)
+    assert calls == {"issubset": 0, "contains": 0}
+
+
 # x o x = 3 for every x: sub_idempotent finds no alpha1 below an alpha0 of 3 or less
 FLAT = g.BinaryOperation.tabulated([0.0, 1.0], [[3.0, 3.0], [3.0, 3.0]])
 
