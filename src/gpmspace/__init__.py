@@ -51,6 +51,7 @@ from .core import (
     GpmsInstance,
     IntervalCarrier,
     check_P_axiom,
+    check_P_axioms,
     eval_P,
     gallery_construct,
     p3_violations,

@@ -37,9 +37,10 @@ command and is skipped with a note under ``full-report``::
 
 ``--csv`` writes the d_alpha table (``dalpha`` and ``full-report``, finite
 carriers) or the P trace of the test sequence (``sequences``, intervals).
-Exit status is 0 iff every emitted check passes, 1 otherwise,
-2 on errors, among them an instance file that cannot be read as UTF-8 JSON
-and an ``--out`` or ``--csv`` path that cannot be written.  Reports serialize canonically (sorted keys, floats at 12
+The report is written before the CSV.  Exit status is 0 iff every emitted
+check passes, 1 otherwise, 2 on errors, among them an instance file that
+cannot be read as UTF-8 JSON and an ``--out`` or ``--csv`` path that cannot
+be written.  Reports serialize canonically (sorted keys, floats at 12
 significant digits) so byte-identical output certifies determinism; wall
 time goes to stderr only.
 """
@@ -280,8 +281,7 @@ def validate_instance_file(path) -> core.GpmsInstance:
 
 
 def _axioms_checks(inst, opts, seed, tol):
-    return [core.check_P_axiom(inst, ax, seed=seed, n_samples=opts.n_samples)
-            for ax in core.P_AXIOMS], [], None
+    return core.check_P_axioms(inst, seed=seed, n_samples=opts.n_samples), [], None
 
 
 def _topology_checks(inst, opts, seed, tol):
@@ -297,11 +297,12 @@ def _topology_checks(inst, opts, seed, tol):
     return checks, [], None
 
 
-def _guarded(name, fn):
-    """Run one battery item; hypothesis/precondition gaps become inconclusive."""
+def _guarded(name, fn, also=()):
+    """Run one battery item; hypothesis/precondition gaps, and the errors in
+    ``also``, become inconclusive."""
     try:
         return fn()
-    except (HypothesisError, PreconditionError, WitnessNotFoundError) as exc:
+    except (HypothesisError, PreconditionError, WitnessNotFoundError, *also) as exc:
         return CheckReport(name=name, verdict=INCONCLUSIVE,
                            note=f"not certifiable on this instance: {exc}")
 
@@ -322,7 +323,8 @@ def _separation_checks(inst, opts, seed, tol):
             rep = b.report(r)
             rep.name = name
             return rep
-        return _guarded(name, build)
+        # a ball open_ball refuses (radius or scale 0) leaves only this witness unbuilt
+        return _guarded(name, build, also=(DomainError,))
 
     def base(name, mode, x=None):
         return _guarded(name, lambda: separation.countable_base(
@@ -452,7 +454,8 @@ COMMANDS = (*_BATTERIES, "full-report")
 def run_command(command: str, inst_file: InstanceFile, options: Options | None = None) -> Report:
     """Run one battery, or all of them for ``full-report``, and aggregate the
     check reports.  A battery that does not apply refuses its own command and
-    is skipped with a note under ``full-report``."""
+    is skipped with a note under ``full-report``.  The report goes to
+    ``options.out`` and then the CSV payload to ``options.csv``, when set."""
     if command not in COMMANDS:
         raise DomainError(f"unknown command {command!r}; expected one of {COMMANDS}")
     opts = options or Options()
@@ -480,6 +483,8 @@ def run_command(command: str, inst_file: InstanceFile, options: Options | None =
             csv_rows = rows
 
     report.wall_time = time.perf_counter() - start
+    if opts.out:  # before the CSV: a report that cannot be written leaves no CSV
+        _write_text("--out", opts.out, report.to_canonical_json())
     if opts.csv and csv_rows is not None:
         # '.' decimal separator and '\n' line endings regardless of locale
         text = "".join(",".join(map(_fmt, row)) + "\n" for row in csv_rows)
@@ -525,9 +530,7 @@ def main(argv=None) -> int:
     try:
         inst_file = load_instance(args.instance)
         report = run_command(args.command, inst_file, opts)
-        text = report.to_canonical_json()
-        if opts.out:
-            _write_text("--out", opts.out, text)
+        text = "" if opts.out else report.to_canonical_json()
     except ParseError as exc:
         where = f" (field {exc.field!r})" if exc.field else \
             f" (line {exc.line})" if exc.line else ""
@@ -537,8 +540,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if not opts.out:
-        sys.stdout.write(text)
+    sys.stdout.write(text)
     print(f"wall time: {report.wall_time:.3f}s", file=sys.stderr)
     return report.exit_code
 

@@ -39,13 +39,16 @@ coordinates: a point's index on a finite carrier, the point on an interval.
 and ``P_at`` is the kernel at coordinates, over arrays of them and of t
 broadcast together; ``eval_P`` is the kernel at one pair and one t.
 The grid scans (P1, P2, P4, P5, monotone, ``p4_violations``, the
-construction sanity pass) read one points x points x t_grid tensor and list
-witnesses in the order of nested loops over (a, b, t).  The scans and the P3
-trials keep their witnesses as index rows plus the values gathered there
+construction sanity pass) read one points x points x t_grid tensor, one per
+``check_P_axioms`` call for all its scans, and list witnesses in the order
+of nested loops over (a, b, t).  Sampled P3 decodes its seeded trials from
+blocks of Mersenne Twister words (``_randrange_rows``).  The scans and the
+P3 trials keep their witnesses as index rows plus the values gathered there
 (``ScanWitnesses``), so a witness is built only when it is read.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -486,20 +489,40 @@ def tabulate_step_family(carrier, t_nodes, fn):
 
 def check_P_axiom(inst: GpmsInstance, axiom: str, seed: int = 0,
                   n_samples: int = 1000, exhaustive: bool = False) -> CheckReport:
-    """Check one P axiom; P1/P2/monotone scan exhaustively, P3 samples.
+    """Check one P axiom: ``check_P_axioms`` on that axiom alone, so a grid
+    scan builds the points x points x t_grid tensor for this call only."""
+    return check_P_axioms(inst, (axiom,), seed=seed, n_samples=n_samples,
+                          exhaustive=exhaustive)[0]
 
+
+def check_P_axioms(inst: GpmsInstance, axioms=P_AXIOMS, seed: int = 0,
+                   n_samples: int = 1000, exhaustive: bool = False) -> list:
+    """Check each of ``axioms`` in order, one ``CheckReport`` each; P1, P2, P4,
+    P5 and monotone scan exhaustively, P3 samples.
+
+    The grid scans share one points x points x t_grid tensor of P, built on
+    the first scan that needs it and dropped when the call returns.  P4
+    reads its smallest-t slice: the kernel is elementwise in t, so those
+    values are the ones a tensor at that t alone would hold.
     ``exhaustive=True`` forces the all-triples-all-pairs scan for P3 (used
     to validate the sampler on small carriers).
     """
-    if axiom not in P_AXIOMS:
-        raise DomainError(f"unknown axiom {axiom!r}; expected one of {P_AXIOMS}")
+    for axiom in axioms:
+        if axiom not in P_AXIOMS:
+            raise DomainError(f"unknown axiom {axiom!r}; expected one of {P_AXIOMS}")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     pts = inst.quantifier_points()
-    tg = inst.t_grid
+    pair_grid = functools.cache(lambda: _pair_grid(inst, pts, inst.t_grid))
     sampled_note = "" if inst.carrier.kind == "finite" else \
         f"; interval carrier quantified over {len(pts)} sample points"
+    return [_check_axiom(inst, axiom, pts, pair_grid, sampled_note, seed, n_samples, exhaustive)
+            for axiom in axioms]
 
+
+def _check_axiom(inst, axiom, pts, pair_grid, sampled_note, seed, n_samples, exhaustive):
+    """One axiom's report; the grid scans read ``pair_grid()``."""
+    tg = inst.t_grid
     if axiom == "P3":
         witnesses, samples = p3_violations(inst, seed=seed, n_samples=n_samples,
                                            exhaustive=exhaustive, points=pts)
@@ -509,8 +532,7 @@ def check_P_axiom(inst: GpmsInstance, axiom: str, seed: int = 0,
     if axiom == "P5" and inst._steps is not None:
         return _check_P5_steps(inst)
 
-    # the other axioms read one tensor (P4 only its smallest t)
-    grid, upper = _pair_grid(inst, pts, tg[:1] if axiom == "P4" else tg)
+    grid, upper = pair_grid()
     pairs = int(upper.sum())
     T = np.asarray(tg)
 
@@ -625,9 +647,7 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
     if exhaustive:
         a, b, x, s, t = np.indices(shape).reshape(5, -1)
     else:
-        rng = random.Random(seed)  # randrange(m) draws as choice does from m items
-        trials = [[rng.randrange(m) for m in shape] for _ in range(n_samples)]
-        a, b, x, s, t = np.array(trials, dtype=np.intp).reshape(-1, 5).T
+        a, b, x, s, t = _randrange_rows(random.Random(seed), shape, n_samples).T
     c, T = coords(inst, pts), np.asarray(tg)
     lhs = P_at(inst, c[a], c[b], T[s] + T[t])
     left, right = P_at(inst, c[a], c[x], T[s]), P_at(inst, c[b], c[x], T[t])
@@ -637,6 +657,58 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
                               {"s": T[s[hit]], "t": T[t[hit]], "lhs": lhs[hit], "rhs": rhs[hit]},
                               "P(a,b,s+t) > P(a,x,s) o P(b,x,t)")
     return witnesses, lhs.size
+
+
+def _randrange_rows(rng: random.Random, shape, n: int, block: int | None = None) -> np.ndarray:
+    """``[[rng.randrange(m) for m in shape] for _ in range(n)]`` as an
+    (n, len(shape)) array, decoded from blocks of the generator's words.
+
+    ``randrange(m)`` takes 32-bit Mersenne Twister words one at a time: with
+    k = m.bit_length(), a word w gives w >> (32 - k), accepted iff it is
+    below m (CPython's ``_randbelow_with_getrandbits``; every m is below
+    2**32).  ``rng.getrandbits(32 * N)`` holds the next N words, the first
+    in the lowest bits, so the rule runs on all of them at once: each draw
+    of modulus m takes the first accepted word at or after its position.
+    The position after a trial that starts at each position is one gather
+    per draw, and the trial starts are that map chained from position 0.  A
+    trial that runs out of words draws another block, which continues the
+    stream exactly.  ``block`` is the first block's length in words (an
+    estimate by default).
+    """
+    def words_for(trials):  # about 10 % above the expected count
+        return int(trials * sum(2 ** m.bit_length() / m for m in shape) * 1.1) + 16
+
+    raw = b""
+    starts = [0]  # the word position of each trial's first draw, then of the next trial's
+    size = block or words_for(n)
+    while True:
+        raw += rng.getrandbits(32 * size).to_bytes(4 * size, "little")
+        words = np.frombuffer(raw, dtype="<u4")
+        end = words.size
+        first = {}  # m -> the first accepted word at or after positions 0 .. end + 1, else end
+        for m in set(shape):
+            accepted = np.where(words >> (32 - m.bit_length()) < m, np.arange(end), end)
+            first[m] = np.full(end + 2, end)
+            np.minimum.accumulate(accepted[::-1], out=first[m][end - 1::-1])
+        after = first[shape[0]] + 1  # the position after a trial starting at each one ...
+        for m in shape[1:]:
+            after = first[m][after] + 1  # ... end + 1 once the words run out
+        step, pos = memoryview(after), starts[-1]
+        for _ in range(n + 1 - len(starts)):
+            pos = step[pos]
+            if pos > end:
+                break
+            starts.append(pos)
+        else:
+            break
+        size = words_for(n + 1 - len(starts))
+    rows = np.empty((n, len(shape)), dtype=np.intp)
+    pos = np.array(starts[:n], dtype=np.intp)
+    for col, m in enumerate(shape):
+        pos = first[m][pos]
+        rows[:, col] = words[pos] >> (32 - m.bit_length())
+        pos += 1
+    return rows
 
 
 def p4_violations(inst: GpmsInstance, alpha: float):

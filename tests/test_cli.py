@@ -386,6 +386,42 @@ def test_unwritable_output_path_exits_2_naming_option_and_path(tmp_path, capsys,
     assert f"{option} {target}" in captured.err
 
 
+def test_unwritable_out_leaves_no_csv(tmp_path, capsys):
+    # the report is written before the CSV, so a failed --out writes neither
+    csv = tmp_path / "t.csv"
+    target = str(tmp_path / "missing" / "r.json")
+    assert g.main(["dalpha", write(tmp_path, BASE), "--csv", str(csv), "--out", target]) == 2
+    assert f"--out {target}" in capsys.readouterr().err
+    assert not csv.exists()
+
+
+TINY = 5e-324  # the smallest subnormal: half of it rounds to 0
+
+
+@pytest.mark.parametrize("command", ["separation", "full-report"])
+@pytest.mark.parametrize("doc,refusal", [
+    # alpha0 = 5e-324 gives alpha1 = 0 under max: a ball of radius 0
+    (dict(BASE, points=["a", "b"], d=[[0, TINY], [TINY, 0]], family="constant"),
+     "open ball radius must be positive, got 0.0"),
+    # t0 = 5e-324 gives the scale t0 / 2 = 0
+    (dict(BASE, family="constant", t_grid=[TINY, 1.0]),
+     "t must be a finite positive real, got 0.0"),
+    (dict(BASE, family="damped", t_grid=[TINY, 1.0]), "t must be a finite positive real, got 0.0"),
+], ids=["d-subnormal-constant", "t-subnormal-constant", "t-subnormal-damped"])
+def test_witness_with_a_refused_ball_is_inconclusive(tmp_path, capsys, command, doc, refusal):
+    # a ball open_ball refuses makes its witness inconclusive, not the command an error
+    assert g.main([command, write(tmp_path, doc)]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    refused = [c["name"] for c in checks if refusal in c["note"]]
+    assert refused and all(name.startswith(("T2(", "regular(", "normal(")) for name in refused)
+    for c in checks:
+        if c["name"] in refused:
+            assert c["verdict"] == "inconclusive"
+            assert c["note"] == f"not certifiable on this instance: {refusal}"
+        elif c["name"].startswith(("T0(", "T1(")):
+            assert c["verdict"] == "pass"
+
+
 def test_inconclusive_checks_exit_one(tmp_path):
     # a coarse grid leaves the topology comparison inconclusive; "0 iff all
     # pass" therefore yields exit status 1
@@ -450,6 +486,28 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     monkeypatch.setattr(induced, "_solve_d_alpha", solve)
     g.run_command("full-report", inst_file)
     # separation reads two per-instance tensors: P at the t grid and its halves
-    # (12 x 81 values) and the 64 base-ball depths (64 x 81 values)
-    assert (len(values), sum(values)) == (239, 14712)
+    # (12 x 81 values) and the 64 base-ball depths (64 x 81 values); the axioms
+    # battery reads one 9 x 9 x 6 tensor for its five grid scans
+    assert (len(values), sum(values)) == (235, 13173)
     assert (len(pairs), sum(pairs)) == (5, 49)
+
+
+def test_axioms_battery_evaluates_one_grid_tensor(tmp_path, monkeypatch):
+    # one grid tensor for P1, P2, P4, P5 and monotone, then the three P3 gathers
+    interval = {k: v for k, v in BASE.items() if k not in ("points", "d")}
+    cases = [(BASE, 3 * 3 * 6),
+             (dict(interval, interval=[-2.0, 2.0], resolution=0.01), 135 * 135 * 6)]
+    values = []
+    real_kernel = core._kernel
+
+    def kernel(*args):
+        out = real_kernel(*args)
+        values.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(core, "_kernel", kernel)
+    for doc, grid in cases:
+        inst_file = g.load_instance(write(tmp_path, doc))
+        values.clear()
+        g.run_command("axioms", inst_file)
+        assert values == [grid, 1000, 1000, 1000]

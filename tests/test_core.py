@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import gpmspace as g
 from gpmspace import core
 from gpmspace.core import P_at, coords
-from helpers import (ALPHA_GRID, T_GRID, interval_instance, make_instance,
+from gpmspace.reports import canonical_json
+from helpers import (ALPHA_GRID, T_GRID, gallery_instances, interval_instance, make_instance,
                      squared_distance_table_instance, three_point_carrier)
 
 
@@ -590,6 +591,79 @@ def test_p3_op_arrays_match_the_scalar_loop_with_signed_zeros(family, op):
     assert signs == ({1.0, -1.0} if op is g.MAX else {1.0})
 
 
+# moduli where the word rule is at its edges: m = 1 (k = 1, half the words
+# rejected), powers of two (none rejected) and 2^k + 1 (about half rejected)
+MODULI = st.integers(1, 300) | st.sampled_from(
+    (1, 2, 4, 8, 64, 256, 2 ** 31, 3, 5, 9, 17, 65, 257, 2 ** 31 + 1, 2 ** 32 - 1))
+P3_SHAPES = st.lists(MODULI, min_size=1, max_size=6).map(tuple) | \
+    st.builds(lambda p, t: (p,) * 3 + (t,) * 2, MODULI, st.just(1) | MODULI)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 64), P3_SHAPES, st.sampled_from((1, 1000)) | st.integers(1, 40),
+       st.none() | st.integers(1, 12))
+def test_randrange_rows_match_randrange(seed, shape, n, block):
+    # ``block`` is a first block of a few words, short enough to need refills
+    rng = random.Random(seed)
+    expected = [[rng.randrange(m) for m in shape] for _ in range(n)]
+    assert core._randrange_rows(random.Random(seed), shape, n, block=block).tolist() == expected
+
+
+def test_randrange_rows_refill_once_the_words_run_out():
+    # 1000 draws of m = 1 take about 2000 words: a 1-word first block refills
+    rng = random.Random(5)
+    expected = [[rng.randrange(1), rng.randrange(3)] for _ in range(1000)]
+    draws = []
+    real = random.Random.getrandbits
+
+    def counting(self, k):
+        draws.append(k)
+        return real(self, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random.Random, "getrandbits", counting)
+        got = core._randrange_rows(random.Random(5), (1, 3), 1000, block=1)
+    assert got.tolist() == expected and draws[0] == 32 and len(draws) >= 2
+
+
+def test_randrange_reads_getrandbits_words():
+    # the decoder reproduces _randbelow_with_getrandbits; a CPython whose
+    # randrange draws another way must fail here, not change P3 verdicts
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+def test_sampled_p3_makes_no_randrange_call(monkeypatch):
+    inst = make_instance("constant", op=g.MAX)  # fails P3, so witnesses are compared
+    expected = exact(loop_p3(inst, seed=4, n_samples=1000))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("randrange called")
+
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    rep = g.check_P_axiom(inst, "P3", seed=4, n_samples=1000)
+    assert rep.failed and exact((tuple(rep.witnesses), rep.samples_tested)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(gallery_instances(), st.integers(0, 99), st.sampled_from((1, 200)))
+def test_check_P_axioms_matches_single_axiom_calls(inst, seed, n_samples):
+    together = g.check_P_axioms(inst, seed=seed, n_samples=n_samples)
+    alone = [g.check_P_axiom(inst, ax, seed=seed, n_samples=n_samples) for ax in g.P_AXIOMS]
+    assert [r.name for r in together] == list(g.P_AXIOMS)
+    for a, b in zip(together, alone):
+        assert canonical_json(a.to_jsonable()) == canonical_json(b.to_jsonable()), a.name
+        assert exact(tuple(a.witnesses)) == exact(tuple(b.witnesses)), a.name
+
+
+def test_check_P_axioms_refuses_unknown_axioms_and_sample_counts():
+    inst = make_instance("scaled")
+    with pytest.raises(g.DomainError, match="unknown axiom 'P6'"):
+        g.check_P_axioms(inst, ("P1", "P6"))
+    with pytest.raises(g.DomainError, match="n_samples"):
+        g.check_P_axioms(inst, n_samples=0)
+    assert g.check_P_axioms(inst, ()) == []
+
+
 # the scalar loops the tensor scans replaced, kept as oracles
 
 def scalar_scan(inst, axiom):
@@ -710,8 +784,11 @@ def scalar_sanity_error(inst):
 
 
 def assert_scans_match_oracle(inst):
-    for axiom in ("P1", "P2", "P4", "P5", "monotone"):
+    scans = ("P1", "P2", "P4", "P5", "monotone")
+    for axiom, shared in zip(scans, g.check_P_axioms(inst, scans)):
         rep = g.check_P_axiom(inst, axiom)
+        assert exact(tuple(shared.witnesses)) == exact(tuple(rep.witnesses)), axiom
+        assert canonical_json(shared.to_jsonable()) == canonical_json(rep.to_jsonable()), axiom
         witnesses, samples, data = scalar_scan(inst, axiom)
         assert exact(rep.witnesses) == exact(witnesses), axiom
         assert rep.samples_tested == samples, axiom
