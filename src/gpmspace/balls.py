@@ -7,11 +7,13 @@ topology, so every report carries the grids it used.
 
 Every gallery family is non-increasing in t (tabulated tables that rise are
 rejected at construction), so the least grid ball U_x = B(x, min alpha,
-min t) lies inside every other grid ball at x.  A subset S is therefore open
-exactly when U_x is inside S for every x in S: tau_P is the family of
-down-sets of the least balls (Alexandroff 1937; Stong 1966).  is_open,
-interior, limit points and the family itself are all read off U and its
-transitive closure, and the family is a topology by construction;
+min t) lies inside every other grid ball at x, and S is open exactly when
+U_x is inside S for every x in S.  Every gallery P is symmetric, so the
+transitive closure reach[x] of U is the class of x under an equivalence,
+and tau_P is the partition topology of its k classes (Alexandroff 1937;
+Steen and Seebach, "partition topology"): its open sets are the unions of
+classes, each also closed, and |tau_P| = 2^k.  Every question is answered
+from the classes; only ``topology_from_classes`` lists the open sets.
 TopologyFamily.verify stays as an O(|F|^2) oracle for tests.
 
 Ball membership uses exact float comparison: strict "<" for open balls,
@@ -20,19 +22,17 @@ kernel row; all grid balls, open and closed, come from one kernel tensor
 over (x, t, y) that every alpha reads.
 
 The open and closed grid-ball bitmasks, each point's deduplicated grid
-balls, the least balls and tau_P are derived once per instance
-(``core.derive``) and live as long as the instance, so is_open, interior,
-closures, the ball theorems, separation and the countable bases share one
-derivation.  These entries keep int bitmasks, not the float kernel tensor, and
-the least balls also as bool matrices for array callers; their values
-(bitmask lists and tuples, bool matrices, SubsetMask tuples, a
+balls, the least balls with their classes and tau_P are derived once per
+instance (``core.derive``) and live as long as the instance, so is_open,
+interior, closures, the ball theorems, separation and the countable bases
+share one derivation.  These entries keep int bitmasks, not the float kernel
+tensor, and the classes also as one label per point for array callers;
+their values (bitmask lists and tuples, label arrays, SubsetMask tuples, a
 TopologyFamily) are shared, so callers only read them.
 """
 from __future__ import annotations
 
 import itertools
-from functools import reduce
-from operator import and_
 
 import numpy as np
 
@@ -154,7 +154,7 @@ class TopologyFamily:
 
         Closure under pairwise union implies closure under arbitrary unions
         for a finite family, so pairwise checks suffice.  The O(|F|^2) pass
-        is a test oracle: families built by topology_from_least are
+        is a test oracle: families built by topology_from_classes are
         topologies by construction.
         """
         full = (1 << self.n) - 1
@@ -256,48 +256,52 @@ def _reach(least) -> tuple:
 
 
 def _least(inst: GpmsInstance):
-    """(U, reach) as int bitmasks per point; computed once per instance.
+    """(U, reach, classes) per point, computed once per instance: U and
+    reach as int bitmasks, and each point's class reach[x] as an int array
+    of the least point index in it.
 
     U_x is the intersection of the grid balls at x.  P is non-increasing in
     t, so this is itself a grid ball, B(x, min alpha, min t), and a set
-    holding some grid ball at x holds U_x.
+    holding some grid ball at x holds U_x.  It lies inside every other grid
+    ball at x, so it is the first of them by bitmask.
     """
     def build():
-        least = tuple(reduce(and_, (b.bits for b in row)) for row in grid_ball_masks(inst))
-        return least, _reach(least)
+        least = tuple(row[0].bits for row in grid_ball_masks(inst))
+        reach = _reach(least)
+        return least, reach, np.array([(r & -r).bit_length() - 1 for r in reach], dtype=np.intp)
 
     return derive(inst, "least", build)
 
 
-def _least_flags(inst: GpmsInstance):
-    """(U, reach) of ``_least`` as (n, n) bool matrices, once per instance."""
-    n = inst.carrier.size
-    return derive(inst, "least_flags", lambda: tuple(_flags_of_bits(m, n) for m in _least(inst)))
+def _unions_of_classes(inst: GpmsInstance, flags):
+    """Per row of a (rows, n) bool matrix, whether the row is a union of
+    classes: an open set of tau_P, and so a closed one too."""
+    return (flags == flags[:, _least(inst)[2]]).all(-1)
 
 
-def topology_from_least(n: int, least) -> TopologyFamily:
-    """The family {S : U_x inside S for every x in S}, given U as bitmasks.
-
-    Its members are exactly the unions of the least open sets reach[x], so
-    the family is a topology by construction.
-    """
-    opens = {0}
-    for r in _reach(least):
-        opens |= {s | r for s in opens}
+def topology_from_classes(reach) -> TopologyFamily:
+    """Every union of the distinct classes reach[x] of the points x: the one
+    listing of the open sets of a partition topology."""
+    n, opens = len(reach), [0]
+    for c in dict.fromkeys(reach):
+        opens += [s | c for s in opens]
     return TopologyFamily(n, [SubsetMask(n, b) for b in opens])
 
 
+def _require_max_points(inst: GpmsInstance, max_points: int):
+    if inst.carrier.size > max_points:
+        raise SizeError(f"carrier size {inst.carrier.size} exceeds max_points={max_points}")
+
+
 def generate_topology(inst: GpmsInstance, max_points: int = 15) -> TopologyFamily:
-    """tau_P over the grids: the down-sets of the least grid balls.
+    """tau_P over the grids: the unions of the classes of the least grid balls.
 
     The family is computed once per instance; ``max_points`` caps the
-    size of the explicit family, which can hold 2^n sets.
+    size of the explicit family, whose 2^k sets can number 2^n.
     """
     _require_finite(inst)
-    n = inst.carrier.size
-    if n > max_points:
-        raise SizeError(f"carrier size {n} exceeds max_points={max_points}")
-    return derive(inst, "topology", lambda: topology_from_least(n, _least(inst)[0]))
+    _require_max_points(inst, max_points)
+    return derive(inst, "topology", lambda: topology_from_classes(_least(inst)[1]))
 
 
 def _require_size(least, s: SubsetMask):
@@ -307,14 +311,14 @@ def _require_size(least, s: SubsetMask):
 
 def is_open(inst: GpmsInstance, s: SubsetMask) -> bool:
     """True iff every point of s has a grid ball inside s, i.e. U_x inside s."""
-    least, _ = _least(inst)
+    least = _least(inst)[0]
     _require_size(least, s)
     return all(least[i] & ~s.bits == 0 for i in s.indices())
 
 
 def interior(inst: GpmsInstance, s: SubsetMask) -> SubsetMask:
     """Largest open subset of s: the points whose least open set lies in s."""
-    _, reach = _least(inst)
+    reach = _least(inst)[1]
     _require_size(reach, s)
     return SubsetMask(s.n, sum(1 << i for i in s.indices() if reach[i] & ~s.bits == 0))
 
@@ -333,7 +337,7 @@ def closure_and_limit_points(inst: GpmsInstance, s: SubsetMask):
     complement of the largest open set disjoint from s; that identity is
     cross-checked and a mismatch raises VerificationError.
     """
-    least, reach = _least(inst)
+    least, reach, _ = _least(inst)
     n = inst.carrier.size
     limits = SubsetMask(n, sum(1 << i for i in range(n) if least[i] & ~(1 << i) & s.bits))
     closure = s.union(limits)
@@ -350,8 +354,8 @@ THEOREMS = ("ball_open", "closed_ball_closed", "nested_closure", "closed_separat
 def verify_ball_theorem(inst: GpmsInstance, theorem: str, **params) -> CheckReport:
     """Check one ball/closedness statement over the grids.
 
-    ball_open            every grid open ball passes is_open
-    closed_ball_closed   every grid closed ball has an open complement
+    ball_open            every grid open ball is open
+    closed_ball_closed   every grid closed ball is closed
     nested_closure       closure(B(a, beta, t/2)) inside B(a, alpha, t),
                          requires beta o beta <= alpha
                          (params: alpha, beta, center=None, scales=None)
@@ -364,14 +368,13 @@ def verify_ball_theorem(inst: GpmsInstance, theorem: str, **params) -> CheckRepo
     car = inst.carrier
 
     if theorem in ("ball_open", "closed_ball_closed"):
-        closed = theorem == "closed_ball_closed"
-        flip = (1 << car.size) - 1 if closed else 0  # a closed ball's complement must be open
+        # a set of tau_P is closed exactly when it is open: a union of classes
+        flags = _flags_of_bits(_grid_ball_bits(inst, theorem == "closed_ball_closed"), car.size)
         grid_balls = zip(itertools.product(car.labels, inst.alpha_grid, inst.t_grid),
-                         _grid_ball_bits(inst, closed))
+                         _unions_of_classes(inst, flags).tolist())
         witnesses = tuple(Witness(points=(a,), values={"alpha": alpha, "t": t},
                                   detail=f"{theorem} fails for this grid ball")
-                          for (a, alpha, t), bits in grid_balls
-                          if not is_open(inst, SubsetMask(car.size, bits ^ flip)))
+                          for (a, alpha, t), union in grid_balls if not union)
         verdict = FAIL if witnesses else PASS
         note = "exhaustive over grid balls" if verdict == PASS else \
             "violations may be grid artifacts at coarse resolutions"

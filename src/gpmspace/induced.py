@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls import generate_topology, topology_from_least
+from .balls import (_least, _reach, _require_max_points, generate_topology,
+                    topology_from_classes)
 from .core import GpmsInstance, P_at, coords, derive, p4_violations, step_ray_start
-from .errors import DomainError, HypothesisError, SizeError
+from .errors import DomainError, HypothesisError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
 _GROWTH = 2.0
@@ -217,15 +218,16 @@ def compare_topologies(inst: GpmsInstance, alpha: float, max_points: int = 15,
                        solver: BisectionSettings | None = None) -> CheckReport:
     """Compare tau_P against the metric topology of d_alpha for set equality.
 
-    A strict shortfall of tau_P is reported inconclusive (grid artifact:
-    coarse alpha/t grids admit fewer sets); anything else that differs is a
-    genuine failure.  The verdict does not depend on construction order.
+    Both are partition topologies, each read off the classes of its least
+    balls: equal classes give equal families, and only differing classes
+    have the two families listed to name the sets that differ.  A strict
+    shortfall of tau_P is reported inconclusive (grid artifact: coarse
+    alpha/t grids admit fewer sets); anything else that differs is a genuine
+    failure.  The verdict does not depend on construction order.
     """
     if inst.carrier.kind != "finite":
         raise DomainError("topology comparison needs a finite carrier")
-    n = inst.carrier.size
-    if n > max_points:
-        raise SizeError(f"carrier size {n} exceeds max_points={max_points}")
+    _require_max_points(inst, max_points)
     if inst.op.kind != "max":
         raise HypothesisError("the topology identity requires op = max")
     am = AlphaMetric(inst, alpha, solver)
@@ -234,39 +236,40 @@ def compare_topologies(inst: GpmsInstance, alpha: float, max_points: int = 15,
         raise HypothesisError(
             f"per-alpha separation fails at alpha={alpha:.12g} (pairs {pairs}); "
             "d_alpha is not a metric here")
-    tau_p = generate_topology(inst, max_points)
     # the least d_alpha ball: the smallest radius that realizes every ball
     # (tol, and v1/2 or v1 - tol below the smallest positive distance v1)
-    D = _distance_matrix(am, inst.carrier.labels)
+    car = inst.carrier
+    D = _distance_matrix(am, car.labels)
     tol = am.solver.tolerance
     v1 = float(D[(D > 0) & (D < math.inf)].min(initial=math.inf))
     radius = min(tol, v1 / 2, v1 - tol if v1 - tol > 0 else math.inf)
-    tau_d = topology_from_least(n, [sum(1 << int(j) for j in np.flatnonzero(row < radius))
-                                    for row in D])
-    car = inst.carrier
+    reach_p = _least(inst)[1]
+    reach_d = _reach([sum(1 << int(j) for j in np.flatnonzero(row < radius)) for row in D])
+    tau_p = tau_d = ()
+    if reach_d != reach_p:
+        tau_p = generate_topology(inst, max_points)
+        tau_d = topology_from_classes(reach_d)
     missing_in_p = [m for m in tau_d if m not in tau_p]
     missing_in_d = [m for m in tau_p if m not in tau_d]
     data = {
         "alpha": alpha,
-        "tau_P_size": len(tau_p),
-        "tau_d_alpha_size": len(tau_d),
+        "tau_P_size": 1 << len(set(reach_p)),  # 2^k unions of the k classes
+        "tau_d_alpha_size": 1 << len(set(reach_d)),
         "missing_from_tau_P": [list(m.labels(car)) for m in missing_in_p],
         "missing_from_tau_d_alpha": [list(m.labels(car)) for m in missing_in_d],
     }
-    if not missing_in_p and not missing_in_d:
-        return CheckReport(name=f"topology_identity[alpha={alpha:.12g}]", verdict=PASS,
-                           samples_tested=len(tau_p), data=data,
-                           note="families identical")
-    if missing_in_p and not missing_in_d:
-        return CheckReport(name=f"topology_identity[alpha={alpha:.12g}]", verdict=INCONCLUSIVE,
-                           samples_tested=len(tau_p), data=data,
-                           note="tau_P lacks open sets at this grid resolution (grid artifact)")
-    witness = Witness(points=tuple(missing_in_d[0].labels(car)) if missing_in_d else (),
-                      values={"alpha": alpha},
-                      detail="set open for P but not for d_alpha")
-    return CheckReport(name=f"topology_identity[alpha={alpha:.12g}]", verdict=FAIL,
-                       samples_tested=len(tau_p), witnesses=(witness,), data=data,
-                       note="families differ beyond grid artifacts")
+    verdict, note = PASS, "families identical"
+    if missing_in_d:
+        verdict, note = FAIL, "families differ beyond grid artifacts"
+    elif missing_in_p:
+        verdict = INCONCLUSIVE
+        note = "tau_P lacks open sets at this grid resolution (grid artifact)"
+    witnesses = tuple(Witness(points=tuple(m.labels(car)), values={"alpha": alpha},
+                              detail="set open for P but not for d_alpha")
+                      for m in missing_in_d[:1])
+    return CheckReport(name=f"topology_identity[alpha={alpha:.12g}]", verdict=verdict,
+                       samples_tested=data["tau_P_size"], witnesses=witnesses, data=data,
+                       note=note)
 
 
 def alpha_metric_table(am: AlphaMetric):

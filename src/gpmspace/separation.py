@@ -20,12 +20,12 @@ step of the construction keeps the error the construction raises.
 ``separation_witness`` is a batch of one; ``verify_witness`` re-checks a
 witness ball by ball and stays the independent oracle.
 
-Countable bases read the least open sets of tau_P (``balls._least``):
-every open set around a point y holds reach[y], so a base question about
-all open sets around y is decided by reach[y] alone.  The base balls
-B(x, 1/k, 1/k) for k = 1..64 are one kernel tensor per instance, which also
-gives each point's isolating depth; the number of open sets around each
-point is counted once per instance.
+Countable bases read the classes of tau_P, a partition topology
+(``balls``): every open set around a point y holds its class reach[y], so a
+base question about all open sets around y is decided by reach[y] alone,
+and the 2^k open sets, 2^(k-1) of them around each point, are counted, not
+listed.  The base balls B(x, 1/k, 1/k) for k = 1..64 are one kernel tensor
+per instance, which also gives each point's isolating depth.
 """
 from __future__ import annotations
 
@@ -37,12 +37,11 @@ import numpy as np
 
 from .balls import (
     SubsetMask,
-    _flags_of_bits,
     _least,
-    _least_flags,
     _mask_of_flags,
     _min_P,
-    generate_topology,
+    _require_max_points,
+    _unions_of_classes,
     is_open,
     open_ball,
 )
@@ -221,9 +220,7 @@ def witness_batch(inst: GpmsInstance, kind: str, xs, ys) -> WitnessBatch:
 
     closed_sets = {"regular": (("subset", ys),), "normal": (("subset", xs), ("subset_b", ys))}
     for name, sets in closed_sets.get(kind, ()):
-        # closed: no point outside the set has a least ball meeting it
-        meets = sets @ _least_flags(inst)[0].T.astype(np.intp) > 0
-        fail((meets & ~sets).any(-1), _not_closed(name))
+        fail(~_unions_of_classes(inst, sets), _not_closed(name))
 
     full, half = _tables(inst)
     cross = np.array([(r, x, y) for r, (xm, ym) in enumerate(zip(x_members, y_members))
@@ -450,29 +447,21 @@ def _isolating_depths(inst):
     return derive(inst, "isolating_depths", build)
 
 
-def _open_set_counts(inst):
-    """Per point, the number of open sets of tau_P holding it; the caller
-    has checked the carrier against its ``max_points``."""
-    n = inst.carrier.size
-    return derive(inst, "open_set_counts", lambda: _flags_of_bits(
-        [m.bits for m in generate_topology(inst, n)], n).sum(0).tolist())
-
-
 def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = None,
                    max_points: int = 15):
     """Balls B(., 1/n, 1/n) as a local base at x or a global base.
 
-    Every open set around a point y holds reach[y], the least open set
-    around y.  Local mode verifies that every generated open set containing
-    x admits a base ball inside it, which holds iff some base ball at x
-    lies inside reach[x]; otherwise reach[x] is the first open set that
-    fails.  Global mode uses the whole finite carrier as the dense set and
-    verifies every open set is a union of base members, which holds iff
-    every point y lies in some base ball inside reach[y]; otherwise the
-    first set that fails is the smallest such reach[y] by bitmask.  Without
-    ``n_max`` the depth is the largest isolating depth of the centers: the
-    first n (at most 64) whose base ball holds only its center.  The listed
-    family is read only for the counts in the report.
+    Every open set around a point y holds reach[y], the class of y.  Local
+    mode verifies that every generated open set containing x admits a base
+    ball inside it, which holds iff some base ball at x lies inside
+    reach[x]; otherwise reach[x] is the first open set that fails.  Global
+    mode uses the whole finite carrier as the dense set and verifies every
+    open set is a union of base members, which holds iff every point y lies
+    in some base ball inside reach[y]; otherwise the first set that fails is
+    the smallest such reach[y] by bitmask.  Without ``n_max`` the depth is
+    the largest isolating depth of the centers: the first n (at most 64)
+    whose base ball holds only its center.  The report counts the 2^k open
+    sets, never lists them.
     Returns ``(ball_specs, CheckReport)``; verification failures are
     inconclusive (the base may isolate only at larger n).
     """
@@ -482,8 +471,8 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
         raise DomainError("countable bases are verified on finite carriers only")
     car = inst.carrier
     n = car.size
-    topo = generate_topology(inst, max_points)
-    _, reach = _least(inst)
+    _require_max_points(inst, max_points)
+    _, reach, classes = _least(inst)
 
     if mode == "local":
         if x is None:
@@ -494,22 +483,24 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
     n_top = n_max if n_max is not None else int(_isolating_depths(inst)[points].max())
     specs = [BallSpec(p, 1.0 / k, 1.0 / k) for p in centers for k in range(1, n_top + 1)]
     balls = _base_balls(inst, n_top)[:max(n_top, 0), points]  # [k, p, y]: y in B(p, 1/k, 1/k)
-    # y is covered when it lies in some base ball inside reach[y]
-    fits = ~(balls[:, :, None, :] & ~_least_flags(inst)[1]).any(-1)
-    covered = (balls & fits).any((0, 1))
+    # y is covered when it lies in some base ball inside reach[y]: one that
+    # meets no other class
+    one_class = np.where(balls, classes, n).min(-1) == np.where(balls, classes, -1).max(-1)
+    covered = (balls & one_class[..., None]).any((0, 1))
     failing = min((reach[y] for y in points if not covered[y]), default=None)
     named = list(SubsetMask(n, failing).labels(car)) if failing is not None else None
+    count = 1 << len(set(reach))  # 2^k unions of the k classes
 
     if mode == "local":
         name = f"countable_base[local@{x}]"
-        samples = _open_set_counts(inst)[points[0]]
-        passed = f"local base verified against {len(topo)} open sets"
+        samples = count // 2  # x lies in half of the unions of classes
+        passed = f"local base verified against {count} open sets"
         detail = "open set admits no base ball at this depth"
         note = f"no base ball fits inside the open set {named}; try a larger n_max"
     else:
         name = "countable_base[global]"
-        samples = len(topo)
-        passed = f"base generates all {len(topo)} open sets"
+        samples = count
+        passed = f"base generates all {count} open sets"
         detail = "open set is not a union of base members"
         note = f"open set {named} not generated; the dense-set base needs larger n_max"
     if failing is None:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import gpmspace as g
 from gpmspace import balls as balls_module
+from gpmspace import cli
 from helpers import (ALPHA_GRID, T_GRID, gallery_instances, line_carrier, make_instance,
                      three_point_carrier, two_point_carrier)
 
@@ -391,3 +392,18 @@ def test_cantor_intersection_derives_grid_balls_once(monkeypatch):
     _, _, rep = g.cantor_intersection(inst, fam)
     assert rep.ok
     assert sizes == [n * len(T_GRID) * n]  # one kernel tensor over (point, t, point)
+
+
+def test_topology_battery_tests_no_set_for_openness(monkeypatch):
+    # the ball theorems ask one array question of every grid ball, "is it a
+    # union of classes", so the battery calls is_open on no ball, cold or warm
+    inst = make_instance("scaled", op=g.MAX, carrier=line_carrier(9))
+    calls = []
+    real = balls_module.is_open
+    monkeypatch.setattr(balls_module, "is_open", lambda *args: calls.append(args) or real(*args))
+    counts = []
+    for _ in range(2):
+        checks, _, _ = cli._topology_checks(inst, cli.Options(), 0, 1e-6)
+        assert all(c.ok for c in checks)
+        counts.append(len(calls))
+    assert counts == [0, 0]

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpmspace as g
-from gpmspace import core, induced
+from gpmspace import balls, core, induced
 from gpmspace.cli import Options
 
 BASE = {
@@ -490,6 +491,38 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     # battery reads one 9 x 9 x 6 tensor for its five grid scans
     assert (len(values), sum(values)) == (235, 13173)
     assert (len(pairs), sum(pairs)) == (5, 49)
+
+
+def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
+    # tau_P is a partition topology, so separation and topology_identity read
+    # its 2^k open sets off the classes: with the one function that lists
+    # them refusing, both run on 48 points, where the listing would hold 2^48
+    rng = random.Random(48)
+    n = 48
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(1, 10)
+    for k in range(n):  # shortest-path closure makes d a metric
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    inst_file = g.load_instance(write(tmp_path, dict(BASE, points=[f"w{i}" for i in range(n)],
+                                                     d=d)))
+
+    def refuse(*args):
+        raise AssertionError("the open sets were listed")
+
+    monkeypatch.setattr(balls, "topology_from_classes", refuse)
+    monkeypatch.setattr(induced, "topology_from_classes", refuse)
+    opts = Options(max_points=n)
+    checks = g.run_command("separation", inst_file, opts).checks
+    bases = [c for c in checks if c.name.startswith("countable_base[")]
+    assert (len(checks) - len(bases), len(bases)) == (6768, 49)
+    assert all(c.ok for c in checks)
+    identity, = [c for c in g.run_command("dalpha", inst_file, opts).checks
+                 if c.name.startswith("topology_identity")]
+    assert (identity.verdict, identity.data["tau_P_size"]) == ("pass", 2 ** n)
 
 
 def test_axioms_battery_evaluates_one_grid_tensor(tmp_path, monkeypatch):

@@ -139,3 +139,34 @@ def test_countable_base_matches_a_loop_over_the_subset_scan(inst, n_max, data):
         assert specs == want_specs
         assert (rep.verdict, rep.samples_tested) == (verdict, samples)
         assert (rep.witness.points if rep.witnesses else None) == first
+
+
+# plus on the nodes 0, 1, 2: a table op next to the closed-form ones
+TABLE_OP = g.BinaryOperation.tabulated([0.0, 1.0, 2.0],
+                                       [[0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(gallery_instances(ops=(g.PLUS, g.MAX, TABLE_OP)))
+def test_tau_p_is_the_partition_topology_of_its_classes(inst):
+    # every gallery P is symmetric, so reach is an equivalence and tau_P is
+    # the partition topology of its k classes; the class-based code rests on it
+    n = inst.carrier.size
+    least, reach, classes = balls_module._least(inst)
+
+    def matrix(rows):
+        return [[bool(r >> j & 1) for j in range(n)] for r in rows]
+
+    u, r = matrix(least), matrix(reach)
+    assert u == [list(col) for col in zip(*u)]
+    assert all(r[i][i] for i in range(n))
+    assert r == [list(col) for col in zip(*r)]
+    assert all(r[i][l] for i in range(n) for j in range(n) for l in range(n)
+               if r[i][j] and r[j][l])
+    assert classes.tolist() == [r[x].index(True) for x in range(n)]
+    k = len(set(reach))
+    tau_p = g.generate_topology(inst)
+    assert len(tau_p) == 2 ** k
+    assert tau_p == oracle_tau_p(inst)
+    assert all(m.complement() in tau_p for m in tau_p)
+    assert all(sum(m.contains(x) for m in tau_p) == 2 ** (k - 1) for x in range(n))
