@@ -18,9 +18,16 @@ Reports serialize through one writer, ``canonical_json``: sorted keys,
 of ``json.dumps(canonical(x), sort_keys=True, indent=2) + "\n"``.  It
 normalizes as it writes, in one pass, and escapes strings with ``json``'s C
 escaper; ``json``'s pure-Python encoder, which ``indent`` selects, never
-runs.  ``canonical`` builds the normalized tree, for the compact instance
-digest and ``Report.to_jsonable``.  Both walks take their scalar rules from
-one helper, ``_plain``.
+runs.  It dispatches on exact type: exact str, int and float values are
+written by one text function each, a list or tuple of one of those exact
+types is written with one join, and a dict whose keys are all exact strings
+is sorted as it is, with its scalar values written inline.  Subclasses,
+bools, enums, numpy scalars and ``to_jsonable`` objects take the general
+rules.  Float texts are memoized for one call only, so each distinct
+non-zero float is rounded once per report.  ``canonical`` builds the
+normalized tree, for the compact instance digest and ``Report.to_jsonable``.
+Both walks take their scalar rules from one helper, ``_plain``, and its
+float rule from ``_round12``.
 """
 from __future__ import annotations
 
@@ -129,20 +136,25 @@ class CheckReport:
         }
 
 
+def _round12(x):
+    """A finite float rounded to 12 significant digits: the float rule of both walks."""
+    return float(format(x, ".12g"))
+
+
 def _plain(obj):
     """``obj`` as a JSON value, by the scalar rules of both walks below.
 
-    Floats are rounded to 12 significant digits, infinities and NaN become
-    the strings "inf"/"-inf"/"nan" (JSON has no representation for them),
-    numpy scalars are unwrapped with ``.item()``, objects with
-    ``to_jsonable`` are replaced by its result and anything else by its
-    ``str``.  None, bools, ints and strings are returned as they are, and so
-    are dicts, lists and tuples, whose contents the caller walks.
+    Floats are rounded to 12 significant digits (``_round12``), infinities
+    and NaN become the strings "inf"/"-inf"/"nan" (JSON has no
+    representation for them), numpy scalars are unwrapped with ``.item()``,
+    objects with ``to_jsonable`` are replaced by its result and anything
+    else by its ``str``.  None, bools, ints and strings are returned as they
+    are, and so are dicts, lists and tuples, whose contents the caller walks.
     """
     while True:
         if isinstance(obj, float):
             if math.isfinite(obj):
-                return float(format(obj, ".12g"))
+                return _round12(obj)
             return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
         if obj is None or isinstance(obj, (str, int, dict, list, tuple)):
             return obj
@@ -168,6 +180,22 @@ def canonical(obj):
     return obj
 
 
+class _FloatTexts(dict):
+    """The JSON text of each exact float met in one ``canonical_json`` call.
+
+    A distinct non-zero float is made plain once, on its first lookup.
+    Zeros are never stored: ``0.0 == -0.0``, so a stored zero would give
+    the other zero its text.
+    """
+
+    def __missing__(self, x):
+        if not x:
+            return float.__repr__(x)
+        plain = _plain(x)
+        text = self[x] = _escape(plain) if type(plain) is str else float.__repr__(plain)
+        return text
+
+
 def canonical_json(obj) -> str:
     """The canonical report text of a value tree, normalized as it is written.
 
@@ -175,31 +203,42 @@ def canonical_json(obj) -> str:
     indent=2) + "\n"``, built in one pass with the C string escaper instead
     of the pure-Python encoder that ``indent`` selects.
     """
+    texts = {str: _escape, int: int.__repr__, float: _FloatTexts().__getitem__}
     out = []
-    _write(obj, out, "\n")
+    _write(obj, out, "\n", texts)
     out.append("\n")
     return "".join(out)
 
 
-def _write(obj, out, newline):
+def _write(obj, out, newline, texts):
     """Append the JSON text of ``obj``, whose line breaks are ``newline``.
 
-    JSON values are written as they are; anything else, floats included,
-    is first made plain by ``_plain``.
+    ``texts`` maps the exact scalar types str, int and float to their text
+    functions; a value of any other type, subclasses included, takes the
+    general rules below and is made plain by ``_plain`` if it is no JSON
+    value.  A list of one exact scalar type is written with one join, and a
+    dict whose keys are all exact strings is sorted as it is.
     """
-    if isinstance(obj, str):
-        out.append(_escape(obj))
+    text = texts.get(type(obj))
+    if text:
+        out.append(text(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
-        items = {str(k): v for k, v in obj.items()}
+        if type(obj) is not dict or {*map(type, obj)} != {str}:
+            obj = {str(k): v for k, v in obj.items()}
         inner = newline + "  "
         comma = "," + inner
         sep = "{" + inner
-        for key in sorted(items):
+        for key in sorted(obj):
             out += (sep, _escape(key), ": ")
-            _write(items[key], out, inner)
+            value = obj[key]
+            text = texts.get(type(value))
+            if text:
+                out.append(text(value))
+            else:
+                _write(value, out, inner, texts)
             sep = comma
         out.append(newline + "}")
     elif isinstance(obj, (list, tuple)):
@@ -208,10 +247,15 @@ def _write(obj, out, newline):
             return
         inner = newline + "  "
         comma = "," + inner
+        kinds = {*map(type, obj)}
+        text = texts.get(kinds.pop()) if len(kinds) == 1 else None
+        if text:
+            out.append("[" + inner + comma.join(map(text, obj)) + newline + "]")
+            return
         sep = "[" + inner
         for v in obj:
             out.append(sep)
-            _write(v, out, inner)
+            _write(v, out, inner, texts)
             sep = comma
         out.append(newline + "]")
     elif obj is None:
@@ -222,9 +266,11 @@ def _write(obj, out, newline):
         out.append("false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
+    elif isinstance(obj, str):
+        out.append(_escape(obj))
     else:
         obj = _plain(obj)
         if isinstance(obj, float):
             out.append(float.__repr__(obj))
         else:
-            _write(obj, out, newline)
+            _write(obj, out, newline, texts)

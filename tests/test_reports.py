@@ -7,11 +7,15 @@ can hold.
 import enum
 import json
 import math
+import random
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gpmspace as g
+from gpmspace import reports
 from gpmspace.reports import canonical, canonical_json
 
 
@@ -28,6 +32,22 @@ class Jsonable:
 
     def to_jsonable(self):
         return self.value
+
+
+class FloatSub(float):
+    """A float whose repr is no float text: it is written by the float rules."""
+
+    def __repr__(self):
+        return "FloatSub"
+
+    __str__ = __repr__
+
+
+class StrSub(str):
+    """A string whose ``str`` differs from its characters: a key written as its ``str``."""
+
+    def __str__(self):
+        return "sub:" + str.__str__(self)
 
 
 class Opaque:
@@ -48,8 +68,10 @@ FLOATS = st.floats() | st.sampled_from(
 INTS = st.booleans() | st.integers() | st.sampled_from([2 ** 70, -(2 ** 64) - 1, Level.LOW, Level.HIGH])
 NUMPY = (st.floats(width=32).map(np.float32) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
          | st.booleans().map(np.bool_) | FLOATS.map(np.float64))
-LEAVES = st.none() | TEXT | FLOATS | INTS | NUMPY | TEXT.map(Opaque)
-KEYS = TEXT | st.integers(-3, 3) | st.sampled_from([1, "1", None, "None", True, 2.5, Level.HIGH])
+LEAVES = (st.none() | TEXT | FLOATS | INTS | NUMPY | TEXT.map(Opaque) | FLOATS.map(FloatSub)
+          | TEXT.map(StrSub))
+KEYS = (TEXT | st.integers(-3, 3) | TEXT.map(StrSub)
+        | st.sampled_from([1, "1", None, "None", True, 2.5, Level.HIGH, StrSub("1")]))
 
 
 def trees():
@@ -68,6 +90,14 @@ def trees():
 @example({"z": [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e300, 0.1 + 0.2]})
 @example([True, False, 2 ** 70, Level.HIGH, np.float32(0.1), np.int64(-7), np.bool_(True)])
 @example(Jsonable({"w": Jsonable((1, 2.5, Opaque("o")))}))
+@example([0.0, -0.0, 0.0])
+@example({"a": -0.0, "b": 0.0, "c": -0.0})
+@example([math.nan, math.nan, math.inf, -math.inf, math.inf])
+@example([1.5, np.float64(1.5), 1.5])
+@example([1, True, Level.HIGH])
+@example(["a", StrSub("b")])
+@example([2.5, [2.5], 2.5])
+@example({StrSub("b"): 1, "a": [FloatSub(0.1 + 0.2), 0.1 + 0.2]})
 def test_writer_matches_the_indenting_encoder(tree):
     assert canonical_json(tree) == json.dumps(canonical(tree), sort_keys=True, indent=2) + "\n"
 
@@ -83,3 +113,72 @@ def test_scalars_and_empty_containers():
     assert canonical_json(-0.0) == "-0.0\n"
     assert canonical_json("\ud800é") == '"\\ud800\\u00e9"\n'
     assert canonical_json({"a": [], "b": {}}) == '{\n  "a": [],\n  "b": {}\n}\n'
+
+
+def _shortest_path_doc(family, n=48, seed=48):
+    """An n-point instance document: random integer weights closed under shortest paths."""
+    rng = random.Random(seed)
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = rng.randint(1, 10)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return {"version": 1, "points": [f"w{i}" for i in range(n)], "d": d, "family": family,
+            "params": {}, "op": "max", "t_grid": [1e-4, 0.5, 1, 2, 4, 50],
+            "alpha_grid": [0.25, 0.5, 1, 2, 4], "seed": 11, "tol": 1e-6}
+
+
+@pytest.fixture(scope="module")
+def wide_reports(tmp_path_factory):
+    """``{(family, command): Report}`` on 48 points: long float rows, repeated
+    values and, under constant/max, infinite d_alpha entries."""
+    reports_by_case = {}
+    for family in ("scaled", "constant"):
+        path = tmp_path_factory.mktemp(family) / "inst.json"
+        path.write_text(json.dumps(_shortest_path_doc(family)), encoding="utf-8")
+        inst_file = g.load_instance(str(path))
+        for command in ("dalpha", "sequences"):
+            reports_by_case[family, command] = g.run_command(command, inst_file)
+    return reports_by_case
+
+
+def test_large_reports_match_the_indenting_encoder(wide_reports):
+    for case, report in wide_reports.items():
+        expected = json.dumps(report.to_jsonable(), sort_keys=True, indent=2) + "\n"
+        assert report.to_canonical_json() == expected, case
+    assert '"inf"' in wide_reports["constant", "dalpha"].to_canonical_json()
+
+
+def _exact_floats(tree):
+    if type(tree) is float:
+        yield tree
+    elif isinstance(tree, dict):
+        for v in tree.values():
+            yield from _exact_floats(v)
+    elif isinstance(tree, (list, tuple)):
+        for v in tree:
+            yield from _exact_floats(v)
+
+
+def test_each_distinct_float_is_rounded_once_per_call(wide_reports, monkeypatch):
+    report = wide_reports["scaled", "dalpha"]
+    tree = {"grids": report.grids, "tol": report.tol,
+            "checks": [c.to_jsonable() for c in report.checks]}
+    floats = list(_exact_floats(tree))
+    distinct = {x for x in floats if x and math.isfinite(x)}
+    assert len(floats) > 10 * len(distinct)  # the d_alpha table repeats its values
+    calls = []
+    real = reports._round12
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(reports, "_round12", counted)
+    for _ in range(2):  # the memo lives for one call: the second call rounds again
+        calls.clear()
+        report.to_canonical_json()
+        assert sorted(calls) == sorted(distinct)

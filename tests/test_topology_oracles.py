@@ -8,12 +8,13 @@ fine enough to realize every ball of a finite carrier, and
 """
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpmspace as g
 from gpmspace import balls as balls_module
-from helpers import gallery_instances
+from helpers import gallery_instances, line_carrier, make_instance
 
 
 def admitted_family(n, balls_per_point):
@@ -170,3 +171,18 @@ def test_tau_p_is_the_partition_topology_of_its_classes(inst):
     assert tau_p == oracle_tau_p(inst)
     assert all(m.complement() in tau_p for m in tau_p)
     assert all(sum(m.contains(x) for m in tau_p) == 2 ** (k - 1) for x in range(n))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="closure_and_limit_points takes one step of U, not the classes of "
+                          "reach; mending it moves nested_closure verdicts")
+def test_closure_is_the_union_of_the_classes_it_meets():
+    # line 0, 1, 2 at t 1 and alpha 1.5: U = {0,1}, {0,1,2}, {1,2}, which is
+    # not transitive, and reach joins all three points into one class
+    inst = make_instance("scaled", g.MAX, carrier=line_carrier(3), t_grid=(1.0,),
+                         alpha_grid=(1.5,))
+    assert balls_module._least(inst)[:2] == ((0b011, 0b111, 0b110), (0b111,) * 3)
+    closure, _ = g.closure_and_limit_points(inst, g.SubsetMask(3, 0b001))
+    assert closure.bits == 0b111  # comes back as {0, 1}, whose complement {2} is not open
+    # closure(B(0, 0.5, 0.5)) = closure({0}) is the carrier, not inside B(0, 1.5, 1) = {0, 1}
+    assert g.verify_ball_theorem(inst, "nested_closure", alpha=1.5, beta=0.5).failed
