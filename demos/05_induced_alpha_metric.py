@@ -1,9 +1,13 @@
 """Induced alpha-metrics and the topology identity.
 
 For op = max, thresholding P at a fixed alpha induces the two-point map
-d_alpha(a,b) = inf { t : P(a,b,t) < alpha }.  For the scaled family P = d/t
-the infimum has the closed form d/alpha, which makes a sharp solver oracle.
+d_alpha(a,b) = inf { t : P(a,b,t) < alpha }.  Every gallery family has it in
+closed form: d/alpha for the scaled family P = d/t, and for the damped
+family P = d (1 + e^-t) it is 0 once alpha >= 2d, inf while alpha <= d and
+-ln(alpha/d - 1) in between.
 """
+import math
+
 import gpmspace as g
 
 carrier = g.FiniteCarrier(("a", "b", "c"), [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
@@ -24,6 +28,13 @@ print()
 rep = g.check_alpha_monotonicity(inst, "a", "c", (0.5, 1.0, 2.0))
 print("d_alpha(a,c) over alpha = 0.5, 1, 2:",
       [round(v, 6) for v in rep.data["values"]], "->", rep.verdict)
+
+print()
+damped = g.gallery_construct("damped", {}, carrier, g.MAX, (0.5, 1.0, 2.0), (1.0, 2.0))
+am = g.AlphaMetric(damped, 2.5)
+print("damped family at alpha = 2.5: d_alpha(a,b) =", g.d_alpha(am, "a", "b"),
+      "(alpha >= 2d), d_alpha(b,c) =", round(g.d_alpha(am, "b", "c"), 6),
+      f"(= ln 4 = {math.log(4):.6f}), d_alpha(a,c) =", g.d_alpha(am, "a", "c"), "(alpha <= d)")
 
 print()
 print("Topology identity: the metric topology of d_alpha equals tau_P")

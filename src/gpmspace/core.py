@@ -38,6 +38,8 @@ coordinates: a point's index on a finite carrier, the point on an interval.
 ``coords`` maps points to them, so labels are mapped once, where they enter,
 and ``P_at`` is the kernel at coordinates, over arrays of them and of t
 broadcast together; ``eval_P`` is the kernel at one pair and one t.
+``ray_start`` inverts the same formulas and step tables in t: it is the
+induced d_alpha = inf { t > 0 : P < alpha } at coordinates, in closed form.
 The grid scans (P1, P2, P4, P5, monotone, ``p4_violations``, the
 construction sanity pass) read one points x points x t_grid tensor, one per
 ``check_P_axioms`` call for all its scans, and list witnesses in the order
@@ -337,7 +339,9 @@ def _check_t(t):
 # -- the evaluation kernel -------------------------------------------------
 
 
-_EXP = np.frompyfunc(math.exp, 1, 1)  # math.exp per entry: np.exp may differ by one ulp
+# math.exp and math.log per entry: np.exp and np.log may differ by one ulp
+_EXP = np.frompyfunc(math.exp, 1, 1)
+_LOG = np.frompyfunc(math.log, 1, 1)
 
 
 def _formula(family, params, dist, t):
@@ -353,6 +357,26 @@ def _formula(family, params, dist, t):
     raise DomainError(f"no formula for family {family!r}")
 
 
+def _ray_formula(family, params, dist, alpha):
+    """inf { t > 0 : formula(dist, t) < alpha }, the formula inverted in t."""
+    if family == "scaled":
+        return dist / alpha
+    if family in ("constant", "damped"):  # P = d, or d (1 + e^-t) falling from 2d to d
+        out = np.where(dist < alpha, 0.0, math.inf)
+        if family == "damped":  # alpha - d is exact in between (Sterbenz)
+            mid = (dist < alpha) & (alpha < 2.0 * dist)
+            out[mid] = -np.asarray(_LOG((alpha - dist[mid]) / dist[mid]), dtype=float)
+        return out
+    if family == "discrete":
+        return np.where(dist == 0.0, 0.0, params["c"] / alpha)
+    raise DomainError(f"no formula for family {family!r}")
+
+
+def _distance(inst: GpmsInstance, u, v):
+    """The base distance at kernel coordinates: a finite carrier's table d, or |u - v|."""
+    return inst.carrier.d[u, v] if inst.carrier.kind == "finite" else np.abs(u - v)
+
+
 def _kernel(inst: GpmsInstance, u, v, t):
     """P at carrier coordinates ``u`` and ``v`` and at ``t`` (a float or an
     array), broadcast together: point indices on a finite carrier, the points
@@ -360,8 +384,21 @@ def _kernel(inst: GpmsInstance, u, v, t):
     if inst._steps is not None:
         nodes, vals = inst._steps
         return vals[u, v, (nodes[u, v] > np.asarray(t)[..., None]).argmax(axis=-1)]
-    dist = inst.carrier.d[u, v] if inst.carrier.kind == "finite" else np.abs(u - v)
-    return _formula(inst.family, inst.params, dist, t)
+    return _formula(inst.family, inst.params, _distance(inst, u, v), t)
+
+
+def ray_start(inst: GpmsInstance, u, v, alpha: float) -> np.ndarray:
+    """inf { t > 0 : P(u, v, t) < alpha } at kernel coordinates ``u`` and
+    ``v`` (see ``coords``), broadcast together like ``P_at``: 0 where every
+    t > 0 is below alpha, +inf where none is.  Each family's formula is
+    inverted exactly; a step table's values fall with the column, so the
+    columns at or above alpha are a prefix of k: k = 0 gives 0, and otherwise
+    the ray starts at node k - 1, +inf when every column is above."""
+    if inst._steps is not None:
+        nodes, vals = inst._steps
+        k = np.count_nonzero(vals[u, v] >= alpha, axis=-1)
+        return np.where(k == 0, 0.0, nodes[u, v, k - 1])  # the last node column is +inf
+    return np.asarray(_ray_formula(inst.family, inst.params, _distance(inst, u, v), alpha))
 
 
 def coords(inst: GpmsInstance, pts) -> np.ndarray:
@@ -408,16 +445,6 @@ def _pair_grid(inst: GpmsInstance, pts, ts):
     c = coords(inst, pts)
     grid = _kernel(inst, c[:, None, None], c[None, :, None], np.asarray(ts, dtype=float))
     return grid, np.triu(np.ones((len(pts), len(pts)), dtype=bool), 1)
-
-
-def step_ray_start(inst: GpmsInstance, a, b, alpha: float) -> float:
-    """inf { t > 0 : P(a, b, t) < alpha }, read off a tabulated family's steps."""
-    nodes, vals = inst._steps
-    i, j = inst.carrier.index(a), inst.carrier.index(b)
-    below = np.flatnonzero(vals[i, j] < alpha)
-    if not below.size:
-        return math.inf
-    return 0.0 if below[0] == 0 else float(nodes[i, j, below[0] - 1])
 
 
 def gallery_construct(family, params, carrier, op: BinaryOperation,

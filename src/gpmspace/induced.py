@@ -2,11 +2,12 @@
 
 Requires op = max.  Because P(a,b,.) is non-increasing in t, the set
 { t : P(a,b,t) < alpha } is an upward-closed ray; d_alpha is its left
-endpoint, found by bracket doubling from t = 1 (0 below 2^-64, +inf for an
-empty ray above 2^64) and bisection down to the tolerance or to float
-spacing, for all the pairs a request needs at once.  Tabulated step
-families return the exact step location.  Solved pairs and P4 scans are
-derived once per instance (``core.derive``), shared by every AlphaMetric.
+endpoint, 0 when the ray is all of t > 0 and +inf when it is empty.  Every
+gallery family has it in closed form, which ``core.ray_start`` evaluates
+over arrays of kernel coordinates: a d_alpha matrix is one ``coords`` call
+and one ``ray_start`` call.  Nothing is searched, so no tolerance enters a
+value, and the same points give the same values on every request.  The P4
+scan of each alpha is derived once per instance (``core.derive``).
 """
 from __future__ import annotations
 
@@ -18,19 +19,18 @@ import numpy as np
 
 from .balls import (_least, _reach, _require_max_points, generate_topology,
                     topology_from_classes)
-from .core import GpmsInstance, P_at, coords, derive, p4_violations, step_ray_start
+from .core import GpmsInstance, coords, derive, p4_violations, ray_start
 from .errors import DomainError, HypothesisError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
-
-_GROWTH = 2.0
-_T_START = 1.0
-_T_CAP = 2.0 ** 64
-_T_FLOOR = 2.0 ** -64
 
 
 @dataclass(frozen=True)
 class BisectionSettings:
-    """``tolerance`` is finite and >= 0; at 0 the bisection stops at float spacing."""
+    """The comparison slack of the d_alpha checks: symmetry holds within
+    ``tolerance``, the triangle inequality within 4 x and monotonicity in
+    alpha within 2 x it.  ``tolerance`` is finite and >= 0.  The d_alpha
+    values come in closed form; the class keeps the name of the bisection
+    solver they replaced, because callers construct it by name."""
 
     tolerance: float = 1e-6
 
@@ -68,69 +68,14 @@ def d_alpha(am: AlphaMetric, a, b) -> float:
     car = am.instance.carrier
     if not car.contains(a) or not car.contains(b):
         raise DomainError(f"point not in carrier: {a!r} or {b!r}")
-    return _cached(am, [(a, b)])[0]
-
-
-def _cached(am: AlphaMetric, pairs) -> list:
-    """d_alpha of each pair; the pairs not solved yet are solved together."""
-    inst, tolerance = am.instance, am.solver.tolerance
-    solved = derive(inst, ("d_alpha", am.alpha, tolerance), dict)
-    keys = [(min(a, b), max(a, b)) for a, b in pairs]
-    missing = [k for k in dict.fromkeys(keys) if k not in solved]
-    if missing:
-        solved.update(zip(missing, _solve_d_alpha(inst, missing, am.alpha, tolerance)))
-    return [solved[k] for k in keys]
-
-
-def _solve_d_alpha(inst, pairs, alpha, tolerance) -> list:
-    """d_alpha of each (a, b) in ``pairs``, searched together with one P call
-    per step on the pairs still searching; each pair makes the float
-    operations of a search of it alone.  The pairs still halving (or
-    doubling) from t = 1 share one bracket end, and each pair's points are
-    mapped to kernel coordinates once, not at every step."""
-    if inst.family == "tabulated":
-        return [0.0 if a == b else step_ray_start(inst, a, b, alpha) for a, b in pairs]
-    out = np.zeros(len(pairs))  # a == b, and a ray reaching below 2^-64, give 0
-    todo = np.array([i for i, (a, b) in enumerate(pairs) if a != b], dtype=np.intp)
-    u, v = (coords(inst, side) for side in zip(*pairs))
-
-    def in_ray(idx, t):
-        return P_at(inst, u[idx], v[idx], t) < alpha
-
-    lo, hi = np.full((2, len(pairs)), np.nan)  # a bracketed pair gets finite ends
-    inside = in_ray(todo, _T_START)
-    halving, doubling = todo[inside], todo[~inside]
-    end = _T_START  # hi of every pair still halving
-    while halving.size and end > _T_FLOOR:
-        inside = in_ray(halving, end / _GROWTH)
-        lo[halving[~inside]], hi[halving[~inside]] = end / _GROWTH, end
-        halving, end = halving[inside], end / _GROWTH
-    end = _T_START  # lo of every pair still doubling
-    while doubling.size and end < _T_CAP:
-        inside = in_ray(doubling, end * _GROWTH)
-        lo[doubling[inside]], hi[doubling[inside]] = end, end * _GROWTH
-        doubling, end = doubling[~inside], end * _GROWTH
-    out[doubling] = math.inf
-    active = bracketed = np.flatnonzero(~np.isnan(lo))
-    while active.size:
-        left, right = lo[active], hi[active]
-        mid = 0.5 * (left + right)
-        go = (right - left > tolerance) & (mid != left) & (mid != right)
-        active, mid = active[go], mid[go]
-        inside = in_ray(active, mid)
-        hi[active[inside]] = mid[inside]
-        lo[active[~inside]] = mid[~inside]
-    out[bracketed] = 0.5 * (lo[bracketed] + hi[bracketed])
-    return out.tolist()
+    u, v = coords(am.instance, [a, b])
+    return float(ray_start(am.instance, u, v, am.alpha))
 
 
 def _distance_matrix(am: AlphaMetric, pts) -> np.ndarray:
-    """D[i, j] = d_alpha(pts[i], pts[j]); the pairs not solved yet are solved together."""
-    rows, cols = np.triu_indices(len(pts))
-    D = np.empty((len(pts), len(pts)))
-    D[rows, cols] = D[cols, rows] = _cached(am, [(pts[i], pts[j]) for i, j
-                                                 in zip(rows.tolist(), cols.tolist())])
-    return D
+    """D[i, j] = d_alpha(pts[i], pts[j])."""
+    c = coords(am.instance, pts)
+    return ray_start(am.instance, c[:, None], c[None, :], am.alpha)
 
 
 def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 64) -> CheckReport:
@@ -236,15 +181,12 @@ def compare_topologies(inst: GpmsInstance, alpha: float, max_points: int = 15,
         raise HypothesisError(
             f"per-alpha separation fails at alpha={alpha:.12g} (pairs {pairs}); "
             "d_alpha is not a metric here")
-    # the least d_alpha ball: the smallest radius that realizes every ball
-    # (tol, and v1/2 or v1 - tol below the smallest positive distance v1)
+    # the least d_alpha ball at x: balls of radius r shrink to the zero set of
+    # row x once r is below the least positive distance
     car = inst.carrier
     D = _distance_matrix(am, car.labels)
-    tol = am.solver.tolerance
-    v1 = float(D[(D > 0) & (D < math.inf)].min(initial=math.inf))
-    radius = min(tol, v1 / 2, v1 - tol if v1 - tol > 0 else math.inf)
     reach_p = _least(inst)[1]
-    reach_d = _reach([sum(1 << int(j) for j in np.flatnonzero(row < radius)) for row in D])
+    reach_d = _reach([sum(1 << int(j) for j in np.flatnonzero(row == 0)) for row in D])
     tau_p = tau_d = ()
     if reach_d != reach_p:
         tau_p = generate_topology(inst, max_points)

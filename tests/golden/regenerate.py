@@ -1,0 +1,81 @@
+"""Rewrite the golden manifests from the instance files next to this script.
+
+    python3 tests/golden/regenerate.py
+
+runs every command on every ``*.instance.json`` here and rewrites
+``full-report.sha256``, ``commands.sha256`` and ``csv.sha256`` (see
+``tests/test_golden.py`` for what each holds).  Every entry that is added,
+changed or dropped is printed, so a change that means to alter report bytes
+can name what moved; with no change the files are rewritten byte for byte.
+"""
+import contextlib
+import hashlib
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(HERE)), "src"))
+
+import gpmspace as g  # noqa: E402
+
+CSV_COMMANDS = ("dalpha", "sequences", "full-report")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _read(name):
+    path = os.path.join(HERE, name)
+    if not os.path.exists(path):
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        return {" ".join(rest): sha for sha, *rest in (line.split() for line in fh if line.strip())}
+
+
+def _write(name, entries):
+    """Write ``entries`` (key -> sha, in order) and print what moved."""
+    old = _read(name)
+    with open(os.path.join(HERE, name), "w", encoding="utf-8") as fh:
+        fh.writelines(f"{sha}  {key}\n" for key, sha in entries.items())
+    for key in sorted(old.keys() | entries.keys()):
+        if old.get(key) != entries.get(key):
+            print(f"{name}: {key}: {old.get(key, '-')} -> {entries.get(key, '-')}")
+
+
+def main():
+    names = sorted(f[:-len(".instance.json")] for f in os.listdir(HERE)
+                   if f.endswith(".instance.json"))
+    commands, csvs = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = os.path.join(tmp, "payload.csv")
+        for name in names:
+            instance_path = os.path.join(HERE, f"{name}.instance.json")
+            for command in g.COMMANDS:
+                f = g.load_instance(instance_path)
+                try:
+                    text = g.run_command(command, f).to_canonical_json()
+                except g.GpmsError:
+                    commands[f"{name} {command}"] = "exit-2"
+                else:
+                    commands[f"{name} {command}"] = _sha(text.encode("utf-8"))
+                if command not in CSV_COMMANDS:
+                    continue
+                # a command that refuses the instance writes no payload
+                with contextlib.suppress(g.HypothesisError):
+                    g.run_command(command, g.load_instance(instance_path),
+                                  g.Options(csv=csv_path))
+                if os.path.exists(csv_path):
+                    with open(csv_path, "rb") as fh:
+                        csvs[f"{name} {command}"] = _sha(fh.read())
+                    os.remove(csv_path)
+    _write("full-report.sha256", {name: commands[f"{name} full-report"] for name in names})
+    _write("commands.sha256", commands)
+    # the dalpha and sequences payloads by instance, then the full-report ones
+    _write("csv.sha256", {key: csvs[key] for key in sorted(
+        csvs, key=lambda key: (key.endswith(" full-report"), key))})
+
+
+if __name__ == "__main__":
+    main()

@@ -471,26 +471,29 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     doc = dict(BASE, points=[f"x{i}" for i in range(n)],
                d=[[abs(i - j) for j in range(n)] for i in range(n)])
     inst_file = g.load_instance(write(tmp_path, doc))
-    values, pairs = [], []
-    real_kernel, real_solve = core._kernel, induced._solve_d_alpha
+    values, rays = [], []
+    real_kernel, real_ray_start = core._kernel, induced.ray_start
 
     def kernel(*args):
         out = real_kernel(*args)
         values.append(np.size(out))
         return out
 
-    def solve(inst, todo, *args):
-        pairs.append(len(todo))
-        return real_solve(inst, todo, *args)
+    def ray_start(*args):
+        out = real_ray_start(*args)
+        rays.append(out.size)
+        return out
 
     monkeypatch.setattr(core, "_kernel", kernel)
-    monkeypatch.setattr(induced, "_solve_d_alpha", solve)
+    monkeypatch.setattr(induced, "ray_start", ray_start)
     g.run_command("full-report", inst_file)
     # separation reads two per-instance tensors: P at the t grid and its halves
     # (12 x 81 values) and the 64 base-ball depths (64 x 81 values); the axioms
     # battery reads one 9 x 9 x 6 tensor for its five grid scans
-    assert (len(values), sum(values)) == (235, 13173)
-    assert (len(pairs), sum(pairs)) == (5, 49)
+    assert (len(values), sum(values)) == (90, 12181)
+    # d_alpha: three 9 x 9 matrices (table, metric axioms, topology identity)
+    # and one pair at each of the 5 monotonicity alphas
+    assert (len(rays), sum(rays)) == (8, 248)
 
 
 def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):

@@ -8,7 +8,8 @@ full-report, ``golden/commands.sha256`` that of the canonical report of every
 and ``golden/csv.sha256`` the sha256 of the ``--csv`` payload of ``dalpha``,
 ``sequences`` and ``full-report`` on every instance where the command writes one.
 Any change of report or payload bytes fails here; a change that means to
-alter them regenerates the manifest and says so.
+alter them regenerates the manifests with ``golden/regenerate.py``, which
+prints every entry that moved, and says so.
 """
 import contextlib
 import hashlib

@@ -2,7 +2,6 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,13 +22,13 @@ def test_d_alpha_matches_closed_form_for_scaled():
         for a in FINE.carrier.labels:
             for b in FINE.carrier.labels:
                 expected = FINE.carrier.base_distance(a, b) / alpha
-                assert abs(g.d_alpha(am, a, b) - expected) <= 2 * TOL
+                assert g.d_alpha(am, a, b) == expected
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, "1e-6", None])
 def test_solver_tolerance_is_validated(bad):
-    # nan and inf used to stop the bisection at its first bracket: d_alpha(a, b)
-    # came out 3.0 instead of 2.0 and the axiom check still passed; -1 gave a false fail
+    # the tolerance is the comparison slack of the checks: a nan slack passes
+    # every comparison, and -1 gives a false fail
     with pytest.raises(g.DomainError):
         g.BisectionSettings(tolerance=bad)
     for tol in (0.0, 1e-6):
@@ -199,61 +198,24 @@ def test_alpha_metric_table_exports():
     assert table[0][1] == pytest.approx(1.0, abs=2 * TOL)
 
 
-class BudgetExceeded(Exception):
-    """The budgeted oracle ran out of iterations before its tolerance."""
-
-
-def old_solve_d_alpha(inst, a, b, alpha, tolerance, max_iter=200):
-    """The solver before float spacing stopped it: a fixed iteration budget."""
-    if a == b:
-        return 0.0
-    if inst.family == "tabulated":
-        return core.step_ray_start(inst, a, b, alpha)
-
-    def in_ray(t):
-        return g.eval_P(inst, a, b, t) < alpha
-
-    t = 1.0
-    if in_ray(t):
-        tt = prev = t
-        while tt > 2.0 ** -64:
-            prev, tt = tt, tt / 2.0
-            if not in_ray(tt):
-                lo, hi = tt, prev
-                break
-        else:
-            return 0.0
-    else:
-        tt = prev = t
-        while tt < 2.0 ** 64:
-            prev, tt = tt, tt * 2.0
-            if in_ray(tt):
-                lo, hi = prev, tt
-                break
-        else:
-            return math.inf
-    for _ in range(max_iter):
-        if hi - lo <= tolerance:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        if in_ray(mid):
-            hi = mid
-        else:
-            lo = mid
-    raise BudgetExceeded("d_alpha bisection exceeded its iteration budget")
-
-
 def scalar_solve_d_alpha(inst, a, b, alpha, tolerance):
-    """The one-pair search the batched solver replaced, kept as an oracle: it
-    stops at the tolerance or at float spacing."""
+    """The one-pair bracket-and-bisect search that the closed forms replaced,
+    kept as an oracle.  It doubles or halves t from 1 to bracket the start of
+    the ray: one reaching below 2^-64 gives 0, one not started by 2^64 gives
+    inf.  It then bisects down to the tolerance or to float spacing.  A step
+    table is scanned at its nodes instead."""
     if a == b:
         return 0.0
-    if inst.family == "tabulated":
-        return core.step_ray_start(inst, a, b, alpha)
 
     def in_ray(t):
         return g.eval_P(inst, a, b, t) < alpha
 
+    if inst.family == "tabulated":
+        pair = sorted((a, b))
+        nodes = next(e["t"] for e in inst.params["tables"] if e["pair"] == pair)
+        if in_ray(nodes[0] / 2):  # the first value holds left of the first node
+            return 0.0
+        return next((t for t in nodes if in_ray(t)), math.inf)
     if in_ray(1.0):
         hi = 1.0
         while hi > 2.0 ** -64:
@@ -281,15 +243,6 @@ def scalar_solve_d_alpha(inst, a, b, alpha, tolerance):
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def assert_matrix_matches_scalar_solver(inst, alpha, tol, pts):
-    D = induced._distance_matrix(g.AlphaMetric(inst, alpha, g.BisectionSettings(tol)), pts)
-    want = [[scalar_solve_d_alpha(inst, min(x, y), max(x, y), alpha, tol) for y in pts]
-            for x in pts]
-    assert [[v.hex() for v in row] for row in D.tolist()] == \
-        [[v.hex() for v in row] for row in want]
-    return D
 
 
 def old_metric_axioms(am, seed=0, n_samples=64):
@@ -385,54 +338,79 @@ def test_metric_axioms_oracle_sees_positivity_and_triangle_failures():
     assert any("triangle" in w.detail for w in rep.witnesses)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.one_of(gallery_instances(ops=(g.MAX,)), interval_instances()),
-       st.sampled_from([0.05, 0.25, 1.0, 1.5, 4.0]),
-       st.sampled_from([0.5, 1e-3, 1e-6, 1e-12, 1e-17, 0.0]), st.data())
-def test_solver_matches_the_budgeted_solver_and_always_stops(inst, alpha, tol, data):
-    pts = inst.carrier.points()
-    a, b = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
-    got = g.d_alpha(g.AlphaMetric(inst, alpha, g.BisectionSettings(tol)), a, b)
-    try:
-        want = old_solve_d_alpha(inst, min(a, b), max(a, b), alpha, tol)
-    except BudgetExceeded:  # float spacing reached before the tolerance
-        assert 0 < got < math.inf
-        assert g.eval_P(inst, a, b, math.nextafter(got, math.inf) * 2) < alpha
-    else:
-        assert got == want
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(gallery_instances(ops=(g.MAX,)), interval_instances()),
-       st.sampled_from([0.05, 0.25, 1.0, 1.5, 4.0]), st.sampled_from([0.5, 1e-6, 1e-17, 0.0]),
-       st.data())
-def test_batched_matrix_matches_the_scalar_solver(inst, alpha, tol, data):
+       st.sampled_from([0.05, 0.25, 1.0, 1.5, 4.0]), st.data())
+def test_ray_start_matches_the_scalar_solver(inst, alpha, data):
     pts = list(inst.carrier.points())
     if inst.carrier.kind == "interval":  # grid points and points off the grid
         pts = sorted(data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=6))
                      + data.draw(st.lists(st.floats(inst.carrier.lo, inst.carrier.hi),
                                           max_size=4)))
-    assert_matrix_matches_scalar_solver(inst, alpha, tol, pts)
+    c = core.coords(inst, pts)
+    D = core.ray_start(inst, c[:, None], c[None, :], alpha)
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            got, want = float(D[i, j]), scalar_solve_d_alpha(inst, x, y, alpha, TOL)
+            dist = inst.carrier.base_distance(x, y)
+            if inst.family == "damped" and alpha == 2 * dist:
+                # exact 0, where floats round 1 + e^-t to 2 below t ~ 1.1e-16
+                assert got == 0.0 and 0.0 < want < 2.0 ** -52
+            elif want == 0.0:  # the oracle's ray reaches below 2^-64
+                assert 0.0 <= got < 2.0 ** -64
+            elif want == math.inf:  # the oracle's ray does not start by 2^64
+                assert got > 2.0 ** 64
+            else:
+                assert 0.0 < got < math.inf and abs(got - want) <= TOL
 
 
-@pytest.mark.parametrize("tol", [0.5, 1e-6, 1e-17, 0.0])
-def test_batched_matrix_mixes_every_kind_of_search(tol):
-    # one batch holds pairs that bracket upward and downward, and pairs at 0 and
-    # inf; rays start on both sides of the 2^-64 floor and of the 2^64 cap
-    tiny = g.FiniteCarrier(("a", "b", "c"), [[0, 3e-20, 1.5e-19], [3e-20, 0, 1.2e-19],
-                                             [1.5e-19, 1.2e-19, 0]])
-    huge = g.FiniteCarrier(("a", "b", "c"), [[0, 1e19, 3e19], [1e19, 0, 2e19], [3e19, 2e19, 0]])
-    values = []
-    for family, carrier in (("scaled", line_carrier(4)), ("constant", line_carrier(4)),
-                            ("scaled", tiny), ("scaled", huge)):
-        inst = g.gallery_construct(family, {}, carrier, g.MAX, T_GRID, ALPHA_GRID)
-        for alpha in (0.5, 1.5, 2.5):
-            D = assert_matrix_matches_scalar_solver(inst, alpha, tol, carrier.labels)
-            values += D[~np.eye(carrier.size, dtype=bool)].tolist()
-    assert 0.0 in values and math.inf in values
-    assert any(0 < v < 1 for v in values) and any(1 < v < math.inf for v in values)
-    assert any(2.0 ** -64 < v < 2.0 ** -62 for v in values)
-    assert any(2.0 ** 63 < v < 2.0 ** 64 for v in values)
+def test_ray_start_edges():
+    damped = make_instance("damped", op=g.MAX, carrier=two_point_carrier())  # d(a, b) = 1
+    # d (1 + e^-t) < 2d at every t > 0, though floats round it to 2d below t ~ 1.1e-16
+    assert g.d_alpha(g.AlphaMetric(damped, 2.0), "a", "b") == 0.0
+    assert g.d_alpha(g.AlphaMetric(damped, 1.0), "a", "b") == math.inf
+    assert g.d_alpha(g.AlphaMetric(damped, 1.5), "a", "b") == -math.log(0.5)
+    # no bracket bounds the values: above 2^64 and below 2^-64 they stay finite and positive
+    assert g.d_alpha(g.AlphaMetric(FINE, 1e-20), "a", "b") == 1 / 1e-20 > 2.0 ** 64
+    assert g.d_alpha(g.AlphaMetric(FINE, 1e20), "a", "b") == 1 / 1e20 < 2.0 ** -64
+    # a step table: the first column below alpha, none giving inf
+    table = squared_distance_table_instance()  # P(0, 1, t) = 1 / t at the T_GRID nodes
+    assert [g.d_alpha(g.AlphaMetric(table, alpha), "0", "1")
+            for alpha in (1e5, 1.5, 1e-3)] == [0.0, 1.0, math.inf]
+
+
+def test_damped_at_twice_d_fails_positivity():
+    # d (1 + e^-t) < 2d for every t > 0, so d_alpha(a, b) = 0 at alpha = 2 d(a, b)
+    damped = make_instance("damped", op=g.MAX, carrier=line_carrier(3))
+    rep = g.check_alpha_metric_axioms(g.AlphaMetric(damped, 2.0))
+    assert rep.failed
+    assert [w.points for w in rep.witnesses if "separation hypothesis" in w.detail] == \
+        [("0", "1"), ("1", "2")]
+
+
+def test_rescaling_d_rescales_the_scaled_table_bit_for_bit():
+    # d_alpha = d / alpha: doubling d doubles the table, and doubling alpha
+    # with it leaves the table unchanged
+    d = [[0.0, 0.7, 1.3, 2.9], [0.7, 0.0, 0.6, 2.2], [1.3, 0.6, 0.0, 1.6],
+         [2.9, 2.2, 1.6, 0.0]]
+
+    def table(scale, alpha):
+        carrier = g.FiniteCarrier("abce", [[scale * x for x in row] for row in d])
+        return g.alpha_metric_table(g.AlphaMetric(make_instance("scaled", carrier=carrier), alpha))
+
+    for alpha in (0.3, 1.0, 2.5, 7.0):
+        assert table(2.0, alpha) == [[2 * x for x in row] for row in table(1.0, alpha)]
+        assert table(2.0, 2 * alpha) == table(1.0, alpha)
+
+
+def test_compare_topologies_reads_the_zero_set_at_any_tolerance():
+    # the least d_alpha ball is the zero set of its row at every tolerance; a
+    # radius tied to the tolerance is 0 at tolerance 0, and every ball is empty
+    inst = make_instance("scaled", op=g.MAX, carrier=line_carrier(3))
+    for tol in (0.0, 1e-6, 0.5):
+        rep = g.compare_topologies(inst, 1.0, 15, g.BisectionSettings(tol))
+        assert rep.verdict == g.PASS
+        assert rep.data["tau_P_size"] == rep.data["tau_d_alpha_size"] == 8
 
 
 def test_one_dalpha_operation_scans_p4_once_and_solves_each_pair_once(tmp_path, monkeypatch):
@@ -444,37 +422,38 @@ def test_one_dalpha_operation_scans_p4_once_and_solves_each_pair_once(tmp_path, 
     path = tmp_path / "line9.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     inst_file = g.load_instance(str(path))
-    scans, solves, metrics = [], [], []
-    real_scan, real_solve = induced.p4_violations, induced._solve_d_alpha
+    scans, sizes, metrics = [], [], []
+    real_scan, real_ray_start = induced.p4_violations, induced.ray_start
 
     class Recorded(induced.AlphaMetric):
         def __init__(self, *args, **kw):
             super().__init__(*args, **kw)
             metrics.append(self)
 
+    def ray_start(*args):
+        out = real_ray_start(*args)
+        sizes.append(out.size)
+        return out
+
     monkeypatch.setattr(induced, "p4_violations", lambda *a: scans.append(a) or real_scan(*a))
-    monkeypatch.setattr(induced, "_solve_d_alpha",
-                        lambda *a: solves.append(a[1]) or real_solve(*a))
+    monkeypatch.setattr(induced, "ray_start", ray_start)
     monkeypatch.setattr(induced, "AlphaMetric", Recorded)
     g.run_command("dalpha", inst_file)
     assert len(scans) == 1  # compare_topologies reads p4_ok; nothing else does
     # the command's metric, one per monotonicity alpha, compare_topologies' own metric
     assert len(metrics) == 2 + len(ALPHA_GRID)
-    # metrics of one alpha and tolerance share their solved pairs: the table's
-    # 45 in one batch, then (x0, x8) at each monotonicity alpha but the
-    # command's; compare_topologies solves none
-    assert len(solves) == len(ALPHA_GRID)
-    assert sum(map(len, solves)) == 45 + len(ALPHA_GRID) - 1 == 49
+    # one matrix each for the table, the metric axioms and compare_topologies,
+    # and (x0, x8) at each monotonicity alpha
+    assert sorted(sizes) == [1] * len(ALPHA_GRID) + [n * n] * 3
     scans.clear()
-    solves.clear()
+    sizes.clear()
     g.check_alpha_monotonicity(inst_file.instance, "x0", "x8", ALPHA_GRID)
-    assert scans == [] and solves == []
+    assert scans == [] and sizes == [1] * len(ALPHA_GRID)
 
 
 def test_dalpha_looks_up_each_solver_pair_once(tmp_path, monkeypatch):
-    # n = 48, constant/max on a random shortest-path metric: each solver step
-    # reads the pairs it still searches, but their labels are mapped to
-    # indices once per request (the old path mapped them at every step)
+    # n = 48, constant/max on a random shortest-path metric: a d_alpha matrix
+    # maps each label to its index once, and a single pair maps two labels
     n, rng = 48, random.Random(48)
     d = [[0 if i == j else rng.randint(1, 10) for j in range(n)] for i in range(n)]
     d = [[min(d[i][j], d[j][i]) for j in range(n)] for i in range(n)]
@@ -488,16 +467,20 @@ def test_dalpha_looks_up_each_solver_pair_once(tmp_path, monkeypatch):
     path = tmp_path / "wide48.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     inst_file = g.load_instance(str(path))
-    lookups, solved = [0], []
-    real_index, real_solve = core.FiniteCarrier.index, induced._solve_d_alpha
+    lookups, sizes = [0], []
+    real_index, real_ray_start = core.FiniteCarrier.index, induced.ray_start
 
     def counting(self, p):
         lookups[0] += 1
         return real_index(self, p)
 
+    def ray_start(*args):
+        out = real_ray_start(*args)
+        sizes.append(out.size)
+        return out
+
     monkeypatch.setattr(core.FiniteCarrier, "index", counting)
-    monkeypatch.setattr(induced, "_solve_d_alpha",
-                        lambda *a: solved.append(len(a[1])) or real_solve(*a))
+    monkeypatch.setattr(induced, "ray_start", ray_start)
     g.run_command("dalpha", inst_file)
-    assert sum(solved) >= n * (n - 1) // 2
-    assert lookups[0] <= 2 * sum(solved)
+    assert sorted(sizes) == [1] * len(ALPHA_GRID) + [n * n] * 2  # the table, the axioms
+    assert lookups[0] <= n * 2 + 2 * len(ALPHA_GRID)
