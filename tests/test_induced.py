@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,12 +199,18 @@ def test_alpha_metric_table_exports():
     assert table[0][1] == pytest.approx(1.0, abs=2 * TOL)
 
 
-def scalar_solve_d_alpha(inst, a, b, alpha, tolerance):
+class BudgetExceeded(Exception):
+    """The budgeted oracle ran out of iterations before its tolerance."""
+
+
+def scalar_solve_d_alpha(inst, a, b, alpha, tolerance, max_iter=None):
     """The one-pair bracket-and-bisect search that the closed forms replaced,
     kept as an oracle.  It doubles or halves t from 1 to bracket the start of
     the ray: one reaching below 2^-64 gives 0, one not started by 2^64 gives
     inf.  It then bisects down to the tolerance or to float spacing.  A step
-    table is scanned at its nodes instead."""
+    table is scanned at its nodes instead.  With ``max_iter`` it is the older
+    budgeted search: no stop at float spacing, and ``BudgetExceeded`` after
+    ``max_iter`` halvings short of the tolerance."""
     if a == b:
         return 0.0
 
@@ -234,10 +241,14 @@ def scalar_solve_d_alpha(inst, a, b, alpha, tolerance):
             lo = hi
         else:
             return math.inf
+    steps = 0
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        if max_iter is None and (mid == lo or mid == hi):
             break
+        if steps == max_iter:
+            raise BudgetExceeded("d_alpha bisection exceeded its iteration budget")
+        steps += 1
         if in_ray(mid):
             hi = mid
         else:
@@ -338,30 +349,89 @@ def test_metric_axioms_oracle_sees_positivity_and_triangle_failures():
     assert any("triangle" in w.detail for w in rep.witnesses)
 
 
+def assert_matches_scalar_solver(inst, alpha, x, y, got, want, slack):
+    """A closed-form d_alpha ``got`` against the bisection oracle's ``want``."""
+    if inst.family == "damped" and alpha == 2 * inst.carrier.base_distance(x, y):
+        # exact 0, where floats round 1 + e^-t to 2 below t ~ 1.1e-16
+        assert got == 0.0 and 0.0 < want < 2.0 ** -52
+    elif want == 0.0:  # the oracle's ray reaches below 2^-64
+        assert 0.0 <= got < 2.0 ** -64
+    elif want == math.inf:  # the oracle's ray does not start by 2^64
+        assert got > 2.0 ** 64
+    else:  # the oracle stops at its tolerance or at float spacing
+        assert 0.0 < got < math.inf and abs(got - want) <= max(slack, 2 * math.ulp(want))
+
+
+def assert_matrix_matches_scalar_solver(inst, alpha, tol, pts):
+    """The batched d_alpha matrix equals d_alpha pair by pair bit for bit and
+    matches the bisection oracle run at ``tol``."""
+    D = induced._distance_matrix(g.AlphaMetric(inst, alpha, g.BisectionSettings(tol)), pts)
+    am = g.AlphaMetric(inst, alpha)
+    assert [[v.hex() for v in row] for row in D.tolist()] == \
+        [[g.d_alpha(am, x, y).hex() for y in pts] for x in pts]
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            want = scalar_solve_d_alpha(inst, x, y, alpha, tol)
+            assert_matches_scalar_solver(inst, alpha, x, y, float(D[i, j]), want, max(tol, TOL))
+    return D
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(gallery_instances(ops=(g.MAX,)), interval_instances()),
+       st.sampled_from([0.05, 0.25, 1.0, 1.5, 4.0]),
+       st.sampled_from([0.5, 1e-3, 1e-6, 1e-12, 1e-17, 0.0]), st.data())
+def test_solver_matches_the_budgeted_solver_and_always_stops(inst, alpha, tol, data):
+    # the tolerance no longer enters d_alpha: every tolerance gives one value
+    pts = inst.carrier.points()
+    a, b = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
+    got = g.d_alpha(g.AlphaMetric(inst, alpha, g.BisectionSettings(tol)), a, b)
+    assert got.hex() == g.d_alpha(g.AlphaMetric(inst, alpha), a, b).hex()
+    try:
+        want = scalar_solve_d_alpha(inst, min(a, b), max(a, b), alpha, tol, max_iter=200)
+    except BudgetExceeded:  # float spacing reached before the tolerance
+        if inst.family == "damped" and alpha == 2 * inst.carrier.base_distance(a, b):
+            assert got == 0.0
+        else:
+            assert 0 < got < math.inf
+            assert g.eval_P(inst, a, b, math.nextafter(got, math.inf) * 2) < alpha
+    else:
+        assert_matches_scalar_solver(inst, alpha, a, b, got, want, max(tol, TOL))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(gallery_instances(ops=(g.MAX,)), interval_instances()),
-       st.sampled_from([0.05, 0.25, 1.0, 1.5, 4.0]), st.data())
-def test_ray_start_matches_the_scalar_solver(inst, alpha, data):
+       st.sampled_from([0.05, 0.25, 1.0, 1.5, 4.0]), st.sampled_from([0.5, 1e-6, 1e-17, 0.0]),
+       st.data())
+def test_batched_matrix_matches_the_scalar_solver(inst, alpha, tol, data):
     pts = list(inst.carrier.points())
     if inst.carrier.kind == "interval":  # grid points and points off the grid
         pts = sorted(data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=6))
                      + data.draw(st.lists(st.floats(inst.carrier.lo, inst.carrier.hi),
                                           max_size=4)))
-    c = core.coords(inst, pts)
-    D = core.ray_start(inst, c[:, None], c[None, :], alpha)
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            got, want = float(D[i, j]), scalar_solve_d_alpha(inst, x, y, alpha, TOL)
-            dist = inst.carrier.base_distance(x, y)
-            if inst.family == "damped" and alpha == 2 * dist:
-                # exact 0, where floats round 1 + e^-t to 2 below t ~ 1.1e-16
-                assert got == 0.0 and 0.0 < want < 2.0 ** -52
-            elif want == 0.0:  # the oracle's ray reaches below 2^-64
-                assert 0.0 <= got < 2.0 ** -64
-            elif want == math.inf:  # the oracle's ray does not start by 2^64
-                assert got > 2.0 ** 64
-            else:
-                assert 0.0 < got < math.inf and abs(got - want) <= TOL
+    assert_matrix_matches_scalar_solver(inst, alpha, tol, pts)
+
+
+@pytest.mark.parametrize("tol", [0.5, 1e-6, 1e-17, 0.0])
+def test_batched_matrix_mixes_every_kind_of_search(tol):
+    # one batch holds rays starting below and above t = 1, at 0 and at inf, and
+    # on both sides of the oracle's 2^-64 floor and 2^64 cap, which the closed
+    # forms do not clip
+    tiny = g.FiniteCarrier(("a", "b", "c"), [[0, 3e-20, 1.5e-19], [3e-20, 0, 1.2e-19],
+                                             [1.5e-19, 1.2e-19, 0]])
+    huge = g.FiniteCarrier(("a", "b", "c"), [[0, 1e19, 3e19], [1e19, 0, 2e19], [3e19, 2e19, 0]])
+    values = []
+    for family, carrier in (("scaled", line_carrier(4)), ("constant", line_carrier(4)),
+                            ("scaled", tiny), ("scaled", huge)):
+        inst = g.gallery_construct(family, {}, carrier, g.MAX, T_GRID, ALPHA_GRID)
+        for alpha in (0.5, 1.5, 2.5):
+            D = assert_matrix_matches_scalar_solver(inst, alpha, tol, carrier.labels)
+            values += D[~np.eye(carrier.size, dtype=bool)].tolist()
+    assert 0.0 in values and math.inf in values
+    assert any(0 < v < 1 for v in values) and any(1 < v < math.inf for v in values)
+    assert any(0 < v < 2.0 ** -64 for v in values)
+    assert any(2.0 ** -64 < v < 2.0 ** -62 for v in values)
+    assert any(2.0 ** 63 < v < 2.0 ** 64 for v in values)
+    assert any(2.0 ** 64 < v < math.inf for v in values)
 
 
 def test_ray_start_edges():
