@@ -2,7 +2,9 @@
 
 The topology admits a subset iff every member has a grid ball inside it, so
 its fineness depends on the declared alpha/t grids: the same two-point
-space is discrete under a fine grid and indiscrete under a coarse one.
+space is discrete under a fine grid and indiscrete under a coarse one.  It is
+the partition topology of the classes the least grid balls join, and a
+closure is the union of the classes that meet the set.
 """
 import gpmspace as g
 
@@ -31,8 +33,8 @@ print("Two points, alpha grid {2} only:",
       [m.labels(two) for m in g.generate_topology(coarse)])
 
 print()
-print("Closures follow suit.  Under the coarse grid every ball around b")
-print("meets {a}, so b is a limit point of {a}:")
+print("Closures follow suit.  Under the coarse grid a and b form one class,")
+print("so every open set around b meets {a} and b is a limit point of {a}:")
 s = g.SubsetMask.from_labels(two, ["a"])
 closure, limits = g.closure_and_limit_points(coarse, s)
 print("  closure({a}) =", closure.labels(two), " limit points =", limits.labels(two))

@@ -8,27 +8,25 @@ topology, so every report carries the grids it used.
 Every gallery family is non-increasing in t (tabulated tables that rise are
 rejected at construction), so the least grid ball U_x = B(x, min alpha,
 min t) lies inside every other grid ball at x, and S is open exactly when
-U_x is inside S for every x in S.  Every gallery P is symmetric, so the
-transitive closure reach[x] of U is the class of x under an equivalence,
-and tau_P is the partition topology of its k classes (Alexandroff 1937;
-Steen and Seebach, "partition topology"): its open sets are the unions of
-classes, each also closed, and |tau_P| = 2^k.  Every question is answered
-from the classes; only ``topology_from_classes`` lists the open sets.
-TopologyFamily.verify stays as an O(|F|^2) oracle for tests.
+U_x is inside S for every x in S.  Every gallery P is symmetric, so tau_P is
+the partition topology (Alexandroff 1937; Steen and Seebach, "partition
+topology") of the k classes of the relation y in U_x: its open sets are the
+unions of classes, each also closed, and |tau_P| = 2^k.  ``class_labels``
+labels the classes of such a relation in one array routine, and every tau_P
+question (open sets, interiors, closures, the ball theorems, separation and
+the countable bases) reads those labels; only ``topology_from_classes``
+lists open sets.  TopologyFamily.verify stays as an O(|F|^2) oracle for
+tests.
 
 Ball membership uses exact float comparison: strict "<" for open balls,
 "<=" for closed balls, no epsilon fuzzing.  A ball is one comparison on a
-kernel row; all grid balls, open and closed, come from one kernel tensor
-over (x, t, y) that every alpha reads.
+kernel row; all grid balls, open and closed, are one boolean tensor from
+one kernel tensor over (x, t, y) that every alpha reads.
 
-The open and closed grid-ball bitmasks, each point's deduplicated grid
-balls, the least balls with their classes and tau_P are derived once per
-instance (``core.derive``) and live as long as the instance, so is_open,
-interior, closures, the ball theorems, separation and the countable bases
-share one derivation.  These entries keep int bitmasks, not the float kernel
-tensor, and the classes also as one label per point for array callers;
-their values (bitmask lists and tuples, label arrays, SubsetMask tuples, a
-TopologyFamily) are shared, so callers only read them.
+The class labels (one kernel slice at min t), the grid-ball tensor and, when
+asked for, tau_P and each point's deduplicated grid balls are derived once
+per instance (``core.derive``) and live as long as the instance.  Their
+values are shared, so callers only read them.
 """
 from __future__ import annotations
 
@@ -183,13 +181,6 @@ def _mask_of_flags(flags) -> SubsetMask:
                                                  "little"))
 
 
-def _flags_of_bits(bits, n):
-    """The (len(bits), n) bool matrix of a list of int bitmasks over n points."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), np.uint8)
-    return np.unpackbits(raw.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
-
-
 def open_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
     """B(a, alpha, t) = { b : P(a,b,t) < alpha }; always contains the center."""
     _require_finite(inst)
@@ -206,20 +197,17 @@ def closed_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
     return _mask_of_flags(P_at(inst, coords(inst, a), np.arange(inst.carrier.size), t) <= alpha)
 
 
-def _grid_ball_bits(inst: GpmsInstance, closed: bool = False) -> list:
-    """Every grid ball's bitmask, open B(x, alpha, t) or closed B[x, alpha, t],
-    in (x, alpha, t) order: both lists come from one kernel tensor over
+def _grid_balls(inst: GpmsInstance):
+    """inside[closed, x, alpha, t, y]: y lies in the open (closed = 0) or
+    closed (closed = 1) grid ball at x, alpha, t.  One kernel tensor over
     (x, t, y), read by every alpha, once per instance."""
     def build():
         c = np.arange(inst.carrier.size)
         grid = P_at(inst, c[:, None, None], c, np.asarray(inst.t_grid)[:, None])[:, None]
         alphas = np.asarray(inst.alpha_grid)[:, None, None]
-        packed = np.packbits([grid < alphas, grid <= alphas], axis=-1, bitorder="little")
-        raw, width = packed.tobytes(), packed.shape[-1]
-        bits = [int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
-        return bits[:len(bits) // 2], bits[len(bits) // 2:]
+        return np.stack([grid < alphas, grid <= alphas])
 
-    return derive(inst, "grid_ball_bits", build)[closed]
+    return derive(inst, "grid_balls", build)
 
 
 def _min_P(inst: GpmsInstance, xs, ys, t: float) -> float:
@@ -231,121 +219,125 @@ def grid_ball_masks(inst: GpmsInstance):
     """Per point, the deduplicated open balls over the alpha and t grids.
 
     Returns a tuple (one entry per carrier point) of tuples of SubsetMask,
-    ordered by bitmask; computed once per instance.
+    ordered by bitmask, packed from the grid-ball tensor on the first call.
     """
     _require_finite(inst)
-    n, per = inst.carrier.size, len(inst.alpha_grid) * len(inst.t_grid)
-    bits = _grid_ball_bits(inst)
-    return derive(inst, "balls", lambda: tuple(
-        tuple(SubsetMask(n, b) for b in sorted(set(bits[k:k + per])))
-        for k in range(0, n * per, per)))
+    n = inst.carrier.size
 
-
-def _reach(least) -> tuple:
-    """Transitive closure of x -> U_x (Warshall on bitmasks).
-
-    reach[x] is the smallest set containing x that holds U_y for each of its
-    members y: the least open set around x.
-    """
-    reach = list(least)
-    for k in range(len(reach)):
-        for i, r in enumerate(reach):
-            if r >> k & 1:
-                reach[i] = r | reach[k]
-    return tuple(reach)
-
-
-def _least(inst: GpmsInstance):
-    """(U, reach, classes) per point, computed once per instance: U and
-    reach as int bitmasks, and each point's class reach[x] as an int array
-    of the least point index in it.
-
-    U_x is the intersection of the grid balls at x.  P is non-increasing in
-    t, so this is itself a grid ball, B(x, min alpha, min t), and a set
-    holding some grid ball at x holds U_x.  It lies inside every other grid
-    ball at x, so it is the first of them by bitmask.
-    """
     def build():
-        least = tuple(row[0].bits for row in grid_ball_masks(inst))
-        reach = _reach(least)
-        return least, reach, np.array([(r & -r).bit_length() - 1 for r in reach], dtype=np.intp)
+        packed = np.packbits(_grid_balls(inst)[0], axis=-1, bitorder="little")
+        return tuple(tuple(SubsetMask(n, b) for b in sorted(
+            {int.from_bytes(row.tobytes(), "little") for row in per.reshape(-1, packed.shape[-1])}))
+            for per in packed)
 
-    return derive(inst, "least", build)
+    return derive(inst, "balls", build)
+
+
+def class_labels(related) -> np.ndarray:
+    """Each point's class under a symmetric (n, n) bool relation, labelled
+    by the least point index of its class (connected component).  Each step
+    takes the least label among a point and its related points, then the
+    label of that label, until nothing moves."""
+    labels = np.arange(len(related))
+    while True:
+        step = np.minimum(labels, np.where(related, labels, labels.size).min(-1))
+        step = step[step]
+        if (step == labels).all():
+            return labels
+        labels = step
+
+
+def _classes(inst: GpmsInstance) -> np.ndarray:
+    """tau_P's class labels, once per instance: the classes of y in U_x, a
+    symmetric relation (every gallery P is symmetric) read off one kernel
+    slice at min t."""
+    _require_finite(inst)
+
+    def build():
+        c = np.arange(inst.carrier.size)
+        return class_labels(P_at(inst, c[:, None], c, min(inst.t_grid)) < min(inst.alpha_grid))
+
+    return derive(inst, "classes", build)
+
+
+def _class_bits(labels) -> dict:
+    """{least point: bitmask of its class} for a class labelling, ordered by
+    the least point."""
+    bits = {}
+    for i, c in enumerate(labels.tolist()):
+        bits[c] = bits.get(c, 0) | 1 << i
+    return bits
+
+
+def tau_p_classes(inst: GpmsInstance) -> tuple:
+    """The classes of tau_P as SubsetMasks, ordered by their least point."""
+    return tuple(SubsetMask(inst.carrier.size, b) for b in _class_bits(_classes(inst)).values())
 
 
 def _unions_of_classes(inst: GpmsInstance, flags):
     """Per row of a (rows, n) bool matrix, whether the row is a union of
     classes: an open set of tau_P, and so a closed one too."""
-    return (flags == flags[:, _least(inst)[2]]).all(-1)
+    return (flags == flags[:, _classes(inst)]).all(-1)
 
 
-def topology_from_classes(reach) -> TopologyFamily:
-    """Every union of the distinct classes reach[x] of the points x: the one
-    listing of the open sets of a partition topology."""
-    n, opens = len(reach), [0]
-    for c in dict.fromkeys(reach):
+def _require_listable(labels, max_points: int):
+    k = len(set(labels.tolist()))
+    if k > max_points:
+        raise SizeError(f"the open sets of {k} classes exceed max_points={max_points}")
+
+
+def topology_from_classes(labels, max_points: int) -> TopologyFamily:
+    """Every union of the classes of a class labelling, at most ``max_points``
+    of them: the one listing of the open sets of a partition topology."""
+    _require_listable(labels, max_points)
+    n, opens = len(labels), [0]
+    for c in _class_bits(labels).values():
         opens += [s | c for s in opens]
     return TopologyFamily(n, [SubsetMask(n, b) for b in opens])
 
 
-def _require_max_points(inst: GpmsInstance, max_points: int):
-    if inst.carrier.size > max_points:
-        raise SizeError(f"carrier size {inst.carrier.size} exceeds max_points={max_points}")
-
-
 def generate_topology(inst: GpmsInstance, max_points: int = 15) -> TopologyFamily:
-    """tau_P over the grids: the unions of the classes of the least grid balls.
-
-    The family is computed once per instance; ``max_points`` caps the
-    size of the explicit family, whose 2^k sets can number 2^n.
-    """
-    _require_finite(inst)
-    _require_max_points(inst, max_points)
-    return derive(inst, "topology", lambda: topology_from_classes(_least(inst)[1]))
+    """tau_P over the grids: the unions of its classes, computed once per
+    instance.  ``max_points`` caps the number k of classes, since the family
+    lists 2^k sets."""
+    labels = _classes(inst)
+    _require_listable(labels, max_points)  # a memo hit too
+    return derive(inst, "topology", lambda: topology_from_classes(labels, max_points))
 
 
-def _require_size(least, s: SubsetMask):
-    if s.n != len(least):
+def _classes_and_flags(inst: GpmsInstance, s: SubsetMask):
+    """(tau_P's class labels, the members of s as a bool array)."""
+    labels = _classes(inst)
+    if s.n != labels.size:
         raise DomainError("mask size mismatch")
+    raw = np.frombuffer(s.bits.to_bytes((s.n + 7) // 8, "little"), np.uint8)
+    return labels, np.unpackbits(raw, count=s.n, bitorder="little").view(bool)
 
 
 def is_open(inst: GpmsInstance, s: SubsetMask) -> bool:
-    """True iff every point of s has a grid ball inside s, i.e. U_x inside s."""
-    least = _least(inst)[0]
-    _require_size(least, s)
-    return all(least[i] & ~s.bits == 0 for i in s.indices())
+    """True iff every point of s has a grid ball inside s: s is a union of classes."""
+    labels, flags = _classes_and_flags(inst, s)
+    return bool((flags == flags[labels]).all())
 
 
 def interior(inst: GpmsInstance, s: SubsetMask) -> SubsetMask:
-    """Largest open subset of s: the points whose least open set lies in s."""
-    reach = _least(inst)[1]
-    _require_size(reach, s)
-    return SubsetMask(s.n, sum(1 << i for i in s.indices() if reach[i] & ~s.bits == 0))
+    """Largest open subset of s: the union of the classes inside s."""
+    labels, flags = _classes_and_flags(inst, s)
+    return _mask_of_flags(np.bincount(labels, ~flags, minlength=s.n)[labels] == 0)
 
 
 def closure_and_limit_points(inst: GpmsInstance, s: SubsetMask):
-    """(closure, limit points) of s.
+    """(closure, limit points) of s in tau_P.
 
-    A point x is a limit point when for every grid alpha and every grid t
-    the punctured ball (B(x, alpha, t) minus x) meets s.  A "for any t
-    there exists alpha" quantifier would be degenerate on bounded carriers
-    (huge alpha makes every point a limit point), so the standard for-all
-    reading over both grids is used.  Every grid ball at x holds U_x, so
-    this is the same as U_x minus x meeting s.
-
-    When every U_x is itself open, the result provably equals the
-    complement of the largest open set disjoint from s; that identity is
-    cross-checked and a mismatch raises VerificationError.
+    Every open set around x holds the class of x, and the class is open.
+    So x is a limit point of s (every open set around x meets s minus x)
+    iff another point of its class lies in s, and the closure of s is the
+    union of the classes that meet s: the complement of the interior of the
+    complement of s.
     """
-    least, reach, _ = _least(inst)
-    n = inst.carrier.size
-    limits = SubsetMask(n, sum(1 << i for i in range(n) if least[i] & ~(1 << i) & s.bits))
-    closure = s.union(limits)
-    if least == reach:
-        alt = interior(inst, s.complement()).complement()
-        if alt != closure:
-            raise VerificationError("closure cross-check failed with open least balls")
-    return closure, limits
+    labels, flags = _classes_and_flags(inst, s)
+    hits = np.bincount(labels, flags, minlength=s.n)[labels]  # members of s in the class
+    return _mask_of_flags(hits > 0), _mask_of_flags(hits > flags)
 
 
 THEOREMS = ("ball_open", "closed_ball_closed", "nested_closure", "closed_separation")
@@ -356,7 +348,7 @@ def verify_ball_theorem(inst: GpmsInstance, theorem: str, **params) -> CheckRepo
 
     ball_open            every grid open ball is open
     closed_ball_closed   every grid closed ball is closed
-    nested_closure       closure(B(a, beta, t/2)) inside B(a, alpha, t),
+    nested_closure       the tau_P closure of B(a, beta, t/2) inside B(a, alpha, t),
                          requires beta o beta <= alpha
                          (params: alpha, beta, center=None, scales=None)
     closed_separation    min over a in A of P(x, a, t) > 0 for each grid t
@@ -369,7 +361,7 @@ def verify_ball_theorem(inst: GpmsInstance, theorem: str, **params) -> CheckRepo
 
     if theorem in ("ball_open", "closed_ball_closed"):
         # a set of tau_P is closed exactly when it is open: a union of classes
-        flags = _flags_of_bits(_grid_ball_bits(inst, theorem == "closed_ball_closed"), car.size)
+        flags = _grid_balls(inst)[int(theorem == "closed_ball_closed")].reshape(-1, car.size)
         grid_balls = zip(itertools.product(car.labels, inst.alpha_grid, inst.t_grid),
                          _unions_of_classes(inst, flags).tolist())
         witnesses = tuple(Witness(points=(a,), values={"alpha": alpha, "t": t},

@@ -21,8 +21,8 @@ step of the construction keeps the error the construction raises.
 witness ball by ball and stays the independent oracle.
 
 Countable bases read the classes of tau_P, a partition topology
-(``balls``): every open set around a point y holds its class reach[y], so a
-base question about all open sets around y is decided by reach[y] alone,
+(``balls``): every open set around a point y holds its class C(y), so a
+base question about all open sets around y is decided by C(y) alone,
 and the 2^k open sets, 2^(k-1) of them around each point, are counted, not
 listed.  The base balls B(x, 1/k, 1/k) for k = 1..64 are one kernel tensor
 per instance, which also gives each point's isolating depth.
@@ -37,17 +37,17 @@ import numpy as np
 
 from .balls import (
     SubsetMask,
-    _least,
+    _class_bits,
+    _classes,
     _mask_of_flags,
     _min_P,
-    _require_max_points,
     _unions_of_classes,
     is_open,
     open_ball,
 )
 from .binop import eval_op, sub_idempotent
 from .core import GpmsInstance, P_at, derive, eval_P
-from .errors import DomainError, GpmsError, PreconditionError, WitnessNotFoundError
+from .errors import DomainError, GpmsError, PreconditionError, SizeError, WitnessNotFoundError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
 KINDS = ("T0", "T1", "T2", "regular", "normal")
@@ -451,17 +451,17 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
                    max_points: int = 15):
     """Balls B(., 1/n, 1/n) as a local base at x or a global base.
 
-    Every open set around a point y holds reach[y], the class of y.  Local
+    Every open set around a point y holds C(y), the class of y.  Local
     mode verifies that every generated open set containing x admits a base
-    ball inside it, which holds iff some base ball at x lies inside
-    reach[x]; otherwise reach[x] is the first open set that fails.  Global
-    mode uses the whole finite carrier as the dense set and verifies every
-    open set is a union of base members, which holds iff every point y lies
-    in some base ball inside reach[y]; otherwise the first set that fails is
-    the smallest such reach[y] by bitmask.  Without ``n_max`` the depth is
-    the largest isolating depth of the centers: the first n (at most 64)
-    whose base ball holds only its center.  The report counts the 2^k open
-    sets, never lists them.
+    ball inside it, which holds iff some base ball at x lies inside C(x);
+    otherwise C(x) is the first open set that fails.  Global mode uses the
+    whole finite carrier as the dense set and verifies every open set is a
+    union of base members, which holds iff every point y lies in some base
+    ball inside C(y); otherwise the first set that fails is the smallest
+    such C(y) by bitmask.  Without ``n_max`` the depth is the largest
+    isolating depth of the centers: the first n (at most 64) whose base
+    ball holds only its center.  The report counts the 2^k open sets, never
+    lists them.
     Returns ``(ball_specs, CheckReport)``; verification failures are
     inconclusive (the base may isolate only at larger n).
     """
@@ -471,8 +471,10 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
         raise DomainError("countable bases are verified on finite carriers only")
     car = inst.carrier
     n = car.size
-    _require_max_points(inst, max_points)
-    _, reach, classes = _least(inst)
+    if n > max_points:
+        raise SizeError(f"carrier size {n} exceeds max_points={max_points}")
+    classes = _classes(inst)
+    class_bits = _class_bits(classes)
 
     if mode == "local":
         if x is None:
@@ -483,13 +485,13 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
     n_top = n_max if n_max is not None else int(_isolating_depths(inst)[points].max())
     specs = [BallSpec(p, 1.0 / k, 1.0 / k) for p in centers for k in range(1, n_top + 1)]
     balls = _base_balls(inst, n_top)[:max(n_top, 0), points]  # [k, p, y]: y in B(p, 1/k, 1/k)
-    # y is covered when it lies in some base ball inside reach[y]: one that
+    # y is covered when it lies in some base ball inside its class: one that
     # meets no other class
     one_class = np.where(balls, classes, n).min(-1) == np.where(balls, classes, -1).max(-1)
     covered = (balls & one_class[..., None]).any((0, 1))
-    failing = min((reach[y] for y in points if not covered[y]), default=None)
+    failing = min((class_bits[classes[y]] for y in points if not covered[y]), default=None)
     named = list(SubsetMask(n, failing).labels(car)) if failing is not None else None
-    count = 1 << len(set(reach))  # 2^k unions of the k classes
+    count = 1 << len(class_bits)  # 2^k unions of the k classes
 
     if mode == "local":
         name = f"countable_base[local@{x}]"

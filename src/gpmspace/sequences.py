@@ -307,8 +307,8 @@ def check_closure_diameter(inst: GpmsInstance, s: SubsetMask, tol: float = 1e-9)
         return CheckReport(name="closure_diameter", verdict=PASS, samples_tested=2, data=data)
     note = ""
     if closure != s:
-        note = ("closure strictly grew at these grids; the mismatch is a "
-                "grid-resolution artifact of the punctured-ball closure")
+        note = ("closure strictly grew: s is not a union of tau_P classes, which the "
+                "least grid balls join at these grids (a grid-resolution artifact)")
     return CheckReport(name="closure_diameter", verdict=FAIL, samples_tested=2,
                        witnesses=(Witness(values={"lhs": d_s, "rhs": d_c},
                                           detail="diameter changed under closure"),),

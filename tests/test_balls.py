@@ -132,6 +132,20 @@ def test_generate_topology_size_limit():
         g.generate_topology(FINE, max_points=2)
 
 
+def test_generate_topology_caps_the_classes_not_the_points():
+    # two clusters of 8 points, 1 apart inside a cluster and 10 across: at
+    # t = 1 and alpha = 2 each cluster is one class, so 16 points give 4 sets
+    n = 16
+    carrier = g.FiniteCarrier([f"c{i}" for i in range(n)],
+                              [[0 if i == j else 1 if i // 8 == j // 8 else 10
+                                for j in range(n)] for i in range(n)])
+    inst = make_instance("scaled", g.MAX, carrier=carrier, t_grid=(1.0, 2.0),
+                         alpha_grid=(2.0, 4.0))
+    assert [m.count for m in g.generate_topology(inst)] == [0, 8, 8, 16]
+    with pytest.raises(g.SizeError, match="max_points=1"):
+        g.generate_topology(inst, max_points=1)
+
+
 def test_topology_family_verify_rejects_broken_families():
     n = 2
     masks = [g.SubsetMask.empty(n), g.SubsetMask(n, 0b01), g.SubsetMask(n, 0b10)]
@@ -310,11 +324,9 @@ def test_memoized_derivations_match_from_scratch_oracle(inst, data):
             if u & ~bits == 0:
                 inner |= u
         assert g.interior(inst, s).bits == inner
-        limits = 0
-        for i, a in enumerate(inst.carrier.labels):
-            if all(g.open_ball(inst, a, alpha, t).bits & ~(1 << i) & bits
-                   for alpha in inst.alpha_grid for t in inst.t_grid):
-                limits |= 1 << i
+        # x is a limit point of s when every open set around x meets s minus x
+        limits = sum(1 << i for i in range(n)
+                     if all(u & ~(1 << i) & bits for u in family if u >> i & 1))
         closure, lim = g.closure_and_limit_points(inst, s)
         assert lim.bits == limits
         assert closure.bits == bits | limits
@@ -328,7 +340,8 @@ def test_grid_ball_tensor_matches_one_ball_at_a_time(inst):
     for theorem, ball, closed in (("ball_open", g.open_ball, False),
                                   ("closed_ball_closed", g.closed_ball, True)):
         masks = [ball(inst, a, alpha, t) for a, alpha, t in order]
-        assert balls_module._grid_ball_bits(inst, closed) == [m.bits for m in masks]
+        assert [balls_module._mask_of_flags(row) for row in
+                balls_module._grid_balls(inst)[int(closed)].reshape(-1, n)] == masks
         # the theorem's witnesses are the balls a per-ball loop rejects, in order
         checked = [m.complement() if closed else m for m in masks]
         rejected = [ball for ball, m in zip(order, checked) if not g.is_open(inst, m)]
@@ -351,7 +364,7 @@ def test_memo_does_not_keep_instances_alive():
     inst = make_instance("scaled", op=g.MAX)
     g.generate_topology(inst)
     g.d_alpha(g.AlphaMetric(inst, 1.0), "a", "c")
-    assert set(inst._memo) == {"grid_ball_bits", "balls", "least", "topology"}
+    assert set(inst._memo) == {"classes", "topology"}
     ref = weakref.ref(inst)
     del inst
     assert ref() is None
@@ -378,9 +391,9 @@ def test_ball_open_theorem_derives_grid_balls_once(monkeypatch):
     inst = make_instance("scaled", op=g.MAX, carrier=line_carrier(n))
     sizes = _count_values(monkeypatch)
     assert g.verify_ball_theorem(inst, "ball_open").ok
-    # one kernel tensor over (point, t, point) gives the theorem's balls and
-    # the derivation's; every alpha reads the same tensor
-    assert sum(sizes) == n * len(T_GRID) * n == 486
+    # one kernel tensor over (point, t, point) gives the theorem's balls, which
+    # every alpha reads, and one slice at the least t gives the classes
+    assert sizes == [n * len(T_GRID) * n, n * n] == [486, 81]
 
 
 def test_cantor_intersection_derives_grid_balls_once(monkeypatch):
@@ -390,7 +403,7 @@ def test_cantor_intersection_derives_grid_balls_once(monkeypatch):
     sizes = _count_values(monkeypatch)
     _, _, rep = g.cantor_intersection(inst, fam)
     assert rep.ok
-    assert sizes == [n * len(T_GRID) * n]  # one kernel tensor over (point, t, point)
+    assert sizes == [n * n]  # the classes: one kernel slice at the least t, no grid ball
 
 
 def test_topology_battery_tests_no_set_for_openness(monkeypatch):

@@ -443,25 +443,27 @@ def test_seed_and_tol_recorded(tmp_path):
     assert payload["tol"] == 1e-7
 
 
-def test_carrier_above_max_points_makes_topology_identity_inconclusive(tmp_path, capsys):
+def test_max_points_caps_the_listing_not_the_carrier(tmp_path, capsys):
+    # --max-points caps the number of classes whose 2^k open sets a report
+    # lists; only separation, with its n^2 checks, still caps the carrier
     n = 16
     doc = dict(BASE, points=[f"x{i}" for i in range(n)],
                d=[[abs(i - j) for j in range(n)] for i in range(n)])
     path = write(tmp_path, doc)
-    for command in ("topology", "separation"):
-        assert g.main([command, path]) == 2
-        assert "max-points" in capsys.readouterr().err
-    for command in ("dalpha", "full-report"):
-        assert g.main([command, path]) == 1
-        report = json.loads(capsys.readouterr().out)
-        identity = [c for c in report["checks"] if c["name"].startswith("topology_identity")]
-        assert [c["verdict"] for c in identity] == ["inconclusive"]
-        assert "max_points=15" in identity[0]["note"]
-    # within the cap the same check runs
-    assert g.main(["dalpha", path, "--max-points", "16"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert [c["verdict"] for c in report["checks"]
+    assert g.main(["topology", path]) == 0
+    family, = [c for c in json.loads(capsys.readouterr().out)["checks"]
+               if c["name"] == "topology_family"]
+    assert (len(family["data"]["classes"]), family["data"]["count"]) == (n, 2 ** n)
+    assert "open_sets" not in family["data"] and "--max-points" in family["note"]
+    assert g.main(["separation", path]) == 2
+    assert "--max-points" in capsys.readouterr().err
+    assert g.main(["dalpha", path]) == 0
+    assert [c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]
             if c["name"].startswith("topology_identity")] == ["pass"]
+    g.main(["full-report", path])
+    assert [note for note in json.loads(capsys.readouterr().out)["notes"]
+            if "needs a finite carrier" in note] == ["separation: skipped (needs a finite "
+                                                     "carrier within --max-points)"]
 
 
 def test_full_report_work_counts(tmp_path, monkeypatch):
@@ -489,8 +491,9 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     g.run_command("full-report", inst_file)
     # separation reads two per-instance tensors: P at the t grid and its halves
     # (12 x 81 values) and the 64 base-ball depths (64 x 81 values); the axioms
-    # battery reads one 9 x 9 x 6 tensor for its five grid scans
-    assert (len(values), sum(values)) == (90, 12181)
+    # battery reads one 9 x 9 x 6 tensor for its five grid scans, and the
+    # classes of tau_P are one 9 x 9 slice at the least t
+    assert (len(values), sum(values)) == (91, 12262)
     # d_alpha: three 9 x 9 matrices (table, metric axioms, topology identity)
     # and one pair at each of the 5 monotonicity alphas
     assert (len(rays), sum(rays)) == (8, 248)
@@ -499,7 +502,8 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
 def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
     # tau_P is a partition topology, so separation and topology_identity read
     # its 2^k open sets off the classes: with the one function that lists
-    # them refusing, both run on 48 points, where the listing would hold 2^48
+    # them refusing, both run on 48 points, where the listing would hold
+    # 2^48; topology_identity runs there under the default --max-points
     rng = random.Random(48)
     n = 48
     d = [[0] * n for _ in range(n)]
@@ -523,7 +527,7 @@ def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
     bases = [c for c in checks if c.name.startswith("countable_base[")]
     assert (len(checks) - len(bases), len(bases)) == (6768, 49)
     assert all(c.ok for c in checks)
-    identity, = [c for c in g.run_command("dalpha", inst_file, opts).checks
+    identity, = [c for c in g.run_command("dalpha", inst_file, Options()).checks
                  if c.name.startswith("topology_identity")]
     assert (identity.verdict, identity.data["tau_P_size"]) == ("pass", 2 ** n)
 

@@ -1,10 +1,11 @@
 """tau_P, tau_d_alpha and the countable-base checks against the 2^n scan.
 
 The oracles below are the enumerations the toolkit used before it derived
-both families from one least ball per point: ``admitted_family`` scans all
-2^n subsets, ``metric_ball_masks`` builds d_alpha balls over a radius grid
-fine enough to realize every ball of a finite carrier, and
-``countable_base_oracle`` loops over the scanned family.
+both families from their class labels: ``admitted_family`` scans all 2^n
+subsets, ``metric_ball_masks`` builds d_alpha balls over a radius grid fine
+enough to realize every ball of a finite carrier, ``countable_base_oracle``
+loops over the scanned family, and ``least_and_reach`` closes the least
+grid balls under Warshall's pass.
 """
 import math
 
@@ -147,13 +148,26 @@ TABLE_OP = g.BinaryOperation.tabulated([0.0, 1.0, 2.0],
                                        [[0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 3.0, 4.0]])
 
 
+def least_and_reach(inst):
+    """(U, reach) per point as bitmasks: U_x = B(x, min alpha, min t), and
+    reach its transitive closure by Warshall's pass, the least open set at x."""
+    least = [g.open_ball(inst, a, min(inst.alpha_grid), min(inst.t_grid)).bits
+             for a in inst.carrier.labels]
+    reach = list(least)
+    for k in range(len(reach)):
+        for i, r in enumerate(reach):
+            if r >> k & 1:
+                reach[i] = r | reach[k]
+    return least, reach
+
+
 @settings(max_examples=120, deadline=None)
 @given(gallery_instances(ops=(g.PLUS, g.MAX, TABLE_OP)))
 def test_tau_p_is_the_partition_topology_of_its_classes(inst):
     # every gallery P is symmetric, so reach is an equivalence and tau_P is
     # the partition topology of its k classes; the class-based code rests on it
     n = inst.carrier.size
-    least, reach, classes = balls_module._least(inst)
+    least, reach = least_and_reach(inst)
 
     def matrix(rows):
         return [[bool(r >> j & 1) for j in range(n)] for r in rows]
@@ -164,7 +178,8 @@ def test_tau_p_is_the_partition_topology_of_its_classes(inst):
     assert r == [list(col) for col in zip(*r)]
     assert all(r[i][l] for i in range(n) for j in range(n) for l in range(n)
                if r[i][j] and r[j][l])
-    assert classes.tolist() == [r[x].index(True) for x in range(n)]
+    assert balls_module._classes(inst).tolist() == [r[x].index(True) for x in range(n)]
+    assert [c.bits for c in balls_module.tau_p_classes(inst)] == list(dict.fromkeys(reach))
     k = len(set(reach))
     tau_p = g.generate_topology(inst)
     assert len(tau_p) == 2 ** k
@@ -173,16 +188,29 @@ def test_tau_p_is_the_partition_topology_of_its_classes(inst):
     assert all(sum(m.contains(x) for m in tau_p) == 2 ** (k - 1) for x in range(n))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="closure_and_limit_points takes one step of U, not the classes of "
-                          "reach; mending it moves nested_closure verdicts")
+@settings(max_examples=80, deadline=None)
+@given(gallery_instances(ops=(g.PLUS, g.MAX, TABLE_OP)), st.data())
+def test_closure_is_closed_idempotent_and_matches_the_open_sets(inst, data):
+    n = inst.carrier.size
+    tau_p = oracle_tau_p(inst)
+    for bits in [1 << x for x in range(n)] + [data.draw(st.integers(0, (1 << n) - 1))]:
+        s = g.SubsetMask(n, bits)
+        closure, limits = g.closure_and_limit_points(inst, s)
+        assert closure.complement() in tau_p
+        assert closure == g.interior(inst, s.complement()).complement()
+        assert g.closure_and_limit_points(inst, closure)[0] == closure
+        # x is a limit point of s when every open set around x meets s minus x
+        assert limits.indices() == [x for x in range(n) if all(
+            u.bits & bits & ~(1 << x) for u in tau_p if u.contains(x))]
+
+
 def test_closure_is_the_union_of_the_classes_it_meets():
     # line 0, 1, 2 at t 1 and alpha 1.5: U = {0,1}, {0,1,2}, {1,2}, which is
     # not transitive, and reach joins all three points into one class
     inst = make_instance("scaled", g.MAX, carrier=line_carrier(3), t_grid=(1.0,),
                          alpha_grid=(1.5,))
-    assert balls_module._least(inst)[:2] == ((0b011, 0b111, 0b110), (0b111,) * 3)
+    assert least_and_reach(inst) == ([0b011, 0b111, 0b110], [0b111] * 3)
     closure, _ = g.closure_and_limit_points(inst, g.SubsetMask(3, 0b001))
-    assert closure.bits == 0b111  # comes back as {0, 1}, whose complement {2} is not open
+    assert closure.bits == 0b111  # one step of U gives {0, 1}, whose complement {2} is not open
     # closure(B(0, 0.5, 0.5)) = closure({0}) is the carrier, not inside B(0, 1.5, 1) = {0, 1}
     assert g.verify_ball_theorem(inst, "nested_closure", alpha=1.5, beta=0.5).failed
