@@ -52,7 +52,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -298,14 +298,17 @@ def _topology_checks(inst, opts, seed, tol):
             balls.verify_ball_theorem(inst, "closed_ball_closed")], [], None
 
 
-def _guarded(name, fn, also=()):
-    """Run one battery item; hypothesis/precondition gaps, and the errors in
-    ``also``, become inconclusive."""
+def _inconclusive(name, exc):
+    return CheckReport(name=name, verdict=INCONCLUSIVE,
+                       note=f"not certifiable on this instance: {exc}")
+
+
+def _guarded(name, fn):
+    """Run one battery item; hypothesis/precondition gaps become inconclusive."""
     try:
         return fn()
-    except (HypothesisError, PreconditionError, WitnessNotFoundError, *also) as exc:
-        return CheckReport(name=name, verdict=INCONCLUSIVE,
-                           note=f"not certifiable on this instance: {exc}")
+    except (HypothesisError, PreconditionError, WitnessNotFoundError) as exc:
+        return _inconclusive(name, exc)
 
 
 def _separation_checks(inst, opts, seed, tol):
@@ -320,12 +323,10 @@ def _separation_checks(inst, opts, seed, tol):
                                         single[[y for _, y in rows]])
 
     def witness(name, b, r):
-        def build():
-            rep = b.report(r)
-            rep.name = name
-            return rep
-        # a ball open_ball refuses (radius or scale 0) leaves only this witness unbuilt
-        return _guarded(name, build, also=(DomainError,))
+        # a row that cannot be built (say, open_ball refuses a ball) is inconclusive
+        if b.errors[r] is not None:
+            return _inconclusive(name, b.errors[r])
+        return replace(b.report(r), name=name)
 
     def base(name, mode, x=None):
         return _guarded(name, lambda: separation.countable_base(
@@ -347,7 +348,7 @@ def _separation_checks(inst, opts, seed, tol):
 def _dalpha_checks(inst, opts, seed, tol):
     alpha = opts.alpha if opts.alpha is not None else inst.alpha_grid[len(inst.alpha_grid) // 2]
     solver = induced.BisectionSettings(tolerance=min(tol, 1e-6))
-    am = induced.AlphaMetric(inst, alpha, solver)
+    am = induced.AlphaMetric(inst, alpha, solver)  # its one d_alpha matrix serves three checks
     checks = []
     rows = None
     if inst.carrier.kind == "finite":
@@ -365,7 +366,7 @@ def _dalpha_checks(inst, opts, seed, tol):
     if inst.carrier.kind == "finite":
         checks.append(_guarded(
             f"topology_identity[alpha={alpha:.12g}]",
-            lambda: induced.compare_topologies(inst, alpha, opts.max_points, solver)))
+            lambda: induced._topology_identity(am, alpha, opts.max_points)))
     return checks, [], rows
 
 
@@ -469,6 +470,8 @@ def run_command(command: str, inst_file: InstanceFile, options: Options | None =
     tol = opts.tol if opts.tol is not None else inst_file.tol
     if not (math.isfinite(tol) and tol > 0):  # the file's rule, for --tol
         raise DomainError(f"tol must be a positive finite number, got {tol!r}")
+    if opts.max_points < 0:
+        raise DomainError(f"--max-points must be >= 0, got {opts.max_points}")
     start = time.perf_counter()
     report = Report(command=command, digest=inst_file.digest,
                     grids={"t_grid": list(inst.t_grid), "alpha_grid": list(inst.alpha_grid)},

@@ -11,6 +11,7 @@ scan of each alpha is derived once per instance (``core.derive``).
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -61,6 +62,12 @@ class AlphaMetric:
     def p4_ok(self) -> bool:
         return not self.p4_failures
 
+    @functools.cached_property
+    def _matrix(self) -> np.ndarray:
+        """d_alpha over a finite carrier's labels, built on first read and read
+        by the table, the metric axioms and the topology identity."""
+        return _distance_matrix(self, self.instance.carrier.labels)
+
 
 def d_alpha(am: AlphaMetric, a, b) -> float:
     """Left endpoint of { t : P(a,b,t) < alpha }, or +inf if the ray is empty."""
@@ -87,13 +94,13 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
     inst = am.instance
     tol = am.solver.tolerance
     if inst.carrier.kind == "finite":
-        pts = list(inst.carrier.labels)
+        pts, D = list(inst.carrier.labels), am._matrix
     else:
         rng = random.Random(seed)
         lo, hi = inst.carrier.lo, inst.carrier.hi
         pts = sorted(lo + (hi - lo) * rng.random() for _ in range(max(3, n_samples)))
+        D = _distance_matrix(am, pts)
     k = len(pts)
-    D = _distance_matrix(am, pts)
     witnesses = [Witness(points=(pts[i],), values={"value": float(D[i, i])},
                          detail="d_alpha(a,a) != 0")
                  for i in np.flatnonzero(np.diag(D) != 0.0)]
@@ -175,7 +182,13 @@ def compare_topologies(inst: GpmsInstance, alpha: float, max_points: int = 15,
         raise DomainError("topology comparison needs a finite carrier")
     if inst.op.kind != "max":
         raise HypothesisError("the topology identity requires op = max")
-    am = AlphaMetric(inst, alpha, solver)
+    return _topology_identity(AlphaMetric(inst, alpha, solver), alpha, max_points)
+
+
+def _topology_identity(am: AlphaMetric, alpha, max_points) -> CheckReport:
+    """``compare_topologies`` at ``am`` (finite carrier, op = max), reading its
+    d_alpha matrix; ``alpha`` is reported as given."""
+    inst = am.instance
     if not am.p4_ok:
         pairs = ", ".join(f"({a}, {b})" for a, b in am.p4_failures[:4])
         raise HypothesisError(
@@ -183,7 +196,7 @@ def compare_topologies(inst: GpmsInstance, alpha: float, max_points: int = 15,
             "d_alpha is not a metric here")
     car = inst.carrier
     classes_p = _classes(inst)
-    classes_d = class_labels(_distance_matrix(am, car.labels) == 0)
+    classes_d = class_labels(am._matrix == 0)
     tau_p = tau_d = ()
     if (classes_d != classes_p).any():
         tau_p = generate_topology(inst, max_points)
@@ -215,4 +228,4 @@ def alpha_metric_table(am: AlphaMetric):
     """Square list-of-lists of d_alpha values in carrier label order."""
     if am.instance.carrier.kind != "finite":
         raise DomainError("tables need a finite carrier")
-    return _distance_matrix(am, am.instance.carrier.labels).tolist()
+    return am._matrix.tolist()

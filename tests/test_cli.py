@@ -247,6 +247,17 @@ def test_bad_tol_flag_exits_2_naming_tol(tmp_path, capsys, tol, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", g.COMMANDS)
+def test_negative_max_points_exits_2_naming_the_flag(tmp_path, capsys, command):
+    out = tmp_path / "report.json"
+    path = os.path.join(GOLDEN, "constant-max-d3.instance.json")
+    assert g.main([command, path, "--max-points", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --max-points must be >= 0, got -1\n"
+    assert not out.exists()
+    g.main([command, path, "--max-points", "0", "--out", str(out)])  # 0 is a cap
+    assert "must be >= 0" not in capsys.readouterr().err
+
+
 def test_axioms_command_all_pass(tmp_path):
     f = g.load_instance(write(tmp_path, BASE))
     report = g.run_command("axioms", f)
@@ -494,9 +505,9 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     # battery reads one 9 x 9 x 6 tensor for its five grid scans, and the
     # classes of tau_P are one 9 x 9 slice at the least t
     assert (len(values), sum(values)) == (91, 12262)
-    # d_alpha: three 9 x 9 matrices (table, metric axioms, topology identity)
-    # and one pair at each of the 5 monotonicity alphas
-    assert (len(rays), sum(rays)) == (8, 248)
+    # d_alpha: one 9 x 9 matrix, read by the table, the metric axioms and the
+    # topology identity, and one pair at each of the 5 monotonicity alphas
+    assert (len(rays), sum(rays)) == (6, 86)
 
 
 def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):

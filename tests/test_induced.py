@@ -510,12 +510,12 @@ def test_one_dalpha_operation_scans_p4_once_and_solves_each_pair_once(tmp_path, 
     monkeypatch.setattr(induced, "ray_start", ray_start)
     monkeypatch.setattr(induced, "AlphaMetric", Recorded)
     g.run_command("dalpha", inst_file)
-    assert len(scans) == 1  # compare_topologies reads p4_ok; nothing else does
-    # the command's metric, one per monotonicity alpha, compare_topologies' own metric
-    assert len(metrics) == 2 + len(ALPHA_GRID)
-    # one matrix each for the table, the metric axioms and compare_topologies,
-    # and (x0, x8) at each monotonicity alpha
-    assert sorted(sizes) == [1] * len(ALPHA_GRID) + [n * n] * 3
+    assert len(scans) == 1  # the topology identity reads p4_ok; nothing else does
+    # the command's metric and one per monotonicity alpha
+    assert len(metrics) == 1 + len(ALPHA_GRID)
+    # one matrix, read by the table, the metric axioms and the topology
+    # identity, and (x0, x8) at each monotonicity alpha
+    assert sorted(sizes) == [1] * len(ALPHA_GRID) + [n * n]
     scans.clear()
     sizes.clear()
     g.check_alpha_monotonicity(inst_file.instance, "x0", "x8", ALPHA_GRID)
@@ -553,6 +553,7 @@ def test_dalpha_looks_up_each_solver_pair_once(tmp_path, monkeypatch):
     monkeypatch.setattr(core.FiniteCarrier, "index", counting)
     monkeypatch.setattr(induced, "ray_start", ray_start)
     g.run_command("dalpha", inst_file)
-    # the table, the axioms and the topology identity, which also scans P4
-    assert sorted(sizes) == [1] * len(ALPHA_GRID) + [n * n] * 3
-    assert lookups[0] <= n * 4 + 2 * len(ALPHA_GRID)
+    # one matrix for the table, the axioms and the topology identity, which
+    # also scans P4
+    assert sorted(sizes) == [1] * len(ALPHA_GRID) + [n * n]
+    assert lookups[0] <= n * 2 + 2 * len(ALPHA_GRID)

@@ -188,8 +188,41 @@ def test_tau_p_is_the_partition_topology_of_its_classes(inst):
     assert all(sum(m.contains(x) for m in tau_p) == 2 ** (k - 1) for x in range(n))
 
 
+@st.composite
+def planted_path_instances(draw):
+    """Instances whose least balls hold a path a - b - c with a and c apart:
+    d(a, b) = d(b, c) = 1 and d(a, c) = 2 in a random metric on up to 8
+    points, under a formula linear in d, with the least alpha 1.5 times P at
+    distance 1 and the least t.  The class of a then holds c, which one step
+    of U from a does not reach."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(st.integers(min_value=1, max_value=6))
+    d[0][1] = d[1][0] = d[1][2] = d[2][1] = 1
+    d[0][2] = d[2][0] = 2  # every other path from a to c is at least as long
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    order = draw(st.permutations(range(n)))  # the path at random indices
+    carrier = g.FiniteCarrier([f"p{i}" for i in range(n)],
+                              [[d[order[i]][order[j]] for j in range(n)] for i in range(n)])
+    family = draw(st.sampled_from(("scaled", "constant", "damped")))
+    op = draw(st.sampled_from((g.PLUS, g.MAX, TABLE_OP)))
+    t_grid = tuple(sorted(draw(st.sets(st.sampled_from([1e-4, 0.25, 0.5, 1.0, 2.0, 4.0, 50.0]),
+                                       min_size=1, max_size=4))))
+    unit = g.eval_P(g.GpmsInstance(carrier, family, {}, op, t_grid, (1.0,)),
+                    f"p{order.index(0)}", f"p{order.index(1)}", t_grid[0])
+    alpha_grid = tuple(sorted({1.5 * unit} | {m * unit for m in draw(
+        st.sets(st.sampled_from([2.0, 4.0, 8.0]), max_size=2))}))
+    return g.gallery_construct(family, {}, carrier, op, t_grid, alpha_grid)
+
+
 @settings(max_examples=80, deadline=None)
-@given(gallery_instances(ops=(g.PLUS, g.MAX, TABLE_OP)), st.data())
+@given(st.one_of(gallery_instances(ops=(g.PLUS, g.MAX, TABLE_OP)), planted_path_instances()),
+       st.data())
 def test_closure_is_closed_idempotent_and_matches_the_open_sets(inst, data):
     n = inst.carrier.size
     tau_p = oracle_tau_p(inst)
