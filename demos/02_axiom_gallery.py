@@ -15,7 +15,7 @@ ALPHA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 AXIOMS = ("P1", "P2", "P3", "P4", "P5", "monotone")
 
 print("=" * 72)
-print("P-axiom verdicts per family and operation (1000 seeded P3 samples)")
+print("P-axiom verdicts per family and operation (exact, for all t > 0)")
 print("=" * 72)
 print(f"{'family':10s} {'op':5s}" + "".join(f"{ax:>10s}" for ax in AXIOMS))
 for family in ("scaled", "constant", "damped", "discrete"):

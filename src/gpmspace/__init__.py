@@ -6,8 +6,9 @@ separation witnesses, computes induced alpha-metrics with a topology
 comparison, and certifies sequence-level statements (convergence, Cauchy,
 diameters, Cantor intersection) on finite carriers and sampled intervals.
 
-All checkers are pure and deterministic given their seeds; verdicts are
-falsification-only.
+All checkers are pure and deterministic given their seeds.  The P-axioms of
+the formula families under plus or max are decided exactly for all t > 0;
+every other verdict is falsification-only (see ``reports``).
 """
 
 from .errors import (

@@ -39,6 +39,10 @@ from .core import GpmsInstance, P_at, coords, derive
 from .errors import DomainError, PreconditionError, SizeError, VerificationError
 from .reports import FAIL, PASS, CheckReport, Witness
 
+# the most classes whose 2^k open sets are listed, whatever max_points allows:
+# 2^16 masks of a few bytes each, where 2^48 would not fit in memory
+LISTING_BOUND = 16
+
 
 class SubsetMask:
     """An immutable subset of the finite carrier, stored as a bitmask."""
@@ -281,14 +285,24 @@ def _unions_of_classes(inst: GpmsInstance, flags):
 
 
 def _require_listable(labels, max_points: int):
+    """Refuse to list the 2^k open sets of more than ``listing_limit`` classes."""
     k = len(set(labels.tolist()))
-    if k > max_points:
-        raise SizeError(f"the open sets of {k} classes exceed max_points={max_points}")
+    if k > listing_limit(max_points):
+        bound = f"max_points={max_points}" if max_points <= LISTING_BOUND else \
+            f"the listing bound of {LISTING_BOUND} classes"
+        raise SizeError(f"the open sets of {k} classes exceed {bound}")
+
+
+def listing_limit(max_points: int) -> int:
+    """The most classes whose open sets are listed: ``max_points``, and never
+    more than ``LISTING_BOUND``."""
+    return min(max_points, LISTING_BOUND)
 
 
 def topology_from_classes(labels, max_points: int) -> TopologyFamily:
-    """Every union of the classes of a class labelling, at most ``max_points``
-    of them: the one listing of the open sets of a partition topology."""
+    """Every union of the classes of a class labelling, at most
+    ``listing_limit(max_points)`` of them: the one listing of the open sets
+    of a partition topology."""
     _require_listable(labels, max_points)
     n, opens = len(labels), [0]
     for c in _class_bits(labels).values():
@@ -298,8 +312,8 @@ def topology_from_classes(labels, max_points: int) -> TopologyFamily:
 
 def generate_topology(inst: GpmsInstance, max_points: int = 15) -> TopologyFamily:
     """tau_P over the grids: the unions of its classes, computed once per
-    instance.  ``max_points`` caps the number k of classes, since the family
-    lists 2^k sets."""
+    instance.  ``listing_limit(max_points)`` caps the number k of classes,
+    since the family lists 2^k sets."""
     labels = _classes(inst)
     _require_listable(labels, max_points)  # a memo hit too
     return derive(inst, "topology", lambda: topology_from_classes(labels, max_points))

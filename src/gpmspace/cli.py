@@ -288,10 +288,13 @@ def _topology_checks(inst, opts, seed, tol):
     car, classes = inst.carrier, balls.tau_p_classes(inst)
     data = {"classes": [list(c.labels(car)) for c in classes], "count": 1 << len(classes)}
     note = f"tau_P is the partition topology of its {len(classes)} classes"
-    if len(classes) <= opts.max_points:
+    limit = balls.listing_limit(opts.max_points)
+    if len(classes) <= limit:
         data["open_sets"] = balls.generate_topology(inst, opts.max_points).to_jsonable(car)
     else:
-        note += f"; its open sets are listed for at most --max-points={opts.max_points} classes"
+        bound = f"--max-points={opts.max_points}" if limit == opts.max_points else \
+            f"the listing bound of {limit}"
+        note += f"; its open sets are listed for at most {bound} classes"
     return [CheckReport(name="topology_family", verdict=PASS, samples_tested=car.size,
                         note=note, data=data),
             balls.verify_ball_theorem(inst, "ball_open"),

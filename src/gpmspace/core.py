@@ -19,16 +19,31 @@ The axioms checked against an instance:
     P5        P(a,b,.) is continuous in t
     monotone  P(a,b,.) is non-increasing in t
 
-Quantifiers over "all t > 0" run over the declared t grid; quantifiers over
-an interval carrier run over its sample points.  Verdicts are
-falsification-only and comparisons are exact (no epsilon fuzzing).  Exact
-comparison is not rounding-proof: the two sides of an inequality come from
-different sequences of float operations, so a true axiom can fail by one
-ulp.  For example scaled/max is a GPMS, yet on the collinear points 0, 6, 14
-with the t grid (1.7999999999999998, 2.4) the exhaustive P3 scan reports
-lhs 3.333333333333334 against rhs 3.3333333333333335, although the
-inequality holds in exact arithmetic on the same float inputs.  A fail
-witness is a float counterexample, not one confirmed in exact arithmetic.
+A formula family under plus or max is decided for all t > 0, exactly, from
+its formula and the carrier's distances (``_check_exact``).  P1, P2, P5 and
+monotone hold by the formula.  P4 at alpha fails for the distinct pairs whose
+sup over t, the t -> 0+ limit of P, stays below alpha: +inf for scaled and
+discrete, d for constant, 2d for damped.  P3 reduces to a condition on
+d(a,b), d(a,x), d(b,x): the triangle inequality (scaled/max, constant/plus,
+damped/plus), d(a,b) <= (sqrt d(a,x) + sqrt d(b,x))^2 (scaled/plus) or the
+ultrametric inequality (constant/max, damped/max); discrete always holds.
+On an interval |x - y| is a metric and no ultrametric, so family and op fix
+P3; P4 still quantifies over the sample points there.  Each comparison is
+exact on the float inputs: a float pass, then ``fractions.Fraction`` on the
+near-ties where rounding could decide it.  A fail witness is a float
+counterexample built from the reduction (s = d(a,x), t = d(b,x) for
+scaled/max, their square roots for scaled/plus, s = t = 40, where
+1 + exp(-t) rounds to 1, for constant and damped), checked again through
+the kernel; an exact violation without one is reported inconclusive.  The grid scans could not be trusted there: on the
+collinear points 0, 6, 14 (scaled/max, t grid (1.7999999999999998, 2.4))
+exhaustive P3 read lhs 3.333333333333334 against rhs 3.3333333333333335,
+although the inequality holds in exact arithmetic on the same inputs.
+
+Tabulated families and table operations keep the grid scans: quantifiers
+over "all t > 0" run over the declared t grid, quantifiers over an interval
+carrier over its sample points, and verdicts are falsification-only, with
+exact float comparisons (no epsilon fuzzing) that a rounding artifact can
+still fail by one ulp.
 
 P is computed in one place, ``_kernel``: one family formula applied to a
 distance and a t, broadcast together, where the distance comes from the
@@ -40,25 +55,29 @@ and ``P_at`` is the kernel at coordinates, over arrays of them and of t
 broadcast together; ``eval_P`` is the kernel at one pair and one t.
 ``ray_start`` inverts the same formulas and step tables in t: it is the
 induced d_alpha = inf { t > 0 : P < alpha } at coordinates, in closed form.
-The grid scans (P1, P2, P4, monotone, ``p4_violations``, the construction
-sanity pass) read one points x points x t_grid tensor, one per
-``check_P_axioms`` call for all its scans, and list witnesses in the order
-of nested loops over (a, b, t).  Sampled P3 decodes its seeded trials from
-blocks of Mersenne Twister words (``_randrange_rows``).  The scans and the
-P3 trials keep their witnesses as index rows plus the values gathered there
-(``ScanWitnesses``), so a witness is built only when it is read.
+The grid scans (P1, P2, P4, monotone of tabulated P or a table op,
+``p4_violations``, the construction sanity pass) read one points x points x
+t_grid tensor, one per ``check_P_axioms`` call for all its scans, and list
+witnesses in the order of nested loops over (a, b, t).  Sampled P3 decodes
+its seeded trials from blocks of Mersenne Twister words
+(``_randrange_rows``).  ``p3_violations`` and ``p4_violations`` also stand
+as the test oracles of the exact decisions.  The scans, the P3 trials and
+the exact decisions keep their witnesses as index rows plus the values
+gathered there (``ScanWitnesses``), so a witness is built only when it is
+read.
 """
 from __future__ import annotations
 
 import functools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
 from .binop import BinaryOperation, eval_op_array
 from .errors import ConstructionError, DomainError
-from .reports import FAIL, PASS, CheckReport, ScanWitnesses, Witness
+from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, ScanWitnesses, Witness
 
 FAMILIES = ("scaled", "constant", "damped", "discrete", "tabulated")
 
@@ -524,13 +543,17 @@ def check_P_axiom(inst: GpmsInstance, axiom: str, seed: int = 0,
 
 def check_P_axioms(inst: GpmsInstance, axioms=P_AXIOMS, seed: int = 0,
                    n_samples: int = 1000, exhaustive: bool = False) -> list:
-    """Check each of ``axioms`` in order, one ``CheckReport`` each; P1, P2, P4
-    and monotone scan exhaustively, P3 samples, P5 reads the family alone.
+    """Check each of ``axioms`` in order, one ``CheckReport`` each.
 
-    The grid scans share one points x points x t_grid tensor of P, built on
-    the first scan that needs it and dropped when the call returns.  P4
-    reads its smallest-t slice: the kernel is elementwise in t, so those
-    values are the ones a tensor at that t alone would hold.
+    A formula family under plus or max is decided for all t > 0 from its
+    formula and the carrier's distances (``_check_exact``); ``seed``,
+    ``n_samples`` and ``exhaustive`` do not apply there.  Otherwise P1, P2,
+    P4 and monotone scan the grid exhaustively, P3 samples and P5 reads the
+    family or its step tables.  The grid scans share one points x points x
+    t_grid tensor of P, built on the first scan that needs it and dropped
+    when the call returns.  P4 reads its smallest-t slice: the kernel is
+    elementwise in t, so those values are the ones a tensor at that t alone
+    would hold.
     ``exhaustive=True`` forces the all-triples-all-pairs scan for P3 (used
     to validate the sampler on small carriers).
     """
@@ -540,9 +563,13 @@ def check_P_axioms(inst: GpmsInstance, axioms=P_AXIOMS, seed: int = 0,
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     pts = inst.quantifier_points()
-    pair_grid = functools.cache(lambda: _pair_grid(inst, pts, inst.t_grid))
     sampled_note = "" if inst.carrier.kind == "finite" else \
         f"; interval carrier quantified over {len(pts)} sample points"
+    if inst._steps is None and inst.op.kind in ("plus", "max"):
+        if inst.carrier.kind == "finite":
+            pts = inst.carrier.points()
+        return [_check_exact(inst, axiom, pts, sampled_note) for axiom in axioms]
+    pair_grid = functools.cache(lambda: _pair_grid(inst, pts, inst.t_grid))
     return [_check_axiom(inst, axiom, pts, pair_grid, sampled_note, seed, n_samples, exhaustive)
             for axiom in axioms]
 
@@ -638,6 +665,176 @@ def _check_P5(inst):
                    detail="step drop in the pair table")
     return CheckReport(name="P5", verdict=FAIL, witnesses=(best,),
                        note="step-interpolated in t: discontinuous by construction")
+
+
+# -- exact decisions: the formula families under plus or max ---------------
+
+# P3 over all s, t > 0 reduces to one condition on d(a,b), d(a,x), d(b,x) per
+# family and op; discrete P3 holds on every triple.  Necessity: constant and
+# damped fail as s, t grow unless the condition holds, scaled/max fails at
+# (s, t) = (d(a,x), d(b,x)) and scaled/plus at (sqrt d(a,x), sqrt d(b,x)),
+# which are the witnesses' times below
+_P3_RULES = {("scaled", "max"): "triangle", ("constant", "plus"): "triangle",
+             ("damped", "plus"): "triangle", ("scaled", "plus"): "sqrt",
+             ("constant", "max"): "ultrametric", ("damped", "max"): "ultrametric"}
+_P3_CONDITIONS = {"triangle": "d(a,b) <= d(a,x) + d(b,x)",
+                  "sqrt": "d(a,b) <= (sqrt d(a,x) + sqrt d(b,x))^2",
+                  "ultrametric": "d(a,b) <= max(d(a,x), d(b,x))"}
+
+# sup over t > 0 of P at a distance d > 0: its t -> 0+ limit
+_P4_SUPS = {"scaled": "+inf", "discrete": "+inf", "constant": "d", "damped": "2d"}
+
+_FORMULA_CLAIMS = {"P1": "P(a,b,t) = 0 iff a = b", "P2": "P(a,b,t) = P(b,a,t)",
+                   "monotone": "non-increasing in t"}
+
+_FLAT_T = 40.0  # 1 + exp(-t) rounds to 1 here: damped P reads d, as constant P does
+
+_P3_BLOCK = 1 << 15  # entries of one block of rows of the n x n x n P3 scan
+
+
+def _check_exact(inst, axiom, pts, sampled_note):
+    """One axiom of a formula family under plus or max, decided for all t > 0.
+
+    P1, P2 and monotone hold by the formula, since d is symmetric and zero
+    only on the diagonal, and read no P; P4 and P3 read the distances."""
+    if axiom in _FORMULA_CLAIMS:
+        return CheckReport(name=axiom, verdict=PASS,
+                           note=f"{inst.family} family: {_FORMULA_CLAIMS[axiom]} for all "
+                                f"t > 0, exact; no grid scan")
+    if axiom == "P5":
+        return _check_P5(inst)
+    if axiom == "P4":
+        return _check_P4_exact(inst, pts, sampled_note)
+    return _check_P3_exact(inst, pts)
+
+
+def _check_P4_exact(inst, pts, sampled_note):
+    """P4 per grid alpha: a distinct pair fails where the sup of P over t > 0
+    stays below alpha.  The sup is +inf for scaled and discrete, d for
+    constant (a fail where d < alpha) and 2d for damped, never reached (a
+    fail where 2d <= alpha).  Witnesses list alpha outermost, then the pair."""
+    note = (f"per-alpha reading; the sup of P over t > 0 is {_P4_SUPS[inst.family]}, "
+            f"its limit as t -> 0+; all t > 0, exact") + sampled_note
+    if _P4_SUPS[inst.family] == "+inf":
+        return CheckReport(name="P4", verdict=PASS, note=note)
+    alphas = np.asarray(inst.alpha_grid)
+    c = coords(inst, pts)
+    dist = _distance(inst, c[:, None], c[None, :])
+    upper = np.triu(np.ones(dist.shape, dtype=bool), 1)
+    below = dist < alphas[:, None, None] if inst.family == "constant" else \
+        2.0 * dist <= alphas[:, None, None]
+    rows = np.argwhere(upper & below)
+    a, i, j = rows.T
+    T = np.asarray(inst.t_grid)
+    grid = P_at(inst, c[i], c[j], T[:, None])  # (t, row)
+    shown = np.all(grid < alphas[a], axis=0)  # the float witness stays below at every grid t
+    witnesses = ScanWitnesses(pts, rows[shown, 1:],
+                              {"alpha": alphas[a[shown]], "t": np.full(shown.sum(), T[0]),
+                               "value": grid[0, shown]},
+                              "distinct pair below alpha for every t > 0")
+    lost = [(pts[u], pts[v], f"alpha={alphas[k]:.12g}") for k, u, v in rows[~shown][:1].tolist()]
+    return _exact_report("P4", witnesses, int((~shown).sum()), lost, len(alphas) * int(upper.sum()),
+                         note)
+
+
+def _check_P3_exact(inst, pts):
+    """P3 from its reduction: on a finite carrier one witness per failing pair
+    (a, b), a before b, with the first failing x (``_p3_exact_rows``); on an
+    interval |x - y| is a metric and no ultrametric, which fixes the verdict."""
+    op = inst.op.kind
+    rule = _P3_RULES.get((inst.family, op))
+    if rule is None:
+        return CheckReport(name="P3", verdict=PASS,
+                           note=f"discrete/{op}: c/(s+t) <= c/s o c/t and P(a,a,.) = 0, so P3 "
+                                f"holds on every triple; all t > 0, exact; no grid scan")
+    note = (f"{inst.family}/{op}: P3 holds for all s, t > 0 iff {_P3_CONDITIONS[rule]} on "
+            f"every triple; all t > 0, exact")
+    car = inst.carrier
+    if car.kind == "interval":
+        if rule != "ultrametric":
+            return CheckReport(name="P3", verdict=PASS,
+                               note=note + "; |x - y| on an interval meets it; no grid scan")
+        note += "; |x - y| on an interval is no ultrametric, so its ends and middle fail"
+        pts, rows, samples = (car.lo, car.hi, 0.5 * (car.lo + car.hi)), np.array([[0, 1, 2]]), 0
+    else:
+        rows, samples = _p3_exact_rows(car.d, rule), len(pts) ** 3
+        if not len(rows):
+            return CheckReport(name="P3", verdict=PASS, samples_tested=samples, note=note)
+    c = coords(inst, pts)
+    a, b, x = c[rows[:, 0]], c[rows[:, 1]], c[rows[:, 2]]
+    dax, dbx = _distance(inst, a, x), _distance(inst, b, x)
+    if inst.family != "scaled":
+        s = t = np.full(len(rows), _FLAT_T)
+    else:
+        s, t = (dax, dbx) if op == "max" else (np.sqrt(dax), np.sqrt(dbx))
+    lhs = P_at(inst, a, b, s + t)
+    rhs = eval_op_array(inst.op, P_at(inst, a, x, s), P_at(inst, b, x, t))
+    shown = lhs > rhs
+    witnesses = ScanWitnesses(pts, rows[shown], {"s": s[shown], "t": t[shown], "lhs": lhs[shown],
+                                                 "rhs": rhs[shown]},
+                              "P(a,b,s+t) > P(a,x,s) o P(b,x,t)")
+    lost = [tuple(pts[k] for k in row) for row in rows[~shown][:1].tolist()]
+    return _exact_report("P3", witnesses, int((~shown).sum()), lost, samples, note)
+
+
+def _exact_report(name, witnesses, n_lost, lost, samples, note):
+    """``fail`` with the witnesses that reproduce in floats, ``inconclusive``
+    when no exact violation has one (``lost`` holds the first one's
+    points), else ``pass``."""
+    if n_lost:
+        note += (f"; {n_lost} exact violations have no float witness, the first at "
+                 f"({', '.join(map(str, lost[0]))})")
+    verdict = FAIL if witnesses else INCONCLUSIVE if n_lost else PASS
+    return CheckReport(name=name, verdict=verdict, samples_tested=samples, note=note,
+                       witnesses=witnesses)
+
+
+def _p3_exact_rows(d, rule):
+    """(a, b, x) index rows into a finite carrier's table ``d``, one per pair
+    a < b that breaks ``rule`` at some x, with the first such x, in (a, b)
+    order.  The rows of a are scanned in blocks of about ``_P3_BLOCK`` entries."""
+    n = len(d)
+    # integers up to 2^24: sums, squares and products are exact in floats
+    integral = bool(np.all(d == np.floor(d))) and d.max() <= 2.0 ** 24
+    step = max(1, _P3_BLOCK // (n * n))
+    found = [np.empty((0, 3), dtype=np.intp)]
+    for lo in range(0, n, step):
+        a = np.arange(lo, min(n, lo + step))
+        bad = ~_p3_holds(rule, d[a][:, :, None], d[a][:, None, :], d[None], integral)
+        bad &= (a[:, None] < np.arange(n))[:, :, None]  # b after a
+        ia, b = np.nonzero(bad.any(axis=-1))
+        found.append(np.stack((a[ia], b, bad[ia, b].argmax(axis=-1)), axis=1))
+    return np.concatenate(found)
+
+
+def _p3_holds(rule, dab, dax, dbx, integral):
+    """``rule`` at the broadcast distances, decided exactly on these floats:
+    a float pass, then ``Fraction`` on the near-ties that rounding could
+    decide.  Max is exact, and so is an ``integral`` table."""
+    if rule == "ultrametric":
+        return dab <= np.maximum(dax, dbx)
+    if integral:
+        q = dab - dax - dbx
+        return (q <= 0) if rule == "triangle" else (q <= 0) | (q * q <= 4.0 * dax * dbx)
+    with np.errstate(over="ignore"):  # a bound that overflows to inf holds
+        rhs = dax + dbx if rule == "triangle" else (np.sqrt(dax) + np.sqrt(dbx)) ** 2
+    zero = (dax == 0) | (dbx == 0)  # then the condition is dab <= the other, exact
+    holds = np.where(zero, dab <= dax + dbx, dab <= rhs)
+    # a rounded sum decides all but a tie; the square is within a few ulps
+    near = ~zero & ((dab == rhs) if rule == "triangle" else
+                    (np.abs(dab - rhs) <= 2.0 ** -40 * rhs) | (rhs < 2.0 ** -900))
+    if near.any():
+        dab, dax, dbx = np.broadcast_arrays(dab, dax, dbx)
+        for k in zip(*np.nonzero(near)):
+            holds[k] = _holds_exactly(rule, dab[k], dax[k], dbx[k])
+    return holds
+
+
+def _holds_exactly(rule, dab, dax, dbx) -> bool:
+    """``rule`` at one triple of float distances, in rational arithmetic."""
+    dab, dax, dbx = Fraction(float(dab)), Fraction(float(dax)), Fraction(float(dbx))
+    q = dab - dax - dbx
+    return q <= 0 or (rule == "sqrt" and q * q <= 4 * dax * dbx)
 
 
 def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,

@@ -172,11 +172,12 @@ def compare_topologies(inst: GpmsInstance, alpha: float, max_points: int = 15,
     Both are partition topologies: tau_d_alpha's classes are those of
     d_alpha = 0, since balls of radius below the least positive distance
     shrink to them.  Equal classes give equal families; only differing
-    classes have the two families listed, each within ``max_points``
-    classes, to name the sets that differ.  A strict shortfall of tau_P is
-    reported inconclusive (grid artifact: coarse alpha/t grids admit fewer
-    sets); anything else that differs is a genuine failure.  The verdict
-    does not depend on construction order.
+    classes have the two families listed, each within
+    ``balls.listing_limit(max_points)`` classes, to name the sets that
+    differ.  A strict shortfall of tau_P is reported inconclusive (grid
+    artifact: coarse alpha/t grids admit fewer sets); anything else that
+    differs is a genuine failure.  The verdict does not depend on
+    construction order.
     """
     if inst.carrier.kind != "finite":
         raise DomainError("topology comparison needs a finite carrier")

@@ -1,9 +1,13 @@
 """Check verdicts, witnesses and canonical serialization helpers.
 
-Every checker in this package is falsification-only: a "pass" verdict means
-no counterexample was found at the declared grid/sample resolution, never a
-proof.  A "fail" verdict always carries at least one witness, and
-re-evaluating the violated inequality on that witness reproduces the failure.
+A "pass" verdict is exact where a check decides its claim in closed form (the
+P-axioms of the formula families under plus or max, for all t > 0; see
+``core``) and says so in its note; every other check is falsification-only:
+"pass" means no counterexample was found at the declared grid/sample
+resolution, never a proof.  A "fail" verdict always carries at least one
+witness, and re-evaluating the violated inequality on that witness in floats
+reproduces the failure.  An exact violation without such a witness is
+"inconclusive".
 
 A report's ``witnesses`` is a sequence, not always a tuple.  The grid scans
 of ``core`` can find tens of thousands of witnesses and a report serializes

@@ -50,7 +50,8 @@ class SequenceSpec:
             raise DomainError("formula sequences need at least 5 terms")
 
     def terms(self, carrier):
-        """Evaluate terms n = 1..n_terms and validate carrier membership."""
+        """Evaluate terms n = 1..n_terms and validate carrier membership: a
+        closed form on an interval with one bounds test, else term by term."""
         if self.kind == "explicit":
             out = list(self.points)
         else:
@@ -61,7 +62,13 @@ class SequenceSpec:
                 vals = self.c + self.a / ns
             else:
                 vals = self.c + self.a * (-1.0) ** ns
-            out = [float(v) for v in vals]
+            if carrier.kind == "interval":
+                inside = (vals >= carrier.lo) & (vals <= carrier.hi)  # False at NaN
+                if not inside.all():
+                    raise DomainError(f"sequence term {vals[inside.argmin()].item()!r} "
+                                      f"leaves the carrier")
+                return vals.tolist()
+            out = vals.tolist()
         for v in out:
             if not carrier.contains(v):
                 raise DomainError(f"sequence term {v!r} leaves the carrier")

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -502,21 +503,18 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     g.run_command("full-report", inst_file)
     # separation reads two per-instance tensors: P at the t grid and its halves
     # (12 x 81 values) and the 64 base-ball depths (64 x 81 values); the axioms
-    # battery reads one 9 x 9 x 6 tensor for its five grid scans, and the
-    # classes of tau_P are one 9 x 9 slice at the least t
-    assert (len(values), sum(values)) == (91, 12262)
+    # battery reads no P (scaled/max is decided from d, and the line meets
+    # the triangle inequality, so no witness is evaluated), and the classes
+    # of tau_P are one 9 x 9 slice at the least t
+    assert (len(values), sum(values)) == (87, 8776)
     # d_alpha: one 9 x 9 matrix, read by the table, the metric axioms and the
     # topology identity, and one pair at each of the 5 monotonicity alphas
     assert (len(rays), sum(rays)) == (6, 86)
 
 
-def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
-    # tau_P is a partition topology, so separation and topology_identity read
-    # its 2^k open sets off the classes: with the one function that lists
-    # them refusing, both run on 48 points, where the listing would hold
-    # 2^48; topology_identity runs there under the default --max-points
+def wide_instance_file(tmp_path, n=48):
+    """A random n-point shortest-path metric, scaled/max on the BASE grids."""
     rng = random.Random(48)
-    n = 48
     d = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -525,8 +523,16 @@ def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
         for i in range(n):
             for j in range(n):
                 d[i][j] = min(d[i][j], d[i][k] + d[k][j])
-    inst_file = g.load_instance(write(tmp_path, dict(BASE, points=[f"w{i}" for i in range(n)],
-                                                     d=d)))
+    return g.load_instance(write(tmp_path, dict(BASE, points=[f"w{i}" for i in range(n)], d=d)))
+
+
+def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
+    # tau_P is a partition topology, so separation and topology_identity read
+    # its 2^k open sets off the classes: with the one function that lists
+    # them refusing, both run on 48 points, where the listing would hold
+    # 2^48; topology_identity runs there under the default --max-points
+    n = 48
+    inst_file = wide_instance_file(tmp_path, n)
 
     def refuse(*args):
         raise AssertionError("the open sets were listed")
@@ -543,11 +549,50 @@ def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
     assert (identity.verdict, identity.data["tau_P_size"]) == ("pass", 2 ** n)
 
 
+def test_max_points_beyond_the_listing_bound_lists_nothing(tmp_path):
+    # --max-points 48 on 48 classes once built all 2^48 unions and ran out of
+    # memory; the listing stops at LISTING_BOUND classes whatever the flag says
+    inst_file = wide_instance_file(tmp_path)
+    start = time.perf_counter()
+    for command in ("topology", "full-report"):
+        report = g.run_command(command, inst_file, Options(max_points=48))
+        assert report.exit_code in (0, 1)
+        family, = [c for c in report.checks if c.name == "topology_family"]
+        assert (len(family.data["classes"]), family.data["count"]) == (48, 2 ** 48)
+        assert "open_sets" not in family.data
+        assert family.note.endswith("listed for at most the listing bound of 16 classes")
+    assert time.perf_counter() - start < 20
+    assert balls.LISTING_BOUND == 16
+    with pytest.raises(g.SizeError, match="exceed the listing bound of 16 classes"):
+        balls.generate_topology(inst_file.instance, 48)
+    with pytest.raises(g.SizeError, match="exceed max_points=15"):
+        balls.generate_topology(inst_file.instance, 15)
+
+
+def test_topology_identity_is_inconclusive_beyond_the_listing_bound(tmp_path):
+    # classes that differ are listed to name the sets that differ; past the
+    # listing bound the SizeError guard makes the check inconclusive
+    # classes that differ are listed to name the sets that differ: at t 1 and
+    # alpha 1.5 tau_P merges the pairs at distance 1, while d_alpha = d / 0.5
+    # keeps all 20 points apart, and 20 classes pass the listing bound
+    source = wide_instance_file(tmp_path, 20).source
+    inst_file = g.load_instance(write(tmp_path, dict(source, t_grid=[1, 2, 4],
+                                                     alpha_grid=[1.5, 3, 6])))
+    assert len(balls.tau_p_classes(inst_file.instance)) < 20
+    checks = g.run_command("dalpha", inst_file, Options(max_points=48, alpha=0.5)).checks
+    identity, = [c for c in checks if c.name.startswith("topology_identity")]
+    assert identity.verdict == "inconclusive"
+    assert "exceed the listing bound of 16 classes" in identity.note
+
+
 def test_axioms_battery_evaluates_one_grid_tensor(tmp_path, monkeypatch):
-    # one grid tensor for P1, P2, P4, P5 and monotone, then the three P3 gathers
+    # under a table op: one grid tensor for P1, P2, P4, P5 and monotone, then
+    # the three P3 gathers; under max, scaled P is decided from d and read nowhere
     interval = {k: v for k, v in BASE.items() if k not in ("points", "d")}
-    cases = [(BASE, 3 * 3 * 6),
-             (dict(interval, interval=[-2.0, 2.0], resolution=0.01), 135 * 135 * 6)]
+    table = {"table": {"grid": [0.0, 1.0, 2.0], "values": [[0.0, 1.0, 2.0], [1.0, 1.5, 2.5],
+                                                           [2.0, 2.5, 3.0]]}}
+    cases = [(dict(BASE, op=table), 3 * 3 * 6),
+             (dict(interval, op=table, interval=[-2.0, 2.0], resolution=0.01), 135 * 135 * 6)]
     values = []
     real_kernel = core._kernel
 
@@ -562,3 +607,8 @@ def test_axioms_battery_evaluates_one_grid_tensor(tmp_path, monkeypatch):
         values.clear()
         g.run_command("axioms", inst_file)
         assert values == [grid, 1000, 1000, 1000]
+    for doc in (BASE, dict(interval, interval=[-2.0, 2.0], resolution=0.01)):
+        inst_file = g.load_instance(write(tmp_path, doc))
+        values.clear()
+        assert g.run_command("axioms", inst_file).exit_code == 0
+        assert values == []

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from collections.abc import Sequence
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -317,11 +318,20 @@ def test_check_reports_deterministic_for_fixed_seed():
 
 
 def test_interval_carrier_axioms_sampled():
+    # under a table op the grid scans quantify over the sample points; under
+    # max the formula decides P1, P2 and monotone on the whole interval, and
+    # P4 on the sample points, for all t > 0
+    table = interval_instance("scaled", op=TABLE_OP, resolution=0.5)
     inst = interval_instance("scaled", resolution=0.5)
     for axiom in ("P1", "P2", "monotone"):
-        rep = g.check_P_axiom(inst, axiom)
+        rep = g.check_P_axiom(table, axiom)
         assert rep.ok
         assert "sample points" in rep.note
+        rep = g.check_P_axiom(inst, axiom)
+        assert rep.ok and rep.samples_tested == 0
+        assert "all t > 0, exact" in rep.note and "sample points" not in rep.note
+    rep = g.check_P_axiom(inst, "P4")
+    assert rep.ok and "all t > 0, exact" in rep.note and "sample points" in rep.note
     assert g.check_P_axiom(inst, "P3", seed=3, n_samples=400).ok
 
 
@@ -378,9 +388,18 @@ def euclidean_carriers(draw):
 @settings(max_examples=30, deadline=None)
 @given(euclidean_carriers())
 def test_scaled_family_satisfies_p3_on_random_metrics(carrier):
-    for op in (g.PLUS, g.MAX):
-        inst = g.gallery_construct("scaled", {}, carrier, op, (0.5, 1.0, 2.0), (1.0,))
-        assert g.check_P_axiom(inst, "P3", exhaustive=True).ok
+    # scaled/plus needs d(a,b) <= (sqrt d(a,x) + sqrt d(b,x))^2, which every
+    # metric meets; scaled/max needs the triangle inequality itself, which
+    # float distances of points on a line can break by an ulp
+    d = [[Fraction(v) for v in row] for row in carrier.d.tolist()]
+    n = carrier.size
+    metric = all(d[a][b] <= d[a][x] + d[b][x] for a in range(n) for b in range(n)
+                 for x in range(n))
+    plus, top = (g.check_P_axiom(g.gallery_construct("scaled", {}, carrier, op, (0.5, 1.0, 2.0),
+                                                     (1.0,)), "P3", exhaustive=True)
+                 for op in (g.PLUS, g.MAX))
+    assert plus.ok
+    assert top.ok == metric
 
 
 # -- one kernel: the array front end and the tensor scans against scalar oracles --
@@ -658,7 +677,7 @@ def test_randrange_reads_getrandbits_words():
 
 
 def test_sampled_p3_makes_no_randrange_call(monkeypatch):
-    inst = make_instance("constant", op=g.MAX)  # fails P3, so witnesses are compared
+    inst = make_instance("constant", op=TABLE_OP)  # fails P3, so witnesses are compared
     expected = exact(loop_p3(inst, seed=4, n_samples=1000))
 
     def refuse(*args, **kwargs):
@@ -820,10 +839,18 @@ def assert_scans_match_oracle(inst):
         assert expected is None
 
 
+def with_op(inst, op):
+    return g.GpmsInstance(inst.carrier, inst.family, inst.params, op, inst.t_grid,
+                          inst.alpha_grid)
+
+
+# the grid scans run under a table op (and on tabulated P); a formula family
+# under plus or max is decided from its formula, see the reduction tests below
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_instances())
 def test_tensor_scans_match_scalar_loops(inst):
-    assert_scans_match_oracle(inst)
+    assert_scans_match_oracle(with_op(inst, TABLE_OP))
 
 
 @settings(max_examples=60, deadline=None)
@@ -831,7 +858,7 @@ def test_tensor_scans_match_scalar_loops(inst):
 def test_tensor_scans_match_scalar_loops_on_failing_tables(inst):
     # tampered tables: P1, P2 and monotone witnesses, and the order of the
     # construction errors, are compared too
-    assert_scans_match_oracle(inst)
+    assert_scans_match_oracle(with_op(inst, TABLE_OP))
 
 
 def test_interval_sweep_scans_make_no_scalar_calls(monkeypatch):
@@ -877,7 +904,7 @@ def tampered_instance():
                   [2.0, 1.0, 0.5, 0.0]])
     d.flags.writeable = False
     carrier.d = d
-    return g.GpmsInstance(carrier, "scaled", {}, g.MAX, (0.5, 1.0, 2.0), (0.25, 1.0))
+    return g.GpmsInstance(carrier, "scaled", {}, TABLE_OP, (0.5, 1.0, 2.0), (0.25, 1.0))
 
 
 def test_scan_witnesses_are_a_sequence_built_on_read():
@@ -905,8 +932,9 @@ def test_scan_witnesses_are_a_sequence_built_on_read():
 
 
 def test_interval_sweep_report_builds_nine_p4_witnesses(tmp_path, monkeypatch):
-    # the damped interval-sweep instance: 32,044 P4 witnesses, of which a
-    # report builds the first (CheckReport.witness) and the eight it prints
+    # the damped interval-sweep instance: 32,004 P4 witnesses (pairs of
+    # sample points with 2 d <= alpha), of which a report builds the first
+    # (CheckReport.witness) and the eight it prints
     doc = {"version": 1, "interval": [-2.0, 2.0], "resolution": 0.02, "family": "damped",
            "params": {}, "op": "plus", "t_grid": list(T_GRID), "alpha_grid": list(ALPHA_GRID),
            "seed": 11, "tol": 1e-6}
@@ -923,12 +951,12 @@ def test_interval_sweep_report_builds_nine_p4_witnesses(tmp_path, monkeypatch):
     monkeypatch.setattr(g.Witness, "__init__", counting)
     report = g.run_command("full-report", inst_file)
     text = report.to_canonical_json()
-    detail = "distinct pair below alpha for every grid t"
+    detail = "distinct pair below alpha for every t > 0"
     assert built.count(detail) <= 9
     (p4,) = [c for c in json.loads(text)["checks"] if c["name"] == "P4"]
-    assert p4["witness_count"] == 32044 and len(p4["witnesses"]) == 8
+    assert p4["witness_count"] == 32004 and len(p4["witnesses"]) == 8
     rep = next(c for c in report.checks if c.name == "P4")
-    assert len(list(rep.witnesses)) == 32044
+    assert len(list(rep.witnesses)) == 32004
 
 
 def test_tabulated_steps_left_of_the_first_node_and_ragged_pairs():
@@ -946,3 +974,226 @@ def test_tabulated_steps_left_of_the_first_node_and_ragged_pairs():
     assert [g.d_alpha(am, "a", "c"), g.d_alpha(am, "b", "c"), g.d_alpha(am, "a", "b")] == \
         [4.0, math.inf, math.inf]
     assert g.d_alpha(g.AlphaMetric(inst, 6.0), "a", "c") == 0.0
+
+
+# -- the formula families under plus or max: exact verdicts against dense scans --
+
+FORMULA_PARAMS = {"scaled": {}, "constant": {}, "damped": {}, "discrete": {"c": 1.5}}
+
+
+@st.composite
+def reduction_carriers(draw):
+    """Small finite carriers: integer metrics, integer tables that break the
+    triangle inequality, ultrametrics, and float distances of points on a
+    line, whose triangle ties rest on rounding."""
+    kind = draw(st.sampled_from(("metric", "table", "ultrametric", "line")))
+    n = draw(st.integers(3, 5))
+    if kind == "line":
+        xs = draw(st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=n, max_size=n,
+                           unique=True))
+        d = [[abs(a - b) for b in xs] for a in xs]
+    elif kind == "ultrametric":  # 3 - the depth at which two paths of a tree part
+        paths = [(draw(st.integers(0, 1)), draw(st.integers(0, 2)), i) for i in range(n)]
+        scale = draw(st.sampled_from((1, 2, 5)))
+        d = [[scale * (3 - next(k for k in range(3) if p[k] != q[k])) if p != q else 0
+              for q in paths] for p in paths]
+    else:
+        d = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i][j] = d[j][i] = draw(st.integers(1, 9))
+        if kind == "metric":
+            for k in range(n):
+                for i in range(n):
+                    for j in range(n):
+                        d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return g.FiniteCarrier([f"p{i}" for i in range(n)], d, tri_slack=math.inf)
+
+
+def dense_t_grid(carrier):
+    """Powers of two, every distance and its square root (the scaled
+    witnesses' times), and two t where 1 + exp(-t) rounds to 1."""
+    dists = {v for row in carrier.d.tolist() for v in row if v > 0}
+    return tuple(sorted({2.0 ** k for k in range(-4, 9)} | dists | {math.sqrt(v) for v in dists}
+                        | {40.0, 400.0}))
+
+
+def reduced_p3_fails(family, op, dab, dax, dbx):
+    """The reduced P3 condition of a family and op broken at one triple of
+    Fraction distances."""
+    if family == "discrete":
+        return False
+    if op == "max" and family != "scaled":
+        return dab > max(dax, dbx)
+    q = dab - dax - dbx
+    return q > 0 and (family != "scaled" or op == "max" or q * q > 4 * dax * dbx)
+
+
+_EXP_SLACK = Fraction(1, 10 ** 9)
+
+
+def exact_P_bounds(inst, dist, t):
+    """(low, high) Fractions around P at a Fraction distance and t: exact for
+    the rational formulas, exp(-t) within 1e-9 of math.exp for damped."""
+    if dist == 0:
+        return Fraction(0), Fraction(0)
+    if inst.family == "damped":
+        e = Fraction(math.exp(-float(t)))
+        return dist * (1 + e * (1 - _EXP_SLACK)), dist * (1 + e * (1 + _EXP_SLACK))
+    if inst.family == "scaled":
+        v = dist / t
+    elif inst.family == "constant":
+        v = dist
+    else:  # discrete
+        v = Fraction(inst.params["c"]) / t
+    return v, v
+
+
+def dense_p3_pairs(inst):
+    """The index pairs (a, b), a before b among the quantifier points, with a
+    P3 violation on the t grid that Fraction arithmetic confirms: the float
+    violations of each triple are confirmed in grid order until one holds."""
+    pts = inst.quantifier_points()
+    c = coords(inst, pts)
+    T = np.asarray(inst.t_grid)
+    S, U = (m.ravel() for m in np.meshgrid(T, T, indexing="ij"))
+    d = [[Fraction(inst.carrier.base_distance(p, q)) for q in pts] for p in pts]
+    combine = (lambda u, v: u + v) if inst.op.kind == "plus" else max
+    found = set()
+    for a, b, x in itertools.product(range(len(pts)), repeat=3):
+        if a >= b or (a, b) in found:
+            continue
+        lhs = P_at(inst, c[a], c[b], S + U)
+        rhs = g.eval_op_array(inst.op, P_at(inst, c[a], c[x], S), P_at(inst, c[b], c[x], U))
+        for k in np.flatnonzero(lhs > rhs):
+            s, t = Fraction(S[k]), Fraction(U[k])
+            low = exact_P_bounds(inst, d[a][b], s + t)[0]
+            high = combine(exact_P_bounds(inst, d[a][x], s)[1], exact_P_bounds(inst, d[b][x], t)[1])
+            if low > high:
+                found.add((a, b))
+                break
+    return found
+
+
+def assert_witnesses_reproduce(inst, rep):
+    for w in rep.witnesses:
+        a, b, x = w.points
+        v = w.values
+        lhs = g.eval_P(inst, a, b, v["s"] + v["t"])
+        rhs = g.eval_op(inst.op, g.eval_P(inst, a, x, v["s"]), g.eval_P(inst, b, x, v["t"]))
+        assert (lhs, rhs) == (v["lhs"], v["rhs"]) and lhs > rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(reduction_carriers())
+def test_p3_reductions_match_dense_scans(carrier):
+    # every confirmed grid violation breaks the reduced condition; on an integer
+    # table the grid holds every witness's times, so the two sets agree, and
+    # each failing pair reports the first failing x with a float witness
+    n = carrier.size
+    d = [[Fraction(v) for v in row] for row in carrier.d.tolist()]
+    integral = bool(np.all(carrier.d == np.floor(carrier.d)))
+    for family, params in FORMULA_PARAMS.items():
+        for op in (g.PLUS, g.MAX):
+            inst = g.GpmsInstance(carrier, family, params, op, dense_t_grid(carrier), (1.0,))
+            rule = {}
+            for a, b, x in itertools.product(range(n), repeat=3):
+                if a < b and (a, b) not in rule and \
+                        reduced_p3_fails(family, op.kind, d[a][b], d[a][x], d[b][x]):
+                    rule[a, b] = x
+            scanned = dense_p3_pairs(inst)
+            assert scanned <= set(rule), (family, op)
+            rep = g.check_P_axiom(inst, "P3")
+            index = carrier.index
+            witnessed = {(index(w.points[0]), index(w.points[1])): index(w.points[2])
+                         for w in rep.witnesses}
+            assert witnessed.items() <= rule.items(), (family, op)
+            assert_witnesses_reproduce(inst, rep)
+            assert rep.verdict == ("pass" if not rule else "fail" if witnessed else
+                                   "inconclusive"), (family, op)
+            if integral:
+                assert scanned == set(rule) and witnessed == rule, (family, op)
+
+
+@settings(max_examples=40, deadline=None)
+@given(reduction_carriers())
+def test_p4_reductions_match_dense_scans(carrier):
+    # near t = 0+ the dense grid reads the sup of P over t > 0, so p4_violations
+    # there lists the pairs the reduction fails, on an integer table exactly
+    alphas = (0.5, 1.0, 2.0, 3.0, 4.0, 8.0)
+    T = (1e-12, 1e-6, 1e-3, 0.5, 1.0, 4.0, 50.0)
+    integral = bool(np.all(carrier.d == np.floor(carrier.d)))
+    for family, params in FORMULA_PARAMS.items():
+        for op in (g.PLUS, g.MAX):
+            inst = g.GpmsInstance(carrier, family, params, op, T, alphas)
+            rep = g.check_P_axiom(inst, "P4")
+            got = [(w.values["alpha"], *w.points) for w in rep.witnesses]
+            scanned = [(alpha, *pair) for alpha in alphas for pair in g.p4_violations(inst, alpha)]
+            assert set(got) <= set(scanned)
+            if integral:
+                assert got == scanned
+            assert rep.verdict == ("fail" if got else "pass")
+            for alpha, x, y in got:  # the sup: d for constant, 2d for damped, never reached
+                dist, limit = Fraction(carrier.base_distance(x, y)), Fraction(alpha)
+                assert dist < limit if family == "constant" else 2 * dist <= limit
+                assert all(g.eval_P(inst, x, y, t) < alpha for t in T)
+
+
+@pytest.mark.parametrize("op", (g.PLUS, g.MAX))
+@pytest.mark.parametrize("family", sorted(FORMULA_PARAMS))
+def test_p3_on_an_interval_is_fixed_by_family_and_op(family, op):
+    # |x - y| is a metric and no ultrametric: only constant/max and damped/max
+    # fail, witnessed by the ends and the middle, and a dense scan over the
+    # sample points agrees
+    inst = g.GpmsInstance(g.IntervalCarrier(0.0, 1.0, 0.25), family, FORMULA_PARAMS[family], op,
+                          (0.25, 0.5, 1.0, 40.0), ALPHA_GRID)
+    rep = g.check_P_axiom(inst, "P3")
+    ultrametric = op is g.MAX and family in ("constant", "damped")
+    assert rep.verdict == ("fail" if ultrametric else "pass")
+    assert [w.points for w in rep.witnesses] == ([(0.0, 1.0, 0.5)] if ultrametric else [])
+    assert_witnesses_reproduce(inst, rep)
+    assert bool(dense_p3_pairs(inst)) == ultrametric
+
+
+@pytest.mark.parametrize("dab,dax,dbx,fails", [
+    (6.0, 1.0, 2.0, True), (6.0, 2.0, 1.0, True), (5.0, 1.0, 2.0, False),
+    (9.0, 1.0, 4.0, False), (10.0, 1.0, 4.0, True), (6.0, 1.0, 4.0, False),
+    (9 + 2.0 ** -49, 1.0, 4.0, True), (9 + 2.0 ** -49, 4.0, 1.0, True),
+    (9 - 2.0 ** -49, 1.0, 4.0, False)])
+def test_scaled_plus_needs_the_square_root_bound(dab, dax, dbx, fails):
+    # d(a,b) <= (sqrt d(a,x) + sqrt d(b,x))^2: 5.83 at (1, 2), where the
+    # triangle inequality would pass 6; 9 at (1, 4), met at the tie and
+    # decided by Fraction arithmetic one ulp of 9 to either side
+    carrier = g.FiniteCarrier(("a", "b", "x"), [[0, dab, dax], [dab, 0, dbx], [dax, dbx, 0]],
+                              tri_slack=math.inf)
+    inst = g.GpmsInstance(carrier, "scaled", {}, g.PLUS, dense_t_grid(carrier), ALPHA_GRID)
+    rep = g.check_P_axiom(inst, "P3")
+    assert rep.verdict == ("fail" if fails else "pass")
+    assert_witnesses_reproduce(inst, rep)
+    assert dense_p3_pairs(inst) == ({(0, 1)} if fails else set())
+
+
+def test_exact_violation_without_a_float_witness_is_inconclusive():
+    # d(a,b) = 1 + 2^-52 exceeds d(a,x) + d(b,x) = 1 + 0.75 * 2^-52, whose
+    # float sum rounds up to d(a,b): no float witness shows the violation
+    tiny = 0.75 * 2.0 ** -52
+    carrier = g.FiniteCarrier(("a", "b", "x"), [[0, 1 + 2.0 ** -52, 1.0],
+                                                [1 + 2.0 ** -52, 0, tiny], [1.0, tiny, 0]])
+    for family, op in (("scaled", g.MAX), ("constant", g.PLUS), ("damped", g.PLUS)):
+        rep = g.check_P_axiom(g.gallery_construct(family, {}, carrier, op, T_GRID, ALPHA_GRID),
+                              "P3")
+        assert (rep.verdict, len(rep.witnesses)) == ("inconclusive", 0), family
+        assert rep.note.endswith("; 1 exact violations have no float witness, "
+                                 "the first at (a, b, x)"), family
+        assert g.check_P_axiom(g.gallery_construct(family, {}, carrier, op, T_GRID, ALPHA_GRID),
+                               "P3", exhaustive=True).verdict == "inconclusive"
+
+
+def test_false_fail_reproducer_passes_p3():
+    # collinear 0, 6, 14: the grid scan read lhs 3.333333333333334 against rhs
+    # 3.3333333333333335 at t (1.8, 2.4), a rounding artifact; d is a metric
+    carrier = g.FiniteCarrier(("0", "6", "14"), [[0, 6, 14], [6, 0, 8], [14, 8, 0]])
+    inst = g.gallery_construct("scaled", {}, carrier, g.MAX, (1.7999999999999998, 2.4), (1.0,))
+    assert core.p3_violations(inst, exhaustive=True)[0]  # the float scan still shows it
+    assert not dense_p3_pairs(inst)  # and Fraction arithmetic refutes it
+    assert g.check_P_axiom(inst, "P3").verdict == "pass"

@@ -102,6 +102,16 @@ def test_reports_never_enter_the_pure_python_encoder(monkeypatch):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MANIFEST[name]
 
 
+@pytest.mark.parametrize("name", ("scaled-max-collinear3", "interval-sweep1-damped"))
+def test_false_fail_reproducers_pass_p3(name):
+    # two rounding artifacts that the grid scans once reported as P3 fails:
+    # the collinear points 0, 6, 14 (scaled/max, t grid 1.7999999999999998,
+    # 2.4) and the damped interval-sweep instance at seed 1
+    f = g.load_instance(_instance_path(name))
+    p3, = [c for c in g.run_command("axioms", f).checks if c.name == "P3"]
+    assert p3.verdict == "pass" and "all t > 0, exact" in p3.note
+
+
 @pytest.mark.parametrize("command", ("dalpha", "sequences", "full-report"))
 @pytest.mark.parametrize("name", sorted(MANIFEST))
 def test_csv_payload_bytes_match_golden(tmp_path, name, command):

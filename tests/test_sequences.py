@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import gpmspace as g
@@ -326,3 +327,35 @@ def test_sequence_terms_leave_carrier():
     seq = g.SequenceSpec("geometric", c=0.0, a=10.0, r=0.5, n_terms=20)
     with pytest.raises(g.DomainError):
         g.check_convergence(inst, seq, 0.0, tol=SEQ_TOL)
+
+
+def closed_form_values(spec):
+    """Terms n = 1..n_terms of a closed-form sequence, by its docstring formula."""
+    ns = np.arange(1, spec.n_terms + 1, dtype=float)
+    return {"geometric": lambda: spec.c + spec.a * spec.r ** ns,
+            "reciprocal": lambda: spec.c + spec.a / ns,
+            "alternating": lambda: spec.c + spec.a * (-1.0) ** ns}[spec.kind]().tolist()
+
+
+@pytest.mark.parametrize("spec", [
+    g.SequenceSpec("geometric", c=0.5, a=1.0, r=0.5, n_terms=50),
+    g.SequenceSpec("reciprocal", c=1.0, a=-3.0, n_terms=40),
+    g.SequenceSpec("alternating", c=0.0, a=2.5, n_terms=10),
+    g.SequenceSpec("geometric", c=1.9, a=0.01, r=1.5, n_terms=30),
+    g.SequenceSpec("reciprocal", c=math.nan, a=1.0, n_terms=8),
+    g.SequenceSpec("alternating", c=2.0, a=-0.0, n_terms=6),
+])
+def test_closed_form_terms_match_the_per_term_check(spec):
+    # one bounds test on an interval: the same floats as the per-term
+    # contains loop, and the same error naming the first term outside
+    carrier = g.IntervalCarrier(-2.0, 2.0, 0.25)
+    values = closed_form_values(spec)
+    outside = [v for v in values if not carrier.contains(v)]
+    if outside:
+        with pytest.raises(g.DomainError) as err:
+            spec.terms(carrier)
+        assert str(err.value) == f"sequence term {outside[0]!r} leaves the carrier"
+        return
+    terms = spec.terms(carrier)
+    assert all(type(v) is float for v in terms)
+    assert [v.hex() for v in terms] == [v.hex() for v in values]
