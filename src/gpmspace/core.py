@@ -28,15 +28,18 @@ d(a,b), d(a,x), d(b,x): the triangle inequality (scaled/max, constant/plus,
 damped/plus), d(a,b) <= (sqrt d(a,x) + sqrt d(b,x))^2 (scaled/plus) or the
 ultrametric inequality (constant/max, damped/max); discrete always holds.
 On an interval |x - y| is a metric and no ultrametric, so family and op fix
-P3; P4 still quantifies over the sample points there.  Each comparison is
-exact on the float inputs: a float pass, then ``fractions.Fraction`` on the
-near-ties where rounding could decide it.  A fail witness is a float
-counterexample built from the reduction (s = d(a,x), t = d(b,x) for
-scaled/max, their square roots for scaled/plus, s = t = 40, where
-1 + exp(-t) rounds to 1, for constant and damped), checked again through
-the kernel; an exact violation without one is reported inconclusive.  The grid scans could not be trusted there: on the
-collinear points 0, 6, 14 (scaled/max, t grid (1.7999999999999998, 2.4))
-exhaustive P3 read lhs 3.333333333333334 against rhs 3.3333333333333335,
+P3, and the family fixes P4, since an interval holds distinct points closer
+than alpha/2 for every alpha.  Each comparison is exact on the float inputs:
+max compares floats, the triangle inequality reads the rounded sum and its
+rounding error (TwoSum), and the square-root bound takes a float pass, then
+``fractions.Fraction`` on its near-ties (integer arithmetic on an integer
+table).  A fail witness is a float counterexample built from the reduction
+(s = d(a,x), t = d(b,x) for scaled/max, their square roots for scaled/plus,
+s = t = 40, where 1 + exp(-t) rounds to 1, for constant and damped), checked
+again through the kernel; an exact violation without one is reported
+inconclusive.  The grid scans could not be trusted there: on the collinear
+points 0, 6, 14 (scaled/max, t grid (1.7999999999999998, 2.4)) exhaustive P3
+read lhs 3.333333333333334 against rhs 3.3333333333333335,
 although the inequality holds in exact arithmetic on the same inputs.
 
 Tabulated families and table operations keep the grid scans: quantifiers
@@ -562,13 +565,11 @@ def check_P_axioms(inst: GpmsInstance, axioms=P_AXIOMS, seed: int = 0,
             raise DomainError(f"unknown axiom {axiom!r}; expected one of {P_AXIOMS}")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
+    if inst._steps is None and inst.op.kind in ("plus", "max"):
+        return [_check_exact(inst, axiom) for axiom in axioms]
     pts = inst.quantifier_points()
     sampled_note = "" if inst.carrier.kind == "finite" else \
         f"; interval carrier quantified over {len(pts)} sample points"
-    if inst._steps is None and inst.op.kind in ("plus", "max"):
-        if inst.carrier.kind == "finite":
-            pts = inst.carrier.points()
-        return [_check_exact(inst, axiom, pts, sampled_note) for axiom in axioms]
     pair_grid = functools.cache(lambda: _pair_grid(inst, pts, inst.t_grid))
     return [_check_axiom(inst, axiom, pts, pair_grid, sampled_note, seed, n_samples, exhaustive)
             for axiom in axioms]
@@ -692,7 +693,7 @@ _FLAT_T = 40.0  # 1 + exp(-t) rounds to 1 here: damped P reads d, as constant P 
 _P3_BLOCK = 1 << 15  # entries of one block of rows of the n x n x n P3 scan
 
 
-def _check_exact(inst, axiom, pts, sampled_note):
+def _check_exact(inst, axiom):
     """One axiom of a formula family under plus or max, decided for all t > 0.
 
     P1, P2 and monotone hold by the formula, since d is symmetric and zero
@@ -704,26 +705,37 @@ def _check_exact(inst, axiom, pts, sampled_note):
     if axiom == "P5":
         return _check_P5(inst)
     if axiom == "P4":
-        return _check_P4_exact(inst, pts, sampled_note)
-    return _check_P3_exact(inst, pts)
+        return _check_P4_exact(inst)
+    return _check_P3_exact(inst)
 
 
-def _check_P4_exact(inst, pts, sampled_note):
+def _check_P4_exact(inst):
     """P4 per grid alpha: a distinct pair fails where the sup of P over t > 0
     stays below alpha.  The sup is +inf for scaled and discrete, d for
     constant (a fail where d < alpha) and 2d for damped, never reached (a
-    fail where 2d <= alpha).  Witnesses list alpha outermost, then the pair."""
+    fail where 2d <= alpha).  An interval holds distinct points closer than
+    alpha/2 for every alpha, so constant and damped fail there at every
+    alpha, witnessed by lo and the point alpha/4 above it (or hi).
+    Witnesses list alpha outermost, then the pair."""
     note = (f"per-alpha reading; the sup of P over t > 0 is {_P4_SUPS[inst.family]}, "
-            f"its limit as t -> 0+; all t > 0, exact") + sampled_note
+            f"its limit as t -> 0+; all t > 0, exact")
     if _P4_SUPS[inst.family] == "+inf":
         return CheckReport(name="P4", verdict=PASS, note=note)
     alphas = np.asarray(inst.alpha_grid)
+    car = inst.carrier
+    if car.kind == "interval":
+        note += "; an interval holds distinct points closer than alpha/2 for every alpha"
+        near = np.minimum(car.lo + alphas / 4, car.hi)
+        near = np.where(near > car.lo, near, np.nextafter(car.lo, car.hi))
+        pts, k = (car.lo, *near.tolist()), np.arange(len(alphas))
+        rows, samples = np.stack((k, np.zeros_like(k), k + 1), axis=1), 0
+    else:
+        pts = car.points()
+        upper = np.triu(np.ones(car.d.shape, dtype=bool), 1)
+        below = car.d < alphas[:, None, None] if inst.family == "constant" else \
+            2.0 * car.d <= alphas[:, None, None]
+        rows, samples = np.argwhere(upper & below), len(alphas) * int(upper.sum())
     c = coords(inst, pts)
-    dist = _distance(inst, c[:, None], c[None, :])
-    upper = np.triu(np.ones(dist.shape, dtype=bool), 1)
-    below = dist < alphas[:, None, None] if inst.family == "constant" else \
-        2.0 * dist <= alphas[:, None, None]
-    rows = np.argwhere(upper & below)
     a, i, j = rows.T
     T = np.asarray(inst.t_grid)
     grid = P_at(inst, c[i], c[j], T[:, None])  # (t, row)
@@ -733,11 +745,10 @@ def _check_P4_exact(inst, pts, sampled_note):
                                "value": grid[0, shown]},
                               "distinct pair below alpha for every t > 0")
     lost = [(pts[u], pts[v], f"alpha={alphas[k]:.12g}") for k, u, v in rows[~shown][:1].tolist()]
-    return _exact_report("P4", witnesses, int((~shown).sum()), lost, len(alphas) * int(upper.sum()),
-                         note)
+    return _exact_report("P4", witnesses, int((~shown).sum()), lost, samples, note)
 
 
-def _check_P3_exact(inst, pts):
+def _check_P3_exact(inst):
     """P3 from its reduction: on a finite carrier one witness per failing pair
     (a, b), a before b, with the first failing x (``_p3_exact_rows``); on an
     interval |x - y| is a metric and no ultrametric, which fixes the verdict."""
@@ -757,7 +768,7 @@ def _check_P3_exact(inst, pts):
         note += "; |x - y| on an interval is no ultrametric, so its ends and middle fail"
         pts, rows, samples = (car.lo, car.hi, 0.5 * (car.lo + car.hi)), np.array([[0, 1, 2]]), 0
     else:
-        rows, samples = _p3_exact_rows(car.d, rule), len(pts) ** 3
+        pts, rows, samples = car.points(), _p3_exact_rows(car.d, rule), car.size ** 3
         if not len(rows):
             return CheckReport(name="P3", verdict=PASS, samples_tested=samples, note=note)
     c = coords(inst, pts)
@@ -800,41 +811,58 @@ def _p3_exact_rows(d, rule):
     found = [np.empty((0, 3), dtype=np.intp)]
     for lo in range(0, n, step):
         a = np.arange(lo, min(n, lo + step))
-        bad = ~_p3_holds(rule, d[a][:, :, None], d[a][:, None, :], d[None], integral)
-        bad &= (a[:, None] < np.arange(n))[:, :, None]  # b after a
+        later = (a[:, None] < np.arange(n))[:, :, None]  # b after a
+        bad = later & ~_p3_holds(rule, d[a][:, :, None], d[a][:, None, :], d[None], integral,
+                                 later)
         ia, b = np.nonzero(bad.any(axis=-1))
         found.append(np.stack((a[ia], b, bad[ia, b].argmax(axis=-1)), axis=1))
     return np.concatenate(found)
 
 
-def _p3_holds(rule, dab, dax, dbx, integral):
-    """``rule`` at the broadcast distances, decided exactly on these floats:
-    a float pass, then ``Fraction`` on the near-ties that rounding could
-    decide.  Max is exact, and so is an ``integral`` table."""
+def _p3_holds(rule, dab, dax, dbx, integral, wanted):
+    """``rule`` at the broadcast distances, decided exactly on these floats.
+
+    Max is exact.  The triangle bound is the rounded sum s = dax + dbx plus
+    its rounding error e, itself a float (TwoSum): s decides every dab but a
+    tie dab == s, which holds iff e >= 0.  On an ``integral`` table sums,
+    squares and products are exact, so s and the square-root bound need
+    nothing more; otherwise a float pass decides the square-root bound, and
+    ``Fraction`` its near-ties.  Ties and near-ties are settled among the
+    ``wanted`` entries only; the others keep the float answer."""
     if rule == "ultrametric":
         return dab <= np.maximum(dax, dbx)
+    if rule == "triangle":
+        with np.errstate(over="ignore"):  # a sum that overflows to inf holds
+            s = dax + dbx
+        holds = dab <= s
+        if not integral:
+            tie = (dab == s) & wanted
+            u, v, s = (np.broadcast_to(m, tie.shape)[tie] for m in (dax, dbx, s))
+            z = s - u
+            holds[tie] = (u - (s - z)) + (v - z) >= 0
+        return holds
     if integral:
         q = dab - dax - dbx
-        return (q <= 0) if rule == "triangle" else (q <= 0) | (q * q <= 4.0 * dax * dbx)
+        return (q <= 0) | (q * q <= 4.0 * dax * dbx)
     with np.errstate(over="ignore"):  # a bound that overflows to inf holds
-        rhs = dax + dbx if rule == "triangle" else (np.sqrt(dax) + np.sqrt(dbx)) ** 2
+        rhs = (np.sqrt(dax) + np.sqrt(dbx)) ** 2
     zero = (dax == 0) | (dbx == 0)  # then the condition is dab <= the other, exact
     holds = np.where(zero, dab <= dax + dbx, dab <= rhs)
-    # a rounded sum decides all but a tie; the square is within a few ulps
-    near = ~zero & ((dab == rhs) if rule == "triangle" else
-                    (np.abs(dab - rhs) <= 2.0 ** -40 * rhs) | (rhs < 2.0 ** -900))
+    # rounding moves the bound by a few ulps: only a dab this close can be misjudged
+    near = wanted & ~zero & ((np.abs(dab - rhs) <= 2.0 ** -40 * rhs) | (rhs < 2.0 ** -900))
     if near.any():
         dab, dax, dbx = np.broadcast_arrays(dab, dax, dbx)
         for k in zip(*np.nonzero(near)):
-            holds[k] = _holds_exactly(rule, dab[k], dax[k], dbx[k])
+            holds[k] = _sqrt_bound_holds(dab[k], dax[k], dbx[k])
     return holds
 
 
-def _holds_exactly(rule, dab, dax, dbx) -> bool:
-    """``rule`` at one triple of float distances, in rational arithmetic."""
+def _sqrt_bound_holds(dab, dax, dbx) -> bool:
+    """d(a,b) <= (sqrt d(a,x) + sqrt d(b,x))^2 at one triple of float
+    distances, in rational arithmetic."""
     dab, dax, dbx = Fraction(float(dab)), Fraction(float(dax)), Fraction(float(dbx))
     q = dab - dax - dbx
-    return q <= 0 or (rule == "sqrt" and q * q <= 4 * dax * dbx)
+    return q <= 0 or q * q <= 4 * dax * dbx
 
 
 def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,

@@ -570,8 +570,6 @@ def test_max_points_beyond_the_listing_bound_lists_nothing(tmp_path):
 
 
 def test_topology_identity_is_inconclusive_beyond_the_listing_bound(tmp_path):
-    # classes that differ are listed to name the sets that differ; past the
-    # listing bound the SizeError guard makes the check inconclusive
     # classes that differ are listed to name the sets that differ: at t 1 and
     # alpha 1.5 tau_P merges the pairs at distance 1, while d_alpha = d / 0.5
     # keeps all 20 points apart, and 20 classes pass the listing bound

@@ -319,19 +319,17 @@ def test_check_reports_deterministic_for_fixed_seed():
 
 def test_interval_carrier_axioms_sampled():
     # under a table op the grid scans quantify over the sample points; under
-    # max the formula decides P1, P2 and monotone on the whole interval, and
-    # P4 on the sample points, for all t > 0
+    # max the formula decides P1, P2, monotone and P4 on the whole interval,
+    # for all t > 0
     table = interval_instance("scaled", op=TABLE_OP, resolution=0.5)
     inst = interval_instance("scaled", resolution=0.5)
-    for axiom in ("P1", "P2", "monotone"):
+    for axiom in ("P1", "P2", "monotone", "P4"):
         rep = g.check_P_axiom(table, axiom)
         assert rep.ok
         assert "sample points" in rep.note
         rep = g.check_P_axiom(inst, axiom)
         assert rep.ok and rep.samples_tested == 0
         assert "all t > 0, exact" in rep.note and "sample points" not in rep.note
-    rep = g.check_P_axiom(inst, "P4")
-    assert rep.ok and "all t > 0, exact" in rep.note and "sample points" in rep.note
     assert g.check_P_axiom(inst, "P3", seed=3, n_samples=400).ok
 
 
@@ -932,11 +930,13 @@ def test_scan_witnesses_are_a_sequence_built_on_read():
 
 
 def test_interval_sweep_report_builds_nine_p4_witnesses(tmp_path, monkeypatch):
-    # the damped interval-sweep instance: 32,004 P4 witnesses (pairs of
-    # sample points with 2 d <= alpha), of which a report builds the first
+    # the damped interval-sweep instance under a table op, where P4 scans the
+    # grid: 32,044 witnesses, of which a report builds the first
     # (CheckReport.witness) and the eight it prints
+    table = {"table": {"grid": [0.0, 1.0, 2.0], "values": [[0.0, 1.0, 2.0], [1.0, 1.5, 2.5],
+                                                           [2.0, 2.5, 3.0]]}}
     doc = {"version": 1, "interval": [-2.0, 2.0], "resolution": 0.02, "family": "damped",
-           "params": {}, "op": "plus", "t_grid": list(T_GRID), "alpha_grid": list(ALPHA_GRID),
+           "params": {}, "op": table, "t_grid": list(T_GRID), "alpha_grid": list(ALPHA_GRID),
            "seed": 11, "tol": 1e-6}
     path = tmp_path / "damped.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -951,12 +951,12 @@ def test_interval_sweep_report_builds_nine_p4_witnesses(tmp_path, monkeypatch):
     monkeypatch.setattr(g.Witness, "__init__", counting)
     report = g.run_command("full-report", inst_file)
     text = report.to_canonical_json()
-    detail = "distinct pair below alpha for every t > 0"
+    detail = "distinct pair below alpha for every grid t"
     assert built.count(detail) <= 9
     (p4,) = [c for c in json.loads(text)["checks"] if c["name"] == "P4"]
-    assert p4["witness_count"] == 32004 and len(p4["witnesses"]) == 8
+    assert p4["witness_count"] == 32044 and len(p4["witnesses"]) == 8
     rep = next(c for c in report.checks if c.name == "P4")
-    assert len(list(rep.witnesses)) == 32004
+    assert len(list(rep.witnesses)) == 32044
 
 
 def test_tabulated_steps_left_of_the_first_node_and_ragged_pairs():
@@ -1197,3 +1197,61 @@ def test_false_fail_reproducer_passes_p3():
     assert core.p3_violations(inst, exhaustive=True)[0]  # the float scan still shows it
     assert not dense_p3_pairs(inst)  # and Fraction arithmetic refutes it
     assert g.check_P_axiom(inst, "P3").verdict == "pass"
+
+
+def test_triangle_ties_are_decided_by_the_rounding_error_of_the_sum(monkeypatch):
+    # float points on a line: most triples with x between a and b tie d(a,b)
+    # with the rounded d(a,x) + d(b,x); the rounding error of that sum decides
+    # every tie as Fraction arithmetic does, and no Fraction is built
+    n = 24
+    xs = np.random.default_rng(5).uniform(-10, 10, n).tolist()
+    carrier = g.FiniteCarrier([f"p{i}" for i in range(n)], [[abs(a - b) for b in xs] for a in xs],
+                              tri_slack=math.inf)
+    D = carrier.d
+    triples = [(a, b, x) for a, b, x in itertools.product(range(n), repeat=3)
+               if a < b and x not in (a, b)]
+    assert sum(D[a, b] == D[a, x] + D[b, x] for a, b, x in triples) > 1000
+    d = [[Fraction(v) for v in row] for row in D.tolist()]
+    first = {}
+    for a, b, x in itertools.product(range(n), repeat=3):
+        if a < b and (a, b) not in first and d[a][b] > d[a][x] + d[b][x]:
+            first[a, b] = x
+    monkeypatch.setattr(core, "Fraction", None)
+    rows = core._p3_exact_rows(D, "triangle")
+    assert {(a, b): x for a, b, x in rows.tolist()} == first
+    # a tie that holds: d(a,b) = 1 = fl(1 + 2^-53), below the exact sum
+    tie = g.FiniteCarrier(("a", "b", "x"), [[0, 1.0, 1.0], [1.0, 0, 2.0 ** -53],
+                                            [1.0, 2.0 ** -53, 0]])
+    for family, op in (("scaled", g.MAX), ("constant", g.PLUS), ("damped", g.PLUS)):
+        inst = g.GpmsInstance(carrier, family, {}, op, T_GRID, ALPHA_GRID)
+        rep = g.check_P_axiom(inst, "P3")
+        assert rep.verdict == ("fail" if rep.witnesses else "inconclusive" if first else "pass")
+        assert_witnesses_reproduce(inst, rep)
+        assert g.check_P_axiom(g.GpmsInstance(tie, family, {}, op, T_GRID, ALPHA_GRID),
+                               "P3").verdict == "pass"
+
+
+@pytest.mark.parametrize("op", (g.PLUS, g.MAX))
+@pytest.mark.parametrize("family", sorted(FORMULA_PARAMS))
+def test_p4_on_an_interval_is_fixed_by_family(family, op):
+    # an interval holds distinct points closer than alpha/2 for every alpha:
+    # constant and damped fail at each alpha, witnessed by lo and lo + alpha/4
+    # (or hi), even where no two sample points are that close; scaled and
+    # discrete pass.  A dense grid on finer sample points agrees
+    alphas = (0.25, 1.0, 8.0)
+    T = (1e-9, 0.5, 1.0, 40.0)
+    inst = g.GpmsInstance(g.IntervalCarrier(0.0, 1.0, 0.5), family, FORMULA_PARAMS[family], op,
+                          T, alphas)
+    rep = g.check_P_axiom(inst, "P4")
+    bounded = family in ("constant", "damped")
+    assert rep.verdict == ("fail" if bounded else "pass")
+    assert [(w.values["alpha"], *w.points) for w in rep.witnesses] == \
+        ([(0.25, 0.0, 0.0625), (1.0, 0.0, 0.25), (8.0, 0.0, 1.0)] if bounded else [])
+    for w in rep.witnesses:
+        x, y = w.points
+        assert g.eval_P(inst, x, y, w.values["t"]) == w.values["value"]
+        assert all(g.eval_P(inst, x, y, t) < w.values["alpha"] for t in T)
+    assert not core.p4_violations(inst, 0.25)  # the sample points alone show no fail
+    fine = g.GpmsInstance(g.IntervalCarrier(0.0, 1.0, 0.05), family, FORMULA_PARAMS[family], op,
+                          T, alphas)
+    assert all(bool(core.p4_violations(fine, alpha)) == bounded for alpha in alphas)
