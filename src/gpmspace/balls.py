@@ -171,12 +171,20 @@ class TopologyFamily:
                     raise VerificationError(f"family not closed under intersection: {x:#x} & {y:#x}")
 
     def to_jsonable(self, carrier):
-        return [list(m.labels(carrier)) for m in self.members]
+        labels = carrier.labels
+        return [[lab for i, lab in enumerate(labels) if m.bits >> i & 1] for m in self.members]
 
 
 def _require_finite(inst: GpmsInstance):
     if inst.carrier.kind != "finite":
         raise DomainError("this operation needs a finite carrier")
+
+
+def _flag_rows(bits, n: int) -> np.ndarray:
+    """A (rows, n) bool matrix, row r the members of the bitmask ``bits[r]``."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), np.uint8)
+    return np.unpackbits(raw.reshape(-1, width), axis=-1, count=n, bitorder="little").view(bool)
 
 
 def _mask_of_flags(flags) -> SubsetMask:
@@ -324,8 +332,7 @@ def _classes_and_flags(inst: GpmsInstance, s: SubsetMask):
     labels = _classes(inst)
     if s.n != labels.size:
         raise DomainError("mask size mismatch")
-    raw = np.frombuffer(s.bits.to_bytes((s.n + 7) // 8, "little"), np.uint8)
-    return labels, np.unpackbits(raw, count=s.n, bitorder="little").view(bool)
+    return labels, _flag_rows([s.bits], s.n)[0]
 
 
 def is_open(inst: GpmsInstance, s: SubsetMask) -> bool:

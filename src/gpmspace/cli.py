@@ -52,7 +52,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -329,7 +329,7 @@ def _separation_checks(inst, opts, seed, tol):
         # a row that cannot be built (say, open_ball refuses a ball) is inconclusive
         if b.errors[r] is not None:
             return _inconclusive(name, b.errors[r])
-        return replace(b.report(r), name=name)
+        return b.report(r, name)
 
     def base(name, mode, x=None):
         return _guarded(name, lambda: separation.countable_base(
@@ -400,9 +400,8 @@ def _sequences_checks(inst, opts, seed, tol):
             for n, value in enumerate(core.P_at(inst, u, v, t).tolist())]
     else:
         labels = inst.carrier.labels
-        for p in labels:
-            const = sequences.SequenceSpec("explicit", points=(p,) * 40)
-            rep = sequences.check_convergence(inst, const, p, tol)
+        consts = [sequences.SequenceSpec("explicit", points=(p,) * 40) for p in labels]
+        for p, rep in zip(labels, sequences.convergence_rows(inst, consts, labels, tol)):
             rep.name = f"convergence[const@{p}]"
             checks.append(rep)
         full = balls.SubsetMask.full(inst.carrier.size)

@@ -18,7 +18,9 @@ masks U and V are row comparisons of it, and each claim ``verify_witness``
 makes is one boolean column, in claim order.  A row that fails a claim or a
 step of the construction keeps the error the construction raises.
 ``separation_witness`` is a batch of one; ``verify_witness`` re-checks a
-witness ball by ball and stays the independent oracle.
+witness ball by ball and stays the independent oracle.  A batch row's
+report (``WitnessBatch.report``) takes the row's check name and writes its
+balls as plain dicts, with no ``BallSpec`` per ball.
 
 Countable bases read the classes of tau_P, a partition topology
 (``balls``): every open set around a point y holds its class C(y), so a
@@ -183,16 +185,23 @@ class WitnessBatch:
                          for i in centers[r])
         return specs(self.x_members), () if self.kind == "T0" else specs(self.y_members)
 
-    def report(self, r) -> CheckReport:
-        """Row ``r``'s verification report; raises the row's error instead."""
+    def report(self, r, name: str | None = None) -> CheckReport:
+        """Row ``r``'s verification report, named ``name`` (by default
+        ``witness[<kind>]``); raises the row's error instead.  Its balls are
+        written as the plain dicts ``BallSpec.to_jsonable`` gives."""
         error = self.errors[r]
         if error is not None:  # a fresh one: a raised error's frames would hold the batch
             raise type(error)(*error.args)
-        balls_u, balls_v = self.balls(r)
-        return CheckReport(name=f"witness[{self.kind}]", verdict=PASS,
+        radius, scale = self.radius[r], self.scale[r]
+
+        def balls(centers):
+            return [{"center": self.labels[i], "radius": radius, "scale": scale}
+                    for i in centers[r]]
+
+        return CheckReport(name=name or f"witness[{self.kind}]", verdict=PASS,
                            samples_tested=len(_CLAIMS[self.kind]),
-                           data={"U": [s.to_jsonable() for s in balls_u],
-                                 "V": [s.to_jsonable() for s in balls_v]})
+                           data={"U": balls(self.x_members),
+                                 "V": [] if self.kind == "T0" else balls(self.y_members)})
 
 
 def witness_batch(inst: GpmsInstance, kind: str, xs, ys) -> WitnessBatch:

@@ -4,6 +4,14 @@ continuity, diameters and the Cantor intersection check.
 "For all t > 0" is always read over the instance's t grid, and limits are
 certified on a tail window (the last 20% of the evaluated terms), so every
 verdict here is a windowed numerical certification, not a proof.
+
+Rows are batched.  ``convergence_rows`` checks many sequences against their
+limits in one kernel call over (t, row, window term), and
+``check_convergence`` is a batch of one.  ``cantor_intersection`` on masks
+tests every member's closedness with one union-of-classes test and reads
+every member's diameter from one kernel tensor over the first member
+(``_nested_diameters``).  ``_sup_estimate`` holds the diameter's +inf rule
+for ``diameter`` and the batch alike.
 """
 from __future__ import annotations
 
@@ -12,13 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls import SubsetMask, closure_and_limit_points, is_open
+from .balls import (
+    SubsetMask,
+    _flag_rows,
+    _unions_of_classes,
+    closure_and_limit_points,
+    is_open,
+)
 from .core import GpmsInstance, P_at, coords, eval_P
 from .errors import DomainError, HypothesisError, PreconditionError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
 SEQUENCE_KINDS = ("explicit", "geometric", "reciprocal", "alternating")
-_DIVERGENCE_FACTOR = 1.5  # diameter's +inf heuristic, with the cap below
+_DIVERGENCE_FACTOR = 1.5  # _sup_estimate's +inf rule, with the cap below
 _DIAMETER_CAP = 1e3
 _SHRINK_RATIO = 0.5  # cantor_intersection: the last diameter at most this share of the first
 
@@ -69,6 +83,8 @@ class SequenceSpec:
                                       f"leaves the carrier")
                 return vals.tolist()
             out = vals.tolist()
+        if carrier.kind == "finite" and set(out).issubset(carrier.labels):  # one set test
+            return out
         for v in out:
             if not carrier.contains(v):
                 raise DomainError(f"sequence term {v!r} leaves the carrier")
@@ -113,30 +129,55 @@ def _window(terms):
 
 
 def check_convergence(inst: GpmsInstance, seq: SequenceSpec, x, tol: float = 1e-6) -> CheckReport:
-    """Tail-window test of lim P(x_n, x, t) = 0 for every grid t."""
-    if not inst.carrier.contains(x):
-        raise DomainError(f"limit candidate {x!r} is not in the carrier")
-    terms = seq.terms(inst.carrier)
-    win, start = _window(terms)
-    u, v = coords(inst, win), coords(inst, x)
-    witnesses = []
-    samples = 0
-    tails = {}
-    for t in inst.t_grid:
-        vals = P_at(inst, u, v, t)
-        samples += len(win)
-        worst = int(np.argmax(vals))
-        tails[f"{t:.12g}"] = float(vals[worst])
-        if vals[worst] >= tol:
-            witnesses.append(Witness(points=(terms[start + worst], x),
-                                     values={"n": float(start + worst + 1), "t": t,
-                                             "value": float(vals[worst]), "tol": tol},
-                                     detail="tail term does not drop below tolerance"))
-    verdict = FAIL if witnesses else PASS
-    return CheckReport(name="convergence", verdict=verdict, samples_tested=samples,
-                       witnesses=tuple(witnesses),
-                       note=f"tail window = last {len(win)} of {len(terms)} terms",
-                       data={"max_tail_P": tails})
+    """Tail-window test of lim P(x_n, x, t) = 0 for every grid t: a
+    ``convergence_rows`` batch of one."""
+    return convergence_rows(inst, [seq], [x], tol)[0]
+
+
+def convergence_rows(inst: GpmsInstance, seqs, limits, tol: float = 1e-6) -> list:
+    """``check_convergence`` of each sequence against its limit, in one kernel
+    call over (t, row, window term).
+
+    Rows are validated in order, each limit before its terms.  A window
+    shorter than the longest is padded with its limit, and the padding reads
+    -inf, so ``argmax`` picks each row's first worst term, as one row would.
+    """
+    seqs, limits = list(seqs), list(limits)
+    if len(seqs) != len(limits):
+        raise DomainError(f"{len(seqs)} sequences but {len(limits)} limits")
+    if not seqs:
+        return []
+    terms, windows = [], []
+    for seq, x in zip(seqs, limits):
+        if not inst.carrier.contains(x):
+            raise DomainError(f"limit candidate {x!r} is not in the carrier")
+        terms.append(seq.terms(inst.carrier))
+        windows.append(_window(terms[-1]))
+    lengths = [len(win) for win, _ in windows]
+    width = max(lengths)
+    # row r: its window, padded with its limit up to the widest, then its limit
+    c = coords(inst, [win + [x] * (width + 1 - len(win)) for (win, _), x in zip(windows, limits)])
+    ts = np.asarray(inst.t_grid)
+    vals = P_at(inst, c[:, :-1], c[:, -1:], ts[:, None, None])  # [t, row, term]
+    if min(lengths) < width:
+        vals = np.where(np.arange(width) >= np.array(lengths)[:, None], -np.inf, vals)
+    worst = vals.argmax(-1)
+    top = vals[np.arange(ts.size)[:, None], np.arange(len(seqs)), worst]
+    keys = [f"{t:.12g}" for t in inst.t_grid]
+    reports = []
+    for row_terms, (win, start), x, row_worst, row_top in zip(
+            terms, windows, limits, worst.T.tolist(), top.T.tolist()):
+        witnesses = tuple(
+            Witness(points=(row_terms[start + k], x),
+                    values={"n": float(start + k + 1), "t": t, "value": value, "tol": tol},
+                    detail="tail term does not drop below tolerance")
+            for t, k, value in zip(inst.t_grid, row_worst, row_top) if value >= tol)
+        reports.append(CheckReport(
+            name="convergence", verdict=FAIL if witnesses else PASS,
+            samples_tested=len(win) * len(ts), witnesses=witnesses,
+            note=f"tail window = last {len(win)} of {len(row_terms)} terms",
+            data={"max_tail_P": dict(zip(keys, row_top))}))
+    return reports
 
 
 def check_cauchy(inst: GpmsInstance, seq: SequenceSpec, tol: float = 1e-6) -> CheckReport:
@@ -276,27 +317,51 @@ def joint_continuity_check(inst: GpmsInstance, seqx: SequenceSpec, seqy: Sequenc
 def diameter(inst: GpmsInstance, s) -> float:
     """sup over pairs and over t of P, estimated at the smallest grid t.
 
-    P is non-increasing in t, so the inner sup is the t -> 0+ limit.  If the
-    value still grows by more than ``_DIVERGENCE_FACTOR`` between the two
-    smallest grid nodes and exceeds ``_DIAMETER_CAP``, the sup is flagged +inf.
+    P is non-increasing in t, so the inner sup is the t -> 0+ limit; see
+    ``_sup_estimate`` for when the sup is flagged +inf.
     """
     if isinstance(s, ClosedInterval):
         if inst.carrier.kind != "interval":
             raise DomainError("interval subsets need an interval carrier")
         if s.width == 0.0:
             return 0.0
-        vals = [eval_P(inst, s.lo, s.hi, t) for t in inst.t_grid[:2]]
-    else:
-        c = _coords_of(inst, s)
-        if not c.size:
-            raise DomainError("diameter of the empty set is undefined")
-        if np.all(c == c[0]):
-            return 0.0
-        vals = [float(P_at(inst, c[:, None], c, t).max()) for t in inst.t_grid[:2]]
-    v0 = vals[0]
-    if len(vals) > 1 and vals[1] > 0 and v0 / vals[1] > _DIVERGENCE_FACTOR and v0 > _DIAMETER_CAP:
+        return _sup_estimate(*(eval_P(inst, s.lo, s.hi, t) for t in inst.t_grid[:2]))
+    c = _coords_of(inst, s)
+    if not c.size:
+        raise DomainError("diameter of the empty set is undefined")
+    if np.all(c == c[0]):
+        return 0.0
+    return _sup_estimate(*(float(P_at(inst, c[:, None], c, t).max()) for t in inst.t_grid[:2]))
+
+
+def _sup_estimate(v0: float, v1: float | None = None) -> float:
+    """A diameter from the max of P at the smallest grid t (``v0``) and at
+    the next one (``v1``, if the grid has one): +inf if the max still grows
+    by more than ``_DIVERGENCE_FACTOR`` between them and exceeds
+    ``_DIAMETER_CAP``, else ``v0``."""
+    if v1 is not None and v1 > 0 and v0 / v1 > _DIVERGENCE_FACTOR and v0 > _DIAMETER_CAP:
         return math.inf
     return v0
+
+
+def _nested_diameters(inst: GpmsInstance, flags) -> list:
+    """``diameter`` of each member of a nested family, the rows of a
+    (members, n) bool matrix, each non-empty and inside the row before.
+
+    One kernel tensor over the first member at the two smallest grid t.  A
+    point lies in a prefix of the members, so a pair lies in members 0..k,
+    k the last member holding both points; a member's max is the running
+    max, from the last member back, of the pairs' max at each such k.
+    """
+    c = np.flatnonzero(flags[0])
+    last = flags[:, c].sum(0) - 1  # c[i] lies in members 0..last[i]
+    ts = np.asarray(inst.t_grid[:2])
+    vals = P_at(inst, c[:, None], c, ts[:, None, None])  # [t, i, j]
+    top = np.full((ts.size, len(flags)), -np.inf)
+    np.maximum.at(top, (np.arange(ts.size)[:, None, None], np.minimum.outer(last, last)), vals)
+    sup = np.maximum.accumulate(top[:, ::-1], axis=-1)[:, ::-1]
+    return [0.0 if single else _sup_estimate(*col)
+            for single, col in zip((flags.sum(-1) == 1).tolist(), sup.T.tolist())]
 
 
 def check_closure_diameter(inst: GpmsInstance, s: SubsetMask, tol: float = 1e-9) -> CheckReport:
@@ -348,19 +413,26 @@ def cantor_intersection(inst: GpmsInstance, fam, point_tol: float = 1e-6):
         for big, small in zip(members, members[1:]):
             if not big.contains_interval(small):
                 raise HypothesisError("family is not nested")
+        diams = [diameter(inst, m) for m in members]
     else:
         if inst.carrier.kind != "finite":
             raise DomainError("mask members need a finite carrier")
-        for m in members:
+        n = inst.carrier.size
+        # a member of another size gets an empty row: its walk step raises first
+        flags = _flag_rows([m.bits if m.n == n else 0 for m in members], n)
+        closed = _unions_of_classes(inst, ~flags)  # closed: the complement is open
+        for m, ok in zip(members, closed.tolist()):
             if m.is_empty:
                 raise HypothesisError("members must be non-empty")
-            if not is_open(inst, m.complement()):
+            if m.n != n:
+                raise DomainError("mask size mismatch")
+            if not ok:
                 raise HypothesisError("a member is not closed at these grids")
         for big, small in zip(members, members[1:]):
             if not small.issubset(big):
                 raise HypothesisError("family is not nested")
+        diams = _nested_diameters(inst, flags)
 
-    diams = [diameter(inst, m) for m in members]
     if any(math.isinf(d) for d in diams):
         raise HypothesisError("a member has infinite diameter; the intersection "
                               "theorem needs finite shrinking diameters")

@@ -505,8 +505,11 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     # (12 x 81 values) and the 64 base-ball depths (64 x 81 values); the axioms
     # battery reads no P (scaled/max is decided from d, and the line meets
     # the triangle inequality, so no witness is evaluated), and the classes
-    # of tau_P are one 9 x 9 slice at the least t
-    assert (len(values), sum(values)) == (87, 8776)
+    # of tau_P are one 9 x 9 slice at the least t; the sequences battery makes
+    # one call for its 9 convergence rows (9 x 8 window terms x 6 t) and one
+    # per t for each of its two K_t tables, and cantor one 2 x 9 x 9 tensor
+    # for every member's diameter
+    assert (len(values), sum(values)) == (19, 8370)
     # d_alpha: one 9 x 9 matrix, read by the table, the metric axioms and the
     # topology identity, and one pair at each of the 5 monotonicity alphas
     assert (len(rays), sum(rays)) == (6, 86)

@@ -2,9 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gpmspace as g
-from helpers import make_instance, two_point_carrier
+from gpmspace import cli, core, sequences
+from gpmspace.reports import canonical_json
+from helpers import (
+    gallery_instances,
+    line_carrier,
+    make_instance,
+    squared_distance_table_instance,
+    two_point_carrier,
+)
 
 # grids without a tiny t node: windowed limits of 1/n-type sequences are
 # certifiable only when 1/(0.8 N t) can actually drop below the tolerance
@@ -359,3 +369,167 @@ def test_closed_form_terms_match_the_per_term_check(spec):
     terms = spec.terms(carrier)
     assert all(type(v) is float for v in terms)
     assert [v.hex() for v in terms] == [v.hex() for v in values]
+
+
+# -- batches against their per-row oracles ----------------------------------------
+
+def convergence_oracle(inst, seq, x, tol):
+    """check_convergence as one loop over the grid t, each term by eval_P."""
+    terms = seq.terms(inst.carrier)
+    start = min(int(math.floor(0.8 * len(terms))), len(terms) - 1)
+    win = terms[start:]
+    witnesses, tails = [], {}
+    for t in inst.t_grid:
+        vals = [g.eval_P(inst, p, x, t) for p in win]
+        worst = int(np.argmax(vals))
+        tails[f"{t:.12g}"] = vals[worst]
+        if vals[worst] >= tol:
+            witnesses.append(g.Witness(points=(terms[start + worst], x),
+                                       values={"n": float(start + worst + 1), "t": t,
+                                               "value": vals[worst], "tol": tol},
+                                       detail="tail term does not drop below tolerance"))
+    return g.CheckReport(name="convergence", verdict=g.FAIL if witnesses else g.PASS,
+                         samples_tested=len(win) * len(inst.t_grid), witnesses=tuple(witnesses),
+                         note=f"tail window = last {len(win)} of {len(terms)} terms",
+                         data={"max_tail_P": tails})
+
+
+def same_reports(got, want):
+    assert [canonical_json(r.to_jsonable()) for r in got] == \
+        [canonical_json(r.to_jsonable()) for r in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(gallery_instances(), st.data())
+def test_convergence_rows_match_the_per_row_check(inst, data):
+    # rows of different lengths (ragged windows) and distinct limits, among
+    # them a constant row, which passes, and rows that end away from their
+    # limit, which fail
+    labels = inst.carrier.labels
+    label = st.sampled_from(labels)
+    seqs, limits = [], []
+    for _ in range(data.draw(st.integers(1, 6))):
+        points = data.draw(st.lists(label, min_size=1, max_size=30))
+        seqs.append(g.SequenceSpec("explicit", points=tuple(points)))
+        limits.append(data.draw(label))
+    seqs.append(g.SequenceSpec("explicit", points=(labels[0],) * 12))
+    limits.append(labels[0])
+    tol = data.draw(st.sampled_from([1e-6, 0.5, 2.0]))
+    rows = sequences.convergence_rows(inst, seqs, limits, tol)
+    same_reports(rows, [g.check_convergence(inst, s, x, tol) for s, x in zip(seqs, limits)])
+    same_reports(rows, [convergence_oracle(inst, s, x, tol) for s, x in zip(seqs, limits)])
+    assert rows[-1].ok
+
+
+def test_convergence_rows_on_an_interval():
+    inst = scaled_interval()
+    seqs = [g.SequenceSpec("geometric", c=0.5, a=1.0, r=0.5, n_terms=60), RECIP,
+            g.SequenceSpec("alternating", c=0.0, a=1.0, n_terms=25)]
+    limits = [0.5, 0.0, 1.0]
+    rows = sequences.convergence_rows(inst, seqs, limits, SEQ_TOL)
+    assert [r.verdict for r in rows] == [g.PASS, g.PASS, g.FAIL]
+    same_reports(rows, [g.check_convergence(inst, s, x, SEQ_TOL) for s, x in zip(seqs, limits)])
+    same_reports(rows, [convergence_oracle(inst, s, x, SEQ_TOL) for s, x in zip(seqs, limits)])
+
+
+def test_convergence_rows_validate_each_limit_before_its_terms():
+    inst = make_instance("scaled")
+    good = g.SequenceSpec("explicit", points=("a", "b"))
+    bad = g.SequenceSpec("explicit", points=("a", "z"))
+    with pytest.raises(g.DomainError, match="limit candidate 'z'"):
+        sequences.convergence_rows(inst, [good, bad], ["a", "z"])
+    with pytest.raises(g.DomainError, match="sequence term 'z' leaves the carrier"):
+        sequences.convergence_rows(inst, [good, bad, good], ["a", "b", "z"])
+    assert sequences.convergence_rows(inst, [], []) == []
+
+
+def nested_family(n, data):
+    """A nested chain of non-empty masks over a random order of the points,
+    with repeated members and single-point members."""
+    order = data.draw(st.permutations(range(n)))
+    sizes = sorted(data.draw(st.lists(st.integers(1, n), min_size=1, max_size=8)), reverse=True)
+    return [g.SubsetMask.from_indices(n, order[:k]) for k in sizes]
+
+
+def flag_rows(fam):
+    return np.array([[m.contains(i) for i in range(m.n)] for m in fam], dtype=bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gallery_instances(), st.data())
+def test_nested_diameters_match_the_per_member_diameter(inst, data):
+    fam = nested_family(inst.carrier.size, data)
+    assert sequences._nested_diameters(inst, flag_rows(fam)) == \
+        [g.diameter(inst, m) for m in fam]
+
+
+def test_nested_diameters_cover_singletons_the_inf_rule_and_tables():
+    n = 5
+    fam = [g.SubsetMask.from_indices(n, range(k)) for k in (5, 3, 3, 2, 1, 1)]
+    scaled = make_instance("scaled", carrier=line_carrier(n))  # t from 1e-4: the sup is +inf
+    table = squared_distance_table_instance(t_grid=(1.0, 2.0, 4.0))  # P = d^2 / t
+    small = [g.SubsetMask.from_indices(3, range(k)) for k in (3, 2, 1)]
+    for inst, members in ((scaled, fam), (table, small)):
+        got = sequences._nested_diameters(inst, flag_rows(members))
+        assert got == [g.diameter(inst, m) for m in members]
+    assert sequences._nested_diameters(scaled, flag_rows(fam)) == [math.inf] * 4 + [0.0, 0.0]
+    assert sequences._nested_diameters(table, flag_rows(small)) == [4.0, 1.0, 0.0]
+
+
+def two_cluster_instance():
+    # classes {a0, a1, a2} and {b0, b1, b2}: the closed sets are the unions of them
+    labels = ("a0", "a1", "a2", "b0", "b1", "b2")
+    d = [[0.0 if i == j else 1.0 if (i < 3) == (j < 3) else 5.0 for j in range(6)]
+         for i in range(6)]
+    return g.gallery_construct("constant", {}, g.FiniteCarrier(labels, d), g.MAX,
+                               (1.0, 2.0), (2.0,))
+
+
+def test_cantor_walks_the_members_in_order_before_the_nesting_check():
+    inst = two_cluster_instance()
+    car = inst.carrier
+    full, empty = g.SubsetMask.full(6), g.SubsetMask.empty(6)
+    a = g.SubsetMask.from_labels(car, ["a0", "a1", "a2"])
+    b = g.SubsetMask.from_labels(car, ["b0", "b1", "b2"])
+    not_closed = g.SubsetMask.from_labels(car, ["a0", "a1", "a2", "b0"])
+    # member 2 is not closed and member 4 is empty (and member 3 breaks nesting)
+    with pytest.raises(g.HypothesisError, match="not closed"):
+        g.cantor_intersection(inst, [full, not_closed, b, empty, empty])
+    # member 2 closed: the empty member 4 raises before the broken nesting
+    with pytest.raises(g.HypothesisError, match="non-empty"):
+        g.cantor_intersection(inst, [full, a, b, empty, empty])
+    with pytest.raises(g.HypothesisError, match="not nested"):
+        g.cantor_intersection(inst, [full, a, b])
+    with pytest.raises(g.DomainError, match="mask size mismatch"):
+        g.cantor_intersection(inst, [full, g.SubsetMask.full(5)])
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    real = core._kernel
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_kernel", counting)
+    return calls
+
+
+def test_sequences_and_cantor_batteries_make_a_fixed_number_of_kernel_calls(monkeypatch):
+    # every P_at call is one kernel call: on a fresh instance the sequences
+    # battery makes one for its convergence rows, one per grid t for each of
+    # its two K_t tables and one for tau_P's classes, whatever n is; cantor
+    # makes one for the classes and one for every member's diameter
+    calls = _count_kernel_calls(monkeypatch)
+    counts = {}
+    for n in (6, 24):
+        for battery in (cli._sequences_checks, cli._cantor_checks):
+            inst = make_instance("constant", carrier=line_carrier(n))
+            del calls[:]
+            checks, notes, _ = battery(inst, cli.Options(), 0, 1e-6)
+            assert checks and not notes and all(c.ok for c in checks)
+            counts[battery.__name__, n] = len(calls)
+    t = len(make_instance("constant").t_grid)
+    assert counts["_sequences_checks", 6] == counts["_sequences_checks", 24] == 2 + 2 * t
+    assert counts["_cantor_checks", 6] == counts["_cantor_checks", 24] == 2
