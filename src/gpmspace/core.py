@@ -59,9 +59,11 @@ broadcast together; ``eval_P`` is the kernel at one pair and one t.
 ``ray_start`` inverts the same formulas and step tables in t: it is the
 induced d_alpha = inf { t > 0 : P < alpha } at coordinates, in closed form.
 The grid scans (P1, P2, P4, monotone of tabulated P or a table op,
-``p4_violations``, the construction sanity pass) read one points x points x
-t_grid tensor, one per ``check_P_axioms`` call for all its scans, and list
-witnesses in the order of nested loops over (a, b, t).  Sampled P3 decodes
+``p4_violations``, the construction sanity pass of a tabulated family) read
+one points x points x t_grid tensor, one per ``check_P_axioms`` call for all
+its scans, and list witnesses in the order of nested loops over (a, b, t).
+The construction sanity pass of a formula family reads one row of P over
+the t grid per distinct distance between the points.  Sampled P3 decodes
 its seeded trials from blocks of Mersenne Twister words
 (``_randrange_rows``).  ``p3_violations`` and ``p4_violations`` also stand
 as the test oracles of the exact decisions.  The scans, the P3 trials and
@@ -93,6 +95,12 @@ _QUANTIFIER_CAP = 128
 
 _MAX_INTERVAL_POINTS = 65536  # sample points of an interval carrier
 
+# entries of one block of rows of an n x n x n scan: the carrier's triangle
+# check and the exact P3 decision.  A float temporary of a block stays below
+# 128 KiB, glibc's default mmap threshold, so blocks reuse heap memory instead
+# of mapping fresh pages each time, which is slower and raises peak RSS
+_P3_BLOCK = 1 << 14
+
 
 class FiniteCarrier:
     """A finite labeled point set with a symmetric base distance table."""
@@ -122,15 +130,18 @@ class FiniteCarrier:
         if off.size and np.any(off <= 0.0):
             raise ConstructionError("off-diagonal distances must be positive", axiom="P1")
         slack = tri_slack if tri_slack is not None else 1e-12 * max(1.0, float(d.max(initial=0.0)))
+        step = max(1, _P3_BLOCK // (n * n))
         with np.errstate(over="ignore"):  # a sum that overflows to inf bounds every distance
-            for i in range(n):
-                # bad[j, k]: d[i, j] > d[i, k] + d[k, j] + slack, one row of O(n^2) memory
-                bad = d[i][:, None] > (d[i][None, :] + d.T) + slack
+            for lo in range(0, n, step):
+                # bad[i, j, k]: d[i, j] > d[i, k] + d[k, j] + slack, for a block of rows i
+                # of at most _P3_BLOCK entries; the first in C order is the first witness
+                rows = d[lo:lo + step]
+                bad = rows[:, :, None] > (rows[:, None, :] + d.T) + slack
                 if bad.any():
-                    j, k = np.argwhere(bad)[0]
+                    i, j, k = np.argwhere(bad)[0]
                     raise ConstructionError(
-                        f"triangle inequality fails on ({labels[i]}, {labels[j]}, {labels[k]})",
-                        axiom="triangle")
+                        f"triangle inequality fails on ({labels[lo + i]}, {labels[j]}, "
+                        f"{labels[k]})", axiom="triangle")
         d.flags.writeable = False
         self.labels = labels
         self.d = d
@@ -156,8 +167,7 @@ class FiniteCarrier:
         return self.labels
 
     def describe(self):
-        return {"points": list(self.labels),
-                "d": [[float(x) for x in row] for row in self.d]}
+        return {"points": list(self.labels), "d": self.d.tolist()}
 
 
 class IntervalCarrier:
@@ -490,33 +500,51 @@ def gallery_construct(family, params, carrier, op: BinaryOperation,
     else:
         u, v = far_x, far_y = car.lo, car.hi
     with np.errstate(over="ignore"):  # a P that overflows to inf is refused below
-        grid, upper = _pair_grid(inst, pts, tg)
+        _construction_scan(inst, pts)
         far = P_at(inst, u, v, tg[0])
-    bad = np.argwhere(grid.diagonal().T != 0.0)
-    if bad.size:
-        i, k = bad[0]
-        raise ConstructionError(f"P({pts[i]},{pts[i]},{tg[k]}) != 0", axiom="P1")
-    # the first bad pair in loop order, then its first failing test in order
-    blank = np.all(grid == 0.0, axis=-1)
-    asym = grid != grid.transpose(1, 0, 2)
-    rising = grid[:, :, :-1] < grid[:, :, 1:]
-    bad = np.argwhere(upper & (blank | asym.any(-1) | rising.any(-1)))
-    if bad.size:
-        i, j = bad[0]
-        x, y = pts[i], pts[j]
-        if blank[i, j]:
-            raise ConstructionError(
-                f"distinct points ({x}, {y}) are indistinguishable on the t grid", axiom="P1")
-        if asym[i, j].any():
-            raise ConstructionError(f"P not symmetric at ({x}, {y}, {tg[np.argmax(asym[i, j])]})",
-                                    axiom="P2")
-        k = np.argmax(rising[i, j])
-        raise ConstructionError(
-            f"P({x},{y},.) increases from t={tg[k]} to t={tg[k + 1]}; must be non-increasing",
-            axiom="monotone")
     if not np.isfinite(far):
         raise ConstructionError(f"P({far_x},{far_y},{tg[0]}) is not finite", axiom="finite")
     return inst
+
+
+def _construction_scan(inst, pts):
+    """P1 on the diagonal, then the first pair a < b in loop order that is 0
+    on the whole t grid, asymmetric or rising, refused by its first failing
+    test.  P at (pts[i], pts[j]) over the t grid is the row ``vals[row[i,
+    j]]``: a formula family's P is the formula at the pair's distance, so it
+    has one row per distinct distance, and a tabulated family one per pair."""
+    n, tg = len(pts), inst.t_grid
+    if inst._steps is None:
+        c = coords(inst, pts)
+        dist, row = np.unique(_distance(inst, c[:, None], c), return_inverse=True)
+        vals = _formula(inst.family, inst.params, dist[:, None], np.asarray(tg))
+    else:
+        vals = _pair_grid(inst, pts, tg)[0].reshape(n * n, len(tg))
+        row = np.arange(n * n)
+    row = row.reshape(n, n)
+    bad = np.argwhere(vals[row.diagonal()] != 0.0)
+    if bad.size:
+        i, k = bad[0]
+        raise ConstructionError(f"P({pts[i]},{pts[i]},{tg[k]}) != 0", axiom="P1")
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    asym = upper & (row != row.T)  # the pairs whose two orders read different rows
+    asym[asym] = np.any(vals[row[asym]] != vals[row.T[asym]], axis=-1)
+    blank = np.all(vals == 0.0, axis=-1)
+    rising = np.any(vals[:, :-1] < vals[:, 1:], axis=-1)
+    bad = np.argwhere(upper & (blank[row] | asym | rising[row]))
+    if bad.size:
+        i, j = bad[0]
+        x, y, p = pts[i], pts[j], vals[row[i, j]]
+        if blank[row[i, j]]:
+            raise ConstructionError(
+                f"distinct points ({x}, {y}) are indistinguishable on the t grid", axiom="P1")
+        if asym[i, j]:
+            k = np.argmax(p != vals[row[j, i]])
+            raise ConstructionError(f"P not symmetric at ({x}, {y}, {tg[k]})", axiom="P2")
+        k = np.argmax(p[:-1] < p[1:])
+        raise ConstructionError(
+            f"P({x},{y},.) increases from t={tg[k]} to t={tg[k + 1]}; must be non-increasing",
+            axiom="monotone")
 
 
 def tabulate_step_family(carrier, t_nodes, fn):
@@ -689,8 +717,6 @@ _FORMULA_CLAIMS = {"P1": "P(a,b,t) = 0 iff a = b", "P2": "P(a,b,t) = P(b,a,t)",
                    "monotone": "non-increasing in t"}
 
 _FLAT_T = 40.0  # 1 + exp(-t) rounds to 1 here: damped P reads d, as constant P does
-
-_P3_BLOCK = 1 << 15  # entries of one block of rows of the n x n x n P3 scan
 
 
 def _check_exact(inst, axiom):

@@ -28,10 +28,11 @@ types is written with one join, and a dict whose keys are all exact strings
 is sorted as it is, with its scalar values written inline.  Subclasses,
 bools, enums, numpy scalars and ``to_jsonable`` objects take the general
 rules.  Float texts are memoized for one call only, so each distinct
-non-zero float is rounded once per report.  ``canonical`` builds the
-normalized tree, for the compact instance digest and ``Report.to_jsonable``.
-Both walks take their scalar rules from one helper, ``_plain``, and its
-float rule from ``_round12``.
+non-zero float is rounded once per report.  ``compact_json`` writes the same
+text on one line with ``json``'s default separators, as ``json.dumps(
+canonical(x), sort_keys=True)`` would.  ``canonical`` builds the normalized
+tree, for ``Report.to_jsonable``.  Both walks take their scalar rules from
+one helper, ``_plain``, and its float rule from ``_round12``.
 """
 from __future__ import annotations
 
@@ -207,15 +208,26 @@ def canonical_json(obj) -> str:
     indent=2) + "\n"``, built in one pass with the C string escaper instead
     of the pure-Python encoder that ``indent`` selects.
     """
+    return _text(obj, "\n") + "\n"
+
+
+def compact_json(obj) -> str:
+    """The compact canonical text of a value tree: exactly
+    ``json.dumps(canonical(obj), sort_keys=True)``, written as
+    ``canonical_json`` writes, on one line with ``json``'s default separators."""
+    return _text(obj, None)
+
+
+def _text(obj, newline):
     texts = {str: _escape, int: int.__repr__, float: _FloatTexts().__getitem__}
     out = []
-    _write(obj, out, "\n", texts)
-    out.append("\n")
+    _write(obj, out, newline, texts)
     return "".join(out)
 
 
 def _write(obj, out, newline, texts):
-    """Append the JSON text of ``obj``, whose line breaks are ``newline``.
+    """Append the JSON text of ``obj``, whose line breaks are ``newline``, or
+    on one line with ``json``'s default separators if ``newline`` is None.
 
     ``texts`` maps the exact scalar types str, int and float to their text
     functions; a value of any other type, subclasses included, takes the
@@ -232,9 +244,12 @@ def _write(obj, out, newline, texts):
             return
         if type(obj) is not dict or {*map(type, obj)} != {str}:
             obj = {str(k): v for k, v in obj.items()}
-        inner = newline + "  "
-        comma = "," + inner
-        sep = "{" + inner
+        if newline is None:
+            inner, first, comma, last = None, "", ", ", ""
+        else:
+            inner = first = newline + "  "
+            comma, last = "," + inner, newline
+        sep = "{" + first
         for key in sorted(obj):
             out += (sep, _escape(key), ": ")
             value = obj[key]
@@ -244,24 +259,27 @@ def _write(obj, out, newline, texts):
             else:
                 _write(value, out, inner, texts)
             sep = comma
-        out.append(newline + "}")
+        out.append(last + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
-        inner = newline + "  "
-        comma = "," + inner
+        if newline is None:
+            inner, first, comma, last = None, "", ", ", ""
+        else:
+            inner = first = newline + "  "
+            comma, last = "," + inner, newline
         kinds = {*map(type, obj)}
         text = texts.get(kinds.pop()) if len(kinds) == 1 else None
         if text:
-            out.append("[" + inner + comma.join(map(text, obj)) + newline + "]")
+            out.append("[" + first + comma.join(map(text, obj)) + last + "]")
             return
-        sep = "[" + inner
+        sep = "[" + first
         for v in obj:
             out.append(sep)
             _write(v, out, inner, texts)
             sep = comma
-        out.append(newline + "]")
+        out.append(last + "]")
     elif obj is None:
         out.append("null")
     elif obj is True:

@@ -7,11 +7,15 @@ verdict here is a windowed numerical certification, not a proof.
 
 Rows are batched.  ``convergence_rows`` checks many sequences against their
 limits in one kernel call over (t, row, window term), and
-``check_convergence`` is a batch of one.  ``cantor_intersection`` on masks
-tests every member's closedness with one union-of-classes test and reads
-every member's diameter from one kernel tensor over the first member
-(``_nested_diameters``).  ``_sup_estimate`` holds the diameter's +inf rule
-for ``diameter`` and the batch alike.
+``check_convergence`` is a batch of one.  ``check_bounded`` reads its K_t
+table from one kernel call: over the grid t at the farthest pair for a family
+formula, which is non-decreasing in the distance, and over (t, point, point)
+for step tables.  ``cantor_intersection`` on masks tests every member's
+closedness with one union-of-classes test and reads every member's diameter
+from one kernel tensor over the first member (``_nested_diameters``); on
+intervals it reads them from one kernel call at the members' ends
+(``_interval_diameters``).  ``_sup_estimate`` holds the diameter's +inf rule
+for ``diameter`` and the batches alike.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ from .balls import (
     closure_and_limit_points,
     is_open,
 )
-from .core import GpmsInstance, P_at, coords, eval_P
+from .core import GpmsInstance, P_at, _distance, coords, eval_P
 from .errors import DomainError, HypothesisError, PreconditionError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -211,6 +215,8 @@ def _coords_of(inst, s) -> np.ndarray:
     if isinstance(s, SubsetMask):
         if inst.carrier.kind != "finite":
             raise DomainError("subset masks need a finite carrier")
+        if s.n != inst.carrier.size:
+            raise DomainError("mask size mismatch")
         return np.array(s.indices(), dtype=np.intp)
     if isinstance(s, SequenceSpec):
         return coords(inst, s.terms(inst.carrier))
@@ -237,12 +243,16 @@ def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None) -> Check
         c = _coords_of(inst, s)
         if not c.size:
             raise DomainError("bounded check needs a non-empty set")
-        k_t = {}
-        samples = 0
-        for t in inst.t_grid:
-            mat = P_at(inst, c[:, None], c, t)
-            samples += mat.size
-            k_t[f"{t:.12g}"] = float(mat.max())
+        ts = np.asarray(inst.t_grid)
+        if inst._steps is None:
+            # a family formula and its rounding are non-decreasing in the
+            # distance, so P is largest at the farthest pair, at every t
+            i, j = np.unravel_index(np.argmax(_distance(inst, c[:, None], c)), (c.size, c.size))
+            top = P_at(inst, c[i], c[j], ts)
+        else:
+            top = P_at(inst, c[:, None], c, ts[:, None, None]).max(axis=(1, 2))
+        k_t = {f"{t:.12g}": v for t, v in zip(inst.t_grid, top.tolist())}
+        samples = ts.size * c.size ** 2
     data["K_t"] = k_t
     finite = all(math.isfinite(v) for v in k_t.values())
     if isinstance(s, SequenceSpec) and limit is not None:
@@ -364,6 +374,15 @@ def _nested_diameters(inst: GpmsInstance, flags) -> list:
             for single, col in zip((flags.sum(-1) == 1).tolist(), sup.T.tolist())]
 
 
+def _interval_diameters(inst: GpmsInstance, members) -> list:
+    """``diameter`` of each interval member, from one kernel call over (the
+    two smallest grid t, member) at its ends."""
+    u, v = coords(inst, [m.lo for m in members]), coords(inst, [m.hi for m in members])
+    vals = P_at(inst, u, v, np.asarray(inst.t_grid[:2])[:, None])  # [t, member]
+    return [0.0 if m.width == 0.0 else _sup_estimate(*col)
+            for m, col in zip(members, vals.T.tolist())]
+
+
 def check_closure_diameter(inst: GpmsInstance, s: SubsetMask, tol: float = 1e-9) -> CheckReport:
     """diameter(s) must equal diameter(closure(s)), or both be infinite."""
     if inst.carrier.kind != "finite":
@@ -413,7 +432,7 @@ def cantor_intersection(inst: GpmsInstance, fam, point_tol: float = 1e-6):
         for big, small in zip(members, members[1:]):
             if not big.contains_interval(small):
                 raise HypothesisError("family is not nested")
-        diams = [diameter(inst, m) for m in members]
+        diams = _interval_diameters(inst, members)
     else:
         if inst.carrier.kind != "finite":
             raise DomainError("mask members need a finite carrier")
@@ -516,13 +535,18 @@ def check_compact_closed_bounded(inst: GpmsInstance, s: SubsetMask,
         raise DomainError("compactness certification needs a finite carrier")
     if s.is_empty:
         raise DomainError("the subset must be non-empty")
+    return _compact_report(inst, s, check_bounded(inst, s, tol))
+
+
+def _compact_report(inst: GpmsInstance, s: SubsetMask, bounded: CheckReport) -> CheckReport:
+    """``check_compact_closed_bounded`` of the valid subset ``s``, whose
+    ``check_bounded`` report is ``bounded``."""
     witnesses = []
     closed = is_open(inst, s.complement())
     if not closed:
         witnesses.append(Witness(points=tuple(s.labels(inst.carrier)),
                                  detail="complement is not open at these grids "
                                         "(may be a grid artifact)"))
-    bounded = check_bounded(inst, s, tol)
     if not bounded.ok:
         witnesses.extend(bounded.witnesses)
     verdict = FAIL if witnesses else PASS
@@ -531,4 +555,4 @@ def check_compact_closed_bounded(inst: GpmsInstance, s: SubsetMask,
                        witnesses=tuple(witnesses),
                        note="compact by pigeonhole: some point repeats infinitely often "
                             "in any sequence through a finite set",
-                       data=bounded.data)
+                       data=dict(bounded.data))

@@ -507,9 +507,10 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     # the triangle inequality, so no witness is evaluated), and the classes
     # of tau_P are one 9 x 9 slice at the least t; the sequences battery makes
     # one call for its 9 convergence rows (9 x 8 window terms x 6 t) and one
-    # per t for each of its two K_t tables, and cantor one 2 x 9 x 9 tensor
-    # for every member's diameter
-    assert (len(values), sum(values)) == (19, 8370)
+    # for the K_t table that bounded and compact_closed_bounded share (P at
+    # the farthest pair, 6 t), and cantor one 2 x 9 x 9 tensor for every
+    # member's diameter
+    assert (len(values), sum(values)) == (8, 7404)
     # d_alpha: one 9 x 9 matrix, read by the table, the metric axioms and the
     # topology identity, and one pair at each of the 5 monotonicity alphas
     assert (len(rays), sum(rays)) == (6, 86)

@@ -1,0 +1,365 @@
+"""Loading an instance file against the passes it replaced.
+
+``load_instance`` writes the instance digest in one pass
+(``reports.compact_json``), scans a finite table's triangle inequality in
+blocks of rows and runs a formula family's construction checks once per
+distinct distance.  Each is held to the code it replaced, kept here as an
+oracle: the digest ``sha256(json.dumps(canonical(describe()),
+sort_keys=True))`` with ``describe``'s per-entry ``float`` rows, the per-row
+triangle loop and the points x points x t grid construction scan.
+"""
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+import gpmspace as g
+from gpmspace import core, reports
+from gpmspace.reports import canonical
+
+T_GRID = [1e-4, 0.5, 1, 2, 4, 50]
+ALPHA_GRID = [0.25, 0.5, 1, 2, 4]
+
+# floats a table, a grid or a parameter may hold: subnormals, values near
+# 1e308 and values that move when rounded to 12 significant digits
+EDGE_FLOATS = (5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.1 + 0.2, 1 / 3,
+               1.0000000000001, 123456789012.5, 2.5, 7.0, 1e300, 1e307, 1e308,
+               1.7976931348623157e308)
+
+
+# -- oracles ----------------------------------------------------------------
+
+
+def oracle_digest(inst):
+    """The instance digest as it was first computed: the canonical tree of
+    ``describe()`` with a Python ``float`` per table entry, through ``json``."""
+    desc = inst.describe()
+    if inst.carrier.kind == "finite":
+        desc["carrier"]["d"] = [[float(x) for x in row] for row in inst.carrier.d]
+    text = json.dumps(canonical(desc), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def triangle_oracle(labels, d):
+    """(message, axiom) of the first failure of the per-row triangle loop, or None."""
+    d = np.array(d, dtype=float)
+    slack = 1e-12 * max(1.0, float(d.max(initial=0.0)))
+    with np.errstate(over="ignore"):
+        for i in range(len(labels)):
+            bad = d[i][:, None] > (d[i][None, :] + d.T) + slack
+            if bad.any():
+                j, k = np.argwhere(bad)[0]
+                return (f"triangle inequality fails on ({labels[i]}, {labels[j]}, {labels[k]})",
+                        "triangle")
+    return None
+
+
+def construction_oracle(inst):
+    """(message, axiom) of the first failure of the pair-grid construction
+    scan on a raw instance, or None."""
+    pts = inst.quantifier_points(cap=33)
+    tg = inst.t_grid
+    car = inst.carrier
+    if car.kind == "finite":
+        u, v = np.unravel_index(np.argmax(car.d), car.d.shape)
+        far_x, far_y = car.labels[u], car.labels[v]
+    else:
+        u, v = far_x, far_y = car.lo, car.hi
+    with np.errstate(over="ignore"):
+        c = core.coords(inst, pts)
+        grid = core.P_at(inst, c[:, None, None], c[None, :, None], np.asarray(tg))
+        far = core.P_at(inst, u, v, tg[0])
+    upper = np.triu(np.ones((len(pts), len(pts)), dtype=bool), 1)
+    bad = np.argwhere(grid.diagonal().T != 0.0)
+    if bad.size:
+        i, k = bad[0]
+        return f"P({pts[i]},{pts[i]},{tg[k]}) != 0", "P1"
+    blank = np.all(grid == 0.0, axis=-1)
+    asym = grid != grid.transpose(1, 0, 2)
+    rising = grid[:, :, :-1] < grid[:, :, 1:]
+    bad = np.argwhere(upper & (blank | asym.any(-1) | rising.any(-1)))
+    if bad.size:
+        i, j = bad[0]
+        x, y = pts[i], pts[j]
+        if blank[i, j]:
+            return f"distinct points ({x}, {y}) are indistinguishable on the t grid", "P1"
+        if asym[i, j].any():
+            return f"P not symmetric at ({x}, {y}, {tg[np.argmax(asym[i, j])]})", "P2"
+        k = np.argmax(rising[i, j])
+        return (f"P({x},{y},.) increases from t={tg[k]} to t={tg[k + 1]}; must be non-increasing",
+                "monotone")
+    if not np.isfinite(far):
+        return f"P({far_x},{far_y},{tg[0]}) is not finite", "finite"
+    return None
+
+
+def refusal(fn):
+    """(message, axiom) of the ConstructionError ``fn()`` raises, or None."""
+    try:
+        fn()
+    except g.ConstructionError as err:
+        return str(err), err.axiom
+    return None
+
+
+def assert_refusals_match(labels, d, family="scaled", params=None, t_grid=T_GRID):
+    """The carrier and the construction refuse as their oracles do; returns
+    the refusal."""
+    expected = triangle_oracle(labels, d)
+    got = refusal(lambda: g.FiniteCarrier(labels, d))
+    assert got == expected
+    if got is not None:
+        return got
+    carrier = g.FiniteCarrier(labels, d)
+    params = dict(params or {})
+    if family == "tabulated":
+        params = g.tabulate_step_family(carrier, t_grid, lambda dist, t: dist / t)
+    raw = g.GpmsInstance(carrier, family, params, g.MAX, t_grid, ALPHA_GRID)
+    expected = construction_oracle(raw)
+    got = refusal(lambda: g.gallery_construct(family, params, carrier, g.MAX, t_grid,
+                                              ALPHA_GRID))
+    assert got == expected
+    return got
+
+
+def line_table(n, scale=1.0):
+    return [[abs(i - j) * scale for j in range(n)] for i in range(n)]
+
+
+def ultrametric(w):
+    """d(a, b) = max(w_a, w_b) off the diagonal: an ultrametric, exact in floats."""
+    return [[0.0 if i == j else max(a, b) for j, b in enumerate(w)] for i, a in enumerate(w)]
+
+
+def plant(d, pairs, value):
+    d = [row[:] for row in d]
+    for i, j in pairs:
+        d[i][j] = d[j][i] = value
+    return d
+
+
+def labels_of(n):
+    return [f"p{i}" for i in range(n)]
+
+
+# -- refusals ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, pairs", [
+    (40, [(30, 35)]),
+    (48, [(20, 30), (33, 45)]),
+    (48, [(47, 2), (16, 40), (29, 31)]),
+    (70, [(69, 0), (45, 50)]),
+])
+def test_planted_triangle_violations_across_blocks(n, pairs):
+    # violations planted in later blocks of rows, one block or several apart
+    assert core._P3_BLOCK // (n * n) < n // 3  # the table spans several blocks of rows
+    got = assert_refusals_match(labels_of(n), plant(line_table(n), pairs, 3.0 * n))
+    assert got is not None and got[1] == "triangle"
+
+
+def test_sums_that_overflow_bound_every_distance():
+    # d(a,k) + d(k,b) overflows to inf, which bounds d(a,b): no violation, so
+    # the construction's overflow check refuses the instance instead
+    n = 44
+    huge = [(1.0, 1.2, 1.5, 1.7976931348623157)[k % 4] * 1e308 for k in range(n)]
+    big = plant(ultrametric(huge), [(0, n - 1)], 1.7976931348623157e308)
+    assert assert_refusals_match(labels_of(n), big, "constant") is None
+    assert assert_refusals_match(labels_of(n), big) == ("P(p0,p3,0.0001) is not finite", "finite")
+    # a real violation, past a sum that overflows, is still found
+    small = plant(ultrametric([1.0] * 3 + huge[3:]), [(0, 1)], 1e308)
+    assert assert_refusals_match(labels_of(n), small, "constant") == (
+        "triangle inequality fails on (p0, p1, p2)", "triangle")
+
+
+@pytest.mark.parametrize("family, params", [("scaled", {}), ("discrete", {"c": 5e-324})])
+def test_subnormal_distances_are_indistinguishable(family, params):
+    # 5e-324 / 2 and 5e-324 / 4 round to 0: the pair (p0, p1) reads 0 on the t grid
+    n = 5
+    d = line_table(n, 5e-324) if family == "scaled" else line_table(n)
+    got = assert_refusals_match(labels_of(n), d, family, params, t_grid=[2.0, 4.0])
+    assert got == ("distinct points (p0, p1) are indistinguishable on the t grid", "P1")
+    # subnormal pairs among distinguishable ones: the first blank pair is named
+    d = ultrametric([1.0, 5e-324, 2.0, 5e-324, 5e-324])
+    got = assert_refusals_match(labels_of(n), d, t_grid=[2.0, 4.0])
+    assert got == ("distinct points (p1, p3) are indistinguishable on the t grid", "P1")
+
+
+@pytest.mark.parametrize("family", ["scaled", "damped"])
+def test_P_that_overflows_at_the_smallest_t_is_not_finite(family):
+    n = 6
+    d = line_table(n, 1e300 if family == "scaled" else 1.7e308 / (n - 1))
+    got = assert_refusals_match(labels_of(n), d, family, t_grid=[1e-10, 1.0])
+    assert got == (f"P(p0,p{n - 1},1e-10) is not finite", "finite")
+
+
+@pytest.mark.parametrize("family", ["scaled", "constant", "tabulated"])
+def test_strided_sample_of_70_points(family):
+    # quantifier_points(cap=33) keeps every second point and the last one: a
+    # blank pair between two sampled points is refused, one between a
+    # sampled and a skipped point is not seen
+    n = 70
+    carrier = g.FiniteCarrier(labels_of(n), line_table(n))
+    inst = g.GpmsInstance(carrier, "constant", {}, g.MAX, T_GRID, ALPHA_GRID)
+    assert len(inst.quantifier_points(cap=33)) == 36
+    w = [1.0 + k for k in range(n)]
+    unseen = ultrametric([1e-320 if k in (3, 5) else x for k, x in enumerate(w)])
+    seen = ultrametric([1e-320 if k in (3, 5, 66, 68) else x for k, x in enumerate(w)])
+    t_grid = [1e4, 1e5] if family != "constant" else T_GRID
+    assert assert_refusals_match(labels_of(n), unseen, family, t_grid=t_grid) is None
+    got = assert_refusals_match(labels_of(n), seen, family, t_grid=t_grid)
+    if family == "constant":  # 1e-320 stays above 0 under the constant family
+        assert got is None
+    else:
+        assert got == ("distinct points (p66, p68) are indistinguishable on the t grid", "P1")
+
+
+@pytest.mark.parametrize("family, d, t_grid, expected", [
+    # both orders overflow to inf at the smallest t and differ at the next
+    ("scaled", [[0, 1e300, 3], [2e300, 0, 3], [3, 3, 0]], [1e-10, 1.0],
+     ("P not symmetric at (p0, p1, 1.0)", "P2")),
+    ("constant", [[0, 1, 1], [1, 0.5, 1], [1, 1, 0]], T_GRID, ("P(p1,p1,0.0001) != 0", "P1")),
+])
+def test_tables_changed_behind_the_carrier(family, d, t_grid, expected):
+    # an asymmetric table or a non-zero diagonal, which a carrier refuses
+    carrier = g.FiniteCarrier(labels_of(3), ultrametric([1.0] * 3))
+    carrier.d = np.array(d, dtype=float)
+    raw = g.GpmsInstance(carrier, family, {}, g.MAX, t_grid, ALPHA_GRID)
+    assert construction_oracle(raw) == expected
+    assert refusal(lambda: g.gallery_construct(family, {}, carrier, g.MAX, t_grid,
+                                               ALPHA_GRID)) == expected
+
+
+@st.composite
+def planted_tables(draw):
+    """(labels, d): an ultrametric max(w_a, w_b) of edge weights, exact in
+    floats, with a few entries overwritten, so the triangle inequality fails,
+    holds by an overflowing sum or holds."""
+    n = draw(st.integers(2, 8) | st.integers(40, 70))
+    w = [draw(st.sampled_from(EDGE_FLOATS)) for _ in range(n)]
+    d = [[0.0 if i == j else max(w[i], w[j]) for j in range(n)] for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=3))
+    return labels_of(n), plant(d, pairs, draw(st.sampled_from(EDGE_FLOATS)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_tables(), st.sampled_from(("scaled", "constant", "damped", "discrete")),
+       st.sets(st.sampled_from((1e-10, 1e-4, 0.5, 1.0, 2.0, 4.0, 50.0)), min_size=1, max_size=4),
+       st.sampled_from(EDGE_FLOATS[:-4]))
+@example((labels_of(3), [[0, 5e-324, 5e-324], [5e-324, 0, 5e-324], [5e-324, 5e-324, 0]]),
+         "scaled", {2.0, 4.0}, 1.0)
+def test_refusals_match_the_oracles(table, family, t_grid, c):
+    labels, d = table
+    params = {"c": c} if family == "discrete" else {}
+    assert_refusals_match(labels, d, family, params, t_grid=sorted(t_grid))
+
+
+# -- the digest -------------------------------------------------------------
+
+
+def instance_doc(draw):
+    kind = draw(st.sampled_from(("integer", "float", "tabulated", "table-op", "interval",
+                                 "discrete")))
+    doc = {"version": 1, "family": "constant", "params": {}, "op": "max",
+           "t_grid": sorted(draw(st.sets(st.sampled_from((0.5, 1, 2.0, 4, 50, 1 / 3, 0.1 + 0.2)),
+                                         min_size=1, max_size=4))),
+           "alpha_grid": sorted(draw(st.sets(st.sampled_from((0.25, 1, 1.0000000000001, 2.5)),
+                                             min_size=1, max_size=3))),
+           "seed": 0, "tol": 1e-6}
+    if kind == "interval":
+        lo = draw(st.sampled_from((-2.0, 0.0, 0.1 + 0.2, 1e-310)))
+        doc.update(interval=[lo, lo + draw(st.sampled_from((1.0, 1 / 3, 123.456789012345)))],
+                   resolution=draw(st.sampled_from((0.25, 0.1 + 0.2, 1 / 7))),
+                   family=draw(st.sampled_from(("scaled", "damped", "constant"))))
+        return doc
+    n = draw(st.integers(2, 7))
+    if kind == "integer":
+        w = [draw(st.integers(1, 2 ** 53)) for _ in range(n)]
+    else:
+        w = [draw(st.sampled_from(EDGE_FLOATS)) for _ in range(n)]
+    doc.update(points=labels_of(n),
+               d=[[0 if i == j else max(w[i], w[j]) for j in range(n)] for i in range(n)])
+    if kind == "discrete":
+        doc.update(family="discrete", params={"c": draw(st.sampled_from(EDGE_FLOATS[:-3]))})
+    elif kind == "tabulated":
+        doc["family"] = "tabulated"
+        doc["params"] = {"tables": [
+            {"pair": [f"p{j}", f"p{i}"], "t": [0.5, 2.0, 1e300],
+             "v": sorted(draw(st.lists(st.sampled_from(EDGE_FLOATS), min_size=3, max_size=3)),
+                         reverse=True)}
+            for i in range(n) for j in range(i + 1, n)]}
+    elif kind == "table-op":
+        doc["op"] = {"table": {"grid": [0.0, 1 / 3, 1e308],
+                               "values": [[0.0, 1 / 3, 1e308], [1 / 3, 0.1 + 0.2, 1e308],
+                                          [1e308, 1e308, 5e-324]]}}
+    return doc
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_digest_matches_the_json_oracle(tmp_path_factory, data):
+    doc = instance_doc(data.draw)
+    path = tmp_path_factory.mktemp("digest") / "inst.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        inst_file = g.load_instance(str(path))
+    except g.GpmsError:
+        assume(False)
+    assert inst_file.digest == oracle_digest(inst_file.instance)
+
+
+def test_digest_of_edge_floats(tmp_path):
+    # every edge float in one table, where rounding to 12 digits merges
+    # some of them: the digest is still the oracle's
+    w = [x for x in EDGE_FLOATS if x < 1e300]
+    n = len(w)
+    doc = {"version": 1, "points": labels_of(n),
+           "d": [[0 if i == j else max(w[i], w[j]) for j in range(n)] for i in range(n)],
+           "family": "constant", "params": {}, "op": "max", "t_grid": [0.5, 1 / 3 + 1],
+           "alpha_grid": [0.1 + 0.2], "seed": 0, "tol": 1e-6}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    inst_file = g.load_instance(str(path))
+    assert inst_file.digest == oracle_digest(inst_file.instance)
+    assert reports.compact_json(inst_file.instance.describe()) == json.dumps(
+        canonical(inst_file.instance.describe()), sort_keys=True)
+
+
+# -- work ---------------------------------------------------------------------
+
+
+def test_a_wide_load_rounds_each_float_once_and_calls_the_kernel_at_most_twice(
+        tmp_path, monkeypatch):
+    n = 48
+    d = [[abs(i - j) % 7 + (i != j) for j in range(n)] for i in range(n)]
+    d = [[min(d[i][j], d[j][i]) for j in range(n)] for i in range(n)]
+    for k in range(n):  # shortest-path closure makes d a metric
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    doc = {"version": 1, "points": labels_of(n), "d": d, "family": "scaled", "params": {},
+           "op": "max", "t_grid": T_GRID, "alpha_grid": ALPHA_GRID, "seed": 0, "tol": 1e-6}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    distinct = {float(x) for row in d for x in row} | set(map(float, T_GRID + ALPHA_GRID))
+    plain, kernel = [], []
+    real_plain, real_kernel = reports._plain, core._kernel
+
+    def counted_plain(x):
+        plain.append(x)
+        return real_plain(x)
+
+    def counted_kernel(*args):
+        kernel.append(1)
+        return real_kernel(*args)
+
+    monkeypatch.setattr(reports, "_plain", counted_plain)
+    monkeypatch.setattr(core, "_kernel", counted_kernel)
+    inst_file = g.load_instance(str(path))
+    assert len(distinct) < 20 and len(plain) <= len(distinct) + 2
+    assert len(kernel) <= 2
+    assert inst_file.digest == oracle_digest(inst_file.instance)

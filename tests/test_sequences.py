@@ -9,7 +9,9 @@ import gpmspace as g
 from gpmspace import cli, core, sequences
 from gpmspace.reports import canonical_json
 from helpers import (
+    T_GRID,
     gallery_instances,
+    interval_instance,
     line_carrier,
     make_instance,
     squared_distance_table_instance,
@@ -87,6 +89,9 @@ def test_bounded_full_carrier_k_table():
     assert rep.ok
     assert rep.data["K_t"]["1"] == 3.0  # max pairwise d / t at t = 1
     assert rep.data["K_t"]["2"] == 1.5
+    # P = d^2 / t from step tables: the farthest pair (d = 2) at every t
+    rep = g.check_bounded(squared_distance_table_instance(), g.SubsetMask.full(3))
+    assert list(rep.data["K_t"].values()) == [4.0 / t for t in T_GRID]
 
 
 def test_bounded_single_point_is_zero():
@@ -476,6 +481,40 @@ def test_nested_diameters_cover_singletons_the_inf_rule_and_tables():
     assert sequences._nested_diameters(table, flag_rows(small)) == [4.0, 1.0, 0.0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("scaled", "constant", "damped", "discrete")),
+       st.sets(st.sampled_from((1e-4, 0.01, 0.5, 1.0, 4.0)), min_size=1, max_size=3),
+       st.lists(st.tuples(st.sampled_from((-2.0, -0.5, 0.0, 1 / 3)),
+                          st.sampled_from((0.0, 1e-9, 0.25, 1.5))), min_size=1, max_size=6))
+def test_interval_diameters_match_the_per_member_diameter(family, t_grid, ends):
+    # width-0 members, the +inf rule at t = 1e-4 and a one-node grid included
+    inst = interval_instance(family, t_grid=sorted(t_grid), c=2.0)
+    members = [g.ClosedInterval(lo, lo + w) for lo, w in ends]
+    assert sequences._interval_diameters(inst, members) == [g.diameter(inst, m) for m in members]
+
+
+@settings(max_examples=60, deadline=None)
+@given(gallery_instances() | st.sampled_from(("scaled", "constant", "damped", "discrete")).map(
+    lambda family: interval_instance(family, t_grid=(1e-4, 0.5, 4.0), c=1.5)), st.data())
+def test_K_t_table_matches_one_matrix_per_t(inst, data):
+    # the maximum of P over all pairs, one matrix per grid t, on subsets of a
+    # finite carrier and on sequences and point lists of an interval
+    pts = inst.carrier.points()
+    if inst.carrier.kind == "finite":
+        s = g.SubsetMask.from_indices(len(pts), data.draw(
+            st.sets(st.integers(0, len(pts) - 1), min_size=1)))
+        c = np.array(s.indices())
+    else:
+        s = data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=12) | st.builds(
+            g.SequenceSpec, st.just("geometric"), c=st.sampled_from((0.0, 1 / 3)),
+            a=st.sampled_from((1.0, -1.5)), r=st.sampled_from((0.5, 0.9)), n_terms=st.just(40)))
+        c = core.coords(inst, s.terms(inst.carrier) if isinstance(s, g.SequenceSpec) else s)
+    expected = {f"{t:.12g}": float(core.P_at(inst, c[:, None], c, t).max()) for t in inst.t_grid}
+    rep = g.check_bounded(inst, s)
+    assert rep.data["K_t"] == expected
+    assert rep.samples_tested == len(inst.t_grid) * len(c) ** 2
+
+
 def two_cluster_instance():
     # classes {a0, a1, a2} and {b0, b1, b2}: the closed sets are the unions of them
     labels = ("a0", "a1", "a2", "b0", "b1", "b2")
@@ -518,9 +557,10 @@ def _count_kernel_calls(monkeypatch):
 
 def test_sequences_and_cantor_batteries_make_a_fixed_number_of_kernel_calls(monkeypatch):
     # every P_at call is one kernel call: on a fresh instance the sequences
-    # battery makes one for its convergence rows, one per grid t for each of
-    # its two K_t tables and one for tau_P's classes, whatever n is; cantor
-    # makes one for the classes and one for every member's diameter
+    # battery makes one for its convergence rows, one for the K_t table that
+    # bounded and compact_closed_bounded share and one for tau_P's classes,
+    # whatever n is; cantor makes one for the classes and one for every
+    # member's diameter
     calls = _count_kernel_calls(monkeypatch)
     counts = {}
     for n in (6, 24):
@@ -530,6 +570,10 @@ def test_sequences_and_cantor_batteries_make_a_fixed_number_of_kernel_calls(monk
             checks, notes, _ = battery(inst, cli.Options(), 0, 1e-6)
             assert checks and not notes and all(c.ok for c in checks)
             counts[battery.__name__, n] = len(calls)
-    t = len(make_instance("constant").t_grid)
-    assert counts["_sequences_checks", 6] == counts["_sequences_checks", 24] == 2 + 2 * t
+    assert counts["_sequences_checks", 6] == counts["_sequences_checks", 24] == 3
     assert counts["_cantor_checks", 6] == counts["_cantor_checks", 24] == 2
+    # on an interval, cantor's 24 diameters are one kernel call
+    inst = interval_instance("damped")
+    del calls[:]
+    checks, notes, _ = cli._cantor_checks(inst, cli.Options(), 0, 1e-6)
+    assert checks and not notes and len(calls) == 1
