@@ -19,34 +19,42 @@ The axioms checked against an instance:
     P5        P(a,b,.) is continuous in t
     monotone  P(a,b,.) is non-increasing in t
 
-A formula family under plus or max is decided for all t > 0, exactly, from
-its formula and the carrier's distances (``_check_exact``).  P1, P2, P5 and
-monotone hold by the formula.  P4 at alpha fails for the distinct pairs whose
-sup over t, the t -> 0+ limit of P, stays below alpha: +inf for scaled and
-discrete, d for constant, 2d for damped.  P3 reduces to a condition on
-d(a,b), d(a,x), d(b,x): the triangle inequality (scaled/max, constant/plus,
-damped/plus), d(a,b) <= (sqrt d(a,x) + sqrt d(b,x))^2 (scaled/plus) or the
-ultrametric inequality (constant/max, damped/max); discrete always holds.
-On an interval |x - y| is a metric and no ultrametric, so family and op fix
-P3, and the family fixes P4, since an interval holds distinct points closer
-than alpha/2 for every alpha.  Each comparison is exact on the float inputs:
-max compares floats, the triangle inequality reads the rounded sum and its
-rounding error (TwoSum), and the square-root bound takes a float pass, then
-``fractions.Fraction`` on its near-ties (integer arithmetic on an integer
-table).  A fail witness is a float counterexample built from the reduction
-(s = d(a,x), t = d(b,x) for scaled/max, their square roots for scaled/plus,
-s = t = 40, where 1 + exp(-t) rounds to 1, for constant and damped), checked
-again through the kernel; an exact violation without one is reported
-inconclusive.  The grid scans could not be trusted there: on the collinear
-points 0, 6, 14 (scaled/max, t grid (1.7999999999999998, 2.4)) exhaustive P3
-read lhs 3.333333333333334 against rhs 3.3333333333333335,
-although the inequality holds in exact arithmetic on the same inputs.
+Only P3 involves the operation o, so P1, P2, P4, P5 and monotone are
+decided for all t > 0, exactly, on every family and under every op.  A
+formula family meets P1 (d is zero only on the diagonal), P2 (d is
+symmetric), P5 and monotone (each formula is continuous and non-increasing
+in t) and reads no P for them.  A step table is filled for both orders of its
+pair and construction refuses a rising one, so P2 and monotone hold there
+too; P1 fails only at a pair whose first table value (column 0) is 0, and
+P5 where a table drops.  P4 at alpha fails at the distinct pairs with
+d_alpha = 0 (``ray_start``): P < alpha for every t > 0, since P falls from
+its t -> 0+ limit, which is +inf for scaled and discrete, d for constant,
+2d for damped and the first table value of a step table.
 
-Tabulated families and table operations keep the grid scans: quantifiers
-over "all t > 0" run over the declared t grid, quantifiers over an interval
-carrier over its sample points, and verdicts are falsification-only, with
-exact float comparisons (no epsilon fuzzing) that a rounding artifact can
-still fail by one ulp.
+P3 of a formula family under plus or max is decided the same way
+(``_check_P3_exact``): it reduces to a condition on d(a,b), d(a,x), d(b,x):
+the triangle inequality (scaled/max, constant/plus, damped/plus),
+d(a,b) <= (sqrt d(a,x) + sqrt d(b,x))^2 (scaled/plus) or the ultrametric
+inequality (constant/max, damped/max); discrete always holds.  On an
+interval |x - y| is a metric and no ultrametric, so family and op fix P3,
+and the family fixes P4, since an interval holds distinct points closer
+than alpha/2 for every alpha.  Each comparison is exact on the float
+inputs: max compares floats, the triangle inequality reads the rounded sum
+and its rounding error (TwoSum), and the square-root bound takes a float
+pass, then ``fractions.Fraction`` on its near-ties (integer arithmetic on
+an integer table).  A fail witness is a float counterexample built from
+the reduction (s = d(a,x), t = d(b,x) for scaled/max, their square roots
+for scaled/plus, s = t = 40, where 1 + exp(-t) rounds to 1, for constant
+and damped; P at the smallest grid t for P4), checked again through the
+kernel; an exact violation without one is reported inconclusive.  Grid
+scans could not be trusted there: on the collinear points 0, 6, 14
+(scaled/max, t grid (1.7999999999999998, 2.4)) exhaustive P3 read lhs
+3.333333333333334 against rhs 3.3333333333333335, although the inequality
+holds in exact arithmetic on the same inputs.  P3 of a tabulated family or
+under a table operation samples seeded trials over the declared t grid and
+the carrier's points (an interval's sample points); that verdict is
+falsification-only, with exact float comparisons (no epsilon fuzzing) that
+a rounding artifact can still fail by one ulp.
 
 P is computed in one place, ``_kernel``: one family formula applied to a
 distance and a t, broadcast together, where the distance comes from the
@@ -58,22 +66,17 @@ and ``P_at`` is the kernel at coordinates, over arrays of them and of t
 broadcast together; ``eval_P`` is the kernel at one pair and one t.
 ``ray_start`` inverts the same formulas and step tables in t: it is the
 induced d_alpha = inf { t > 0 : P < alpha } at coordinates, in closed form.
-The grid scans (P1, P2, P4, monotone of tabulated P or a table op,
-``p4_violations``, the construction sanity pass of a tabulated family) read
-one points x points x t_grid tensor, one per ``check_P_axioms`` call for all
-its scans, and list witnesses in the order of nested loops over (a, b, t).
-The construction sanity pass of a formula family reads one row of P over
-the t grid per distinct distance between the points.  Sampled P3 decodes
-its seeded trials from blocks of Mersenne Twister words
-(``_randrange_rows``).  ``p3_violations`` and ``p4_violations`` also stand
-as the test oracles of the exact decisions.  The scans, the P3 trials and
-the exact decisions keep their witnesses as index rows plus the values
-gathered there (``ScanWitnesses``), so a witness is built only when it is
-read.
+No check reads P over points x points x t: the construction and
+``p4_violations`` read P at the smallest grid t, which stands for the whole
+grid because P is non-increasing in t.  Sampled P3 decodes its seeded trials
+from blocks of Mersenne Twister words (``_randrange_rows``).
+``p3_violations`` and ``p4_violations`` also stand as the test oracles of
+the exact decisions.  The P3 trials and the exact decisions keep their
+witnesses as index rows plus the values gathered there (``ScanWitnesses``),
+so a witness is built only when it is read.
 """
 from __future__ import annotations
 
-import functools
 import math
 import random
 from fractions import Fraction
@@ -88,7 +91,7 @@ FAMILIES = ("scaled", "constant", "damped", "discrete", "tabulated")
 
 P_AXIOMS = ("P1", "P2", "P3", "P4", "P5", "monotone")
 
-# approximate number of quantifier points for exhaustive scans: carriers with
+# approximate number of quantifier points for the sampled checks: carriers with
 # more points are sampled at a stride of len // cap, which keeps fewer than
 # 2 * cap points (135 of 401 at cap 128; all 48 of 48 at cap 33)
 _QUANTIFIER_CAP = 128
@@ -249,12 +252,14 @@ class GpmsInstance:
                 raise ConstructionError("discrete family needs a parameter c > 0")
             self.params["c"] = float(c)
         self._steps = _step_tables(carrier, self.params) if family == "tabulated" else None
-        if family == "tabulated":  # a private copy: the caller's tables may change later
-            self.params = _params_jsonable(family, self.params)
+        # normalized once, for describe, into a private copy: the caller's
+        # tables may change later
+        self.params = _params_jsonable(family, self.params)
         self._memo = {}  # see derive
 
     def quantifier_points(self, cap: int = _QUANTIFIER_CAP):
-        """Points standing in for "all of X" in exhaustive scans."""
+        """Points standing in for "all of X" in sampled P3, ``p4_violations``
+        and the construction's blank-pair check."""
         pts = self.carrier.points()
         if len(pts) <= cap:
             return pts
@@ -265,10 +270,13 @@ class GpmsInstance:
         return tuple(sub)
 
     def describe(self):
+        params = dict(self.params)
+        if self.family == "tabulated":  # fresh lists: the caller may change what it is given
+            params["tables"] = [{k: list(v) for k, v in e.items()} for e in params["tables"]]
         return {
             "carrier": self.carrier.describe(),
             "family": self.family,
-            "params": _params_jsonable(self.family, self.params),
+            "params": params,
             "op": self.op.to_jsonable(),
             "t_grid": list(self.t_grid),
             "alpha_grid": list(self.alpha_grid),
@@ -375,6 +383,8 @@ def _check_t(t):
 _EXP = np.frompyfunc(math.exp, 1, 1)
 _LOG = np.frompyfunc(math.log, 1, 1)
 
+_TINY = math.ulp(0.0)  # the least positive float
+
 
 def _formula(family, params, dist, t):
     """The family formula at base distance ``dist`` and ``t``, broadcast together."""
@@ -390,17 +400,20 @@ def _formula(family, params, dist, t):
 
 
 def _ray_formula(family, params, dist, alpha):
-    """inf { t > 0 : formula(dist, t) < alpha }, the formula inverted in t."""
-    if family == "scaled":
-        return dist / alpha
+    """inf { t > 0 : formula(dist, t) < alpha }, the formula inverted in t,
+    at ``dist`` and ``alpha`` broadcast together."""
+    if family in ("scaled", "discrete"):  # P = q / t: d_alpha = q / alpha, which is 0 iff
+        # q is, so a quotient that underflows to 0 reads the least positive float
+        q = dist if family == "scaled" else np.where(dist == 0.0, 0.0, params["c"])
+        r = q / alpha
+        return np.where((r == 0.0) & (q != 0.0), _TINY, r)
     if family in ("constant", "damped"):  # P = d, or d (1 + e^-t) falling from 2d to d
+        dist, alpha = np.broadcast_arrays(dist, alpha)
         out = np.where(dist < alpha, 0.0, math.inf)
         if family == "damped":  # alpha - d is exact in between (Sterbenz)
             mid = (dist < alpha) & (alpha < 2.0 * dist)
-            out[mid] = -np.asarray(_LOG((alpha - dist[mid]) / dist[mid]), dtype=float)
+            out[mid] = -np.asarray(_LOG((alpha[mid] - dist[mid]) / dist[mid]), dtype=float)
         return out
-    if family == "discrete":
-        return np.where(dist == 0.0, 0.0, params["c"] / alpha)
     raise DomainError(f"no formula for family {family!r}")
 
 
@@ -419,16 +432,17 @@ def _kernel(inst: GpmsInstance, u, v, t):
     return _formula(inst.family, inst.params, _distance(inst, u, v), t)
 
 
-def ray_start(inst: GpmsInstance, u, v, alpha: float) -> np.ndarray:
+def ray_start(inst: GpmsInstance, u, v, alpha) -> np.ndarray:
     """inf { t > 0 : P(u, v, t) < alpha } at kernel coordinates ``u`` and
-    ``v`` (see ``coords``), broadcast together like ``P_at``: 0 where every
-    t > 0 is below alpha, +inf where none is.  Each family's formula is
-    inverted exactly; a step table's values fall with the column, so the
-    columns at or above alpha are a prefix of k: k = 0 gives 0, and otherwise
-    the ray starts at node k - 1, +inf when every column is above."""
+    ``v`` (see ``coords``) and at ``alpha`` (one alpha or an array),
+    broadcast together like ``P_at``: 0 where every t > 0 is below alpha,
+    +inf where none is.  Each family's formula is inverted exactly; a step
+    table's values fall with the column, so the columns at or above alpha
+    are a prefix of k: k = 0 gives 0, and otherwise the ray starts at node
+    k - 1, +inf when every column is above."""
     if inst._steps is not None:
         nodes, vals = inst._steps
-        k = np.count_nonzero(vals[u, v] >= alpha, axis=-1)
+        k = np.count_nonzero(vals[u, v] >= np.asarray(alpha)[..., None], axis=-1)
         return np.where(k == 0, 0.0, nodes[u, v, k - 1])  # the last node column is +inf
     return np.asarray(_ray_formula(inst.family, inst.params, _distance(inst, u, v), alpha))
 
@@ -472,27 +486,22 @@ def P_at(inst: GpmsInstance, u, v, t) -> np.ndarray:
     return np.asarray(_kernel(inst, u, v, _check_t(t)))
 
 
-def _pair_grid(inst: GpmsInstance, pts, ts):
-    """grid[i, j, k] = P(pts[i], pts[j], ts[k]), and the mask of pairs i < j."""
-    c = coords(inst, pts)
-    grid = _kernel(inst, c[:, None, None], c[None, :, None], np.asarray(ts, dtype=float))
-    return grid, np.triu(np.ones((len(pts), len(pts)), dtype=bool), 1)
-
-
 def gallery_construct(family, params, carrier, op: BinaryOperation,
                       t_grid, alpha_grid) -> GpmsInstance:
-    """Build an instance and run fast sanity checks (P1, P2, monotone, finite P).
+    """Build an instance; refuse a pair the t grid cannot tell apart, or a P that is not finite.
 
-    Rejects with a ConstructionError naming the failed axiom, so broken
-    tables, asymmetric inputs or a P that overflows to inf never produce a
-    usable instance.
+    A distinct pair that reads 0 on the whole t grid is refused (P1), among
+    the points ``quantifier_points(cap=33)`` samples: P is non-negative and
+    non-increasing in t, so a pair that is 0 at the smallest grid t is 0 on
+    the whole grid.  P on the diagonal, P2 and monotone need no scan: the
+    carrier and ``_step_tables`` refuse what would break them.  Every family
+    is largest at the largest distance and the smallest t (tabulated values
+    are finite by construction), so a P that overflows to inf is refused
+    there, at a pair the sample may miss.
     """
     inst = GpmsInstance(carrier, family, params, op, t_grid, alpha_grid)
     pts = inst.quantifier_points(cap=33)
-    tg = inst.t_grid
-    # every family is largest at the largest distance and the smallest t
-    # (tabulated values are finite by construction), at a pair the grid
-    # misses when it samples the carrier
+    c, t0 = coords(inst, pts), inst.t_grid[0]
     car = inst.carrier
     if car.kind == "finite":
         u, v = np.unravel_index(np.argmax(car.d), car.d.shape)
@@ -500,51 +509,15 @@ def gallery_construct(family, params, carrier, op: BinaryOperation,
     else:
         u, v = far_x, far_y = car.lo, car.hi
     with np.errstate(over="ignore"):  # a P that overflows to inf is refused below
-        _construction_scan(inst, pts)
-        far = P_at(inst, u, v, tg[0])
-    if not np.isfinite(far):
-        raise ConstructionError(f"P({far_x},{far_y},{tg[0]}) is not finite", axiom="finite")
-    return inst
-
-
-def _construction_scan(inst, pts):
-    """P1 on the diagonal, then the first pair a < b in loop order that is 0
-    on the whole t grid, asymmetric or rising, refused by its first failing
-    test.  P at (pts[i], pts[j]) over the t grid is the row ``vals[row[i,
-    j]]``: a formula family's P is the formula at the pair's distance, so it
-    has one row per distinct distance, and a tabulated family one per pair."""
-    n, tg = len(pts), inst.t_grid
-    if inst._steps is None:
-        c = coords(inst, pts)
-        dist, row = np.unique(_distance(inst, c[:, None], c), return_inverse=True)
-        vals = _formula(inst.family, inst.params, dist[:, None], np.asarray(tg))
-    else:
-        vals = _pair_grid(inst, pts, tg)[0].reshape(n * n, len(tg))
-        row = np.arange(n * n)
-    row = row.reshape(n, n)
-    bad = np.argwhere(vals[row.diagonal()] != 0.0)
-    if bad.size:
-        i, k = bad[0]
-        raise ConstructionError(f"P({pts[i]},{pts[i]},{tg[k]}) != 0", axiom="P1")
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    asym = upper & (row != row.T)  # the pairs whose two orders read different rows
-    asym[asym] = np.any(vals[row[asym]] != vals[row.T[asym]], axis=-1)
-    blank = np.all(vals == 0.0, axis=-1)
-    rising = np.any(vals[:, :-1] < vals[:, 1:], axis=-1)
-    bad = np.argwhere(upper & (blank[row] | asym | rising[row]))
-    if bad.size:
-        i, j = bad[0]
-        x, y, p = pts[i], pts[j], vals[row[i, j]]
-        if blank[row[i, j]]:
-            raise ConstructionError(
-                f"distinct points ({x}, {y}) are indistinguishable on the t grid", axiom="P1")
-        if asym[i, j]:
-            k = np.argmax(p != vals[row[j, i]])
-            raise ConstructionError(f"P not symmetric at ({x}, {y}, {tg[k]})", axiom="P2")
-        k = np.argmax(p[:-1] < p[1:])
+        blank = np.argwhere(np.triu(P_at(inst, c[:, None], c, t0) == 0.0, 1))
+        far = P_at(inst, u, v, t0)
+    if blank.size:
+        i, j = blank[0]
         raise ConstructionError(
-            f"P({x},{y},.) increases from t={tg[k]} to t={tg[k + 1]}; must be non-increasing",
-            axiom="monotone")
+            f"distinct points ({pts[i]}, {pts[j]}) are indistinguishable on the t grid", axiom="P1")
+    if not np.isfinite(far):
+        raise ConstructionError(f"P({far_x},{far_y},{t0}) is not finite", axiom="finite")
+    return inst
 
 
 def tabulate_step_family(carrier, t_nodes, fn):
@@ -566,8 +539,7 @@ def tabulate_step_family(carrier, t_nodes, fn):
 
 def check_P_axiom(inst: GpmsInstance, axiom: str, seed: int = 0,
                   n_samples: int = 1000, exhaustive: bool = False) -> CheckReport:
-    """Check one P axiom: ``check_P_axioms`` on that axiom alone, so a grid
-    scan builds the points x points x t_grid tensor for this call only."""
+    """Check one P axiom: ``check_P_axioms`` on that axiom alone."""
     return check_P_axioms(inst, (axiom,), seed=seed, n_samples=n_samples,
                           exhaustive=exhaustive)[0]
 
@@ -576,102 +548,74 @@ def check_P_axioms(inst: GpmsInstance, axioms=P_AXIOMS, seed: int = 0,
                    n_samples: int = 1000, exhaustive: bool = False) -> list:
     """Check each of ``axioms`` in order, one ``CheckReport`` each.
 
-    A formula family under plus or max is decided for all t > 0 from its
-    formula and the carrier's distances (``_check_exact``); ``seed``,
-    ``n_samples`` and ``exhaustive`` do not apply there.  Otherwise P1, P2,
-    P4 and monotone scan the grid exhaustively, P3 samples and P5 reads the
-    family or its step tables.  The grid scans share one points x points x
-    t_grid tensor of P, built on the first scan that needs it and dropped
-    when the call returns.  P4 reads its smallest-t slice: the kernel is
-    elementwise in t, so those values are the ones a tensor at that t alone
-    would hold.
-    ``exhaustive=True`` forces the all-triples-all-pairs scan for P3 (used
-    to validate the sampler on small carriers).
+    P1, P2, P4, P5 and monotone are decided for all t > 0, on every family
+    and under every op, from the formulas or the validated step tables; of
+    the axioms only P3 reads the operation.  P3 is decided the same way for
+    a formula family under plus or max (``_check_P3_exact``); otherwise it
+    samples seeded trials over the quantifier points and the t grid
+    (``p3_violations``), and ``seed``, ``n_samples`` and ``exhaustive`` apply
+    there only.  ``exhaustive=True`` takes every trial (used to validate the
+    sampler on small carriers).
     """
     for axiom in axioms:
         if axiom not in P_AXIOMS:
             raise DomainError(f"unknown axiom {axiom!r}; expected one of {P_AXIOMS}")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    if inst._steps is None and inst.op.kind in ("plus", "max"):
-        return [_check_exact(inst, axiom) for axiom in axioms]
-    pts = inst.quantifier_points()
-    sampled_note = "" if inst.carrier.kind == "finite" else \
-        f"; interval carrier quantified over {len(pts)} sample points"
-    pair_grid = functools.cache(lambda: _pair_grid(inst, pts, inst.t_grid))
-    return [_check_axiom(inst, axiom, pts, pair_grid, sampled_note, seed, n_samples, exhaustive)
-            for axiom in axioms]
+    return [_check_axiom(inst, axiom, seed, n_samples, exhaustive) for axiom in axioms]
 
 
-def _check_axiom(inst, axiom, pts, pair_grid, sampled_note, seed, n_samples, exhaustive):
-    """One axiom's report; the grid scans read ``pair_grid()``."""
-    tg = inst.t_grid
+_CLAIMS = {"P1": "P(a,b,t) = 0 iff a = b", "P2": "P(a,b,t) = P(b,a,t)",
+           "monotone": "non-increasing in t"}
+
+# why a claim holds of step tables that construction accepted
+_STEP_REASONS = {"P2": "each pair's table is filled in both orders",
+                 "monotone": "construction refuses a rising table"}
+
+
+def _check_axiom(inst, axiom, seed, n_samples, exhaustive):
+    """One axiom's report; P2, monotone and P1 of a formula family pass and read no P."""
     if axiom == "P3":
-        witnesses, samples = p3_violations(inst, seed=seed, n_samples=n_samples,
-                                           exhaustive=exhaustive, points=pts)
-        mode = "exhaustive scan" if exhaustive else f"{samples} seeded samples"
-        return _grid_report("P3", witnesses, samples, f"; {mode}" + sampled_note)
-
+        if inst._steps is None and inst.op.kind in ("plus", "max"):
+            return _check_P3_exact(inst)
+        return _check_P3_sampled(inst, seed, n_samples, exhaustive)
+    if axiom == "P4":
+        return _check_P4(inst)
     if axiom == "P5":
         return _check_P5(inst)
-
-    grid, upper = pair_grid()
-    pairs = int(upper.sum())
-    T = np.asarray(tg)
-
-    if axiom == "P1":  # joined eagerly: only an unchecked instance fails P1
-        witnesses = (*_scan_witnesses(pts, grid.diagonal().T != 0.0, "P(a,a,t) != 0",
-                                      lambda i, k: {"t": T[k], "value": grid[i, i, k]},
-                                      points=slice(0, 1)),
-                     *_scan_witnesses(pts, upper & np.all(grid == 0.0, axis=-1),
-                                      "distinct pair with P = 0 on the whole t grid",
-                                      lambda i, j: {}))
-        return _grid_report("P1", witnesses, len(pts) * len(tg) + pairs, sampled_note)
-
-    if axiom == "P2":
-        witnesses = _scan_witnesses(
-            pts, upper[:, :, None] & (grid != grid.transpose(1, 0, 2)), "P(a,b,t) != P(b,a,t)",
-            lambda i, j, k: {"t": T[k], "lhs": grid[i, j, k], "rhs": grid[j, i, k]})
-        return _grid_report("P2", witnesses, pairs * len(tg), sampled_note)
-
-    if axiom == "P4":
-        alphas = np.asarray(inst.alpha_grid)
-        witnesses = _scan_witnesses(  # alpha outermost, then the pair
-            pts, upper & (grid[:, :, 0] < alphas[:, None, None]),
-            "distinct pair below alpha for every grid t",
-            lambda a, i, j: {"alpha": alphas[a], "t": np.full(a.size, tg[0]),
-                             "value": grid[i, j, 0]},
-            points=slice(1, 3))
-        note = ("per-alpha reading; certified at the smallest grid t "
-                "(P is non-increasing in t)") + sampled_note
-        verdict = FAIL if witnesses else PASS
-        return CheckReport(name="P4", verdict=verdict, samples_tested=len(inst.alpha_grid) * pairs,
-                           note=note, witnesses=witnesses)
-
-    # monotone
-    witnesses = _scan_witnesses(
-        pts, upper[:, :, None] & (grid[:, :, :-1] < grid[:, :, 1:]),
-        "P increases between adjacent grid t",
-        lambda i, j, k: {"t1": T[k], "t2": T[k + 1], "v1": grid[i, j, k],
-                         "v2": grid[i, j, k + 1]})
-    return _grid_report("monotone", witnesses, pairs * (len(tg) - 1), sampled_note)
+    if axiom == "P1" and inst._steps is not None:
+        return _check_P1_steps(inst)
+    source = f"{inst.family} family" if inst._steps is None else \
+        f"step tables ({_STEP_REASONS[axiom]})"
+    return CheckReport(name=axiom, verdict=PASS,
+                       note=f"{source}: {_CLAIMS[axiom]} for all t > 0, exact; no grid scan")
 
 
-def _scan_witnesses(pts, mask, detail, gather, points=slice(0, 2)):
-    """The witnesses at the true entries of ``mask``, in C order (nested loops
-    over its axes), built on read: the ``points`` columns of an entry's
-    index row name its points in ``pts``, and ``gather(*index columns)``
-    returns its named values, one array entry per witness."""
-    rows = np.argwhere(mask)
-    return ScanWitnesses(pts, rows[:, points], gather(*rows.T), detail)
-
-
-def _grid_report(name, witnesses, samples, extra_note=""):
-    verdict = FAIL if witnesses else PASS
-    note = ("no counterexample at this resolution" if verdict == PASS else
-            "counterexample found") + extra_note
-    return CheckReport(name=name, verdict=verdict, samples_tested=samples,
+def _check_P3_sampled(inst, seed, n_samples, exhaustive):
+    pts = inst.quantifier_points()
+    witnesses, samples = p3_violations(inst, seed=seed, n_samples=n_samples,
+                                       exhaustive=exhaustive, points=pts)
+    note = ("counterexample found" if witnesses else "no counterexample at this resolution") + \
+        ("; exhaustive scan" if exhaustive else f"; {samples} seeded samples")
+    if inst.carrier.kind != "finite":
+        note += f"; interval carrier quantified over {len(pts)} sample points"
+    return CheckReport(name="P3", verdict=FAIL if witnesses else PASS, samples_tested=samples,
                        note=note, witnesses=witnesses)
+
+
+def _check_P1_steps(inst):
+    """P1 of a step table: P(a,b,.) falls from the table's first value (value
+    column 0), so a distinct pair is 0 for all t > 0 iff that value is 0.
+    The diagonal is 0 by construction.  Witnesses list the pairs a < b."""
+    vals = inst._steps[1]
+    n = inst.carrier.size
+    rows = np.argwhere(np.triu(vals[:, :, 0] == 0.0, 1))
+    witnesses = ScanWitnesses(inst.carrier.labels, rows, {},
+                              "distinct pair with P = 0 for every t > 0")
+    return CheckReport(name="P1", verdict=FAIL if witnesses else PASS,
+                       samples_tested=n * (n - 1) // 2, witnesses=witnesses,
+                       note="step tables: a distinct pair is 0 for all t > 0 iff its first "
+                            "table value is 0; all t > 0, exact")
 
 
 def _check_P5(inst):
@@ -696,7 +640,55 @@ def _check_P5(inst):
                        note="step-interpolated in t: discontinuous by construction")
 
 
-# -- exact decisions: the formula families under plus or max ---------------
+# sup over t > 0 of P at a distinct pair: its t -> 0+ limit
+_P4_SUPS = {"scaled": "+inf", "discrete": "+inf", "constant": "d", "damped": "2d",
+            "tabulated": "the first table value"}
+
+
+def _check_P4(inst):
+    """P4 per grid alpha, for all t > 0: a distinct pair fails at alpha iff
+    d_alpha = 0 (``ray_start``), i.e. P < alpha for every t > 0.  That is
+    never for scaled and discrete, d < alpha for constant, 2d <= alpha for
+    damped (the sup 2d is never reached) and a first table value below
+    alpha for a step table.  On a finite carrier every pair a < b is read.
+    An interval holds distinct points closer than alpha/2 for every alpha,
+    so lo and the point alpha/4 above it (or hi) stand for it.  A failing
+    pair is shown by P at the smallest grid t: below alpha there, it is
+    below alpha on the whole grid (P is non-increasing).  Witnesses list
+    alpha outermost, then the pair."""
+    alphas = np.asarray(inst.alpha_grid)
+    car = inst.carrier
+    note = (f"per-alpha reading; a distinct pair fails where d_alpha = 0: the sup of P over "
+            f"t > 0, its limit as t -> 0+, is {_P4_SUPS[inst.family]}; all t > 0, exact")
+    if car.kind == "interval":
+        note += "; an interval holds distinct points closer than alpha/2 for every alpha"
+        near = np.minimum(car.lo + alphas / 4, car.hi)
+        near = np.where(near > car.lo, near, np.nextafter(car.lo, car.hi))
+        pts, samples = (car.lo, *near.tolist()), 0
+        u, v = np.zeros((len(alphas), 1), dtype=np.intp), np.arange(1, len(pts))[:, None]
+    else:
+        pts = car.points()
+        u, v = np.triu_indices(car.size, 1)
+        samples = len(alphas) * len(u)
+    c = coords(inst, pts)
+    hit = ray_start(inst, c[u], c[v], alphas[:, None]) == 0.0  # (alpha, pair)
+    a, k = np.nonzero(hit)
+    if not a.size:
+        return CheckReport(name="P4", verdict=PASS, samples_tested=samples, note=note)
+    i, j = (np.broadcast_to(w, hit.shape)[a, k] for w in (u, v))
+    rows = np.stack((a, i, j), axis=1)
+    t0 = inst.t_grid[0]
+    value = P_at(inst, c[i], c[j], t0)
+    shown = value < alphas[a]
+    witnesses = ScanWitnesses(pts, rows[shown, 1:],
+                              {"alpha": alphas[a[shown]], "t": np.full(shown.sum(), t0),
+                               "value": value[shown]},
+                              "distinct pair below alpha for every t > 0")
+    lost = [(pts[x], pts[y], f"alpha={alphas[b]:.12g}") for b, x, y in rows[~shown][:1].tolist()]
+    return _exact_report("P4", witnesses, int((~shown).sum()), lost, samples, note)
+
+
+# -- exact P3: the formula families under plus or max ----------------------
 
 # P3 over all s, t > 0 reduces to one condition on d(a,b), d(a,x), d(b,x) per
 # family and op; discrete P3 holds on every triple.  Necessity: constant and
@@ -710,68 +702,7 @@ _P3_CONDITIONS = {"triangle": "d(a,b) <= d(a,x) + d(b,x)",
                   "sqrt": "d(a,b) <= (sqrt d(a,x) + sqrt d(b,x))^2",
                   "ultrametric": "d(a,b) <= max(d(a,x), d(b,x))"}
 
-# sup over t > 0 of P at a distance d > 0: its t -> 0+ limit
-_P4_SUPS = {"scaled": "+inf", "discrete": "+inf", "constant": "d", "damped": "2d"}
-
-_FORMULA_CLAIMS = {"P1": "P(a,b,t) = 0 iff a = b", "P2": "P(a,b,t) = P(b,a,t)",
-                   "monotone": "non-increasing in t"}
-
 _FLAT_T = 40.0  # 1 + exp(-t) rounds to 1 here: damped P reads d, as constant P does
-
-
-def _check_exact(inst, axiom):
-    """One axiom of a formula family under plus or max, decided for all t > 0.
-
-    P1, P2 and monotone hold by the formula, since d is symmetric and zero
-    only on the diagonal, and read no P; P4 and P3 read the distances."""
-    if axiom in _FORMULA_CLAIMS:
-        return CheckReport(name=axiom, verdict=PASS,
-                           note=f"{inst.family} family: {_FORMULA_CLAIMS[axiom]} for all "
-                                f"t > 0, exact; no grid scan")
-    if axiom == "P5":
-        return _check_P5(inst)
-    if axiom == "P4":
-        return _check_P4_exact(inst)
-    return _check_P3_exact(inst)
-
-
-def _check_P4_exact(inst):
-    """P4 per grid alpha: a distinct pair fails where the sup of P over t > 0
-    stays below alpha.  The sup is +inf for scaled and discrete, d for
-    constant (a fail where d < alpha) and 2d for damped, never reached (a
-    fail where 2d <= alpha).  An interval holds distinct points closer than
-    alpha/2 for every alpha, so constant and damped fail there at every
-    alpha, witnessed by lo and the point alpha/4 above it (or hi).
-    Witnesses list alpha outermost, then the pair."""
-    note = (f"per-alpha reading; the sup of P over t > 0 is {_P4_SUPS[inst.family]}, "
-            f"its limit as t -> 0+; all t > 0, exact")
-    if _P4_SUPS[inst.family] == "+inf":
-        return CheckReport(name="P4", verdict=PASS, note=note)
-    alphas = np.asarray(inst.alpha_grid)
-    car = inst.carrier
-    if car.kind == "interval":
-        note += "; an interval holds distinct points closer than alpha/2 for every alpha"
-        near = np.minimum(car.lo + alphas / 4, car.hi)
-        near = np.where(near > car.lo, near, np.nextafter(car.lo, car.hi))
-        pts, k = (car.lo, *near.tolist()), np.arange(len(alphas))
-        rows, samples = np.stack((k, np.zeros_like(k), k + 1), axis=1), 0
-    else:
-        pts = car.points()
-        upper = np.triu(np.ones(car.d.shape, dtype=bool), 1)
-        below = car.d < alphas[:, None, None] if inst.family == "constant" else \
-            2.0 * car.d <= alphas[:, None, None]
-        rows, samples = np.argwhere(upper & below), len(alphas) * int(upper.sum())
-    c = coords(inst, pts)
-    a, i, j = rows.T
-    T = np.asarray(inst.t_grid)
-    grid = P_at(inst, c[i], c[j], T[:, None])  # (t, row)
-    shown = np.all(grid < alphas[a], axis=0)  # the float witness stays below at every grid t
-    witnesses = ScanWitnesses(pts, rows[shown, 1:],
-                              {"alpha": alphas[a[shown]], "t": np.full(shown.sum(), T[0]),
-                               "value": grid[0, shown]},
-                              "distinct pair below alpha for every t > 0")
-    lost = [(pts[u], pts[v], f"alpha={alphas[k]:.12g}") for k, u, v in rows[~shown][:1].tolist()]
-    return _exact_report("P4", witnesses, int((~shown).sum()), lost, samples, note)
 
 
 def _check_P3_exact(inst):
@@ -972,9 +903,11 @@ def _randrange_rows(rng: random.Random, shape, n: int, block: int | None = None)
 
 
 def p4_violations(inst: GpmsInstance, alpha: float):
-    """Distinct pairs staying below ``alpha`` on the whole t grid (per-alpha P4)."""
+    """Distinct pairs below ``alpha`` at the smallest grid t, hence on the
+    whole t grid (P is non-increasing): the grid reading of per-alpha P4."""
     if not alpha > 0:
         raise DomainError("alpha must be positive")
     pts = inst.quantifier_points()
-    grid, upper = _pair_grid(inst, pts, inst.t_grid[:1])
-    return [(pts[i], pts[j]) for i, j in np.argwhere(upper & (grid[:, :, 0] < alpha))]
+    c = coords(inst, pts)
+    below = np.triu(P_at(inst, c[:, None], c, inst.t_grid[0]) < alpha, 1)
+    return [(pts[i], pts[j]) for i, j in np.argwhere(below)]

@@ -1,17 +1,17 @@
 """Check verdicts, witnesses and canonical serialization helpers.
 
-A "pass" verdict is exact where a check decides its claim in closed form (the
-P-axioms of the formula families under plus or max, for all t > 0; see
-``core``) and says so in its note; every other check is falsification-only:
-"pass" means no counterexample was found at the declared grid/sample
-resolution, never a proof.  A "fail" verdict always carries at least one
-witness, and re-evaluating the violated inequality on that witness in floats
-reproduces the failure.  An exact violation without such a witness is
-"inconclusive".
+A "pass" verdict is exact where a check decides its claim in closed form (for
+all t > 0: P1, P2, P4, P5 and monotone on every instance, and P3 of the
+formula families under plus or max; see ``core``) and says so in its note;
+every other check is falsification-only: "pass" means no counterexample was
+found at the declared grid/sample resolution, never a proof.  A "fail"
+verdict always carries at least one witness, and re-evaluating the violated
+inequality on that witness in floats reproduces the failure.  An exact
+violation without such a witness is "inconclusive".
 
-A report's ``witnesses`` is a sequence, not always a tuple.  The grid scans
-of ``core`` can find tens of thousands of witnesses and a report serializes
-eight of them, so they return a ``ScanWitnesses``: it keeps the scan's
+A report's ``witnesses`` is a sequence, not always a tuple.  The axiom checks
+of ``core`` can find thousands of witnesses and a report serializes eight
+of them, so they return a ``ScanWitnesses``: it keeps the check's
 witness index rows and the values gathered at those rows, and builds a
 ``Witness`` only when one is read.  ``len`` (the report's ``witness_count``)
 is exact and costs nothing, a slice is a tuple, and iterating builds every
@@ -70,12 +70,12 @@ class Witness:
 
 
 class ScanWitnesses(Sequence):
-    """The witnesses of a grid scan, each built when it is read.
+    """The witnesses of an axiom check, each built when it is read.
 
     Witness ``k`` has the points ``pts[i]`` for the indices ``i`` in
     ``rows[k]``, the value ``float(column[k])`` for each named column of
     ``values`` (in that order) and ``detail``.  Only the rows and the
-    gathered columns are kept, never the scan tensor they came from.
+    gathered columns are kept, never the arrays they came from.
     """
 
     __slots__ = ("_pts", "_rows", "_values", "_detail")

@@ -318,18 +318,18 @@ def test_check_reports_deterministic_for_fixed_seed():
 
 
 def test_interval_carrier_axioms_sampled():
-    # under a table op the grid scans quantify over the sample points; under
-    # max the formula decides P1, P2, monotone and P4 on the whole interval,
-    # for all t > 0
+    # only P3 reads the op: under a table op it samples the sample points,
+    # and P1, P2, monotone and P4 get the reports they get under max, decided
+    # on the whole interval for all t > 0
     table = interval_instance("scaled", op=TABLE_OP, resolution=0.5)
     inst = interval_instance("scaled", resolution=0.5)
     for axiom in ("P1", "P2", "monotone", "P4"):
-        rep = g.check_P_axiom(table, axiom)
-        assert rep.ok
-        assert "sample points" in rep.note
         rep = g.check_P_axiom(inst, axiom)
         assert rep.ok and rep.samples_tested == 0
         assert "all t > 0, exact" in rep.note and "sample points" not in rep.note
+        assert canonical_json(g.check_P_axiom(table, axiom).to_jsonable()) == \
+            canonical_json(rep.to_jsonable())
+    assert "sample points" in g.check_P_axiom(table, "P3", seed=3, n_samples=400).note
     assert g.check_P_axiom(inst, "P3", seed=3, n_samples=400).ok
 
 
@@ -400,7 +400,7 @@ def test_scaled_family_satisfies_p3_on_random_metrics(carrier):
     assert top.ok == metric
 
 
-# -- one kernel: the array front end and the tensor scans against scalar oracles --
+# -- one kernel: the array front end and the single path against scalar oracles --
 
 def exact(x):
     """A comparison key that tells apart every float bit pattern (0.0 from -0.0)."""
@@ -706,7 +706,7 @@ def test_check_P_axioms_refuses_unknown_axioms_and_sample_counts():
     assert g.check_P_axioms(inst, ()) == []
 
 
-# the scalar loops the tensor scans replaced, kept as oracles
+# the scalar grid loops the single path replaced, kept as oracles
 
 def scalar_scan(inst, axiom):
     """(witnesses, samples, data) of the pre-kernel P1/P2/P4/P5/monotone loops;
@@ -809,16 +809,35 @@ def scalar_sanity_error(inst):
     return None
 
 
-def assert_scans_match_oracle(inst):
-    scans = ("P1", "P2", "P4", "P5", "monotone")
-    for axiom, shared in zip(scans, g.check_P_axioms(inst, scans)):
-        rep = g.check_P_axiom(inst, axiom)
-        assert exact(tuple(shared.witnesses)) == exact(tuple(rep.witnesses)), axiom
-        assert canonical_json(shared.to_jsonable()) == canonical_json(rep.to_jsonable()), axiom
-        witnesses, samples, data = scalar_scan(inst, axiom)
-        assert exact(rep.witnesses) == exact(witnesses), axiom
-        assert rep.samples_tested == samples, axiom
-        assert exact(rep.data) == exact(data), axiom
+def below_first_nodes(inst, op):
+    """``inst`` under ``op`` with 1e-3 put first in its t grid, below every
+    first node ``step_params`` draws: there the grid reads a step table's
+    first value, the sup of P over t > 0."""
+    return g.GpmsInstance(inst.carrier, inst.family, inst.params, op, (1e-3,) + inst.t_grid,
+                          inst.alpha_grid)
+
+
+def points_and_values(witnesses):
+    return exact([(w.points, w.values) for w in witnesses])
+
+
+def assert_single_path_matches_scalar_loops(inst):
+    """P1, P2, P4, P5 and monotone against the scalar grid loops, witness for
+    witness (on an interval, P4's pairs are lo and a point alpha/4 above it,
+    which the sample points need not hold), then ``p4_violations`` and the
+    construction's refusal against theirs."""
+    axioms = ("P1", "P2", "P4", "P5", "monotone")
+    for axiom, rep in zip(axioms, g.check_P_axioms(inst, axioms)):
+        alone = g.check_P_axiom(inst, axiom)
+        assert canonical_json(alone.to_jsonable()) == canonical_json(rep.to_jsonable()), axiom
+        assert exact(tuple(alone.witnesses)) == exact(tuple(rep.witnesses)), axiom
+        if axiom == "P4" and inst.carrier.kind == "interval":
+            assert rep.verdict == ("fail" if inst.family in ("constant", "damped") else "pass")
+            for w in rep.witnesses:
+                assert all(g.eval_P(inst, *w.points, t) < w.values["alpha"] for t in inst.t_grid)
+            continue
+        witnesses, _, _ = scalar_scan(inst, axiom)
+        assert points_and_values(rep.witnesses) == points_and_values(witnesses), axiom
         assert rep.verdict == ("fail" if witnesses else "pass"), axiom
         if axiom == "P5" and inst._steps is None:
             assert rep.note == f"{inst.family} family: continuous in t > 0, exact; no grid scan"
@@ -837,26 +856,42 @@ def assert_scans_match_oracle(inst):
         assert expected is None
 
 
-def with_op(inst, op):
-    return g.GpmsInstance(inst.carrier, inst.family, inst.params, op, inst.t_grid,
-                          inst.alpha_grid)
+@st.composite
+def zero_table_instances(draw):
+    """Raw step tables (no construction) in which some pairs read 0 for
+    every t: P1 fails there, and P4 at every alpha."""
+    labels = draw(LABELS)
+    t_grid = tuple(sorted(draw(st.sets(st.sampled_from((0.05, 0.25, 0.5, 1.0, 2.0, 4.0)),
+                                       min_size=1, max_size=4))))
+    params = draw(step_params(labels, t_grid))
+    for k in draw(st.sets(st.integers(0, len(params["tables"]) - 1), min_size=1)):
+        params["tables"][k]["v"] = [0.0] * len(params["tables"][k]["t"])
+    n = len(labels)
+    carrier = g.FiniteCarrier(labels, [[abs(i - j) for j in range(n)] for i in range(n)])
+    alpha_grid = tuple(sorted(draw(st.sets(st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0)),
+                                           min_size=1, max_size=3))))
+    return g.GpmsInstance(carrier, "tabulated", params, g.MAX, t_grid, alpha_grid)
 
 
-# the grid scans run under a table op (and on tabulated P); a formula family
-# under plus or max is decided from its formula, see the reduction tests below
+# one path decides P1, P2, P4, P5 and monotone under every op: the table op
+# here reaches the same code as plus and max
 
 @settings(max_examples=150, deadline=None)
 @given(kernel_instances())
 def test_tensor_scans_match_scalar_loops(inst):
-    assert_scans_match_oracle(with_op(inst, TABLE_OP))
+    # the single path against the scalar grid loops, on a grid that reads each
+    # step table's first value
+    assert_single_path_matches_scalar_loops(below_first_nodes(inst, TABLE_OP))
 
 
 @settings(max_examples=60, deadline=None)
-@given(kernel_instances(tamper=True))
+@given(zero_table_instances())
 def test_tensor_scans_match_scalar_loops_on_failing_tables(inst):
-    # tampered tables: P1, P2 and monotone witnesses, and the order of the
-    # construction errors, are compared too
-    assert_scans_match_oracle(with_op(inst, TABLE_OP))
+    # step tables that are 0 on whole pairs: P1 and P4 witnesses, and the
+    # construction's refusal of the first blank pair, are compared too
+    inst = below_first_nodes(inst, TABLE_OP)
+    assert g.check_P_axiom(inst, "P1").failed and g.check_P_axiom(inst, "P4").failed
+    assert_single_path_matches_scalar_loops(inst)
 
 
 def test_interval_sweep_scans_make_no_scalar_calls(monkeypatch):
@@ -893,27 +928,32 @@ def test_sampled_p3_looks_up_each_point_once(monkeypatch):
     assert samples == 1000 and calls[0] <= len(inst.quantifier_points())
 
 
-def tampered_instance():
-    """P1 (a diagonal entry and a zero pair), P2 and monotone all fail on this
-    table, swapped in behind the carrier's checks."""
+def zero_table_instance():
+    """Step tables on four points: (a, b) and (a, x) read 0 for every t, and
+    (b, c) starts below alpha = 1, so P1 and P4 fail."""
     carrier = g.FiniteCarrier(("a", "b", "c", "x"), [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1],
                                                      [3, 2, 1, 0]])
-    d = np.array([[0.0, 0.0, 1.0, 2.0], [0.0, 0.5, -1.0, 1.0], [2.0, -1.0, 0.0, 0.5],
-                  [2.0, 1.0, 0.5, 0.0]])
-    d.flags.writeable = False
-    carrier.d = d
-    return g.GpmsInstance(carrier, "scaled", {}, TABLE_OP, (0.5, 1.0, 2.0), (0.25, 1.0))
+    tables = [{"pair": ["a", "b"], "t": [0.5], "v": [0.0]},
+              {"pair": ["a", "c"], "t": [0.5, 1.0], "v": [2.0, 1.0]},
+              {"pair": ["a", "x"], "t": [1.0, 2.0], "v": [0.0, 0.0]},
+              {"pair": ["b", "c"], "t": [0.5], "v": [0.5]},
+              {"pair": ["b", "x"], "t": [0.5, 2.0], "v": [3.0, 0.2]},
+              {"pair": ["c", "x"], "t": [1.0], "v": [1.0]}]
+    return g.GpmsInstance(carrier, "tabulated", {"tables": tables}, TABLE_OP, (0.25, 1.0, 2.0),
+                          (0.25, 1.0))
 
 
 def test_scan_witnesses_are_a_sequence_built_on_read():
-    inst = tampered_instance()
-    for axiom in ("P1", "P2", "monotone"):
+    inst = zero_table_instance()
+    for axiom in ("P1", "P4"):
         rep = g.check_P_axiom(inst, axiom)
         eager, _, _ = scalar_scan(inst, axiom)
         assert rep.verdict == "fail" and eager, axiom
-        assert exact(tuple(rep.witnesses)) == exact(eager), axiom
-    seqs = [g.check_P_axiom(inst, axiom).witnesses for axiom in ("P2", "P4", "monotone")]
-    seqs.append(g.check_P_axiom(make_instance("constant"), "P3", exhaustive=True).witnesses)
+        assert points_and_values(rep.witnesses) == points_and_values(eager), axiom
+    seqs = [g.check_P_axiom(inst, axiom).witnesses for axiom in ("P1", "P4")]
+    seqs.append(g.check_P_axiom(make_instance("constant"), "P3").witnesses)
+    seqs.append(g.check_P_axiom(make_instance("constant", op=TABLE_OP), "P3",
+                                exhaustive=True).witnesses)
     for seq in seqs:
         assert isinstance(seq, g.ScanWitnesses) and len(seq) > 0
         eager = list(seq)
@@ -930,17 +970,22 @@ def test_scan_witnesses_are_a_sequence_built_on_read():
 
 
 def test_interval_sweep_report_builds_nine_p4_witnesses(tmp_path, monkeypatch):
-    # the damped interval-sweep instance under a table op, where P4 scans the
-    # grid: 32,044 witnesses, of which a report builds the first
-    # (CheckReport.witness) and the eight it prints
+    # a report builds the first witness of a check (CheckReport.witness) and
+    # the eight it prints, however many the check finds.  The damped
+    # interval-sweep instance under a table op fails P4 once per alpha (the
+    # grid scan listed 32,044 sample pairs there); constant/max on a 48-point
+    # line fails P3 at every pair two or more apart
     table = {"table": {"grid": [0.0, 1.0, 2.0], "values": [[0.0, 1.0, 2.0], [1.0, 1.5, 2.5],
                                                            [2.0, 2.5, 3.0]]}}
-    doc = {"version": 1, "interval": [-2.0, 2.0], "resolution": 0.02, "family": "damped",
-           "params": {}, "op": table, "t_grid": list(T_GRID), "alpha_grid": list(ALPHA_GRID),
-           "seed": 11, "tol": 1e-6}
-    path = tmp_path / "damped.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    inst_file = g.load_instance(str(path))
+    base = {"version": 1, "params": {}, "t_grid": list(T_GRID), "alpha_grid": list(ALPHA_GRID),
+            "seed": 11, "tol": 1e-6}
+    n = 48
+    docs = {"P4": dict(base, interval=[-2.0, 2.0], resolution=0.02, family="damped", op=table),
+            "P3": dict(base, points=[f"p{i}" for i in range(n)], family="constant", op="max",
+                       d=[[abs(i - j) for j in range(n)] for i in range(n)])}
+    counts = {"P4": len(ALPHA_GRID), "P3": n * (n - 1) // 2 - (n - 1)}
+    details = {"P4": "distinct pair below alpha for every t > 0",
+               "P3": "P(a,b,s+t) > P(a,x,s) o P(b,x,t)"}
     built = []
     real = g.Witness.__init__
 
@@ -949,14 +994,19 @@ def test_interval_sweep_report_builds_nine_p4_witnesses(tmp_path, monkeypatch):
         built.append(self.detail)
 
     monkeypatch.setattr(g.Witness, "__init__", counting)
-    report = g.run_command("full-report", inst_file)
-    text = report.to_canonical_json()
-    detail = "distinct pair below alpha for every grid t"
-    assert built.count(detail) <= 9
-    (p4,) = [c for c in json.loads(text)["checks"] if c["name"] == "P4"]
-    assert p4["witness_count"] == 32044 and len(p4["witnesses"]) == 8
-    rep = next(c for c in report.checks if c.name == "P4")
-    assert len(list(rep.witnesses)) == 32044
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        inst_file = g.load_instance(str(path))
+        built.clear()
+        report = g.run_command("full-report" if name == "P4" else "axioms", inst_file)
+        text = report.to_canonical_json()
+        assert built.count(details[name]) <= 9, name
+        (check,) = [c for c in json.loads(text)["checks"] if c["name"] == name]
+        assert check["witness_count"] == counts[name]
+        assert len(check["witnesses"]) == min(8, counts[name])
+        rep = next(c for c in report.checks if c.name == name)
+        assert len(list(rep.witnesses)) == counts[name]
 
 
 def test_tabulated_steps_left_of_the_first_node_and_ragged_pairs():
@@ -1115,28 +1165,132 @@ def test_p3_reductions_match_dense_scans(carrier):
                 assert scanned == set(rule) and witnessed == rule, (family, op)
 
 
+# a t grid that reaches below every first node ``step_params`` draws, and
+# close enough to t = 0+ that the grid reads the sup of P over t > 0
+DENSE_T = (1e-12, 1e-6, 1e-3, 0.5, 1.0, 4.0, 50.0)
+
+
 @settings(max_examples=40, deadline=None)
-@given(reduction_carriers())
-def test_p4_reductions_match_dense_scans(carrier):
+@given(reduction_carriers(), st.data())
+def test_p4_reductions_match_dense_scans(carrier, data):
     # near t = 0+ the dense grid reads the sup of P over t > 0, so p4_violations
-    # there lists the pairs the reduction fails, on an integer table exactly
+    # there lists the pairs that fail d_alpha = 0: on an integer table and on
+    # step tables exactly, under every op
     alphas = (0.5, 1.0, 2.0, 3.0, 4.0, 8.0)
-    T = (1e-12, 1e-6, 1e-3, 0.5, 1.0, 4.0, 50.0)
     integral = bool(np.all(carrier.d == np.floor(carrier.d)))
-    for family, params in FORMULA_PARAMS.items():
-        for op in (g.PLUS, g.MAX):
-            inst = g.GpmsInstance(carrier, family, params, op, T, alphas)
+    tables = {"tabulated": data.draw(step_params(carrier.labels, DENSE_T))}
+    for family, params in {**FORMULA_PARAMS, **tables}.items():
+        firsts = {tuple(sorted(e["pair"])): e["v"][0] for e in params.get("tables", ())}
+        for op in (g.PLUS, g.MAX, TABLE_OP):
+            inst = g.GpmsInstance(carrier, family, params, op, DENSE_T, alphas)
             rep = g.check_P_axiom(inst, "P4")
             got = [(w.values["alpha"], *w.points) for w in rep.witnesses]
             scanned = [(alpha, *pair) for alpha in alphas for pair in g.p4_violations(inst, alpha)]
             assert set(got) <= set(scanned)
-            if integral:
+            if integral or family == "tabulated":
                 assert got == scanned
-            assert rep.verdict == ("fail" if got else "pass")
-            for alpha, x, y in got:  # the sup: d for constant, 2d for damped, never reached
+            # P at 1e-12 lies below alpha wherever d_alpha = 0: every fail is shown
+            assert rep.verdict == ("fail" if got else "pass") and "no float witness" not in rep.note
+            for alpha, x, y in got:  # the sup: d, 2d (never reached) or the first value
                 dist, limit = Fraction(carrier.base_distance(x, y)), Fraction(alpha)
-                assert dist < limit if family == "constant" else 2 * dist <= limit
-                assert all(g.eval_P(inst, x, y, t) < alpha for t in T)
+                if family == "constant":
+                    assert dist < limit
+                elif family == "damped":
+                    assert 2 * dist <= limit
+                else:
+                    assert family == "tabulated" and firsts[tuple(sorted((x, y)))] < alpha
+                assert all(g.eval_P(inst, x, y, t) < alpha for t in DENSE_T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(reduction_carriers(), st.data())
+def test_p1_reductions_match_dense_scans(carrier, data):
+    # a step table is 0 for all t > 0 iff its first value is, which a dense
+    # grid below every first node reads; formula P is never 0 off the diagonal
+    tables = {"tabulated": data.draw(step_params(carrier.labels, DENSE_T))}
+    for family, params in {**FORMULA_PARAMS, **tables}.items():
+        for op in (g.PLUS, g.MAX, TABLE_OP):
+            inst = g.GpmsInstance(carrier, family, params, op, DENSE_T, ALPHA_GRID)
+            rep = g.check_P_axiom(inst, "P1")
+            pts = carrier.labels
+            scanned = [(x, y) for i, x in enumerate(pts) for y in pts[i + 1:]
+                       if all(g.eval_P(inst, x, y, t) == 0.0 for t in DENSE_T)]
+            assert [w.points for w in rep.witnesses] == scanned
+            assert rep.verdict == ("fail" if scanned else "pass")
+            assert not scanned or family == "tabulated"
+
+
+@pytest.mark.parametrize("carrier", ["finite", "interval"])
+def test_axioms_but_p3_read_p_at_one_t_at_most(monkeypatch, carrier):
+    # one path for P1, P2, P4, P5 and monotone on every family and op: no
+    # call reads P over more than one t, so no points x points x t tensor
+    real = core._kernel
+
+    def one_t(inst, u, v, t):
+        assert np.size(t) <= 1, "P read over a t array"
+        return real(inst, u, v, t)
+
+    if carrier == "finite":
+        car = three_point_carrier()
+        cases = {**FORMULA_PARAMS, "tabulated": g.tabulate_step_family(
+            car, T_GRID, lambda dist, t: dist / (1 + t))}
+    else:
+        car = g.IntervalCarrier(-2.0, 2.0, 0.01)
+        cases = FORMULA_PARAMS
+    monkeypatch.setattr(core, "_kernel", one_t)
+    axioms = ("P1", "P2", "P4", "P5", "monotone")
+    failed = set()
+    for family, params in cases.items():
+        for op in (g.PLUS, g.MAX, TABLE_OP):
+            inst = g.GpmsInstance(car, family, params, op, T_GRID, ALPHA_GRID)
+            reports = g.check_P_axioms(inst, axioms)
+            assert [r.name for r in reports] == list(axioms)
+            failed |= {(family, r.name) for r in reports if r.failed}
+    # P4 shows its witnesses, so P is read where pairs fail
+    assert {("constant", "P4"), ("damped", "P4")} <= failed
+
+
+def test_damped_kernel_never_rises_between_adjacent_floats():
+    # P = d (1 + exp(-t)) is non-increasing in floats too: from each sampled t
+    # to the next float above it, 1 + exp(-t) does not rise, so neither does
+    # P at any distance.  The load reads P at the smallest grid t alone, and
+    # P4 shows a witness there for the whole grid, on the strength of this
+    rng = np.random.default_rng(24)
+    t = np.ldexp(rng.uniform(1.0, 2.0, 200_000), rng.integers(-60, 11, 200_000))
+    up = np.nextafter(t, np.inf)
+
+    def factor(x):
+        return 1.0 + np.asarray(core._EXP(-x), dtype=float)
+
+    assert np.all(factor(up) <= factor(t))
+    carrier = g.FiniteCarrier(("a", "b", "c"), [[0, 0.7, 3.0], [0.7, 0, 2.5], [3.0, 2.5, 0]])
+    inst = g.GpmsInstance(carrier, "damped", {}, g.MAX, T_GRID, ALPHA_GRID)
+    c = np.array([[0, 1], [0, 2], [1, 2]])
+    rows = P_at(inst, c[:, :1], c[:, 1:], t[:20_000]), P_at(inst, c[:, :1], c[:, 1:], up[:20_000])
+    assert np.all(rows[1] <= rows[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_instances())
+def test_ray_start_over_an_alpha_array_matches_one_alpha_at_a_time(inst):
+    # P4 reads every alpha of the grid in one ray_start call
+    c = coords(inst, inst.quantifier_points())
+    alphas = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0, 9.0)
+    grid = core.ray_start(inst, c[:, None], c, np.array(alphas)[:, None, None])
+    assert exact(grid.tolist()) == \
+        exact([core.ray_start(inst, c[:, None], c, alpha).tolist() for alpha in alphas])
+
+
+@pytest.mark.parametrize("family, params, dist", [("scaled", {}, 5e-324),
+                                                  ("discrete", {"c": 5e-324}, 1.0)])
+def test_d_alpha_that_underflows_stays_positive(family, params, dist):
+    # q / alpha rounds to 0 for q = 5e-324 and alpha = 4, though d_alpha = q / 4
+    # > 0: ray_start reads the least positive float, so P4 passes as it must
+    carrier = g.FiniteCarrier(("a", "b"), [[0, dist], [dist, 0]])
+    inst = g.gallery_construct(family, params, carrier, g.MAX, T_GRID, (0.25, 4.0))
+    assert core.ray_start(inst, 0, 1, 4.0) == 5e-324
+    assert core.ray_start(inst, 0, 0, 4.0) == 0.0
+    assert g.check_P_axiom(inst, "P4").ok
 
 
 @pytest.mark.parametrize("op", (g.PLUS, g.MAX))

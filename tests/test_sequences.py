@@ -172,6 +172,69 @@ def test_joint_continuity_requires_convergent_inputs():
         g.joint_continuity_check(inst, bad, RECIP, 1.0, 0.0, tol=SEQ_TOL)
 
 
+def joint_continuity_oracle(inst, seqx, seqy, x, y, tol, conv_tol):
+    """joint_continuity_check as it read P at (x, y) and at the last terms:
+    one eval_P call per grid t, and four per squeeze step."""
+    tx, ty = seqx.terms(inst.carrier), seqy.terms(inst.carrier)
+    n = min(len(tx), len(ty))
+    tx, ty = tx[:n], ty[:n]
+    start = min(int(math.floor(0.8 * n)), n - 1)
+    winx, winy = tx[start:], ty[start:]
+    witnesses, samples, limits = [], 0, {}
+    for t in inst.t_grid:
+        target = g.eval_P(inst, x, y, t)
+        vals = np.array([g.eval_P(inst, a, b, t) for a, b in zip(winx, winy)])
+        samples += len(vals)
+        dev = np.abs(vals - target)
+        worst = int(np.argmax(dev))
+        limits[f"{t:.12g}"] = float(vals[-1])
+        if dev[worst] >= tol:
+            witnesses.append(g.Witness(points=(winx[worst], winy[worst]),
+                                       values={"n": float(start + worst + 1), "t": t,
+                                               "deviation": float(dev[worst]), "target": target},
+                                       detail="tail value strays from P(x,y,t)"))
+    slack = 3 * tol
+    for t1, t2 in zip(inst.t_grid, inst.t_grid[1:]):
+        samples += 2
+        lim1 = g.eval_P(inst, tx[-1], ty[-1], t1)
+        lim2 = g.eval_P(inst, tx[-1], ty[-1], t2)
+        if g.eval_P(inst, x, y, t2) > lim1 + slack:
+            witnesses.append(g.Witness(values={"t": t1, "t_next": t2},
+                                       detail="upper squeeze inequality fails at one grid step"))
+        if lim2 > g.eval_P(inst, x, y, t1) + slack:
+            witnesses.append(g.Witness(values={"t": t1, "t_next": t2},
+                                       detail="lower squeeze inequality fails at one grid step"))
+    return g.CheckReport(name="joint_continuity", verdict=g.FAIL if witnesses else g.PASS,
+                         samples_tested=samples, witnesses=tuple(witnesses),
+                         data={"tail_limit_estimate": limits})
+
+
+@pytest.mark.parametrize("family", ["scaled", "damped"])
+def test_joint_continuity_reads_two_P_rows(monkeypatch, family):
+    # P at (x, y) and at the last terms comes from one P_at call over the t
+    # grid each, bit for bit what the per-t eval_P calls read; y_n = 2 + 3/n
+    # drifts from x_n = 1/n, so the tail strays at tol = 1e-9 and the lower
+    # squeeze fails at the close step from t = 1 to 1.01
+    car = g.IntervalCarrier(-2.0, 6.0, 0.25)
+    inst = g.gallery_construct(family, {}, car, g.MAX, (0.5, 1.0, 1.01, 2.0), (0.5, 1.0))
+    seqx = g.SequenceSpec("reciprocal", c=0.0, a=1.0, n_terms=20)
+    seqy = g.SequenceSpec("reciprocal", c=2.0, a=3.0, n_terms=20)
+    args = (inst, seqx, seqy, 0.0, 2.0, 1e-9, 1.0)
+    expected = joint_continuity_oracle(*args)
+    assert {w.detail for w in expected.witnesses} == {
+        "tail value strays from P(x,y,t)", "lower squeeze inequality fails at one grid step"}
+
+    def refuse(*_):
+        raise AssertionError("eval_P called")
+
+    monkeypatch.setattr(sequences, "eval_P", refuse)
+    rep = g.joint_continuity_check(*args)
+    assert canonical_json(rep.to_jsonable()) == canonical_json(expected.to_jsonable())
+    assert [(w.points, {k: float(v).hex() for k, v in w.values.items()}) for w in rep.witnesses] \
+        == [(w.points, {k: float(v).hex() for k, v in w.values.items()})
+            for w in expected.witnesses]
+
+
 # -- diameters ----------------------------------------------------------------
 
 def test_diameter_constant_family():
