@@ -48,7 +48,8 @@ print("At a coarse grid tau_P is only a sub-collection (grid artifact):")
 two = g.FiniteCarrier(("a", "b"), [[0, 1], [1, 0]])
 coarse = g.gallery_construct("scaled", {}, two, g.MAX, (1.0,), (2.0,))
 rep = g.compare_topologies(coarse, 1.0)
-print(f"  verdict: {rep.verdict}; missing from tau_P: {rep.data['missing_from_tau_P']}")
+print(f"  verdict: {rep.verdict}; tau_P merges {rep.data['merged_classes']}, "
+      f"while tau_d_alpha is discrete ({rep.data['tau_d_alpha_size']} open sets)")
 
 print()
 print("The separation hypothesis matters: a bounded family loses positivity")
@@ -58,3 +59,7 @@ const = g.gallery_construct("constant", {},
 am = g.AlphaMetric(const, 4.0)  # alpha above sup P: the ray is everything
 print("  constant family, alpha=4: d_alpha(a,b) =", g.d_alpha(am, "a", "b"),
       "->", g.check_alpha_metric_axioms(am).verdict)
+try:
+    g.compare_topologies(const, 4.0)
+except g.HypothesisError as exc:
+    print("  topology identity:", exc)

@@ -373,7 +373,7 @@ def _dalpha_checks(inst, opts, seed, tol):
     if inst.carrier.kind == "finite":
         checks.append(_guarded(
             f"topology_identity[alpha={alpha:.12g}]",
-            lambda: induced._topology_identity(am, alpha, opts.max_points)))
+            lambda: induced._topology_identity(am, alpha)))
     return checks, [], rows
 
 
@@ -389,15 +389,16 @@ def _sequences_checks(inst, opts, seed, tol):
         mid, w = _interval_frame(inst.carrier)
         seqx = sequences.SequenceSpec("geometric", c=mid, a=w, r=0.5, n_terms=200)
         seqy = sequences.SequenceSpec("geometric", c=mid, a=-w, r=0.5, n_terms=200)
-        checks.append(sequences.check_convergence(inst, seqx, mid, tol))
-        checks.append(sequences.check_cauchy(inst, seqx, tol))
-        checks.append(sequences.check_bounded(inst, seqx, tol, limit=mid))
+        # the convergence and cauchy reports of seqx also serve subsequence_completeness
+        convergence = sequences.check_convergence(inst, seqx, mid, tol)
+        cauchy = sequences.check_cauchy(inst, seqx, tol)
+        checks += [convergence, cauchy, sequences.check_bounded(inst, seqx, tol, limit=mid)]
         checks.append(_guarded("joint_continuity", lambda: sequences.joint_continuity_check(
             inst, seqx, seqy, mid, mid, tol)))
         indices = [2 ** k for k in range(1, 8)]
         checks.append(_guarded("subsequence_completeness",
-                               lambda: sequences.subsequence_completeness_check(
-                                   inst, seqx, indices, mid, tol)))
+                               lambda: sequences._subsequence_report(
+                                   inst, seqx, indices, mid, tol, cauchy, convergence)))
         u, v = core.coords(inst, seqx.terms(inst.carrier)), core.coords(inst, mid)
         rows = [["n", "t", "value"]] + [
             [n + 1, t, value] for t in inst.t_grid

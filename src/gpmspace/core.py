@@ -65,8 +65,9 @@ coordinates: a point's index on a finite carrier, the point on an interval.
 and ``P_at`` is the kernel at coordinates, over arrays of them and of t
 broadcast together; ``eval_P`` is the kernel at one pair and one t.
 ``ray_start`` inverts the same formulas and step tables in t: it is the
-induced d_alpha = inf { t > 0 : P < alpha } at coordinates, in closed form.
-No check reads P over points x points x t: the construction and
+induced d_alpha = inf { t > 0 : P < alpha } at coordinates, in closed form,
+and ``sup_P`` is the sup of P over t > 0, its t -> 0+ limit, read by the
+diameters.  No check reads P over points x points x t: the construction and
 ``p4_violations`` read P at the smallest grid t, which stands for the whole
 grid because P is non-increasing in t.  Sampled P3 decodes its seeded trials
 from blocks of Mersenne Twister words (``_randrange_rows``).
@@ -445,6 +446,23 @@ def ray_start(inst: GpmsInstance, u, v, alpha) -> np.ndarray:
         k = np.count_nonzero(vals[u, v] >= np.asarray(alpha)[..., None], axis=-1)
         return np.where(k == 0, 0.0, nodes[u, v, k - 1])  # the last node column is +inf
     return np.asarray(_ray_formula(inst.family, inst.params, _distance(inst, u, v), alpha))
+
+
+def sup_P(inst: GpmsInstance, u, v) -> np.ndarray:
+    """sup over t > 0 of P(u, v, t) at kernel coordinates ``u`` and ``v``,
+    broadcast together: its t -> 0+ limit, since P is non-increasing in t.
+    0 at distance 0 and +inf elsewhere for scaled and discrete, d for
+    constant, 2d for damped (+inf past the largest float) and column 0 of a
+    step table.  It reads no kernel."""
+    if inst._steps is not None:
+        return inst._steps[1][u, v, 0]
+    dist = np.asarray(_distance(inst, u, v), dtype=float)
+    if inst.family in ("scaled", "discrete"):
+        return np.where(dist == 0.0, 0.0, math.inf)
+    if inst.family == "damped":
+        with np.errstate(over="ignore"):
+            return 2.0 * dist
+    return dist
 
 
 def coords(inst: GpmsInstance, pts) -> np.ndarray:

@@ -6,8 +6,13 @@ endpoint, 0 when the ray is all of t > 0 and +inf when it is empty.  Every
 gallery family has it in closed form, which ``core.ray_start`` evaluates
 over arrays of kernel coordinates: a d_alpha matrix is one ``coords`` call
 and one ``ray_start`` call.  Nothing is searched, so no tolerance enters a
-value, and the same points give the same values on every request.  The P4
-scan of each alpha is derived once per instance (``core.derive``).
+value, and the same points give the same values on every request.
+
+The topology identity needs P4 at alpha, and a distinct pair fails it
+exactly where its d_alpha is 0, the rule ``core``'s P4 check reports.  With
+no such pair every class of d_alpha = 0 is a single point, so tau_d_alpha is
+discrete, and tau_P, a partition topology, is contained in it: the two are
+equal iff tau_P has one class per point, and no open set is ever listed.
 """
 from __future__ import annotations
 
@@ -18,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls import _classes, class_labels, generate_topology, topology_from_classes
-from .core import GpmsInstance, coords, derive, p4_violations, ray_start
+from .balls import tau_p_classes
+from .core import GpmsInstance, coords, ray_start
 from .errors import DomainError, HypothesisError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -51,16 +56,6 @@ class AlphaMetric:
         self.instance = inst
         self.alpha = float(alpha)
         self.solver = solver or BisectionSettings()
-
-    @property
-    def p4_failures(self) -> tuple:
-        """Distinct pairs below alpha on the whole t grid, scanned once per instance."""
-        return derive(self.instance, ("p4", self.alpha),
-                      lambda: tuple(p4_violations(self.instance, self.alpha)))
-
-    @property
-    def p4_ok(self) -> bool:
-        return not self.p4_failures
 
     @functools.cached_property
     def _matrix(self) -> np.ndarray:
@@ -169,60 +164,44 @@ def compare_topologies(inst: GpmsInstance, alpha: float, max_points: int = 15,
                        solver: BisectionSettings | None = None) -> CheckReport:
     """Compare tau_P against the metric topology of d_alpha for set equality.
 
-    Both are partition topologies: tau_d_alpha's classes are those of
-    d_alpha = 0, since balls of radius below the least positive distance
-    shrink to them.  Equal classes give equal families; only differing
-    classes have the two families listed, each within
-    ``balls.listing_limit(max_points)`` classes, to name the sets that
-    differ.  A strict shortfall of tau_P is reported inconclusive (grid
-    artifact: coarse alpha/t grids admit fewer sets); anything else that
-    differs is a genuine failure.  The verdict does not depend on
-    construction order.
+    A distinct pair at d_alpha = 0 fails P4 at alpha and raises
+    HypothesisError.  Otherwise tau_d_alpha is discrete, so the two are
+    equal iff tau_P has one class per point; fewer classes are reported
+    inconclusive (grid artifact: coarse alpha/t grids admit fewer sets),
+    naming the classes of more than one point.  ``max_points`` and
+    ``solver`` are kept for callers and no longer read: nothing is listed,
+    and d_alpha comes in closed form.
     """
     if inst.carrier.kind != "finite":
         raise DomainError("topology comparison needs a finite carrier")
     if inst.op.kind != "max":
         raise HypothesisError("the topology identity requires op = max")
-    return _topology_identity(AlphaMetric(inst, alpha, solver), alpha, max_points)
+    return _topology_identity(AlphaMetric(inst, alpha), alpha)
 
 
-def _topology_identity(am: AlphaMetric, alpha, max_points) -> CheckReport:
+def _topology_identity(am: AlphaMetric, alpha) -> CheckReport:
     """``compare_topologies`` at ``am`` (finite carrier, op = max), reading its
     d_alpha matrix; ``alpha`` is reported as given."""
-    inst = am.instance
-    if not am.p4_ok:
-        pairs = ", ".join(f"({a}, {b})" for a, b in am.p4_failures[:4])
+    labels = am.instance.carrier.labels
+    zero = np.argwhere(np.triu(am._matrix == 0.0, 1))
+    if zero.size:
+        pairs = ", ".join(f"({labels[i]}, {labels[j]})" for i, j in zero[:4].tolist())
         raise HypothesisError(
             f"per-alpha separation fails at alpha={alpha:.12g} (pairs {pairs}); "
             "d_alpha is not a metric here")
-    car = inst.carrier
-    classes_p = _classes(inst)
-    classes_d = class_labels(am._matrix == 0)
-    tau_p = tau_d = ()
-    if (classes_d != classes_p).any():
-        tau_p = generate_topology(inst, max_points)
-        tau_d = topology_from_classes(classes_d, max_points)
-    missing_in_p = [m for m in tau_d if m not in tau_p]
-    missing_in_d = [m for m in tau_p if m not in tau_d]
+    classes = tau_p_classes(am.instance)
     data = {
         "alpha": alpha,
-        "tau_P_size": 1 << len(set(classes_p.tolist())),  # 2^k unions of the k classes
-        "tau_d_alpha_size": 1 << len(set(classes_d.tolist())),
-        "missing_from_tau_P": [list(m.labels(car)) for m in missing_in_p],
-        "missing_from_tau_d_alpha": [list(m.labels(car)) for m in missing_in_d],
+        "tau_P_size": 1 << len(classes),  # 2^k unions of the k classes
+        "tau_d_alpha_size": 1 << len(labels),  # discrete: every subset
+        "merged_classes": [list(c.labels(am.instance.carrier)) for c in classes if c.count > 1],
     }
     verdict, note = PASS, "families identical"
-    if missing_in_d:
-        verdict, note = FAIL, "families differ beyond grid artifacts"
-    elif missing_in_p:
+    if len(classes) < len(labels):
         verdict = INCONCLUSIVE
         note = "tau_P lacks open sets at this grid resolution (grid artifact)"
-    witnesses = tuple(Witness(points=tuple(m.labels(car)), values={"alpha": alpha},
-                              detail="set open for P but not for d_alpha")
-                      for m in missing_in_d[:1])
     return CheckReport(name=f"topology_identity[alpha={alpha:.12g}]", verdict=verdict,
-                       samples_tested=data["tau_P_size"], witnesses=witnesses, data=data,
-                       note=note)
+                       samples_tested=data["tau_P_size"], data=data, note=note)
 
 
 def alpha_metric_table(am: AlphaMetric):

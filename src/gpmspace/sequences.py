@@ -1,9 +1,12 @@
 """Sequence-level machinery: convergence, Cauchyness, boundedness, joint
 continuity, diameters and the Cantor intersection check.
 
-"For all t > 0" is always read over the instance's t grid, and limits are
-certified on a tail window (the last 20% of the evaluated terms), so every
-verdict here is a windowed numerical certification, not a proof.
+"For all t > 0" is read over the instance's t grid, and limits are
+certified on a tail window (the last 20% of the evaluated terms), so those
+verdicts are windowed numerical certifications, not proofs.  Diameters are
+exact: a diameter is a sup over pairs and over t > 0, and P is
+non-increasing in t, so the inner sup is the t -> 0+ limit that
+``core.sup_P`` gives in closed form, reading no P.
 
 Rows are batched.  ``convergence_rows`` checks many sequences against their
 limits in one kernel call over (t, row, window term), and
@@ -12,10 +15,9 @@ table from one kernel call: over the grid t at the farthest pair for a family
 formula, which is non-decreasing in the distance, and over (t, point, point)
 for step tables.  ``cantor_intersection`` on masks tests every member's
 closedness with one union-of-classes test and reads every member's diameter
-from one kernel tensor over the first member (``_nested_diameters``); on
-intervals it reads them from one kernel call at the members' ends
-(``_interval_diameters``).  ``_sup_estimate`` holds the diameter's +inf rule
-for ``diameter`` and the batches alike.
+from one ``sup_P`` matrix over the first member (``_nested_diameters``); on
+intervals it reads them from one ``sup_P`` call at the members' ends
+(``_interval_diameters``).
 """
 from __future__ import annotations
 
@@ -31,13 +33,11 @@ from .balls import (
     closure_and_limit_points,
     is_open,
 )
-from .core import GpmsInstance, P_at, _distance, coords, eval_P
+from .core import GpmsInstance, P_at, _distance, coords, eval_P, sup_P
 from .errors import DomainError, HypothesisError, PreconditionError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
 SEQUENCE_KINDS = ("explicit", "geometric", "reciprocal", "alternating")
-_DIVERGENCE_FACTOR = 1.5  # _sup_estimate's +inf rule, with the cap below
-_DIAMETER_CAP = 1e3
 _SHRINK_RATIO = 0.5  # cantor_intersection: the last diameter at most this share of the first
 
 
@@ -326,62 +326,38 @@ def joint_continuity_check(inst: GpmsInstance, seqx: SequenceSpec, seqy: Sequenc
 
 
 def diameter(inst: GpmsInstance, s) -> float:
-    """sup over pairs and over t of P, estimated at the smallest grid t.
-
-    P is non-increasing in t, so the inner sup is the t -> 0+ limit; see
-    ``_sup_estimate`` for when the sup is flagged +inf.
-    """
+    """sup over the pairs of ``s`` and over t > 0 of P: the max of
+    ``core.sup_P`` over the pairs, the ends (lo, hi) of an interval."""
     if isinstance(s, ClosedInterval):
         if inst.carrier.kind != "interval":
             raise DomainError("interval subsets need an interval carrier")
-        if s.width == 0.0:
-            return 0.0
-        return _sup_estimate(*(eval_P(inst, s.lo, s.hi, t) for t in inst.t_grid[:2]))
+        return float(sup_P(inst, *coords(inst, [s.lo, s.hi])))
     c = _coords_of(inst, s)
     if not c.size:
         raise DomainError("diameter of the empty set is undefined")
-    if np.all(c == c[0]):
-        return 0.0
-    return _sup_estimate(*(float(P_at(inst, c[:, None], c, t).max()) for t in inst.t_grid[:2]))
-
-
-def _sup_estimate(v0: float, v1: float | None = None) -> float:
-    """A diameter from the max of P at the smallest grid t (``v0``) and at
-    the next one (``v1``, if the grid has one): +inf if the max still grows
-    by more than ``_DIVERGENCE_FACTOR`` between them and exceeds
-    ``_DIAMETER_CAP``, else ``v0``."""
-    if v1 is not None and v1 > 0 and v0 / v1 > _DIVERGENCE_FACTOR and v0 > _DIAMETER_CAP:
-        return math.inf
-    return v0
+    return float(sup_P(inst, c[:, None], c).max())
 
 
 def _nested_diameters(inst: GpmsInstance, flags) -> list:
     """``diameter`` of each member of a nested family, the rows of a
     (members, n) bool matrix, each non-empty and inside the row before.
 
-    One kernel tensor over the first member at the two smallest grid t.  A
-    point lies in a prefix of the members, so a pair lies in members 0..k,
-    k the last member holding both points; a member's max is the running
-    max, from the last member back, of the pairs' max at each such k.
+    One ``sup_P`` matrix over the first member.  A point lies in a prefix
+    of the members, so a pair lies in members 0..k, k the last member
+    holding both points; a member's max is the running max, from the last
+    member back, of the pairs' max at each such k.
     """
     c = np.flatnonzero(flags[0])
     last = flags[:, c].sum(0) - 1  # c[i] lies in members 0..last[i]
-    ts = np.asarray(inst.t_grid[:2])
-    vals = P_at(inst, c[:, None], c, ts[:, None, None])  # [t, i, j]
-    top = np.full((ts.size, len(flags)), -np.inf)
-    np.maximum.at(top, (np.arange(ts.size)[:, None, None], np.minimum.outer(last, last)), vals)
-    sup = np.maximum.accumulate(top[:, ::-1], axis=-1)[:, ::-1]
-    return [0.0 if single else _sup_estimate(*col)
-            for single, col in zip((flags.sum(-1) == 1).tolist(), sup.T.tolist())]
+    top = np.full(len(flags), -np.inf)
+    np.maximum.at(top, np.minimum.outer(last, last), sup_P(inst, c[:, None], c))
+    return np.maximum.accumulate(top[::-1])[::-1].tolist()
 
 
 def _interval_diameters(inst: GpmsInstance, members) -> list:
-    """``diameter`` of each interval member, from one kernel call over (the
-    two smallest grid t, member) at its ends."""
+    """``diameter`` of each interval member, from one ``sup_P`` call at its ends."""
     u, v = coords(inst, [m.lo for m in members]), coords(inst, [m.hi for m in members])
-    vals = P_at(inst, u, v, np.asarray(inst.t_grid[:2])[:, None])  # [t, member]
-    return [0.0 if m.width == 0.0 else _sup_estimate(*col)
-            for m, col in zip(members, vals.T.tolist())]
+    return sup_P(inst, u, v).tolist()
 
 
 def check_closure_diameter(inst: GpmsInstance, s: SubsetMask, tol: float = 1e-9) -> CheckReport:
@@ -508,7 +484,15 @@ def cantor_intersection(inst: GpmsInstance, fam, point_tol: float = 1e-6):
 def subsequence_completeness_check(inst: GpmsInstance, seq: SequenceSpec,
                                    subseq_indices, x, tol: float = 1e-6) -> CheckReport:
     """A Cauchy sequence with a subsequence converging to x converges to x."""
-    cauchy = check_cauchy(inst, seq, tol)
+    return _subsequence_report(inst, seq, subseq_indices, x, tol, check_cauchy(inst, seq, tol),
+                               check_convergence(inst, seq, x, tol))
+
+
+def _subsequence_report(inst: GpmsInstance, seq: SequenceSpec, subseq_indices, x, tol,
+                        cauchy: CheckReport, full: CheckReport) -> CheckReport:
+    """``subsequence_completeness_check``, whose ``check_cauchy`` report of
+    ``seq`` is ``cauchy`` and whose ``check_convergence`` report of ``seq``
+    to ``x`` is ``full``."""
     if not cauchy.ok:
         raise PreconditionError("the sequence is not verified Cauchy at this tolerance")
     idx = [int(i) for i in subseq_indices]
@@ -521,7 +505,6 @@ def subsequence_completeness_check(inst: GpmsInstance, seq: SequenceSpec,
     sub_conv = check_convergence(inst, sub, x, tol)
     if not sub_conv.ok:
         raise PreconditionError("the subsequence is not verified convergent to x")
-    full = check_convergence(inst, seq, x, tol)
     note = ("full sequence inherits the subsequence limit"
             if full.ok else "full sequence failed to certify the inherited limit")
     return CheckReport(name="subsequence_completeness", verdict=full.verdict,

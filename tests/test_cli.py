@@ -320,10 +320,14 @@ def test_separation_and_sequences_and_cantor_commands(tmp_path):
     assert g.run_command("separation", f).exit_code == 0
     assert g.run_command("sequences", f).exit_code == 0
     cantor = g.run_command("cantor", f)
-    # scaled diameters diverge: the battery is skipped with a note, not failed
+    # a scaled diameter is +inf exactly (P = d / t grows without bound as
+    # t -> 0+): the battery is skipped with a note, not failed
     assert cantor.checks == []
-    assert any("cantor: skipped" in n for n in cantor.notes)
+    assert cantor.notes == ["cantor: skipped (hypotheses not satisfiable on this instance: "
+                            "a member has infinite diameter; the intersection theorem needs "
+                            "finite shrinking diameters)"]
     assert cantor.exit_code == 0
+    assert g.diameter(f.instance, ["a", "b"]) == math.inf
 
 
 def test_cantor_command_on_damped_interval(tmp_path):
@@ -336,6 +340,23 @@ def test_cantor_command_on_damped_interval(tmp_path):
     report = g.run_command("cantor", f)
     assert [c.name for c in report.checks] == ["cantor_intersection"]
     assert report.checks[0].verdict == "pass"
+
+
+def test_cantor_runs_on_the_tabulated_benchmark_instance(tmp_path):
+    # P = d^2 / t tabulated from t = 1e-4: a step table extends its first
+    # value to the left, so the diameter is that value, d^2 / 1e-4, finite
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    doc = workloads.instance_docs("finite-topology", 11)["random-tabulated"]
+    report = g.run_command("cantor", g.load_instance(write(tmp_path, doc)))
+    assert report.notes == []
+    cantor, = report.checks
+    assert cantor.verdict == "pass"
+    assert cantor.data["diameters"][0] == 810_000.0 == max(
+        e["v"][0] for e in doc["params"]["tables"])
 
 
 def test_full_report_reruns_byte_identical(tmp_path):
@@ -508,11 +529,12 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     # of tau_P are one 9 x 9 slice at the least t; the sequences battery makes
     # one call for its 9 convergence rows (9 x 8 window terms x 6 t) and one
     # for the K_t table that bounded and compact_closed_bounded share (P at
-    # the farthest pair, 6 t), and cantor one 2 x 9 x 9 tensor for every
-    # member's diameter
-    assert (len(values), sum(values)) == (8, 7404)
+    # the farthest pair, 6 t); cantor's diameters and the P4 gate of the
+    # topology identity read no P
+    assert (len(values), sum(values)) == (6, 7161)
     # d_alpha: one 9 x 9 matrix, read by the table, the metric axioms and the
-    # topology identity, and one pair at each of the 5 monotonicity alphas
+    # topology identity (its P4 gate too), and one pair at each of the 5
+    # monotonicity alphas
     assert (len(rays), sum(rays)) == (6, 86)
 
 
@@ -534,7 +556,8 @@ def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
     # tau_P is a partition topology, so separation and topology_identity read
     # its 2^k open sets off the classes: with the one function that lists
     # them refusing, both run on 48 points, where the listing would hold
-    # 2^48; topology_identity runs there under the default --max-points
+    # 2^48; topology_identity runs there under the default --max-points and
+    # lists nothing at all
     n = 48
     inst_file = wide_instance_file(tmp_path, n)
 
@@ -542,7 +565,6 @@ def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
         raise AssertionError("the open sets were listed")
 
     monkeypatch.setattr(balls, "topology_from_classes", refuse)
-    monkeypatch.setattr(induced, "topology_from_classes", refuse)
     opts = Options(max_points=n)
     checks = g.run_command("separation", inst_file, opts).checks
     bases = [c for c in checks if c.name.startswith("countable_base[")]
@@ -574,17 +596,25 @@ def test_max_points_beyond_the_listing_bound_lists_nothing(tmp_path):
 
 
 def test_topology_identity_is_inconclusive_beyond_the_listing_bound(tmp_path):
-    # classes that differ are listed to name the sets that differ: at t 1 and
+    # no open set is listed, so the listing bound no longer enters: at t 1 and
     # alpha 1.5 tau_P merges the pairs at distance 1, while d_alpha = d / 0.5
-    # keeps all 20 points apart, and 20 classes pass the listing bound
+    # keeps all 20 points apart, so tau_d_alpha is discrete and tau_P is a
+    # grid artifact, whose merged classes are named
     source = wide_instance_file(tmp_path, 20).source
     inst_file = g.load_instance(write(tmp_path, dict(source, t_grid=[1, 2, 4],
                                                      alpha_grid=[1.5, 3, 6])))
-    assert len(balls.tau_p_classes(inst_file.instance)) < 20
-    checks = g.run_command("dalpha", inst_file, Options(max_points=48, alpha=0.5)).checks
-    identity, = [c for c in checks if c.name.startswith("topology_identity")]
-    assert identity.verdict == "inconclusive"
-    assert "exceed the listing bound of 16 classes" in identity.note
+    classes = balls.tau_p_classes(inst_file.instance)
+    assert len(classes) < 20
+    for max_points in (0, 48):
+        checks = g.run_command("dalpha", inst_file,
+                               Options(max_points=max_points, alpha=0.5)).checks
+        identity, = [c for c in checks if c.name.startswith("topology_identity")]
+        assert identity.verdict == "inconclusive"
+        assert identity.note == "tau_P lacks open sets at this grid resolution (grid artifact)"
+        assert identity.data == {"alpha": 0.5, "tau_P_size": 2 ** len(classes),
+                                 "tau_d_alpha_size": 2 ** 20,
+                                 "merged_classes": [list(c.labels(inst_file.instance.carrier))
+                                                    for c in classes if c.count > 1]}
 
 
 def test_axioms_battery_evaluates_one_grid_tensor(tmp_path, monkeypatch):

@@ -1281,6 +1281,39 @@ def test_ray_start_over_an_alpha_array_matches_one_alpha_at_a_time(inst):
         exact([core.ray_start(inst, c[:, None], c, alpha).tolist() for alpha in alphas])
 
 
+# 8 t per octave from 2^-60 to 2^6: below every first table node, and far
+# enough toward t = 0+ that 1 + exp(-t) rounds to 2
+DENSE_LOG_T = 2.0 ** np.linspace(-60.0, 6.0, 529)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_instances())
+def test_sup_P_is_the_t_to_0_limit_of_a_dense_log_t_scan(inst):
+    c = coords(inst, inst.quantifier_points(cap=16))
+    u, v = c[:, None], c[None, :]
+    sup = core.sup_P(inst, u, v)
+    scan = P_at(inst, u[..., None], v[..., None], DENSE_LOG_T)  # [i, j, t]
+    top = scan.max(-1)
+    if inst.family in ("scaled", "discrete"):
+        unbounded = np.isinf(sup)
+        assert np.all(sup[~unbounded] == 0.0) and np.all(top[~unbounded] == 0.0)
+        assert np.all(unbounded == (core._distance(inst, u, v) != 0.0))
+        # P = q / t doubles with every halving of t, so it passes every bound:
+        # at 2^-60 it is 2^60 times P at t = 1
+        assert np.all(scan[unbounded][:, 0] == 2.0 ** 60 * P_at(inst, u, v, 1.0)[unbounded])
+    elif inst.family == "damped":
+        assert np.all(top <= sup) and np.all(sup - top <= 1e-9 * sup)
+    else:  # constant, and a step table's column 0, which extends to the left
+        assert exact(top.tolist()) == exact(sup.tolist())
+
+
+def test_sup_P_of_damped_overflows_to_inf_without_a_warning():
+    carrier = g.FiniteCarrier(("a", "b"), [[0, 1e308], [1e308, 0]])
+    inst = g.GpmsInstance(carrier, "damped", {}, g.MAX, T_GRID, ALPHA_GRID)
+    with np.errstate(all="raise"):
+        assert core.sup_P(inst, 0, 1) == math.inf and core.sup_P(inst, 1, 1) == 0.0
+
+
 @pytest.mark.parametrize("family, params, dist", [("scaled", {}, 5e-324),
                                                   ("discrete", {"c": 5e-324}, 1.0)])
 def test_d_alpha_that_underflows_stays_positive(family, params, dist):

@@ -112,6 +112,21 @@ def test_false_fail_reproducers_pass_p3(name):
     assert p3.verdict == "pass" and "all t > 0, exact" in p3.note
 
 
+def test_p4_pass_and_the_topology_identity_agree_on_clustered6():
+    # scaled P = d / t is unbounded as t -> 0+, so P4 holds and no d_alpha is
+    # 0: tau_d_alpha is discrete, and tau_P's two clusters of three are a grid
+    # artifact, not a per-alpha separation failure
+    f = g.load_instance(_instance_path("scaled-max-clustered6"))
+    checks = {c.name: c for c in g.run_command("full-report", f).checks}
+    assert checks["P4"].verdict == "pass"
+    identity = checks["topology_identity[alpha=4]"]
+    assert identity.verdict == "inconclusive"
+    assert identity.note == "tau_P lacks open sets at this grid resolution (grid artifact)"
+    assert identity.data == {"alpha": 4.0, "tau_P_size": 4, "tau_d_alpha_size": 64,
+                             "merged_classes": [["p0", "p1", "p2"], ["p3", "p4", "p5"]]}
+    assert not any("per-alpha separation fails" in c.note for c in checks.values())
+
+
 @pytest.mark.parametrize("command", ("dalpha", "sequences", "full-report"))
 @pytest.mark.parametrize("name", sorted(MANIFEST))
 def test_csv_payload_bytes_match_golden(tmp_path, name, command):

@@ -90,7 +90,8 @@ def test_constant_family_on_ultrametric_fails_positivity_above_max_d():
     rep = g.check_alpha_metric_axioms(am)
     assert rep.failed
     assert any("separation hypothesis" in w.detail for w in rep.witnesses)
-    assert not am.p4_ok
+    with pytest.raises(g.HypothesisError, match=r"alpha=2 \(pairs \(a, b\), \(a, c\), \(b, c\)\)"):
+        g.compare_topologies(inst, 2.0)
 
 
 def test_alpha_monotonicity_scaled():
@@ -174,8 +175,10 @@ def test_compare_topologies_coarse_grid_is_inconclusive():
                                (1.0,), (2.0,))
     rep = g.compare_topologies(inst, 1.0)
     assert rep.verdict == g.INCONCLUSIVE
-    assert rep.data["missing_from_tau_P"] == [["a"], ["b"]]
-    assert rep.data["missing_from_tau_d_alpha"] == []
+    assert rep.note == "tau_P lacks open sets at this grid resolution (grid artifact)"
+    # tau_P is {{}, {a, b}}; d_alpha keeps a and b apart, so tau_d_alpha is discrete
+    assert rep.data == {"alpha": 1.0, "tau_P_size": 2, "tau_d_alpha_size": 4,
+                        "merged_classes": [["a", "b"]]}
 
 
 def test_compare_topologies_verdict_is_order_independent():
@@ -190,6 +193,25 @@ def test_compare_topologies_rejects_failed_separation_hypothesis():
                          carrier=g.FiniteCarrier(("a", "b"), [[0, 1], [1, 0]]))
     with pytest.raises(g.HypothesisError):
         g.compare_topologies(inst, 4.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gallery_instances(ops=(g.MAX,)), st.sampled_from((0.05, 0.25, 1.0, 4.0, 12.0)))
+def test_the_topology_identity_gate_is_the_exact_p4_rule(inst, alpha):
+    # one P4 rule: on a one-alpha grid, compare_topologies refuses the
+    # instance iff the exact P4 check does not pass, and names its pairs
+    one = g.gallery_construct(inst.family, inst.params, inst.carrier, g.MAX, inst.t_grid,
+                              (alpha,))
+    p4 = g.check_P_axiom(one, "P4")
+    try:
+        rep = g.compare_topologies(one, alpha)
+    except g.HypothesisError as exc:
+        assert p4.verdict == g.FAIL
+        pairs = ", ".join(f"({a}, {b})" for a, b in (w.points for w in p4.witnesses[:4]))
+        assert f"(pairs {pairs}); d_alpha is not a metric here" in str(exc)
+    else:
+        assert p4.verdict == g.PASS
+        assert rep.verdict in (g.PASS, g.INCONCLUSIVE)
 
 
 def test_alpha_metric_table_exports():
@@ -484,7 +506,8 @@ def test_compare_topologies_reads_the_zero_set_at_any_tolerance():
         assert rep.data["tau_P_size"] == rep.data["tau_d_alpha_size"] == 8
 
 
-def test_one_dalpha_operation_scans_p4_once_and_solves_each_pair_once(tmp_path, monkeypatch):
+def test_one_dalpha_operation_reads_p4_off_its_matrix_and_solves_each_pair_once(
+        tmp_path, monkeypatch):
     n = 9
     doc = {"version": 1, "points": [f"x{i}" for i in range(n)],
            "d": [[abs(i - j) for j in range(n)] for i in range(n)], "family": "scaled",
@@ -493,8 +516,8 @@ def test_one_dalpha_operation_scans_p4_once_and_solves_each_pair_once(tmp_path, 
     path = tmp_path / "line9.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     inst_file = g.load_instance(str(path))
-    scans, sizes, metrics = [], [], []
-    real_scan, real_ray_start = induced.p4_violations, induced.ray_start
+    scans, sizes, metrics, values = [], [], [], []
+    real_scan, real_ray_start, real_kernel = core.p4_violations, induced.ray_start, core._kernel
 
     class Recorded(induced.AlphaMetric):
         def __init__(self, *args, **kw):
@@ -506,11 +529,14 @@ def test_one_dalpha_operation_scans_p4_once_and_solves_each_pair_once(tmp_path, 
         sizes.append(out.size)
         return out
 
-    monkeypatch.setattr(induced, "p4_violations", lambda *a: scans.append(a) or real_scan(*a))
+    monkeypatch.setattr(core, "p4_violations", lambda *a: scans.append(a) or real_scan(*a))
+    monkeypatch.setattr(core, "_kernel", lambda *a: values.append(a) or real_kernel(*a))
     monkeypatch.setattr(induced, "ray_start", ray_start)
     monkeypatch.setattr(induced, "AlphaMetric", Recorded)
     g.run_command("dalpha", inst_file)
-    assert len(scans) == 1  # the topology identity reads p4_ok; nothing else does
+    # the P4 gate of the topology identity reads the zeros of the d_alpha
+    # matrix: no grid scan, and P is read once, for the classes of tau_P
+    assert scans == [] and len(values) == 1
     # the command's metric and one per monotonicity alpha
     assert len(metrics) == 1 + len(ALPHA_GRID)
     # one matrix, read by the table, the metric axioms and the topology

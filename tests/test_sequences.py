@@ -9,6 +9,7 @@ import gpmspace as g
 from gpmspace import cli, core, sequences
 from gpmspace.reports import canonical_json
 from helpers import (
+    ALPHA_GRID,
     T_GRID,
     gallery_instances,
     interval_instance,
@@ -243,9 +244,11 @@ def test_diameter_constant_family():
 
 
 def test_diameter_damped_pair_close_to_limit():
-    inst = make_instance("damped")  # t_min = 1e-4
-    d = g.diameter(inst, ["a", "b"])
-    assert abs(d - 2.0) <= 2e-4  # limit of 1 + exp(-t) as t -> 0+ doubles d = 1
+    # the limit of 1 + exp(-t) as t -> 0+ doubles d = 1, exactly: no grid t
+    # (the least is 1e-4) is read
+    inst = make_instance("damped")
+    assert g.diameter(inst, ["a", "b"]) == 2.0
+    assert g.diameter(inst, g.SubsetMask.full(3)) == 6.0
 
 
 def test_diameter_scaled_flags_infinity():
@@ -268,8 +271,7 @@ def test_diameter_monotone_under_inclusion():
 def test_diameter_interval_analytic():
     car = g.IntervalCarrier(-2.0, 2.0, 0.25)
     inst = g.gallery_construct("damped", {}, car, g.MAX, (1e-4, 0.5, 1.0), (1.0,))
-    d = g.diameter(inst, g.ClosedInterval(-1.0, 1.0))
-    assert abs(d - 4.0) <= 1e-3
+    assert g.diameter(inst, g.ClosedInterval(-1.0, 1.0)) == 4.0
 
 
 def test_closure_diameter_fine_grid_equal():
@@ -534,8 +536,14 @@ def test_nested_diameters_match_the_per_member_diameter(inst, data):
 def test_nested_diameters_cover_singletons_the_inf_rule_and_tables():
     n = 5
     fam = [g.SubsetMask.from_indices(n, range(k)) for k in (5, 3, 3, 2, 1, 1)]
-    scaled = make_instance("scaled", carrier=line_carrier(n))  # t from 1e-4: the sup is +inf
-    table = squared_distance_table_instance(t_grid=(1.0, 2.0, 4.0))  # P = d^2 / t
+    # scaled P = d / t is unbounded as t -> 0+ at every pair at positive distance
+    scaled = make_instance("scaled", carrier=line_carrier(n), t_grid=(2.0, 4.0))
+    # P = d^2 / t tabulated at t 1, 2 and 4 on a grid from t = 2: the table's
+    # first value extends to the left, so the sup is d^2, not P at the least grid t
+    carrier = line_carrier(3)
+    table = g.gallery_construct(
+        "tabulated", g.tabulate_step_family(carrier, (1.0, 2.0, 4.0), lambda d, t: d * d / t),
+        carrier, g.MAX, (2.0, 4.0), ALPHA_GRID)
     small = [g.SubsetMask.from_indices(3, range(k)) for k in (3, 2, 1)]
     for inst, members in ((scaled, fam), (table, small)):
         got = sequences._nested_diameters(inst, flag_rows(members))
@@ -550,7 +558,7 @@ def test_nested_diameters_cover_singletons_the_inf_rule_and_tables():
        st.lists(st.tuples(st.sampled_from((-2.0, -0.5, 0.0, 1 / 3)),
                           st.sampled_from((0.0, 1e-9, 0.25, 1.5))), min_size=1, max_size=6))
 def test_interval_diameters_match_the_per_member_diameter(family, t_grid, ends):
-    # width-0 members, the +inf rule at t = 1e-4 and a one-node grid included
+    # width-0 members (diameter 0 in every family) and a one-node grid included
     inst = interval_instance(family, t_grid=sorted(t_grid), c=2.0)
     members = [g.ClosedInterval(lo, lo + w) for lo, w in ends]
     assert sequences._interval_diameters(inst, members) == [g.diameter(inst, m) for m in members]
@@ -622,8 +630,8 @@ def test_sequences_and_cantor_batteries_make_a_fixed_number_of_kernel_calls(monk
     # every P_at call is one kernel call: on a fresh instance the sequences
     # battery makes one for its convergence rows, one for the K_t table that
     # bounded and compact_closed_bounded share and one for tau_P's classes,
-    # whatever n is; cantor makes one for the classes and one for every
-    # member's diameter
+    # whatever n is; cantor makes one for the classes, and its diameters
+    # read none
     calls = _count_kernel_calls(monkeypatch)
     counts = {}
     for n in (6, 24):
@@ -634,9 +642,16 @@ def test_sequences_and_cantor_batteries_make_a_fixed_number_of_kernel_calls(monk
             assert checks and not notes and all(c.ok for c in checks)
             counts[battery.__name__, n] = len(calls)
     assert counts["_sequences_checks", 6] == counts["_sequences_checks", 24] == 3
-    assert counts["_cantor_checks", 6] == counts["_cantor_checks", 24] == 2
-    # on an interval, cantor's 24 diameters are one kernel call
+    assert counts["_cantor_checks", 6] == counts["_cantor_checks", 24] == 1
+    # on an interval, cantor's 24 diameters read no P; the sequences battery
+    # reads its cauchy and convergence reports of x_n once each: convergence
+    # 1, cauchy 1 per t, bounded 2, joint_continuity 4 and 1 per t,
+    # subsequence_completeness 1 (the subsequence) and the CSV rows 1 per t
     inst = interval_instance("damped")
     del calls[:]
     checks, notes, _ = cli._cantor_checks(inst, cli.Options(), 0, 1e-6)
-    assert checks and not notes and len(calls) == 1
+    assert checks and not notes and len(calls) == 0
+    del calls[:]
+    checks, notes, _ = cli._sequences_checks(inst, cli.Options(), 0, 1e-6)
+    assert len(checks) == 5 and not notes and all(c.ok for c in checks)
+    assert len(calls) == 8 + 3 * len(inst.t_grid) == 26

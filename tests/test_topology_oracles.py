@@ -103,30 +103,44 @@ def test_tau_p_equals_the_subset_scan(inst):
     tau_p.verify()
 
 
+def oracle_classes(tau):
+    """The minimal open set of each point, the intersection of the members
+    holding it, once each and ordered by the least point."""
+    n, out = tau.n, {}
+    for i in range(n):
+        bits = (1 << n) - 1
+        for m in tau:
+            if m.contains(i):
+                bits &= m.bits
+        out.setdefault(bits, g.SubsetMask(n, bits))
+    return list(out.values())
+
+
 @settings(max_examples=80, deadline=None)
 @given(gallery_instances(ops=(g.MAX,)), st.sampled_from([0.05, 0.25, 1.0, 4.0]))
 def test_tau_d_alpha_equals_the_radius_grid_scan(inst, alpha):
+    # tau_d_alpha is the power set exactly when P4 holds at alpha, and the
+    # report names the classes of tau_P that merge points
     n = inst.carrier.size
     am = g.AlphaMetric(inst, alpha)
-    if not am.p4_ok:
-        return  # compare_topologies raises HypothesisError; nothing to compare
-    rep = g.compare_topologies(inst, alpha)
-    tau_p = oracle_tau_p(inst)
     tau_d = g.TopologyFamily(n, admitted_family(n, metric_ball_masks(am)))
     tau_d.verify()
+    discrete = len(tau_d) == 1 << n
+    try:
+        rep = g.compare_topologies(inst, alpha)
+    except g.HypothesisError:
+        assert not discrete
+        return
+    assert discrete
+    tau_p = oracle_tau_p(inst)
     car = inst.carrier
     assert rep.data == {
         "alpha": alpha,
         "tau_P_size": len(tau_p),
         "tau_d_alpha_size": len(tau_d),
-        "missing_from_tau_P": [list(m.labels(car)) for m in tau_d if m not in tau_p],
-        "missing_from_tau_d_alpha": [list(m.labels(car)) for m in tau_p if m not in tau_d],
+        "merged_classes": [list(c.labels(car)) for c in oracle_classes(tau_p) if c.count > 1],
     }
-    # the report fixes the family it compared: tau_d = (tau_P - missing) + missing
-    built = {m.bits for m in g.generate_topology(inst)}
-    built -= {g.SubsetMask.from_labels(car, s).bits for s in rep.data["missing_from_tau_d_alpha"]}
-    built |= {g.SubsetMask.from_labels(car, s).bits for s in rep.data["missing_from_tau_P"]}
-    g.TopologyFamily(n, [g.SubsetMask(n, b) for b in built]).verify()
+    assert rep.verdict == (g.PASS if len(tau_p) == len(tau_d) else g.INCONCLUSIVE)
 
 
 @settings(max_examples=60, deadline=None)
