@@ -14,9 +14,9 @@ topology") of the k classes of the relation y in U_x: its open sets are the
 unions of classes, each also closed, and |tau_P| = 2^k.  ``class_labels``
 labels the classes of such a relation in one array routine, and every tau_P
 question (open sets, interiors, closures, the ball theorems, separation and
-the countable bases) reads those labels; only ``topology_from_classes``
-lists open sets.  TopologyFamily.verify stays as an O(|F|^2) oracle for
-tests.
+the countable bases) reads those labels, and reports state tau_P by its
+classes and 2^k; only ``topology_from_classes`` lists open sets, for library
+callers.  TopologyFamily.verify stays as an O(|F|^2) oracle for tests.
 
 Ball membership uses exact float comparison: strict "<" for open balls,
 "<=" for closed balls, no epsilon fuzzing.  A ball is one comparison on a
@@ -293,24 +293,18 @@ def _unions_of_classes(inst: GpmsInstance, flags):
 
 
 def _require_listable(labels, max_points: int):
-    """Refuse to list the 2^k open sets of more than ``listing_limit`` classes."""
+    """Refuse to list the open sets of more than min(max_points, LISTING_BOUND) classes."""
     k = len(set(labels.tolist()))
-    if k > listing_limit(max_points):
+    if k > min(max_points, LISTING_BOUND):
         bound = f"max_points={max_points}" if max_points <= LISTING_BOUND else \
             f"the listing bound of {LISTING_BOUND} classes"
         raise SizeError(f"the open sets of {k} classes exceed {bound}")
 
 
-def listing_limit(max_points: int) -> int:
-    """The most classes whose open sets are listed: ``max_points``, and never
-    more than ``LISTING_BOUND``."""
-    return min(max_points, LISTING_BOUND)
-
-
 def topology_from_classes(labels, max_points: int) -> TopologyFamily:
-    """Every union of the classes of a class labelling, at most
-    ``listing_limit(max_points)`` of them: the one listing of the open sets
-    of a partition topology."""
+    """Every union of the classes of a class labelling, of at most
+    ``max_points`` and ``LISTING_BOUND`` classes: the one listing of the open
+    sets of a partition topology."""
     _require_listable(labels, max_points)
     n, opens = len(labels), [0]
     for c in _class_bits(labels).values():
@@ -320,8 +314,8 @@ def topology_from_classes(labels, max_points: int) -> TopologyFamily:
 
 def generate_topology(inst: GpmsInstance, max_points: int = 15) -> TopologyFamily:
     """tau_P over the grids: the unions of its classes, computed once per
-    instance.  ``listing_limit(max_points)`` caps the number k of classes,
-    since the family lists 2^k sets."""
+    instance.  ``max_points`` and ``LISTING_BOUND`` cap the number k of
+    classes, since the family lists 2^k sets."""
     labels = _classes(inst)
     _require_listable(labels, max_points)  # a memo hit too
     return derive(inst, "topology", lambda: topology_from_classes(labels, max_points))

@@ -35,14 +35,18 @@ command and is skipped with a note under ``full-report``::
     sequences   convergence, Cauchy, bounded, ...       always
     cantor      Cantor's intersection theorem           always
 
+``topology`` states tau_P by its classes and their count 2^k, listing no
+open set; ``--max-points`` (default 15) caps only the carrier ``separation``
+runs on, whose checks grow as n^2.
+
 ``--csv`` writes the d_alpha table (``dalpha`` and ``full-report``, finite
 carriers) or the P trace of the test sequence (``sequences``, intervals).
-The report is written before the CSV.  Exit status is 0 iff every emitted
-check passes, 1 otherwise, 2 on errors, among them an instance file that
-cannot be read as UTF-8 JSON and an ``--out`` or ``--csv`` path that cannot
-be written.  Reports serialize canonically (sorted keys, floats at 12
-significant digits) so byte-identical output certifies determinism; wall
-time goes to stderr only.
+Its rows are built only when written, after the report.  Exit status is 0
+iff every emitted check passes, 1 otherwise, 2 on errors, among them an
+instance file that cannot be read as UTF-8 JSON and an ``--out`` or
+``--csv`` path that cannot be written.  Reports serialize canonically
+(sorted keys, floats at 12 significant digits) so byte-identical output
+certifies determinism; wall time goes to stderr only.
 """
 from __future__ import annotations
 
@@ -281,7 +285,8 @@ def validate_instance_file(path) -> core.GpmsInstance:
 # -- command batteries ----------------------------------------------------
 #
 # Each battery is ``(inst, opts, seed, tol) -> (checks, notes, csv_rows)``;
-# ``csv_rows`` is None or a list of rows, the header row first.
+# ``csv_rows`` is None or a function that builds the rows, the header row
+# first, called only when the payload is written.
 
 
 def _axioms_checks(inst, opts, seed, tol):
@@ -289,18 +294,12 @@ def _axioms_checks(inst, opts, seed, tol):
 
 
 def _topology_checks(inst, opts, seed, tol):
+    # a partition topology is its classes: the 2^k unions are counted, not listed
     car, classes = inst.carrier, balls.tau_p_classes(inst)
-    data = {"classes": [list(c.labels(car)) for c in classes], "count": 1 << len(classes)}
-    note = f"tau_P is the partition topology of its {len(classes)} classes"
-    limit = balls.listing_limit(opts.max_points)
-    if len(classes) <= limit:
-        data["open_sets"] = balls.generate_topology(inst, opts.max_points).to_jsonable(car)
-    else:
-        bound = f"--max-points={opts.max_points}" if limit == opts.max_points else \
-            f"the listing bound of {limit}"
-        note += f"; its open sets are listed for at most {bound} classes"
     return [CheckReport(name="topology_family", verdict=PASS, samples_tested=car.size,
-                        note=note, data=data),
+                        note=f"tau_P is the partition topology of its {len(classes)} classes",
+                        data={"classes": [list(c.labels(car)) for c in classes],
+                              "count": 1 << len(classes)}),
             balls.verify_ball_theorem(inst, "ball_open"),
             balls.verify_ball_theorem(inst, "closed_ball_closed")], [], None
 
@@ -336,8 +335,7 @@ def _separation_checks(inst, opts, seed, tol):
         return b.report(r, name)
 
     def base(name, mode, x=None):
-        return _guarded(name, lambda: separation.countable_base(
-            inst, mode, x=x, max_points=opts.max_points)[1])
+        return _guarded(name, lambda: separation.countable_base(inst, mode, x=x)[1])
 
     t_kinds = [batch(kind, pairs) for kind in ("T0", "T1", "T2")]
     regular, normal = batch("regular", outside), batch("normal", pairs)
@@ -359,13 +357,13 @@ def _dalpha_checks(inst, opts, seed, tol):
     checks = []
     rows = None
     if inst.carrier.kind == "finite":
-        table = induced.alpha_metric_table(am)
+        labels, table = inst.carrier.labels, induced.alpha_metric_table(am)
         checks.append(CheckReport(
             name=f"d_alpha_table[alpha={alpha:.12g}]", verdict=PASS,
-            samples_tested=len(table) ** 2,
-            data={"labels": list(inst.carrier.labels), "table": table}))
-        labels = inst.carrier.labels
-        rows = [["", *labels]] + [[lab, *row] for lab, row in zip(labels, table)]
+            samples_tested=len(table) ** 2, data={"labels": list(labels), "table": table}))
+
+        def rows():
+            return [["", *labels]] + [[lab, *row] for lab, row in zip(labels, table)]
     checks.append(induced.check_alpha_metric_axioms(am, seed=seed))
     checks.append(_guarded("alpha_monotonicity", lambda: induced.check_alpha_monotonicity(
         inst, inst.carrier.points()[0], inst.carrier.points()[-1],
@@ -399,10 +397,11 @@ def _sequences_checks(inst, opts, seed, tol):
         checks.append(_guarded("subsequence_completeness",
                                lambda: sequences._subsequence_report(
                                    inst, seqx, indices, mid, tol, cauchy, convergence)))
-        u, v = core.coords(inst, seqx.terms(inst.carrier)), core.coords(inst, mid)
-        rows = [["n", "t", "value"]] + [
-            [n + 1, t, value] for t in inst.t_grid
-            for n, value in enumerate(core.P_at(inst, u, v, t).tolist())]
+        def rows():  # P(x_n, mid, t) for each grid t, one kernel call per t
+            u, v = core.coords(inst, seqx.terms(inst.carrier)), core.coords(inst, mid)
+            return [["n", "t", "value"]] + [
+                [n + 1, t, value] for t in inst.t_grid
+                for n, value in enumerate(core.P_at(inst, u, v, t).tolist())]
     else:
         labels = inst.carrier.labels
         consts = [sequences.SequenceSpec("explicit", points=(p,) * 40) for p in labels]
@@ -502,7 +501,7 @@ def run_command(command: str, inst_file: InstanceFile, options: Options | None =
         _write_text("--out", opts.out, report.to_canonical_json())
     if opts.csv and csv_rows is not None:
         # '.' decimal separator and '\n' line endings regardless of locale
-        text = "".join(",".join(map(_fmt, row)) + "\n" for row in csv_rows)
+        text = "".join(",".join(map(_fmt, row)) + "\n" for row in csv_rows())
         _write_text("--csv", opts.csv, text)
     return report
 
@@ -534,7 +533,8 @@ def main(argv=None) -> int:
     parser.add_argument("instance", help="path to an instance JSON file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--max-points", type=int, default=15)
+    parser.add_argument("--max-points", type=int, default=15,
+                        help="the largest finite carrier separation runs on (default 15)")
     parser.add_argument("--alpha", type=float, default=None)
     parser.add_argument("--out", default=None, help="write the report to this path")
     parser.add_argument("--csv", default=None, help="write the command's CSV payload here")

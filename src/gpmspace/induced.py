@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balls import tau_p_classes
-from .core import GpmsInstance, coords, ray_start
+from .core import _P3_BLOCK, GpmsInstance, coords, ray_start
 from .errors import DomainError, HypothesisError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -117,13 +117,15 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
                                      values={"lhs": float(D[i, j]), "rhs": float(D[j, i])},
                                      detail="d_alpha not symmetric"))
     slack = 4 * tol
-    for i in range(k):
-        # bad[j, l]: D[i, l] > D[i, j] + D[j, l] + slack, one row of O(k^2) memory
-        bad = D[i][None, :] > (D[i][:, None] + D) + slack
-        for j, l in np.argwhere(bad):
-            witnesses.append(Witness(points=(pts[i], pts[j], pts[l]),
-                                     values={"lhs": float(D[i, l]),
-                                             "rhs": float(D[i, j] + D[j, l])},
+    step = max(1, _P3_BLOCK // (k * k))
+    for lo in range(0, k, step):
+        # bad[i, j, l]: D[i, l] > D[i, j] + D[j, l] + slack, on <= _P3_BLOCK entries
+        rows = D[lo:lo + step]
+        bad = rows[:, None, :] > (rows[:, :, None] + D) + slack
+        for i, j, l in np.argwhere(bad):
+            witnesses.append(Witness(points=(pts[lo + i], pts[j], pts[l]),
+                                     values={"lhs": float(rows[i, l]),
+                                             "rhs": float(rows[i, j] + D[j, l])},
                                      detail="triangle inequality fails"))
     if witnesses:
         verdict = FAIL

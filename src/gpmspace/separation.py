@@ -49,7 +49,7 @@ from .balls import (
 )
 from .binop import eval_op, sub_idempotent
 from .core import GpmsInstance, P_at, derive, eval_P
-from .errors import DomainError, GpmsError, PreconditionError, SizeError, WitnessNotFoundError
+from .errors import DomainError, GpmsError, PreconditionError, WitnessNotFoundError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
 KINDS = ("T0", "T1", "T2", "regular", "normal")
@@ -470,7 +470,8 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
     such C(y) by bitmask.  Without ``n_max`` the depth is the largest
     isolating depth of the centers: the first n (at most 64) whose base
     ball holds only its center.  The report counts the 2^k open sets, never
-    lists them.
+    lists them, so no carrier is too large; ``max_points`` is kept for
+    callers and no longer read.
     Returns ``(ball_specs, CheckReport)``; verification failures are
     inconclusive (the base may isolate only at larger n).
     """
@@ -480,8 +481,6 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
         raise DomainError("countable bases are verified on finite carriers only")
     car = inst.carrier
     n = car.size
-    if n > max_points:
-        raise SizeError(f"carrier size {n} exceeds max_points={max_points}")
     classes = _classes(inst)
     class_bits = _class_bits(classes)
 

@@ -283,7 +283,7 @@ def test_topology_command_coarse_two_point(tmp_path):
     report = g.run_command("topology", f)
     assert report.exit_code == 0
     fam = next(c for c in report.checks if c.name == "topology_family")
-    assert fam.data["open_sets"] == [[], ["a", "b"]]
+    assert fam.data == {"classes": [["a", "b"]], "count": 2}
 
 
 def test_dalpha_command_table_is_double_the_base(tmp_path):
@@ -409,6 +409,32 @@ def test_cli_out_and_csv(tmp_path):
     assert row_a[0] == "a" and float(row_a[2]) == pytest.approx(1.0, abs=2e-6)
 
 
+def test_csv_rows_are_built_only_when_written(tmp_path, monkeypatch):
+    # a battery hands over its CSV rows as a function that run_command calls
+    # only for the payload it writes: the P trace of the test sequence takes
+    # one kernel call per grid t, made under sequences --csv alone
+    interval = {k: v for k, v in BASE.items() if k not in ("points", "d")}
+    path = write(tmp_path, dict(interval, family="damped", interval=[-2.0, 2.0],
+                                resolution=0.25))
+    calls = []
+    real = core._kernel
+
+    def kernel(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_kernel", kernel)
+    counts = {}
+    for command in ("sequences", "full-report"):
+        for csv in (None, tmp_path / f"{command}.csv"):
+            del calls[:]
+            g.run_command(command, g.load_instance(path), Options(csv=csv and str(csv)))
+            counts[command, csv is not None] = len(calls)
+    assert counts["sequences", True] == counts["sequences", False] + len(BASE["t_grid"])
+    assert counts["full-report", True] == counts["full-report", False]
+    assert (tmp_path / "sequences.csv").exists() and not (tmp_path / "full-report.csv").exists()
+
+
 @pytest.mark.parametrize("option", ["--out", "--csv"])
 def test_unwritable_output_path_exits_2_naming_option_and_path(tmp_path, capsys, option):
     # exit 1 means a check failed, so an unwritable path must not die with it
@@ -476,20 +502,26 @@ def test_seed_and_tol_recorded(tmp_path):
     assert payload["tol"] == 1e-7
 
 
-def test_max_points_caps_the_listing_not_the_carrier(tmp_path, capsys):
-    # --max-points caps the number of classes whose 2^k open sets a report
-    # lists; only separation, with its n^2 checks, still caps the carrier
+def test_max_points_caps_the_separation_carrier_only(tmp_path, capsys):
+    # topology states tau_P by its classes and lists no open set, so
+    # --max-points leaves its bytes alone; only separation, with its n^2
+    # checks, still caps the carrier
     n = 16
     doc = dict(BASE, points=[f"x{i}" for i in range(n)],
                d=[[abs(i - j) for j in range(n)] for i in range(n)])
     path = write(tmp_path, doc)
-    assert g.main(["topology", path]) == 0
-    family, = [c for c in json.loads(capsys.readouterr().out)["checks"]
-               if c["name"] == "topology_family"]
-    assert (len(family["data"]["classes"]), family["data"]["count"]) == (n, 2 ** n)
-    assert "open_sets" not in family["data"] and "--max-points" in family["note"]
+    texts = set()
+    for max_points in (0, 15, 48):
+        assert g.main(["topology", path, "--max-points", str(max_points)]) == 0
+        texts.add(capsys.readouterr().out)
+    text, = texts
+    family, = [c for c in json.loads(text)["checks"] if c["name"] == "topology_family"]
+    assert family["data"] == {"classes": [[f"x{i}"] for i in range(n)], "count": 2 ** n}
+    assert family["note"] == f"tau_P is the partition topology of its {n} classes"
     assert g.main(["separation", path]) == 2
     assert "--max-points" in capsys.readouterr().err
+    assert g.main(["separation", path, "--max-points", str(n)]) == 0
+    capsys.readouterr()
     assert g.main(["dalpha", path]) == 0
     assert [c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]
             if c["name"].startswith("topology_identity")] == ["pass"]
@@ -497,6 +529,16 @@ def test_max_points_caps_the_listing_not_the_carrier(tmp_path, capsys):
     assert [note for note in json.loads(capsys.readouterr().out)["notes"]
             if "needs a finite carrier" in note] == ["separation: skipped (needs a finite "
                                                      "carrier within --max-points)"]
+    # the library listing keeps its bounds: --max-points 48 on 48 classes once
+    # built all 2^48 unions and ran out of memory
+    inst = g.load_instance(path).instance
+    assert balls.LISTING_BOUND == 16
+    assert len(balls.generate_topology(inst, 16)) == 2 ** n
+    wide = wide_instance_file(tmp_path).instance
+    with pytest.raises(g.SizeError, match="exceed the listing bound of 16 classes"):
+        balls.generate_topology(wide, 48)
+    with pytest.raises(g.SizeError, match="exceed max_points=15"):
+        balls.generate_topology(wide, 15)
 
 
 def test_full_report_work_counts(tmp_path, monkeypatch):
@@ -553,11 +595,11 @@ def wide_instance_file(tmp_path, n=48):
 
 
 def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
-    # tau_P is a partition topology, so separation and topology_identity read
-    # its 2^k open sets off the classes: with the one function that lists
-    # them refusing, both run on 48 points, where the listing would hold
-    # 2^48; topology_identity runs there under the default --max-points and
-    # lists nothing at all
+    # tau_P is a partition topology, so topology, separation and
+    # topology_identity read its 2^k open sets off the classes: with the one
+    # function that lists them refusing, all run on 48 points, where the
+    # listing would hold 2^48; topology, topology_identity and full-report run
+    # there under the default --max-points too and list nothing at all
     n = 48
     inst_file = wide_instance_file(tmp_path, n)
 
@@ -565,6 +607,7 @@ def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
         raise AssertionError("the open sets were listed")
 
     monkeypatch.setattr(balls, "topology_from_classes", refuse)
+    start = time.perf_counter()
     opts = Options(max_points=n)
     checks = g.run_command("separation", inst_file, opts).checks
     bases = [c for c in checks if c.name.startswith("countable_base[")]
@@ -573,26 +616,14 @@ def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
     identity, = [c for c in g.run_command("dalpha", inst_file, Options()).checks
                  if c.name.startswith("topology_identity")]
     assert (identity.verdict, identity.data["tau_P_size"]) == ("pass", 2 ** n)
-
-
-def test_max_points_beyond_the_listing_bound_lists_nothing(tmp_path):
-    # --max-points 48 on 48 classes once built all 2^48 unions and ran out of
-    # memory; the listing stops at LISTING_BOUND classes whatever the flag says
-    inst_file = wide_instance_file(tmp_path)
-    start = time.perf_counter()
     for command in ("topology", "full-report"):
-        report = g.run_command(command, inst_file, Options(max_points=48))
-        assert report.exit_code in (0, 1)
-        family, = [c for c in report.checks if c.name == "topology_family"]
-        assert (len(family.data["classes"]), family.data["count"]) == (48, 2 ** 48)
-        assert "open_sets" not in family.data
-        assert family.note.endswith("listed for at most the listing bound of 16 classes")
+        for options in (Options(), opts):
+            report = g.run_command(command, inst_file, options)
+            assert report.exit_code in (0, 1)
+            family, = [c for c in report.checks if c.name == "topology_family"]
+            assert (len(family.data["classes"]), family.data["count"]) == (n, 2 ** n)
+            assert family.note == f"tau_P is the partition topology of its {n} classes"
     assert time.perf_counter() - start < 20
-    assert balls.LISTING_BOUND == 16
-    with pytest.raises(g.SizeError, match="exceed the listing bound of 16 classes"):
-        balls.generate_topology(inst_file.instance, 48)
-    with pytest.raises(g.SizeError, match="exceed max_points=15"):
-        balls.generate_topology(inst_file.instance, 15)
 
 
 def test_topology_identity_is_inconclusive_beyond_the_listing_bound(tmp_path):

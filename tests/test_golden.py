@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,40 @@ def test_p4_pass_and_the_topology_identity_agree_on_clustered6():
     assert identity.data == {"alpha": 4.0, "tau_P_size": 4, "tau_d_alpha_size": 64,
                              "merged_classes": [["p0", "p1", "p2"], ["p3", "p4", "p5"]]}
     assert not any("per-alpha separation fails" in c.note for c in checks.values())
+
+
+def _finite_topology_docs(seed):
+    """The instance documents of the ``finite-topology`` benchmark workload."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.instance_docs("finite-topology", seed)
+
+
+@pytest.mark.parametrize("name", [f"golden/{n}" for n in sorted(MANIFEST) if "points" in
+                                  _load_doc(n)] + [f"finite-topology/{n}" for n in
+                                                   sorted(_finite_topology_docs(11))])
+def test_topology_family_states_tau_p_by_its_classes(tmp_path, name):
+    # tau_P is the partition topology of its classes: the report states the
+    # classes and the count 2^k, and their unions are the listing, the oracle
+    kind, key = name.split("/")
+    doc = _load_doc(key) if kind == "golden" else _finite_topology_docs(11)[key]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    inst_file = g.load_instance(str(path))
+    inst, car = inst_file.instance, inst_file.instance.carrier
+    family, = [c for c in g.run_command("topology", inst_file).checks
+               if c.name == "topology_family"]
+    classes = family.data["classes"]
+    assert set(family.data) == {"classes", "count"}
+    assert sorted(p for c in classes for p in c) == sorted(car.labels)
+    assert all(classes) and family.data["count"] == 2 ** len(classes)
+    unions = [frozenset()]
+    for c in classes:
+        unions += [u | frozenset(c) for u in unions]
+    assert set(unions) == set(map(frozenset, g.generate_topology(inst).to_jsonable(car)))
 
 
 @pytest.mark.parametrize("command", ("dalpha", "sequences", "full-report"))
