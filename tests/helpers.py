@@ -1,4 +1,7 @@
 """Shared instance builders for the test suite."""
+import os
+import sys
+
 from hypothesis import strategies as st
 
 import gpmspace as g
@@ -21,6 +24,16 @@ def line_carrier(n):
     labels = tuple(str(i) for i in range(n))
     d = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
     return g.FiniteCarrier(labels, d)
+
+
+def workload_docs(workload, seed):
+    """The instance documents a benchmark workload writes at ``seed``."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.instance_docs(workload, seed)
 
 
 def make_instance(family="scaled", op=g.MAX, carrier=None,

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import gpmspace as g
 from gpmspace import balls, core, induced
 from gpmspace.cli import Options
+from helpers import workload_docs
 
 BASE = {
     "version": 1,
@@ -345,12 +346,7 @@ def test_cantor_command_on_damped_interval(tmp_path):
 def test_cantor_runs_on_the_tabulated_benchmark_instance(tmp_path):
     # P = d^2 / t tabulated from t = 1e-4: a step table extends its first
     # value to the left, so the diameter is that value, d^2 / 1e-4, finite
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    doc = workloads.instance_docs("finite-topology", 11)["random-tabulated"]
+    doc = workload_docs("finite-topology", 11)["random-tabulated"]
     report = g.run_command("cantor", g.load_instance(write(tmp_path, doc)))
     assert report.notes == []
     cantor, = report.checks

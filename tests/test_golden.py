@@ -16,14 +16,13 @@ import hashlib
 import json
 import os
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
 
 import gpmspace as g
 from gpmspace import balls
-from helpers import gallery_instances
+from helpers import gallery_instances, workload_docs
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -128,24 +127,14 @@ def test_p4_pass_and_the_topology_identity_agree_on_clustered6():
     assert not any("per-alpha separation fails" in c.note for c in checks.values())
 
 
-def _finite_topology_docs(seed):
-    """The instance documents of the ``finite-topology`` benchmark workload."""
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    return workloads.instance_docs("finite-topology", seed)
-
-
 @pytest.mark.parametrize("name", [f"golden/{n}" for n in sorted(MANIFEST) if "points" in
                                   _load_doc(n)] + [f"finite-topology/{n}" for n in
-                                                   sorted(_finite_topology_docs(11))])
+                                                   sorted(workload_docs("finite-topology", 11))])
 def test_topology_family_states_tau_p_by_its_classes(tmp_path, name):
     # tau_P is the partition topology of its classes: the report states the
     # classes and the count 2^k, and their unions are the listing, the oracle
     kind, key = name.split("/")
-    doc = _load_doc(key) if kind == "golden" else _finite_topology_docs(11)[key]
+    doc = _load_doc(key) if kind == "golden" else workload_docs("finite-topology", 11)[key]
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     inst_file = g.load_instance(str(path))
