@@ -498,10 +498,10 @@ def test_seed_and_tol_recorded(tmp_path):
     assert payload["tol"] == 1e-7
 
 
-def test_max_points_caps_the_separation_carrier_only(tmp_path, capsys):
-    # topology states tau_P by its classes and lists no open set, so
-    # --max-points leaves its bytes alone; only separation, with its n^2
-    # checks, still caps the carrier
+def test_max_points_caps_the_listing_not_the_carrier(tmp_path, capsys):
+    # max_points caps the number of classes whose 2^k open sets the library
+    # lists; topology states tau_P by its classes and lists no open set, so
+    # --max-points leaves its bytes alone on the whole carrier
     n = 16
     doc = dict(BASE, points=[f"x{i}" for i in range(n)],
                d=[[abs(i - j) for j in range(n)] for i in range(n)])
@@ -514,6 +514,21 @@ def test_max_points_caps_the_separation_carrier_only(tmp_path, capsys):
     family, = [c for c in json.loads(text)["checks"] if c["name"] == "topology_family"]
     assert family["data"] == {"classes": [[f"x{i}"] for i in range(n)], "count": 2 ** n}
     assert family["note"] == f"tau_P is the partition topology of its {n} classes"
+    assert g.main(["dalpha", path, "--max-points", "0"]) == 0
+    assert [c["verdict"] for c in json.loads(capsys.readouterr().out)["checks"]
+            if c["name"].startswith("topology_identity")] == ["pass"]
+    inst = g.load_instance(path).instance
+    assert len(balls.generate_topology(inst, n)) == 2 ** n
+    with pytest.raises(g.SizeError, match="exceed max_points=15"):
+        balls.generate_topology(inst, 15)
+
+
+def test_max_points_caps_the_separation_carrier_only(tmp_path, capsys):
+    # only separation, with its n^2 checks, still caps the carrier
+    n = 16
+    doc = dict(BASE, points=[f"x{i}" for i in range(n)],
+               d=[[abs(i - j) for j in range(n)] for i in range(n)])
+    path = write(tmp_path, doc)
     assert g.main(["separation", path]) == 2
     assert "--max-points" in capsys.readouterr().err
     assert g.main(["separation", path, "--max-points", str(n)]) == 0
@@ -525,16 +540,6 @@ def test_max_points_caps_the_separation_carrier_only(tmp_path, capsys):
     assert [note for note in json.loads(capsys.readouterr().out)["notes"]
             if "needs a finite carrier" in note] == ["separation: skipped (needs a finite "
                                                      "carrier within --max-points)"]
-    # the library listing keeps its bounds: --max-points 48 on 48 classes once
-    # built all 2^48 unions and ran out of memory
-    inst = g.load_instance(path).instance
-    assert balls.LISTING_BOUND == 16
-    assert len(balls.generate_topology(inst, 16)) == 2 ** n
-    wide = wide_instance_file(tmp_path).instance
-    with pytest.raises(g.SizeError, match="exceed the listing bound of 16 classes"):
-        balls.generate_topology(wide, 48)
-    with pytest.raises(g.SizeError, match="exceed max_points=15"):
-        balls.generate_topology(wide, 15)
 
 
 def test_full_report_work_counts(tmp_path, monkeypatch):
@@ -591,11 +596,11 @@ def wide_instance_file(tmp_path, n=48):
 
 
 def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
-    # tau_P is a partition topology, so topology, separation and
-    # topology_identity read its 2^k open sets off the classes: with the one
-    # function that lists them refusing, all run on 48 points, where the
-    # listing would hold 2^48; topology, topology_identity and full-report run
-    # there under the default --max-points too and list nothing at all
+    # tau_P is a partition topology, so separation and topology_identity read
+    # its 2^k open sets off the classes: with the one function that lists
+    # them refusing, both run on 48 points, where the listing would hold
+    # 2^48; topology_identity runs there under the default --max-points and
+    # lists nothing at all
     n = 48
     inst_file = wide_instance_file(tmp_path, n)
 
@@ -612,14 +617,36 @@ def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
     identity, = [c for c in g.run_command("dalpha", inst_file, Options()).checks
                  if c.name.startswith("topology_identity")]
     assert (identity.verdict, identity.data["tau_P_size"]) == ("pass", 2 ** n)
-    for command in ("topology", "full-report"):
-        for options in (Options(), opts):
-            report = g.run_command(command, inst_file, options)
-            assert report.exit_code in (0, 1)
-            family, = [c for c in report.checks if c.name == "topology_family"]
-            assert (len(family.data["classes"]), family.data["count"]) == (n, 2 ** n)
-            assert family.note == f"tau_P is the partition topology of its {n} classes"
     assert time.perf_counter() - start < 20
+
+
+def test_max_points_beyond_the_listing_bound_lists_nothing(tmp_path, monkeypatch):
+    # --max-points 48 on 48 classes once built all 2^48 unions and ran out of
+    # memory; topology and full-report now list no open set at any
+    # --max-points, and the library listing stops at LISTING_BOUND classes
+    # whatever max_points says
+    n = 48
+    inst_file = wide_instance_file(tmp_path, n)
+
+    def refuse(*args):
+        raise AssertionError("the open sets were listed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(balls, "topology_from_classes", refuse)
+        start = time.perf_counter()
+        for command in ("topology", "full-report"):
+            for options in (Options(), Options(max_points=n)):
+                report = g.run_command(command, inst_file, options)
+                assert report.exit_code in (0, 1)
+                family, = [c for c in report.checks if c.name == "topology_family"]
+                assert (len(family.data["classes"]), family.data["count"]) == (n, 2 ** n)
+                assert family.note == f"tau_P is the partition topology of its {n} classes"
+        assert time.perf_counter() - start < 20
+    assert balls.LISTING_BOUND == 16
+    with pytest.raises(g.SizeError, match="exceed the listing bound of 16 classes"):
+        balls.generate_topology(inst_file.instance, 48)
+    with pytest.raises(g.SizeError, match="exceed max_points=15"):
+        balls.generate_topology(inst_file.instance, 15)
 
 
 def test_topology_identity_is_inconclusive_beyond_the_listing_bound(tmp_path):
