@@ -320,13 +320,13 @@ def _guarded(name, fn):
 def _separation_checks(inst, opts, seed, tol):
     labels = inst.carrier.labels
     n = len(labels)
-    single = np.eye(n, dtype=bool)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     outside = [(x, i) for i in range(n) for x in range(n) if x != i]  # point x, closed {i}
-
-    def batch(kind, rows):  # one row per (X, Y) of single points
-        return separation.witness_batch(inst, kind, single[[x for x, _ in rows]],
-                                        single[[y for _, y in rows]])
+    # one row per ordered pair (X, Y) of single points: a T2 row (i, j) is
+    # also the normal row ({i}, {j}) and the regular row ({j}, i)
+    ordered = {pair: r for r, pair in enumerate(outside)}
+    single = np.eye(n, dtype=bool)
+    on_pairs = [ordered[pair] for pair in pairs]
 
     def witness(name, b, r):
         # a row that cannot be built (say, open_ball refuses a ball) is inconclusive
@@ -335,10 +335,14 @@ def _separation_checks(inst, opts, seed, tol):
         return b.report(r, name)
 
     def base(name, mode, x=None):
-        return _guarded(name, lambda: separation.countable_base(inst, mode, x=x)[1])
+        return _guarded(name, lambda: separation._base_report(inst, mode, x)[-1])
 
-    t_kinds = [batch(kind, pairs) for kind in ("T0", "T1", "T2")]
-    regular, normal = batch("regular", outside), batch("normal", pairs)
+    batches = separation.witness_batches(
+        inst, single[[x for x, _ in outside]], single[[y for _, y in outside]],
+        {**dict.fromkeys(("T0", "T1", "T2", "normal"), on_pairs),
+         "regular": range(len(outside))})
+    t_kinds = [batches[kind] for kind in ("T0", "T1", "T2")]
+    regular, normal = batches["regular"], batches["normal"]
     checks = [witness(f"{b.kind}({labels[i]},{labels[j]})", b, r)
               for r, (i, j) in enumerate(pairs) for b in t_kinds]
     checks += [witness(f"regular({{{labels[i]}}},{labels[x]})", regular, r)
@@ -387,12 +391,14 @@ def _sequences_checks(inst, opts, seed, tol):
         mid, w = _interval_frame(inst.carrier)
         seqx = sequences.SequenceSpec("geometric", c=mid, a=w, r=0.5, n_terms=200)
         seqy = sequences.SequenceSpec("geometric", c=mid, a=-w, r=0.5, n_terms=200)
-        # the convergence and cauchy reports of seqx also serve subsequence_completeness
+        # the convergence report of seqx also serves bounded, joint_continuity and
+        # subsequence_completeness, and its cauchy report subsequence_completeness
         convergence = sequences.check_convergence(inst, seqx, mid, tol)
         cauchy = sequences.check_cauchy(inst, seqx, tol)
-        checks += [convergence, cauchy, sequences.check_bounded(inst, seqx, tol, limit=mid)]
+        checks += [convergence, cauchy,
+                   sequences.check_bounded(inst, seqx, tol, limit=mid, convergence=convergence)]
         checks.append(_guarded("joint_continuity", lambda: sequences.joint_continuity_check(
-            inst, seqx, seqy, mid, mid, tol)))
+            inst, seqx, seqy, mid, mid, tol, convergence=convergence)))
         indices = [2 ** k for k in range(1, 8)]
         checks.append(_guarded("subsequence_completeness",
                                lambda: sequences._subsequence_report(

@@ -122,6 +122,8 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
         # bad[i, j, l]: D[i, l] > D[i, j] + D[j, l] + slack, on <= _P3_BLOCK entries
         rows = D[lo:lo + step]
         bad = rows[:, None, :] > (rows[:, :, None] + D) + slack
+        if not bad.any():
+            continue
         for i, j, l in np.argwhere(bad):
             witnesses.append(Witness(points=(pts[lo + i], pts[j], pts[l]),
                                      values={"lhs": float(rows[i, l]),

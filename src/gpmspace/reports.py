@@ -22,17 +22,21 @@ Reports serialize through one writer, ``canonical_json``: sorted keys,
 of ``json.dumps(canonical(x), sort_keys=True, indent=2) + "\n"``.  It
 normalizes as it writes, in one pass, and escapes strings with ``json``'s C
 escaper; ``json``'s pure-Python encoder, which ``indent`` selects, never
-runs.  It dispatches on exact type: exact str, int and float values are
-written by one text function each, a list or tuple of one of those exact
-types is written with one join, and a dict whose keys are all exact strings
-is sorted as it is, with its scalar values written inline.  Subclasses,
-bools, enums, numpy scalars and ``to_jsonable`` objects take the general
-rules.  Float texts are memoized for one call only, so each distinct
-non-zero float is rounded once per report.  ``compact_json`` writes the same
-text on one line with ``json``'s default separators, as ``json.dumps(
-canonical(x), sort_keys=True)`` would.  ``canonical`` builds the normalized
-tree, for ``Report.to_jsonable``.  Both walks take their scalar rules from
-one helper, ``_plain``, and its float rule from ``_round12``.
+runs.  It dispatches on exact type: exact str, int, float, bool and None
+values are written by one text function each, a list or tuple of one of
+those exact types is written with one join, and a dict whose keys are all
+exact strings is sorted as it is, with its scalar values written inline.
+Subclasses, enums, numpy scalars and ``to_jsonable`` objects take the
+general rules.  Two memos last for one call only: each distinct non-zero
+float is rounded once per report, and each dict shape, an exact-str key
+tuple at one indentation, is sorted and has its keys escaped once per
+report (a dict with other keys is converted by the general rules first).
+Most of a report is a few such shapes: a check, a witness, a ball.
+``compact_json`` writes the same text on one line with ``json``'s default
+separators, as ``json.dumps(canonical(x), sort_keys=True)`` would.
+``canonical`` builds the normalized tree, for ``Report.to_jsonable``.  Both
+walks take their scalar rules from one helper, ``_plain``, and its float
+rule from ``_round12``.
 """
 from __future__ import annotations
 
@@ -218,22 +222,48 @@ def compact_json(obj) -> str:
     return _text(obj, None)
 
 
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
 def _text(obj, newline):
-    texts = {str: _escape, int: int.__repr__, float: _FloatTexts().__getitem__}
+    texts = {str: _escape, int: int.__repr__, float: _FloatTexts().__getitem__,
+             bool: _CONSTANTS.__getitem__, type(None): _CONSTANTS.__getitem__}
     out = []
-    _write(obj, out, newline, texts)
+    _write(obj, out, newline, texts, {})
     return "".join(out)
 
 
-def _write(obj, out, newline, texts):
+def _layout(newline):
+    """(the newline of the members, the text after the opening bracket, the
+    separator, the text before the closing bracket) of a container whose
+    line breaks are ``newline``: on one line if it is None."""
+    if newline is None:
+        return None, "", ", ", ""
+    inner = newline + "  "
+    return inner, inner, "," + inner, newline
+
+
+def _shape(keys, newline):
+    """The writing of a dict whose exact-str keys are ``keys``, on lines
+    broken by ``newline``: its members' newline, its ``(key, text before the
+    value)`` pairs in sorted key order, and its closing text."""
+    inner, first, comma, last = _layout(newline)
+    ordered = sorted(keys)
+    seps = ["{" + first] + [comma] * (len(ordered) - 1)
+    return inner, [(key, sep + _escape(key) + ": ") for key, sep in zip(ordered, seps)], last + "}"
+
+
+def _write(obj, out, newline, texts, shapes):
     """Append the JSON text of ``obj``, whose line breaks are ``newline``, or
     on one line with ``json``'s default separators if ``newline`` is None.
 
-    ``texts`` maps the exact scalar types str, int and float to their text
-    functions; a value of any other type, subclasses included, takes the
+    ``texts`` maps the exact scalar types str, int, float, bool and None to
+    their text functions; a value of any other type, subclasses included, takes the
     general rules below and is made plain by ``_plain`` if it is no JSON
-    value.  A list of one exact scalar type is written with one join, and a
-    dict whose keys are all exact strings is sorted as it is.
+    value.  A list of one exact scalar type is written with one join.  A
+    dict whose keys are all exact strings is sorted as it is, and ``shapes``
+    keeps its sorted keys and their escaped texts (``_shape``) for the next
+    dict of the same key tuple at the same indentation.
     """
     text = texts.get(type(obj))
     if text:
@@ -244,31 +274,25 @@ def _write(obj, out, newline, texts):
             return
         if type(obj) is not dict or {*map(type, obj)} != {str}:
             obj = {str(k): v for k, v in obj.items()}
-        if newline is None:
-            inner, first, comma, last = None, "", ", ", ""
-        else:
-            inner = first = newline + "  "
-            comma, last = "," + inner, newline
-        sep = "{" + first
-        for key in sorted(obj):
-            out += (sep, _escape(key), ": ")
+        keys = tuple(obj)
+        shape = shapes.get((keys, newline))
+        if shape is None:
+            shape = shapes[keys, newline] = _shape(keys, newline)
+        inner, heads, close = shape
+        for key, head in heads:
+            out.append(head)
             value = obj[key]
             text = texts.get(type(value))
             if text:
                 out.append(text(value))
             else:
-                _write(value, out, inner, texts)
-            sep = comma
-        out.append(last + "}")
+                _write(value, out, inner, texts, shapes)
+        out.append(close)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
-        if newline is None:
-            inner, first, comma, last = None, "", ", ", ""
-        else:
-            inner = first = newline + "  "
-            comma, last = "," + inner, newline
+        inner, first, comma, last = _layout(newline)
         kinds = {*map(type, obj)}
         text = texts.get(kinds.pop()) if len(kinds) == 1 else None
         if text:
@@ -277,15 +301,9 @@ def _write(obj, out, newline, texts):
         sep = "[" + first
         for v in obj:
             out.append(sep)
-            _write(v, out, inner, texts)
+            _write(v, out, inner, texts, shapes)
             sep = comma
         out.append(last + "]")
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, str):
@@ -295,4 +313,4 @@ def _write(obj, out, newline, texts):
         if isinstance(obj, float):
             out.append(float.__repr__(obj))
         else:
-            _write(obj, out, newline, texts)
+            _write(obj, out, newline, texts, shapes)

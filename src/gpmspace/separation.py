@@ -9,25 +9,36 @@ V the balls at Y (T0 builds no V): radius alpha0 at scale t0 for T0/T1, and
 radius alpha1 = sub_idempotent(alpha0) at scale t0/2 for T2, regular and
 normal.
 
-``witness_batch`` builds and verifies every witness of one kind in one
-array pass, one row per pair of center sets held as boolean masks over
-point indices.  Every row reads one table of P over (t, x, y) at the t grid
+``witness_batches`` builds and verifies the witnesses of several kinds,
+each a list of rows picked from one table of center-set pairs held as
+boolean masks over point indices.  The kinds of one radius rule share one
+construction over the rows they pick: T0 and T1 one at alpha0 and t0, and
+T2, regular and normal one at alpha1 and t0/2 (in the battery, a T2 row on
+the pair (a, b) is also the normal row ({a}, {b}) and the regular row
+({b}, a)).  A construction reads one table of P over (t, x, y) at the t grid
 and at half of each grid t, derived once per instance: t0 and alpha0 are a
 masked minimum over it, alpha1 is solved once per distinct alpha0, the ball
 masks U and V are row comparisons of it, and each claim ``verify_witness``
-makes is one boolean column, in claim order.  A row that fails a claim or a
-step of the construction keeps the error the construction raises.
-``separation_witness`` is a batch of one; ``verify_witness`` re-checks a
-witness ball by ball and stays the independent oracle.  A batch row's
-report (``WitnessBatch.report``) takes the row's check name and writes its
-balls as plain dicts, with no ``BallSpec`` per ball.
+makes and each closedness precondition is one boolean column.  Only these
+are per kind: the columns a kind reads and the order of a row's error,
+which is a set that is not closed, then the construction step that fails,
+then the first claim that fails, each as the exception
+``separation_witness`` raises.  ``witness_batch`` is a ``witness_batches``
+of one kind and ``separation_witness`` a batch of one row;
+``verify_witness`` re-checks a witness ball by ball and stays the
+independent oracle.  A batch row's report (``WitnessBatch.report``) takes
+the row's check name and writes its balls as plain dicts, with no
+``BallSpec`` per ball.
 
 Countable bases read the classes of tau_P, a partition topology
 (``balls``): every open set around a point y holds its class C(y), so a
 base question about all open sets around y is decided by C(y) alone,
 and the 2^k open sets, 2^(k-1) of them around each point, are counted, not
 listed.  The base balls B(x, 1/k, 1/k) for k = 1..64 are one kernel tensor
-per instance, which also gives each point's isolating depth.
+per instance, and one pass over it and the classes (``_base_pass``) gives
+each point's isolating depth and the first depth at which a base ball
+inside its class holds it, its own ball and any ball; every local and
+global report reads that pass.
 """
 from __future__ import annotations
 
@@ -99,18 +110,31 @@ class SeparationWitness:
         return out
 
 
-# the claims verify_witness makes for each kind, in order, by the detail a
-# failed claim reports (``_check_claims`` spells its own out, as the oracle)
+# the claims verify_witness makes for each kind, in order: the column of
+# ``_Construction.held`` that decides each and the detail it reports when it
+# fails (``_check_claims`` spells its own out, as the oracle)
 _CLAIMS = {
-    "T0": ("a not inside U", "b not excluded from U", "alpha0 does not match P(a,b,t0)"),
-    "T1": ("a not inside U", "b not excluded from U", "b not inside V", "a not excluded from V"),
-    "T2": ("a not inside U", "b not inside V", "U and V overlap",
-           "inequality chain alpha1 o alpha1 < alpha0 = P(a,b,t0) fails"),
-    "regular": ("x not inside U", "closed set not covered by V", "U and V overlap",
-                "inequality chain fails against the set separation value"),
-    "normal": ("first closed set not covered by U", "second closed set not covered by V",
-               "U and V overlap", "inequality chain fails against the set separation value"),
+    "T0": (("X in U", "a not inside U"), ("Y outside U", "b not excluded from U"),
+           ("alpha0", "alpha0 does not match P(a,b,t0)")),
+    "T1": (("X in U", "a not inside U"), ("Y outside U", "b not excluded from U"),
+           ("Y in V", "b not inside V"), ("X outside V", "a not excluded from V")),
+    "T2": (("X in U", "a not inside U"), ("Y in V", "b not inside V"),
+           ("U, V apart", "U and V overlap"),
+           ("chain", "inequality chain alpha1 o alpha1 < alpha0 = P(a,b,t0) fails")),
+    "regular": (("X in U", "x not inside U"), ("Y in V", "closed set not covered by V"),
+                ("U, V apart", "U and V overlap"),
+                ("chain", "inequality chain fails against the set separation value")),
+    "normal": (("X in U", "first closed set not covered by U"),
+               ("Y in V", "second closed set not covered by V"), ("U, V apart", "U and V overlap"),
+               ("chain", "inequality chain fails against the set separation value")),
 }
+# the kinds whose balls have radius alpha1 at scale t0 / 2; T0 and T1 build
+# theirs at radius alpha0 and scale t0
+_HALVED = ("T2", "regular", "normal")
+# the sets a kind needs closed, by their column of ``_Construction.held`` and
+# the argument name their error gives
+_CLOSED = {"regular": (("Y closed", "subset"),),
+           "normal": (("X closed", "subset"), ("Y closed", "subset_b"))}
 
 _BASE_DEPTH = 64  # the deepest base ball B(x, 1/k, 1/k) that isolating depths try
 
@@ -204,46 +228,61 @@ class WitnessBatch:
                                  "V": [] if self.kind == "T0" else balls(self.y_members)})
 
 
-def witness_batch(inst: GpmsInstance, kind: str, xs, ys) -> WitnessBatch:
-    """Build and verify the witnesses of ``kind`` for rows of center sets.
+def _fail(errors, which, error):
+    """Give ``error`` to each row flagged in ``which`` that has no error yet."""
+    for r in np.flatnonzero(which).tolist():
+        if errors[r] is None:
+            errors[r] = error
 
-    ``xs`` and ``ys`` are (rows, n) bool masks over point indices; each row
-    must meet ``separation_witness``'s argument preconditions (distinct
-    points, non-empty sets, the point outside the set, disjoint sets).  The
-    grid-dependent ones are checked here: a row whose set is not closed, that
-    has no grid t with a positive separation value, whose alpha0 has no
-    alpha1, whose balls cannot be built or whose witness fails a claim keeps,
-    as its error, the exception ``separation_witness`` raises for it.
-    """
-    if kind not in KINDS:
-        raise DomainError(f"unknown separation kind {kind!r}; expected one of {KINDS}")
-    xs, ys = np.asarray(xs, dtype=bool), np.asarray(ys, dtype=bool)
+
+@dataclass
+class _Construction:
+    """The balls of one radius rule over rows of center sets X and Y (see
+    ``_construct``).  A row's values are read only when its ``errors`` entry
+    is None."""
+
+    x_members: list
+    y_members: list
+    t0: np.ndarray
+    alpha0: np.ndarray
+    alpha1: list     # None under the alpha0 rule
+    radius: np.ndarray
+    scale: np.ndarray
+    u: np.ndarray    # (rows, n) bool: the balls at X ...
+    v: np.ndarray    # ... and at Y
+    held: dict       # per name, a bool per row: a closedness precondition or a claim
+    errors: list     # per row, the first construction step that fails, or None
+
+
+def _construct(inst, halved, xs, ys) -> _Construction:
+    """Build the balls at the centers of each row of (rows, n) bool masks:
+    radius alpha0 at scale t0, or radius alpha1 at t0 / 2 when ``halved``,
+    and test every claim and closedness precondition of every kind on them.
+    A row keeps, as its error, the exception of the first construction step
+    that fails: no grid t with a positive separation value, no alpha1 for
+    its alpha0, or a ball that ``open_ball`` refuses."""
     x_members, y_members = _members(xs), _members(ys)
     rows = np.arange(len(xs))
     errors = [None] * rows.size
-
-    def fail(which, error):
-        for r in np.flatnonzero(which).tolist():
-            if errors[r] is None:
-                errors[r] = error
-
-    closed_sets = {"regular": (("subset", ys),), "normal": (("subset", xs), ("subset_b", ys))}
-    for name, sets in closed_sets.get(kind, ()):
-        fail(~_unions_of_classes(inst, sets), _not_closed(name))
-
     full, half = _tables(inst)
     cross = np.array([(r, x, y) for r, (xm, ym) in enumerate(zip(x_members, y_members))
                       for x in xm for y in ym], dtype=np.intp).reshape(-1, 3).T
     mins = np.full((rows.size, len(full)), np.inf)  # [r, k]: min P over X x Y at t k
     np.minimum.at(mins, cross[0], full[:, cross[1], cross[2]].T)
     positive = mins > 0
-    fail(~positive.any(-1), WitnessNotFoundError("no grid t gives a positive separating value"))
+    _fail(errors, ~positive.any(-1),
+          WitnessNotFoundError("no grid t gives a positive separating value"))
     k0 = positive.argmax(-1)
     alpha0 = mins[rows, k0]
     t0 = np.asarray(inst.t_grid)[k0]
+    # alpha0 is the separation value at t0 (P(a, b, t0) for two points, the
+    # minimum over X x Y for sets), so T0's last claim holds by construction
+    # and the chain reduces to alpha1 o alpha1 < alpha0
+    built = np.ones(rows.size, dtype=bool)
 
-    if kind in ("T0", "T1"):
+    if not halved:
         alpha1, radius, scale, table = [None] * rows.size, alpha0, t0, full
+        chain_ok = built
     else:
         solved = {}  # alpha0 -> (alpha1, alpha1 o alpha1 < alpha0)
         for a0 in dict.fromkeys(alpha0[[e is None for e in errors]].tolist()):
@@ -251,7 +290,7 @@ def witness_batch(inst: GpmsInstance, kind: str, xs, ys) -> WitnessBatch:
                 a1 = sub_idempotent(inst.op, a0)
                 solved[a0] = (a1, eval_op(inst.op, a1, a1) < a0)
             except GpmsError as exc:  # kept without its frames, which hold ``errors``
-                fail(alpha0 == a0, exc.with_traceback(None))
+                _fail(errors, alpha0 == a0, exc.with_traceback(None))
         per_row = [(None, False) if e is not None else solved[a0]
                    for e, a0 in zip(errors, alpha0.tolist())]
         alpha1 = [a1 for a1, _ in per_row]
@@ -274,32 +313,88 @@ def witness_batch(inst: GpmsInstance, kind: str, xs, ys) -> WitnessBatch:
         np.logical_or.at(out, r, table[k0[r], centers] < radius[r, None])
         return out
 
-    u = balls_around(x_members)
-    v = balls_around(y_members) if kind != "T0" else np.zeros_like(u)
-
     def within(a, b):
         return ~(a & ~b).any(-1)
 
     def apart(a, b):
         return ~(a & b).any(-1)
 
-    # alpha0 is the separation value at t0 (P(a, b, t0) for two points, the
-    # minimum over X x Y for sets), so T0's last claim holds by construction
-    # and the chain reduces to alpha1 o alpha1 < alpha0
-    if kind == "T0":
-        claims = (within(xs, u), apart(ys, u), np.ones(rows.size, dtype=bool))
-    elif kind == "T1":
-        claims = (within(xs, u), apart(ys, u), within(ys, v), apart(xs, v))
-    else:
-        claims = (within(xs, u), within(ys, v), apart(u, v), chain_ok)
-    held = np.stack(claims, axis=-1)
+    u, v = balls_around(x_members), balls_around(y_members)
+    held = {"X closed": _unions_of_classes(inst, xs), "Y closed": _unions_of_classes(inst, ys),
+            "X in U": within(xs, u), "Y outside U": apart(ys, u), "Y in V": within(ys, v),
+            "X outside V": apart(xs, v), "U, V apart": apart(u, v), "chain": chain_ok,
+            "alpha0": built}
+    return _Construction(x_members, y_members, t0, alpha0, alpha1, radius, scale, u, v, held,
+                         errors)
+
+
+def _kind_batch(kind, labels, con, idx) -> WitnessBatch:
+    """The witnesses of ``kind`` on rows ``idx`` of ``con``.  A row's error
+    is, first, a set that is not closed, then its construction's error, then
+    the first claim it fails."""
+    at = idx.tolist()
+    errors = [None] * len(at)
+    for column, name in _CLOSED.get(kind, ()):
+        _fail(errors, ~con.held[column][idx], _not_closed(name))
+    errors = [e or con.errors[i] for e, i in zip(errors, at)]
+    claims = _CLAIMS[kind]
+    held = np.stack([con.held[column] for column, _ in claims], axis=-1)[idx]
     for r in np.flatnonzero(~held.all(-1)).tolist():
         if errors[r] is None:
-            errors[r] = WitnessNotFoundError(
-                f"constructed {kind} witness failed verification: "
-                f"{_CLAIMS[kind][int(np.argmin(held[r]))]}")
-    return WitnessBatch(kind, labels, x_members, y_members, t0.tolist(), alpha0.tolist(),
-                        alpha1, radius.tolist(), scale.tolist(), u, v, errors)
+            errors[r] = WitnessNotFoundError(f"constructed {kind} witness failed verification: "
+                                             f"{claims[int(np.argmin(held[r]))][1]}")
+    u = con.u[idx]
+    return WitnessBatch(kind, labels, [con.x_members[i] for i in at],
+                        [con.y_members[i] for i in at], con.t0[idx].tolist(),
+                        con.alpha0[idx].tolist(), [con.alpha1[i] for i in at],
+                        con.radius[idx].tolist(), con.scale[idx].tolist(), u,
+                        con.v[idx] if kind != "T0" else np.zeros_like(u), errors)
+
+
+def witness_batches(inst: GpmsInstance, xs, ys, kinds: dict) -> dict:
+    """``witness_batch`` of several kinds on one table of center sets:
+    ``kinds`` maps each kind to the indices of its rows in ``xs`` and ``ys``,
+    and the result maps it to its ``WitnessBatch``, one row per index.
+
+    The kinds of one radius rule share one construction over the rows they
+    pick: T0 and T1 build balls of radius alpha0 at t0, and T2, regular and
+    normal of radius alpha1 at t0 / 2.  Only these are per kind: the claims
+    and closedness preconditions (regular, normal) a kind reads, and the
+    order of a row's errors.
+    """
+    for kind in kinds:
+        if kind not in KINDS:
+            raise DomainError(f"unknown separation kind {kind!r}; expected one of {KINDS}")
+    xs, ys = np.asarray(xs, dtype=bool), np.asarray(ys, dtype=bool)
+    out = {}
+    for halved in (False, True):
+        picked = {kind: np.asarray(idx, dtype=np.intp) for kind, idx in kinds.items()
+                  if (kind in _HALVED) == halved}
+        if not picked:
+            continue
+        used = np.zeros(len(xs), dtype=bool)
+        for idx in picked.values():
+            used[idx] = True
+        con = _construct(inst, halved, xs[used], ys[used])
+        at = np.cumsum(used) - 1  # a table row's row in the construction
+        for kind, idx in picked.items():
+            out[kind] = _kind_batch(kind, inst.carrier.labels, con, at[idx])
+    return {kind: out[kind] for kind in kinds}
+
+
+def witness_batch(inst: GpmsInstance, kind: str, xs, ys) -> WitnessBatch:
+    """Build and verify the witnesses of ``kind`` for rows of center sets: a
+    ``witness_batches`` of one kind.
+
+    ``xs`` and ``ys`` are (rows, n) bool masks over point indices; each row
+    must meet ``separation_witness``'s argument preconditions (distinct
+    points, non-empty sets, the point outside the set, disjoint sets).  The
+    grid-dependent ones are checked here: a row whose set is not closed, that
+    has no grid t with a positive separation value, whose alpha0 has no
+    alpha1, whose balls cannot be built or whose witness fails a claim keeps,
+    as its error, the exception ``separation_witness`` raises for it.
+    """
+    return witness_batches(inst, xs, ys, {kind: np.arange(len(xs))})[kind]
 
 
 def separation_witness(inst: GpmsInstance, kind: str, a=None, b=None,
@@ -432,28 +527,36 @@ def _check_claims(inst, w: SeparationWitness, u: SubsetMask, v: SubsetMask) -> C
                              "V": [s.to_jsonable() for s in w.balls_v]})
 
 
-def _base_balls(inst, depth):
-    """inside[k - 1, x, y]: y lies in the base ball B(x, 1/k, 1/k), for k = 1
-    up to at least ``depth``: one kernel tensor, kept per instance for the
-    64 depths that isolating depths try and built afresh for a deeper one."""
+def _base_pass(inst, depth=_BASE_DEPTH):
+    """(isolating, own, some): per point y, the first k <= 64 whose base ball
+    B(y, 1/k, 1/k) holds only y (else 64), and the least k - 1 < ``depth`` at
+    which y's own base ball (``own``), or some point's base ball that holds y
+    (``some``), lies inside one class, which is then C(y) (else ``depth``).
+
+    One kernel tensor of the base balls for k = 1 up to ``depth`` and one
+    pass over them and the classes: kept per instance for the 64 depths that
+    isolating depths try, and made afresh for a deeper one.
+    """
     def build(depth):
         c = np.arange(inst.carrier.size)
         r = (1.0 / np.arange(1, depth + 1))[:, None, None]
         with np.errstate(over="ignore"):  # an overflow is +inf, inside no ball
-            return P_at(inst, c[:, None], c, r) < r
+            balls = P_at(inst, c[:, None], c, r) < r  # [k, p, y]: y in B(p, 1/k, 1/k)
+        alone = balls[:_BASE_DEPTH].sum(-1) == 1
+        isolating = np.where(alone.any(0), alone.argmax(0) + 1, _BASE_DEPTH)
+        classes = _classes(inst)
+        # a base ball meets no other class than its center's
+        one_class = np.where(balls, classes, c.size).min(-1) == np.where(balls, classes, -1).max(-1)
+        fits = balls & one_class[..., None]
+
+        def first(f):  # [k, y] -> per y, the least k - 1 where f holds, else depth
+            return np.where(f.any(0), f.argmax(0), depth)
+
+        return isolating, first(np.diagonal(fits, 0, 1, 2)), first(fits.any(1))
 
     if depth > _BASE_DEPTH:
         return build(depth)
-    return derive(inst, "base_balls", lambda: build(_BASE_DEPTH))
-
-
-def _isolating_depths(inst):
-    """Per point, the first k <= 64 whose base ball holds only the point, else 64."""
-    def build():
-        alone = _base_balls(inst, _BASE_DEPTH).sum(-1) == 1
-        return np.where(alone.any(0), alone.argmax(0) + 1, _BASE_DEPTH)
-
-    return derive(inst, "isolating_depths", build)
+    return derive(inst, "base_pass", lambda: build(_BASE_DEPTH))
 
 
 def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = None,
@@ -471,10 +574,17 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
     isolating depth of the centers: the first n (at most 64) whose base
     ball holds only its center.  The report counts the 2^k open sets, never
     lists them, so no carrier is too large; ``max_points`` is kept for
-    callers and no longer read.
+    callers and no longer read.  Every report reads one pass per instance
+    over the base balls and the classes (``_base_pass``).
     Returns ``(ball_specs, CheckReport)``; verification failures are
     inconclusive (the base may isolate only at larger n).
     """
+    centers, n_top, report = _base_report(inst, mode, x, n_max)
+    return [BallSpec(p, 1.0 / k, 1.0 / k) for p in centers for k in range(1, n_top + 1)], report
+
+
+def _base_report(inst, mode, x=None, n_max=None):
+    """(centers, depth, report) of ``countable_base``, which builds no ball spec."""
     if mode not in ("local", "global"):
         raise DomainError(f"mode must be 'local' or 'global', got {mode!r}")
     if inst.carrier.kind != "finite":
@@ -490,14 +600,10 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
         points, centers = [car.index(x)], [x]
     else:
         points, centers = list(range(n)), car.labels
-    n_top = n_max if n_max is not None else int(_isolating_depths(inst)[points].max())
-    specs = [BallSpec(p, 1.0 / k, 1.0 / k) for p in centers for k in range(1, n_top + 1)]
-    balls = _base_balls(inst, n_top)[:max(n_top, 0), points]  # [k, p, y]: y in B(p, 1/k, 1/k)
-    # y is covered when it lies in some base ball inside its class: one that
-    # meets no other class
-    one_class = np.where(balls, classes, n).min(-1) == np.where(balls, classes, -1).max(-1)
-    covered = (balls & one_class[..., None]).any((0, 1))
-    failing = min((class_bits[classes[y]] for y in points if not covered[y]), default=None)
+    n_top = n_max if n_max is not None else int(_base_pass(inst)[0][points].max())
+    # y is covered when it lies in some base ball inside its class
+    first = _base_pass(inst, n_top)[1 if mode == "local" else 2]
+    failing = min((class_bits[classes[y]] for y in points if first[y] >= n_top), default=None)
     named = list(SubsetMask(n, failing).labels(car)) if failing is not None else None
     count = 1 << len(class_bits)  # 2^k unions of the k classes
 
@@ -514,8 +620,11 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
         detail = "open set is not a union of base members"
         note = f"open set {named} not generated; the dense-set base needs larger n_max"
     if failing is None:
-        return specs, CheckReport(name=name, verdict=PASS, samples_tested=samples, note=passed)
-    return specs, CheckReport(
-        name=name, verdict=INCONCLUSIVE, samples_tested=samples,
-        witnesses=(Witness(points=tuple(named), values={"n_max": float(n_top)}, detail=detail),),
-        note=note)
+        report = CheckReport(name=name, verdict=PASS, samples_tested=samples, note=passed)
+    else:
+        report = CheckReport(
+            name=name, verdict=INCONCLUSIVE, samples_tested=samples,
+            witnesses=(Witness(points=tuple(named), values={"n_max": float(n_top)},
+                               detail=detail),),
+            note=note)
+    return centers, n_top, report

@@ -223,12 +223,14 @@ def _coords_of(inst, s) -> np.ndarray:
     return coords(inst, list(s))
 
 
-def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None) -> CheckReport:
+def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None,
+                  convergence: CheckReport | None = None) -> CheckReport:
     """K_t table: the max of P over all pairs of s, per grid t.
 
     When ``s`` is a sequence and ``limit`` is given, the convergence check
     runs first and the report records the convergent-implies-bounded
-    coupling.
+    coupling; a caller that already has that ``check_convergence`` report
+    passes it as ``convergence``.
     """
     data = {}
     note_parts = []
@@ -256,7 +258,8 @@ def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None) -> Check
     data["K_t"] = k_t
     finite = all(math.isfinite(v) for v in k_t.values())
     if isinstance(s, SequenceSpec) and limit is not None:
-        conv = check_convergence(inst, s, limit, tol)
+        conv = convergence if convergence is not None else check_convergence(
+            inst, s, limit, tol)
         data["convergence_verdict"] = conv.verdict
         if conv.ok:
             note_parts.append("convergent sequence: bounded, as every convergent sequence must be")
@@ -272,18 +275,22 @@ def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None) -> Check
 
 
 def joint_continuity_check(inst: GpmsInstance, seqx: SequenceSpec, seqy: SequenceSpec,
-                           x, y, tol: float = 1e-6, conv_tol: float | None = None) -> CheckReport:
+                           x, y, tol: float = 1e-6, conv_tol: float | None = None,
+                           convergence: CheckReport | None = None) -> CheckReport:
     """P(x_n, y_n, t) must approach P(x, y, t) on the tail, for every grid t.
 
     ``conv_tol`` is the tolerance for the prerequisite convergence checks of
     the two input sequences (they may certify at a coarser tolerance than the
-    joint limit match itself).  Also checks the two squeeze inequalities at
+    joint limit match itself); a caller that already has the
+    ``check_convergence`` report of ``seqx`` to ``x`` at ``conv_tol`` passes
+    it as ``convergence``.  Also checks the two squeeze inequalities at
     one grid step: P(x,y,t') stays below the tail limit at t plus slack, and
     the tail limit at t' stays below P(x,y,t) plus slack, for adjacent t < t'.
     """
     conv_tol = tol if conv_tol is None else conv_tol
-    for seq, lim, name in ((seqx, x, "x"), (seqy, y, "y")):
-        rep = check_convergence(inst, seq, lim, conv_tol)
+    for seq, lim, name, rep in ((seqx, x, "x", convergence), (seqy, y, "y", None)):
+        if rep is None:
+            rep = check_convergence(inst, seq, lim, conv_tol)
         if not rep.ok:
             raise PreconditionError(f"sequence {name} is not verified convergent at tol={conv_tol}")
     tx = seqx.terms(inst.carrier)

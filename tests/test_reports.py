@@ -98,8 +98,18 @@ def trees():
 @example(["a", StrSub("b")])
 @example([2.5, [2.5], 2.5])
 @example({StrSub("b"): 1, "a": [FloatSub(0.1 + 0.2), 0.1 + 0.2]})
+# one key set at several depths and in both insertion orders: each dict
+# shape the writer keeps is one key tuple at one indentation
+@example([{"a": 1, "b": [{"b": 2, "a": 3}]}, {"b": 0, "a": {"a": 1, "b": 2}}])
+@example({"a": {"a": {"a": {}}}, "b": [{"a": 1}, [{"a": 2}]]})
+# a converted key set that meets a kept one, and keys equal to a kept key
+# tuple that are not exact strings
+@example([{"1": 0}, {1: 0, "1": 1}])
+@example([{"b": 1}, {StrSub("b"): 2}, {"b": 3}])
+@example([{"a": 1, "b": 2}, Jsonable({"b": 3, "a": 4}), {True: 5, "b": 6}, {"a": 7, "b": 8}])
 def test_writer_matches_the_indenting_encoder(tree):
     assert canonical_json(tree) == json.dumps(canonical(tree), sort_keys=True, indent=2) + "\n"
+    assert reports.compact_json(tree) == json.dumps(canonical(tree), sort_keys=True)
 
 
 def test_colliding_keys_keep_the_last_value():

@@ -1,8 +1,9 @@
 import gc
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpmspace as g
@@ -11,6 +12,7 @@ from helpers import line_carrier, make_instance, three_point_carrier, two_point_
 from test_topology_oracles import countable_base_oracle, gallery_instances, oracle_tau_p
 
 FINE = make_instance("scaled", op=g.MAX)
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def two_point_instance(t_grid=(1.0,), alpha_grid=(0.5, 2.0)):
@@ -443,3 +445,125 @@ def test_error_rows_leave_no_reference_cycles(case):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def battery_rows(n):
+    """The battery's center table and each kind's rows in it: one row per
+    ordered pair of single points, T0 to normal on the pairs i < j and
+    regular on every ordered pair (point x, closed set {i})."""
+    outside = [(x, i) for i in range(n) for x in range(n) if x != i]
+    at = {pair: r for r, pair in enumerate(outside)}
+    pairs = [at[i, j] for i in range(n) for j in range(i + 1, n)]
+    single = np.eye(n, dtype=bool)
+    xs, ys = single[[x for x, _ in outside]], single[[y for _, y in outside]]
+    return xs, ys, {**dict.fromkeys(("T0", "T1", "T2", "normal"), pairs),
+                    "regular": list(range(len(outside)))}
+
+
+def assert_shared_rows_match_one_kind_batches(inst):
+    """Each kind of the battery's shared constructions against a one-kind
+    batch on the same rows, error rows included; returns the errors met."""
+    xs, ys, kinds = battery_rows(inst.carrier.size)
+    shared = separation.witness_batches(inst, xs, ys, kinds)
+    errors = set()
+    for kind, rows in kinds.items():
+        got, want = shared[kind], separation.witness_batch(inst, kind, xs[rows], ys[rows])
+        assert [None if e is None else (type(e), e.args) for e in got.errors] == \
+            [None if e is None else (type(e), e.args) for e in want.errors]
+        errors |= {type(e).__name__ for e in got.errors if e is not None}
+        assert (got.x_members, got.y_members, got.alpha1) == \
+            (want.x_members, want.y_members, want.alpha1)
+        for field in ("t0", "alpha0", "radius", "scale", "u", "v"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    return errors
+
+
+def merges_points(inst):
+    return np.unique(balls._classes(inst)).size < inst.carrier.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(gallery_instances(ops=(g.PLUS, g.MAX, FLAT)).filter(merges_points))
+def test_shared_constructions_match_one_kind_batches(inst):
+    # tau_P merges points, so some regular and normal rows are not closed
+    assert "PreconditionError" in assert_shared_rows_match_one_kind_batches(inst)
+
+
+@pytest.mark.parametrize("name", ["damped-tableop-line3", "scaled-tableop-d3"])
+def test_shared_constructions_match_one_kind_batches_on_table_ops(name):
+    inst = cli.load_instance(os.path.join(GOLDEN, f"{name}.instance.json")).instance
+    assert_shared_rows_match_one_kind_batches(inst)
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_ROWS))
+def test_shared_constructions_keep_each_error_row(case):
+    inst = ERROR_ROWS[case][0]()
+    assert_shared_rows_match_one_kind_batches(inst)
+
+
+def per_call_countable_base(inst, mode, x=None, n_max=None):
+    """``countable_base`` as one call computes it on its own: base balls of
+    its centers from their own kernel tensor, and its own test of each ball
+    against the classes of tau_P."""
+    car = inst.carrier
+    n = car.size
+    c = np.arange(n)
+    classes = balls._classes(inst)
+    class_bits = balls._class_bits(classes)
+
+    def base_balls(depth):  # [k, p, y]: y in B(p, 1/k, 1/k)
+        r = (1.0 / np.arange(1, depth + 1))[:, None, None]
+        with np.errstate(over="ignore"):
+            return core.P_at(inst, c[:, None], c, r) < r
+
+    points, centers = ([car.index(x)], [x]) if mode == "local" else (list(range(n)), car.labels)
+    if n_max is None:
+        alone = base_balls(64).sum(-1) == 1
+        n_top = int(np.where(alone.any(0), alone.argmax(0) + 1, 64)[points].max())
+    else:
+        n_top = n_max
+    specs = [g.BallSpec(p, 1.0 / k, 1.0 / k) for p in centers for k in range(1, n_top + 1)]
+    held = base_balls(max(n_top, 64))[:max(n_top, 0), points]
+    one_class = np.where(held, classes, n).min(-1) == np.where(held, classes, -1).max(-1)
+    covered = (held & one_class[..., None]).any((0, 1))
+    failing = min((class_bits[classes[y]] for y in points if not covered[y]), default=None)
+    count = 1 << len(class_bits)
+    local = mode == "local"
+    name = f"countable_base[local@{x}]" if local else "countable_base[global]"
+    samples = count // 2 if local else count
+    if failing is None:
+        note = (f"local base verified against {count} open sets" if local
+                else f"base generates all {count} open sets")
+        return specs, g.CheckReport(name=name, verdict=g.PASS, samples_tested=samples, note=note)
+    named = list(g.SubsetMask(n, failing).labels(car))
+    detail = ("open set admits no base ball at this depth" if local
+              else "open set is not a union of base members")
+    note = (f"no base ball fits inside the open set {named}; try a larger n_max" if local
+            else f"open set {named} not generated; the dense-set base needs larger n_max")
+    return specs, g.CheckReport(
+        name=name, verdict=g.INCONCLUSIVE, samples_tested=samples, note=note,
+        witnesses=(g.Witness(points=tuple(named), values={"n_max": float(n_top)},
+                             detail=detail),))
+
+
+# B(p, 1, 1) = {p, x} lies inside C(x) = {p, x}, but B(x, 1, 1) holds q too:
+# the global base covers x at n = 1, the local base at x does not
+SPILL = g.gallery_construct("scaled", {}, g.FiniteCarrier(
+    ("p", "x", "q"), [[0, 0.5, 1.4], [0.5, 0, 0.9], [1.4, 0.9, 0]]), g.MAX, (1.0,), (0.6,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gallery_instances(), st.sampled_from([None, 0, 1, 2, 4, 65]))
+@example(SPILL, 1)
+def test_countable_bases_from_one_pass_match_per_call_reports(inst, n_max):
+    # every report reads the instance's one pass over the base balls; the
+    # battery's bases are the calls without n_max
+    battery = {c.name: c for c in cli._separation_checks(inst, cli.Options(), 0, 1e-6)[0]}
+    for x in (*inst.carrier.labels, None):
+        mode = "global" if x is None else "local"
+        specs, rep = g.countable_base(inst, mode, x=x, n_max=n_max)
+        want_specs, want = per_call_countable_base(inst, mode, x, n_max)
+        assert specs == want_specs
+        assert rep.to_jsonable() == want.to_jsonable()
+        if n_max is None:
+            assert battery[rep.name].to_jsonable() == want.to_jsonable()

@@ -645,7 +645,8 @@ def test_sequences_and_cantor_batteries_make_a_fixed_number_of_kernel_calls(monk
     assert counts["_cantor_checks", 6] == counts["_cantor_checks", 24] == 1
     # on an interval, cantor's 24 diameters read no P; the sequences battery
     # reads its cauchy and convergence reports of x_n once each: convergence
-    # 1, cauchy 1 per t, bounded 2, joint_continuity 4 and 1 per t and
+    # 1, cauchy 1 per t, bounded 1 (the K_t table), joint_continuity 3 (the
+    # convergence of y_n and two rows) and 1 per t and
     # subsequence_completeness 1 (the subsequence); the CSV rows, 1 per t,
     # are built only when the payload is written
     inst = interval_instance("damped")
@@ -655,4 +656,4 @@ def test_sequences_and_cantor_batteries_make_a_fixed_number_of_kernel_calls(monk
     del calls[:]
     checks, notes, _ = cli._sequences_checks(inst, cli.Options(), 0, 1e-6)
     assert len(checks) == 5 and not notes and all(c.ok for c in checks)
-    assert len(calls) == 8 + 2 * len(inst.t_grid) == 20
+    assert len(calls) == 6 + 2 * len(inst.t_grid) == 18
