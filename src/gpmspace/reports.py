@@ -248,9 +248,11 @@ def _shape(keys, newline):
     broken by ``newline``: its members' newline, its ``(key, text before the
     value)`` pairs in sorted key order, and its closing text."""
     inner, first, comma, last = _layout(newline)
-    ordered = sorted(keys)
-    seps = ["{" + first] + [comma] * (len(ordered) - 1)
-    return inner, [(key, sep + _escape(key) + ": ") for key, sep in zip(ordered, seps)], last + "}"
+    sep, heads = "{" + first, []
+    for key in sorted(keys):
+        heads.append((key, sep + _escape(key) + ": "))
+        sep = comma
+    return inner, heads, last + "}"
 
 
 def _write(obj, out, newline, texts, shapes):
