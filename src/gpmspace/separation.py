@@ -37,8 +37,8 @@ and the 2^k open sets, 2^(k-1) of them around each point, are counted, not
 listed.  The base balls B(x, 1/k, 1/k) for k = 1..64 are one kernel tensor
 per instance, and one pass over it and the classes (``_base_pass``) gives
 each point's isolating depth and the first depth at which a base ball
-inside its class holds it, its own ball and any ball; every local and
-global report reads that pass.
+inside its class holds it: its own ball, for a local base, and any point's,
+for the global one.  Every local and global report reads that pass.
 """
 from __future__ import annotations
 
