@@ -212,8 +212,13 @@ def _non_number(value):
 def _check_numbers(doc):
     """Refuse anything but JSON numbers where the schema holds numbers, naming
     the field: numpy and ``float`` read ``true`` and ``"1"`` as 1, and raise
-    ``OverflowError`` on an integer beyond the float range."""
-    for key, value in _number_fields(doc):
+    ``OverflowError`` on an integer beyond the float range.  One scan reads
+    every field; only a file it refuses is scanned again, field by field, to
+    name the first that fails."""
+    fields = _number_fields(doc)
+    if _non_number([value for _, value in fields]) is None:
+        return
+    for key, value in fields:
         why = _non_number(value)
         if why is not None:
             raise ParseError(f"{'distance table d' if key == 'd' else key} {why}", field=key)

@@ -252,10 +252,14 @@ class GpmsInstance:
             if c is None or not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0):
                 raise ConstructionError("discrete family needs a parameter c > 0")
             self.params["c"] = float(c)
-        self._steps = _step_tables(carrier, self.params) if family == "tabulated" else None
         # normalized once, for describe, into a private copy: the caller's
         # tables may change later
-        self.params = _params_jsonable(family, self.params)
+        if family == "tabulated":
+            self._steps, tables = _step_tables(carrier, self.params)
+            self.params = {"tables": tables}
+        else:
+            self._steps = None
+            self.params = {k: self.params[k] for k in sorted(self.params)}
         self._memo = {}  # see derive
 
     def quantifier_points(self, cap: int = _QUANTIFIER_CAP):
@@ -300,13 +304,34 @@ def _pair_key(a, b):
     return (a, b) if str(a) <= str(b) else (b, a)
 
 
-def _step_tables(carrier, params):
-    """Padded step tables: P(i, j, t) = values[i, j, k], node k the first above t.
+# the value rules of a step table, in the order an entry is checked: (text, axiom)
+_STEP_RULES = (("table t nodes for {!r} must be strictly increasing positives", None),
+               ("table values for {!r} must be finite non-negative", None),
+               ("table values for {!r} increase in t; P must be non-increasing in t",
+                "monotone"))
 
-    Both are n x n x (w + 1), w the most nodes of any pair.  nodes is padded
-    with +inf, at least once per row.  Column k of values is P on
-    [node k-1, node k): column 0 extends the first value to the left,
-    padding repeats the last value, and the diagonal is 0.
+
+def _step_tables(carrier, params):
+    """Padded step tables, ``((nodes, values), tables)``: P(i, j, t) =
+    values[i, j, k], node k the first above t.
+
+    Both arrays are n x n x (w + 1), w the most nodes of any pair, filled
+    for both orders of each pair and read-only.  nodes is padded with +inf,
+    at least once per row.  Column k of values is P on [node k-1, node k):
+    column 0 extends the first value to the left, padding repeats the last
+    value, and the diagonal is 0.  ``tables`` is the normalized
+    ``{pair, t, v}`` list for ``describe``, each pair in label order and the
+    entries sorted by pair.
+
+    One loop over the entries checks what needs an entry itself: its shape,
+    its pair and the lengths of ``t`` and ``v``.  The numbers then sit in one
+    flat array each, entry after entry, and each value rule is one mask over
+    it: nodes positive and strictly increasing (a NaN node fails), values
+    finite and non-negative, and no value above the one before it (monotone).
+    The error raised is the one an entry-by-entry check meets first: the
+    lowest entry wins, and within an entry the order is shape, nodes, values,
+    monotone, a repeated pair.  A missing pair comes last.  Padding scatters
+    the flat arrays into the padded ones.
     """
     if carrier.kind != "finite":
         raise ConstructionError("tabulated family requires a finite carrier")
@@ -315,57 +340,88 @@ def _step_tables(carrier, params):
         raise ConstructionError("tabulated family needs per-pair tables")
     if not isinstance(raw, (list, tuple)):
         raise ConstructionError("params.tables must be a list of {pair, t, v} entries")
-    tables = {}
+    pairs, node_parts, val_parts = [], [], []
+    cells = {}  # (i, j), i < j -> its entry, in entry order
+    late = None  # the loop's error: it loses to a value rule broken in an entry checked so far
     for k, entry in enumerate(raw):
         where = f"params.tables[{k}]"
         if not (isinstance(entry, dict) and {"pair", "t", "v"} <= entry.keys()
                 and isinstance(entry["pair"], (list, tuple))):
-            raise ConstructionError(f"{where} must be an object with a 'pair' list, 't' and 'v'")
+            late = ConstructionError(f"{where} must be an object with a 'pair' list, 't' and 'v'")
+            break
         pair = tuple(str(p) for p in entry["pair"])
         if len(pair) != 2 or not all(carrier.contains(p) for p in pair) or pair[0] == pair[1]:
-            raise ConstructionError(f"table pair {pair!r} must name two distinct carrier points")
+            late = ConstructionError(f"table pair {pair!r} must name two distinct carrier points")
+            break
         try:
             nodes = np.asarray(entry["t"], dtype=float)
             vals = np.asarray(entry["v"], dtype=float)
         except (TypeError, ValueError):
-            raise ConstructionError(f"{where}: 't' and 'v' must be lists of numbers") from None
-        if nodes.ndim != 1 or nodes.size == 0 or not np.all(np.diff(nodes) > 0) or nodes[0] <= 0:
-            raise ConstructionError(f"table t nodes for {pair!r} must be strictly increasing positives")
-        if vals.shape != nodes.shape or not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ConstructionError(f"table values for {pair!r} must be finite non-negative")
-        if np.any(np.diff(vals) > 0):
-            raise ConstructionError(
-                f"table values for {pair!r} increase in t; P must be non-increasing in t",
-                axiom="monotone")
-        i, j = sorted((carrier.index(pair[0]), carrier.index(pair[1])))
-        if (i, j) in tables:
-            raise ConstructionError(f"{where} repeats the table for pair {pair!r}")
-        tables[i, j] = (nodes, vals)
+            late = ConstructionError(f"{where}: 't' and 'v' must be lists of numbers")
+            break
+        pairs.append(pair)
+        if nodes.ndim != 1 or nodes.size == 0:
+            late = ConstructionError(_STEP_RULES[0][0].format(pair))
+            break
+        node_parts.append(nodes)
+        if vals.shape != nodes.shape:
+            late = ConstructionError(_STEP_RULES[1][0].format(pair))
+            break
+        val_parts.append(vals)
+        cell = tuple(sorted((carrier.index(pair[0]), carrier.index(pair[1]))))
+        if cell in cells:
+            late = ConstructionError(f"{where} repeats the table for pair {pair!r}")
+            break
+        cells[cell] = k
+    if not node_parts:
+        raise late
+    sizes = np.array([nodes.size for nodes in node_parts])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    nodes = np.concatenate(node_parts)
+    vals = np.concatenate(val_parts) if val_parts else nodes[:0]
+    # True where an entry breaks a rule; the value segments are a prefix of the node segments
+    bad_nodes = np.empty(nodes.size, dtype=bool)
+    bad_nodes[1:] = ~(nodes[1:] > nodes[:-1])
+    bad_nodes[starts] = ~(nodes[starts] > 0.0)
+    bad_vals = ~(np.isfinite(vals) & (vals >= 0.0))
+    rising = np.zeros(vals.size, dtype=bool)
+    rising[1:] = vals[1:] > vals[:-1]
+    rising[starts[:len(val_parts)]] = False
+    broken = [(int(np.searchsorted(ends, mask.argmax(), side="right")), rule)
+              for rule, mask in enumerate((bad_nodes, bad_vals, rising)) if mask.any()]
+    if broken:
+        k, rule = min(broken)
+        text, axiom = _STEP_RULES[rule]
+        raise ConstructionError(text.format(pairs[k]), axiom=axiom)
+    if late is not None:
+        raise late
     n = carrier.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in tables:
-                raise ConstructionError(
-                    f"tabulated family is missing a table for pair "
-                    f"({carrier.labels[i]}, {carrier.labels[j]})")
-    width = max(nodes.size for nodes, _ in tables.values()) + 1
-    step_nodes = np.full((n, n, width), np.inf)
-    step_vals = np.zeros((n, n, width))
-    for (i, j), (nodes, vals) in tables.items():
-        step_nodes[[i, j], [j, i], :nodes.size] = nodes
-        step_vals[[i, j], [j, i]] = np.pad(vals, (1, width - 1 - vals.size), mode="edge")
+    if len(cells) < n * (n - 1) // 2:
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in cells)
+        raise ConstructionError(f"tabulated family is missing a table for pair "
+                                f"({carrier.labels[i]}, {carrier.labels[j]})")
+    # scatter with indices the size of the flat arrays: element e of entry k is
+    # node column e - start k of its pair and value column e - start k + 1;
+    # value column 0 repeats the first value and the tail the last
+    rows, cols = np.array(list(cells)).T
+    owner = np.repeat(np.arange(len(cells)), sizes)  # the entry of each element
+    col = np.arange(nodes.size) - starts[owner]
+    i, j = rows[owner], cols[owner]
+    shape = (n, n, sizes.max() + 1)
+    step_nodes = np.full(shape, np.inf)
+    step_nodes[i, j, col] = step_nodes[j, i, col] = nodes
+    step_vals = np.zeros(shape)
+    step_vals[rows, cols] = step_vals[cols, rows] = vals[ends - 1, None]
+    step_vals[rows, cols, 0] = step_vals[cols, rows, 0] = vals[starts]
+    step_vals[i, j, col + 1] = step_vals[j, i, col + 1] = vals
     step_nodes.flags.writeable = False
     step_vals.flags.writeable = False
-    return step_nodes, step_vals
-
-
-def _params_jsonable(family, params):
-    if family == "tabulated":
-        out = [{"pair": list(_pair_key(*(str(p) for p in e["pair"]))),
-                "t": np.asarray(e["t"], dtype=float).tolist(),
-                "v": np.asarray(e["v"], dtype=float).tolist()} for e in params["tables"]]
-        return {"tables": sorted(out, key=lambda e: e["pair"])}
-    return {k: params[k] for k in sorted(params)}
+    t_all, v_all = nodes.tolist(), vals.tolist()
+    tables = sorted(({"pair": list(_pair_key(*pair)), "t": t_all[s:e], "v": v_all[s:e]}
+                     for pair, s, e in zip(pairs, starts.tolist(), ends.tolist())),
+                    key=lambda e: e["pair"])
+    return (step_nodes, step_vals), tables
 
 
 def _check_t(t):

@@ -4,20 +4,26 @@
 
 runs every command on every ``*.instance.json`` here and rewrites
 ``full-report.sha256``, ``commands.sha256`` and ``csv.sha256`` (see
-``tests/test_golden.py`` for what each holds).  Every entry that is added,
-changed or dropped is printed, so a change that means to alter report bytes
-can name what moved; with no change the files are rewritten byte for byte.
+``tests/test_golden.py`` for what each holds).  It also loads every file of
+every benchmark workload at the seeds CI replays (``helpers.all_workload_docs``)
+and rewrites ``workloads.sha256`` with each file's ``instance_digest``.
+Every entry that is added, changed or dropped is printed, so a change that
+means to alter report bytes can name what moved; with no change the files
+are rewritten byte for byte.
 """
 import contextlib
 import hashlib
+import json
 import os
 import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(HERE)), "src"))
+sys.path.insert(0, os.path.dirname(HERE))
 
 import gpmspace as g  # noqa: E402
+from helpers import all_workload_docs  # noqa: E402
 
 CSV_COMMANDS = ("dalpha", "sequences", "full-report")
 
@@ -70,11 +76,18 @@ def main():
                     with open(csv_path, "rb") as fh:
                         csvs[f"{name} {command}"] = _sha(fh.read())
                     os.remove(csv_path)
+        digests = {}
+        doc_path = os.path.join(tmp, "workload.json")
+        for key, doc in all_workload_docs().items():
+            with open(doc_path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            digests[key] = g.load_instance(doc_path).digest
     _write("full-report.sha256", {name: commands[f"{name} full-report"] for name in names})
     _write("commands.sha256", commands)
     # the dalpha and sequences payloads by instance, then the full-report ones
     _write("csv.sha256", {key: csvs[key] for key in sorted(
         csvs, key=lambda key: (key.endswith(" full-report"), key))})
+    _write("workloads.sha256", digests)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 import os
 import sys
 
+import numpy as np
 from hypothesis import strategies as st
 
 import gpmspace as g
@@ -26,14 +27,29 @@ def line_carrier(n):
     return g.FiniteCarrier(labels, d)
 
 
-def workload_docs(workload, seed):
-    """The instance documents a benchmark workload writes at ``seed``."""
+WORKLOAD_SEEDS = (1, 11, 23)  # the seeds CI replays the benchmark on
+
+
+def _workloads():
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    return workloads.instance_docs(workload, seed)
+    return workloads
+
+
+def workload_docs(workload, seed):
+    """The instance documents a benchmark workload writes at ``seed``."""
+    return _workloads().instance_docs(workload, seed)
+
+
+def all_workload_docs():
+    """``{"workload seed name": document}``: every file of every benchmark
+    workload at each of ``WORKLOAD_SEEDS``."""
+    return {f"{workload} {seed} {name}": doc
+            for workload in _workloads().WORKLOADS for seed in WORKLOAD_SEEDS
+            for name, doc in workload_docs(workload, seed).items()}
 
 
 def make_instance(family="scaled", op=g.MAX, carrier=None,
@@ -90,3 +106,59 @@ def gallery_instances(draw, ops=(g.PLUS, g.MAX)):
         params = {"tables": tables}
     op = draw(st.sampled_from(ops))
     return g.gallery_construct(family, params, carrier, op, t_grid, alpha_grid)
+
+
+def step_tables_oracle(carrier, params):
+    """``core._step_tables``'s arrays, built one table entry at a time with
+    per-entry numpy calls: the builder that the one-pass version replaced,
+    which raises the same errors in the same order."""
+    if carrier.kind != "finite":
+        raise g.ConstructionError("tabulated family requires a finite carrier")
+    raw = params.get("tables")
+    if not raw:
+        raise g.ConstructionError("tabulated family needs per-pair tables")
+    if not isinstance(raw, (list, tuple)):
+        raise g.ConstructionError("params.tables must be a list of {pair, t, v} entries")
+    tables = {}
+    for k, entry in enumerate(raw):
+        where = f"params.tables[{k}]"
+        if not (isinstance(entry, dict) and {"pair", "t", "v"} <= entry.keys()
+                and isinstance(entry["pair"], (list, tuple))):
+            raise g.ConstructionError(f"{where} must be an object with a 'pair' list, 't' and 'v'")
+        pair = tuple(str(p) for p in entry["pair"])
+        if len(pair) != 2 or not all(carrier.contains(p) for p in pair) or pair[0] == pair[1]:
+            raise g.ConstructionError(f"table pair {pair!r} must name two distinct carrier points")
+        try:
+            nodes = np.asarray(entry["t"], dtype=float)
+            vals = np.asarray(entry["v"], dtype=float)
+        except (TypeError, ValueError):
+            raise g.ConstructionError(f"{where}: 't' and 'v' must be lists of numbers") from None
+        if (nodes.ndim != 1 or nodes.size == 0 or not np.all(np.diff(nodes) > 0)
+                or not nodes[0] > 0):
+            raise g.ConstructionError(f"table t nodes for {pair!r} must be strictly increasing positives")
+        if vals.shape != nodes.shape or not np.all(np.isfinite(vals)) or np.any(vals < 0):
+            raise g.ConstructionError(f"table values for {pair!r} must be finite non-negative")
+        if np.any(np.diff(vals) > 0):
+            raise g.ConstructionError(
+                f"table values for {pair!r} increase in t; P must be non-increasing in t",
+                axiom="monotone")
+        i, j = sorted((carrier.index(pair[0]), carrier.index(pair[1])))
+        if (i, j) in tables:
+            raise g.ConstructionError(f"{where} repeats the table for pair {pair!r}")
+        tables[i, j] = (nodes, vals)
+    n = carrier.size
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in tables:
+                raise g.ConstructionError(
+                    f"tabulated family is missing a table for pair "
+                    f"({carrier.labels[i]}, {carrier.labels[j]})")
+    width = max(nodes.size for nodes, _ in tables.values()) + 1
+    step_nodes = np.full((n, n, width), np.inf)
+    step_vals = np.zeros((n, n, width))
+    for (i, j), (nodes, vals) in tables.items():
+        step_nodes[[i, j], [j, i], :nodes.size] = nodes
+        step_vals[[i, j], [j, i]] = np.pad(vals, (1, width - 1 - vals.size), mode="edge")
+    step_nodes.flags.writeable = False
+    step_vals.flags.writeable = False
+    return step_nodes, step_vals

@@ -156,6 +156,14 @@ MALFORMED = {
                                  "op.table.values"),
     "table-t-numeric-string": (_table_entry(0, t=["1", 2]), "params.tables[0].t"),
     "table-v-numeric-string": (_table_entry(2, v=[2, "1"]), "params.tables[2].v"),
+    # two bad fields: the one-pass scan refuses, the field-by-field scan names the first
+    "two-table-fields-numeric-strings": (dict(TABULATED, params={"tables": [
+        dict(e, **change) for e, change in zip(TABULATED["params"]["tables"],
+                                               ({}, {"t": ["1"]}, {"v": [2, "1"]}))]}),
+        "params.tables[1].t"),
+    # a NaN is not positive: a one-node table has no step to compare it with
+    "table-t-nan-one-node": (_table_entry(1, t=[math.nan]),
+                             "table t nodes for ('a', 'c') must be strictly increasing positives"),
     "version-2": (dict(BASE, version=2), "version"),
     # P overflows to inf: at t = 5e-324, and at 1e308 / 0.5
     "P-inf-at-subnormal-t": (dict(BASE, t_grid=[5e-324, 1]), "P(a,c,5e-324) is not finite"),

@@ -7,6 +7,9 @@ full-report, ``golden/commands.sha256`` that of the canonical report of every
 (instance, command) pair, or ``exit-2`` where the command refuses the instance,
 and ``golden/csv.sha256`` the sha256 of the ``--csv`` payload of ``dalpha``,
 ``sequences`` and ``full-report`` on every instance where the command writes one.
+``golden/workloads.sha256`` lists the ``instance_digest`` of every benchmark
+workload file at the seeds CI replays, so the normalized instance the
+benchmark measures cannot move unnoticed.
 Any change of report or payload bytes fails here; a change that means to
 alter them regenerates the manifests with ``golden/regenerate.py``, which
 prints every entry that moved, and says so.
@@ -22,7 +25,7 @@ from hypothesis import given, settings
 
 import gpmspace as g
 from gpmspace import balls
-from helpers import gallery_instances, workload_docs
+from helpers import all_workload_docs, gallery_instances, workload_docs
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -36,6 +39,7 @@ def _manifest(name):
 MANIFEST = _manifest("full-report.sha256")
 COMMANDS_MANIFEST = _manifest("commands.sha256")
 CSV_MANIFEST = _manifest("csv.sha256")
+WORKLOADS_MANIFEST = _manifest("workloads.sha256")
 
 
 def _instance_path(name):
@@ -87,6 +91,15 @@ def test_command_report_bytes_match_golden(name, command):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
     # the one-pass writer against the indenting encoder it replaced
     assert text == json.dumps(report.to_jsonable(), sort_keys=True, indent=2) + "\n"
+
+
+def test_workload_digests_match_golden(tmp_path):
+    docs = all_workload_docs()
+    assert list(docs) == list(WORKLOADS_MANIFEST)
+    path = tmp_path / "workload.json"
+    for key, doc in docs.items():
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert g.load_instance(str(path)).digest == WORKLOADS_MANIFEST[key], key
 
 
 def test_reports_never_enter_the_pure_python_encoder(monkeypatch):

@@ -7,10 +7,14 @@ Each is held to the code it replaced, kept here as an oracle: the digest
 ``sha256(json.dumps(canonical(describe()), sort_keys=True))`` with
 ``describe``'s per-entry ``float`` rows, the per-row triangle loop and the
 points x points x t grid construction scan, whose P1-diagonal, symmetry and
-rising arms no carrier the construction accepts can trip.
+rising arms no carrier the construction accepts can trip.  The step tables
+are validated and padded in one array pass, held to the entry-by-entry
+builder (``helpers.step_tables_oracle``).
 """
 import hashlib
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 import gpmspace as g
 from gpmspace import core, reports
 from gpmspace.reports import canonical
+from helpers import WORKLOAD_SEEDS, line_carrier, step_tables_oracle, workload_docs
 
 T_GRID = [1e-4, 0.5, 1, 2, 4, 50]
 ALPHA_GRID = [0.25, 0.5, 1, 2, 4]
@@ -243,6 +248,169 @@ def test_refusals_match_the_oracles(table, family, t_grid, c):
     assert_refusals_match(labels, d, family, params, t_grid=sorted(t_grid))
 
 
+# -- step tables --------------------------------------------------------------
+
+
+def step_tables_outcome(build, carrier, params):
+    """``("built", nodes, values)`` from ``build``, or ``("refused", type, text,
+    axiom)`` of the error it raises."""
+    try:
+        nodes, values = build(carrier, params)
+    except g.GpmsError as err:
+        return "refused", type(err), str(err), getattr(err, "axiom", None)
+    return "built", nodes, values
+
+
+def assert_step_tables_match(carrier, params):
+    """``core._step_tables`` builds what the oracle builds, bit for bit and
+    read-only, or raises what it raises; returns the outcome."""
+    expected = step_tables_outcome(step_tables_oracle, carrier, params)
+    got = step_tables_outcome(lambda car, p: core._step_tables(car, p)[0], carrier, params)
+    if expected[0] == "refused":
+        assert got == expected
+        return got
+    assert got[0] == "built"
+    for want, have in zip(expected[1:], got[1:]):
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes()
+        assert not have.flags.writeable
+    tables = core._step_tables(carrier, params)[1]
+    assert tables == sorted(
+        ({"pair": sorted(map(str, e["pair"])), "t": np.asarray(e["t"], dtype=float).tolist(),
+          "v": np.asarray(e["v"], dtype=float).tolist()} for e in params["tables"]),
+        key=lambda e: e["pair"])
+    return got
+
+
+STEP_NODES = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+STEP_VALUES = (0.0, 0.5, 1.0, 2.0, 3.0, 6.0)
+STEP_FAULTS = ("node-nan", "node-zero", "node-negative", "node-decreasing", "value-nan",
+               "value-inf", "value-negative", "value-rising", "pair-repeated", "pair-missing",
+               "entry-not-object", "t-not-numeric", "t-nested", "t-v-lengths")
+
+
+def plant_step_fault(draw, tables, k, fault):
+    """Break entry ``k`` of ``tables`` (a list of entry dicts) by ``fault``."""
+    entry = tables[k]
+    t, v = list(entry["t"]), list(entry["v"])
+    at = draw(st.integers(0, len(t) - 1))
+    if fault.startswith("node-") and fault != "node-decreasing":
+        t[at] = {"node-nan": math.nan, "node-zero": 0.0, "node-negative": -1.0}[fault]
+    elif fault == "node-decreasing":
+        t, v = (t[::-1], v) if len(t) > 1 else ([t[0], t[0] / 2], v * 2)
+    elif fault.startswith("value-") and fault != "value-rising":
+        v[at] = {"value-nan": math.nan, "value-inf": math.inf, "value-negative": -0.5}[fault]
+    elif fault == "value-rising":
+        t, v = (t, v[:-1] + [v[-2] + 1.0]) if len(t) > 1 else (t + [t[0] * 2], v + [v[0] + 1.0])
+    elif fault == "pair-repeated":
+        other = tables[draw(st.integers(0, len(tables) - 1).filter(lambda j: j != k))]
+        entry = dict(entry, pair=draw(st.permutations(other["pair"])))
+    elif fault == "pair-missing":
+        del tables[k]
+        return
+    elif fault == "entry-not-object":
+        tables[k] = draw(st.sampled_from(([1, 2], "x", {"pair": entry["pair"], "t": t})))
+        return
+    elif fault == "t-not-numeric":
+        t[at] = draw(st.sampled_from(("x", None)))
+    elif fault == "t-nested":
+        t = draw(st.sampled_from(([t], [[x] for x in t], [t, [1.0]])))
+    elif fault == "t-v-lengths":
+        v = v + [v[-1]]
+    tables[k] = dict(entry, t=t, v=v)
+
+
+@st.composite
+def step_table_params(draw):
+    """(carrier, params): one table per pair of 2 to 6 points, ragged widths,
+    each pair in either order and the entries shuffled, with up to two
+    planted faults, in different entries when there are two."""
+    n = draw(st.integers(2, 6))
+    kinds = STEP_FAULTS if n > 2 else [f for f in STEP_FAULTS if f != "pair-repeated"]
+    planted = min(draw(st.sampled_from((0, 1, 1, 2))), n - 1)
+    faults = [draw(st.sampled_from(kinds)) for _ in range(planted)]
+    carrier = line_carrier(n)
+    tables = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            t = sorted(draw(st.sets(st.sampled_from(STEP_NODES), min_size=1, max_size=4)))
+            v = sorted(draw(st.lists(st.sampled_from(STEP_VALUES), min_size=len(t),
+                                     max_size=len(t))), reverse=True)
+            pair = [str(i), str(j)] if draw(st.booleans()) else [str(j), str(i)]
+            tables.append({"pair": pair, "t": t, "v": v})
+    tables = draw(st.permutations(tables))
+    at = draw(st.lists(st.integers(0, len(tables) - 1), min_size=len(faults),
+                       max_size=len(faults), unique=True))
+    for k, fault in sorted(zip(at, faults), reverse=True):  # a deletion shifts later entries
+        plant_step_fault(draw, tables, k, fault)
+    return carrier, {"tables": tables}
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_table_params())
+def test_step_tables_match_the_entry_by_entry_builder(case):
+    assert_step_tables_match(*case)
+
+
+def test_a_value_error_beats_a_later_structural_error():
+    # entry 0 breaks a value rule, entry 1 a structural one, which the loop
+    # meets first; the entry-by-entry order reports entry 0
+    carrier = line_carrier(3)
+    rising = {"pair": ["0", "1"], "t": [1, 2], "v": [1, 2]}
+    for late in ([1, 2], {"pair": ["0", "9"], "t": [1], "v": [1]},
+                 {"pair": ["0", "2"], "t": ["x"], "v": [1]},
+                 {"pair": ["0", "2"], "t": [1, 2], "v": [1]}, dict(rising, pair=["1", "0"])):
+        outcome = assert_step_tables_match(carrier, {"tables": [rising, late]})
+        assert outcome[2:] == ("table values for ('0', '1') increase in t; P must be "
+                               "non-increasing in t", "monotone")
+    # and within an entry: nodes before the t/v lengths, values before a repeated pair
+    outcome = assert_step_tables_match(carrier, {"tables": [
+        {"pair": ["0", "1"], "t": [2, 1], "v": [1]}]})
+    assert outcome[2] == "table t nodes for ('0', '1') must be strictly increasing positives"
+    outcome = assert_step_tables_match(carrier, {"tables": [
+        {"pair": ["0", "1"], "t": [1], "v": [1]}, {"pair": ["1", "0"], "t": [1], "v": [-1]}]})
+    assert outcome[2] == "table values for ('1', '0') must be finite non-negative"
+
+
+def tabulated_docs():
+    """The golden tabulated instances and the workload's 7-point file at the CI seeds."""
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    docs = {}
+    for name in sorted(os.listdir(golden)):
+        if name.endswith(".instance.json"):
+            with open(os.path.join(golden, name), encoding="utf-8") as fh:
+                docs[name] = json.load(fh)
+    docs = {name: doc for name, doc in docs.items() if doc["family"] == "tabulated"}
+    for seed in WORKLOAD_SEEDS:
+        docs[f"finite-topology {seed}"] = workload_docs("finite-topology", seed)[
+            "random-tabulated"]
+    return docs
+
+
+TABULATED_DOCS = tabulated_docs()
+
+
+@pytest.mark.parametrize("name", sorted(TABULATED_DOCS))
+def test_tabulated_files_build_as_the_entry_by_entry_builder(name):
+    doc = TABULATED_DOCS[name]
+    carrier = g.FiniteCarrier(doc["points"], doc["d"])
+    assert assert_step_tables_match(carrier, doc["params"])[0] == "built"
+
+
+def test_a_nan_node_is_refused_in_a_one_node_table():
+    # a NaN is not above 0, and a one-node table has no step to compare it with
+    carrier = line_carrier(3)
+    for t in ([math.nan], [math.nan, 2.0], [1.0, math.nan]):
+        tables = [{"pair": ["0", "1"], "t": t, "v": [1.0] * len(t)},
+                  {"pair": ["0", "2"], "t": [1.0], "v": [2.0]},
+                  {"pair": ["1", "2"], "t": [1.0], "v": [1.0]}]
+        with pytest.raises(g.ConstructionError) as err:
+            g.gallery_construct("tabulated", {"tables": tables}, carrier, g.MAX, T_GRID,
+                                ALPHA_GRID)
+        assert str(err.value) == "table t nodes for ('0', '1') must be strictly increasing positives"
+        assert err.value.axiom is None
+
+
 # -- the digest -------------------------------------------------------------
 
 
@@ -348,3 +516,29 @@ def test_a_wide_load_rounds_each_float_once_and_calls_the_kernel_at_most_twice(
     assert len(distinct) < 20 and len(plain) <= len(distinct) + 2
     assert len(kernel) <= 2
     assert inst_file.digest == oracle_digest(inst_file.instance)
+
+
+def test_step_tables_take_as_many_numpy_calls_for_21_tables_as_for_3(monkeypatch):
+    # validation and padding are array passes over all entries: no np.diff or
+    # np.pad per table, and no np.unique on the load path
+    calls = {name: [] for name in ("diff", "pad", "concatenate", "unique")}
+
+    def counting(real, seen):
+        def counted(*args, **kwargs):
+            seen.append(1)
+            return real(*args, **kwargs)
+        return counted
+
+    for name, seen in calls.items():
+        monkeypatch.setattr(np, name, counting(getattr(np, name), seen))
+    counts = []
+    for n in (3, 7):
+        carrier = line_carrier(n)
+        params = g.tabulate_step_family(carrier, T_GRID, lambda d, t: d * d / t)
+        assert len(params["tables"]) == n * (n - 1) // 2
+        for seen in calls.values():
+            seen.clear()
+        g.gallery_construct("tabulated", params, carrier, g.MAX, T_GRID, ALPHA_GRID)
+        counts.append({name: len(seen) for name, seen in calls.items()})
+    assert counts[0] == counts[1]
+    assert counts[1]["unique"] == 0
