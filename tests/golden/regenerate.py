@@ -3,10 +3,11 @@
     python3 tests/golden/regenerate.py
 
 runs every command on every ``*.instance.json`` here and rewrites
-``full-report.sha256``, ``commands.sha256`` and ``csv.sha256`` (see
-``tests/test_golden.py`` for what each holds).  It also loads every file of
-every benchmark workload at the seeds CI replays (``helpers.all_workload_docs``)
-and rewrites ``workloads.sha256`` with each file's ``instance_digest``.
+``full-report.sha256``, ``commands.sha256``, ``csv.sha256`` and
+``verdicts.txt`` (see ``tests/test_golden.py`` for what each holds).  It also
+loads every file of every benchmark workload at the seeds CI replays
+(``helpers.all_workload_docs``) and rewrites ``workloads.sha256`` with each
+file's ``instance_digest``.
 Every entry that is added, changed or dropped is printed, so a change that
 means to alter report bytes can name what moved; with no change the files
 are rewritten byte for byte.
@@ -50,10 +51,15 @@ def _write(name, entries):
             print(f"{name}: {key}: {old.get(key, '-')} -> {entries.get(key, '-')}")
 
 
+def verdict_lines(name, report):
+    """``{"instance check": "verdict/witness_count"}`` for every check of ``report``."""
+    return {f"{name} {c.name}": f"{c.verdict}/{len(c.witnesses)}" for c in report.checks}
+
+
 def main():
     names = sorted(f[:-len(".instance.json")] for f in os.listdir(HERE)
                    if f.endswith(".instance.json"))
-    commands, csvs = {}, {}
+    commands, csvs, verdicts = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = os.path.join(tmp, "payload.csv")
         for name in names:
@@ -61,11 +67,13 @@ def main():
             for command in g.COMMANDS:
                 f = g.load_instance(instance_path)
                 try:
-                    text = g.run_command(command, f).to_canonical_json()
+                    report = g.run_command(command, f)
                 except g.GpmsError:
                     commands[f"{name} {command}"] = "exit-2"
                 else:
-                    commands[f"{name} {command}"] = _sha(text.encode("utf-8"))
+                    commands[f"{name} {command}"] = _sha(report.to_canonical_json().encode("utf-8"))
+                    if command == "full-report":
+                        verdicts.update(verdict_lines(name, report))
                 if command not in CSV_COMMANDS:
                     continue
                 # a command that refuses the instance writes no payload
@@ -88,6 +96,7 @@ def main():
     _write("csv.sha256", {key: csvs[key] for key in sorted(
         csvs, key=lambda key: (key.endswith(" full-report"), key))})
     _write("workloads.sha256", digests)
+    _write("verdicts.txt", verdicts)
 
 
 if __name__ == "__main__":

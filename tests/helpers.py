@@ -1,4 +1,5 @@
 """Shared instance builders for the test suite."""
+import importlib
 import os
 import sys
 
@@ -30,25 +31,25 @@ def line_carrier(n):
 WORKLOAD_SEEDS = (1, 11, 23)  # the seeds CI replays the benchmark on
 
 
-def _workloads():
+def perfbench_module(name):
+    """The module ``perfbench/<name>.py`` (the directory is no package)."""
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
     try:
-        import workloads
+        return importlib.import_module(name)
     finally:
         sys.path.pop(0)
-    return workloads
 
 
 def workload_docs(workload, seed):
     """The instance documents a benchmark workload writes at ``seed``."""
-    return _workloads().instance_docs(workload, seed)
+    return perfbench_module("workloads").instance_docs(workload, seed)
 
 
 def all_workload_docs():
     """``{"workload seed name": document}``: every file of every benchmark
     workload at each of ``WORKLOAD_SEEDS``."""
     return {f"{workload} {seed} {name}": doc
-            for workload in _workloads().WORKLOADS for seed in WORKLOAD_SEEDS
+            for workload in perfbench_module("workloads").WORKLOADS for seed in WORKLOAD_SEEDS
             for name, doc in workload_docs(workload, seed).items()}
 
 

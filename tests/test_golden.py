@@ -7,6 +7,9 @@ full-report, ``golden/commands.sha256`` that of the canonical report of every
 (instance, command) pair, or ``exit-2`` where the command refuses the instance,
 and ``golden/csv.sha256`` the sha256 of the ``--csv`` payload of ``dalpha``,
 ``sequences`` and ``full-report`` on every instance where the command writes one.
+``golden/verdicts.txt`` holds one ``<verdict>/<witness_count>  <instance>
+<check name>`` line per check of every full-report, so a diff of it shows a
+verdict move apart from a format change.
 ``golden/workloads.sha256`` lists the ``instance_digest`` of every benchmark
 workload file at the seeds CI replays, so the normalized instance the
 benchmark measures cannot move unnoticed.
@@ -25,7 +28,7 @@ from hypothesis import given, settings
 
 import gpmspace as g
 from gpmspace import balls
-from helpers import all_workload_docs, gallery_instances, workload_docs
+from helpers import all_workload_docs, gallery_instances, perfbench_module, workload_docs
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -40,6 +43,7 @@ MANIFEST = _manifest("full-report.sha256")
 COMMANDS_MANIFEST = _manifest("commands.sha256")
 CSV_MANIFEST = _manifest("csv.sha256")
 WORKLOADS_MANIFEST = _manifest("workloads.sha256")
+VERDICTS = _manifest("verdicts.txt")  # {"instance check": "verdict/witness_count"}
 
 
 def _instance_path(name):
@@ -91,6 +95,36 @@ def test_command_report_bytes_match_golden(name, command):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
     # the one-pass writer against the indenting encoder it replaced
     assert text == json.dumps(report.to_jsonable(), sort_keys=True, indent=2) + "\n"
+
+
+def test_verdicts_cover_every_instance():
+    assert {key.split()[0] for key in VERDICTS} == set(MANIFEST)
+
+
+@pytest.mark.parametrize("name", sorted(MANIFEST))
+def test_verdicts_match_golden(name):
+    report = g.run_command("full-report", g.load_instance(_instance_path(name)))
+    assert {f"{name} {c.name}": f"{c.verdict}/{len(c.witnesses)}" for c in report.checks} == \
+        {key: v for key, v in VERDICTS.items() if key.split()[0] == name}
+
+
+def test_every_golden_fail_witness_passes_the_benchmark_gate():
+    # the gate re-evaluates each stated P1-P4 and monotone violation through
+    # eval_P and eval_op; every such check comes from axioms and full-report
+    gate = perfbench_module("gate")
+    gated = 0
+    for name in sorted(MANIFEST):
+        for command in g.COMMANDS:
+            f = g.load_instance(_instance_path(name))
+            try:
+                report = g.run_command(command, f)
+            except g.GpmsError:
+                continue
+            gated += sum(c.name in gate.GATED and c.verdict == "fail" for c in report.checks)
+            assert gate.irreproducible(f.instance, report.checks) == [], (name, command)
+    fails = [key for key, v in VERDICTS.items()
+             if key.split()[1] in gate.GATED and v.startswith("fail/")]
+    assert gated == 2 * len(fails) > 0
 
 
 def test_workload_digests_match_golden(tmp_path):
