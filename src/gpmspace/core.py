@@ -69,8 +69,8 @@ induced d_alpha = inf { t > 0 : P < alpha } at coordinates, in closed form,
 and ``sup_P`` is the sup of P over t > 0, its t -> 0+ limit, read by the
 diameters.  No check reads P over points x points x t: the construction and
 ``p4_violations`` read P at the smallest grid t, which stands for the whole
-grid because P is non-increasing in t.  Sampled P3 decodes its seeded trials
-from blocks of Mersenne Twister words (``_randrange_rows``).
+grid because P is non-increasing in t.  Sampled P3 draws its seeded trials
+from one block of Mersenne Twister words, five per trial, by multiply-shift.
 ``p3_violations`` and ``p4_violations`` also stand as the test oracles of
 the exact decisions.  The P3 trials and the exact decisions keep their
 witnesses as index rows plus the values gathered there (``ScanWitnesses``),
@@ -900,9 +900,13 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
                   exhaustive: bool = False, points=None):
     """Witnesses for P3 violations (a ``ScanWitnesses``), sampled or exhaustive.
 
-    Each sampled trial draws a triple (a, b, x) and a grid pair (s, t) from a
-    seeded RNG, so identical seeds give identical reports; the exhaustive
-    scan takes every trial in nested-loop order.  The points are mapped to
+    Each sampled trial draws a triple (a, b, x) and a grid pair (s, t), so
+    identical seeds give identical reports: trial r reads the 32-bit words
+    5r .. 5r+4 of ``random.Random(seed)`` (one ``randbytes`` block, the words
+    of successive ``getrandbits(32)`` calls), and a word w picks index
+    (w * m) >> 32 of a range of m (Lemire's multiply-shift, with no
+    rejection).  The exhaustive scan takes every trial in nested-loop
+    order.  The points are mapped to
     kernel coordinates once; the trials are evaluated together, with three
     kernel gathers at the drawn indices and one ``eval_op_array``.
     """
@@ -912,7 +916,9 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
     if exhaustive:
         a, b, x, s, t = np.indices(shape).reshape(5, -1)
     else:
-        a, b, x, s, t = _randrange_rows(random.Random(seed), shape, n_samples).T
+        words = np.frombuffer(random.Random(seed).randbytes(20 * n_samples), "<u4")
+        a, b, x, s, t = ((words.reshape(-1, 5).astype(np.uint64) * np.array(shape, np.uint64))
+                         >> np.uint64(32)).astype(np.intp).T
     c, T = coords(inst, pts), np.asarray(tg)
     lhs = P_at(inst, c[a], c[b], T[s] + T[t])
     left, right = P_at(inst, c[a], c[x], T[s]), P_at(inst, c[b], c[x], T[t])
@@ -922,58 +928,6 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
                               {"s": T[s[hit]], "t": T[t[hit]], "lhs": lhs[hit], "rhs": rhs[hit]},
                               "P(a,b,s+t) > P(a,x,s) o P(b,x,t)")
     return witnesses, lhs.size
-
-
-def _randrange_rows(rng: random.Random, shape, n: int, block: int | None = None) -> np.ndarray:
-    """``[[rng.randrange(m) for m in shape] for _ in range(n)]`` as an
-    (n, len(shape)) array, decoded from blocks of the generator's words.
-
-    ``randrange(m)`` takes 32-bit Mersenne Twister words one at a time: with
-    k = m.bit_length(), a word w gives w >> (32 - k), accepted iff it is
-    below m (CPython's ``_randbelow_with_getrandbits``; every m is below
-    2**32).  ``rng.getrandbits(32 * N)`` holds the next N words, the first
-    in the lowest bits, so the rule runs on all of them at once: each draw
-    of modulus m takes the first accepted word at or after its position.
-    The position after a trial that starts at each position is one gather
-    per draw, and the trial starts are that map chained from position 0.  A
-    trial that runs out of words draws another block, which continues the
-    stream exactly.  ``block`` is the first block's length in words (an
-    estimate by default).
-    """
-    def words_for(trials):  # about 10 % above the expected count
-        return int(trials * sum(2 ** m.bit_length() / m for m in shape) * 1.1) + 16
-
-    raw = b""
-    starts = [0]  # the word position of each trial's first draw, then of the next trial's
-    size = block or words_for(n)
-    while True:
-        raw += rng.getrandbits(32 * size).to_bytes(4 * size, "little")
-        words = np.frombuffer(raw, dtype="<u4")
-        end = words.size
-        first = {}  # m -> the first accepted word at or after positions 0 .. end + 1, else end
-        for m in set(shape):
-            accepted = np.where(words >> (32 - m.bit_length()) < m, np.arange(end), end)
-            first[m] = np.full(end + 2, end)
-            np.minimum.accumulate(accepted[::-1], out=first[m][end - 1::-1])
-        after = first[shape[0]] + 1  # the position after a trial starting at each one ...
-        for m in shape[1:]:
-            after = first[m][after] + 1  # ... end + 1 once the words run out
-        step, pos = memoryview(after), starts[-1]
-        for _ in range(n + 1 - len(starts)):
-            pos = step[pos]
-            if pos > end:
-                break
-            starts.append(pos)
-        else:
-            break
-        size = words_for(n + 1 - len(starts))
-    rows = np.empty((n, len(shape)), dtype=np.intp)
-    pos = np.array(starts[:n], dtype=np.intp)
-    for col, m in enumerate(shape):
-        pos = first[m][pos]
-        rows[:, col] = words[pos] >> (32 - m.bit_length())
-        pos += 1
-    return rows
 
 
 def p4_violations(inst: GpmsInstance, alpha: float):

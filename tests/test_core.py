@@ -534,7 +534,9 @@ def test_t_arrays_are_checked_like_one_t():
 
 
 def loop_p3(inst, seed=0, n_samples=1000, exhaustive=False, points=None):
-    """The per-trial P3 loop the three gathers replaced, kept as an oracle."""
+    """The per-trial P3 loop the three gathers replaced, kept as an oracle: a
+    sampled trial takes five ``getrandbits(32)`` words in turn, each mapped
+    onto its sequence by multiply-shift."""
     pts = points if points is not None else inst.quantifier_points()
     tg = inst.t_grid
     witnesses = []
@@ -558,13 +560,17 @@ def loop_p3(inst, seed=0, n_samples=1000, exhaustive=False, points=None):
                             trial(a, b, x, s, t)
     else:
         rng = random.Random(seed)
+
+        def pick(seq):
+            return seq[(rng.getrandbits(32) * len(seq)) >> 32]
+
         for _ in range(n_samples):
             samples += 1
-            a = rng.choice(pts)
-            b = rng.choice(pts)
-            x = rng.choice(pts)
-            s = rng.choice(tg)
-            t = rng.choice(tg)
+            a = pick(pts)
+            b = pick(pts)
+            x = pick(pts)
+            s = pick(tg)
+            t = pick(tg)
             trial(a, b, x, s, t)
     return witnesses, samples
 
@@ -633,45 +639,26 @@ def test_p3_op_arrays_match_the_scalar_loop_with_signed_zeros(family, op):
     assert signs == ({1.0, -1.0} if op is g.MAX else {1.0})
 
 
-# moduli where the word rule is at its edges: m = 1 (k = 1, half the words
-# rejected), powers of two (none rejected) and 2^k + 1 (about half rejected)
-MODULI = st.integers(1, 300) | st.sampled_from(
-    (1, 2, 4, 8, 64, 256, 2 ** 31, 3, 5, 9, 17, 65, 257, 2 ** 31 + 1, 2 ** 32 - 1))
-P3_SHAPES = st.lists(MODULI, min_size=1, max_size=6).map(tuple) | \
-    st.builds(lambda p, t: (p,) * 3 + (t,) * 2, MODULI, st.just(1) | MODULI)
+def test_p3_trials_match_the_scalar_loop_on_a_one_value_t_grid():
+    # the t draws have modulus 1: every word maps to index 0
+    params = {"tables": [{"pair": ["a", "b"], "t": [1.0], "v": [1.0]},
+                         {"pair": ["b", "c"], "t": [1.0], "v": [1.0]},
+                         {"pair": ["a", "c"], "t": [1.0], "v": [10.0]}]}
+    for op in (g.PLUS, g.MAX, TABLE_OP):
+        inst = g.gallery_construct("tabulated", params, three_point_carrier(), op, (2.0,),
+                                   ALPHA_GRID)
+        witnesses, samples = assert_p3_matches_loop(inst, 7, 300, exhaustive=False)
+        assert witnesses and samples == 300
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2 ** 64), P3_SHAPES, st.sampled_from((1, 1000)) | st.integers(1, 40),
-       st.none() | st.integers(1, 12))
-def test_randrange_rows_match_randrange(seed, shape, n, block):
-    # ``block`` is a first block of a few words, short enough to need refills
-    rng = random.Random(seed)
-    expected = [[rng.randrange(m) for m in shape] for _ in range(n)]
-    assert core._randrange_rows(random.Random(seed), shape, n, block=block).tolist() == expected
-
-
-def test_randrange_rows_refill_once_the_words_run_out():
-    # 1000 draws of m = 1 take about 2000 words: a 1-word first block refills
-    rng = random.Random(5)
-    expected = [[rng.randrange(1), rng.randrange(3)] for _ in range(1000)]
-    draws = []
-    real = random.Random.getrandbits
-
-    def counting(self, k):
-        draws.append(k)
-        return real(self, k)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(random.Random, "getrandbits", counting)
-        got = core._randrange_rows(random.Random(5), (1, 3), 1000, block=1)
-    assert got.tolist() == expected and draws[0] == 32 and len(draws) >= 2
-
-
-def test_randrange_reads_getrandbits_words():
-    # the decoder reproduces _randbelow_with_getrandbits; a CPython whose
-    # randrange draws another way must fail here, not change P3 verdicts
-    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+def test_p3_trials_match_the_scalar_loop_over_strided_interval_points():
+    # 401 sample points on [-2, 2] thin to 135 quantifier points, which the
+    # trials index; the table op fails P3 there, so witnesses are compared
+    inst = interval_instance("scaled", op=TABLE_OP, resolution=0.01)
+    assert len(inst.quantifier_points()) == 135 < inst.carrier.size
+    for seed in (0, 5):
+        witnesses, samples = assert_p3_matches_loop(inst, seed, 400, exhaustive=False)
+        assert witnesses and samples == 400
 
 
 def test_sampled_p3_makes_no_randrange_call(monkeypatch):
