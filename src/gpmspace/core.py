@@ -92,9 +92,8 @@ FAMILIES = ("scaled", "constant", "damped", "discrete", "tabulated")
 
 P_AXIOMS = ("P1", "P2", "P3", "P4", "P5", "monotone")
 
-# approximate number of quantifier points for the sampled checks: carriers with
-# more points are sampled at a stride of len // cap, which keeps fewer than
-# 2 * cap points (135 of 401 at cap 128; all 48 of 48 at cap 33)
+# about how many quantifier points sampled P3 and p4_violations read: a larger
+# carrier keeps every (len // cap)-th point and the last, fewer than 2 * cap
 _QUANTIFIER_CAP = 128
 
 _MAX_INTERVAL_POINTS = 65536  # sample points of an interval carrier
@@ -262,17 +261,13 @@ class GpmsInstance:
             self.params = {k: self.params[k] for k in sorted(self.params)}
         self._memo = {}  # see derive
 
-    def quantifier_points(self, cap: int = _QUANTIFIER_CAP):
-        """Points standing in for "all of X" in sampled P3, ``p4_violations``
-        and the construction's blank-pair check."""
+    def quantifier_points(self):
+        """Points standing in for "all of X" in sampled P3 and ``p4_violations``."""
         pts = self.carrier.points()
-        if len(pts) <= cap:
+        if len(pts) <= _QUANTIFIER_CAP:
             return pts
-        stride = max(1, len(pts) // cap)
-        sub = list(pts[::stride])
-        if sub[-1] != pts[-1]:
-            sub.append(pts[-1])
-        return tuple(sub)
+        sub = pts[::len(pts) // _QUANTIFIER_CAP]
+        return sub if sub[-1] == pts[-1] else sub + pts[-1:]
 
     def describe(self):
         params = dict(self.params)
@@ -564,26 +559,30 @@ def gallery_construct(family, params, carrier, op: BinaryOperation,
                       t_grid, alpha_grid) -> GpmsInstance:
     """Build an instance; refuse a pair the t grid cannot tell apart, or a P that is not finite.
 
-    A distinct pair that reads 0 on the whole t grid is refused (P1), among
-    the points ``quantifier_points(cap=33)`` samples: P is non-negative and
-    non-increasing in t, so a pair that is 0 at the smallest grid t is 0 on
-    the whole grid.  P on the diagonal, P2 and monotone need no scan: the
-    carrier and ``_step_tables`` refuse what would break them.  Every family
-    is largest at the largest distance and the smallest t (tabulated values
-    are finite by construction), so a P that overflows to inf is refused
-    there, at a pair the sample may miss.
+    A distinct pair that reads 0 at the smallest grid t reads 0 on the whole
+    grid (P is non-negative and non-increasing in t) and is refused (P1).  A
+    finite carrier reads every pair; on an interval, every formula is
+    non-decreasing in the computed distance and fl(p_j - p_i) >=
+    fl(p_{i+1} - p_i) for j > i, so adjacent sample points decide.  P on the
+    diagonal, P2 and monotone need no scan: the carrier and ``_step_tables``
+    refuse what would break them.  Every family is largest at the largest
+    distance and the smallest t (tabulated values are finite by
+    construction), so a P that overflows to inf is refused there.
     """
     inst = GpmsInstance(carrier, family, params, op, t_grid, alpha_grid)
-    pts = inst.quantifier_points(cap=33)
-    c, t0 = coords(inst, pts), inst.t_grid[0]
-    car = inst.carrier
-    if car.kind == "finite":
-        u, v = np.unravel_index(np.argmax(car.d), car.d.shape)
-        far_x, far_y = car.labels[u], car.labels[v]
-    else:
-        u, v = far_x, far_y = car.lo, car.hi
+    car, t0 = inst.carrier, inst.t_grid[0]
+    pts = car.points()
     with np.errstate(over="ignore"):  # a P that overflows to inf is refused below
-        blank = np.argwhere(np.triu(P_at(inst, c[:, None], c, t0) == 0.0, 1))
+        if car.kind == "finite":
+            u, v = np.unravel_index(np.argmax(car.d), car.d.shape)
+            far_x, far_y = pts[u], pts[v]
+            k = np.arange(car.size)
+            blank = np.argwhere(np.triu(P_at(inst, k[:, None], k, t0) == 0.0, 1))
+        else:
+            u, v = far_x, far_y = car.lo, car.hi
+            x = np.asarray(pts)
+            k = np.flatnonzero(P_at(inst, x[:-1], x[1:], t0) == 0.0)
+            blank = np.stack((k, k + 1), axis=1)
         far = P_at(inst, u, v, t0)
     if blank.size:
         i, j = blank[0]
@@ -900,13 +899,11 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
                   exhaustive: bool = False, points=None):
     """Witnesses for P3 violations (a ``ScanWitnesses``), sampled or exhaustive.
 
-    Each sampled trial draws a triple (a, b, x) and a grid pair (s, t), so
-    identical seeds give identical reports: trial r reads the 32-bit words
-    5r .. 5r+4 of ``random.Random(seed)`` (one ``randbytes`` block, the words
-    of successive ``getrandbits(32)`` calls), and a word w picks index
-    (w * m) >> 32 of a range of m (Lemire's multiply-shift, with no
-    rejection).  The exhaustive scan takes every trial in nested-loop
-    order.  The points are mapped to
+    Sampled trial r reads the 32-bit words 5r .. 5r+4 of one
+    ``random.Random(seed).randbytes`` block as (a, b, x, s, t); a word w
+    picks index (w * m) >> 32 of a range of m (multiply-shift, no
+    rejection), so identical seeds give identical reports.  The exhaustive
+    scan takes every trial in nested-loop order.  The points are mapped to
     kernel coordinates once; the trials are evaluated together, with three
     kernel gathers at the drawn indices and one ``eval_op_array``.
     """

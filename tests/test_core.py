@@ -164,9 +164,26 @@ def test_gallery_rejects_indistinguishable_pair():
     assert err.value.axiom == "P1"
 
 
+@pytest.mark.parametrize("t_grid, refused", [((2.0, 4.0), False), ((4.0,), True)])
+def test_interval_blank_pairs_match_the_every_pair_scan(t_grid, refused):
+    # points 0, 1e-323, ..., 1e-322 two subnormal ulps apart: 1e-323 / 2 is
+    # 5e-324, and 1e-323 / 4 rounds to 0, so only the t grid (4,) has blank pairs
+    carrier = g.IntervalCarrier(0.0, 1e-322, 1e-323)
+    raw = g.GpmsInstance(carrier, "scaled", {}, g.MAX, t_grid, ALPHA_GRID)
+    expected = scalar_sanity_error(raw)
+    assert expected == (("distinct points (0.0, 1e-323) are indistinguishable on the t grid",
+                         "P1") if refused else None)
+    try:
+        g.gallery_construct("scaled", {}, carrier, g.MAX, t_grid, ALPHA_GRID)
+    except g.ConstructionError as err:
+        assert (str(err), err.axiom) == expected
+    else:
+        assert expected is None
+
+
 def test_gallery_rejects_P_that_overflows_off_the_construction_grid():
     # scaled P = d / t: 1e308 / 0.6 is finite, 1.7e308 / 0.6 is inf.  On 70 points
-    # the construction grid keeps every second point and misses the pair (x1, x2)
+    # only the pair (x1, x2), the largest distance, overflows
     n = 70
     d = [[0.0 if i == j else 1e308 for j in range(n)] for i in range(n)]
     d[1][2] = d[2][1] = 1.7e308
@@ -770,7 +787,7 @@ def scalar_scan(inst, axiom):
 def scalar_sanity_error(inst):
     """(message, axiom) of the first failure of the pre-kernel construction
     sanity loop, or None."""
-    pts = inst.quantifier_points(cap=33)
+    pts = inst.carrier.points()
     tg = inst.t_grid
     for x in pts:
         for t in tg:
@@ -1276,7 +1293,8 @@ DENSE_LOG_T = 2.0 ** np.linspace(-60.0, 6.0, 529)
 @settings(max_examples=60, deadline=None)
 @given(kernel_instances())
 def test_sup_P_is_the_t_to_0_limit_of_a_dense_log_t_scan(inst):
-    c = coords(inst, inst.quantifier_points(cap=16))
+    pts = inst.carrier.points()
+    c = coords(inst, pts[::max(1, len(pts) // 16)])
     u, v = c[:, None], c[None, :]
     sup = core.sup_P(inst, u, v)
     scan = P_at(inst, u[..., None], v[..., None], DENSE_LOG_T)  # [i, j, t]

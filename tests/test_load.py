@@ -66,7 +66,7 @@ def triangle_oracle(labels, d):
 def construction_oracle(inst):
     """(message, axiom) of the first failure of the pair-grid construction
     scan on a raw instance, or None."""
-    pts = inst.quantifier_points(cap=33)
+    pts = inst.carrier.points()
     tg = inst.t_grid
     car = inst.carrier
     if car.kind == "finite":
@@ -204,23 +204,37 @@ def test_P_that_overflows_at_the_smallest_t_is_not_finite(family):
 
 @pytest.mark.parametrize("family", ["scaled", "constant", "tabulated"])
 def test_strided_sample_of_70_points(family):
-    # quantifier_points(cap=33) keeps every second point and the last one: a
-    # blank pair between two sampled points is refused, one between a
-    # sampled and a skipped point is not seen
+    # every pair is read: blank pairs at odd points, which a sample of every
+    # second point would skip, are refused as well as those it would keep
     n = 70
-    carrier = g.FiniteCarrier(labels_of(n), line_table(n))
-    inst = g.GpmsInstance(carrier, "constant", {}, g.MAX, T_GRID, ALPHA_GRID)
-    assert len(inst.quantifier_points(cap=33)) == 36
     w = [1.0 + k for k in range(n)]
-    unseen = ultrametric([1e-320 if k in (3, 5) else x for k, x in enumerate(w)])
-    seen = ultrametric([1e-320 if k in (3, 5, 66, 68) else x for k, x in enumerate(w)])
+    odd = ultrametric([1e-320 if k in (3, 5) else x for k, x in enumerate(w)])
+    even = ultrametric([1e-320 if k in (66, 68) else x for k, x in enumerate(w)])
     t_grid = [1e4, 1e5] if family != "constant" else T_GRID
-    assert assert_refusals_match(labels_of(n), unseen, family, t_grid=t_grid) is None
-    got = assert_refusals_match(labels_of(n), seen, family, t_grid=t_grid)
-    if family == "constant":  # 1e-320 stays above 0 under the constant family
-        assert got is None
-    else:
-        assert got == ("distinct points (p66, p68) are indistinguishable on the t grid", "P1")
+    for d, pair in ((odd, "(p3, p5)"), (even, "(p66, p68)")):
+        got = assert_refusals_match(labels_of(n), d, family, t_grid=t_grid)
+        if family == "constant":  # 1e-320 stays above 0 under the constant family
+            assert got is None
+        else:
+            assert got == (f"distinct points {pair} are indistinguishable on the t grid", "P1")
+
+
+@pytest.mark.parametrize("n", [65, 66])
+def test_a_blank_pair_a_stride_would_skip_is_refused(tmp_path, capsys, n):
+    # positions 0, 1, 1, 2, ..., n - 2 with d(p1, p2) = 5e-324, which reads 0
+    # at t = 2; from 66 points on a stride-2 sample would miss p1
+    pos = [0, 1] + list(range(1, n - 1))
+    d = [[float(abs(a - b)) for b in pos] for a in pos]
+    d[1][2] = d[2][1] = 5e-324
+    doc = {"version": 1, "seed": 1, "tol": 1e-6, "points": labels_of(n), "d": d,
+           "family": "scaled", "params": {}, "op": "max", "t_grid": [2, 4],
+           "alpha_grid": ALPHA_GRID}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert g.main(["axioms", str(path)]) == 2
+    assert "distinct points (p1, p2) are indistinguishable on the t grid" in capsys.readouterr().err
+    assert assert_refusals_match(labels_of(n), d, t_grid=[2.0, 4.0]) == \
+        ("distinct points (p1, p2) are indistinguishable on the t grid", "P1")
 
 
 @st.composite
