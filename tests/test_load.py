@@ -317,7 +317,10 @@ def plant_step_fault(draw, tables, k, fault):
     elif fault == "value-rising":
         t, v = (t, v[:-1] + [v[-2] + 1.0]) if len(t) > 1 else (t + [t[0] * 2], v + [v[0] + 1.0])
     elif fault == "pair-repeated":
-        other = tables[draw(st.integers(0, len(tables) - 1).filter(lambda j: j != k))]
+        # the pair of another entry that is still an object: a fault planted
+        # earlier may have replaced one with a list or a string
+        other = draw(st.sampled_from([e for j, e in enumerate(tables)
+                                      if j != k and isinstance(e, dict)]))
         entry = dict(entry, pair=draw(st.permutations(other["pair"])))
     elif fault == "pair-missing":
         del tables[k]
