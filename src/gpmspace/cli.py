@@ -396,23 +396,26 @@ def _sequences_checks(inst, opts, seed, tol):
         mid, w = _interval_frame(inst.carrier)
         seqx = sequences.SequenceSpec("geometric", c=mid, a=w, r=0.5, n_terms=200)
         seqy = sequences.SequenceSpec("geometric", c=mid, a=-w, r=0.5, n_terms=200)
-        # the convergence report of seqx also serves bounded, joint_continuity and
-        # subsequence_completeness, and its cauchy report subsequence_completeness
-        convergence = sequences.check_convergence(inst, seqx, mid, tol)
+        # one convergence_rows call gives the reports of x_n and y_n; that of x_n
+        # also serves bounded, joint_continuity and subsequence_completeness,
+        # and its cauchy report subsequence_completeness
+        convergence, convergence_y = sequences.convergence_rows(
+            inst, [seqx, seqy], [mid, mid], tol)
         cauchy = sequences.check_cauchy(inst, seqx, tol)
         checks += [convergence, cauchy,
                    sequences.check_bounded(inst, seqx, tol, limit=mid, convergence=convergence)]
         checks.append(_guarded("joint_continuity", lambda: sequences.joint_continuity_check(
-            inst, seqx, seqy, mid, mid, tol, convergence=convergence)))
+            inst, seqx, seqy, mid, mid, tol, convergence=(convergence, convergence_y))))
         indices = [2 ** k for k in range(1, 8)]
         checks.append(_guarded("subsequence_completeness",
                                lambda: sequences._subsequence_report(
                                    inst, seqx, indices, mid, tol, cauchy, convergence)))
-        def rows():  # P(x_n, mid, t) for each grid t, one kernel call per t
+        def rows():  # P(x_n, mid, t) over (t, n), one kernel call
             u, v = core.coords(inst, seqx.terms(inst.carrier)), core.coords(inst, mid)
+            vals = core.P_at(inst, u, v, np.asarray(inst.t_grid)[:, None]).tolist()
             return [["n", "t", "value"]] + [
-                [n + 1, t, value] for t in inst.t_grid
-                for n, value in enumerate(core.P_at(inst, u, v, t).tolist())]
+                [n + 1, t, value] for t, row in zip(inst.t_grid, vals)
+                for n, value in enumerate(row)]
     else:
         labels = inst.carrier.labels
         consts = [sequences.SequenceSpec("explicit", points=(p,) * 40) for p in labels]

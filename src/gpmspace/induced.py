@@ -26,7 +26,7 @@ import numpy as np
 from .balls import tau_p_classes
 from .core import _P3_BLOCK, GpmsInstance, coords, ray_start
 from .errors import DomainError, HypothesisError
-from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
+from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, ScanWitnesses, Witness
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,7 @@ class AlphaMetric:
     """The two-point map d_alpha derived from an instance at a fixed alpha."""
 
     def __init__(self, inst: GpmsInstance, alpha: float, solver: BisectionSettings | None = None):
-        if inst.op.kind != "max":
-            raise HypothesisError("the induced alpha-metric requires op = max")
-        if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
-            raise DomainError(f"alpha must be a positive real, got {alpha!r}")
+        _check_alpha(inst, alpha)
         self.instance = inst
         self.alpha = float(alpha)
         self.solver = solver or BisectionSettings()
@@ -64,12 +61,25 @@ class AlphaMetric:
         return _distance_matrix(self, self.instance.carrier.labels)
 
 
-def d_alpha(am: AlphaMetric, a, b) -> float:
-    """Left endpoint of { t : P(a,b,t) < alpha }, or +inf if the ray is empty."""
-    car = am.instance.carrier
+def _check_alpha(inst: GpmsInstance, alpha):
+    """Refuse an op other than max, then an alpha that is not a positive real."""
+    if inst.op.kind != "max":
+        raise HypothesisError("the induced alpha-metric requires op = max")
+    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0):
+        raise DomainError(f"alpha must be a positive real, got {alpha!r}")
+
+
+def _pair_coords(inst: GpmsInstance, a, b) -> np.ndarray:
+    """Kernel coordinates of the points ``a`` and ``b``, refusing one not in the carrier."""
+    car = inst.carrier
     if not car.contains(a) or not car.contains(b):
         raise DomainError(f"point not in carrier: {a!r} or {b!r}")
-    u, v = coords(am.instance, [a, b])
+    return coords(inst, [a, b])
+
+
+def d_alpha(am: AlphaMetric, a, b) -> float:
+    """Left endpoint of { t : P(a,b,t) < alpha }, or +inf if the ray is empty."""
+    u, v = _pair_coords(am.instance, a, b)
     return float(ray_start(am.instance, u, v, am.alpha))
 
 
@@ -84,7 +94,9 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
 
     Exhaustive on finite carriers; sampled on interval carriers.  Positivity
     becomes inconclusive whenever +inf values appear (the map is then not
-    real-valued, so metric-ness cannot be certified either way).
+    real-valued, so metric-ness cannot be certified either way).  The
+    triangle witnesses (``_triangle_rows``) follow the others in a
+    ``ScanWitnesses``, built only when read.
     """
     inst = am.instance
     tol = am.solver.tolerance
@@ -116,19 +128,10 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
             witnesses.append(Witness(points=(x, y),
                                      values={"lhs": float(D[i, j]), "rhs": float(D[j, i])},
                                      detail="d_alpha not symmetric"))
-    slack = 4 * tol
-    step = max(1, _P3_BLOCK // (k * k))
-    for lo in range(0, k, step):
-        # bad[i, j, l]: D[i, l] > D[i, j] + D[j, l] + slack, on <= _P3_BLOCK entries
-        rows = D[lo:lo + step]
-        bad = rows[:, None, :] > (rows[:, :, None] + D) + slack
-        if not bad.any():
-            continue
-        for i, j, l in np.argwhere(bad):
-            witnesses.append(Witness(points=(pts[lo + i], pts[j], pts[l]),
-                                     values={"lhs": float(rows[i, l]),
-                                             "rhs": float(rows[i, j] + D[j, l])},
-                                     detail="triangle inequality fails"))
+    rows = _triangle_rows(D, 4 * tol)
+    i, j, l = rows.T
+    witnesses = ScanWitnesses(pts, rows, {"lhs": D[i, l], "rhs": D[i, j] + D[j, l]},
+                              "triangle inequality fails", head=tuple(witnesses))
     if witnesses:
         verdict = FAIL
         note = "metric axiom violated"
@@ -140,17 +143,54 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
         note = "all metric axioms hold within tol for symmetry and 4*tol for the triangle"
     return CheckReport(name=f"alpha_metric_axioms[alpha={am.alpha:.12g}]", verdict=verdict,
                        samples_tested=k + k * (k - 1) // 2 + k ** 3, note=note,
-                       witnesses=tuple(witnesses))
+                       witnesses=witnesses)
+
+
+def _triangle_rows(D, slack) -> np.ndarray:
+    """The (i, j, l) with D[i, l] > D[i, j] + D[j, l] + slack, as index rows in
+    lexicographic order.
+
+    Rows i are scanned in blocks of about ``_P3_BLOCK`` entries.  When
+    D == D.T, each block is scanned at the columns l from its start on, and a
+    violation with l before the start is the mirror (l, j, i) of one found
+    there, since float addition is commutative; otherwise at every column.
+    """
+    k = len(D)
+    symmetric = np.array_equal(D, D.T)
+    step = max(1, _P3_BLOCK // (k * k))
+    found = []
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        first = lo if symmetric else 0
+        rows = D[lo:hi]
+        # bad[a, j, b]: D[lo + a, first + b] > D[lo + a, j] + D[j, first + b] + slack
+        bad = rows[:, None, first:] > (rows[:, :, None] + D[:, first:]) + slack
+        if bad.any():
+            a, j, b = np.nonzero(bad)
+            i, l = a + lo, b + first
+            found.append((i, j, l))
+            if symmetric:
+                past = l >= hi
+                found.append((l[past], j[past], i[past]))
+    if not found:
+        return np.empty((0, 3), dtype=np.intp)
+    i, j, l = (np.concatenate(axis) for axis in zip(*found))
+    order = np.argsort((i * k + j) * k + l)
+    return np.stack((i[order], j[order], l[order]), axis=1)
 
 
 def check_alpha_monotonicity(inst: GpmsInstance, a, b, alpha_list,
                              solver: BisectionSettings | None = None) -> CheckReport:
-    """d_alpha(a,b) must be non-increasing as alpha increases (fixed pair)."""
+    """d_alpha(a,b) must be non-increasing as alpha increases (fixed pair),
+    read from one ``ray_start`` call over the alpha list."""
     alphas = [float(v) for v in alpha_list]
     if any(y <= x for x, y in zip(alphas, alphas[1:])) or any(v <= 0 for v in alphas):
         raise DomainError("alpha_list must be strictly increasing positives")
     st = solver or BisectionSettings()
-    values = [d_alpha(AlphaMetric(inst, al, st), a, b) for al in alphas]
+    for al in alphas:
+        _check_alpha(inst, al)
+    u, v = _pair_coords(inst, a, b)
+    values = ray_start(inst, u, v, np.array(alphas)).tolist()
     slack = 2 * st.tolerance
     witnesses = []
     for (a1, v1), (a2, v2) in zip(zip(alphas, values), zip(alphas[1:], values[1:])):

@@ -10,10 +10,11 @@ inequality on that witness in floats reproduces the failure.  An exact
 violation without such a witness is "inconclusive".
 
 A report's ``witnesses`` is a sequence, not always a tuple.  The axiom checks
-of ``core`` can find thousands of witnesses and a report serializes eight
-of them, so they return a ``ScanWitnesses``: it keeps the check's
-witness index rows and the values gathered at those rows, and builds a
-``Witness`` only when one is read.  ``len`` (the report's ``witness_count``)
+of ``core`` and the d_alpha metric axioms can find thousands of witnesses
+and a report serializes eight of them, so they return a ``ScanWitnesses``:
+it keeps the check's witness index rows and the values gathered at those
+rows, after any witnesses built before the scan, and builds a ``Witness``
+only when one is read.  ``len`` (the report's ``witness_count``)
 is exact and costs nothing, a slice is a tuple, and iterating builds every
 witness in order.
 
@@ -76,22 +77,24 @@ class Witness:
 class ScanWitnesses(Sequence):
     """The witnesses of an axiom check, each built when it is read.
 
-    Witness ``k`` has the points ``pts[i]`` for the indices ``i`` in
+    The witnesses in ``head``, found before the scan, come first.  Scanned
+    witness ``k`` has the points ``pts[i]`` for the indices ``i`` in
     ``rows[k]``, the value ``float(column[k])`` for each named column of
     ``values`` (in that order) and ``detail``.  Only the rows and the
     gathered columns are kept, never the arrays they came from.
     """
 
-    __slots__ = ("_pts", "_rows", "_values", "_detail")
+    __slots__ = ("_pts", "_rows", "_values", "_detail", "_head")
 
-    def __init__(self, pts, rows, values, detail):
+    def __init__(self, pts, rows, values, detail, head=()):
         self._pts = pts
         self._rows = rows
         self._values = values
         self._detail = detail
+        self._head = head
 
     def __len__(self):
-        return len(self._rows)
+        return len(self._head) + len(self._rows)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
@@ -105,6 +108,9 @@ class ScanWitnesses(Sequence):
         return (self._witness(k) for k in range(len(self)))
 
     def _witness(self, k):
+        if k < len(self._head):
+            return self._head[k]
+        k -= len(self._head)
         return Witness(points=tuple(self._pts[i] for i in self._rows[k].tolist()),
                        values={name: float(col[k]) for name, col in self._values.items()},
                        detail=self._detail)

@@ -8,16 +8,21 @@ exact: a diameter is a sup over pairs and over t > 0, and P is
 non-increasing in t, so the inner sup is the t -> 0+ limit that
 ``core.sup_P`` gives in closed form, reading no P.
 
-Rows are batched.  ``convergence_rows`` checks many sequences against their
-limits in one kernel call over (t, row, window term), and
-``check_convergence`` is a batch of one.  ``check_bounded`` reads its K_t
-table from one kernel call: over the grid t at the farthest pair for a family
-formula, which is non-decreasing in the distance, and over (t, point, point)
-for step tables.  ``cantor_intersection`` on masks tests every member's
-closedness with one union-of-classes test and reads every member's diameter
-from one ``sup_P`` matrix over the first member (``_nested_diameters``); on
-intervals it reads them from one ``sup_P`` call at the members' ends
-(``_interval_diameters``).
+Rows are batched, and each check reads P over the whole t grid at once.
+``convergence_rows`` checks many sequences against their limits in one
+kernel call over (t, row, window term), and ``check_convergence`` is a batch
+of one.  ``check_cauchy`` reads (t, window term, window term), one call per
+block of grid t holding at most ``_P3_BLOCK`` entries, and
+``joint_continuity_check`` one call over (t, window term), with (x, y) as
+one more column.
+``check_bounded`` reads its K_t table over the grid t at the farthest pair
+for a family formula, which is non-decreasing in the distance (on an
+interval the least and the greatest point), and over (t, point, point) for
+step tables.  A ``SequenceSpec`` evaluates its terms once per carrier.
+``cantor_intersection`` on masks tests every member's closedness with one
+union-of-classes test and reads every member's diameter from one ``sup_P``
+matrix over the first member (``_nested_diameters``); on intervals it reads
+them from one ``sup_P`` call at the members' ends (``_interval_diameters``).
 """
 from __future__ import annotations
 
@@ -33,7 +38,7 @@ from .balls import (
     closure_and_limit_points,
     is_open,
 )
-from .core import GpmsInstance, P_at, _distance, coords, eval_P, sup_P
+from .core import _P3_BLOCK, GpmsInstance, P_at, _distance, coords, eval_P, sup_P
 from .errors import DomainError, HypothesisError, PreconditionError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -69,7 +74,18 @@ class SequenceSpec:
 
     def terms(self, carrier):
         """Evaluate terms n = 1..n_terms and validate carrier membership: a
-        closed form on an interval with one bounds test, else term by term."""
+        closed form on an interval with one bounds test, else term by term.
+        A closed form is evaluated once per carrier, and each call returns a
+        new list of its terms."""
+        if self.kind == "explicit":
+            return self._evaluate(carrier)
+        memo = self.__dict__.get("_terms")
+        if memo is None or memo[0] is not carrier:
+            memo = (carrier, tuple(self._evaluate(carrier)))
+            object.__setattr__(self, "_terms", memo)
+        return list(memo[1])
+
+    def _evaluate(self, carrier):
         if self.kind == "explicit":
             out = list(self.points)
         else:
@@ -185,29 +201,35 @@ def convergence_rows(inst: GpmsInstance, seqs, limits, tol: float = 1e-6) -> lis
 
 
 def check_cauchy(inst: GpmsInstance, seq: SequenceSpec, tol: float = 1e-6) -> CheckReport:
-    """Tail-window test of lim P(x_n, x_m, t) = 0 over all window pairs."""
+    """Tail-window test of lim P(x_n, x_m, t) = 0 over all window pairs; each
+    grid t reports its first worst pair.
+
+    P is read over (t, n, m) in one kernel call per block of grid t, a block
+    holding at most ``_P3_BLOCK`` entries or a single t: one call for the
+    battery's 40-term window on a grid of up to 10 t.
+    """
     terms = seq.terms(inst.carrier)
     win, start = _window(terms)
-    witnesses = []
-    samples = 0
-    tails = {}
     c = coords(inst, win)
-    for t in inst.t_grid:
-        mat = P_at(inst, c[:, None], c, t)
-        samples += mat.size
-        worst_flat = int(np.argmax(mat))
-        i, j = divmod(worst_flat, mat.shape[1])
-        tails[f"{t:.12g}"] = float(mat[i, j])
-        if mat[i, j] >= tol:
-            witnesses.append(Witness(points=(win[i], win[j]),
-                                     values={"n": float(start + i + 1), "m": float(start + j + 1),
-                                             "t": t, "value": float(mat[i, j]), "tol": tol},
-                                     detail="tail pair does not drop below tolerance"))
-    verdict = FAIL if witnesses else PASS
-    return CheckReport(name="cauchy", verdict=verdict, samples_tested=samples,
-                       witnesses=tuple(witnesses),
+    ts = np.asarray(inst.t_grid)
+    per = max(1, _P3_BLOCK // c.size ** 2)
+    worst, top = [], []
+    for lo in range(0, ts.size, per):
+        vals = P_at(inst, c[:, None], c, ts[lo:lo + per, None, None]).reshape(-1, c.size ** 2)
+        k = vals.argmax(-1)  # [t], into n * m
+        worst += k.tolist()
+        top += vals[np.arange(k.size), k].tolist()
+    witnesses = tuple(
+        Witness(points=(win[i], win[j]),
+                values={"n": float(start + i + 1), "m": float(start + j + 1),
+                        "t": t, "value": value, "tol": tol},
+                detail="tail pair does not drop below tolerance")
+        for t, (i, j), value in zip(inst.t_grid, (divmod(k, c.size) for k in worst), top)
+        if value >= tol)
+    return CheckReport(name="cauchy", verdict=FAIL if witnesses else PASS,
+                       samples_tested=ts.size * c.size ** 2, witnesses=witnesses,
                        note=f"tail window = last {len(win)} of {len(terms)} terms",
-                       data={"max_tail_P": tails})
+                       data={"max_tail_P": {f"{t:.12g}": v for t, v in zip(inst.t_grid, top)}})
 
 
 def _coords_of(inst, s) -> np.ndarray:
@@ -248,8 +270,14 @@ def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None,
         ts = np.asarray(inst.t_grid)
         if inst._steps is None:
             # a family formula and its rounding are non-decreasing in the
-            # distance, so P is largest at the farthest pair, at every t
-            i, j = np.unravel_index(np.argmax(_distance(inst, c[:, None], c)), (c.size, c.size))
+            # distance, so P is largest at the farthest pair, at every t; on
+            # an interval that is the least and the greatest point, as no
+            # pair's rounded distance exceeds theirs (rounding is monotone)
+            if inst.carrier.kind == "interval":
+                i, j = c.argmin(), c.argmax()
+            else:
+                i, j = np.unravel_index(np.argmax(_distance(inst, c[:, None], c)),
+                                        (c.size, c.size))
             top = P_at(inst, c[i], c[j], ts)
         else:
             top = P_at(inst, c[:, None], c, ts[:, None, None]).max(axis=(1, 2))
@@ -276,19 +304,26 @@ def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None,
 
 def joint_continuity_check(inst: GpmsInstance, seqx: SequenceSpec, seqy: SequenceSpec,
                            x, y, tol: float = 1e-6, conv_tol: float | None = None,
-                           convergence: CheckReport | None = None) -> CheckReport:
+                           convergence: tuple[CheckReport, CheckReport] | None = None
+                           ) -> CheckReport:
     """P(x_n, y_n, t) must approach P(x, y, t) on the tail, for every grid t.
 
     ``conv_tol`` is the tolerance for the prerequisite convergence checks of
     the two input sequences (they may certify at a coarser tolerance than the
     joint limit match itself); a caller that already has the
-    ``check_convergence`` report of ``seqx`` to ``x`` at ``conv_tol`` passes
-    it as ``convergence``.  Also checks the two squeeze inequalities at
-    one grid step: P(x,y,t') stays below the tail limit at t plus slack, and
-    the tail limit at t' stays below P(x,y,t) plus slack, for adjacent t < t'.
+    ``check_convergence`` reports of ``seqx`` to ``x`` and of ``seqy`` to
+    ``y`` at ``conv_tol`` passes the pair as ``convergence``.  Also checks
+    the two squeeze inequalities at one grid step: P(x,y,t') stays below the
+    tail limit at t plus slack, and the tail limit at t' stays below P(x,y,t)
+    plus slack, for adjacent t < t'.  P is read in one kernel call over
+    (t, window term), with (x, y) as one more column.
     """
     conv_tol = tol if conv_tol is None else conv_tol
-    for seq, lim, name, rep in ((seqx, x, "x", convergence), (seqy, y, "y", None)):
+    if convergence is None:
+        convergence = (None, None)
+    elif isinstance(convergence, CheckReport) or len(convergence) != 2:
+        raise DomainError("convergence must be the pair of reports (x_n to x, y_n to y)")
+    for seq, lim, name, rep in zip((seqx, seqy), (x, y), "xy", convergence):
         if rep is None:
             rep = check_convergence(inst, seq, lim, conv_tol)
         if not rep.ok:
@@ -296,31 +331,24 @@ def joint_continuity_check(inst: GpmsInstance, seqx: SequenceSpec, seqy: Sequenc
     tx = seqx.terms(inst.carrier)
     ty = seqy.terms(inst.carrier)
     n = min(len(tx), len(ty))
-    tx, ty = tx[:n], ty[:n]
-    winx, start = _window(tx)
-    winy, _ = _window(ty)
-    witnesses = []
-    samples = 0
-    limits = {}
-    u, v = coords(inst, winx), coords(inst, winy)
+    winx, start = _window(tx[:n])
+    winy, _ = _window(ty[:n])
     T = np.asarray(inst.t_grid)
-    # P at (x, y) and at the last terms, over the t grid: one row each
-    target_row = P_at(inst, coords(inst, x), coords(inst, y), T).tolist()
-    last_row = P_at(inst, coords(inst, tx[-1]), coords(inst, ty[-1]), T).tolist()
-    for t, target in zip(inst.t_grid, target_row):
-        vals = P_at(inst, u, v, t)
-        samples += len(vals)
-        dev = np.abs(vals - target)
-        worst = int(np.argmax(dev))
-        limits[f"{t:.12g}"] = float(vals[-1])
-        if dev[worst] >= tol:
-            witnesses.append(Witness(points=(winx[worst], winy[worst]),
-                                     values={"n": float(start + worst + 1), "t": t,
-                                             "deviation": float(dev[worst]), "target": target},
-                                     detail="tail value strays from P(x,y,t)"))
+    vals = P_at(inst, coords(inst, winx + [x]), coords(inst, winy + [y]), T[:, None])
+    target, vals = vals[:, -1], vals[:, :-1]  # [t], [t, window term]
+    dev = np.abs(vals - target[:, None])
+    worst = dev.argmax(-1)
+    top = dev[np.arange(T.size), worst].tolist()
+    # the window ends at the last terms, so its last column is the tail limit
+    target_row, last_row = target.tolist(), vals[:, -1].tolist()
+    witnesses = [Witness(points=(winx[k], winy[k]),
+                         values={"n": float(start + k + 1), "t": t, "deviation": d,
+                                 "target": p_xy},
+                         detail="tail value strays from P(x,y,t)")
+                 for t, k, d, p_xy in zip(inst.t_grid, worst.tolist(), top, target_row)
+                 if d >= tol]
     slack = 3 * tol
     for k, (t1, t2) in enumerate(zip(inst.t_grid, inst.t_grid[1:])):
-        samples += 2
         if target_row[k + 1] > last_row[k] + slack:
             witnesses.append(Witness(values={"t": t1, "t_next": t2},
                                      detail="upper squeeze inequality fails at one grid step"))
@@ -328,8 +356,10 @@ def joint_continuity_check(inst: GpmsInstance, seqx: SequenceSpec, seqy: Sequenc
             witnesses.append(Witness(values={"t": t1, "t_next": t2},
                                      detail="lower squeeze inequality fails at one grid step"))
     verdict = FAIL if witnesses else PASS
-    return CheckReport(name="joint_continuity", verdict=verdict, samples_tested=samples,
-                       witnesses=tuple(witnesses), data={"tail_limit_estimate": limits})
+    return CheckReport(name="joint_continuity", verdict=verdict,
+                       samples_tested=vals.size + 2 * (T.size - 1), witnesses=tuple(witnesses),
+                       data={"tail_limit_estimate": {f"{t:.12g}": v
+                                                     for t, v in zip(inst.t_grid, last_row)}})
 
 
 def diameter(inst: GpmsInstance, s) -> float:

@@ -416,7 +416,7 @@ def test_cli_out_and_csv(tmp_path):
 def test_csv_rows_are_built_only_when_written(tmp_path, monkeypatch):
     # a battery hands over its CSV rows as a function that run_command calls
     # only for the payload it writes: the P trace of the test sequence takes
-    # one kernel call per grid t, made under sequences --csv alone
+    # one kernel call over the whole t grid, made under sequences --csv alone
     interval = {k: v for k, v in BASE.items() if k not in ("points", "d")}
     path = write(tmp_path, dict(interval, family="damped", interval=[-2.0, 2.0],
                                 resolution=0.25))
@@ -434,7 +434,7 @@ def test_csv_rows_are_built_only_when_written(tmp_path, monkeypatch):
             del calls[:]
             g.run_command(command, g.load_instance(path), Options(csv=csv and str(csv)))
             counts[command, csv is not None] = len(calls)
-    assert counts["sequences", True] == counts["sequences", False] + len(BASE["t_grid"])
+    assert counts["sequences", True] == counts["sequences", False] + 1
     assert counts["full-report", True] == counts["full-report", False]
     assert (tmp_path / "sequences.csv").exists() and not (tmp_path / "full-report.csv").exists()
 
@@ -584,9 +584,9 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     # topology identity read no P
     assert (len(values), sum(values)) == (6, 7161)
     # d_alpha: one 9 x 9 matrix, read by the table, the metric axioms and the
-    # topology identity (its P4 gate too), and one pair at each of the 5
-    # monotonicity alphas
-    assert (len(rays), sum(rays)) == (6, 86)
+    # topology identity (its P4 gate too), and one pair at the 5 monotonicity
+    # alphas in one call
+    assert (len(rays), sum(rays)) == (2, 86)
 
 
 def wide_instance_file(tmp_path, n=48):

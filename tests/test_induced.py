@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import gpmspace as g
 from gpmspace import core, induced
+from gpmspace.reports import canonical_json
 from helpers import (ALPHA_GRID, T_GRID, gallery_instances, interval_instance, line_carrier,
                      make_instance, squared_distance_table_instance, two_point_carrier)
 
@@ -278,8 +279,9 @@ def scalar_solve_d_alpha(inst, a, b, alpha, tolerance, max_iter=None):
     return 0.5 * (lo + hi)
 
 
-def old_metric_axioms(am, seed=0, n_samples=64):
-    """The pairwise-dictionary, triple-loop metric-axiom check, kept as an oracle."""
+def old_metric_axioms(am, seed=0, n_samples=64, D=None):
+    """The pairwise-dictionary, triple-loop metric-axiom check, kept as an
+    oracle; it reads d_alpha from ``D`` over the carrier labels when given."""
     inst = am.instance
     tol = am.solver.tolerance
     if inst.carrier.kind == "finite":
@@ -293,8 +295,11 @@ def old_metric_axioms(am, seed=0, n_samples=64):
     has_inf = False
     dval = {}
     for i, x in enumerate(pts):
-        for y in pts[i:]:
-            dval[(x, y)] = dval[(y, x)] = g.d_alpha(am, x, y)
+        for j, y in enumerate(pts[i:], i):
+            if D is None:
+                dval[(x, y)] = dval[(y, x)] = g.d_alpha(am, x, y)
+            else:
+                dval[(x, y)], dval[(y, x)] = float(D[i, j]), float(D[j, i])
     for x in pts:
         samples += 1
         if dval[(x, x)] != 0.0:
@@ -370,6 +375,90 @@ def test_metric_axioms_oracle_sees_positivity_and_triangle_failures():
     assert any("separation hypothesis" in w.detail for w in rep.witnesses)
     rep = assert_axioms_match_oracle(g.AlphaMetric(squared_distance_table_instance(), 0.05))
     assert any("triangle" in w.detail for w in rep.witnesses)
+
+
+def full_triangle_scan(D, slack):
+    """Every (i, j, l) with D[i, l] > D[i, j] + D[j, l] + slack, in
+    lexicographic order, from one k x k x k tensor."""
+    return np.argwhere(D[:, None, :] > (D[:, :, None] + D) + slack)
+
+
+def planted_matrix(rng, k, symmetric):
+    """A k x k matrix of halves, zeros and infinities: the triangle sums tie
+    at slacks that are multiples of 0.5, and the diagonal is not zero."""
+    D = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, math.inf], size=(k, k))
+    return np.where(np.tri(k, dtype=bool), D.T, D) if symmetric else D
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.sampled_from((0.0, 0.5, 1.0, 4e-6)))
+def test_triangle_rows_match_the_full_scan(k, seed, symmetric, slack):
+    # up to 70 points: a block holds 16384 // k^2 rows, at least three, so
+    # past k = 25 the scan crosses blocks; symmetric matrices take the
+    # mirrors, the others the transpose
+    D = planted_matrix(np.random.default_rng(seed), k, symmetric)
+    assert np.array_equal(D, D.T) or not symmetric
+    rows = induced._triangle_rows(D, slack)
+    assert rows.shape[1] == 3
+    np.testing.assert_array_equal(rows, full_triangle_scan(D, slack))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.sampled_from((0.0, 0.125, 0.25)), st.sampled_from((1, 300, 700, 1 << 14)))
+def test_metric_axioms_on_planted_matrices_match_the_triple_loop(k, seed, symmetric, tol,
+                                                                 block):
+    # a planted d_alpha matrix in place of the closed form, scanned in blocks
+    # of one row up to the whole matrix: the same witnesses in the same
+    # order with the same values, witness_count and samples_tested
+    D = planted_matrix(np.random.default_rng(seed), k, symmetric)
+    am = g.AlphaMetric(make_instance("scaled", carrier=line_carrier(k)), 1.0,
+                       g.BisectionSettings(tol))
+    am.__dict__["_matrix"] = D
+    real_block = induced._P3_BLOCK
+    induced._P3_BLOCK = block
+    try:
+        rep = g.check_alpha_metric_axioms(am)
+    finally:
+        induced._P3_BLOCK = real_block
+    verdict, note, samples, witnesses = old_metric_axioms(am, D=D)
+    assert (rep.verdict, rep.note, rep.samples_tested) == (verdict, note, samples)
+    assert rep.to_jsonable()["witness_count"] == len(rep.witnesses) == len(witnesses)
+    assert [(w.points, w.detail, {name: float(v).hex() for name, v in w.values.items()})
+            for w in rep.witnesses] == \
+        [(w.points, w.detail, {name: float(v).hex() for name, v in w.values.items()})
+         for w in witnesses]
+    assert canonical_json(rep.to_jsonable()) == canonical_json(g.CheckReport(
+        name=rep.name, verdict=verdict, samples_tested=samples, note=note,
+        witnesses=tuple(witnesses)).to_jsonable())
+
+
+def test_metric_axioms_build_the_triangle_witnesses_only_when_read():
+    # damped/max on [-2, 2] with a t grid up to 1e300: d_alpha at alpha 1 is
+    # 0, inf or -ln(1/d - 1) on 64 sampled points, and the triangle
+    # inequality fails over ten thousand times; the check and its report
+    # build the witnesses found before the scan and at most the eight
+    # witnesses the report writes
+    inst = interval_instance("damped", t_grid=(1e-4, 1e300), alpha_grid=(0.5, 1.0))
+    built = []
+    real = g.Witness.__init__
+
+    def counting(self, *args, **kw):
+        built.append(1)
+        real(self, *args, **kw)
+
+    g.Witness.__init__ = counting
+    try:
+        rep = g.check_alpha_metric_axioms(g.AlphaMetric(inst, 1.0))
+        data = rep.to_jsonable()
+    finally:
+        g.Witness.__init__ = real
+    details = [w.detail for w in rep.witnesses]
+    triangles = details.count("triangle inequality fails")
+    assert rep.failed and triangles > 10_000
+    assert data["witness_count"] == len(details) and len(data["witnesses"]) == 8
+    assert len(built) <= len(details) - triangles + 8
 
 
 def assert_matches_scalar_solver(inst, alpha, x, y, got, want, slack):
@@ -560,15 +649,15 @@ def test_one_dalpha_operation_reads_p4_off_its_matrix_and_solves_each_pair_once(
     # the P4 gate of the topology identity reads the zeros of the d_alpha
     # matrix: no grid scan, and P is read once, for the classes of tau_P
     assert scans == [] and len(values) == 1
-    # the command's metric and one per monotonicity alpha
-    assert len(metrics) == 1 + len(ALPHA_GRID)
+    # the command's metric only: monotonicity builds none
+    assert len(metrics) == 1
     # one matrix, read by the table, the metric axioms and the topology
-    # identity, and (x0, x8) at each monotonicity alpha
-    assert sorted(sizes) == [1] * len(ALPHA_GRID) + [n * n]
+    # identity, and (x0, x8) at every monotonicity alpha in one call
+    assert sorted(sizes) == [len(ALPHA_GRID), n * n]
     scans.clear()
     sizes.clear()
     g.check_alpha_monotonicity(inst_file.instance, "x0", "x8", ALPHA_GRID)
-    assert scans == [] and sizes == [1] * len(ALPHA_GRID)
+    assert scans == [] and sizes == [len(ALPHA_GRID)]
 
 
 def test_dalpha_looks_up_each_solver_pair_once(tmp_path, monkeypatch):
@@ -603,6 +692,6 @@ def test_dalpha_looks_up_each_solver_pair_once(tmp_path, monkeypatch):
     monkeypatch.setattr(induced, "ray_start", ray_start)
     g.run_command("dalpha", inst_file)
     # one matrix for the table, the axioms and the topology identity, which
-    # also scans P4
-    assert sorted(sizes) == [1] * len(ALPHA_GRID) + [n * n]
-    assert lookups[0] <= n * 2 + 2 * len(ALPHA_GRID)
+    # also scans P4, and one pair at every monotonicity alpha
+    assert sorted(sizes) == [len(ALPHA_GRID), n * n]
+    assert lookups[0] <= n * 2 + 2

@@ -212,8 +212,8 @@ def joint_continuity_oracle(inst, seqx, seqy, x, y, tol, conv_tol):
 
 @pytest.mark.parametrize("family", ["scaled", "damped"])
 def test_joint_continuity_reads_two_P_rows(monkeypatch, family):
-    # P at (x, y) and at the last terms comes from one P_at call over the t
-    # grid each, bit for bit what the per-t eval_P calls read; y_n = 2 + 3/n
+    # P at (x, y) and at the last terms comes from the one P_at call over
+    # (t, window term), bit for bit what the per-t eval_P calls read; y_n = 2 + 3/n
     # drifts from x_n = 1/n, so the tail strays at tol = 1e-9 and the lower
     # squeeze fails at the close step from t = 1 to 1.01
     car = g.IntervalCarrier(-2.0, 6.0, 0.25)
@@ -586,6 +586,125 @@ def test_K_t_table_matches_one_matrix_per_t(inst, data):
     assert rep.samples_tested == len(inst.t_grid) * len(c) ** 2
 
 
+def cauchy_oracle(inst, seq, tol):
+    """check_cauchy as one window x window P_at matrix per grid t."""
+    terms = seq.terms(inst.carrier)
+    start = min(int(math.floor(0.8 * len(terms))), len(terms) - 1)
+    win = terms[start:]
+    witnesses, samples, tails = [], 0, {}
+    c = core.coords(inst, win)
+    for t in inst.t_grid:
+        mat = core.P_at(inst, c[:, None], c, t)
+        samples += mat.size
+        i, j = divmod(int(np.argmax(mat)), mat.shape[1])
+        tails[f"{t:.12g}"] = float(mat[i, j])
+        if mat[i, j] >= tol:
+            witnesses.append(g.Witness(points=(win[i], win[j]),
+                                       values={"n": float(start + i + 1),
+                                               "m": float(start + j + 1), "t": t,
+                                               "value": float(mat[i, j]), "tol": tol},
+                                       detail="tail pair does not drop below tolerance"))
+    return g.CheckReport(name="cauchy", verdict=g.FAIL if witnesses else g.PASS,
+                         samples_tested=samples, witnesses=tuple(witnesses),
+                         note=f"tail window = last {len(win)} of {len(terms)} terms",
+                         data={"max_tail_P": tails})
+
+
+def bounded_K_t_oracle(inst, c):
+    """K_t of a family formula as check_bounded read it on an interval: P over
+    the grid t at the first farthest pair of the |u - v| matrix."""
+    i, j = np.unravel_index(np.argmax(np.abs(c[:, None] - c)), (c.size, c.size))
+    return core.P_at(inst, c[i], c[j], np.asarray(inst.t_grid)).tolist()
+
+
+def same_witnesses(got, want):
+    """The same reports, with the same witness points and value bits."""
+    same_reports([got], [want])
+    assert [(w.points, {k: float(v).hex() for k, v in w.values.items()}) for w in got.witnesses] \
+        == [(w.points, {k: float(v).hex() for k, v in w.values.items()}) for w in want.witnesses]
+
+
+INTERVAL_POINTS = (-2.0, -0.5, 0.0, 1 / 3, 1.5, 2.0)
+
+
+# a sequence on [-2, 2]: a closed form that converges or alternates (a
+# failing tail), or a list of points that repeats values (tied maxima)
+INTERVAL_SEQUENCES = st.builds(
+    g.SequenceSpec, st.sampled_from(("geometric", "reciprocal", "alternating")),
+    c=st.sampled_from((0.0, 1 / 3, -0.5)), a=st.sampled_from((1.0, -1.5, 1e-9, 0.0)),
+    r=st.sampled_from((0.5, 0.9, -0.5)), n_terms=st.integers(5, 60)) | st.lists(
+    st.sampled_from(INTERVAL_POINTS) | st.floats(-2.0, 2.0), min_size=1, max_size=40).map(
+    lambda pts: g.SequenceSpec("explicit", points=tuple(pts)))
+
+
+@st.composite
+def interval_family_instances(draw):
+    family = draw(st.sampled_from(("scaled", "constant", "damped", "discrete")))
+    t_grid = draw(st.sets(st.sampled_from((1e-4, 0.01, 0.5, 1.0, 1.01, 4.0)),
+                          min_size=1, max_size=4))
+    return interval_instance(family, t_grid=sorted(t_grid), c=1.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(interval_family_instances(), INTERVAL_SEQUENCES, st.sampled_from((1e-9, 1e-3, 0.5)))
+def test_cauchy_matches_one_matrix_per_t(inst, seq, tol):
+    same_witnesses(g.check_cauchy(inst, seq, tol), cauchy_oracle(inst, seq, tol))
+
+
+@settings(max_examples=80, deadline=None)
+@given(interval_family_instances(), INTERVAL_SEQUENCES, INTERVAL_SEQUENCES,
+       st.sampled_from(INTERVAL_POINTS), st.sampled_from(INTERVAL_POINTS),
+       st.sampled_from((1e-9, 1e-3, 0.5)))
+def test_joint_continuity_matches_the_per_t_loop(inst, seqx, seqy, x, y, tol):
+    # an infinite tolerance certifies the prerequisite convergence of any
+    # sequence, so tails that stray and squeezes that fail are compared too;
+    # the reports passed in as the pair give the same report
+    want = joint_continuity_oracle(inst, seqx, seqy, x, y, tol, math.inf)
+    same_witnesses(g.joint_continuity_check(inst, seqx, seqy, x, y, tol, math.inf), want)
+    convergence = sequences.convergence_rows(inst, [seqx, seqy], [x, y], math.inf)
+    same_witnesses(g.joint_continuity_check(inst, seqx, seqy, x, y, tol, math.inf,
+                                            convergence=tuple(convergence)), want)
+
+
+@pytest.mark.parametrize("n_terms, calls_made", [(200, 1), (300, 2), (1000, 6)])
+@pytest.mark.parametrize("kind", ["alternating", "geometric"])
+def test_cauchy_reads_blocks_of_grid_t(monkeypatch, n_terms, calls_made, kind):
+    # a block holds at most _P3_BLOCK = 2^14 entries: a 40-term window takes
+    # the 6 grid t in one kernel call, a 60-term window 4 per call and a
+    # 200-term window one; the alternating tail fails, the geometric passes
+    inst = interval_instance("damped", t_grid=(1e-4, 0.01, 0.5, 1.0, 1.01, 4.0))
+    seq = g.SequenceSpec(kind, c=0.0, a=1.0, r=0.5, n_terms=n_terms)
+    want = cauchy_oracle(inst, seq, 1e-9)
+    assert want.ok == (kind == "geometric")
+    calls = _count_kernel_calls(monkeypatch)
+    got = g.check_cauchy(inst, seq, 1e-9)
+    assert len(calls) == calls_made
+    same_witnesses(got, want)
+
+
+def test_joint_continuity_refuses_a_convergence_that_is_not_a_pair():
+    # one report, or a tuple of another length, would leave the y_n
+    # prerequisite unchecked
+    inst = scaled_interval()
+    rep = g.check_convergence(inst, RECIP, 0.0, SEQ_TOL)
+    for convergence in (rep, (rep,), [rep], (rep, rep, rep)):
+        with pytest.raises(g.DomainError, match="pair of reports"):
+            g.joint_continuity_check(inst, RECIP, RECIP, 0.0, 0.0, SEQ_TOL,
+                                     convergence=convergence)
+    assert g.joint_continuity_check(inst, RECIP, RECIP, 0.0, 0.0, SEQ_TOL,
+                                    convergence=[rep, rep]).ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(interval_family_instances(), INTERVAL_SEQUENCES | st.lists(
+    st.sampled_from(INTERVAL_POINTS) | st.floats(-2.0, 2.0), min_size=1, max_size=40))
+def test_interval_K_t_reads_the_least_and_the_greatest_point(inst, s):
+    c = core.coords(inst, s.terms(inst.carrier) if isinstance(s, g.SequenceSpec) else s)
+    rep = g.check_bounded(inst, s)
+    assert [v.hex() for v in rep.data["K_t"].values()] == \
+        [v.hex() for v in bounded_K_t_oracle(inst, c)]
+
+
 def two_cluster_instance():
     # classes {a0, a1, a2} and {b0, b1, b2}: the closed sets are the unions of them
     labels = ("a0", "a1", "a2", "b0", "b1", "b2")
@@ -644,16 +763,27 @@ def test_sequences_and_cantor_batteries_make_a_fixed_number_of_kernel_calls(monk
     assert counts["_sequences_checks", 6] == counts["_sequences_checks", 24] == 3
     assert counts["_cantor_checks", 6] == counts["_cantor_checks", 24] == 1
     # on an interval, cantor's 24 diameters read no P; the sequences battery
-    # reads its cauchy and convergence reports of x_n once each: convergence
-    # 1, cauchy 1 per t, bounded 1 (the K_t table), joint_continuity 3 (the
-    # convergence of y_n and two rows) and 1 per t and
-    # subsequence_completeness 1 (the subsequence); the CSV rows, 1 per t,
-    # are built only when the payload is written
-    inst = interval_instance("damped")
-    del calls[:]
-    checks, notes, _ = cli._cantor_checks(inst, cli.Options(), 0, 1e-6)
-    assert checks and not notes and len(calls) == 0
-    del calls[:]
-    checks, notes, _ = cli._sequences_checks(inst, cli.Options(), 0, 1e-6)
-    assert len(checks) == 5 and not notes and all(c.ok for c in checks)
-    assert len(calls) == 6 + 2 * len(inst.t_grid) == 18
+    # makes one kernel call per check over the whole t grid, on a grid of up
+    # to 10 t: the convergence rows of x_n and y_n, cauchy, bounded (the K_t
+    # table), joint_continuity and subsequence_completeness (the
+    # subsequence); it evaluates the terms of x_n and y_n once each, and
+    # those of the subsequence.  The CSV rows, one more call, are built only
+    # when the payload is written
+    evaluated = []
+    real_evaluate = sequences.SequenceSpec._evaluate
+    monkeypatch.setattr(sequences.SequenceSpec, "_evaluate",
+                        lambda self, carrier: evaluated.append(self) or real_evaluate(
+                            self, carrier))
+    for t_grid in ((1e-4, 0.5, 1.0, 2.0, 4.0, 50.0), (0.5,)):
+        inst = interval_instance("damped", t_grid=t_grid)
+        del calls[:]
+        checks, notes, _ = cli._cantor_checks(inst, cli.Options(), 0, 1e-6)
+        assert checks and not notes and len(calls) == 0
+        del calls[:], evaluated[:]
+        checks, notes, rows = cli._sequences_checks(inst, cli.Options(), 0, 1e-6)
+        assert len(checks) == 5 and not notes and all(c.ok for c in checks)
+        assert len(calls) == 5
+        assert [seq.kind for seq in evaluated] == ["geometric", "geometric", "explicit"]
+        assert evaluated[0].a == -evaluated[1].a != 0
+        assert len(rows()) == 1 + 200 * len(t_grid)
+        assert len(calls) == 6 and len(evaluated) == 3
