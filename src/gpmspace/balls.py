@@ -15,7 +15,7 @@ unions of classes, each also closed, and |tau_P| = 2^k.  ``class_labels``
 labels the classes of such a relation in one array routine, and every tau_P
 question (open sets, interiors, closures, the ball theorems, separation and
 the countable bases) reads those labels, and reports state tau_P by its
-classes and 2^k; only ``topology_from_classes`` lists open sets, for library
+classes and 2^k; only ``generate_topology`` lists open sets, for library
 callers.  TopologyFamily.verify stays as an O(|F|^2) oracle for tests.
 
 Ball membership uses exact float comparison: strict "<" for open balls,
@@ -156,7 +156,7 @@ class TopologyFamily:
 
         Closure under pairwise union implies closure under arbitrary unions
         for a finite family, so pairwise checks suffice.  The O(|F|^2) pass
-        is a test oracle: families built by topology_from_classes are
+        is a test oracle: families built by generate_topology are
         topologies by construction.
         """
         full = (1 << self.n) - 1
@@ -292,33 +292,25 @@ def _unions_of_classes(inst: GpmsInstance, flags):
     return (flags == flags[:, _classes(inst)]).all(-1)
 
 
-def _require_listable(labels, max_points: int):
-    """Refuse to list the open sets of more than min(max_points, LISTING_BOUND) classes."""
-    k = len(set(labels.tolist()))
+def generate_topology(inst: GpmsInstance, max_points: int = 15) -> TopologyFamily:
+    """tau_P over the grids: every union of its classes, computed once per
+    instance, the one listing of the open sets of a partition topology.
+    ``max_points`` and ``LISTING_BOUND`` cap the number k of classes, since
+    the family lists 2^k sets."""
+    labels = _classes(inst)
+    k = len(set(labels.tolist()))  # checked on a memo hit too: max_points may differ
     if k > min(max_points, LISTING_BOUND):
         bound = f"max_points={max_points}" if max_points <= LISTING_BOUND else \
             f"the listing bound of {LISTING_BOUND} classes"
         raise SizeError(f"the open sets of {k} classes exceed {bound}")
 
+    def build():
+        n, opens = len(labels), [0]
+        for c in _class_bits(labels).values():
+            opens += [s | c for s in opens]
+        return TopologyFamily(n, [SubsetMask(n, b) for b in opens])
 
-def topology_from_classes(labels, max_points: int) -> TopologyFamily:
-    """Every union of the classes of a class labelling, of at most
-    ``max_points`` and ``LISTING_BOUND`` classes: the one listing of the open
-    sets of a partition topology."""
-    _require_listable(labels, max_points)
-    n, opens = len(labels), [0]
-    for c in _class_bits(labels).values():
-        opens += [s | c for s in opens]
-    return TopologyFamily(n, [SubsetMask(n, b) for b in opens])
-
-
-def generate_topology(inst: GpmsInstance, max_points: int = 15) -> TopologyFamily:
-    """tau_P over the grids: the unions of its classes, computed once per
-    instance.  ``max_points`` and ``LISTING_BOUND`` cap the number k of
-    classes, since the family lists 2^k sets."""
-    labels = _classes(inst)
-    _require_listable(labels, max_points)  # a memo hit too
-    return derive(inst, "topology", lambda: topology_from_classes(labels, max_points))
+    return derive(inst, "topology", build)
 
 
 def _classes_and_flags(inst: GpmsInstance, s: SubsetMask):

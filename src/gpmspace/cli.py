@@ -78,6 +78,8 @@ REPORT_VERSION = 2
 
 _TOP_FIELDS = {"version", "points", "d", "interval", "resolution", "family",
                "params", "op", "t_grid", "alpha_grid", "seed", "tol"}
+# the params each family reads; the other families read none
+_FAMILY_PARAMS = {"discrete": {"c"}, "tabulated": {"tables"}}
 
 
 @dataclass
@@ -255,6 +257,9 @@ def load_instance(path) -> InstanceFile:
         raise ParseError("provide either points + d or interval + resolution", field="points")
     if has_finite:
         labels = _expect(doc, "points", list, "a list of labels")
+        odd = [x for x in labels if type(x) not in (str, int, float)]  # type(True) is bool
+        if odd:
+            raise ParseError(f"a label must be a string or number, got {odd[0]!r}", field="points")
         table = _expect(doc, "d", list, "a square matrix")
         carrier = core.FiniteCarrier(labels, table)
     else:
@@ -268,6 +273,11 @@ def load_instance(path) -> InstanceFile:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ParseError("params must be an object", field="params")
+    if family in core.FAMILIES:  # construction names an unknown family
+        unread = sorted(set(params) - _FAMILY_PARAMS.get(family, set()))
+        if unread:
+            raise ParseError(f"unknown field 'params.{unread[0]}' for the {family} family",
+                             field=f"params.{unread[0]}")
     op = _parse_op(_expect(doc, "op", (str, dict), "an op descriptor"))
     t_grid = _positive_grid(doc, "t_grid")
     alpha_grid = _positive_grid(doc, "alpha_grid")
@@ -362,7 +372,7 @@ def _separation_checks(inst, opts, seed, tol):
 def _dalpha_checks(inst, opts, seed, tol):
     alpha = opts.alpha if opts.alpha is not None else inst.alpha_grid[len(inst.alpha_grid) // 2]
     solver = induced.BisectionSettings(tolerance=min(tol, 1e-6))
-    am = induced.AlphaMetric(inst, alpha, solver)  # its one d_alpha matrix serves three checks
+    am = induced.AlphaMetric(inst, alpha, solver)  # one d_alpha matrix serves three checks
     checks = []
     rows = None
     if inst.carrier.kind == "finite":
@@ -380,7 +390,7 @@ def _dalpha_checks(inst, opts, seed, tol):
     if inst.carrier.kind == "finite":
         checks.append(_guarded(
             f"topology_identity[alpha={alpha:.12g}]",
-            lambda: induced._topology_identity(am, alpha)))
+            lambda: induced.compare_topologies(inst, alpha)))
     return checks, [], rows
 
 

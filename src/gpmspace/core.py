@@ -110,7 +110,7 @@ class FiniteCarrier:
 
     kind = "finite"
 
-    def __init__(self, labels, d, *, tri_slack=None):
+    def __init__(self, labels, d):
         labels = tuple(str(x) for x in labels)
         if not labels:
             raise ConstructionError("carrier needs at least one point")
@@ -132,7 +132,7 @@ class FiniteCarrier:
         off = d[~np.eye(n, dtype=bool)]
         if off.size and np.any(off <= 0.0):
             raise ConstructionError("off-diagonal distances must be positive", axiom="P1")
-        slack = tri_slack if tri_slack is not None else 1e-12 * max(1.0, float(d.max(initial=0.0)))
+        slack = 1e-12 * max(1.0, float(d.max(initial=0.0)))
         step = max(1, _P3_BLOCK // (n * n))
         with np.errstate(over="ignore"):  # a sum that overflows to inf bounds every distance
             for lo in range(0, n, step):
@@ -665,13 +665,12 @@ def _check_axiom(inst, axiom, seed, n_samples, exhaustive):
 
 
 def _check_P3_sampled(inst, seed, n_samples, exhaustive):
-    pts = inst.quantifier_points()
-    witnesses, samples = p3_violations(inst, seed=seed, n_samples=n_samples,
-                                       exhaustive=exhaustive, points=pts)
+    witnesses, samples = p3_violations(inst, seed=seed, n_samples=n_samples, exhaustive=exhaustive)
     note = ("counterexample found" if witnesses else "no counterexample at this resolution") + \
         ("; exhaustive scan" if exhaustive else f"; {samples} seeded samples")
     if inst.carrier.kind != "finite":
-        note += f"; interval carrier quantified over {len(pts)} sample points"
+        note += (f"; interval carrier quantified over {len(inst.quantifier_points())} "
+                 "sample points")
     return CheckReport(name="P3", verdict=FAIL if witnesses else PASS, samples_tested=samples,
                        note=note, witnesses=witnesses)
 
@@ -896,7 +895,7 @@ def _sqrt_bound_holds(dab, dax, dbx) -> bool:
 
 
 def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
-                  exhaustive: bool = False, points=None):
+                  exhaustive: bool = False):
     """Witnesses for P3 violations (a ``ScanWitnesses``), sampled or exhaustive.
 
     Sampled trial r reads the 32-bit words 5r .. 5r+4 of one
@@ -907,7 +906,7 @@ def p3_violations(inst: GpmsInstance, seed: int = 0, n_samples: int = 1000,
     kernel coordinates once; the trials are evaluated together, with three
     kernel gathers at the drawn indices and one ``eval_op_array``.
     """
-    pts = points if points is not None else inst.quantifier_points()
+    pts = inst.quantifier_points()
     tg = inst.t_grid
     shape = (len(pts),) * 3 + (len(tg),) * 2
     if exhaustive:

@@ -5,8 +5,9 @@ Requires op = max.  Because P(a,b,.) is non-increasing in t, the set
 endpoint, 0 when the ray is all of t > 0 and +inf when it is empty.  Every
 gallery family has it in closed form, which ``core.ray_start`` evaluates
 over arrays of kernel coordinates: a d_alpha matrix is one ``coords`` call
-and one ``ray_start`` call.  Nothing is searched, so no tolerance enters a
-value, and the same points give the same values on every request.
+and one ``ray_start`` call, and a finite carrier's is derived once per
+instance and alpha (``core.derive``).  Nothing is searched, so no tolerance
+enters a value, and the same points give the same values on every request.
 
 The topology identity needs P4 at alpha, and a distinct pair fails it
 exactly where its d_alpha is 0, the rule ``core``'s P4 check reports.  With
@@ -16,7 +17,6 @@ equal iff tau_P has one class per point, and no open set is ever listed.
 """
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balls import tau_p_classes
-from .core import _P3_BLOCK, GpmsInstance, coords, ray_start
+from .core import _P3_BLOCK, GpmsInstance, coords, derive, ray_start
 from .errors import DomainError, HypothesisError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, ScanWitnesses, Witness
 
@@ -54,12 +54,6 @@ class AlphaMetric:
         self.alpha = float(alpha)
         self.solver = solver or BisectionSettings()
 
-    @functools.cached_property
-    def _matrix(self) -> np.ndarray:
-        """d_alpha over a finite carrier's labels, built on first read and read
-        by the table, the metric axioms and the topology identity."""
-        return _distance_matrix(self, self.instance.carrier.labels)
-
 
 def _check_alpha(inst: GpmsInstance, alpha):
     """Refuse an op other than max, then an alpha that is not a positive real."""
@@ -84,9 +78,18 @@ def d_alpha(am: AlphaMetric, a, b) -> float:
 
 
 def _distance_matrix(am: AlphaMetric, pts) -> np.ndarray:
-    """D[i, j] = d_alpha(pts[i], pts[j])."""
+    """D[i, j] = d_alpha(pts[i], pts[j]), exactly symmetric: ``ray_start`` is
+    symmetric in its coordinates (d is validated symmetric, an interval
+    reads |u - v| and step tables are filled for both orders)."""
     c = coords(am.instance, pts)
     return ray_start(am.instance, c[:, None], c[None, :], am.alpha)
+
+
+def _matrix(am: AlphaMetric) -> np.ndarray:
+    """d_alpha over a finite carrier's labels, derived once per instance and
+    alpha and read by the table, the metric axioms and the topology identity."""
+    inst = am.instance
+    return derive(inst, ("d_alpha", am.alpha), lambda: _distance_matrix(am, inst.carrier.labels))
 
 
 def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 64) -> CheckReport:
@@ -101,7 +104,7 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
     inst = am.instance
     tol = am.solver.tolerance
     if inst.carrier.kind == "finite":
-        pts, D = list(inst.carrier.labels), am._matrix
+        pts, D = list(inst.carrier.labels), _matrix(am)
     else:
         rng = random.Random(seed)
         lo, hi = inst.carrier.lo, inst.carrier.hi
@@ -148,30 +151,26 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
 
 def _triangle_rows(D, slack) -> np.ndarray:
     """The (i, j, l) with D[i, l] > D[i, j] + D[j, l] + slack, as index rows in
-    lexicographic order.
+    lexicographic order, for a D equal to its transpose (``_distance_matrix``).
 
-    Rows i are scanned in blocks of about ``_P3_BLOCK`` entries.  When
-    D == D.T, each block is scanned at the columns l from its start on, and a
-    violation with l before the start is the mirror (l, j, i) of one found
-    there, since float addition is commutative; otherwise at every column.
+    Rows i are scanned in blocks of about ``_P3_BLOCK`` entries, each at the
+    columns l from the block's start on: a violation with l before the start
+    is the mirror (l, j, i) of one found there, since float addition is
+    commutative.
     """
     k = len(D)
-    symmetric = np.array_equal(D, D.T)
     step = max(1, _P3_BLOCK // (k * k))
     found = []
     for lo in range(0, k, step):
         hi = min(lo + step, k)
-        first = lo if symmetric else 0
         rows = D[lo:hi]
-        # bad[a, j, b]: D[lo + a, first + b] > D[lo + a, j] + D[j, first + b] + slack
-        bad = rows[:, None, first:] > (rows[:, :, None] + D[:, first:]) + slack
+        # bad[a, j, b]: D[lo + a, lo + b] > D[lo + a, j] + D[j, lo + b] + slack
+        bad = rows[:, None, lo:] > (rows[:, :, None] + D[:, lo:]) + slack
         if bad.any():
             a, j, b = np.nonzero(bad)
-            i, l = a + lo, b + first
-            found.append((i, j, l))
-            if symmetric:
-                past = l >= hi
-                found.append((l[past], j[past], i[past]))
+            i, l = a + lo, b + lo
+            past = l >= hi
+            found += [(i, j, l), (l[past], j[past], i[past])]
     if not found:
         return np.empty((0, 3), dtype=np.intp)
     i, j, l = (np.concatenate(axis) for axis in zip(*found))
@@ -212,44 +211,43 @@ def compare_topologies(inst: GpmsInstance, alpha: float, max_points: int = 15,
     HypothesisError.  Otherwise tau_d_alpha is discrete, so the two are
     equal iff tau_P has one class per point; fewer classes are reported
     inconclusive (grid artifact: coarse alpha/t grids admit fewer sets),
-    naming the classes of more than one point.  ``max_points`` and
-    ``solver`` are kept for callers and no longer read: nothing is listed,
-    and d_alpha comes in closed form.
+    naming the classes of more than one point.  The zero test reads the
+    d_alpha matrix the table and the metric axioms read (``_matrix``), and
+    ``samples_tested`` counts its n(n-1)/2 distinct pairs.  ``max_points``
+    and ``solver`` are kept for callers and no longer read: nothing is
+    listed, and d_alpha comes in closed form.
     """
     if inst.carrier.kind != "finite":
         raise DomainError("topology comparison needs a finite carrier")
     if inst.op.kind != "max":
         raise HypothesisError("the topology identity requires op = max")
-    return _topology_identity(AlphaMetric(inst, alpha), alpha)
-
-
-def _topology_identity(am: AlphaMetric, alpha) -> CheckReport:
-    """``compare_topologies`` at ``am`` (finite carrier, op = max), reading its
-    d_alpha matrix; ``alpha`` is reported as given."""
-    labels = am.instance.carrier.labels
-    zero = np.argwhere(np.triu(am._matrix == 0.0, 1))
+    am = AlphaMetric(inst, alpha)
+    labels = inst.carrier.labels
+    zero = np.argwhere(np.triu(_matrix(am) == 0.0, 1))
     if zero.size:
         pairs = ", ".join(f"({labels[i]}, {labels[j]})" for i, j in zero[:4].tolist())
         raise HypothesisError(
             f"per-alpha separation fails at alpha={alpha:.12g} (pairs {pairs}); "
             "d_alpha is not a metric here")
-    classes = tau_p_classes(am.instance)
+    classes = tau_p_classes(inst)
+    n = len(labels)
     data = {
         "alpha": alpha,
         "tau_P_size": 1 << len(classes),  # 2^k unions of the k classes
-        "tau_d_alpha_size": 1 << len(labels),  # discrete: every subset
-        "merged_classes": [list(c.labels(am.instance.carrier)) for c in classes if c.count > 1],
+        "tau_d_alpha_size": 1 << n,  # discrete: every subset
+        "merged_classes": [list(c.labels(inst.carrier)) for c in classes if c.count > 1],
     }
     verdict, note = PASS, "families identical"
-    if len(classes) < len(labels):
+    if len(classes) < n:
         verdict = INCONCLUSIVE
         note = "tau_P lacks open sets at this grid resolution (grid artifact)"
+    # the work is the zero test of the d_alpha matrix, one read per distinct pair
     return CheckReport(name=f"topology_identity[alpha={alpha:.12g}]", verdict=verdict,
-                       samples_tested=data["tau_P_size"], data=data, note=note)
+                       samples_tested=n * (n - 1) // 2, data=data, note=note)
 
 
 def alpha_metric_table(am: AlphaMetric):
     """Square list-of-lists of d_alpha values in carrier label order."""
     if am.instance.carrier.kind != "finite":
         raise DomainError("tables need a finite carrier")
-    return am._matrix.tolist()
+    return _matrix(am).tolist()

@@ -23,12 +23,12 @@ makes and each closedness precondition is one boolean column.  Only these
 are per kind: the columns a kind reads and the order of a row's error,
 which is a set that is not closed, then the construction step that fails,
 then the first claim that fails, each as the exception
-``separation_witness`` raises.  ``witness_batch`` is a ``witness_batches``
-of one kind and ``separation_witness`` a batch of one row;
-``verify_witness`` re-checks a witness ball by ball and stays the
-independent oracle.  A batch row's report (``WitnessBatch.report``) takes
-the row's check name and writes its balls as plain dicts, with no
-``BallSpec`` per ball.
+``separation_witness`` raises.  A ``WitnessBatch`` is a view of its
+construction: its kind, its rows in the construction and their errors.
+``separation_witness`` is a batch of one row; ``verify_witness`` re-checks
+a witness ball by ball and stays the independent oracle.  A batch row's
+report (``WitnessBatch.report``) takes the row's check name and writes its
+balls as plain dicts, with no ``BallSpec`` per ball.
 
 Countable bases read the classes of tau_P, a partition topology
 (``balls``): every open set around a point y holds its class C(y), so a
@@ -112,7 +112,7 @@ class SeparationWitness:
 
 # the claims verify_witness makes for each kind, in order: the column of
 # ``_Construction.held`` that decides each and the detail it reports when it
-# fails (``_check_claims`` spells its own out, as the oracle)
+# fails (``verify_witness`` spells its own out, as the oracle)
 _CLAIMS = {
     "T0": (("X in U", "a not inside U"), ("Y outside U", "b not excluded from U"),
            ("alpha0", "alpha0 does not match P(a,b,t0)")),
@@ -184,30 +184,35 @@ def _members(masks):
 
 
 @dataclass
-class WitnessBatch:
-    """The witnesses of one kind, one row per pair of center sets X and Y
-    (see ``witness_batch``).  A row's values are read only when its
-    ``errors`` entry is None."""
+class _Construction:
+    """The balls of one radius rule over rows of center sets X and Y (see
+    ``_construct``).  A row's values are read only when its ``errors`` entry
+    is None."""
 
-    kind: str
     labels: tuple
-    x_members: list     # per row, the point indices in X ...
-    y_members: list     # ... and in Y
+    x_members: list  # per row, the point indices in X ...
+    y_members: list  # ... and in Y
     t0: list
     alpha0: list
-    alpha1: list        # None for T0 and T1
+    alpha1: list     # None under the alpha0 rule
     radius: list
     scale: list
-    u: np.ndarray       # (rows, n) bool: the ball masks U ...
-    v: np.ndarray       # ... and V (empty for T0)
-    errors: list        # per row, the error its construction raises, or None
+    u: np.ndarray    # (rows, n) bool: the balls at X ...
+    v: np.ndarray    # ... and at Y
+    held: dict       # per name, a bool per row: a closedness precondition or a claim
+    errors: list     # per row, the first construction step that fails, or None
 
-    def balls(self, r):
-        """(balls_u, balls_v) of row ``r``, as BallSpec tuples."""
-        def specs(centers):
-            return tuple(BallSpec(self.labels[i], self.radius[r], self.scale[r])
-                         for i in centers[r])
-        return specs(self.x_members), () if self.kind == "T0" else specs(self.y_members)
+
+@dataclass
+class WitnessBatch:
+    """The witnesses of one kind, a view of the construction they share: row
+    r is row ``rows[r]`` of ``construction``, whose values are read only
+    when ``errors[r]`` is None."""
+
+    kind: str
+    construction: _Construction
+    rows: list          # per row, its row in the construction
+    errors: list        # per row, the error its witness raises, or None
 
     def report(self, r, name: str | None = None) -> CheckReport:
         """Row ``r``'s verification report, named ``name`` (by default
@@ -216,16 +221,17 @@ class WitnessBatch:
         error = self.errors[r]
         if error is not None:  # a fresh one: a raised error's frames would hold the batch
             raise type(error)(*error.args)
-        radius, scale = self.radius[r], self.scale[r]
+        con, i = self.construction, self.rows[r]
+        radius, scale = con.radius[i], con.scale[i]
 
         def balls(centers):
-            return [{"center": self.labels[i], "radius": radius, "scale": scale}
-                    for i in centers[r]]
+            return [{"center": con.labels[c], "radius": radius, "scale": scale}
+                    for c in centers[i]]
 
         return CheckReport(name=name or f"witness[{self.kind}]", verdict=PASS,
                            samples_tested=len(_CLAIMS[self.kind]),
-                           data={"U": balls(self.x_members),
-                                 "V": [] if self.kind == "T0" else balls(self.y_members)})
+                           data={"U": balls(con.x_members),
+                                 "V": [] if self.kind == "T0" else balls(con.y_members)})
 
 
 def _fail(errors, which, error):
@@ -233,25 +239,6 @@ def _fail(errors, which, error):
     for r in np.flatnonzero(which).tolist():
         if errors[r] is None:
             errors[r] = error
-
-
-@dataclass
-class _Construction:
-    """The balls of one radius rule over rows of center sets X and Y (see
-    ``_construct``).  A row's values are read only when its ``errors`` entry
-    is None."""
-
-    x_members: list
-    y_members: list
-    t0: np.ndarray
-    alpha0: np.ndarray
-    alpha1: list     # None under the alpha0 rule
-    radius: np.ndarray
-    scale: np.ndarray
-    u: np.ndarray    # (rows, n) bool: the balls at X ...
-    v: np.ndarray    # ... and at Y
-    held: dict       # per name, a bool per row: a closedness precondition or a claim
-    errors: list     # per row, the first construction step that fails, or None
 
 
 def _construct(inst, halved, xs, ys) -> _Construction:
@@ -324,11 +311,11 @@ def _construct(inst, halved, xs, ys) -> _Construction:
             "X in U": within(xs, u), "Y outside U": apart(ys, u), "Y in V": within(ys, v),
             "X outside V": apart(xs, v), "U, V apart": apart(u, v), "chain": chain_ok,
             "alpha0": built}
-    return _Construction(x_members, y_members, t0, alpha0, alpha1, radius, scale, u, v, held,
-                         errors)
+    return _Construction(labels, x_members, y_members, t0.tolist(), alpha0.tolist(), alpha1,
+                         radius.tolist(), scale.tolist(), u, v, held, errors)
 
 
-def _kind_batch(kind, labels, con, idx) -> WitnessBatch:
+def _kind_batch(kind, con, idx) -> WitnessBatch:
     """The witnesses of ``kind`` on rows ``idx`` of ``con``.  A row's error
     is, first, a set that is not closed, then its construction's error, then
     the first claim it fails."""
@@ -343,18 +330,21 @@ def _kind_batch(kind, labels, con, idx) -> WitnessBatch:
         if errors[r] is None:
             errors[r] = WitnessNotFoundError(f"constructed {kind} witness failed verification: "
                                              f"{claims[int(np.argmin(held[r]))][1]}")
-    u = con.u[idx]
-    return WitnessBatch(kind, labels, [con.x_members[i] for i in at],
-                        [con.y_members[i] for i in at], con.t0[idx].tolist(),
-                        con.alpha0[idx].tolist(), [con.alpha1[i] for i in at],
-                        con.radius[idx].tolist(), con.scale[idx].tolist(), u,
-                        con.v[idx] if kind != "T0" else np.zeros_like(u), errors)
+    return WitnessBatch(kind, con, at, errors)
 
 
 def witness_batches(inst: GpmsInstance, xs, ys, kinds: dict) -> dict:
-    """``witness_batch`` of several kinds on one table of center sets:
-    ``kinds`` maps each kind to the indices of its rows in ``xs`` and ``ys``,
-    and the result maps it to its ``WitnessBatch``, one row per index.
+    """Build and verify the witnesses of several kinds on one table of center
+    sets: ``kinds`` maps each kind to the indices of its rows in ``xs`` and
+    ``ys``, and the result maps it to its ``WitnessBatch``, one row per index.
+
+    ``xs`` and ``ys`` are (rows, n) bool masks over point indices; each row
+    must meet ``separation_witness``'s argument preconditions (distinct
+    points, non-empty sets, the point outside the set, disjoint sets).  The
+    grid-dependent ones are checked here: a row whose set is not closed, that
+    has no grid t with a positive separation value, whose alpha0 has no
+    alpha1, whose balls cannot be built or whose witness fails a claim keeps,
+    as its error, the exception ``separation_witness`` raises for it.
 
     The kinds of one radius rule share one construction over the rows they
     pick: T0 and T1 build balls of radius alpha0 at t0, and T2, regular and
@@ -378,23 +368,8 @@ def witness_batches(inst: GpmsInstance, xs, ys, kinds: dict) -> dict:
         con = _construct(inst, halved, xs[used], ys[used])
         at = np.cumsum(used) - 1  # a table row's row in the construction
         for kind, idx in picked.items():
-            out[kind] = _kind_batch(kind, inst.carrier.labels, con, at[idx])
+            out[kind] = _kind_batch(kind, con, at[idx])
     return {kind: out[kind] for kind in kinds}
-
-
-def witness_batch(inst: GpmsInstance, kind: str, xs, ys) -> WitnessBatch:
-    """Build and verify the witnesses of ``kind`` for rows of center sets: a
-    ``witness_batches`` of one kind.
-
-    ``xs`` and ``ys`` are (rows, n) bool masks over point indices; each row
-    must meet ``separation_witness``'s argument preconditions (distinct
-    points, non-empty sets, the point outside the set, disjoint sets).  The
-    grid-dependent ones are checked here: a row whose set is not closed, that
-    has no grid t with a positive separation value, whose alpha0 has no
-    alpha1, whose balls cannot be built or whose witness fails a claim keeps,
-    as its error, the exception ``separation_witness`` raises for it.
-    """
-    return witness_batches(inst, xs, ys, {kind: np.arange(len(xs))})[kind]
 
 
 def separation_witness(inst: GpmsInstance, kind: str, a=None, b=None,
@@ -405,7 +380,7 @@ def separation_witness(inst: GpmsInstance, kind: str, a=None, b=None,
     T0/T1/T2 take two distinct points ``a`` and ``b``; regular takes a
     closed ``subset`` and a point ``a`` outside it; normal takes two
     disjoint closed sets ``subset`` and ``subset_b``.  The witness is a
-    ``witness_batch`` of one row.
+    ``witness_batches`` row of one kind.
     """
     if inst.carrier.kind != "finite":
         raise DomainError("separation witnesses need a finite carrier")
@@ -434,13 +409,16 @@ def separation_witness(inst: GpmsInstance, kind: str, a=None, b=None,
 
     centers = np.zeros((2, 1, car.size), dtype=bool)
     centers[0, 0, xs] = centers[1, 0, ys] = True
-    batch = witness_batch(inst, kind, *centers)
+    batch = witness_batches(inst, *centers, {kind: [0]})[kind]
     report = batch.report(0)
-    w = SeparationWitness(kind, batch.t0[0], batch.alpha0[0], batch.alpha1[0], *batch.balls(0),
+    con = batch.construction  # of this one row
+    w = SeparationWitness(kind, con.t0[0], con.alpha0[0], con.alpha1[0],
+                          *(tuple(BallSpec(**ball) for ball in report.data[s]) for s in "UV"),
                           a=a if kind != "normal" else None, b=b if points else None,
                           set_a=None if points else subset,
                           set_b=subset_b if kind == "normal" else None)
-    w.u_mask, w.v_mask = _mask_of_flags(batch.u[0]), _mask_of_flags(batch.v[0])
+    # T0 builds no V
+    w.u_mask, w.v_mask = _mask_of_flags(con.u[0]), _mask_of_flags(con.v[0] & (kind != "T0"))
     w.report = report
     return w
 
@@ -450,7 +428,7 @@ def verify_witness(inst: GpmsInstance, w: SeparationWitness) -> CheckReport:
     disjointness or exclusion, and the inequality chain alpha1 o alpha1 < alpha0.
 
     Each ball is built on its own (``open_ball``), so this is an independent
-    re-check of ``witness_batch``."""
+    re-check of ``witness_batches``."""
     if inst.carrier.kind != "finite":
         raise DomainError("separation witnesses need a finite carrier")
     car = inst.carrier
@@ -460,12 +438,7 @@ def verify_witness(inst: GpmsInstance, w: SeparationWitness) -> CheckReport:
         car.index(w.a)
     if w.b is not None:
         car.index(w.b)
-    return _check_claims(inst, w, _mask_of(inst, w.balls_u), _mask_of(inst, w.balls_v))
-
-
-def _check_claims(inst, w: SeparationWitness, u: SubsetMask, v: SubsetMask) -> CheckReport:
-    """The claims of ``verify_witness``, given the masks U and V of w's balls."""
-    car = inst.carrier
+    u, v = _mask_of(inst, w.balls_u), _mask_of(inst, w.balls_v)
     witnesses = []
     samples = 0
 

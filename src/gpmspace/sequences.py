@@ -159,8 +159,9 @@ def convergence_rows(inst: GpmsInstance, seqs, limits, tol: float = 1e-6) -> lis
     call over (t, row, window term).
 
     Rows are validated in order, each limit before its terms.  A window
-    shorter than the longest is padded with its limit, and the padding reads
-    -inf, so ``argmax`` picks each row's first worst term, as one row would.
+    shorter than the longest is padded with its limit, where P(x, x, t) = 0
+    is no more than any term; the padding comes after the terms, so the
+    first-max ``argmax`` picks each row's first worst term, as one row would.
     """
     seqs, limits = list(seqs), list(limits)
     if len(seqs) != len(limits):
@@ -173,14 +174,11 @@ def convergence_rows(inst: GpmsInstance, seqs, limits, tol: float = 1e-6) -> lis
             raise DomainError(f"limit candidate {x!r} is not in the carrier")
         terms.append(seq.terms(inst.carrier))
         windows.append(_window(terms[-1]))
-    lengths = [len(win) for win, _ in windows]
-    width = max(lengths)
+    width = max(len(win) for win, _ in windows)
     # row r: its window, padded with its limit up to the widest, then its limit
     c = coords(inst, [win + [x] * (width + 1 - len(win)) for (win, _), x in zip(windows, limits)])
     ts = np.asarray(inst.t_grid)
     vals = P_at(inst, c[:, :-1], c[:, -1:], ts[:, None, None])  # [t, row, term]
-    if min(lengths) < width:
-        vals = np.where(np.arange(width) >= np.array(lengths)[:, None], -np.inf, vals)
     worst = vals.argmax(-1)
     top = vals[np.arange(ts.size)[:, None], np.arange(len(seqs)), worst]
     keys = [f"{t:.12g}" for t in inst.t_grid]

@@ -165,6 +165,18 @@ MALFORMED = {
     "table-t-nan-one-node": (_table_entry(1, t=[math.nan]),
                              "table t nodes for ('a', 'c') must be strictly increasing positives"),
     "version-2": (dict(BASE, version=2), "version"),
+    # a family reads only its own params: discrete c, tabulated tables
+    "params-c-on-scaled": (dict(BASE, params={"c": 2}), "params.c"),
+    "params-unknown-key": (dict(BASE, params={"zzz": 1}), "params.zzz"),
+    "params-c-on-tabulated": (dict(TABULATED, params={**TABULATED["params"], "c": 1}),
+                              "params.c"),
+    "params-tables-on-discrete": (dict(BASE, family="discrete", params={"c": 1, "tables": []}),
+                                  "params.tables"),
+    # a label is a string or a number, never str() of another JSON value
+    "points-label-object": (dict(BASE, points=[{"x": 1}, "b", "c"]), "points"),
+    "points-label-list": (dict(BASE, points=["a", ["b"], "c"]), "points"),
+    "points-label-bool": (dict(BASE, points=["a", "b", True]), "points"),
+    "points-label-null": (dict(BASE, points=[None, "b", "c"]), "points"),
     # P overflows to inf: at t = 5e-324, and at 1e308 / 0.5
     "P-inf-at-subnormal-t": (dict(BASE, t_grid=[5e-324, 1]), "P(a,c,5e-324) is not finite"),
     "P-inf-at-huge-d": (dict(BASE, d=[[0, 1e308, 1e308], [1e308, 0, 1e308],
@@ -184,6 +196,11 @@ def test_malformed_input_exits_2_naming_the_field(tmp_path, capsys, case):
         assert g.main(["axioms", write(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+
+def test_string_and_number_labels_load_as_their_text(tmp_path):
+    f = g.load_instance(write(tmp_path, dict(BASE, points=["a", 1, 2.5])))
+    assert f.instance.carrier.labels == ("a", "1", "2.5")
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -615,7 +632,7 @@ def test_only_the_listing_enumerates_open_sets(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("the open sets were listed")
 
-    monkeypatch.setattr(balls, "topology_from_classes", refuse)
+    monkeypatch.setattr(balls, "generate_topology", refuse)
     start = time.perf_counter()
     opts = Options(max_points=n)
     checks = g.run_command("separation", inst_file, opts).checks
@@ -640,7 +657,7 @@ def test_max_points_beyond_the_listing_bound_lists_nothing(tmp_path, monkeypatch
         raise AssertionError("the open sets were listed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(balls, "topology_from_classes", refuse)
+        patch.setattr(balls, "generate_topology", refuse)
         start = time.perf_counter()
         for command in ("topology", "full-report"):
             for options in (Options(), Options(max_points=n)):

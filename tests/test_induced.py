@@ -383,39 +383,55 @@ def full_triangle_scan(D, slack):
     return np.argwhere(D[:, None, :] > (D[:, :, None] + D) + slack)
 
 
-def planted_matrix(rng, k, symmetric):
-    """A k x k matrix of halves, zeros and infinities: the triangle sums tie
-    at slacks that are multiples of 0.5, and the diagonal is not zero."""
+def planted_matrix(rng, k):
+    """A symmetric k x k matrix of halves, zeros and infinities: the triangle
+    sums tie at slacks that are multiples of 0.5, and the diagonal is not
+    zero."""
     D = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, math.inf], size=(k, k))
-    return np.where(np.tri(k, dtype=bool), D.T, D) if symmetric else D
+    return np.where(np.tri(k, dtype=bool), D.T, D)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 70), st.integers(0, 2 ** 32 - 1), st.booleans(),
-       st.sampled_from((0.0, 0.5, 1.0, 4e-6)))
-def test_triangle_rows_match_the_full_scan(k, seed, symmetric, slack):
+@given(st.integers(1, 70), st.integers(0, 2 ** 32 - 1), st.sampled_from((0.0, 0.5, 1.0, 4e-6)))
+def test_triangle_rows_match_the_full_scan(k, seed, slack):
     # up to 70 points: a block holds 16384 // k^2 rows, at least three, so
-    # past k = 25 the scan crosses blocks; symmetric matrices take the
-    # mirrors, the others the transpose
-    D = planted_matrix(np.random.default_rng(seed), k, symmetric)
-    assert np.array_equal(D, D.T) or not symmetric
+    # past k = 25 the scan crosses blocks and takes the mirrors
+    D = planted_matrix(np.random.default_rng(seed), k)
+    assert np.array_equal(D, D.T)
     rows = induced._triangle_rows(D, slack)
     assert rows.shape[1] == 3
     np.testing.assert_array_equal(rows, full_triangle_scan(D, slack))
 
 
+@settings(max_examples=100, deadline=None)
+@given(gallery_instances(ops=(g.MAX,)) | interval_instances(), st.data())
+def test_distance_matrices_are_exactly_symmetric(inst, data):
+    # _triangle_rows scans the columns from each block on and mirrors the
+    # rest, which needs D == D.T exactly: ray_start reads the validated
+    # table d, |u - v| on an interval or step tables filled for both orders
+    alpha = data.draw(st.sampled_from(inst.alpha_grid) | st.floats(0.01, 10.0), label="alpha")
+    if inst.carrier.kind == "finite":
+        pts = inst.carrier.labels
+    else:
+        lo, hi = inst.carrier.lo, inst.carrier.hi
+        pts = data.draw(st.lists(st.floats(lo, hi) | st.sampled_from(inst.carrier.points()),
+                                 min_size=1, max_size=12), label="points")
+    D = induced._distance_matrix(g.AlphaMetric(inst, alpha), pts)
+    assert D.shape == (len(pts),) * 2 and np.array_equal(D, D.T)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.booleans(),
-       st.sampled_from((0.0, 0.125, 0.25)), st.sampled_from((1, 300, 700, 1 << 14)))
-def test_metric_axioms_on_planted_matrices_match_the_triple_loop(k, seed, symmetric, tol,
-                                                                 block):
-    # a planted d_alpha matrix in place of the closed form, scanned in blocks
-    # of one row up to the whole matrix: the same witnesses in the same
-    # order with the same values, witness_count and samples_tested
-    D = planted_matrix(np.random.default_rng(seed), k, symmetric)
-    am = g.AlphaMetric(make_instance("scaled", carrier=line_carrier(k)), 1.0,
-                       g.BisectionSettings(tol))
-    am.__dict__["_matrix"] = D
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.sampled_from((0.0, 0.125, 0.25)),
+       st.sampled_from((1, 300, 700, 1 << 14)))
+def test_metric_axioms_on_planted_matrices_match_the_triple_loop(k, seed, tol, block):
+    # a planted d_alpha matrix in place of the closed form, as the instance's
+    # derived entry, scanned in blocks of one row up to the whole matrix: the
+    # same witnesses in the same order with the same values, witness_count
+    # and samples_tested
+    D = planted_matrix(np.random.default_rng(seed), k)
+    inst = make_instance("scaled", carrier=line_carrier(k))
+    am = g.AlphaMetric(inst, 1.0, g.BisectionSettings(tol))
+    inst._memo[("d_alpha", 1.0)] = D
     real_block = induced._P3_BLOCK
     induced._P3_BLOCK = block
     try:
@@ -628,13 +644,9 @@ def test_one_dalpha_operation_reads_p4_off_its_matrix_and_solves_each_pair_once(
     path = tmp_path / "line9.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     inst_file = g.load_instance(str(path))
-    scans, sizes, metrics, values = [], [], [], []
+    scans, sizes, matrices, values = [], [], [], []
     real_scan, real_ray_start, real_kernel = core.p4_violations, induced.ray_start, core._kernel
-
-    class Recorded(induced.AlphaMetric):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
-            metrics.append(self)
+    real_matrix = induced._distance_matrix
 
     def ray_start(*args):
         out = real_ray_start(*args)
@@ -644,13 +656,17 @@ def test_one_dalpha_operation_reads_p4_off_its_matrix_and_solves_each_pair_once(
     monkeypatch.setattr(core, "p4_violations", lambda *a: scans.append(a) or real_scan(*a))
     monkeypatch.setattr(core, "_kernel", lambda *a: values.append(a) or real_kernel(*a))
     monkeypatch.setattr(induced, "ray_start", ray_start)
-    monkeypatch.setattr(induced, "AlphaMetric", Recorded)
+    monkeypatch.setattr(induced, "_distance_matrix",
+                        lambda *a: matrices.append(a) or real_matrix(*a))
     g.run_command("dalpha", inst_file)
     # the P4 gate of the topology identity reads the zeros of the d_alpha
     # matrix: no grid scan, and P is read once, for the classes of tau_P
     assert scans == [] and len(values) == 1
-    # the command's metric only: monotonicity builds none
-    assert len(metrics) == 1
+    # the command's matrix only, derived once for the instance and alpha:
+    # monotonicity builds none
+    assert len(matrices) == 1
+    assert [key for key in inst_file.instance._memo if key[0] == "d_alpha"] == \
+        [("d_alpha", ALPHA_GRID[len(ALPHA_GRID) // 2])]
     # one matrix, read by the table, the metric axioms and the topology
     # identity, and (x0, x8) at every monotonicity alpha in one call
     assert sorted(sizes) == [len(ALPHA_GRID), n * n]

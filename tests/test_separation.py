@@ -326,6 +326,23 @@ def per_pair_witness(inst, kind, xs, ys):
     return w, rep
 
 
+def batch_fields(batch):
+    """A batch's per-row values, read through its construction: the lists of
+    centers, t0, alpha0, alpha1, radius and scale, and the ball masks U and
+    V as (rows, n) arrays (T0 builds no V)."""
+    con, at = batch.construction, batch.rows
+    out = {field: [getattr(con, field)[i] for i in at]
+           for field in ("x_members", "y_members", "t0", "alpha0", "alpha1", "radius", "scale")}
+    out["u"] = con.u[at]
+    out["v"] = np.zeros_like(out["u"]) if batch.kind == "T0" else con.v[at]
+    return out
+
+
+def one_kind_batch(inst, kind, xs, ys):
+    """The witnesses of one kind on every row of ``xs`` and ``ys``."""
+    return separation.witness_batches(inst, xs, ys, {kind: range(len(xs))})[kind]
+
+
 def assert_rows_match_the_per_pair_path(inst, kind, rows):
     """Each row of one witness batch against ``per_pair_witness``; returns
     the errors the rows raised."""
@@ -333,7 +350,8 @@ def assert_rows_match_the_per_pair_path(inst, kind, rows):
     centers = np.zeros((2, len(rows), n), dtype=bool)
     for r, (xs, ys) in enumerate(rows):
         centers[0, r, xs] = centers[1, r, ys] = True
-    batch = separation.witness_batch(inst, kind, *centers)
+    batch = one_kind_batch(inst, kind, *centers)
+    fields = batch_fields(batch)
     errors = []
     for r, (xs, ys) in enumerate(rows):
         try:
@@ -345,10 +363,17 @@ def assert_rows_match_the_per_pair_path(inst, kind, rows):
             errors.append(got.value)
             continue
         assert batch.report(r).to_jsonable() == want.to_jsonable()
-        assert (batch.t0[r], batch.alpha0[r], batch.alpha1[r]) == (w.t0, w.alpha0, w.alpha1)
-        assert batch.balls(r) == (w.balls_u, w.balls_v)
-        assert balls._mask_of_flags(batch.u[r]) == mask_oracle(inst, w.balls_u)
-        assert balls._mask_of_flags(batch.v[r]) == mask_oracle(inst, w.balls_v)
+        assert (fields["t0"][r], fields["alpha0"][r], fields["alpha1"][r]) == \
+            (w.t0, w.alpha0, w.alpha1)
+
+        def specs(centers):
+            return tuple(g.BallSpec(inst.carrier.labels[i], fields["radius"][r],
+                                    fields["scale"][r]) for i in centers[r])
+
+        assert (specs(fields["x_members"]), () if kind == "T0" else specs(fields["y_members"])) \
+            == (w.balls_u, w.balls_v)
+        assert balls._mask_of_flags(fields["u"][r]) == mask_oracle(inst, w.balls_u)
+        assert balls._mask_of_flags(fields["v"][r]) == mask_oracle(inst, w.balls_v)
     return errors
 
 
@@ -431,11 +456,11 @@ def test_error_rows_leave_no_reference_cycles(case):
     build, kind, ((x,), (y,)), _ = ERROR_ROWS[case]
     inst = build()
     single = np.eye(inst.carrier.size, dtype=bool)
-    separation.witness_batch(inst, kind, single[[x]], single[[y]])  # derive the tables
+    one_kind_batch(inst, kind, single[[x]], single[[y]])  # derive the tables
     gc.collect()
     gc.disable()
     try:
-        batch = separation.witness_batch(inst, kind, single[[x]], single[[y]])
+        batch = one_kind_batch(inst, kind, single[[x]], single[[y]])
         for _ in range(2):
             try:
                 batch.report(0)
@@ -467,14 +492,15 @@ def assert_shared_rows_match_one_kind_batches(inst):
     shared = separation.witness_batches(inst, xs, ys, kinds)
     errors = set()
     for kind, rows in kinds.items():
-        got, want = shared[kind], separation.witness_batch(inst, kind, xs[rows], ys[rows])
+        got, want = shared[kind], one_kind_batch(inst, kind, xs[rows], ys[rows])
         assert [None if e is None else (type(e), e.args) for e in got.errors] == \
             [None if e is None else (type(e), e.args) for e in want.errors]
         errors |= {type(e).__name__ for e in got.errors if e is not None}
-        assert (got.x_members, got.y_members, got.alpha1) == \
-            (want.x_members, want.y_members, want.alpha1)
+        got, want = batch_fields(got), batch_fields(want)
+        for field in ("x_members", "y_members", "alpha1"):
+            assert got[field] == want[field]
         for field in ("t0", "alpha0", "radius", "scale", "u", "v"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+            np.testing.assert_array_equal(got[field], want[field])
     return errors
 
 
