@@ -21,12 +21,12 @@ callers.  TopologyFamily.verify stays as an O(|F|^2) oracle for tests.
 Ball membership uses exact float comparison: strict "<" for open balls,
 "<=" for closed balls, no epsilon fuzzing.  A ball is one comparison on a
 kernel row; all grid balls, open and closed, are one boolean tensor from
-one kernel tensor over (x, t, y) that every alpha reads.
+``core.grid_P``, P over (t, x, y), which every alpha reads.
 
-The class labels (one kernel slice at min t), the grid-ball tensor and, when
-asked for, tau_P and each point's deduplicated grid balls are derived once
-per instance (``core.derive``) and live as long as the instance.  Their
-values are shared, so callers only read them.
+The class labels (the slice of ``core.grid_P`` at min t), the grid-ball
+tensor and, when asked for, tau_P and each point's deduplicated grid balls
+are derived once per instance (``core.derive``) and live as long as the
+instance.  Their values are shared, so callers only read them.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ import itertools
 import numpy as np
 
 from .binop import eval_op
-from .core import GpmsInstance, P_at, coords, derive
+from .core import GpmsInstance, P_at, coords, derive, grid_P
 from .errors import DomainError, PreconditionError, SizeError, VerificationError
 from .reports import FAIL, PASS, CheckReport, Witness
 
@@ -211,11 +211,10 @@ def closed_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
 
 def _grid_balls(inst: GpmsInstance):
     """inside[closed, x, alpha, t, y]: y lies in the open (closed = 0) or
-    closed (closed = 1) grid ball at x, alpha, t.  One kernel tensor over
-    (x, t, y), read by every alpha, once per instance."""
+    closed (closed = 1) grid ball at x, alpha, t.  ``core.grid_P`` read as
+    (x, t, y) by every alpha, once per instance."""
     def build():
-        c = np.arange(inst.carrier.size)
-        grid = P_at(inst, c[:, None, None], c, np.asarray(inst.t_grid)[:, None])[:, None]
+        grid = grid_P(inst).transpose(1, 0, 2)[:, None]
         alphas = np.asarray(inst.alpha_grid)[:, None, None]
         return np.stack([grid < alphas, grid <= alphas])
 
@@ -261,13 +260,12 @@ def class_labels(related) -> np.ndarray:
 
 def _classes(inst: GpmsInstance) -> np.ndarray:
     """tau_P's class labels, once per instance: the classes of y in U_x, a
-    symmetric relation (every gallery P is symmetric) read off one kernel
-    slice at min t."""
+    symmetric relation (every gallery P is symmetric) read off the slice of
+    ``core.grid_P`` at min t."""
     _require_finite(inst)
 
     def build():
-        c = np.arange(inst.carrier.size)
-        return class_labels(P_at(inst, c[:, None], c, min(inst.t_grid)) < min(inst.alpha_grid))
+        return class_labels(grid_P(inst)[0] < inst.alpha_grid[0])
 
     return derive(inst, "classes", build)
 

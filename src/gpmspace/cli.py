@@ -64,6 +64,7 @@ import numpy as np
 from . import balls, core, induced, separation, sequences
 from .binop import MAX, PLUS, BinaryOperation
 from .errors import (
+    ConstructionError,
     DomainError,
     GpmsError,
     HypothesisError,
@@ -159,17 +160,13 @@ def _expect(doc, key, types, what):
     return val
 
 
-def _positive_grid(doc, key):
+def _grid(doc, key):
+    """The file's t or alpha grid, checked by ``core``'s grid rule."""
     raw = _expect(doc, key, list, "a list of numbers")
-    vals = []
-    for v in raw:
-        if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
-            raise ParseError(f"{key} entries must be positive finite numbers "
-                             f"(t and alpha must be positive), got {v!r}", field=key)
-        vals.append(float(v))
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ParseError(f"{key} must be strictly increasing", field=key)
-    return vals
+    try:
+        return core._validate_grid(raw, key)
+    except ConstructionError as exc:
+        raise ParseError(str(exc), field=key) from None
 
 
 def _number_fields(doc):
@@ -279,8 +276,8 @@ def load_instance(path) -> InstanceFile:
             raise ParseError(f"unknown field 'params.{unread[0]}' for the {family} family",
                              field=f"params.{unread[0]}")
     op = _parse_op(_expect(doc, "op", (str, dict), "an op descriptor"))
-    t_grid = _positive_grid(doc, "t_grid")
-    alpha_grid = _positive_grid(doc, "alpha_grid")
+    t_grid = _grid(doc, "t_grid")
+    alpha_grid = _grid(doc, "alpha_grid")
     seed = _expect(doc, "seed", int, "an integer")
     tol = _expect(doc, "tol", (int, float), "a positive number")
     if not (math.isfinite(tol) and tol > 0):

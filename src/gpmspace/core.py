@@ -67,14 +67,15 @@ broadcast together; ``eval_P`` is the kernel at one pair and one t.
 ``ray_start`` inverts the same formulas and step tables in t: it is the
 induced d_alpha = inf { t > 0 : P < alpha } at coordinates, in closed form,
 and ``sup_P`` is the sup of P over t > 0, its t -> 0+ limit, read by the
-diameters.  No check reads P over points x points x t: the construction and
+diameters.  P over a finite carrier's pairs at every grid t is one tensor,
+``grid_P``, derived once per instance when first read; the construction and
 ``p4_violations`` read P at the smallest grid t, which stands for the whole
-grid because P is non-increasing in t.  Sampled P3 draws its seeded trials
-from one block of Mersenne Twister words, five per trial, by multiply-shift.
-``p3_violations`` and ``p4_violations`` also stand as the test oracles of
-the exact decisions.  The P3 trials and the exact decisions keep their
-witnesses as index rows plus the values gathered there (``ScanWitnesses``),
-so a witness is built only when it is read.
+grid because P is non-increasing in t.  ``_triangle_rows`` is the one
+triangle scan.  Sampled P3 draws its seeded trials from one block of Mersenne
+Twister words, five per trial, by multiply-shift.  ``p3_violations`` and
+``p4_violations`` also stand as the test oracles of the exact decisions.  The
+P3 trials and the exact decisions keep their witnesses as index rows plus the
+values gathered there (``ScanWitnesses``), so a witness is built when read.
 """
 from __future__ import annotations
 
@@ -98,10 +99,12 @@ _QUANTIFIER_CAP = 128
 
 _MAX_INTERVAL_POINTS = 65536  # sample points of an interval carrier
 
-# entries of one block of rows of an n x n x n scan: the carrier's triangle
-# check and the exact P3 decision.  A float temporary of a block stays below
-# 128 KiB, glibc's default mmap threshold, so blocks reuse heap memory instead
-# of mapping fresh pages each time, which is slower and raises peak RSS
+_REALS = (int, float, np.integer, np.floating)  # what a grid may hold, bool excepted
+
+# entries of one block of rows of an n x n x n scan: ``_triangle_rows`` and
+# the exact P3 decision.  A float temporary of a block stays below 128 KiB,
+# glibc's default mmap threshold, so blocks reuse heap memory instead of
+# mapping fresh pages each time, which is slower and raises peak RSS
 _P3_BLOCK = 1 << 14
 
 
@@ -132,19 +135,12 @@ class FiniteCarrier:
         off = d[~np.eye(n, dtype=bool)]
         if off.size and np.any(off <= 0.0):
             raise ConstructionError("off-diagonal distances must be positive", axiom="P1")
-        slack = 1e-12 * max(1.0, float(d.max(initial=0.0)))
-        step = max(1, _P3_BLOCK // (n * n))
-        with np.errstate(over="ignore"):  # a sum that overflows to inf bounds every distance
-            for lo in range(0, n, step):
-                # bad[i, j, k]: d[i, j] > d[i, k] + d[k, j] + slack, for a block of rows i
-                # of at most _P3_BLOCK entries; the first in C order is the first witness
-                rows = d[lo:lo + step]
-                bad = rows[:, :, None] > (rows[:, None, :] + d.T) + slack
-                if bad.any():
-                    i, j, k = np.argwhere(bad)[0]
-                    raise ConstructionError(
-                        f"triangle inequality fails on ({labels[lo + i]}, {labels[j]}, "
-                        f"{labels[k]})", axiom="triangle")
+        # the witness is the least failing (a, b, k) with k the middle point
+        rows = _triangle_rows(d, 1e-12 * max(1.0, float(d.max(initial=0.0))), first=True)
+        if len(rows):
+            i, k, j = min(rows.tolist(), key=lambda r: (r[0], r[2], r[1]))
+            raise ConstructionError(f"triangle inequality fails on ({labels[i]}, {labels[j]}, "
+                                    f"{labels[k]})", axiom="triangle")
         d.flags.writeable = False
         self.labels = labels
         self.d = d
@@ -223,8 +219,44 @@ class IntervalCarrier:
         return {"interval": [self.lo, self.hi], "resolution": self.resolution}
 
 
+def _triangle_rows(D, slack, first=False) -> np.ndarray:
+    """The (i, j, l) with D[i, l] > D[i, j] + D[j, l] + slack, as index rows in
+    lexicographic order, for a D equal to its transpose (a carrier's table d,
+    a d_alpha matrix); a sum that overflows to inf bounds every entry.  Rows
+    i are scanned in blocks of about ``_P3_BLOCK`` entries, each at the
+    columns l from the block's start on: a violation with l before the start
+    is the mirror (l, j, i) of one found there, since float addition is
+    commutative.  With ``first`` the scan stops at the first block that finds
+    a row, which holds every row of the least i."""
+    k = len(D)
+    step = max(1, _P3_BLOCK // (k * k))
+    found = []
+    with np.errstate(over="ignore"):
+        for lo in range(0, k, step):
+            hi = min(lo + step, k)
+            rows = D[lo:hi]
+            # bad[a, j, b]: D[lo + a, lo + b] > D[lo + a, j] + D[j, lo + b] + slack
+            bad = rows[:, None, lo:] > (rows[:, :, None] + D[:, lo:]) + slack
+            if bad.any():
+                a, j, b = np.nonzero(bad)
+                i, l = a + lo, b + lo
+                past = l >= hi
+                found += [(i, j, l), (l[past], j[past], i[past])]
+                if first:
+                    break
+    if not found:
+        return np.empty((0, 3), dtype=np.intp)
+    i, j, l = (np.concatenate(axis) for axis in zip(*found))
+    order = np.argsort((i * k + j) * k + l)
+    return np.stack((i[order], j[order], l[order]), axis=1)
+
+
 def _validate_grid(grid, name):
-    vals = tuple(float(v) for v in grid)
+    """The grid rule, for t and alpha: finite positive reals, strictly increasing."""
+    vals = tuple(grid)
+    if any(isinstance(v, bool) or not isinstance(v, _REALS) for v in vals):
+        raise ConstructionError(f"{name} values must be real numbers")
+    vals = tuple(map(float, vals))
     if not vals:
         raise ConstructionError(f"{name} must be non-empty")
     if any(not math.isfinite(v) or v <= 0 for v in vals):
@@ -457,13 +489,15 @@ def _ray_formula(family, params, dist, alpha):
     if family in ("scaled", "discrete"):  # P = q / t: d_alpha = q / alpha, which is 0 iff
         # q is, so a quotient that underflows to 0 reads the least positive float
         q = dist if family == "scaled" else np.where(dist == 0.0, 0.0, params["c"])
-        r = q / alpha
+        with np.errstate(over="ignore"):  # a quotient past the largest float is +inf, exact
+            r = q / alpha
         return np.where((r == 0.0) & (q != 0.0), _TINY, r)
     if family in ("constant", "damped"):  # P = d, or d (1 + e^-t) falling from 2d to d
         dist, alpha = np.broadcast_arrays(dist, alpha)
         out = np.where(dist < alpha, 0.0, math.inf)
         if family == "damped":  # alpha - d is exact in between (Sterbenz)
-            mid = (dist < alpha) & (alpha < 2.0 * dist)
+            with np.errstate(over="ignore"):  # 2d = inf lies above every alpha
+                mid = (dist < alpha) & (alpha < 2.0 * dist)
             out[mid] = -np.asarray(_LOG((alpha[mid] - dist[mid]) / dist[mid]), dtype=float)
         return out
     raise DomainError(f"no formula for family {family!r}")
@@ -518,17 +552,20 @@ def sup_P(inst: GpmsInstance, u, v) -> np.ndarray:
 
 def coords(inst: GpmsInstance, pts) -> np.ndarray:
     """Kernel coordinates of carrier points (one point or an array), shape
-    preserved: indices on a finite carrier, floats on an interval."""
+    preserved: indices on a finite carrier, floats on an interval; refuses
+    a point not in the carrier, on an interval any entry not in [lo, hi]."""
     car = inst.carrier
     if car.kind == "finite":
         if isinstance(pts, str):  # one label
             return car.index(pts)
         arr = np.asarray(pts, dtype=object)
         return np.fromiter(map(car.index, arr.flat), np.intp, arr.size).reshape(arr.shape)
-    arr = np.asarray(pts, dtype=float)
-    if not np.all((arr >= car.lo) & (arr <= car.hi)):
+    arr = np.asarray(pts)
+    if arr.dtype.kind == "O":  # held as Python objects: take their own dtype
+        arr = np.asarray(arr.tolist())
+    if arr.dtype.kind not in "fi" or not np.all((arr >= car.lo) & (arr <= car.hi)):
         raise DomainError("point not in carrier: an array entry leaves the interval")
-    return arr
+    return arr.astype(float, copy=False)
 
 
 def eval_P(inst: GpmsInstance, a, b, t: float) -> float:
@@ -553,6 +590,17 @@ def P_at(inst: GpmsInstance, u, v, t) -> np.ndarray:
     """P at kernel coordinates ``u`` and ``v`` (see ``coords``) and at ``t``
     (one t or an array), broadcast together; ``u`` and ``v`` are trusted."""
     return np.asarray(_kernel(inst, u, v, _check_t(t)))
+
+
+def grid_P(inst: GpmsInstance) -> np.ndarray:
+    """P[k, x, y] = P(x, y, t_k) on a finite carrier: one kernel tensor per
+    instance, shared, so callers only read it.  No entry overflows, as
+    construction refuses a P not finite at the largest d and the least t."""
+    def build():
+        c = np.arange(inst.carrier.size)
+        return P_at(inst, c[:, None], c, np.asarray(inst.t_grid)[:, None, None])
+
+    return derive(inst, "grid_P", build)
 
 
 def gallery_construct(family, params, carrier, op: BinaryOperation,

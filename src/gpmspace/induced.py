@@ -24,18 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balls import tau_p_classes
-from .core import _P3_BLOCK, GpmsInstance, coords, derive, ray_start
+from .core import GpmsInstance, _triangle_rows, coords, derive, ray_start
 from .errors import DomainError, HypothesisError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, ScanWitnesses, Witness
 
 
 @dataclass(frozen=True)
 class BisectionSettings:
-    """The comparison slack of the d_alpha checks: symmetry holds within
-    ``tolerance``, the triangle inequality within 4 x and monotonicity in
-    alpha within 2 x it.  ``tolerance`` is finite and >= 0.  The d_alpha
-    values come in closed form; the class keeps the name of the bisection
-    solver they replaced, because callers construct it by name."""
+    """The comparison slack of the d_alpha checks: the triangle inequality
+    holds within 4 x ``tolerance`` and monotonicity in alpha within 2 x it.
+    ``tolerance`` is finite and >= 0.  The d_alpha values come in closed
+    form; the class keeps the name of the bisection solver they replaced,
+    because callers construct it by name."""
 
     tolerance: float = 1e-6
 
@@ -63,17 +63,9 @@ def _check_alpha(inst: GpmsInstance, alpha):
         raise DomainError(f"alpha must be a positive real, got {alpha!r}")
 
 
-def _pair_coords(inst: GpmsInstance, a, b) -> np.ndarray:
-    """Kernel coordinates of the points ``a`` and ``b``, refusing one not in the carrier."""
-    car = inst.carrier
-    if not car.contains(a) or not car.contains(b):
-        raise DomainError(f"point not in carrier: {a!r} or {b!r}")
-    return coords(inst, [a, b])
-
-
 def d_alpha(am: AlphaMetric, a, b) -> float:
     """Left endpoint of { t : P(a,b,t) < alpha }, or +inf if the ray is empty."""
-    u, v = _pair_coords(am.instance, a, b)
+    u, v = coords(am.instance, [a, b])
     return float(ray_start(am.instance, u, v, am.alpha))
 
 
@@ -93,7 +85,8 @@ def _matrix(am: AlphaMetric) -> np.ndarray:
 
 
 def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 64) -> CheckReport:
-    """Zero diagonal, symmetry, positivity, triangle inequality of d_alpha.
+    """Zero diagonal, positivity, triangle inequality of d_alpha, which is
+    symmetric by construction (``_distance_matrix``).
 
     Exhaustive on finite carriers; sampled on interval carriers.  Positivity
     becomes inconclusive whenever +inf values appear (the map is then not
@@ -118,19 +111,11 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
     infinite = np.isinf(D)
     has_inf = bool((upper & infinite).any())
     not_positive = ~infinite & ~(D > 0)
-    with np.errstate(invalid="ignore"):  # inf - inf is nan, and nan > tol is False
-        asymmetric = np.abs(D - D.T) > tol
-    for i, j in np.argwhere(upper & (not_positive | asymmetric)):
-        x, y = pts[i], pts[j]
-        if not_positive[i, j]:
-            witnesses.append(Witness(points=(x, y), values={"value": float(D[i, j]),
-                                                            "alpha": am.alpha},
-                                     detail="distinct pair at d_alpha = 0 "
-                                            "(the per-alpha separation hypothesis fails here)"))
-        if asymmetric[i, j]:
-            witnesses.append(Witness(points=(x, y),
-                                     values={"lhs": float(D[i, j]), "rhs": float(D[j, i])},
-                                     detail="d_alpha not symmetric"))
+    witnesses += [Witness(points=(pts[i], pts[j]), values={"value": float(D[i, j]),
+                                                           "alpha": am.alpha},
+                          detail="distinct pair at d_alpha = 0 "
+                                 "(the per-alpha separation hypothesis fails here)")
+                  for i, j in np.argwhere(upper & not_positive)]
     rows = _triangle_rows(D, 4 * tol)
     i, j, l = rows.T
     witnesses = ScanWitnesses(pts, rows, {"lhs": D[i, l], "rhs": D[i, j] + D[j, l]},
@@ -149,35 +134,6 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
                        witnesses=witnesses)
 
 
-def _triangle_rows(D, slack) -> np.ndarray:
-    """The (i, j, l) with D[i, l] > D[i, j] + D[j, l] + slack, as index rows in
-    lexicographic order, for a D equal to its transpose (``_distance_matrix``).
-
-    Rows i are scanned in blocks of about ``_P3_BLOCK`` entries, each at the
-    columns l from the block's start on: a violation with l before the start
-    is the mirror (l, j, i) of one found there, since float addition is
-    commutative.
-    """
-    k = len(D)
-    step = max(1, _P3_BLOCK // (k * k))
-    found = []
-    for lo in range(0, k, step):
-        hi = min(lo + step, k)
-        rows = D[lo:hi]
-        # bad[a, j, b]: D[lo + a, lo + b] > D[lo + a, j] + D[j, lo + b] + slack
-        bad = rows[:, None, lo:] > (rows[:, :, None] + D[:, lo:]) + slack
-        if bad.any():
-            a, j, b = np.nonzero(bad)
-            i, l = a + lo, b + lo
-            past = l >= hi
-            found += [(i, j, l), (l[past], j[past], i[past])]
-    if not found:
-        return np.empty((0, 3), dtype=np.intp)
-    i, j, l = (np.concatenate(axis) for axis in zip(*found))
-    order = np.argsort((i * k + j) * k + l)
-    return np.stack((i[order], j[order], l[order]), axis=1)
-
-
 def check_alpha_monotonicity(inst: GpmsInstance, a, b, alpha_list,
                              solver: BisectionSettings | None = None) -> CheckReport:
     """d_alpha(a,b) must be non-increasing as alpha increases (fixed pair),
@@ -188,7 +144,7 @@ def check_alpha_monotonicity(inst: GpmsInstance, a, b, alpha_list,
     st = solver or BisectionSettings()
     for al in alphas:
         _check_alpha(inst, al)
-    u, v = _pair_coords(inst, a, b)
+    u, v = coords(inst, [a, b])
     values = ray_start(inst, u, v, np.array(alphas)).tolist()
     slack = 2 * st.tolerance
     witnesses = []

@@ -15,20 +15,21 @@ boolean masks over point indices.  The kinds of one radius rule share one
 construction over the rows they pick: T0 and T1 one at alpha0 and t0, and
 T2, regular and normal one at alpha1 and t0/2 (in the battery, a T2 row on
 the pair (a, b) is also the normal row ({a}, {b}) and the regular row
-({b}, a)).  A construction reads one table of P over (t, x, y) at the t grid
-and at half of each grid t, derived once per instance: t0 and alpha0 are a
-masked minimum over it, alpha1 is solved once per distinct alpha0, the ball
-masks U and V are row comparisons of it, and each claim ``verify_witness``
-makes and each closedness precondition is one boolean column.  Only these
-are per kind: the columns a kind reads and the order of a row's error,
-which is a set that is not closed, then the construction step that fails,
-then the first claim that fails, each as the exception
-``separation_witness`` raises.  A ``WitnessBatch`` is a view of its
-construction: its kind, its rows in the construction and their errors.
-``separation_witness`` is a batch of one row; ``verify_witness`` re-checks
-a witness ball by ball and stays the independent oracle.  A batch row's
-report (``WitnessBatch.report``) takes the row's check name and writes its
-balls as plain dicts, with no ``BallSpec`` per ball.
+({b}, a)).  A construction reads P over (t, x, y) at the t grid
+(``core.grid_P``) and at half of each grid t, a table of its own derived
+once per instance: t0 and alpha0 are a masked minimum over the first,
+alpha1 is solved once per distinct alpha0, the ball masks U and V are row
+comparisons of one of the two, and each claim ``verify_witness`` makes
+and each closedness precondition is one boolean column.  Only these are
+per kind: the columns a kind reads and the order of a row's error, which
+is a set that is not closed, then the construction step that fails, then
+the first claim that fails, each as the exception ``separation_witness``
+raises.  A ``WitnessBatch`` is a view of its construction: its kind, its
+rows in the construction and their errors.  ``separation_witness`` is a
+batch of one row; ``verify_witness`` re-checks a witness ball by ball and
+stays the independent oracle.  A batch row's report
+(``WitnessBatch.report``) takes the row's check name and writes its balls
+as plain dicts, with no ``BallSpec`` per ball.
 
 Countable bases read the classes of tau_P, a partition topology
 (``balls``): every open set around a point y holds its class C(y), so a
@@ -59,7 +60,7 @@ from .balls import (
     open_ball,
 )
 from .binop import eval_op, sub_idempotent
-from .core import GpmsInstance, P_at, derive, eval_P
+from .core import GpmsInstance, P_at, derive, eval_P, grid_P
 from .errors import DomainError, GpmsError, PreconditionError, WitnessNotFoundError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -159,19 +160,18 @@ def _require_closed(inst, subset: SubsetMask, name: str):
 
 
 def _tables(inst):
-    """(full, half): P over (t, x, y) at every grid t and at half of it, one
-    kernel tensor per instance.  A half t that is not positive (half of the
-    smallest subnormal) has no entries: they are NaN."""
+    """(full, half): P over (t, x, y) at every grid t (``core.grid_P``) and at
+    half of it, one kernel tensor per instance.  A half t that is not
+    positive (half of the smallest subnormal) has no entries: they are NaN."""
     def build():
         c = np.arange(inst.carrier.size)
-        t = np.asarray(inst.t_grid)
-        ts = np.concatenate([t, t / 2])
-        table = np.full((ts.size,) + (c.size,) * 2, np.nan)
+        ts = np.asarray(inst.t_grid) / 2
+        half = np.full((ts.size,) + (c.size,) * 2, np.nan)
         with np.errstate(over="ignore"):  # an overflow is +inf, inside no ball
-            table[ts > 0] = P_at(inst, c[:, None], c, ts[ts > 0][:, None, None])
-        return table[:t.size], table[t.size:]
+            half[ts > 0] = P_at(inst, c[:, None], c, ts[ts > 0][:, None, None])
+        return half
 
-    return derive(inst, "separation_tables", build)
+    return grid_P(inst), derive(inst, "half_P", build)
 
 
 def _members(masks):

@@ -17,8 +17,9 @@ block of grid t holding at most ``_P3_BLOCK`` entries, and
 one more column.
 ``check_bounded`` reads its K_t table over the grid t at the farthest pair
 for a family formula, which is non-decreasing in the distance (on an
-interval the least and the greatest point), and over (t, point, point) for
-step tables.  A ``SequenceSpec`` evaluates its terms once per carrier.
+interval the least and the greatest point), and gathers (t, point, point)
+from ``core.grid_P`` for step tables.  A ``SequenceSpec`` evaluates its
+terms once per carrier.
 ``cantor_intersection`` on masks tests every member's closedness with one
 union-of-classes test and reads every member's diameter from one ``sup_P``
 matrix over the first member (``_nested_diameters``); on intervals it reads
@@ -38,7 +39,7 @@ from .balls import (
     closure_and_limit_points,
     is_open,
 )
-from .core import _P3_BLOCK, GpmsInstance, P_at, _distance, coords, eval_P, sup_P
+from .core import _P3_BLOCK, GpmsInstance, P_at, _distance, coords, eval_P, grid_P, sup_P
 from .errors import DomainError, HypothesisError, PreconditionError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
 
@@ -278,7 +279,7 @@ def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None,
                                         (c.size, c.size))
             top = P_at(inst, c[i], c[j], ts)
         else:
-            top = P_at(inst, c[:, None], c, ts[:, None, None]).max(axis=(1, 2))
+            top = grid_P(inst)[:, c[:, None], c].max(axis=(1, 2))  # step tables: a finite carrier
         k_t = {f"{t:.12g}": v for t, v in zip(inst.t_grid, top.tolist())}
         samples = ts.size * c.size ** 2
     data["K_t"] = k_t

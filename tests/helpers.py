@@ -1,5 +1,6 @@
 """Shared instance builders for the test suite."""
 import importlib
+import math
 import os
 import sys
 
@@ -26,6 +27,20 @@ def line_carrier(n):
     labels = tuple(str(i) for i in range(n))
     d = [[float(abs(i - j)) for j in range(n)] for i in range(n)]
     return g.FiniteCarrier(labels, d)
+
+
+def full_triangle_scan(D, slack):
+    """Every (i, j, l) with D[i, l] > D[i, j] + D[j, l] + slack, in
+    lexicographic order, from one k x k x k tensor."""
+    return np.argwhere(D[:, None, :] > (D[:, :, None] + D) + slack)
+
+
+def planted_matrix(rng, k):
+    """A symmetric k x k matrix of halves, zeros and infinities: the triangle
+    sums tie at slacks that are multiples of 0.5, and the diagonal is not
+    zero."""
+    D = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, math.inf], size=(k, k))
+    return np.where(np.tri(k, dtype=bool), D.T, D)
 
 
 WORKLOAD_SEEDS = (1, 11, 23)  # the seeds CI replays the benchmark on

@@ -1,13 +1,14 @@
 import itertools
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpmspace as g
 from gpmspace import balls as balls_module
-from gpmspace import cli
+from gpmspace import cli, core
 from helpers import (ALPHA_GRID, T_GRID, gallery_instances, line_carrier, make_instance,
                      three_point_carrier, two_point_carrier)
 
@@ -364,7 +365,7 @@ def test_memo_does_not_keep_instances_alive():
     inst = make_instance("scaled", op=g.MAX)
     g.generate_topology(inst)
     g.d_alpha(g.AlphaMetric(inst, 1.0), "a", "c")
-    assert set(inst._memo) == {"classes", "topology"}
+    assert set(inst._memo) == {"grid_P", "classes", "topology"}
     ref = weakref.ref(inst)
     del inst
     assert ref() is None
@@ -373,16 +374,16 @@ def test_memo_does_not_keep_instances_alive():
 # -- work counts (machine independent) -------------------------------------------
 
 def _count_values(monkeypatch):
-    """The size of every kernel evaluation ``balls`` makes, in call order."""
+    """The size of every kernel evaluation, in call order."""
     sizes = []
-    real = balls_module.P_at
+    real = core._kernel
 
     def counting(*args):
         values = real(*args)
-        sizes.append(values.size)
+        sizes.append(np.size(values))
         return values
 
-    monkeypatch.setattr(balls_module, "P_at", counting)
+    monkeypatch.setattr(core, "_kernel", counting)
     return sizes
 
 
@@ -391,9 +392,10 @@ def test_ball_open_theorem_derives_grid_balls_once(monkeypatch):
     inst = make_instance("scaled", op=g.MAX, carrier=line_carrier(n))
     sizes = _count_values(monkeypatch)
     assert g.verify_ball_theorem(inst, "ball_open").ok
-    # one kernel tensor over (point, t, point) gives the theorem's balls, which
-    # every alpha reads, and one slice at the least t gives the classes
-    assert sizes == [n * len(T_GRID) * n, n * n] == [486, 81]
+    # one kernel tensor over (t, point, point), core.grid_P, gives the
+    # theorem's balls, which every alpha reads, and its slice at the least t
+    # the classes
+    assert sizes == [len(T_GRID) * n * n] == [486]
 
 
 def test_cantor_intersection_derives_grid_balls_once(monkeypatch):
@@ -403,7 +405,9 @@ def test_cantor_intersection_derives_grid_balls_once(monkeypatch):
     sizes = _count_values(monkeypatch)
     _, _, rep = g.cantor_intersection(inst, fam)
     assert rep.ok
-    assert sizes == [n * n]  # the classes: one kernel slice at the least t, no grid ball
+    # the classes: the slice at the least t of core.grid_P, one kernel tensor
+    # over (t, point, point); no grid ball
+    assert sizes == [len(T_GRID) * n * n]
 
 
 def test_topology_battery_tests_no_set_for_openness(monkeypatch):

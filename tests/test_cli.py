@@ -79,6 +79,38 @@ def test_zero_in_t_grid_is_a_parse_error(tmp_path):
     assert err.value.field == "t_grid"
 
 
+@pytest.mark.parametrize("key", ["t_grid", "alpha_grid"])
+@pytest.mark.parametrize("grid, message", [
+    ([], "must be non-empty"), ([1, 1], "must be strictly increasing"),
+    ([-1, 2], "values must be finite and positive"), ("1", None)])
+def test_grid_faults_name_their_field(tmp_path, capsys, key, grid, message):
+    # the file's grids are checked by core's grid rule; an error names the field
+    path = write(tmp_path, dict(BASE, **{key: grid}))
+    with pytest.raises(g.ParseError) as err:
+        g.load_instance(path)
+    assert err.value.field == key
+    if message is not None:
+        assert str(err.value) == f"{key} {message}"
+    assert g.main(["axioms", path]) == 2
+    assert capsys.readouterr().err.endswith(f"(field {key!r})\n")
+
+
+@pytest.mark.parametrize("family, params", [("scaled", {}), ("damped", {}),
+                                            ("discrete", {"c": 1e308})])
+def test_d_alpha_past_the_largest_float_is_inf_without_a_warning(tmp_path, family, params):
+    # d = 1e308 on every pair: d / alpha and c / alpha overflow for scaled and
+    # discrete, and 2d for damped; d_alpha is +inf there, exactly, and the
+    # overflow raises no RuntimeWarning (the test config makes one an error)
+    doc = dict(BASE, d=[[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]],
+               family=family, params=params, t_grid=[40, 50], alpha_grid=[0.25, 0.5, 1])
+    inst_file = g.load_instance(write(tmp_path, doc))
+    for command in ("axioms", "dalpha", "full-report"):
+        g.run_command(command, inst_file)
+    am = g.AlphaMetric(inst_file.instance, 0.25)
+    assert g.alpha_metric_table(am) == [[0.0 if i == j else math.inf for j in range(3)]
+                                        for i in range(3)]
+
+
 def test_unknown_field_rejected(tmp_path):
     doc = dict(BASE, wibble=3)
     with pytest.raises(g.ParseError) as err:
@@ -590,16 +622,17 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     monkeypatch.setattr(core, "_kernel", kernel)
     monkeypatch.setattr(induced, "ray_start", ray_start)
     g.run_command("full-report", inst_file)
-    # separation reads two per-instance tensors: P at the t grid and its halves
-    # (12 x 81 values) and the 64 base-ball depths (64 x 81 values); the axioms
-    # battery reads no P (scaled/max is decided from d, and the line meets
-    # the triangle inequality, so no witness is evaluated), and the classes
-    # of tau_P are one 9 x 9 slice at the least t; the sequences battery makes
-    # one call for its 9 convergence rows (9 x 8 window terms x 6 t) and one
-    # for the K_t table that bounded and compact_closed_bounded share (P at
-    # the farthest pair, 6 t); cantor's diameters and the P4 gate of the
-    # topology identity read no P
-    assert (len(values), sum(values)) == (6, 7161)
+    # P over the t grid is one tensor per instance, core.grid_P (6 x 81
+    # values), that the grid balls, the classes of tau_P (its slice at the
+    # least t) and separation read; separation adds two per-instance tensors:
+    # P at half of each grid t (6 x 81 values) and the 64 base-ball depths
+    # (64 x 81 values); the axioms battery reads no P (scaled/max is decided
+    # from d, and the line meets the triangle inequality, so no witness is
+    # evaluated); the sequences battery makes one call for its 9 convergence
+    # rows (9 x 8 window terms x 6 t) and one for the K_t table that bounded
+    # and compact_closed_bounded share (P at the farthest pair, 6 t);
+    # cantor's diameters and the P4 gate of the topology identity read no P
+    assert (len(values), sum(values)) == (5, 6594)
     # d_alpha: one 9 x 9 matrix, read by the table, the metric axioms and the
     # topology identity (its P4 gate too), and one pair at the 5 monotonicity
     # alphas in one call

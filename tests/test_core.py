@@ -15,8 +15,9 @@ import gpmspace as g
 from gpmspace import core
 from gpmspace.core import P_at, coords
 from gpmspace.reports import canonical_json
-from helpers import (ALPHA_GRID, T_GRID, gallery_instances, interval_instance, make_instance,
-                     squared_distance_table_instance, three_point_carrier)
+from helpers import (ALPHA_GRID, T_GRID, full_triangle_scan, gallery_instances, interval_instance,
+                     make_instance, planted_matrix, squared_distance_table_instance,
+                     three_point_carrier)
 
 
 def brute_force_p3(inst, points):
@@ -61,6 +62,33 @@ def test_eval_P_domain_errors():
         g.eval_P(inst, "a", "b", -1.0)
     with pytest.raises(g.DomainError):
         g.eval_P(inst, "a", "zz", 1.0)
+
+
+def test_coords_refuse_what_is_not_a_point():
+    # one membership rule: a label not in a finite carrier, and on an
+    # interval an entry that is not a number or leaves [lo, hi], is a
+    # DomainError wherever points enter
+    inst, am = interval_instance(), g.AlphaMetric(interval_instance(), 1.0)
+    for bad in (["x"], "x", [None], [0.5, "1"], [True], [3.0], [math.nan]):
+        with pytest.raises(g.DomainError):
+            coords(inst, bad)
+    assert coords(inst, np.asarray([0.5, -1], dtype=object)).tolist() == [0.5, -1.0]
+    with pytest.raises(g.DomainError):
+        g.check_bounded(inst, ["x"])
+    with pytest.raises(g.DomainError):
+        g.d_alpha(am, "x", 0.5)
+    with pytest.raises(g.DomainError):
+        g.check_alpha_monotonicity(inst, 0.5, 9.0, [1.0, 2.0])
+    with pytest.raises(g.DomainError):
+        g.d_alpha(g.AlphaMetric(make_instance("scaled", op=g.MAX), 1.0), "a", "zz")
+
+
+@pytest.mark.parametrize("grid", [["1"], [True, 2.0], [[1.0]], [1.0, None]])
+@pytest.mark.parametrize("name", ["t_grid", "alpha_grid"])
+def test_grid_rule_refuses_entries_that_are_not_real_numbers(grid, name):
+    grids = {"t_grid": T_GRID, "alpha_grid": ALPHA_GRID, name: grid}
+    with pytest.raises(g.ConstructionError, match=f"^{name} values must be real numbers$"):
+        g.gallery_construct("scaled", {}, three_point_carrier(), g.MAX, **grids)
 
 
 # -- carrier and construction validation -----------------------------------
@@ -121,6 +149,27 @@ def test_triangle_check_matches_triple_loop(d):
     i, j, k = first
     assert str(err.value) == f"triangle inequality fails on ({labels[i]}, {labels[j]}, {labels[k]})"
     assert err.value.axiom == "triangle"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 70), st.integers(0, 2 ** 32 - 1), st.sampled_from((0.0, 0.5, 1.0, 4e-6)))
+def test_triangle_rows_match_the_full_scan(k, seed, slack):
+    # up to 70 points: a block holds 16384 // k^2 rows, at least three, so
+    # past k = 25 the scan crosses blocks and takes the mirrors; stopped at
+    # the first block that finds a row, the scan holds every row of the least i
+    D = planted_matrix(np.random.default_rng(seed), k)
+    assert np.array_equal(D, D.T)
+    rows = core._triangle_rows(D, slack)
+    assert rows.shape[1] == 3
+    full = full_triangle_scan(D, slack)
+    np.testing.assert_array_equal(rows, full)
+    first = core._triangle_rows(D, slack, first=True)
+    if len(full):
+        least = full[full[:, 0] == full[0, 0]]
+        np.testing.assert_array_equal(first[first[:, 0] == full[0, 0]], least)
+        assert first[:, 0].min() == full[0, 0]
+    else:
+        assert first.shape == (0, 3)
 
 
 def test_carrier_distance_table_is_a_read_only_copy():

@@ -11,7 +11,8 @@ import gpmspace as g
 from gpmspace import core, induced
 from gpmspace.reports import canonical_json
 from helpers import (ALPHA_GRID, T_GRID, gallery_instances, interval_instance, line_carrier,
-                     make_instance, squared_distance_table_instance, two_point_carrier)
+                     make_instance, planted_matrix, squared_distance_table_instance,
+                     two_point_carrier)
 
 FINE = make_instance("scaled", op=g.MAX)
 TOL = g.BisectionSettings().tolerance
@@ -377,32 +378,6 @@ def test_metric_axioms_oracle_sees_positivity_and_triangle_failures():
     assert any("triangle" in w.detail for w in rep.witnesses)
 
 
-def full_triangle_scan(D, slack):
-    """Every (i, j, l) with D[i, l] > D[i, j] + D[j, l] + slack, in
-    lexicographic order, from one k x k x k tensor."""
-    return np.argwhere(D[:, None, :] > (D[:, :, None] + D) + slack)
-
-
-def planted_matrix(rng, k):
-    """A symmetric k x k matrix of halves, zeros and infinities: the triangle
-    sums tie at slacks that are multiples of 0.5, and the diagonal is not
-    zero."""
-    D = rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, math.inf], size=(k, k))
-    return np.where(np.tri(k, dtype=bool), D.T, D)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 70), st.integers(0, 2 ** 32 - 1), st.sampled_from((0.0, 0.5, 1.0, 4e-6)))
-def test_triangle_rows_match_the_full_scan(k, seed, slack):
-    # up to 70 points: a block holds 16384 // k^2 rows, at least three, so
-    # past k = 25 the scan crosses blocks and takes the mirrors
-    D = planted_matrix(np.random.default_rng(seed), k)
-    assert np.array_equal(D, D.T)
-    rows = induced._triangle_rows(D, slack)
-    assert rows.shape[1] == 3
-    np.testing.assert_array_equal(rows, full_triangle_scan(D, slack))
-
-
 @settings(max_examples=100, deadline=None)
 @given(gallery_instances(ops=(g.MAX,)) | interval_instances(), st.data())
 def test_distance_matrices_are_exactly_symmetric(inst, data):
@@ -432,12 +407,9 @@ def test_metric_axioms_on_planted_matrices_match_the_triple_loop(k, seed, tol, b
     inst = make_instance("scaled", carrier=line_carrier(k))
     am = g.AlphaMetric(inst, 1.0, g.BisectionSettings(tol))
     inst._memo[("d_alpha", 1.0)] = D
-    real_block = induced._P3_BLOCK
-    induced._P3_BLOCK = block
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_P3_BLOCK", block)
         rep = g.check_alpha_metric_axioms(am)
-    finally:
-        induced._P3_BLOCK = real_block
     verdict, note, samples, witnesses = old_metric_axioms(am, D=D)
     assert (rep.verdict, rep.note, rep.samples_tested) == (verdict, note, samples)
     assert rep.to_jsonable()["witness_count"] == len(rep.witnesses) == len(witnesses)
