@@ -73,7 +73,16 @@ from .errors import (
     SizeError,
     WitnessNotFoundError,
 )
-from .reports import INCONCLUSIVE, PASS, CheckReport, canonical, canonical_json, compact_json
+from .reports import (
+    INCONCLUSIVE,
+    PASS,
+    CheckReport,
+    Templated,
+    canonical,
+    canonical_json,
+    compact_json,
+    not_certifiable,
+)
 
 REPORT_VERSION = 2
 
@@ -127,7 +136,9 @@ class Report:
             "grids": self.grids,
             "seed": self.seed,
             "tol": self.tol,
-            "checks": [c.to_jsonable() for c in self.checks],
+            # a row view (``Templated``) is written from its template, so it
+            # stays as it is; every other check is written as its tree
+            "checks": [c if isinstance(c, Templated) else c.to_jsonable() for c in self.checks],
             "notes": list(self.notes),
         }
 
@@ -317,8 +328,7 @@ def _topology_checks(inst, opts, seed, tol):
 
 
 def _inconclusive(name, exc):
-    return CheckReport(name=name, verdict=INCONCLUSIVE,
-                       note=f"not certifiable on this instance: {exc}")
+    return CheckReport(name=name, verdict=INCONCLUSIVE, note=not_certifiable(exc))
 
 
 def _guarded(name, fn):
@@ -340,12 +350,6 @@ def _separation_checks(inst, opts, seed, tol):
     single = np.eye(n, dtype=bool)
     on_pairs = [ordered[pair] for pair in pairs]
 
-    def witness(name, b, r):
-        # a row that cannot be built (say, open_ball refuses a ball) is inconclusive
-        if b.errors[r] is not None:
-            return _inconclusive(name, b.errors[r])
-        return b.report(r, name)
-
     def base(name, mode, x=None):
         return _guarded(name, lambda: separation._base_report(inst, mode, x)[-1])
 
@@ -355,11 +359,14 @@ def _separation_checks(inst, opts, seed, tol):
          "regular": range(len(outside))})
     t_kinds = [batches[kind] for kind in ("T0", "T1", "T2")]
     regular, normal = batches["regular"], batches["normal"]
-    checks = [witness(f"{b.kind}({labels[i]},{labels[j]})", b, r)
+    # each check is a view of its batch row; a row that cannot be built (say,
+    # open_ball refuses a ball) is inconclusive
+    row = separation.WitnessRow
+    checks = [row(b, r, f"{b.kind}({labels[i]},{labels[j]})")
               for r, (i, j) in enumerate(pairs) for b in t_kinds]
-    checks += [witness(f"regular({{{labels[i]}}},{labels[x]})", regular, r)
+    checks += [row(regular, r, f"regular({{{labels[i]}}},{labels[x]})")
                for r, (x, i) in enumerate(outside)]
-    checks += [witness(f"normal({{{labels[i]}}},{{{labels[j]}}})", normal, r)
+    checks += [row(normal, r, f"normal({{{labels[i]}}},{{{labels[j]}}})")
                for r, (i, j) in enumerate(pairs)]
     checks += [base(f"countable_base[local@{x}]", "local", x) for x in labels]
     checks.append(base("countable_base[global]", "global"))

@@ -82,6 +82,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -207,7 +208,9 @@ class IntervalCarrier:
         return len(self._points)
 
     def contains(self, p) -> bool:
-        return isinstance(p, (int, float)) and math.isfinite(p) and self.lo <= p <= self.hi
+        # a bool is no point, though float() reads it as 0 or 1
+        return (isinstance(p, (int, float)) and type(p) is not bool and math.isfinite(p)
+                and self.lo <= p <= self.hi)
 
     def base_distance(self, a, b) -> float:
         return abs(float(a) - float(b))
@@ -550,17 +553,38 @@ def sup_P(inst: GpmsInstance, u, v) -> np.ndarray:
     return dist
 
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def _entries(pts, arr):
+    """The entries of ``pts`` as they are held: an array's own if it holds
+    objects or bools (no others can be a bool), else those of the nested
+    sequences that ``np.asarray`` read as ``arr``."""
+    if isinstance(pts, np.ndarray):
+        return pts.flat if pts.dtype.kind in "Ob" else ()
+    if arr.ndim == 0:
+        return (pts,)
+    for _ in range(arr.ndim - 1):
+        pts = chain.from_iterable(pts)
+    return pts
+
+
 def coords(inst: GpmsInstance, pts) -> np.ndarray:
     """Kernel coordinates of carrier points (one point or an array), shape
     preserved: indices on a finite carrier, floats on an interval; refuses
-    a point not in the carrier, on an interval any entry not in [lo, hi]."""
+    a point not in the carrier, on an interval any entry not in [lo, hi] and
+    any bool."""
     car = inst.carrier
     if car.kind == "finite":
         if isinstance(pts, str):  # one label
             return car.index(pts)
         arr = np.asarray(pts, dtype=object)
         return np.fromiter(map(car.index, arr.flat), np.intp, arr.size).reshape(arr.shape)
-    arr = np.asarray(pts)
+    arr = pts if isinstance(pts, np.ndarray) else np.asarray(pts)
+    # numpy reads a bool among numbers as 0 or 1, so the entries' own types decide
+    if not _BOOLS.isdisjoint(map(type, _entries(pts, arr))):
+        bad = next(p for p in _entries(pts, arr) if type(p) in _BOOLS)
+        raise DomainError(f"point not in carrier: {bool(bad)} is a bool, not a number")
     if arr.dtype.kind == "O":  # held as Python objects: take their own dtype
         arr = np.asarray(arr.tolist())
     if arr.dtype.kind not in "fi" or not np.all((arr >= car.lo) & (arr <= car.hi)):

@@ -32,9 +32,15 @@ general rules.  Two memos last for one call only: each distinct non-zero
 float is rounded once per report, and each dict shape, an exact-str key
 tuple at one indentation, is sorted and has its keys escaped once per
 report (a dict with other keys is converted by the general rules first).
-Most of a report is a few such shapes: a check, a witness, a ball.
-``compact_json`` writes the same text on one line with ``json``'s default
-separators, as ``json.dumps(canonical(x), sort_keys=True)`` would.
+Most of a report is a few such shapes: a check, a witness, a ball.  A
+``Templated`` value, such as a row view of a separation witness batch, is
+written from a template and builds no tree: once per call, for each type,
+shape and indentation, the general rules write its tree with sentinel
+strings for its values, and the text is split at them into a template;
+each value of that shape is then the template with its values' texts
+filled in.  ``compact_json`` writes the same text on one line with
+``json``'s default separators, as ``json.dumps(canonical(x),
+sort_keys=True)`` would.
 ``canonical`` builds the normalized tree, for ``Report.to_jsonable``.  Both
 walks take their scalar rules from one helper, ``_plain``, and its float
 rule from ``_round12``.
@@ -43,6 +49,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _escape
@@ -149,6 +156,28 @@ class CheckReport:
             "witnesses": [w.to_jsonable() for w in self.witnesses[:_MAX_SERIALIZED_WITNESSES]],
             "data": self.data,
         }
+
+
+class Templated:
+    """A value the writer fills into a template instead of walking its tree.
+
+    ``json_fields()`` gives ``(shape, values)``: the values are the parts of
+    its tree that vary among values of one type and shape, each an exact str,
+    int, float, bool or None, and ``json_tree(values)`` builds that tree with
+    ``values`` in place.  ``canonical_json`` derives each template from the
+    general rules (``_template``).
+    """
+
+    __slots__ = ()
+
+    def to_jsonable(self):
+        return self.json_tree(self.json_fields()[1])
+
+
+def not_certifiable(exc) -> str:
+    """The note of a check that ``exc``, a hypothesis or precondition the
+    instance does not meet, leaves inconclusive."""
+    return f"not certifiable on this instance: {exc}"
 
 
 def _round12(x):
@@ -261,6 +290,22 @@ def _shape(keys, newline):
     return inner, heads, last + "}"
 
 
+# the text of the sentinel string "\0<k>\0" that stands for value k of a template
+_HOLE = re.compile(r'"\\u0000(\d+)\\u0000"')
+
+
+def _template(obj, size, newline, texts, shapes):
+    """The template of the ``Templated`` ``obj``'s type and shape at
+    ``newline``: ``(pieces, order)``, where its text is ``pieces`` with entry
+    ``2 j + 1`` replaced by the text of value ``order[j]``.  Derived by the
+    general rules: ``obj``'s tree with ``size`` sentinel strings for its
+    values is written and split at them."""
+    out = []
+    _write(obj.json_tree([f"\0{k}\0" for k in range(size)]), out, newline, texts, shapes)
+    pieces = _HOLE.split("".join(out))
+    return pieces, [int(k) for k in pieces[1::2]]
+
+
 def _write(obj, out, newline, texts, shapes):
     """Append the JSON text of ``obj``, whose line breaks are ``newline``, or
     on one line with ``json``'s default separators if ``newline`` is None.
@@ -271,7 +316,9 @@ def _write(obj, out, newline, texts, shapes):
     value.  A list of one exact scalar type is written with one join.  A
     dict whose keys are all exact strings is sorted as it is, and ``shapes``
     keeps its sorted keys and their escaped texts (``_shape``) for the next
-    dict of the same key tuple at the same indentation.
+    dict of the same key tuple at the same indentation.  A ``Templated``
+    value is its template (``_template``), kept in ``shapes`` per type, shape
+    and indentation, with the texts of its values filled in.
     """
     text = texts.get(type(obj))
     if text:
@@ -312,6 +359,16 @@ def _write(obj, out, newline, texts, shapes):
             _write(v, out, inner, texts, shapes)
             sep = comma
         out.append(last + "]")
+    elif isinstance(obj, Templated):
+        shape, values = obj.json_fields()
+        template = shapes.get((type(obj), shape, newline))
+        if template is None:
+            template = shapes[type(obj), shape, newline] = _template(
+                obj, len(values), newline, texts, shapes)
+        pieces, order = template
+        row = pieces.copy()
+        row[1::2] = [texts[type(values[k])](values[k]) for k in order]
+        out.extend(row)
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, str):

@@ -27,9 +27,13 @@ the first claim that fails, each as the exception ``separation_witness``
 raises.  A ``WitnessBatch`` is a view of its construction: its kind, its
 rows in the construction and their errors.  ``separation_witness`` is a
 batch of one row; ``verify_witness`` re-checks a witness ball by ball and
-stays the independent oracle.  A batch row's report
-(``WitnessBatch.report``) takes the row's check name and writes its balls
-as plain dicts, with no ``BallSpec`` per ball.
+stays the independent oracle.  The battery's rows are views of their
+batches (``WitnessRow``: batch, row and check name), and no row builds a
+report: a witness that holds passes and a row with an error is
+inconclusive, and ``reports.canonical_json`` writes each row from a
+template of its shape.  ``WitnessBatch.report`` builds one row's
+``CheckReport`` on demand, with the row's check name and its balls as
+plain dicts, no ``BallSpec`` per ball.
 
 Countable bases read the classes of tau_P, a partition topology
 (``balls``): every open set around a point y holds its class C(y), so a
@@ -62,7 +66,15 @@ from .balls import (
 from .binop import eval_op, sub_idempotent
 from .core import GpmsInstance, P_at, derive, eval_P, grid_P
 from .errors import DomainError, GpmsError, PreconditionError, WitnessNotFoundError
-from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
+from .reports import (
+    FAIL,
+    INCONCLUSIVE,
+    PASS,
+    CheckReport,
+    Templated,
+    Witness,
+    not_certifiable,
+)
 
 KINDS = ("T0", "T1", "T2", "regular", "normal")
 
@@ -221,17 +233,72 @@ class WitnessBatch:
         error = self.errors[r]
         if error is not None:  # a fresh one: a raised error's frames would hold the batch
             raise type(error)(*error.args)
+        return _row_report(*self._fields(r, name or f"witness[{self.kind}]"))
+
+    def _fields(self, r, name):
+        """((|U|, |V|), values) of row ``r``'s report named ``name``: its
+        values are the name, the samples, the radius and scale of every ball
+        and the centers of U, then of V."""
         con, i = self.construction, self.rows[r]
-        radius, scale = con.radius[i], con.scale[i]
+        labels = con.labels
+        u = [labels[c] for c in con.x_members[i]]
+        v = [] if self.kind == "T0" else [labels[c] for c in con.y_members[i]]
+        return (len(u), len(v)), (name, len(_CLAIMS[self.kind]), con.radius[i], con.scale[i],
+                                  *u, *v)
 
-        def balls(centers):
-            return [{"center": con.labels[c], "radius": radius, "scale": scale}
-                    for c in centers[i]]
 
-        return CheckReport(name=name or f"witness[{self.kind}]", verdict=PASS,
-                           samples_tested=len(_CLAIMS[self.kind]),
-                           data={"U": balls(con.x_members),
-                                 "V": [] if self.kind == "T0" else balls(con.y_members)})
+def _row_report(shape, values) -> CheckReport:
+    """The report of a witness row from its shape and values (``WitnessBatch._fields``)."""
+    name, samples, radius, scale, *centers = values
+    balls = [{"center": c, "radius": radius, "scale": scale} for c in centers]
+    return CheckReport(name=name, verdict=PASS, samples_tested=samples,
+                       data={"U": balls[:shape[0]], "V": balls[shape[0]:]})
+
+
+class WitnessRow(Templated):
+    """Row ``row`` of a ``WitnessBatch`` as the check ``name``, a view of the
+    batch that builds no report: a witness that holds passes, and a row with
+    an error is inconclusive, its note naming the error.  ``data`` and
+    ``to_jsonable`` build the row's report tree on demand, a witness's from
+    the values ``WitnessBatch.report`` reads, and ``reports.canonical_json``
+    writes the row from a template of its shape."""
+
+    __slots__ = ("batch", "row", "name")
+    witness, witnesses, failed = None, (), False
+
+    def __init__(self, batch: WitnessBatch, row: int, name: str):
+        self.batch, self.row, self.name = batch, row, name
+
+    @property
+    def ok(self) -> bool:
+        return self.batch.errors[self.row] is None
+
+    @property
+    def verdict(self) -> str:
+        return PASS if self.ok else INCONCLUSIVE
+
+    @property
+    def note(self) -> str:
+        return "" if self.ok else not_certifiable(self.batch.errors[self.row])
+
+    @property
+    def samples_tested(self) -> int:
+        return len(_CLAIMS[self.batch.kind]) if self.ok else 0
+
+    @property
+    def data(self) -> dict:
+        return self.to_jsonable()["data"]
+
+    def json_fields(self):
+        error = self.batch.errors[self.row]
+        if error is not None:
+            return None, (self.name, not_certifiable(error))
+        return self.batch._fields(self.row, self.name)
+
+    def json_tree(self, values):
+        if not self.ok:
+            return CheckReport(name=values[0], verdict=INCONCLUSIVE, note=values[1]).to_jsonable()
+        return _row_report(self.json_fields()[0], values).to_jsonable()
 
 
 def _fail(errors, which, error):

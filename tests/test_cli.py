@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpmspace as g
-from gpmspace import balls, core, induced
+from gpmspace import balls, core, induced, reports, separation
 from gpmspace.cli import Options
 from helpers import workload_docs
 
@@ -637,6 +637,47 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
     # topology identity (its P4 gate too), and one pair at the 5 monotonicity
     # alphas in one call
     assert (len(rays), sum(rays)) == (2, 86)
+
+
+def test_separation_rows_are_written_from_their_batches(tmp_path, monkeypatch):
+    # the 12-point clustered workload file: 198 rows hold and 198 are refused
+    # (a singleton is not closed on its t grid [1, 2, 4]); every row is a view
+    # of its witness batch, so the command builds no row report, only the 13
+    # countable_base reports, and writes each row from its template
+    inst_file = g.load_instance(write(tmp_path, workload_docs("finite-topology", 11)["clustered"]))
+    built, reports_of_rows, plain = [], [], []
+    real_post_init, real_report, real_plain = (g.CheckReport.__post_init__,
+                                               separation.WitnessBatch.report, reports._plain)
+
+    def post_init(self):
+        built.append(self.name)
+        real_post_init(self)
+
+    def report(self, *args, **kwargs):
+        reports_of_rows.append(args)
+        return real_report(self, *args, **kwargs)
+
+    def counted_plain(obj):
+        plain.append(type(obj))
+        return real_plain(obj)
+
+    monkeypatch.setattr(g.CheckReport, "__post_init__", post_init)
+    monkeypatch.setattr(separation.WitnessBatch, "report", report)
+    monkeypatch.setattr(reports, "_plain", counted_plain)
+    result = g.run_command("separation", inst_file)
+    rows = [c for c in result.checks if isinstance(c, separation.WitnessRow)]
+    assert sorted(c.verdict for c in rows) == ["inconclusive"] * 198 + ["pass"] * 198
+    assert built == [c.name for c in result.checks if c.name.startswith("countable_base[")]
+    assert len(built) == 13
+    built.clear()
+    text = result.to_canonical_json()
+    # one sentinel report per template: T0 rows (no V), the other witness rows
+    # and the refused rows
+    assert built == ["\x000\x00"] * 3
+    assert reports_of_rows == []
+    assert separation.WitnessRow not in plain
+    # the row views read as the reports they stand for
+    assert text == json.dumps(result.to_jsonable(), sort_keys=True, indent=2) + "\n"
 
 
 def wide_instance_file(tmp_path, n=48):

@@ -83,6 +83,51 @@ def test_coords_refuse_what_is_not_a_point():
         g.d_alpha(g.AlphaMetric(make_instance("scaled", op=g.MAX), 1.0), "a", "zz")
 
 
+BOOL_POINTS = pytest.mark.parametrize("point", [True, np.bool_(False)], ids=["bool", "numpy-bool"])
+
+
+def unit_interval():
+    return g.gallery_construct("scaled", {}, g.IntervalCarrier(0.0, 1.0, 0.25), g.MAX,
+                               T_GRID, ALPHA_GRID)
+
+
+# a bool is no point of an interval, though float() and numpy read it as 0
+# or 1: each entry point refuses it, naming it, as the load and the grid rule do
+@BOOL_POINTS
+def test_interval_contains_no_bool(point):
+    assert not unit_interval().carrier.contains(point)
+
+
+@BOOL_POINTS
+def test_eval_P_refuses_a_bool_point(point):
+    with pytest.raises(g.DomainError, match=f"point not in carrier: .*{point}"):
+        g.eval_P(unit_interval(), point, 0.5, 1.0)
+
+
+@BOOL_POINTS
+def test_d_alpha_refuses_a_bool_point(point):
+    with pytest.raises(g.DomainError, match=f"^point not in carrier: {point} is a bool"):
+        g.d_alpha(g.AlphaMetric(unit_interval(), 1.0), point, 0.5)
+
+
+@BOOL_POINTS
+def test_coords_refuse_a_bool_point(point):
+    inst = unit_interval()
+    for pts in (point, [point], [0.5, point], [[0.5], [point]], np.asarray([point]),
+                np.asarray([0.5, point], dtype=object)):
+        with pytest.raises(g.DomainError, match=f"^point not in carrier: {point} is a bool"):
+            coords(inst, pts)
+
+
+@BOOL_POINTS
+def test_check_convergence_refuses_a_bool_point(point):
+    inst, bools = unit_interval(), g.SequenceSpec("explicit", points=(point,) * 5)
+    with pytest.raises(g.DomainError, match=f"^limit candidate .*{point}"):
+        g.check_convergence(inst, bools, point)
+    with pytest.raises(g.DomainError, match=f"^sequence term .*{point}"):
+        g.check_convergence(inst, bools, 1.0)
+
+
 @pytest.mark.parametrize("grid", [["1"], [True, 2.0], [[1.0]], [1.0, None]])
 @pytest.mark.parametrize("name", ["t_grid", "alpha_grid"])
 def test_grid_rule_refuses_entries_that_are_not_real_numbers(grid, name):

@@ -192,3 +192,54 @@ def test_each_distinct_float_is_rounded_once_per_call(wide_reports, monkeypatch)
         calls.clear()
         report.to_canonical_json()
         assert sorted(calls) == sorted(distinct)
+
+
+# labels with every character the row writer must escape or pass through:
+# quotes, backslashes, '%' and braces (literal in a template), NUL (the
+# template's own sentinel character) and non-ASCII, up to astral
+LABELS = st.text(st.characters(min_codepoint=32, max_codepoint=126)
+                 | st.sampled_from(['"', "\\", "%", "{", "}", "\x00", "é", "☃", "\U0001f600"]),
+                 max_size=5)
+
+
+@st.composite
+def separation_instances(draw):
+    """2 to 6 labelled points, an integer shortest-path metric, a family and op,
+    and a t grid; the coarse grid [50] leaves singletons not closed, so its
+    regular and normal rows are refused."""
+    labels = draw(st.lists(LABELS, min_size=2, max_size=6, unique=True))
+    n = len(labels)
+    d = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(st.integers(1, 10))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    family = draw(st.sampled_from(["scaled", "damped", "constant", "discrete"]))
+    params = {"c": draw(st.sampled_from([0.5, 1.0, 3.0]))} if family == "discrete" else {}
+    t_grid = draw(st.sampled_from([(1e-4, 0.5, 1, 2, 4, 50), (1, 2, 4), (50,)]))
+    return g.gallery_construct(family, params, g.FiniteCarrier(labels, d),
+                               draw(st.sampled_from([g.MAX, g.PLUS])), t_grid, (0.25, 0.5, 1, 2, 4))
+
+
+REFUSING = g.gallery_construct("scaled", {}, g.FiniteCarrier(['a"1', "{x},y", "\x000\x00"],
+                                                             [[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+                               g.MAX, (50,), (0.25, 0.5, 1, 2, 4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(separation_instances())
+@example(REFUSING)
+def test_separation_rows_match_the_indenting_encoder(inst):
+    # the battery's rows are views of their witness batches, written from a
+    # template the general rules derive; refused rows are views too
+    inst_file = g.cli.InstanceFile(version=1, instance=inst, seed=0, tol=1e-6, digest="",
+                                   source={})
+    report = g.run_command("separation", inst_file)
+    tree = report.to_jsonable()
+    assert report.to_canonical_json() == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    assert reports.compact_json(report._body()) == json.dumps(tree, sort_keys=True)
+    if inst is REFUSING:
+        assert {c.verdict for c in report.checks} == {"pass", "inconclusive"}
