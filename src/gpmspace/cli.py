@@ -350,9 +350,6 @@ def _separation_checks(inst, opts, seed, tol):
     single = np.eye(n, dtype=bool)
     on_pairs = [ordered[pair] for pair in pairs]
 
-    def base(name, mode, x=None):
-        return _guarded(name, lambda: separation._base_report(inst, mode, x)[-1])
-
     batches = separation.witness_batches(
         inst, single[[x for x, _ in outside]], single[[y for _, y in outside]],
         {**dict.fromkeys(("T0", "T1", "T2", "normal"), on_pairs),
@@ -368,8 +365,9 @@ def _separation_checks(inst, opts, seed, tol):
                for r, (x, i) in enumerate(outside)]
     checks += [row(normal, r, f"normal({{{labels[i]}}},{{{labels[j]}}})")
                for r, (i, j) in enumerate(pairs)]
-    checks += [base(f"countable_base[local@{x}]", "local", x) for x in labels]
-    checks.append(base("countable_base[global]", "global"))
+    # the local bases at every point, then the global one
+    bases = separation.base_batch(inst, [*range(n), None])
+    checks += [separation.BaseRow(bases, r) for r in range(n + 1)]
     return checks, [], None
 
 

@@ -208,9 +208,10 @@ class IntervalCarrier:
         return len(self._points)
 
     def contains(self, p) -> bool:
-        # a bool is no point, though float() reads it as 0 or 1
-        return (isinstance(p, (int, float)) and type(p) is not bool and math.isfinite(p)
-                and self.lo <= p <= self.hi)
+        # a real as a grid reads it (numpy number scalars too); a bool is no
+        # point, though float() reads it as 0 or 1
+        return bool(isinstance(p, _REALS) and type(p) is not bool and math.isfinite(p)
+                    and self.lo <= p <= self.hi)
 
     def base_distance(self, a, b) -> float:
         return abs(float(a) - float(b))
@@ -579,7 +580,13 @@ def coords(inst: GpmsInstance, pts) -> np.ndarray:
         if isinstance(pts, str):  # one label
             return car.index(pts)
         arr = np.asarray(pts, dtype=object)
-        return np.fromiter(map(car.index, arr.flat), np.intp, arr.size).reshape(arr.shape)
+        try:
+            at = np.fromiter(map(car._index.__getitem__, arr.flat), np.intp, arr.size)
+        except KeyError:  # name the first point that is not in the carrier
+            for p in arr.flat:
+                car.index(p)
+            raise
+        return at.reshape(arr.shape)
     arr = pts if isinstance(pts, np.ndarray) else np.asarray(pts)
     # numpy reads a bool among numbers as 0 or 1, so the entries' own types decide
     if not _BOOLS.isdisjoint(map(type, _entries(pts, arr))):

@@ -52,6 +52,7 @@ import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
 from json.encoder import encode_basestring_ascii as _escape
 
 PASS = "pass"
@@ -159,19 +160,32 @@ class CheckReport:
 
 
 class Templated:
-    """A value the writer fills into a template instead of walking its tree.
+    """A value the writer fills into a template, a list at a time, instead of
+    walking its tree.
 
-    ``json_fields()`` gives ``(shape, values)``: the values are the parts of
-    its tree that vary among values of one type and shape, each an exact str,
-    int, float, bool or None, and ``json_tree(values)`` builds that tree with
+    ``json_columns(items)``, called on the type with a list of its values,
+    gives ``(shape, positions, columns)`` groups: the items at ``positions``
+    share ``shape``, and ``columns[k][j]`` is value k of item
+    ``positions[j]``.  The values are the parts of an item's tree that vary
+    among items of one type and shape, each an exact str, int, float, bool
+    or None, and ``json_tree(shape, values)`` builds that tree with
     ``values`` in place.  ``canonical_json`` derives each template from the
-    general rules (``_template``).
+    general rules (``_template``).  Every subclass is registered, so the
+    writer tells a list that holds one by a test of its set of types.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _TEMPLATED.add(cls)
+
     def to_jsonable(self):
-        return self.json_tree(self.json_fields()[1])
+        (shape, _, columns), = self.json_columns([self])
+        return self.json_tree(shape, [column[0] for column in columns])
+
+
+_TEMPLATED = set()  # every subclass of Templated
 
 
 def not_certifiable(exc) -> str:
@@ -294,16 +308,57 @@ def _shape(keys, newline):
 _HOLE = re.compile(r'"\\u0000(\d+)\\u0000"')
 
 
-def _template(obj, size, newline, texts, shapes):
-    """The template of the ``Templated`` ``obj``'s type and shape at
-    ``newline``: ``(pieces, order)``, where its text is ``pieces`` with entry
-    ``2 j + 1`` replaced by the text of value ``order[j]``.  Derived by the
-    general rules: ``obj``'s tree with ``size`` sentinel strings for its
-    values is written and split at them."""
+def _template(kind, shape, size, newline, texts, shapes):
+    """The template of the ``Templated`` type ``kind``'s values of ``shape``
+    at ``newline``: ``(pieces, order)``, where the text of a value is
+    ``pieces`` interleaved with the texts of its values ``order[0]``,
+    ``order[1]``, ...  Derived by the general rules: the tree with ``size``
+    sentinel strings for its values is written and split at them."""
     out = []
-    _write(obj.json_tree([f"\0{k}\0" for k in range(size)]), out, newline, texts, shapes)
+    _write(kind.json_tree(shape, [f"\0{k}\0" for k in range(size)]), out, newline, texts, shapes)
     pieces = _HOLE.split("".join(out))
-    return pieces, [int(k) for k in pieces[1::2]]
+    return pieces[::2], [int(k) for k in pieces[1::2]]
+
+
+def _column_texts(column, texts):
+    """The texts of a column of exact scalars: one ``map`` if it holds one type."""
+    kinds = {*map(type, column)}
+    if len(kinds) == 1:
+        return list(map(texts[kinds.pop()], column))
+    return [texts[type(v)](v) for v in column]
+
+
+def _item_texts(items, kinds, newline, texts, shapes):
+    """The text of each item of a list that holds ``Templated`` values.  The
+    values of each such type are written a column at a time: per group of
+    one shape (``json_columns``), each column of values becomes a column of
+    texts, and each value's text is one join of its template's pieces with
+    its row of texts.  Every other item is written by the general rules."""
+    done = [None] * len(items)
+    for kind in kinds & _TEMPLATED:
+        at = list(compress(count(), map(operator.is_, map(type, items), repeat(kind))))
+        for shape, positions, columns in kind.json_columns(list(map(items.__getitem__, at))):
+            template = shapes.get((kind, shape, newline))
+            if template is None:
+                template = shapes[kind, shape, newline] = _template(
+                    kind, shape, len(columns), newline, texts, shapes)
+            pieces, order = template
+            if not order:
+                rows = repeat(pieces[0])
+            else:
+                column_texts = [_column_texts(column, texts) for column in columns]
+                parts = []
+                for piece, k in zip(pieces, order):
+                    parts += (repeat(piece), column_texts[k])
+                rows = map("".join, zip(*parts, repeat(pieces[-1])))
+            for p, text in zip(positions, rows):
+                done[at[p]] = text
+    for i, text in enumerate(done):
+        if text is None:
+            out = []
+            _write(items[i], out, newline, texts, shapes)
+            done[i] = "".join(out)
+    return done
 
 
 def _write(obj, out, newline, texts, shapes):
@@ -349,26 +404,19 @@ def _write(obj, out, newline, texts, shapes):
             return
         inner, first, comma, last = _layout(newline)
         kinds = {*map(type, obj)}
-        text = texts.get(kinds.pop()) if len(kinds) == 1 else None
+        text = texts.get(next(iter(kinds))) if len(kinds) == 1 else None
         if text:
             out.append("[" + first + comma.join(map(text, obj)) + last + "]")
-            return
-        sep = "[" + first
-        for v in obj:
-            out.append(sep)
-            _write(v, out, inner, texts, shapes)
-            sep = comma
-        out.append(last + "]")
-    elif isinstance(obj, Templated):
-        shape, values = obj.json_fields()
-        template = shapes.get((type(obj), shape, newline))
-        if template is None:
-            template = shapes[type(obj), shape, newline] = _template(
-                obj, len(values), newline, texts, shapes)
-        pieces, order = template
-        row = pieces.copy()
-        row[1::2] = [texts[type(values[k])](values[k]) for k in order]
-        out.extend(row)
+        elif not kinds.isdisjoint(_TEMPLATED):
+            out.append("[" + first + comma.join(_item_texts(obj, kinds, inner, texts, shapes))
+                       + last + "]")
+        else:
+            sep = "[" + first
+            for v in obj:
+                out.append(sep)
+                _write(v, out, inner, texts, shapes)
+                sep = comma
+            out.append(last + "]")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
     elif isinstance(obj, str):

@@ -49,7 +49,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import compress, count, repeat
+from operator import attrgetter, eq, is_
 
 import numpy as np
 
@@ -188,11 +189,63 @@ def _tables(inst):
 
 def _members(masks):
     """Per row of a (rows, n) bool matrix, the list of its true column indices."""
-    out = [[] for _ in range(len(masks))]
     rows, cols = np.nonzero(masks)
-    for r, i in zip(rows.tolist(), cols.tolist()):
-        out[r].append(i)
+    ends = np.bincount(rows, minlength=len(masks)).cumsum().tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip([0, *ends], ends)]
+
+
+@dataclass
+class _Alpha0:
+    """The stage both radius rules share, over rows of center sets X and Y:
+    each row's members, its t0 (at grid index ``k0``) and alpha0, and its
+    error when no grid t gives a positive separation value (then t0 and
+    alpha0 are not read)."""
+
+    xs: np.ndarray   # (rows, n) bool: X ...
+    ys: np.ndarray   # ... and Y
+    x_members: list
+    y_members: list
+    k0: np.ndarray
+    t0: np.ndarray
+    alpha0: np.ndarray
+    errors: list
+
+
+def _by_rows(ufunc, values, rows, size, empty):
+    """Per row r < ``size``, ``ufunc`` reduced over the entries of ``values``
+    (along its first axis) whose entry of the sorted ``rows`` is r, or
+    ``empty`` for a row with no entry."""
+    counts = np.bincount(rows, minlength=size)
+    out = np.full((size,) + values.shape[1:], empty, dtype=values.dtype)
+    some = counts > 0
+    out[some] = ufunc.reduceat(values, (np.cumsum(counts) - counts)[some], axis=0)
     return out
+
+
+def _alpha0_stage(inst, xs, ys) -> _Alpha0:
+    """t0, the least grid t at which alpha0 = min P over X x Y is positive,
+    and alpha0, for each row of the (rows, n) bool masks ``xs`` and ``ys``:
+    one minimum over the cross pairs of every row, in row order."""
+    size = len(xs)
+    errors = [None] * size
+    xr, xc = np.nonzero(xs)
+    yr, yc = np.nonzero(ys)
+    ny = np.bincount(yr, minlength=size)
+    per_x = ny[xr]  # the cross pairs of each member of X: one per member of Y of its row
+    # cross pair j of member i of X pairs it with member j of its row's Y
+    first = np.cumsum(per_x) - per_x
+    cy = yc[np.repeat((np.cumsum(ny) - ny)[xr] - first, per_x) + np.arange(per_x.sum())]
+    full = grid_P(inst)
+    # [r, k]: min P over X x Y at t k
+    mins = _by_rows(np.minimum, full[:, np.repeat(xc, per_x), cy].T, np.repeat(xr, per_x),
+                    size, np.inf)
+    positive = mins > 0
+    _fail(errors, ~positive.any(-1),
+          WitnessNotFoundError("no grid t gives a positive separating value"))
+    k0 = positive.argmax(-1)
+    return _Alpha0(xs, ys, _members(xs), _members(ys), k0, np.asarray(inst.t_grid)[k0],
+                   mins[np.arange(size), k0], errors)
 
 
 @dataclass
@@ -213,18 +266,79 @@ class _Construction:
     v: np.ndarray    # ... and at Y
     held: dict       # per name, a bool per row: a closedness precondition or a claim
     errors: list     # per row, the first construction step that fails, or None
+    sizes: tuple = field(init=False, repr=False)  # per row, (|X|, |Y|), then (|X|, 0)
+
+    def __post_init__(self):
+        nx = list(map(len, self.x_members))
+        self.sizes = list(zip(nx, map(len, self.y_members))), list(zip(nx, repeat(0)))
 
 
-@dataclass
+_BATCH, _ROW, _NAME = attrgetter("batch"), attrgetter("row"), attrgetter("name")
+
+
+def _where(flags) -> list:
+    """The positions of the true entries of an iterable."""
+    return list(compress(count(), flags))
+
+
+class _BatchRow(Templated):
+    """Row ``row`` of a batch as a check, a view that builds no report.  The
+    batch gives each row's shape (``shapes``) and the columns of values of
+    rows of one shape (``columns``), which ``reports.canonical_json`` writes
+    a column at a time."""
+
+    __slots__ = ("batch", "row")
+    failed = False
+
+    @staticmethod
+    def json_columns(rows):
+        batches = list(map(_BATCH, rows))
+        groups = {}  # per shape, (shape, positions, columns)
+        for batch in dict.fromkeys(batches):
+            at = _where(map(is_, batches, repeat(batch)))
+            mine = list(map(rows.__getitem__, at))
+            shapes = list(map(batch.shapes.__getitem__, map(_ROW, mine)))
+            distinct = dict.fromkeys(shapes)
+            for shape in distinct:
+                positions, part = at, mine
+                if len(distinct) > 1:
+                    picked = _where(map(eq, shapes, repeat(shape)))
+                    positions = list(map(at.__getitem__, picked))
+                    part = list(map(mine.__getitem__, picked))
+                columns = batch.columns(shape, part)
+                if shape in groups:
+                    _, merged_at, merged = groups[shape]
+                    merged_at += positions
+                    for column, more in zip(merged, columns):
+                        column += more
+                else:
+                    groups[shape] = (shape, positions, columns)
+        return list(groups.values())
+
+    @property
+    def data(self) -> dict:
+        return self.to_jsonable()["data"]
+
+
+@dataclass(eq=False)
 class WitnessBatch:
     """The witnesses of one kind, a view of the construction they share: row
     r is row ``rows[r]`` of ``construction``, whose values are read only
-    when ``errors[r]`` is None."""
+    when ``errors[r]`` is None.  A row's shape is (|U|, |V|), or None when
+    it has an error."""
 
     kind: str
     construction: _Construction
     rows: list          # per row, its row in the construction
     errors: list        # per row, the error its witness raises, or None
+    shapes: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # T0 builds no V
+        sizes = self.construction.sizes[self.kind == "T0"]
+        self.shapes = list(map(sizes.__getitem__, self.rows))
+        if any(self.errors):
+            self.shapes = [None if e is not None else s for e, s in zip(self.errors, self.shapes)]
 
     def report(self, r, name: str | None = None) -> CheckReport:
         """Row ``r``'s verification report, named ``name`` (by default
@@ -233,38 +347,45 @@ class WitnessBatch:
         error = self.errors[r]
         if error is not None:  # a fresh one: a raised error's frames would hold the batch
             raise type(error)(*error.args)
-        return _row_report(*self._fields(r, name or f"witness[{self.kind}]"))
+        row = WitnessRow(self, r, name or f"witness[{self.kind}]")
+        return _row_report(self.shapes[r], [c[0] for c in self.columns(self.shapes[r], [row])])
 
-    def _fields(self, r, name):
-        """((|U|, |V|), values) of row ``r``'s report named ``name``: its
-        values are the name, the samples, the radius and scale of every ball
-        and the centers of U, then of V."""
-        con, i = self.construction, self.rows[r]
-        labels = con.labels
-        u = [labels[c] for c in con.x_members[i]]
-        v = [] if self.kind == "T0" else [labels[c] for c in con.y_members[i]]
-        return (len(u), len(v)), (name, len(_CLAIMS[self.kind]), con.radius[i], con.scale[i],
-                                  *u, *v)
+    def columns(self, shape, rows):
+        """The columns of ``rows`` (``WitnessRow``s of this batch) of
+        ``shape``: a refused row's name and note, or a witness's name,
+        samples, radius, scale and the centers of U, then of V."""
+        names = list(map(_NAME, rows))
+        if shape is None:
+            errors = list(map(self.errors.__getitem__, map(_ROW, rows)))
+            notes = {id(e): e for e in errors}
+            notes = {key: not_certifiable(e) for key, e in notes.items()}
+            return [names, list(map(notes.__getitem__, map(id, errors)))]
+        con = self.construction
+        at = list(map(self.rows.__getitem__, map(_ROW, rows)))
+        columns = [names, [len(_CLAIMS[self.kind])] * len(at),
+                   list(map(con.radius.__getitem__, at)), list(map(con.scale.__getitem__, at))]
+        for members, size in zip((con.x_members, con.y_members), shape):
+            columns += [[con.labels[members[i][j]] for i in at] for j in range(size)]
+        return columns
 
 
 def _row_report(shape, values) -> CheckReport:
-    """The report of a witness row from its shape and values (``WitnessBatch._fields``)."""
+    """The report of a witness row of ``shape`` from its values (``WitnessBatch.columns``)."""
     name, samples, radius, scale, *centers = values
     balls = [{"center": c, "radius": radius, "scale": scale} for c in centers]
     return CheckReport(name=name, verdict=PASS, samples_tested=samples,
                        data={"U": balls[:shape[0]], "V": balls[shape[0]:]})
 
 
-class WitnessRow(Templated):
-    """Row ``row`` of a ``WitnessBatch`` as the check ``name``, a view of the
-    batch that builds no report: a witness that holds passes, and a row with
-    an error is inconclusive, its note naming the error.  ``data`` and
-    ``to_jsonable`` build the row's report tree on demand, a witness's from
-    the values ``WitnessBatch.report`` reads, and ``reports.canonical_json``
-    writes the row from a template of its shape."""
+class WitnessRow(_BatchRow):
+    """Row ``row`` of a ``WitnessBatch`` as the check ``name``: a witness
+    that holds passes, and a row with an error is inconclusive, its note
+    naming the error.  ``data`` and ``to_jsonable`` build the row's report
+    tree on demand, a witness's from the values ``WitnessBatch.report``
+    reads."""
 
-    __slots__ = ("batch", "row", "name")
-    witness, witnesses, failed = None, (), False
+    __slots__ = ("name",)
+    witness, witnesses = None, ()
 
     def __init__(self, batch: WitnessBatch, row: int, name: str):
         self.batch, self.row, self.name = batch, row, name
@@ -285,20 +406,11 @@ class WitnessRow(Templated):
     def samples_tested(self) -> int:
         return len(_CLAIMS[self.batch.kind]) if self.ok else 0
 
-    @property
-    def data(self) -> dict:
-        return self.to_jsonable()["data"]
-
-    def json_fields(self):
-        error = self.batch.errors[self.row]
-        if error is not None:
-            return None, (self.name, not_certifiable(error))
-        return self.batch._fields(self.row, self.name)
-
-    def json_tree(self, values):
-        if not self.ok:
+    @staticmethod
+    def json_tree(shape, values):
+        if shape is None:
             return CheckReport(name=values[0], verdict=INCONCLUSIVE, note=values[1]).to_jsonable()
-        return _row_report(self.json_fields()[0], values).to_jsonable()
+        return _row_report(shape, values).to_jsonable()
 
 
 def _fail(errors, which, error):
@@ -308,27 +420,21 @@ def _fail(errors, which, error):
             errors[r] = error
 
 
-def _construct(inst, halved, xs, ys) -> _Construction:
-    """Build the balls at the centers of each row of (rows, n) bool masks:
-    radius alpha0 at scale t0, or radius alpha1 at t0 / 2 when ``halved``,
-    and test every claim and closedness precondition of every kind on them.
-    A row keeps, as its error, the exception of the first construction step
-    that fails: no grid t with a positive separation value, no alpha1 for
-    its alpha0, or a ball that ``open_ball`` refuses."""
-    x_members, y_members = _members(xs), _members(ys)
-    rows = np.arange(len(xs))
-    errors = [None] * rows.size
+def _construct(inst, stage: _Alpha0, sel, halved) -> _Construction:
+    """Build the balls at the centers of rows ``sel`` of ``stage``: radius
+    alpha0 at scale t0, or radius alpha1 at t0 / 2 when ``halved``, and test
+    every claim of every kind of the rule on them, and under the halved rule
+    the closedness preconditions.  A row keeps, as its error, the exception
+    of the first construction step that fails: no grid t with a positive
+    separation value, no alpha1 for its alpha0, or a ball that ``open_ball``
+    refuses."""
+    xs, ys = stage.xs[sel], stage.ys[sel]
+    at = sel.tolist()
+    x_members, y_members, errors = ([*map(column.__getitem__, at)] for column in (
+        stage.x_members, stage.y_members, stage.errors))
+    k0, t0, alpha0 = stage.k0[sel], stage.t0[sel], stage.alpha0[sel]
+    rows = np.arange(sel.size)
     full, half = _tables(inst)
-    cross = np.array([(r, x, y) for r, (xm, ym) in enumerate(zip(x_members, y_members))
-                      for x in xm for y in ym], dtype=np.intp).reshape(-1, 3).T
-    mins = np.full((rows.size, len(full)), np.inf)  # [r, k]: min P over X x Y at t k
-    np.minimum.at(mins, cross[0], full[:, cross[1], cross[2]].T)
-    positive = mins > 0
-    _fail(errors, ~positive.any(-1),
-          WitnessNotFoundError("no grid t gives a positive separating value"))
-    k0 = positive.argmax(-1)
-    alpha0 = mins[rows, k0]
-    t0 = np.asarray(inst.t_grid)[k0]
     # alpha0 is the separation value at t0 (P(a, b, t0) for two points, the
     # minimum over X x Y for sets), so T0's last claim holds by construction
     # and the chain reduces to alpha1 o alpha1 < alpha0
@@ -360,12 +466,10 @@ def _construct(inst, halved, xs, ys) -> _Construction:
             except GpmsError as exc:
                 errors[r] = exc.with_traceback(None)
 
-    def balls_around(members):  # [r, y]: y lies in a ball at a point of the row
-        r = np.repeat(rows, [len(m) for m in members])
-        centers = np.fromiter(chain.from_iterable(members), np.intp)
-        out = np.zeros(xs.shape, dtype=bool)
-        np.logical_or.at(out, r, table[k0[r], centers] < radius[r, None])
-        return out
+    def balls_around(masks):  # [r, y]: y lies in a ball at a point of the row
+        r, centers = np.nonzero(masks)
+        return _by_rows(np.logical_or, table[k0[r], centers] < radius[r, None], r, rows.size,
+                        False)
 
     def within(a, b):
         return ~(a & ~b).any(-1)
@@ -373,11 +477,13 @@ def _construct(inst, halved, xs, ys) -> _Construction:
     def apart(a, b):
         return ~(a & b).any(-1)
 
-    u, v = balls_around(x_members), balls_around(y_members)
-    held = {"X closed": _unions_of_classes(inst, xs), "Y closed": _unions_of_classes(inst, ys),
-            "X in U": within(xs, u), "Y outside U": apart(ys, u), "Y in V": within(ys, v),
+    u, v = balls_around(xs), balls_around(ys)
+    held = {"X in U": within(xs, u), "Y outside U": apart(ys, u), "Y in V": within(ys, v),
             "X outside V": apart(xs, v), "U, V apart": apart(u, v), "chain": chain_ok,
             "alpha0": built}
+    if halved:  # only regular and normal need closed sets
+        held["X closed"] = _unions_of_classes(inst, xs)
+        held["Y closed"] = _unions_of_classes(inst, ys)
     return _Construction(labels, x_members, y_members, t0.tolist(), alpha0.tolist(), alpha1,
                          radius.tolist(), scale.tolist(), u, v, held, errors)
 
@@ -387,12 +493,13 @@ def _kind_batch(kind, con, idx) -> WitnessBatch:
     is, first, a set that is not closed, then its construction's error, then
     the first claim it fails."""
     at = idx.tolist()
-    errors = [None] * len(at)
-    for column, name in _CLOSED.get(kind, ()):
-        _fail(errors, ~con.held[column][idx], _not_closed(name))
-    errors = [e or con.errors[i] for e, i in zip(errors, at)]
+    errors = list(map(con.errors.__getitem__, at))
+    for column, name in reversed(_CLOSED.get(kind, ())):  # the first one wins
+        error = _not_closed(name)
+        for r in np.flatnonzero(~con.held[column][idx]).tolist():
+            errors[r] = error
     claims = _CLAIMS[kind]
-    held = np.stack([con.held[column] for column, _ in claims], axis=-1)[idx]
+    held = np.stack([con.held[column][idx] for column, _ in claims], axis=-1)
     for r in np.flatnonzero(~held.all(-1)).tolist():
         if errors[r] is None:
             errors[r] = WitnessNotFoundError(f"constructed {kind} witness failed verification: "
@@ -413,29 +520,35 @@ def witness_batches(inst: GpmsInstance, xs, ys, kinds: dict) -> dict:
     alpha1, whose balls cannot be built or whose witness fails a claim keeps,
     as its error, the exception ``separation_witness`` raises for it.
 
-    The kinds of one radius rule share one construction over the rows they
-    pick: T0 and T1 build balls of radius alpha0 at t0, and T2, regular and
-    normal of radius alpha1 at t0 / 2.  Only these are per kind: the claims
-    and closedness preconditions (regular, normal) a kind reads, and the
-    order of a row's errors.
+    t0 and alpha0 are found once over every row some kind picks
+    (``_alpha0_stage``).  The kinds of one radius rule share one
+    construction over the rows they pick: T0 and T1 build balls of radius
+    alpha0 at t0, and T2, regular and normal of radius alpha1 at t0 / 2.
+    Only these are per kind: the claims and closedness preconditions
+    (regular, normal) a kind reads, and the order of a row's errors.
     """
     for kind in kinds:
         if kind not in KINDS:
             raise DomainError(f"unknown separation kind {kind!r}; expected one of {KINDS}")
     xs, ys = np.asarray(xs, dtype=bool), np.asarray(ys, dtype=bool)
+    kinds = {kind: np.asarray(idx, dtype=np.intp) for kind, idx in kinds.items()}
+    used = np.zeros(len(xs), dtype=bool)
+    for idx in kinds.values():
+        used[idx] = True
+    stage = _alpha0_stage(inst, xs[used], ys[used])
+    at = np.cumsum(used) - 1  # a table row's row in the stage
     out = {}
     for halved in (False, True):
-        picked = {kind: np.asarray(idx, dtype=np.intp) for kind, idx in kinds.items()
-                  if (kind in _HALVED) == halved}
+        picked = {kind: at[idx] for kind, idx in kinds.items() if (kind in _HALVED) == halved}
         if not picked:
             continue
-        used = np.zeros(len(xs), dtype=bool)
+        mine = np.zeros(len(stage.xs), dtype=bool)
         for idx in picked.values():
-            used[idx] = True
-        con = _construct(inst, halved, xs[used], ys[used])
-        at = np.cumsum(used) - 1  # a table row's row in the construction
+            mine[idx] = True
+        con = _construct(inst, stage, np.flatnonzero(mine), halved)
+        in_con = np.cumsum(mine) - 1  # a stage row's row in the construction
         for kind, idx in picked.items():
-            out[kind] = _kind_batch(kind, con, at[idx])
+            out[kind] = _kind_batch(kind, con, in_con[idx])
     return {kind: out[kind] for kind in kinds}
 
 
@@ -619,52 +732,149 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
     Returns ``(ball_specs, CheckReport)``; verification failures are
     inconclusive (the base may isolate only at larger n).
     """
-    centers, n_top, report = _base_report(inst, mode, x, n_max)
-    return [BallSpec(p, 1.0 / k, 1.0 / k) for p in centers for k in range(1, n_top + 1)], report
-
-
-def _base_report(inst, mode, x=None, n_max=None):
-    """(centers, depth, report) of ``countable_base``, which builds no ball spec."""
     if mode not in ("local", "global"):
         raise DomainError(f"mode must be 'local' or 'global', got {mode!r}")
-    if inst.carrier.kind != "finite":
-        raise DomainError("countable bases are verified on finite carriers only")
+    _require_finite_base(inst)
     car = inst.carrier
-    n = car.size
-    classes = _classes(inst)
-    class_bits = _class_bits(classes)
-
     if mode == "local":
         if x is None:
             raise DomainError("local mode needs a point x")
-        points, centers = [car.index(x)], [x]
+        bases, centers = base_batch(inst, [car.index(x)], n_max), [x]
     else:
-        points, centers = list(range(n)), car.labels
-    n_top = n_max if n_max is not None else int(_base_pass(inst)[0][points].max())
-    # y is covered when it lies in some base ball inside its class
-    first = _base_pass(inst, n_top)[1 if mode == "local" else 2]
-    failing = min((class_bits[classes[y]] for y in points if first[y] >= n_top), default=None)
-    named = list(SubsetMask(n, failing).labels(car)) if failing is not None else None
-    count = 1 << len(class_bits)  # 2^k unions of the k classes
+        bases, centers = base_batch(inst, [None], n_max), car.labels
+    depth = bases.depth[0]
+    return ([BallSpec(p, 1.0 / k, 1.0 / k) for p in centers for k in range(1, depth + 1)],
+            bases.report(0))
 
-    if mode == "local":
-        name = f"countable_base[local@{x}]"
-        samples = count // 2  # x lies in half of the unions of classes
-        passed = f"local base verified against {count} open sets"
-        detail = "open set admits no base ball at this depth"
-        note = f"no base ball fits inside the open set {named}; try a larger n_max"
-    else:
-        name = "countable_base[global]"
-        samples = count
-        passed = f"base generates all {count} open sets"
-        detail = "open set is not a union of base members"
-        note = f"open set {named} not generated; the dense-set base needs larger n_max"
-    if failing is None:
-        report = CheckReport(name=name, verdict=PASS, samples_tested=samples, note=passed)
-    else:
-        report = CheckReport(
-            name=name, verdict=INCONCLUSIVE, samples_tested=samples,
-            witnesses=(Witness(points=tuple(named), values={"n_max": float(n_top)},
-                               detail=detail),),
-            note=note)
-    return centers, n_top, report
+
+def _require_finite_base(inst):
+    if inst.carrier.kind != "finite":
+        raise DomainError("countable bases are verified on finite carriers only")
+
+
+@dataclass(eq=False)
+class BaseBatch:
+    """The countable-base checks of several centers, read from one
+    ``_base_pass``: row r checks the local base at point ``points[r]``, or
+    the global base where that is None.  A row's shape is None when it
+    passes, else the size of the first open set that fails."""
+
+    names: list
+    samples: list
+    notes: list
+    depth: list         # per row, the deepest base ball n
+    failing: list       # per row, the labels of the first open set that fails, or None
+    details: list       # per row, the detail of its witness
+    shapes: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.shapes = [None if f is None else len(f) for f in self.failing]
+
+    def report(self, r) -> CheckReport:
+        """Row ``r``'s report."""
+        row = BaseRow(self, r)
+        return _base_report(self.shapes[r], [c[0] for c in self.columns(self.shapes[r], [row])])
+
+    def columns(self, shape, rows):
+        """The columns of ``rows`` (``BaseRow``s of this batch) of ``shape``:
+        the name, samples and note, and for a row that fails its witness's
+        detail and depth and the labels of the open set."""
+        rs = [row.row for row in rows]
+        columns = [[self.names[r] for r in rs], [self.samples[r] for r in rs],
+                   [self.notes[r] for r in rs]]
+        if shape is not None:
+            columns += [[self.details[r] for r in rs], [float(self.depth[r]) for r in rs]]
+            columns += [list(c) for c in zip(*(self.failing[r] for r in rs))]
+        return columns
+
+
+def base_batch(inst: GpmsInstance, points, n_max: int | None = None) -> BaseBatch:
+    """The countable-base checks at each of ``points``: a point index
+    checks the local base there, None the global base (see
+    ``countable_base``).  Every row reads the one ``_base_pass`` of the
+    instance, or one at depth ``n_max`` beyond its 64 depths."""
+    _require_finite_base(inst)
+    car = inst.carrier
+    classes = _classes(inst)
+    class_bits = _class_bits(classes)
+    bits = [class_bits[c] for c in classes.tolist()]  # per point, its class
+    opens = 1 << len(class_bits)  # 2^k unions of the k classes
+    isolating, own, some = (a.tolist() for a in _base_pass(inst))
+    columns = [[] for _ in range(6)]  # name, samples, note, depth, failing, detail
+    for x in points:
+        centers = range(car.size) if x is None else (x,)
+        depth = n_max if n_max is not None else max(isolating[y] for y in centers)
+        if depth > _BASE_DEPTH:
+            first = _base_pass(inst, depth)[1 if x is not None else 2].tolist()
+        else:
+            first = own if x is not None else some
+        # y is covered when it lies in some base ball inside its class
+        failing = min((bits[y] for y in centers if first[y] >= depth), default=None)
+        named = None if failing is None else list(SubsetMask(car.size, failing).labels(car))
+        if x is not None:
+            name, samples = f"countable_base[local@{car.labels[x]}]", opens // 2
+            passed = f"local base verified against {opens} open sets"
+            detail = "open set admits no base ball at this depth"
+            note = f"no base ball fits inside the open set {named}; try a larger n_max"
+        else:
+            name, samples = "countable_base[global]", opens
+            passed = f"base generates all {opens} open sets"
+            detail = "open set is not a union of base members"
+            note = f"open set {named} not generated; the dense-set base needs larger n_max"
+        for column, value in zip(columns, (name, samples, passed if named is None else note,
+                                           depth, named, detail)):
+            column.append(value)
+    return BaseBatch(*columns)
+
+
+def _base_report(shape, values) -> CheckReport:
+    """The report of a base row of ``shape`` from its values (``BaseBatch.columns``)."""
+    name, samples, note, *witness = values
+    if shape is None:
+        return CheckReport(name=name, verdict=PASS, samples_tested=samples, note=note)
+    detail, depth, *named = witness
+    return CheckReport(name=name, verdict=INCONCLUSIVE, samples_tested=samples, note=note,
+                       witnesses=(Witness(points=tuple(named), values={"n_max": depth},
+                                          detail=detail),))
+
+
+class BaseRow(_BatchRow):
+    """Row ``row`` of a ``BaseBatch`` as its check: a base that holds
+    passes, and one that fails at its depth is inconclusive."""
+
+    __slots__ = ()
+
+    def __init__(self, batch: BaseBatch, row: int):
+        self.batch, self.row = batch, row
+
+    @property
+    def name(self) -> str:
+        return self.batch.names[self.row]
+
+    @property
+    def ok(self) -> bool:
+        return self.batch.failing[self.row] is None
+
+    @property
+    def verdict(self) -> str:
+        return PASS if self.ok else INCONCLUSIVE
+
+    @property
+    def note(self) -> str:
+        return self.batch.notes[self.row]
+
+    @property
+    def samples_tested(self) -> int:
+        return self.batch.samples[self.row]
+
+    @property
+    def witnesses(self) -> tuple:
+        return self.batch.report(self.row).witnesses
+
+    @property
+    def witness(self):
+        return self.witnesses[0] if self.witnesses else None
+
+    @staticmethod
+    def json_tree(shape, values):
+        return _base_report(shape, values).to_jsonable()

@@ -642,8 +642,9 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
 def test_separation_rows_are_written_from_their_batches(tmp_path, monkeypatch):
     # the 12-point clustered workload file: 198 rows hold and 198 are refused
     # (a singleton is not closed on its t grid [1, 2, 4]); every row is a view
-    # of its witness batch, so the command builds no row report, only the 13
-    # countable_base reports, and writes each row from its template
+    # of its witness batch, and every countable_base check a view of the
+    # instance's base batch, so the command builds no report, and the writer
+    # writes each row from its template
     inst_file = g.load_instance(write(tmp_path, workload_docs("finite-topology", 11)["clustered"]))
     built, reports_of_rows, plain = [], [], []
     real_post_init, real_report, real_plain = (g.CheckReport.__post_init__,
@@ -667,17 +668,60 @@ def test_separation_rows_are_written_from_their_batches(tmp_path, monkeypatch):
     result = g.run_command("separation", inst_file)
     rows = [c for c in result.checks if isinstance(c, separation.WitnessRow)]
     assert sorted(c.verdict for c in rows) == ["inconclusive"] * 198 + ["pass"] * 198
-    assert built == [c.name for c in result.checks if c.name.startswith("countable_base[")]
-    assert len(built) == 13
-    built.clear()
+    bases = [c for c in result.checks if isinstance(c, separation.BaseRow)]
+    assert [c.name for c in bases] == [c.name for c in result.checks
+                                       if c.name.startswith("countable_base[")]
+    assert len(bases) == 13 and len(rows) + len(bases) == len(result.checks)
+    assert built == []
     text = result.to_canonical_json()
-    # one sentinel report per template: T0 rows (no V), the other witness rows
-    # and the refused rows
-    assert built == ["\x000\x00"] * 3
+    # one sentinel report per template: T0 rows (no V), the other witness
+    # rows, the refused rows and the base rows that pass
+    assert built == ["\x000\x00"] * 4
     assert reports_of_rows == []
-    assert separation.WitnessRow not in plain
+    assert not {separation.WitnessRow, separation.BaseRow} & set(plain)
     # the row views read as the reports they stand for
     assert text == json.dumps(result.to_jsonable(), sort_keys=True, indent=2) + "\n"
+
+
+def test_a_separation_report_derives_each_template_once(tmp_path, monkeypatch):
+    # the writer fills rows a column at a time: per call, one template per
+    # (type, shape, layout) and one json_columns call per list and row type,
+    # never a row's own tree
+    inst_file = g.load_instance(write(tmp_path, workload_docs("finite-topology", 11)["clustered"]))
+    result = g.run_command("separation", inst_file)
+    templates, lists, trees = [], [], []
+    real_template = reports._template
+
+    def template(kind, shape, size, newline, *args):
+        templates.append((kind, shape, newline))
+        return real_template(kind, shape, size, newline, *args)
+
+    def counted(kind):
+        real = kind.json_columns
+
+        def json_columns(items):
+            lists.append((kind, len(items)))
+            return real(items)
+        return staticmethod(json_columns)
+
+    def tree(self):
+        trees.append(self)
+
+    monkeypatch.setattr(reports, "_template", template)
+    for kind in (separation.WitnessRow, separation.BaseRow):
+        monkeypatch.setattr(kind, "json_columns", counted(kind))
+    monkeypatch.setattr(reports.Templated, "to_jsonable", tree)
+    for write_text in (result.to_canonical_json, lambda: reports.compact_json(result._body())):
+        templates.clear()
+        lists.clear()
+        write_text()
+        assert len(templates) == len(set(templates)) == 4
+        assert {(kind, shape) for kind, shape, _ in templates} == {
+            (separation.WitnessRow, (1, 0)), (separation.WitnessRow, (1, 1)),
+            (separation.WitnessRow, None), (separation.BaseRow, None)}
+        assert sorted(lists, key=lambda x: x[1]) == [(separation.BaseRow, 13),
+                                                    (separation.WitnessRow, 396)]
+    assert trees == []
 
 
 def wide_instance_file(tmp_path, n=48):

@@ -119,6 +119,44 @@ def test_coords_refuse_a_bool_point(point):
             coords(inst, pts)
 
 
+@pytest.mark.parametrize("point", [np.int64(1), np.int8(0), np.float32(0.75), np.float64(0.25),
+                                   np.float16(1.0)], ids=lambda p: type(p).__name__)
+def test_numpy_number_scalars_are_points_wherever_points_enter(point):
+    # one rule, the grid rule's: a numpy integer or floating scalar is the
+    # real it holds, for membership, eval_P, coords and d_alpha alike
+    inst = unit_interval()
+    x = float(point)
+    assert inst.carrier.contains(point) is True
+    assert g.eval_P(inst, point, 0.5, 1.0) == g.eval_P(inst, x, 0.5, 1.0)
+    assert coords(inst, point) == coords(inst, x) == x
+    am = g.AlphaMetric(inst, 1.0)
+    assert g.d_alpha(am, point, 0.5) == g.d_alpha(am, x, 0.5)
+
+
+def test_numpy_bool_is_refused_wherever_points_enter():
+    inst, point = unit_interval(), np.bool_(True)
+    assert inst.carrier.contains(point) is False
+    with pytest.raises(g.DomainError, match="point not in carrier"):
+        g.eval_P(inst, point, 0.5, 1.0)
+    with pytest.raises(g.DomainError, match="is a bool"):
+        coords(inst, point)
+    with pytest.raises(g.DomainError, match="is a bool"):
+        g.d_alpha(g.AlphaMetric(inst, 1.0), point, 0.5)
+
+
+def test_finite_coords_map_labels_through_the_index():
+    inst = make_instance("scaled")
+    labels = inst.carrier.labels
+    grid = [[labels[(i + j) % len(labels)] for j in range(5)] for i in range(4)]
+    got = coords(inst, grid)
+    assert got.shape == (4, 5) and got.dtype == np.intp
+    assert got.tolist() == [[inst.carrier.index(p) for p in row] for row in grid]
+    assert coords(inst, np.asarray(grid)).tolist() == got.tolist()
+    assert coords(inst, labels[1]) == 1
+    with pytest.raises(g.DomainError, match="^point 'zz' is not in the carrier$"):
+        coords(inst, [[labels[0], labels[1]], [labels[0], "zz"]])
+
+
 @BOOL_POINTS
 def test_check_convergence_refuses_a_bool_point(point):
     inst, bools = unit_interval(), g.SequenceSpec("explicit", points=(point,) * 5)

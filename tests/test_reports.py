@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gpmspace as g
-from gpmspace import reports
+from gpmspace import balls, reports, separation
 from gpmspace.reports import canonical, canonical_json
 
 
@@ -229,9 +229,69 @@ REFUSING = g.gallery_construct("scaled", {}, g.FiniteCarrier(['a"1', "{x},y", "\
                                g.MAX, (50,), (0.25, 0.5, 1, 2, 4))
 
 
+def mixed_checks(inst):
+    """A checks list that mixes plain reports with rows of several batches
+    and shapes: T0 and T2 rows on a pair, multi-point regular and normal rows
+    (constructed where the sets are closed, refused where not) and the base
+    rows, at the default depth and at depth 0, where every row is refused."""
+    n, labels = inst.carrier.size, inst.carrier.labels
+    classes = balls._classes(inst)
+    rows = [([0], [*range(1, n)]), ([0], [1]), ([*range(n // 2)], [*range(n // 2, n)])]
+    first = classes == classes[0]
+    if not first.all():  # two unions of classes: closed sets
+        rows.append((np.flatnonzero(first).tolist(), np.flatnonzero(~first).tolist()))
+    centers = np.zeros((2, len(rows), n), dtype=bool)
+    for r, (xs, ys) in enumerate(rows):
+        centers[0, r, xs] = centers[1, r, ys] = True
+    batches = separation.witness_batches(inst, *centers, {
+        "T0": [1], "T2": [1], "regular": [0, 1], "normal": [*range(len(rows))]})
+    views = [separation.WitnessRow(b, r, f"{kind}<{labels[r % n]}>#{r}")
+             for kind, b in batches.items() for r in range(len(b.rows))]
+    for n_max in (None, 0):
+        bases = separation.base_batch(inst, [*range(n), None], n_max)
+        views += [separation.BaseRow(bases, r) for r in range(n + 1)]
+    plain = [g.CheckReport(name=f"plain {p}", verdict=g.PASS, data={"label": p, "x": 0.1})
+             for p in labels]
+    # interleaved: a plain report after every third view
+    checks = []
+    for k, view in enumerate(views):
+        checks.append(view)
+        if k % 3 == 2 and plain:
+            checks.append(plain.pop())
+    return checks + plain
+
+
+def assert_rows_read_as_their_reports(inst, checks):
+    labels = inst.carrier.labels
+    for c in checks:
+        if isinstance(c, separation.WitnessRow):
+            error = c.batch.errors[c.row]
+            want = (c.batch.report(c.row, c.name) if error is None
+                    else g.cli._inconclusive(c.name, error))
+        elif isinstance(c, separation.BaseRow):
+            local = c.row < len(labels)
+            depth = c.batch.depth[c.row]
+            want = g.countable_base(inst, "local" if local else "global",
+                                    x=labels[c.row] if local else None,
+                                    n_max=0 if depth == 0 else None)[1]
+        else:
+            continue
+        assert c.to_jsonable() == want.to_jsonable()
+        assert (c.name, c.verdict, c.note, c.samples_tested, len(c.witnesses)) == \
+            (want.name, want.verdict, want.note, want.samples_tested, len(want.witnesses))
+
+
+# two clusters of two: each cluster is a class, so the cluster rows are
+# constructed on two-point sets
+CLUSTERED = g.gallery_construct("scaled", {}, g.FiniteCarrier(
+    ['a"', "b\\", "\u00e9", "{c}"], [[0, 1, 5, 5], [1, 0, 5, 5], [5, 5, 0, 1], [5, 5, 1, 0]]),
+    g.MAX, (1, 2, 4), (2, 4, 8))
+
+
 @settings(max_examples=80, deadline=None)
 @given(separation_instances())
 @example(REFUSING)
+@example(CLUSTERED)
 def test_separation_rows_match_the_indenting_encoder(inst):
     # the battery's rows are views of their witness batches, written from a
     # template the general rules derive; refused rows are views too
@@ -243,3 +303,19 @@ def test_separation_rows_match_the_indenting_encoder(inst):
     assert reports.compact_json(report._body()) == json.dumps(tree, sort_keys=True)
     if inst is REFUSING:
         assert {c.verdict for c in report.checks} == {"pass", "inconclusive"}
+    # a list that mixes plain reports with rows of several batches and
+    # shapes, written a column at a time by both layouts
+    checks = mixed_checks(inst)
+    body = {"checks": [c if isinstance(c, reports.Templated) else c.to_jsonable()
+                       for c in checks]}
+    tree = canonical(body)
+    assert canonical_json(body) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    assert reports.compact_json(body) == json.dumps(tree, sort_keys=True)
+    assert_rows_read_as_their_reports(inst, checks)
+    assert_rows_read_as_their_reports(inst, report.checks)
+    if inst is CLUSTERED:  # every kind of row and shape is met
+        shapes = {(type(c), c.batch.shapes[c.row]) for c in checks
+                  if isinstance(c, reports.Templated)}
+        assert shapes == {(separation.WitnessRow, (1, 0)), (separation.WitnessRow, (1, 1)),
+                          (separation.WitnessRow, (2, 2)), (separation.WitnessRow, None),
+                          (separation.BaseRow, None), (separation.BaseRow, 2)}
