@@ -136,8 +136,8 @@ class Report:
             "grids": self.grids,
             "seed": self.seed,
             "tol": self.tol,
-            # a row view (``Templated``) is written from its template, so it
-            # stays as it is; every other check is written as its tree
+            # a row view (``Templated``) stays as it is, for the writer to
+            # write a column at a time; every other check is written as its tree
             "checks": [c if isinstance(c, Templated) else c.to_jsonable() for c in self.checks],
             "notes": list(self.notes),
         }

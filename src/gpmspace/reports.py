@@ -32,13 +32,18 @@ general rules.  Two memos last for one call only: each distinct non-zero
 float is rounded once per report, and each dict shape, an exact-str key
 tuple at one indentation, is sorted and has its keys escaped once per
 report (a dict with other keys is converted by the general rules first).
-Most of a report is a few such shapes: a check, a witness, a ball.  A
-``Templated`` value, such as a row view of a separation witness batch, is
-written from a template and builds no tree: once per call, for each type,
-shape and indentation, the general rules write its tree with sentinel
-strings for its values, and the text is split at them into a template;
-each value of that shape is then the template with its values' texts
-filled in.  ``compact_json`` writes the same text on one line with
+Most of a report is a few such shapes: a check, a witness, a ball.
+``Templated`` values, such as the row views of a separation witness batch,
+are written a column at a time and build no tree.  A list that holds them
+is written per type: one ``json_columns`` call on the type groups its
+values of that type by shape and gives each group's values as columns.
+Once per call, for each type, shape and indentation, the general rules
+write the tree of a value with sentinel strings for its values, and the
+text is split at them into a template; each column of values becomes a
+column of texts (one ``map`` of the text function when it holds one exact
+type), and each value's text is one join of the template's pieces with its
+row of texts.  A list that holds no ``Templated`` value pays one more test
+of its set of types.  ``compact_json`` writes the same text on one line with
 ``json``'s default separators, as ``json.dumps(canonical(x),
 sort_keys=True)`` would.
 ``canonical`` builds the normalized tree, for ``Report.to_jsonable``.  Both
@@ -52,7 +57,7 @@ import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _escape
 
 PASS = "pass"
@@ -336,8 +341,8 @@ def _item_texts(items, kinds, newline, texts, shapes):
     its row of texts.  Every other item is written by the general rules."""
     done = [None] * len(items)
     for kind in kinds & _TEMPLATED:
-        at = list(compress(count(), map(operator.is_, map(type, items), repeat(kind))))
-        for shape, positions, columns in kind.json_columns(list(map(items.__getitem__, at))):
+        at = [i for i, v in enumerate(items) if type(v) is kind]
+        for shape, positions, columns in kind.json_columns([items[i] for i in at]):
             template = shapes.get((kind, shape, newline))
             if template is None:
                 template = shapes[kind, shape, newline] = _template(

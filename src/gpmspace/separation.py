@@ -11,29 +11,33 @@ normal.
 
 ``witness_batches`` builds and verifies the witnesses of several kinds,
 each a list of rows picked from one table of center-set pairs held as
-boolean masks over point indices.  The kinds of one radius rule share one
-construction over the rows they pick: T0 and T1 one at alpha0 and t0, and
-T2, regular and normal one at alpha1 and t0/2 (in the battery, a T2 row on
-the pair (a, b) is also the normal row ({a}, {b}) and the regular row
-({b}, a)).  A construction reads P over (t, x, y) at the t grid
-(``core.grid_P``) and at half of each grid t, a table of its own derived
-once per instance: t0 and alpha0 are a masked minimum over the first,
-alpha1 is solved once per distinct alpha0, the ball masks U and V are row
-comparisons of one of the two, and each claim ``verify_witness`` makes
-and each closedness precondition is one boolean column.  Only these are
-per kind: the columns a kind reads and the order of a row's error, which
-is a set that is not closed, then the construction step that fails, then
-the first claim that fails, each as the exception ``separation_witness``
+boolean masks over point indices.  t0 and alpha0 are found once over every
+row some kind picks (``_alpha0_stage``): a masked minimum over the cross
+pairs of each row of P over (t, x, y) at the t grid (``core.grid_P``).
+The kinds of one radius rule then share one construction over the rows
+they pick: T0 and T1 one at alpha0 and t0, and T2, regular and normal one
+at alpha1 and t0/2 (in the battery, a T2 row on the pair (a, b) is also
+the normal row ({a}, {b}) and the regular row ({b}, a)).  A construction
+reads P at the grid t or at half of each grid t, a table of its own
+derived once per instance: alpha1 is solved once per distinct alpha0, the
+ball masks U and V are row comparisons of the table, and each claim
+``verify_witness`` makes is one boolean column, and so, in the alpha1
+construction only, is each closedness precondition.  Only these are per
+kind: the columns a kind reads and the order of a row's error, which is a
+set that is not closed, then the construction step that fails, then the
+first claim that fails, each as the exception ``separation_witness``
 raises.  A ``WitnessBatch`` is a view of its construction: its kind, its
-rows in the construction and their errors.  ``separation_witness`` is a
-batch of one row; ``verify_witness`` re-checks a witness ball by ball and
-stays the independent oracle.  The battery's rows are views of their
-batches (``WitnessRow``: batch, row and check name), and no row builds a
-report: a witness that holds passes and a row with an error is
-inconclusive, and ``reports.canonical_json`` writes each row from a
-template of its shape.  ``WitnessBatch.report`` builds one row's
-``CheckReport`` on demand, with the row's check name and its balls as
-plain dicts, no ``BallSpec`` per ball.
+rows in the construction, their errors and their shapes.
+``separation_witness`` is a batch of one row; ``verify_witness``
+re-checks a witness ball by ball and stays the independent oracle.  The
+battery's rows are views of their batches (``WitnessRow``: batch, row and
+check name), and no row builds a report: a witness that holds passes and a
+row with an error is inconclusive.  ``reports.canonical_json`` writes the
+rows a column at a time: a batch gives the columns of values of a list of
+its rows of one shape (``WitnessBatch.columns``), and each shape has one
+template per call.  ``WitnessBatch.report`` builds one row's
+``CheckReport`` on demand from the same columns, with the row's check name
+and its balls as plain dicts, no ``BallSpec`` per ball.
 
 Countable bases read the classes of tau_P, a partition topology
 (``balls``): every open set around a point y holds its class C(y), so a
@@ -43,14 +47,16 @@ listed.  The base balls B(x, 1/k, 1/k) for k = 1..64 are one kernel tensor
 per instance, and one pass over it and the classes (``_base_pass``) gives
 each point's isolating depth and the first depth at which a base ball
 inside its class holds it: its own ball, for a local base, and any point's,
-for the global one.  Every local and global report reads that pass.
+for the global one.  Every local and global report reads that pass: the
+battery's n + 1 base checks are rows of one ``BaseBatch`` (``base_batch``),
+each a ``BaseRow`` view written a column at a time as the witness rows are,
+and ``countable_base`` reports one row.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
-from operator import attrgetter, eq, is_
+from operator import attrgetter
 
 import numpy as np
 
@@ -189,10 +195,11 @@ def _tables(inst):
 
 def _members(masks):
     """Per row of a (rows, n) bool matrix, the list of its true column indices."""
+    out = [[] for _ in range(len(masks))]
     rows, cols = np.nonzero(masks)
-    ends = np.bincount(rows, minlength=len(masks)).cumsum().tolist()
-    cols = cols.tolist()
-    return [cols[a:b] for a, b in zip([0, *ends], ends)]
+    for r, i in zip(rows.tolist(), cols.tolist()):
+        out[r].append(i)
+    return out
 
 
 @dataclass
@@ -212,40 +219,24 @@ class _Alpha0:
     errors: list
 
 
-def _by_rows(ufunc, values, rows, size, empty):
-    """Per row r < ``size``, ``ufunc`` reduced over the entries of ``values``
-    (along its first axis) whose entry of the sorted ``rows`` is r, or
-    ``empty`` for a row with no entry."""
-    counts = np.bincount(rows, minlength=size)
-    out = np.full((size,) + values.shape[1:], empty, dtype=values.dtype)
-    some = counts > 0
-    out[some] = ufunc.reduceat(values, (np.cumsum(counts) - counts)[some], axis=0)
-    return out
-
-
 def _alpha0_stage(inst, xs, ys) -> _Alpha0:
     """t0, the least grid t at which alpha0 = min P over X x Y is positive,
     and alpha0, for each row of the (rows, n) bool masks ``xs`` and ``ys``:
-    one minimum over the cross pairs of every row, in row order."""
-    size = len(xs)
-    errors = [None] * size
-    xr, xc = np.nonzero(xs)
-    yr, yc = np.nonzero(ys)
-    ny = np.bincount(yr, minlength=size)
-    per_x = ny[xr]  # the cross pairs of each member of X: one per member of Y of its row
-    # cross pair j of member i of X pairs it with member j of its row's Y
-    first = np.cumsum(per_x) - per_x
-    cy = yc[np.repeat((np.cumsum(ny) - ny)[xr] - first, per_x) + np.arange(per_x.sum())]
+    one masked minimum over the cross pairs of every row."""
+    x_members, y_members = _members(xs), _members(ys)
+    rows = np.arange(len(xs))
+    errors = [None] * rows.size
     full = grid_P(inst)
-    # [r, k]: min P over X x Y at t k
-    mins = _by_rows(np.minimum, full[:, np.repeat(xc, per_x), cy].T, np.repeat(xr, per_x),
-                    size, np.inf)
+    cross = np.array([(r, x, y) for r, (xm, ym) in enumerate(zip(x_members, y_members))
+                      for x in xm for y in ym], dtype=np.intp).reshape(-1, 3).T
+    mins = np.full((rows.size, len(full)), np.inf)  # [r, k]: min P over X x Y at t k
+    np.minimum.at(mins, cross[0], full[:, cross[1], cross[2]].T)
     positive = mins > 0
     _fail(errors, ~positive.any(-1),
           WitnessNotFoundError("no grid t gives a positive separating value"))
     k0 = positive.argmax(-1)
-    return _Alpha0(xs, ys, _members(xs), _members(ys), k0, np.asarray(inst.t_grid)[k0],
-                   mins[np.arange(size), k0], errors)
+    return _Alpha0(xs, ys, x_members, y_members, k0, np.asarray(inst.t_grid)[k0],
+                   mins[rows, k0], errors)
 
 
 @dataclass
@@ -266,19 +257,13 @@ class _Construction:
     v: np.ndarray    # ... and at Y
     held: dict       # per name, a bool per row: a closedness precondition or a claim
     errors: list     # per row, the first construction step that fails, or None
-    sizes: tuple = field(init=False, repr=False)  # per row, (|X|, |Y|), then (|X|, 0)
+    sizes: list = field(init=False, repr=False)  # per row, (|X|, |Y|)
 
     def __post_init__(self):
-        nx = list(map(len, self.x_members))
-        self.sizes = list(zip(nx, map(len, self.y_members))), list(zip(nx, repeat(0)))
+        self.sizes = list(zip(map(len, self.x_members), map(len, self.y_members)))
 
 
-_BATCH, _ROW, _NAME = attrgetter("batch"), attrgetter("row"), attrgetter("name")
-
-
-def _where(flags) -> list:
-    """The positions of the true entries of an iterable."""
-    return list(compress(count(), flags))
+_ROW, _NAME = attrgetter("row"), attrgetter("name")
 
 
 class _BatchRow(Templated):
@@ -292,27 +277,20 @@ class _BatchRow(Templated):
 
     @staticmethod
     def json_columns(rows):
-        batches = list(map(_BATCH, rows))
+        parts = {}  # per (batch, shape), the positions of its rows
+        for p, row in enumerate(rows):
+            batch = row.batch
+            parts.setdefault((batch, batch.shapes[row.row]), []).append(p)
         groups = {}  # per shape, (shape, positions, columns)
-        for batch in dict.fromkeys(batches):
-            at = _where(map(is_, batches, repeat(batch)))
-            mine = list(map(rows.__getitem__, at))
-            shapes = list(map(batch.shapes.__getitem__, map(_ROW, mine)))
-            distinct = dict.fromkeys(shapes)
-            for shape in distinct:
-                positions, part = at, mine
-                if len(distinct) > 1:
-                    picked = _where(map(eq, shapes, repeat(shape)))
-                    positions = list(map(at.__getitem__, picked))
-                    part = list(map(mine.__getitem__, picked))
-                columns = batch.columns(shape, part)
-                if shape in groups:
-                    _, merged_at, merged = groups[shape]
-                    merged_at += positions
-                    for column, more in zip(merged, columns):
-                        column += more
-                else:
-                    groups[shape] = (shape, positions, columns)
+        for (batch, shape), at in parts.items():
+            columns = batch.columns(shape, list(map(rows.__getitem__, at)))
+            if shape in groups:
+                _, merged_at, merged = groups[shape]
+                merged_at += at
+                for column, more in zip(merged, columns):
+                    column += more
+            else:
+                groups[shape] = (shape, at, columns)
         return list(groups.values())
 
     @property
@@ -334,9 +312,10 @@ class WitnessBatch:
     shapes: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        # T0 builds no V
-        sizes = self.construction.sizes[self.kind == "T0"]
-        self.shapes = list(map(sizes.__getitem__, self.rows))
+        sizes = map(self.construction.sizes.__getitem__, self.rows)
+        if self.kind == "T0":  # T0 builds no V
+            sizes = ((nx, 0) for nx, _ in sizes)
+        self.shapes = list(sizes)
         if any(self.errors):
             self.shapes = [None if e is not None else s for e, s in zip(self.errors, self.shapes)]
 
@@ -362,10 +341,11 @@ class WitnessBatch:
             return [names, list(map(notes.__getitem__, map(id, errors)))]
         con = self.construction
         at = list(map(self.rows.__getitem__, map(_ROW, rows)))
+        labels = con.labels
         columns = [names, [len(_CLAIMS[self.kind])] * len(at),
                    list(map(con.radius.__getitem__, at)), list(map(con.scale.__getitem__, at))]
         for members, size in zip((con.x_members, con.y_members), shape):
-            columns += [[con.labels[members[i][j]] for i in at] for j in range(size)]
+            columns += [[labels[members[i][j]] for i in at] for j in range(size)]
         return columns
 
 
@@ -468,8 +448,9 @@ def _construct(inst, stage: _Alpha0, sel, halved) -> _Construction:
 
     def balls_around(masks):  # [r, y]: y lies in a ball at a point of the row
         r, centers = np.nonzero(masks)
-        return _by_rows(np.logical_or, table[k0[r], centers] < radius[r, None], r, rows.size,
-                        False)
+        out = np.zeros(masks.shape, dtype=bool)
+        np.logical_or.at(out, r, table[k0[r], centers] < radius[r, None])
+        return out
 
     def within(a, b):
         return ~(a & ~b).any(-1)
@@ -493,13 +474,12 @@ def _kind_batch(kind, con, idx) -> WitnessBatch:
     is, first, a set that is not closed, then its construction's error, then
     the first claim it fails."""
     at = idx.tolist()
-    errors = list(map(con.errors.__getitem__, at))
-    for column, name in reversed(_CLOSED.get(kind, ())):  # the first one wins
-        error = _not_closed(name)
-        for r in np.flatnonzero(~con.held[column][idx]).tolist():
-            errors[r] = error
+    errors = [None] * len(at)
+    for column, name in _CLOSED.get(kind, ()):
+        _fail(errors, ~con.held[column][idx], _not_closed(name))
+    errors = [e or con.errors[i] for e, i in zip(errors, at)]
     claims = _CLAIMS[kind]
-    held = np.stack([con.held[column][idx] for column, _ in claims], axis=-1)
+    held = np.stack([con.held[column] for column, _ in claims], axis=-1)[idx]
     for r in np.flatnonzero(~held.all(-1)).tolist():
         if errors[r] is None:
             errors[r] = WitnessNotFoundError(f"constructed {kind} witness failed verification: "
@@ -754,9 +734,8 @@ def _require_finite_base(inst):
 
 @dataclass(eq=False)
 class BaseBatch:
-    """The countable-base checks of several centers, read from one
-    ``_base_pass``: row r checks the local base at point ``points[r]``, or
-    the global base where that is None.  A row's shape is None when it
+    """The countable-base checks of ``base_batch``, one row each: a local
+    base at one point or the global base.  A row's shape is None when it
     passes, else the size of the first open set that fails."""
 
     names: list
@@ -812,6 +791,7 @@ def base_batch(inst: GpmsInstance, points, n_max: int | None = None) -> BaseBatc
         failing = min((bits[y] for y in centers if first[y] >= depth), default=None)
         named = None if failing is None else list(SubsetMask(car.size, failing).labels(car))
         if x is not None:
+            # x lies in half of the unions of classes
             name, samples = f"countable_base[local@{car.labels[x]}]", opens // 2
             passed = f"local base verified against {opens} open sets"
             detail = "open set admits no base ball at this depth"
