@@ -209,9 +209,9 @@ class IntervalCarrier:
 
     def contains(self, p) -> bool:
         # a real as a grid reads it (numpy number scalars too); a bool is no
-        # point, though float() reads it as 0 or 1
-        return bool(isinstance(p, _REALS) and type(p) is not bool and math.isfinite(p)
-                    and self.lo <= p <= self.hi)
+        # point, though float() reads it as 0 or 1.  lo and hi are finite, so
+        # the comparisons refuse NaN, the infinities and ints beyond floats
+        return bool(isinstance(p, _REALS) and type(p) is not bool and self.lo <= p <= self.hi)
 
     def base_distance(self, a, b) -> float:
         return abs(float(a) - float(b))

@@ -348,14 +348,12 @@ def _item_texts(items, kinds, newline, texts, shapes):
                 template = shapes[kind, shape, newline] = _template(
                     kind, shape, len(columns), newline, texts, shapes)
             pieces, order = template
-            if not order:
-                rows = repeat(pieces[0])
-            else:
-                column_texts = [_column_texts(column, texts) for column in columns]
-                parts = []
-                for piece, k in zip(pieces, order):
-                    parts += (repeat(piece), column_texts[k])
-                rows = map("".join, zip(*parts, repeat(pieces[-1])))
+            column_texts = [_column_texts(column, texts) for column in columns]
+            parts = []
+            for piece, k in zip(pieces, order):
+                parts += (repeat(piece), column_texts[k])
+            # the positions bound the rows: every other part repeats forever
+            rows = map("".join, zip(*parts, repeat(pieces[-1])))
             for p, text in zip(positions, rows):
                 done[at[p]] = text
     for i, text in enumerate(done):

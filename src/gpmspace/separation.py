@@ -268,9 +268,9 @@ _ROW, _NAME = attrgetter("row"), attrgetter("name")
 
 class _BatchRow(Templated):
     """Row ``row`` of a batch as a check, a view that builds no report.  The
-    batch gives each row's shape (``shapes``) and the columns of values of
-    rows of one shape (``columns``), which ``reports.canonical_json`` writes
-    a column at a time."""
+    batch gives each row's shape (``shapes``) and the columns of values of a
+    list of its rows of one shape (``columns``), which
+    ``reports.canonical_json`` writes a column at a time."""
 
     __slots__ = ("batch", "row")
     failed = False
@@ -283,7 +283,7 @@ class _BatchRow(Templated):
             parts.setdefault((batch, batch.shapes[row.row]), []).append(p)
         groups = {}  # per shape, (shape, positions, columns)
         for (batch, shape), at in parts.items():
-            columns = batch.columns(shape, list(map(rows.__getitem__, at)))
+            columns = batch.columns(list(map(rows.__getitem__, at)))
             if shape in groups:
                 _, merged_at, merged = groups[shape]
                 merged_at += at
@@ -327,12 +327,13 @@ class WitnessBatch:
         if error is not None:  # a fresh one: a raised error's frames would hold the batch
             raise type(error)(*error.args)
         row = WitnessRow(self, r, name or f"witness[{self.kind}]")
-        return _row_report(self.shapes[r], [c[0] for c in self.columns(self.shapes[r], [row])])
+        return _row_report(self.shapes[r], [c[0] for c in self.columns([row])])
 
-    def columns(self, shape, rows):
-        """The columns of ``rows`` (``WitnessRow``s of this batch) of
-        ``shape``: a refused row's name and note, or a witness's name,
-        samples, radius, scale and the centers of U, then of V."""
+    def columns(self, rows):
+        """The columns of ``rows``, ``WitnessRow``s of this batch of one
+        shape: a refused row's name and note, or a witness's name, samples,
+        radius, scale and the centers of U, then of V."""
+        shape = self.shapes[rows[0].row]
         names = list(map(_NAME, rows))
         if shape is None:
             errors = list(map(self.errors.__getitem__, map(_ROW, rows)))
@@ -735,36 +736,25 @@ def _require_finite_base(inst):
 @dataclass(eq=False)
 class BaseBatch:
     """The countable-base checks of ``base_batch``, one row each: a local
-    base at one point or the global base.  A row's shape is None when it
-    passes, else the size of the first open set that fails."""
+    base at one point or the global base.  A row's values are its name,
+    samples and note, and for a base that fails at its depth its witness's
+    detail and depth and the labels of the first open set that fails; its
+    shape is the number of those labels, or None for a base that holds."""
 
-    names: list
-    samples: list
-    notes: list
+    values: list        # per row, its values
     depth: list         # per row, the deepest base ball n
-    failing: list       # per row, the labels of the first open set that fails, or None
-    details: list       # per row, the detail of its witness
     shapes: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.shapes = [None if f is None else len(f) for f in self.failing]
+        self.shapes = [None if len(v) == 3 else len(v) - 5 for v in self.values]
 
     def report(self, r) -> CheckReport:
         """Row ``r``'s report."""
-        row = BaseRow(self, r)
-        return _base_report(self.shapes[r], [c[0] for c in self.columns(self.shapes[r], [row])])
+        return _base_report(self.shapes[r], self.values[r])
 
-    def columns(self, shape, rows):
-        """The columns of ``rows`` (``BaseRow``s of this batch) of ``shape``:
-        the name, samples and note, and for a row that fails its witness's
-        detail and depth and the labels of the open set."""
-        rs = [row.row for row in rows]
-        columns = [[self.names[r] for r in rs], [self.samples[r] for r in rs],
-                   [self.notes[r] for r in rs]]
-        if shape is not None:
-            columns += [[self.details[r] for r in rs], [float(self.depth[r]) for r in rs]]
-            columns += [list(c) for c in zip(*(self.failing[r] for r in rs))]
-        return columns
+    def columns(self, rows):
+        """The columns of the values of ``rows``, ``BaseRow``s of this batch of one shape."""
+        return [list(column) for column in zip(*(self.values[row.row] for row in rows))]
 
 
 def base_batch(inst: GpmsInstance, points, n_max: int | None = None) -> BaseBatch:
@@ -779,7 +769,7 @@ def base_batch(inst: GpmsInstance, points, n_max: int | None = None) -> BaseBatc
     bits = [class_bits[c] for c in classes.tolist()]  # per point, its class
     opens = 1 << len(class_bits)  # 2^k unions of the k classes
     isolating, own, some = (a.tolist() for a in _base_pass(inst))
-    columns = [[] for _ in range(6)]  # name, samples, note, depth, failing, detail
+    values, depths = [], []
     for x in points:
         centers = range(car.size) if x is None else (x,)
         depth = n_max if n_max is not None else max(isolating[y] for y in centers)
@@ -801,10 +791,10 @@ def base_batch(inst: GpmsInstance, points, n_max: int | None = None) -> BaseBatc
             passed = f"base generates all {opens} open sets"
             detail = "open set is not a union of base members"
             note = f"open set {named} not generated; the dense-set base needs larger n_max"
-        for column, value in zip(columns, (name, samples, passed if named is None else note,
-                                           depth, named, detail)):
-            column.append(value)
-    return BaseBatch(*columns)
+        values.append((name, samples, passed) if named is None else
+                      (name, samples, note, detail, float(depth), *named))
+        depths.append(depth)
+    return BaseBatch(values, depths)
 
 
 def _base_report(shape, values) -> CheckReport:
@@ -829,11 +819,11 @@ class BaseRow(_BatchRow):
 
     @property
     def name(self) -> str:
-        return self.batch.names[self.row]
+        return self.batch.values[self.row][0]
 
     @property
     def ok(self) -> bool:
-        return self.batch.failing[self.row] is None
+        return self.batch.shapes[self.row] is None
 
     @property
     def verdict(self) -> str:
@@ -841,11 +831,11 @@ class BaseRow(_BatchRow):
 
     @property
     def note(self) -> str:
-        return self.batch.notes[self.row]
+        return self.batch.values[self.row][2]
 
     @property
     def samples_tested(self) -> int:
-        return self.batch.samples[self.row]
+        return self.batch.values[self.row][1]
 
     @property
     def witnesses(self) -> tuple:

@@ -144,6 +144,21 @@ def test_numpy_bool_is_refused_wherever_points_enter():
         g.d_alpha(g.AlphaMetric(inst, 1.0), point, 0.5)
 
 
+@pytest.mark.parametrize("point", [10 ** 400, -(10 ** 400), math.nan, math.inf, np.float64(2.0),
+                                   np.int64(-1)], ids=repr)
+def test_a_real_outside_the_interval_is_refused_alike(point):
+    # an int too large for a float is no point either: contains says so
+    # instead of raising OverflowError, so eval_P refuses it as coords does
+    inst = unit_interval()
+    assert inst.carrier.contains(point) is False
+    with pytest.raises(g.DomainError, match="point not in carrier"):
+        g.eval_P(inst, point, 0.5, 1.0)
+    with pytest.raises(g.DomainError, match="point not in carrier"):
+        coords(inst, point)
+    with pytest.raises(g.DomainError, match="point not in carrier"):
+        g.d_alpha(g.AlphaMetric(inst, 1.0), point, 0.5)
+
+
 def test_finite_coords_map_labels_through_the_index():
     inst = make_instance("scaled")
     labels = inst.carrier.labels
