@@ -35,7 +35,7 @@ import itertools
 import numpy as np
 
 from .binop import eval_op
-from .core import GpmsInstance, P_at, coords, derive, grid_P
+from .core import GpmsInstance, P_at, derive, grid_P
 from .errors import DomainError, PreconditionError, SizeError, VerificationError
 from .reports import FAIL, PASS, CheckReport, Witness
 
@@ -198,7 +198,8 @@ def open_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
     _require_finite(inst)
     if not alpha > 0:
         raise DomainError(f"open ball radius must be positive, got {alpha}")
-    return _mask_of_flags(P_at(inst, coords(inst, a), np.arange(inst.carrier.size), t) < alpha)
+    car = inst.carrier  # the center is one point
+    return _mask_of_flags(P_at(inst, car.index(a), np.arange(car.size), t) < alpha)
 
 
 def closed_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
@@ -206,7 +207,8 @@ def closed_ball(inst: GpmsInstance, a, alpha: float, t: float) -> SubsetMask:
     _require_finite(inst)
     if alpha < 0:
         raise DomainError(f"closed ball radius must be >= 0, got {alpha}")
-    return _mask_of_flags(P_at(inst, coords(inst, a), np.arange(inst.carrier.size), t) <= alpha)
+    car = inst.carrier  # the center is one point
+    return _mask_of_flags(P_at(inst, car.index(a), np.arange(car.size), t) <= alpha)
 
 
 def _grid_balls(inst: GpmsInstance):
@@ -362,6 +364,10 @@ def verify_ball_theorem(inst: GpmsInstance, theorem: str, **params) -> CheckRepo
     _require_finite(inst)
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
+    needs = {"nested_closure": ("alpha", "beta"), "closed_separation": ("subset", "point")}
+    for name in needs.get(theorem, ()):
+        if params.get(name) is None:
+            raise DomainError(f"{theorem} needs the parameter {name!r}")
     car = inst.carrier
 
     if theorem in ("ball_open", "closed_ball_closed"):

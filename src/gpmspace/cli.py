@@ -366,8 +366,7 @@ def _separation_checks(inst, opts, seed, tol):
     checks += [row(normal, r, f"normal({{{labels[i]}}},{{{labels[j]}}})")
                for r, (i, j) in enumerate(pairs)]
     # the local bases at every point, then the global one
-    bases = separation.base_batch(inst, [*range(n), None])
-    checks += [separation.BaseRow(bases, r) for r in range(n + 1)]
+    checks += separation.base_batch(inst, [*range(n), None])[0]
     return checks, [], None
 
 

@@ -152,12 +152,15 @@ class FiniteCarrier:
         return len(self.labels)
 
     def contains(self, p) -> bool:
-        return p in self._index
+        try:
+            return p in self._index
+        except TypeError:  # unhashable: no label
+            return False
 
     def index(self, p) -> int:
         try:
             return self._index[p]
-        except KeyError:
+        except (KeyError, TypeError):
             raise DomainError(f"point {p!r} is not in the carrier") from None
 
     def base_distance(self, a, b) -> float:
@@ -582,7 +585,7 @@ def coords(inst: GpmsInstance, pts) -> np.ndarray:
         arr = np.asarray(pts, dtype=object)
         try:
             at = np.fromiter(map(car._index.__getitem__, arr.flat), np.intp, arr.size)
-        except KeyError:  # name the first point that is not in the carrier
+        except (KeyError, TypeError):  # name the first point that is not in the carrier
             for p in arr.flat:
                 car.index(p)
             raise

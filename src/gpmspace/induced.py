@@ -65,7 +65,9 @@ def _check_alpha(inst: GpmsInstance, alpha):
 
 def d_alpha(am: AlphaMetric, a, b) -> float:
     """Left endpoint of { t : P(a,b,t) < alpha }, or +inf if the ray is empty."""
-    u, v = coords(am.instance, [a, b])
+    u, v = (coords(am.instance, p) for p in (a, b))
+    if np.ndim(u) or np.ndim(v):  # a list of points is no point
+        raise DomainError(f"d_alpha takes one point each, got {a!r} and {b!r}")
     return float(ray_start(am.instance, u, v, am.alpha))
 
 

@@ -33,10 +33,11 @@ float is rounded once per report, and each dict shape, an exact-str key
 tuple at one indentation, is sorted and has its keys escaped once per
 report (a dict with other keys is converted by the general rules first).
 Most of a report is a few such shapes: a check, a witness, a ball.
-``Templated`` values, such as the row views of a separation witness batch,
-are written a column at a time and build no tree.  A list that holds them
-is written per type: one ``json_columns`` call on the type groups its
-values of that type by shape and gives each group's values as columns.
+``Templated`` values, the rows of the separation battery (its one subclass,
+``separation.WitnessRow``), are written a column at a time and build no
+tree.  A list that holds them is written per type: one ``json_columns``
+call on the type groups its values of that type, each group of one shape,
+and gives each group's values as columns.
 Once per call, for each type, shape and indentation, the general rules
 write the tree of a value with sentinel strings for its values, and the
 text is split at them into a template; each column of values becomes a

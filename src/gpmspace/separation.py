@@ -12,8 +12,8 @@ normal.
 ``witness_batches`` builds and verifies the witnesses of several kinds,
 each a list of rows picked from one table of center-set pairs held as
 boolean masks over point indices.  t0 and alpha0 are found once over every
-row some kind picks (``_alpha0_stage``): a masked minimum over the cross
-pairs of each row of P over (t, x, y) at the t grid (``core.grid_P``).
+row of the table (``_alpha0_stage``): a masked minimum over the cross pairs
+of each row of P over (t, x, y) at the t grid (``core.grid_P``).
 The kinds of one radius rule then share one construction over the rows
 they pick: T0 and T1 one at alpha0 and t0, and T2, regular and normal one
 at alpha1 and t0/2 (in the battery, a T2 row on the pair (a, b) is also
@@ -32,12 +32,13 @@ rows in the construction, their errors and their shapes.
 re-checks a witness ball by ball and stays the independent oracle.  The
 battery's rows are views of their batches (``WitnessRow``: batch, row and
 check name), and no row builds a report: a witness that holds passes and a
-row with an error is inconclusive.  ``reports.canonical_json`` writes the
-rows a column at a time: a batch gives the columns of values of a list of
-its rows of one shape (``WitnessBatch.columns``), and each shape has one
-template per call.  ``WitnessBatch.report`` builds one row's
-``CheckReport`` on demand from the same columns, with the row's check name
-and its balls as plain dicts, no ``BallSpec`` per ball.
+row with an error is inconclusive.  ``WitnessRow`` is the one
+``reports.Templated`` type: ``reports.canonical_json`` writes the rows a
+column at a time, a group per batch and shape, whose columns of values the
+batch gives (``WitnessBatch.columns``), and each shape has one template per
+call.  ``WitnessBatch.report`` builds one row's ``CheckReport`` on demand
+from the same columns, with the row's check name and its balls as plain
+dicts, no ``BallSpec`` per ball.
 
 Countable bases read the classes of tau_P, a partition topology
 (``balls``): every open set around a point y holds its class C(y), so a
@@ -48,9 +49,8 @@ per instance, and one pass over it and the classes (``_base_pass``) gives
 each point's isolating depth and the first depth at which a base ball
 inside its class holds it: its own ball, for a local base, and any point's,
 for the global one.  Every local and global report reads that pass: the
-battery's n + 1 base checks are rows of one ``BaseBatch`` (``base_batch``),
-each a ``BaseRow`` view written a column at a time as the witness rows are,
-and ``countable_base`` reports one row.
+battery's n + 1 base checks are the plain ``CheckReport``s of one
+``base_batch`` call, and ``countable_base`` reports one of them.
 """
 from __future__ import annotations
 
@@ -266,38 +266,6 @@ class _Construction:
 _ROW, _NAME = attrgetter("row"), attrgetter("name")
 
 
-class _BatchRow(Templated):
-    """Row ``row`` of a batch as a check, a view that builds no report.  The
-    batch gives each row's shape (``shapes``) and the columns of values of a
-    list of its rows of one shape (``columns``), which
-    ``reports.canonical_json`` writes a column at a time."""
-
-    __slots__ = ("batch", "row")
-    failed = False
-
-    @staticmethod
-    def json_columns(rows):
-        parts = {}  # per (batch, shape), the positions of its rows
-        for p, row in enumerate(rows):
-            batch = row.batch
-            parts.setdefault((batch, batch.shapes[row.row]), []).append(p)
-        groups = {}  # per shape, (shape, positions, columns)
-        for (batch, shape), at in parts.items():
-            columns = batch.columns(list(map(rows.__getitem__, at)))
-            if shape in groups:
-                _, merged_at, merged = groups[shape]
-                merged_at += at
-                for column, more in zip(merged, columns):
-                    column += more
-            else:
-                groups[shape] = (shape, at, columns)
-        return list(groups.values())
-
-    @property
-    def data(self) -> dict:
-        return self.to_jsonable()["data"]
-
-
 @dataclass(eq=False)
 class WitnessBatch:
     """The witnesses of one kind, a view of the construction they share: row
@@ -358,18 +326,34 @@ def _row_report(shape, values) -> CheckReport:
                        data={"U": balls[:shape[0]], "V": balls[shape[0]:]})
 
 
-class WitnessRow(_BatchRow):
-    """Row ``row`` of a ``WitnessBatch`` as the check ``name``: a witness
-    that holds passes, and a row with an error is inconclusive, its note
-    naming the error.  ``data`` and ``to_jsonable`` build the row's report
-    tree on demand, a witness's from the values ``WitnessBatch.report``
-    reads."""
+class WitnessRow(Templated):
+    """Row ``row`` of a ``WitnessBatch`` as the check ``name``, a view that
+    builds no report: a witness that holds passes, and a row with an error
+    is inconclusive, its note naming the error.  ``reports.canonical_json``
+    writes a list of rows a column at a time, one group per batch and shape
+    (``WitnessBatch.columns``); ``data`` and ``to_jsonable`` build the row's
+    report tree on demand, a witness's from the values
+    ``WitnessBatch.report`` reads."""
 
-    __slots__ = ("name",)
+    __slots__ = ("batch", "row", "name")
     witness, witnesses = None, ()
+    failed = False
 
     def __init__(self, batch: WitnessBatch, row: int, name: str):
         self.batch, self.row, self.name = batch, row, name
+
+    @staticmethod
+    def json_columns(rows):
+        groups = {}  # per (batch, shape), the positions of its rows
+        for p, row in enumerate(rows):
+            batch = row.batch
+            groups.setdefault((batch, batch.shapes[row.row]), []).append(p)
+        return [(shape, at, batch.columns(list(map(rows.__getitem__, at))))
+                for (batch, shape), at in groups.items()]
+
+    @property
+    def data(self) -> dict:
+        return self.to_jsonable()["data"]
 
     @property
     def ok(self) -> bool:
@@ -501,9 +485,9 @@ def witness_batches(inst: GpmsInstance, xs, ys, kinds: dict) -> dict:
     alpha1, whose balls cannot be built or whose witness fails a claim keeps,
     as its error, the exception ``separation_witness`` raises for it.
 
-    t0 and alpha0 are found once over every row some kind picks
-    (``_alpha0_stage``).  The kinds of one radius rule share one
-    construction over the rows they pick: T0 and T1 build balls of radius
+    t0 and alpha0 are found once over every row of the table
+    (``_alpha0_stage``), picked or not.  The kinds of one radius rule share
+    one construction over the rows they pick: T0 and T1 build balls of radius
     alpha0 at t0, and T2, regular and normal of radius alpha1 at t0 / 2.
     Only these are per kind: the claims and closedness preconditions
     (regular, normal) a kind reads, and the order of a row's errors.
@@ -513,17 +497,13 @@ def witness_batches(inst: GpmsInstance, xs, ys, kinds: dict) -> dict:
             raise DomainError(f"unknown separation kind {kind!r}; expected one of {KINDS}")
     xs, ys = np.asarray(xs, dtype=bool), np.asarray(ys, dtype=bool)
     kinds = {kind: np.asarray(idx, dtype=np.intp) for kind, idx in kinds.items()}
-    used = np.zeros(len(xs), dtype=bool)
-    for idx in kinds.values():
-        used[idx] = True
-    stage = _alpha0_stage(inst, xs[used], ys[used])
-    at = np.cumsum(used) - 1  # a table row's row in the stage
+    stage = _alpha0_stage(inst, xs, ys)
     out = {}
     for halved in (False, True):
-        picked = {kind: at[idx] for kind, idx in kinds.items() if (kind in _HALVED) == halved}
+        picked = {kind: idx for kind, idx in kinds.items() if (kind in _HALVED) == halved}
         if not picked:
             continue
-        mine = np.zeros(len(stage.xs), dtype=bool)
+        mine = np.zeros(len(xs), dtype=bool)
         for idx in picked.values():
             mine[idx] = True
         con = _construct(inst, stage, np.flatnonzero(mine), halved)
@@ -716,16 +696,12 @@ def countable_base(inst: GpmsInstance, mode: str, x=None, n_max: int | None = No
     if mode not in ("local", "global"):
         raise DomainError(f"mode must be 'local' or 'global', got {mode!r}")
     _require_finite_base(inst)
+    if mode == "local" and x is None:
+        raise DomainError("local mode needs a point x")
     car = inst.carrier
-    if mode == "local":
-        if x is None:
-            raise DomainError("local mode needs a point x")
-        bases, centers = base_batch(inst, [car.index(x)], n_max), [x]
-    else:
-        bases, centers = base_batch(inst, [None], n_max), car.labels
-    depth = bases.depth[0]
-    return ([BallSpec(p, 1.0 / k, 1.0 / k) for p in centers for k in range(1, depth + 1)],
-            bases.report(0))
+    (report,), (depth,) = base_batch(inst, [car.index(x) if mode == "local" else None], n_max)
+    centers = [x] if mode == "local" else car.labels
+    return [BallSpec(p, 1.0 / k, 1.0 / k) for p in centers for k in range(1, depth + 1)], report
 
 
 def _require_finite_base(inst):
@@ -733,43 +709,23 @@ def _require_finite_base(inst):
         raise DomainError("countable bases are verified on finite carriers only")
 
 
-@dataclass(eq=False)
-class BaseBatch:
-    """The countable-base checks of ``base_batch``, one row each: a local
-    base at one point or the global base.  A row's values are its name,
-    samples and note, and for a base that fails at its depth its witness's
-    detail and depth and the labels of the first open set that fails; its
-    shape is the number of those labels, or None for a base that holds."""
-
-    values: list        # per row, its values
-    depth: list         # per row, the deepest base ball n
-    shapes: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.shapes = [None if len(v) == 3 else len(v) - 5 for v in self.values]
-
-    def report(self, r) -> CheckReport:
-        """Row ``r``'s report."""
-        return _base_report(self.shapes[r], self.values[r])
-
-    def columns(self, rows):
-        """The columns of the values of ``rows``, ``BaseRow``s of this batch of one shape."""
-        return [list(column) for column in zip(*(self.values[row.row] for row in rows))]
-
-
-def base_batch(inst: GpmsInstance, points, n_max: int | None = None) -> BaseBatch:
+def base_batch(inst: GpmsInstance, points, n_max: int | None = None):
     """The countable-base checks at each of ``points``: a point index
     checks the local base there, None the global base (see
-    ``countable_base``).  Every row reads the one ``_base_pass`` of the
-    instance, or one at depth ``n_max`` beyond its 64 depths."""
+    ``countable_base``).  Returns ``(reports, depths)``: per point, its
+    ``CheckReport`` and its deepest base ball n.  Every report reads the one
+    ``_base_pass`` of the instance, or one at depth ``n_max`` beyond its 64
+    depths."""
     _require_finite_base(inst)
+    if n_max is not None and n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     car = inst.carrier
     classes = _classes(inst)
     class_bits = _class_bits(classes)
     bits = [class_bits[c] for c in classes.tolist()]  # per point, its class
     opens = 1 << len(class_bits)  # 2^k unions of the k classes
     isolating, own, some = (a.tolist() for a in _base_pass(inst))
-    values, depths = [], []
+    reports, depths = [], []
     for x in points:
         centers = range(car.size) if x is None else (x,)
         depth = n_max if n_max is not None else max(isolating[y] for y in centers)
@@ -791,60 +747,12 @@ def base_batch(inst: GpmsInstance, points, n_max: int | None = None) -> BaseBatc
             passed = f"base generates all {opens} open sets"
             detail = "open set is not a union of base members"
             note = f"open set {named} not generated; the dense-set base needs larger n_max"
-        values.append((name, samples, passed) if named is None else
-                      (name, samples, note, detail, float(depth), *named))
+        if named is None:
+            reports.append(CheckReport(name=name, verdict=PASS, samples_tested=samples,
+                                       note=passed))
+        else:
+            witness = Witness(points=tuple(named), values={"n_max": float(depth)}, detail=detail)
+            reports.append(CheckReport(name=name, verdict=INCONCLUSIVE, samples_tested=samples,
+                                       note=note, witnesses=(witness,)))
         depths.append(depth)
-    return BaseBatch(values, depths)
-
-
-def _base_report(shape, values) -> CheckReport:
-    """The report of a base row of ``shape`` from its values (``BaseBatch.columns``)."""
-    name, samples, note, *witness = values
-    if shape is None:
-        return CheckReport(name=name, verdict=PASS, samples_tested=samples, note=note)
-    detail, depth, *named = witness
-    return CheckReport(name=name, verdict=INCONCLUSIVE, samples_tested=samples, note=note,
-                       witnesses=(Witness(points=tuple(named), values={"n_max": depth},
-                                          detail=detail),))
-
-
-class BaseRow(_BatchRow):
-    """Row ``row`` of a ``BaseBatch`` as its check: a base that holds
-    passes, and one that fails at its depth is inconclusive."""
-
-    __slots__ = ()
-
-    def __init__(self, batch: BaseBatch, row: int):
-        self.batch, self.row = batch, row
-
-    @property
-    def name(self) -> str:
-        return self.batch.values[self.row][0]
-
-    @property
-    def ok(self) -> bool:
-        return self.batch.shapes[self.row] is None
-
-    @property
-    def verdict(self) -> str:
-        return PASS if self.ok else INCONCLUSIVE
-
-    @property
-    def note(self) -> str:
-        return self.batch.values[self.row][2]
-
-    @property
-    def samples_tested(self) -> int:
-        return self.batch.values[self.row][1]
-
-    @property
-    def witnesses(self) -> tuple:
-        return self.batch.report(self.row).witnesses
-
-    @property
-    def witness(self):
-        return self.witnesses[0] if self.witnesses else None
-
-    @staticmethod
-    def json_tree(shape, values):
-        return _base_report(shape, values).to_jsonable()
+    return reports, depths

@@ -209,6 +209,15 @@ def test_nested_closure_precondition():
         g.verify_ball_theorem(FINE, "nested_closure", alpha=0.5, beta=2.0)
 
 
+@pytest.mark.parametrize("theorem,params,missing", [
+    ("nested_closure", {}, "alpha"), ("nested_closure", {"alpha": 0.5}, "beta"),
+    ("closed_separation", {"point": "a"}, "subset"),
+    ("closed_separation", {"subset": g.SubsetMask(3, 0b110)}, "point")])
+def test_a_missing_theorem_parameter_is_named(theorem, params, missing):
+    with pytest.raises(g.DomainError, match=f"^{theorem} needs the parameter '{missing}'$"):
+        g.verify_ball_theorem(FINE, theorem, **params)
+
+
 def test_closed_separation_lemma():
     subset = g.SubsetMask.from_labels(FINE.carrier, ["b", "c"])
     rep = g.verify_ball_theorem(FINE, "closed_separation", subset=subset, point="a",

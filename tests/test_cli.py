@@ -642,9 +642,8 @@ def test_full_report_work_counts(tmp_path, monkeypatch):
 def test_separation_rows_are_written_from_their_batches(tmp_path, monkeypatch):
     # the 12-point clustered workload file: 198 rows hold and 198 are refused
     # (a singleton is not closed on its t grid [1, 2, 4]); every row is a view
-    # of its witness batch, and every countable_base check a view of the
-    # instance's base batch, so the command builds no report, and the writer
-    # writes each row from its template
+    # of its witness batch, so the command builds only the 13 countable_base
+    # reports, and the writer writes each row from its template
     inst_file = g.load_instance(write(tmp_path, workload_docs("finite-topology", 11)["clustered"]))
     built, reports_of_rows, plain = [], [], []
     real_post_init, real_report, real_plain = (g.CheckReport.__post_init__,
@@ -668,17 +667,18 @@ def test_separation_rows_are_written_from_their_batches(tmp_path, monkeypatch):
     result = g.run_command("separation", inst_file)
     rows = [c for c in result.checks if isinstance(c, separation.WitnessRow)]
     assert sorted(c.verdict for c in rows) == ["inconclusive"] * 198 + ["pass"] * 198
-    bases = [c for c in result.checks if isinstance(c, separation.BaseRow)]
-    assert [c.name for c in bases] == [c.name for c in result.checks
-                                       if c.name.startswith("countable_base[")]
-    assert len(bases) == 13 and len(rows) + len(bases) == len(result.checks)
-    assert built == []
+    bases = [c.name for c in result.checks if not isinstance(c, separation.WitnessRow)]
+    assert bases == [f"countable_base[local@{x}]" for x in inst_file.instance.carrier.labels] + \
+        ["countable_base[global]"]
+    assert len(rows) + len(bases) == len(result.checks)
+    assert built == bases
+    built.clear()
     text = result.to_canonical_json()
     # one sentinel report per template: T0 rows (no V), the other witness
-    # rows, the refused rows and the base rows that pass
-    assert built == ["\x000\x00"] * 4
+    # rows and the refused rows
+    assert built == ["\x000\x00"] * 3
     assert reports_of_rows == []
-    assert not {separation.WitnessRow, separation.BaseRow} & set(plain)
+    assert separation.WitnessRow not in set(plain)
     # the row views read as the reports they stand for
     assert text == json.dumps(result.to_jsonable(), sort_keys=True, indent=2) + "\n"
 
@@ -686,7 +686,7 @@ def test_separation_rows_are_written_from_their_batches(tmp_path, monkeypatch):
 def test_a_separation_report_derives_each_template_once(tmp_path, monkeypatch):
     # the writer fills rows a column at a time: per call, one template per
     # (type, shape, layout) and one json_columns call per list and row type,
-    # never a row's own tree
+    # never a row's own tree; the countable_base checks are plain reports
     inst_file = g.load_instance(write(tmp_path, workload_docs("finite-topology", 11)["clustered"]))
     result = g.run_command("separation", inst_file)
     templates, lists, trees = [], [], []
@@ -708,19 +708,17 @@ def test_a_separation_report_derives_each_template_once(tmp_path, monkeypatch):
         trees.append(self)
 
     monkeypatch.setattr(reports, "_template", template)
-    for kind in (separation.WitnessRow, separation.BaseRow):
-        monkeypatch.setattr(kind, "json_columns", counted(kind))
+    monkeypatch.setattr(separation.WitnessRow, "json_columns", counted(separation.WitnessRow))
     monkeypatch.setattr(reports.Templated, "to_jsonable", tree)
     for write_text in (result.to_canonical_json, lambda: reports.compact_json(result._body())):
         templates.clear()
         lists.clear()
         write_text()
-        assert len(templates) == len(set(templates)) == 4
+        assert len(templates) == len(set(templates)) == 3
         assert {(kind, shape) for kind, shape, _ in templates} == {
             (separation.WitnessRow, (1, 0)), (separation.WitnessRow, (1, 1)),
-            (separation.WitnessRow, None), (separation.BaseRow, None)}
-        assert sorted(lists, key=lambda x: x[1]) == [(separation.BaseRow, 13),
-                                                    (separation.WitnessRow, 396)]
+            (separation.WitnessRow, None)}
+        assert lists == [(separation.WitnessRow, 396)]
     assert trees == []
 
 

@@ -173,6 +173,29 @@ def test_finite_coords_map_labels_through_the_index():
         coords(inst, [[labels[0], labels[1]], [labels[0], "zz"]])
 
 
+UNHASHABLE_CALLS = {
+    "eval_P": lambda inst: g.eval_P(inst, ["a"], "b", 1.0),
+    "coords": lambda inst: coords(inst, [["a"], "b"]),
+    "d_alpha": lambda inst: g.d_alpha(g.AlphaMetric(inst, 1.0), ["a"], "b"),
+    "d_alpha-two-lists": lambda inst: g.d_alpha(g.AlphaMetric(inst, 1.0), ["a"], ["b"]),
+    "countable_base": lambda inst: g.countable_base(inst, "local", x=["a"]),
+    "separation_witness": lambda inst: g.separation_witness(inst, "T0", a=["a"], b="b"),
+    "open_ball": lambda inst: g.open_ball(inst, ["a", "b"], 1.0, 1.0),
+    "closed_ball": lambda inst: g.closed_ball(inst, ["a"], 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", UNHASHABLE_CALLS.values(), ids=UNHASHABLE_CALLS)
+def test_an_unhashable_point_is_refused_on_a_finite_carrier(call):
+    # a list is no label, even a list of labels: each entry point refuses it
+    # with a DomainError that names it, and a ball takes exactly one center
+    inst = g.gallery_construct("scaled", {}, g.FiniteCarrier(["a", "b"], [[0, 1], [1, 0]]),
+                               g.MAX, T_GRID, ALPHA_GRID)
+    assert inst.carrier.contains(["a"]) is False
+    with pytest.raises(g.DomainError, match=r"\['a'"):
+        call(inst)
+
+
 @BOOL_POINTS
 def test_check_convergence_refuses_a_bool_point(point):
     inst, bools = unit_interval(), g.SequenceSpec("explicit", points=(point,) * 5)

@@ -95,6 +95,12 @@ def test_command_report_bytes_match_golden(name, command):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
     # the one-pass writer against the indenting encoder it replaced
     assert text == json.dumps(report.to_jsonable(), sort_keys=True, indent=2) + "\n"
+    # the benchmark's counts and gate read these off the check objects, not the text
+    trees = json.loads(text)["checks"]
+    assert [(c.name, c.verdict, c.note, c.samples_tested, len(c.witnesses))
+            for c in report.checks] == \
+        [(t["name"], t["verdict"], t["note"], t["samples_tested"], t["witness_count"])
+         for t in trees]
 
 
 def test_verdicts_cover_every_instance():

@@ -233,7 +233,7 @@ def mixed_checks(inst):
     """A checks list that mixes plain reports with rows of several batches
     and shapes: T0 and T2 rows on a pair, multi-point regular and normal rows
     (constructed where the sets are closed, refused where not) and the base
-    rows, at the default depth and at depth 0, where every row is refused."""
+    reports, at the default depth and at depth 0, where every base fails."""
     n, labels = inst.carrier.size, inst.carrier.labels
     classes = balls._classes(inst)
     rows = [([0], [*range(1, n)]), ([0], [1]), ([*range(n // 2)], [*range(n // 2, n)])]
@@ -248,8 +248,7 @@ def mixed_checks(inst):
     views = [separation.WitnessRow(b, r, f"{kind}<{labels[r % n]}>#{r}")
              for kind, b in batches.items() for r in range(len(b.rows))]
     for n_max in (None, 0):
-        bases = separation.base_batch(inst, [*range(n), None], n_max)
-        views += [separation.BaseRow(bases, r) for r in range(n + 1)]
+        views += separation.base_batch(inst, [*range(n), None], n_max)[0]
     plain = [g.CheckReport(name=f"plain {p}", verdict=g.PASS, data={"label": p, "x": 0.1})
              for p in labels]
     # interleaved: a plain report after every third view
@@ -262,18 +261,17 @@ def mixed_checks(inst):
 
 
 def assert_rows_read_as_their_reports(inst, checks):
-    labels = inst.carrier.labels
     for c in checks:
         if isinstance(c, separation.WitnessRow):
             error = c.batch.errors[c.row]
             want = (c.batch.report(c.row, c.name) if error is None
                     else g.cli._inconclusive(c.name, error))
-        elif isinstance(c, separation.BaseRow):
-            local = c.row < len(labels)
-            depth = c.batch.depth[c.row]
+        elif c.name.startswith("countable_base["):
+            local = c.name.startswith("countable_base[local@")
+            depth_0 = c.witness is not None and c.witness.values["n_max"] == 0
             want = g.countable_base(inst, "local" if local else "global",
-                                    x=labels[c.row] if local else None,
-                                    n_max=0 if depth == 0 else None)[1]
+                                    x=c.name[len("countable_base[local@"):-1] if local else None,
+                                    n_max=0 if depth_0 else None)[1]
         else:
             continue
         assert c.to_jsonable() == want.to_jsonable()
@@ -314,8 +312,9 @@ def test_separation_rows_match_the_indenting_encoder(inst):
     assert_rows_read_as_their_reports(inst, checks)
     assert_rows_read_as_their_reports(inst, report.checks)
     if inst is CLUSTERED:  # every kind of row and shape is met
-        shapes = {(type(c), c.batch.shapes[c.row]) for c in checks
-                  if isinstance(c, reports.Templated)}
-        assert shapes == {(separation.WitnessRow, (1, 0)), (separation.WitnessRow, (1, 1)),
-                          (separation.WitnessRow, (2, 2)), (separation.WitnessRow, None),
-                          (separation.BaseRow, None), (separation.BaseRow, 2)}
+        shapes = {c.batch.shapes[c.row] for c in checks if isinstance(c, reports.Templated)}
+        assert shapes == {(1, 0), (1, 1), (2, 2), None}
+        # a base that holds, and one that fails on an open set of two points
+        bases = {(c.verdict, len(c.witness.points) if c.witness else 0) for c in checks
+                 if c.name.startswith("countable_base[")}
+        assert bases == {("pass", 0), ("inconclusive", 2)}

@@ -147,6 +147,17 @@ def test_local_base_at_a_verifies():
     assert g.open_ball(FINE, "a", 1.0, 1.0).labels(FINE.carrier) == ("a",)
 
 
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_countable_base_refuses_a_negative_depth(mode):
+    x = "a" if mode == "local" else None
+    with pytest.raises(g.DomainError, match="^n_max must be >= 0, got -1$"):
+        g.countable_base(FINE, mode, x=x, n_max=-1)
+    # depth 0 holds no base ball: every base fails there
+    specs, rep = g.countable_base(FINE, mode, x=x, n_max=0)
+    assert specs == [] and rep.verdict == g.INCONCLUSIVE
+    assert rep.witness.values == {"n_max": 0.0}
+
+
 def test_global_base_generates_all_open_sets():
     inst = two_point_instance()
     specs, rep = g.countable_base(inst, "global")
