@@ -17,6 +17,9 @@ question (open sets, interiors, closures, the ball theorems, separation and
 the countable bases) reads those labels, and reports state tau_P by its
 classes and 2^k; only ``generate_topology`` lists open sets, for library
 callers.  TopologyFamily.verify stays as an O(|F|^2) oracle for tests.
+``topology_battery`` is the battery of the ``topology`` command: tau_P by
+its classes and 2^k, then the ``ball_open`` and ``closed_ball_closed``
+theorems over every grid ball.
 
 Ball membership uses exact float comparison: strict "<" for open balls,
 "<=" for closed balls, no epsilon fuzzing.  A ball is one comparison on a
@@ -431,3 +434,16 @@ def verify_ball_theorem(inst: GpmsInstance, theorem: str, **params) -> CheckRepo
     verdict = FAIL if witnesses else PASS
     return CheckReport(name=theorem, verdict=verdict, samples_tested=len(scales),
                        witnesses=tuple(witnesses), data={"inf_per_t": infima})
+
+
+def topology_battery(inst: GpmsInstance) -> list:
+    """The ``topology`` battery: tau_P stated by its classes and the count
+    2^k of its open sets, none listed, then the ``ball_open`` and
+    ``closed_ball_closed`` theorems."""
+    car, classes = inst.carrier, tau_p_classes(inst)
+    return [CheckReport(name="topology_family", verdict=PASS, samples_tested=car.size,
+                        note=f"tau_P is the partition topology of its {len(classes)} classes",
+                        data={"classes": [list(c.labels(car)) for c in classes],
+                              "count": 1 << len(classes)}),
+            verify_ball_theorem(inst, "ball_open"),
+            verify_ball_theorem(inst, "closed_ball_closed")]

@@ -22,18 +22,21 @@ Instance file schema (JSON, version 1); unknown fields are rejected::
 Every number in the file must be a JSON number: booleans, numeric strings
 and integers beyond the float range are refused, naming the field.
 
-Each command but ``full-report`` runs one battery of checks; ``full-report``
-runs all six in this order.  A battery that does not apply refuses its own
-command and is skipped with a note under ``full-report``::
+Each command but ``full-report`` runs one battery of checks, one call to
+the entry point of the module that owns it; ``full-report`` runs all six in
+this order.  A battery that does not apply refuses its own command and is
+skipped with a note under ``full-report``::
 
-    command     checks                                  applies when
-    axioms      P1-P5, monotone                         always
-    topology    tau_P and the two ball theorems         finite carrier
-    separation  T0-T2, regular, normal, countable base  finite carrier within --max-points
-    dalpha      the d_alpha table, axioms, monotone,    op = max
-                topology identity
-    sequences   convergence, Cauchy, bounded, ...       always
-    cantor      Cantor's intersection theorem           always
+    command     entry point (its docstring lists the checks)  applies when
+    axioms      core.check_P_axioms                           always
+    topology    balls.topology_battery                        finite carrier
+    separation  separation.separation_battery                 finite carrier within --max-points
+    dalpha      induced.dalpha_battery                        op = max
+    sequences   sequences.sequence_battery                    always
+    cantor      sequences.cantor_battery                      always
+
+This module only parses, dispatches and writes; a ``cantor`` battery whose
+hypotheses fail gives a ``cantor: skipped (...)`` note and no check.
 
 ``topology`` states tau_P by its classes and their count 2^k, listing no
 open set; ``--max-points`` (default 15) caps only the carrier ``separation``
@@ -59,8 +62,6 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain
 
-import numpy as np
-
 from . import balls, core, induced, separation, sequences
 from .binop import MAX, PLUS, BinaryOperation
 from .errors import (
@@ -69,20 +70,9 @@ from .errors import (
     GpmsError,
     HypothesisError,
     ParseError,
-    PreconditionError,
     SizeError,
-    WitnessNotFoundError,
 )
-from .reports import (
-    INCONCLUSIVE,
-    PASS,
-    CheckReport,
-    Templated,
-    canonical,
-    canonical_json,
-    compact_json,
-    not_certifiable,
-)
+from .reports import PASS, Templated, canonical, canonical_json, compact_json
 
 REPORT_VERSION = 2
 
@@ -221,7 +211,7 @@ def _non_number(value):
 
 def _check_numbers(doc):
     """Refuse anything but JSON numbers where the schema holds numbers, naming
-    the field: numpy and ``float`` read ``true`` and ``"1"`` as 1, and raise
+    the field: NumPy and ``float`` read ``true`` and ``"1"`` as 1, and raise
     ``OverflowError`` on an integer beyond the float range.  One scan reads
     every field; only a file it refuses is scanned again, field by field, to
     name the first that fails."""
@@ -305,156 +295,38 @@ def validate_instance_file(path) -> core.GpmsInstance:
     return load_instance(path).instance
 
 
-# -- command batteries ----------------------------------------------------
-#
-# Each battery is ``(inst, opts, seed, tol) -> (checks, notes, csv_rows)``;
-# ``csv_rows`` is None or a function that builds the rows, the header row
-# first, called only when the payload is written.
+# -- command batteries: ``(inst, opts, seed, tol) -> (checks, notes, csv_rows)``,
+# each one call to its entry point; ``csv_rows`` is None or builds the rows,
+# the header row first, only when the payload is written
 
 
-def _axioms_checks(inst, opts, seed, tol):
+def _axioms(inst, opts, seed, tol):
     return core.check_P_axioms(inst, seed=seed, n_samples=opts.n_samples), [], None
 
 
-def _topology_checks(inst, opts, seed, tol):
-    # a partition topology is its classes: the 2^k unions are counted, not listed
-    car, classes = inst.carrier, balls.tau_p_classes(inst)
-    return [CheckReport(name="topology_family", verdict=PASS, samples_tested=car.size,
-                        note=f"tau_P is the partition topology of its {len(classes)} classes",
-                        data={"classes": [list(c.labels(car)) for c in classes],
-                              "count": 1 << len(classes)}),
-            balls.verify_ball_theorem(inst, "ball_open"),
-            balls.verify_ball_theorem(inst, "closed_ball_closed")], [], None
+def _topology(inst, opts, seed, tol):
+    return balls.topology_battery(inst), [], None
 
 
-def _inconclusive(name, exc):
-    return CheckReport(name=name, verdict=INCONCLUSIVE, note=not_certifiable(exc))
+def _separation(inst, opts, seed, tol):
+    return separation.separation_battery(inst), [], None
 
 
-def _guarded(name, fn):
-    """Run one battery item; hypothesis/precondition gaps become inconclusive."""
-    try:
-        return fn()
-    except (HypothesisError, PreconditionError, WitnessNotFoundError) as exc:
-        return _inconclusive(name, exc)
-
-
-def _separation_checks(inst, opts, seed, tol):
-    labels = inst.carrier.labels
-    n = len(labels)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    outside = [(x, i) for i in range(n) for x in range(n) if x != i]  # point x, closed {i}
-    # one row per ordered pair (X, Y) of single points: a T2 row (i, j) is
-    # also the normal row ({i}, {j}) and the regular row ({j}, i)
-    ordered = {pair: r for r, pair in enumerate(outside)}
-    single = np.eye(n, dtype=bool)
-    on_pairs = [ordered[pair] for pair in pairs]
-
-    batches = separation.witness_batches(
-        inst, single[[x for x, _ in outside]], single[[y for _, y in outside]],
-        {**dict.fromkeys(("T0", "T1", "T2", "normal"), on_pairs),
-         "regular": range(len(outside))})
-    t_kinds = [batches[kind] for kind in ("T0", "T1", "T2")]
-    regular, normal = batches["regular"], batches["normal"]
-    # each check is a view of its batch row; a row that cannot be built (say,
-    # open_ball refuses a ball) is inconclusive
-    row = separation.WitnessRow
-    checks = [row(b, r, f"{b.kind}({labels[i]},{labels[j]})")
-              for r, (i, j) in enumerate(pairs) for b in t_kinds]
-    checks += [row(regular, r, f"regular({{{labels[i]}}},{labels[x]})")
-               for r, (x, i) in enumerate(outside)]
-    checks += [row(normal, r, f"normal({{{labels[i]}}},{{{labels[j]}}})")
-               for r, (i, j) in enumerate(pairs)]
-    # the local bases at every point, then the global one
-    checks += separation.base_batch(inst, [*range(n), None])[0]
-    return checks, [], None
-
-
-def _dalpha_checks(inst, opts, seed, tol):
-    alpha = opts.alpha if opts.alpha is not None else inst.alpha_grid[len(inst.alpha_grid) // 2]
-    solver = induced.BisectionSettings(tolerance=min(tol, 1e-6))
-    am = induced.AlphaMetric(inst, alpha, solver)  # one d_alpha matrix serves three checks
-    checks = []
-    rows = None
-    if inst.carrier.kind == "finite":
-        labels, table = inst.carrier.labels, induced.alpha_metric_table(am)
-        checks.append(CheckReport(
-            name=f"d_alpha_table[alpha={alpha:.12g}]", verdict=PASS,
-            samples_tested=len(table) ** 2, data={"labels": list(labels), "table": table}))
-
-        def rows():
-            return [["", *labels]] + [[lab, *row] for lab, row in zip(labels, table)]
-    checks.append(induced.check_alpha_metric_axioms(am, seed=seed))
-    checks.append(_guarded("alpha_monotonicity", lambda: induced.check_alpha_monotonicity(
-        inst, inst.carrier.points()[0], inst.carrier.points()[-1],
-        inst.alpha_grid, solver)))
-    if inst.carrier.kind == "finite":
-        checks.append(_guarded(
-            f"topology_identity[alpha={alpha:.12g}]",
-            lambda: induced.compare_topologies(inst, alpha)))
+def _dalpha(inst, opts, seed, tol):
+    checks, rows = induced.dalpha_battery(inst, opts.alpha, tol, seed)
     return checks, [], rows
 
 
-def _interval_frame(carrier):
-    """The middle of an interval carrier and a quarter of its width."""
-    return 0.5 * (carrier.lo + carrier.hi), 0.25 * (carrier.hi - carrier.lo)
-
-
-def _sequences_checks(inst, opts, seed, tol):
-    checks = []
-    rows = None
-    if inst.carrier.kind == "interval":
-        mid, w = _interval_frame(inst.carrier)
-        seqx = sequences.SequenceSpec("geometric", c=mid, a=w, r=0.5, n_terms=200)
-        seqy = sequences.SequenceSpec("geometric", c=mid, a=-w, r=0.5, n_terms=200)
-        # one convergence_rows call gives the reports of x_n and y_n; that of x_n
-        # also serves bounded, joint_continuity and subsequence_completeness,
-        # and its cauchy report subsequence_completeness
-        convergence, convergence_y = sequences.convergence_rows(
-            inst, [seqx, seqy], [mid, mid], tol)
-        cauchy = sequences.check_cauchy(inst, seqx, tol)
-        checks += [convergence, cauchy,
-                   sequences.check_bounded(inst, seqx, tol, limit=mid, convergence=convergence)]
-        checks.append(_guarded("joint_continuity", lambda: sequences.joint_continuity_check(
-            inst, seqx, seqy, mid, mid, tol, convergence=(convergence, convergence_y))))
-        indices = [2 ** k for k in range(1, 8)]
-        checks.append(_guarded("subsequence_completeness",
-                               lambda: sequences._subsequence_report(
-                                   inst, seqx, indices, mid, tol, cauchy, convergence)))
-        def rows():  # P(x_n, mid, t) over (t, n), one kernel call
-            u, v = core.coords(inst, seqx.terms(inst.carrier)), core.coords(inst, mid)
-            vals = core.P_at(inst, u, v, np.asarray(inst.t_grid)[:, None]).tolist()
-            return [["n", "t", "value"]] + [
-                [n + 1, t, value] for t, row in zip(inst.t_grid, vals)
-                for n, value in enumerate(row)]
-    else:
-        labels = inst.carrier.labels
-        consts = [sequences.SequenceSpec("explicit", points=(p,) * 40) for p in labels]
-        for p, rep in zip(labels, sequences.convergence_rows(inst, consts, labels, tol)):
-            rep.name = f"convergence[const@{p}]"
-            checks.append(rep)
-        full = balls.SubsetMask.full(inst.carrier.size)
-        bounded = sequences.check_bounded(inst, full, tol)  # its K_t table serves both checks
-        checks += [bounded, sequences._compact_report(inst, full, bounded)]
+def _sequences(inst, opts, seed, tol):
+    checks, rows = sequences.sequence_battery(inst, tol)
     return checks, [], rows
 
 
-def _cantor_checks(inst, opts, seed, tol):
+def _cantor(inst, opts, seed, tol):
     try:
-        if inst.carrier.kind == "interval":
-            mid, w = _interval_frame(inst.carrier)
-            # depth 24 halvings leave a width of about 1.2e-7, below default tol
-            fam = [sequences.ClosedInterval(mid - w * 0.5 ** i, mid + w * 0.5 ** i)
-                   for i in range(1, 25)]
-        else:
-            n = inst.carrier.size
-            fam = [balls.SubsetMask.from_indices(n, range(n - k))
-                   for k in range(n)]
-        estimate, diams, rep = sequences.cantor_intersection(inst, fam, point_tol=tol)
+        return [sequences.cantor_battery(inst, tol)], [], None
     except (HypothesisError, DomainError) as exc:
         return [], [f"cantor: skipped (hypotheses not satisfiable on this instance: {exc})"], None
-    rep.data["estimate"] = estimate
-    return [rep], [], None
 
 
 def _finite(inst, opts):
@@ -474,15 +346,15 @@ _SMALL_FINITE = "needs a finite carrier within --max-points"
 # name -> (battery, applies, error, refusal, skip reason), in the order
 # full-report runs them; a battery whose ``applies`` is None always applies
 _BATTERIES = {
-    "axioms": (_axioms_checks, None, None, None, None),
-    "topology": (_topology_checks, _finite, DomainError,
+    "axioms": (_axioms, None, None, None, None),
+    "topology": (_topology, _finite, DomainError,
                  "topology generation needs a finite carrier", "needs a finite carrier"),
-    "separation": (_separation_checks, _small_finite, SizeError,
+    "separation": (_separation, _small_finite, SizeError,
                    f"separation {_SMALL_FINITE}", _SMALL_FINITE),
-    "dalpha": (_dalpha_checks, _op_max, HypothesisError,
+    "dalpha": (_dalpha, _op_max, HypothesisError,
                "the dalpha command requires op = max", "requires op = max"),
-    "sequences": (_sequences_checks, None, None, None, None),
-    "cantor": (_cantor_checks, None, None, None, None),
+    "sequences": (_sequences, None, None, None, None),
+    "cantor": (_cantor, None, None, None, None),
 }
 
 COMMANDS = (*_BATTERIES, "full-report")

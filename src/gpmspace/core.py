@@ -576,8 +576,8 @@ def _entries(pts, arr):
 def coords(inst: GpmsInstance, pts) -> np.ndarray:
     """Kernel coordinates of carrier points (one point or an array), shape
     preserved: indices on a finite carrier, floats on an interval; refuses
-    a point not in the carrier, on an interval any entry not in [lo, hi] and
-    any bool."""
+    a point not in the carrier, on an interval any entry not in [lo, hi],
+    any bool and points nested raggedly."""
     car = inst.carrier
     if car.kind == "finite":
         if isinstance(pts, str):  # one label
@@ -590,13 +590,16 @@ def coords(inst: GpmsInstance, pts) -> np.ndarray:
                 car.index(p)
             raise
         return at.reshape(arr.shape)
-    arr = pts if isinstance(pts, np.ndarray) else np.asarray(pts)
+    try:  # numpy refuses points nested raggedly
+        raw = pts if isinstance(pts, np.ndarray) else np.asarray(pts)
+        # held as Python objects: take their own dtype
+        arr = np.asarray(raw.tolist()) if raw.dtype.kind == "O" else raw
+    except ValueError:
+        raise DomainError("point not in carrier: the points are nested raggedly") from None
     # numpy reads a bool among numbers as 0 or 1, so the entries' own types decide
-    if not _BOOLS.isdisjoint(map(type, _entries(pts, arr))):
-        bad = next(p for p in _entries(pts, arr) if type(p) in _BOOLS)
+    if not _BOOLS.isdisjoint(map(type, _entries(pts, raw))):
+        bad = next(p for p in _entries(pts, raw) if type(p) in _BOOLS)
         raise DomainError(f"point not in carrier: {bool(bad)} is a bool, not a number")
-    if arr.dtype.kind == "O":  # held as Python objects: take their own dtype
-        arr = np.asarray(arr.tolist())
     if arr.dtype.kind not in "fi" or not np.all((arr >= car.lo) & (arr <= car.hi)):
         raise DomainError("point not in carrier: an array entry leaves the interval")
     return arr.astype(float, copy=False)

@@ -14,6 +14,9 @@ exactly where its d_alpha is 0, the rule ``core``'s P4 check reports.  With
 no such pair every class of d_alpha = 0 is a single point, so tau_d_alpha is
 discrete, and tau_P, a partition topology, is contained in it: the two are
 equal iff tau_P has one class per point, and no open set is ever listed.
+
+``dalpha_battery`` is the battery of the ``dalpha`` command, all of whose
+checks read one d_alpha matrix.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 from .balls import tau_p_classes
 from .core import GpmsInstance, _triangle_rows, coords, derive, ray_start
 from .errors import DomainError, HypothesisError
-from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, ScanWitnesses, Witness
+from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, ScanWitnesses, Witness, guarded
 
 
 @dataclass(frozen=True)
@@ -209,3 +212,31 @@ def alpha_metric_table(am: AlphaMetric):
     if am.instance.carrier.kind != "finite":
         raise DomainError("tables need a finite carrier")
     return _matrix(am).tolist()
+
+
+def dalpha_battery(inst: GpmsInstance, alpha: float | None, tol: float, seed: int):
+    """The table, metric axioms, monotonicity in alpha and topology identity
+    at ``alpha`` (by default the middle of the alpha grid), at the slack
+    ``min(tol, 1e-6)``; returns ``(checks, rows)``, ``rows`` building the
+    table's CSV rows on a finite carrier, else None."""
+    if alpha is None:
+        alpha = inst.alpha_grid[len(inst.alpha_grid) // 2]
+    solver = BisectionSettings(tolerance=min(tol, 1e-6))
+    am = AlphaMetric(inst, alpha, solver)  # one d_alpha matrix serves three checks
+    checks, rows = [], None
+    if inst.carrier.kind == "finite":
+        labels, table = inst.carrier.labels, alpha_metric_table(am)
+        checks.append(CheckReport(
+            name=f"d_alpha_table[alpha={alpha:.12g}]", verdict=PASS,
+            samples_tested=len(table) ** 2, data={"labels": list(labels), "table": table}))
+
+        def rows():
+            return [["", *labels]] + [[lab, *row] for lab, row in zip(labels, table)]
+    checks.append(check_alpha_metric_axioms(am, seed=seed))
+    pts = inst.carrier.points()
+    checks.append(guarded("alpha_monotonicity", lambda: check_alpha_monotonicity(
+        inst, pts[0], pts[-1], inst.alpha_grid, solver)))
+    if inst.carrier.kind == "finite":
+        checks.append(guarded(f"topology_identity[alpha={alpha:.12g}]",
+                              lambda: compare_topologies(inst, alpha)))
+    return checks, rows

@@ -61,6 +61,8 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _escape
 
+from .errors import HypothesisError, PreconditionError, WitnessNotFoundError
+
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
@@ -198,6 +200,15 @@ def not_certifiable(exc) -> str:
     """The note of a check that ``exc``, a hypothesis or precondition the
     instance does not meet, leaves inconclusive."""
     return f"not certifiable on this instance: {exc}"
+
+
+def guarded(name: str, fn) -> CheckReport:
+    """The report ``fn()`` returns, or the inconclusive check ``name`` when
+    the instance does not meet a hypothesis or precondition it raises."""
+    try:
+        return fn()
+    except (HypothesisError, PreconditionError, WitnessNotFoundError) as exc:
+        return CheckReport(name=name, verdict=INCONCLUSIVE, note=not_certifiable(exc))
 
 
 def _round12(x):

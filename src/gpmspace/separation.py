@@ -1,6 +1,9 @@
 """Constructive separation witnesses (T0, T1, T2, regular, normal) and
 countable bases on finite carriers.
 
+``separation_battery`` is the battery of the ``separation`` command: every
+kind on single points, then every local base and the global one.
+
 Every kind is one construction.  Its preconditions give two center sets X
 and Y: the two points for T0/T1/T2, the outside point and the closed set for
 regular, the two closed sets for normal.  t0 is the smallest grid t where
@@ -14,10 +17,11 @@ each a list of rows picked from one table of center-set pairs held as
 boolean masks over point indices.  t0 and alpha0 are found once over every
 row of the table (``_alpha0_stage``): a masked minimum over the cross pairs
 of each row of P over (t, x, y) at the t grid (``core.grid_P``).
-The kinds of one radius rule then share one construction over the rows
-they pick: T0 and T1 one at alpha0 and t0, and T2, regular and normal one
-at alpha1 and t0/2 (in the battery, a T2 row on the pair (a, b) is also
-the normal row ({a}, {b}) and the regular row ({b}, a)).  A construction
+The kinds of one radius rule then share one construction over every row
+of the table, which each kind's rows index: T0 and T1 one at alpha0 and
+t0, and T2, regular and normal one at alpha1 and t0/2 (in the battery, a
+T2 row on the pair (a, b) is also the normal row ({a}, {b}) and the
+regular row ({b}, a)).  A construction
 reads P at the grid t or at half of each grid t, a table of its own
 derived once per instance: alpha1 is solved once per distinct alpha0, the
 ball masks U and V are row comparisons of the table, and each claim
@@ -27,7 +31,7 @@ kind: the columns a kind reads and the order of a row's error, which is a
 set that is not closed, then the construction step that fails, then the
 first claim that fails, each as the exception ``separation_witness``
 raises.  A ``WitnessBatch`` is a view of its construction: its kind, its
-rows in the construction, their errors and their shapes.
+rows in the table, their errors and their shapes.
 ``separation_witness`` is a batch of one row; ``verify_witness``
 re-checks a witness ball by ball and stays the independent oracle.  The
 battery's rows are views of their batches (``WitnessRow``: batch, row and
@@ -157,6 +161,8 @@ _CLOSED = {"regular": (("Y closed", "subset"),),
            "normal": (("X closed", "subset"), ("Y closed", "subset_b"))}
 
 _BASE_DEPTH = 64  # the deepest base ball B(x, 1/k, 1/k) that isolating depths try
+# the most (depth, n, n) entries a pass deeper than _BASE_DEPTH may build
+_BASE_BUDGET = 1 << 22
 
 
 def _mask_of(inst, specs) -> SubsetMask:
@@ -209,10 +215,11 @@ class _Alpha0:
     error when no grid t gives a positive separation value (then t0 and
     alpha0 are not read)."""
 
+    labels: tuple
     xs: np.ndarray   # (rows, n) bool: X ...
     ys: np.ndarray   # ... and Y
-    x_members: list
-    y_members: list
+    x_members: list  # per row, the point indices in X ...
+    y_members: list  # ... and in Y
     k0: np.ndarray
     t0: np.ndarray
     alpha0: np.ndarray
@@ -235,21 +242,17 @@ def _alpha0_stage(inst, xs, ys) -> _Alpha0:
     _fail(errors, ~positive.any(-1),
           WitnessNotFoundError("no grid t gives a positive separating value"))
     k0 = positive.argmax(-1)
-    return _Alpha0(xs, ys, x_members, y_members, k0, np.asarray(inst.t_grid)[k0],
-                   mins[rows, k0], errors)
+    return _Alpha0(inst.carrier.labels, xs, ys, x_members, y_members, k0,
+                   np.asarray(inst.t_grid)[k0], mins[rows, k0], errors)
 
 
 @dataclass
 class _Construction:
-    """The balls of one radius rule over rows of center sets X and Y (see
-    ``_construct``).  A row's values are read only when its ``errors`` entry
-    is None."""
+    """The balls of one radius rule over every row of its stage's center
+    sets X and Y (see ``_construct``).  A row's values are read only when
+    its ``errors`` entry is None."""
 
-    labels: tuple
-    x_members: list  # per row, the point indices in X ...
-    y_members: list  # ... and in Y
-    t0: list
-    alpha0: list
+    stage: _Alpha0
     alpha1: list     # None under the alpha0 rule
     radius: list
     scale: list
@@ -257,10 +260,6 @@ class _Construction:
     v: np.ndarray    # ... and at Y
     held: dict       # per name, a bool per row: a closedness precondition or a claim
     errors: list     # per row, the first construction step that fails, or None
-    sizes: list = field(init=False, repr=False)  # per row, (|X|, |Y|)
-
-    def __post_init__(self):
-        self.sizes = list(zip(map(len, self.x_members), map(len, self.y_members)))
 
 
 _ROW, _NAME = attrgetter("row"), attrgetter("name")
@@ -280,7 +279,8 @@ class WitnessBatch:
     shapes: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        sizes = map(self.construction.sizes.__getitem__, self.rows)
+        stage = self.construction.stage
+        sizes = ((len(stage.x_members[r]), len(stage.y_members[r])) for r in self.rows)
         if self.kind == "T0":  # T0 builds no V
             sizes = ((nx, 0) for nx, _ in sizes)
         self.shapes = list(sizes)
@@ -309,11 +309,12 @@ class WitnessBatch:
             notes = {key: not_certifiable(e) for key, e in notes.items()}
             return [names, list(map(notes.__getitem__, map(id, errors)))]
         con = self.construction
+        stage = con.stage
         at = list(map(self.rows.__getitem__, map(_ROW, rows)))
-        labels = con.labels
+        labels = stage.labels
         columns = [names, [len(_CLAIMS[self.kind])] * len(at),
                    list(map(con.radius.__getitem__, at)), list(map(con.scale.__getitem__, at))]
-        for members, size in zip((con.x_members, con.y_members), shape):
+        for members, size in zip((stage.x_members, stage.y_members), shape):
             columns += [[labels[members[i][j]] for i in at] for j in range(size)]
         return columns
 
@@ -385,20 +386,17 @@ def _fail(errors, which, error):
             errors[r] = error
 
 
-def _construct(inst, stage: _Alpha0, sel, halved) -> _Construction:
-    """Build the balls at the centers of rows ``sel`` of ``stage``: radius
+def _construct(inst, stage: _Alpha0, halved) -> _Construction:
+    """Build the balls at the centers of every row of ``stage``: radius
     alpha0 at scale t0, or radius alpha1 at t0 / 2 when ``halved``, and test
     every claim of every kind of the rule on them, and under the halved rule
     the closedness preconditions.  A row keeps, as its error, the exception
     of the first construction step that fails: no grid t with a positive
     separation value, no alpha1 for its alpha0, or a ball that ``open_ball``
     refuses."""
-    xs, ys = stage.xs[sel], stage.ys[sel]
-    at = sel.tolist()
-    x_members, y_members, errors = ([*map(column.__getitem__, at)] for column in (
-        stage.x_members, stage.y_members, stage.errors))
-    k0, t0, alpha0 = stage.k0[sel], stage.t0[sel], stage.alpha0[sel]
-    rows = np.arange(sel.size)
+    xs, ys, k0, t0, alpha0 = stage.xs, stage.ys, stage.k0, stage.t0, stage.alpha0
+    errors = list(stage.errors)
+    rows = np.arange(len(errors))
     full, half = _tables(inst)
     # alpha0 is the separation value at t0 (P(a, b, t0) for two points, the
     # minimum over X x Y for sets), so T0's last claim holds by construction
@@ -422,11 +420,10 @@ def _construct(inst, stage: _Alpha0, sel, halved) -> _Construction:
         chain_ok = np.array([ok for _, ok in per_row], dtype=bool)
         radius = np.array([np.nan if a1 is None else a1 for a1 in alpha1])
         scale, table = t0 / 2, half
-    labels = inst.carrier.labels
     for r in np.flatnonzero(~((radius > 0) & (scale > 0))).tolist():
         if errors[r] is None:  # open_ball refuses the ball: raise its error
             try:
-                _mask_of(inst, [BallSpec(labels[x_members[r][0]], float(radius[r]),
+                _mask_of(inst, [BallSpec(stage.labels[stage.x_members[r][0]], float(radius[r]),
                                          float(scale[r]))])
             except GpmsError as exc:
                 errors[r] = exc.with_traceback(None)
@@ -450,8 +447,7 @@ def _construct(inst, stage: _Alpha0, sel, halved) -> _Construction:
     if halved:  # only regular and normal need closed sets
         held["X closed"] = _unions_of_classes(inst, xs)
         held["Y closed"] = _unions_of_classes(inst, ys)
-    return _Construction(labels, x_members, y_members, t0.tolist(), alpha0.tolist(), alpha1,
-                         radius.tolist(), scale.tolist(), u, v, held, errors)
+    return _Construction(stage, alpha1, radius.tolist(), scale.tolist(), u, v, held, errors)
 
 
 def _kind_batch(kind, con, idx) -> WitnessBatch:
@@ -486,11 +482,12 @@ def witness_batches(inst: GpmsInstance, xs, ys, kinds: dict) -> dict:
     as its error, the exception ``separation_witness`` raises for it.
 
     t0 and alpha0 are found once over every row of the table
-    (``_alpha0_stage``), picked or not.  The kinds of one radius rule share
-    one construction over the rows they pick: T0 and T1 build balls of radius
-    alpha0 at t0, and T2, regular and normal of radius alpha1 at t0 / 2.
-    Only these are per kind: the claims and closedness preconditions
-    (regular, normal) a kind reads, and the order of a row's errors.
+    (``_alpha0_stage``).  The kinds of one radius rule share one construction
+    over every row of the table, picked or not, which each kind's batch
+    indexes by table row: T0 and T1 build balls of radius alpha0 at t0, and
+    T2, regular and normal of radius alpha1 at t0 / 2.  Only these are per
+    kind: the claims and closedness preconditions (regular, normal) a kind
+    reads, and the order of a row's errors.
     """
     for kind in kinds:
         if kind not in KINDS:
@@ -498,19 +495,10 @@ def witness_batches(inst: GpmsInstance, xs, ys, kinds: dict) -> dict:
     xs, ys = np.asarray(xs, dtype=bool), np.asarray(ys, dtype=bool)
     kinds = {kind: np.asarray(idx, dtype=np.intp) for kind, idx in kinds.items()}
     stage = _alpha0_stage(inst, xs, ys)
-    out = {}
-    for halved in (False, True):
-        picked = {kind: idx for kind, idx in kinds.items() if (kind in _HALVED) == halved}
-        if not picked:
-            continue
-        mine = np.zeros(len(xs), dtype=bool)
-        for idx in picked.values():
-            mine[idx] = True
-        con = _construct(inst, stage, np.flatnonzero(mine), halved)
-        in_con = np.cumsum(mine) - 1  # a stage row's row in the construction
-        for kind, idx in picked.items():
-            out[kind] = _kind_batch(kind, con, in_con[idx])
-    return {kind: out[kind] for kind in kinds}
+    constructions = {halved: _construct(inst, stage, halved)
+                     for halved in {kind in _HALVED for kind in kinds}}
+    return {kind: _kind_batch(kind, constructions[kind in _HALVED], idx)
+            for kind, idx in kinds.items()}
 
 
 def separation_witness(inst: GpmsInstance, kind: str, a=None, b=None,
@@ -553,7 +541,8 @@ def separation_witness(inst: GpmsInstance, kind: str, a=None, b=None,
     batch = witness_batches(inst, *centers, {kind: [0]})[kind]
     report = batch.report(0)
     con = batch.construction  # of this one row
-    w = SeparationWitness(kind, con.t0[0], con.alpha0[0], con.alpha1[0],
+    stage = con.stage
+    w = SeparationWitness(kind, float(stage.t0[0]), float(stage.alpha0[0]), con.alpha1[0],
                           *(tuple(BallSpec(**ball) for ball in report.data[s]) for s in "UV"),
                           a=a if kind != "normal" else None, b=b if points else None,
                           set_a=None if points else subset,
@@ -715,11 +704,19 @@ def base_batch(inst: GpmsInstance, points, n_max: int | None = None):
     ``countable_base``).  Returns ``(reports, depths)``: per point, its
     ``CheckReport`` and its deepest base ball n.  Every report reads the one
     ``_base_pass`` of the instance, or one at depth ``n_max`` beyond its 64
-    depths."""
+    depths.  ``n_max`` is None or an int >= 0, and a depth beyond 64 whose
+    pass would hold more than ``_BASE_BUDGET`` (depth, n, n) entries is
+    refused before any tensor is built."""
     _require_finite_base(inst)
-    if n_max is not None and n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
     car = inst.carrier
+    if n_max is not None:
+        if type(n_max) is not int:  # type(True) is bool
+            raise DomainError(f"n_max must be an int, got {n_max!r}")
+        if n_max < 0:
+            raise DomainError(f"n_max must be >= 0, got {n_max}")
+        if n_max > _BASE_DEPTH and n_max * car.size ** 2 > _BASE_BUDGET:
+            raise DomainError(f"n_max={n_max} needs a base pass of {n_max * car.size ** 2} "
+                              f"entries, beyond the budget of {_BASE_BUDGET}")
     classes = _classes(inst)
     class_bits = _class_bits(classes)
     bits = [class_bits[c] for c in classes.tolist()]  # per point, its class
@@ -756,3 +753,31 @@ def base_batch(inst: GpmsInstance, points, n_max: int | None = None):
                                        note=note, witnesses=(witness,)))
         depths.append(depth)
     return reports, depths
+
+
+def separation_battery(inst: GpmsInstance) -> list:
+    """The ``separation`` battery: T0, T1, T2 and normal at every pair of
+    points, regular at every point and other point, then the local bases at
+    every point and the global one.  Each witness is a ``WitnessRow`` of one
+    ``witness_batches`` call over the n(n-1) ordered pairs, and a row that
+    cannot be built (say, ``open_ball`` refuses a ball) is inconclusive."""
+    labels = inst.carrier.labels
+    n = len(labels)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    outside = [(x, i) for i in range(n) for x in range(n) if x != i]  # point x, closed {i}
+    # one row per ordered pair (X, Y) of single points: a T2 row (i, j) is
+    # also the normal row ({i}, {j}) and the regular row ({j}, i)
+    ordered = {pair: r for r, pair in enumerate(outside)}
+    single = np.eye(n, dtype=bool)
+    on_pairs = [ordered[pair] for pair in pairs]
+    batches = witness_batches(
+        inst, single[[x for x, _ in outside]], single[[y for _, y in outside]],
+        {**dict.fromkeys(("T0", "T1", "T2", "normal"), on_pairs),
+         "regular": range(len(outside))})
+    checks = [WitnessRow(batches[kind], r, f"{kind}({labels[i]},{labels[j]})")
+              for r, (i, j) in enumerate(pairs) for kind in ("T0", "T1", "T2")]
+    checks += [WitnessRow(batches["regular"], r, f"regular({{{labels[i]}}},{labels[x]})")
+               for r, (x, i) in enumerate(outside)]
+    checks += [WitnessRow(batches["normal"], r, f"normal({{{labels[i]}}},{{{labels[j]}}})")
+               for r, (i, j) in enumerate(pairs)]
+    return checks + base_batch(inst, [*range(n), None])[0]

@@ -24,6 +24,9 @@ terms once per carrier.
 union-of-classes test and reads every member's diameter from one ``sup_P``
 matrix over the first member (``_nested_diameters``); on intervals it reads
 them from one ``sup_P`` call at the members' ends (``_interval_diameters``).
+
+``sequence_battery`` and ``cantor_battery`` are the batteries of the
+``sequences`` and ``cantor`` commands.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ from .balls import (
 )
 from .core import _P3_BLOCK, GpmsInstance, P_at, _distance, coords, eval_P, grid_P, sup_P
 from .errors import DomainError, HypothesisError, PreconditionError
-from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness
+from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, Witness, guarded
 
 SEQUENCE_KINDS = ("explicit", "geometric", "reciprocal", "alternating")
 _SHRINK_RATIO = 0.5  # cantor_intersection: the last diameter at most this share of the first
@@ -137,15 +140,10 @@ class ClosedInterval:
     def contains_interval(self, other) -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def intersect(self, other) -> "ClosedInterval | None":
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        return ClosedInterval(lo, hi) if lo <= hi else None
-
 
 def _window(terms):
-    start = max(0, int(math.floor(0.8 * len(terms))))
-    if start >= len(terms):
-        start = len(terms) - 1
+    """The last 20% of a non-empty list of terms, and its start: at least one term."""
+    start = int(math.floor(0.8 * len(terms)))
     return terms[start:], start
 
 
@@ -244,17 +242,29 @@ def _coords_of(inst, s) -> np.ndarray:
     return coords(inst, list(s))
 
 
-def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None,
-                  convergence: CheckReport | None = None) -> CheckReport:
+def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None) -> CheckReport:
     """K_t table: the max of P over all pairs of s, per grid t.
 
     When ``s`` is a sequence and ``limit`` is given, the convergence check
-    runs first and the report records the convergent-implies-bounded
-    coupling; a caller that already has that ``check_convergence`` report
-    passes it as ``convergence``.
+    runs after the table and the report records the convergent-implies-bounded
+    coupling.
     """
-    data = {}
-    note_parts = []
+    report = _bounded(inst, s)
+    if isinstance(s, SequenceSpec) and limit is not None:
+        _couple(report, check_convergence(inst, s, limit, tol))
+    return report
+
+
+def _couple(bounded: CheckReport, convergence: CheckReport) -> CheckReport:
+    """``bounded`` with its coupling to ``convergence``, both of one sequence."""
+    bounded.data["convergence_verdict"] = convergence.verdict
+    bounded.note = ("convergent sequence: bounded, as every convergent sequence must be"
+                    if convergence.ok else "sequence did not certify convergent at this tolerance")
+    return bounded
+
+
+def _bounded(inst: GpmsInstance, s) -> CheckReport:
+    """``check_bounded`` of ``s`` without a limit: its K_t table alone."""
     if isinstance(s, ClosedInterval):
         if inst.carrier.kind != "interval":
             raise DomainError("interval subsets need an interval carrier")
@@ -282,49 +292,40 @@ def check_bounded(inst: GpmsInstance, s, tol: float = 1e-6, limit=None,
             top = grid_P(inst)[:, c[:, None], c].max(axis=(1, 2))  # step tables: a finite carrier
         k_t = {f"{t:.12g}": v for t, v in zip(inst.t_grid, top.tolist())}
         samples = ts.size * c.size ** 2
-    data["K_t"] = k_t
     finite = all(math.isfinite(v) for v in k_t.values())
-    if isinstance(s, SequenceSpec) and limit is not None:
-        conv = convergence if convergence is not None else check_convergence(
-            inst, s, limit, tol)
-        data["convergence_verdict"] = conv.verdict
-        if conv.ok:
-            note_parts.append("convergent sequence: bounded, as every convergent sequence must be")
-        else:
-            note_parts.append("sequence did not certify convergent at this tolerance")
     verdict = PASS if finite else FAIL
     witnesses = ()
     if not finite:
         bad_t = next(k for k, v in k_t.items() if not math.isfinite(v))
         witnesses = (Witness(values={"t": float(bad_t)}, detail="K_t is not finite"),)
     return CheckReport(name="bounded", verdict=verdict, samples_tested=samples,
-                       witnesses=witnesses, note="; ".join(note_parts), data=data)
+                       witnesses=witnesses, data={"K_t": k_t})
 
 
 def joint_continuity_check(inst: GpmsInstance, seqx: SequenceSpec, seqy: SequenceSpec,
-                           x, y, tol: float = 1e-6, conv_tol: float | None = None,
-                           convergence: tuple[CheckReport, CheckReport] | None = None
+                           x, y, tol: float = 1e-6, conv_tol: float | None = None
                            ) -> CheckReport:
     """P(x_n, y_n, t) must approach P(x, y, t) on the tail, for every grid t.
 
     ``conv_tol`` is the tolerance for the prerequisite convergence checks of
     the two input sequences (they may certify at a coarser tolerance than the
-    joint limit match itself); a caller that already has the
-    ``check_convergence`` reports of ``seqx`` to ``x`` and of ``seqy`` to
-    ``y`` at ``conv_tol`` passes the pair as ``convergence``.  Also checks
-    the two squeeze inequalities at one grid step: P(x,y,t') stays below the
-    tail limit at t plus slack, and the tail limit at t' stays below P(x,y,t)
-    plus slack, for adjacent t < t'.  P is read in one kernel call over
-    (t, window term), with (x, y) as one more column.
+    joint limit match itself).  Also checks the two squeeze inequalities at
+    one grid step: P(x,y,t') stays below the tail limit at t plus slack, and
+    the tail limit at t' stays below P(x,y,t) plus slack, for adjacent
+    t < t'.  P is read in one kernel call over (t, window term), with (x, y)
+    as one more column.
     """
     conv_tol = tol if conv_tol is None else conv_tol
-    if convergence is None:
-        convergence = (None, None)
-    elif isinstance(convergence, CheckReport) or len(convergence) != 2:
-        raise DomainError("convergence must be the pair of reports (x_n to x, y_n to y)")
-    for seq, lim, name, rep in zip((seqx, seqy), (x, y), "xy", convergence):
-        if rep is None:
-            rep = check_convergence(inst, seq, lim, conv_tol)
+    # a generator: y_n is checked only once x_n has certified
+    return _joint_continuity(inst, seqx, seqy, x, y, tol, conv_tol, (
+        check_convergence(inst, seq, lim, conv_tol) for seq, lim in ((seqx, x), (seqy, y))))
+
+
+def _joint_continuity(inst: GpmsInstance, seqx: SequenceSpec, seqy: SequenceSpec,
+                      x, y, tol, conv_tol, convergence) -> CheckReport:
+    """``joint_continuity_check``; ``convergence`` yields the reports of x_n
+    to x, then of y_n to y, at ``conv_tol``."""
+    for name, rep in zip("xy", convergence):
         if not rep.ok:
             raise PreconditionError(f"sequence {name} is not verified convergent at tol={conv_tol}")
     tx = seqx.terms(inst.carrier)
@@ -424,9 +425,9 @@ def cantor_intersection(inst: GpmsInstance, fam, point_tol: float = 1e-6):
 
     Returns ``(point_estimate, diameters, CheckReport)``.  Hypothesis
     violations (broken nesting, non-closed members, infinite or non-shrinking
-    diameters) raise HypothesisError.  On interval carriers the members are
-    exact intervals intersected analytically; a final width above
-    ``point_tol`` yields an inconclusive verdict with the center estimate.
+    diameters) raise HypothesisError.  The intersection is the last member;
+    on an interval carrier a final width above ``point_tol`` yields an
+    inconclusive verdict with the center estimate.
     """
     members = list(fam)
     if not members:
@@ -474,47 +475,28 @@ def cantor_intersection(inst: GpmsInstance, fam, point_tol: float = 1e-6):
     if diams[0] > 0 and diams[-1] > _SHRINK_RATIO * diams[0]:
         raise HypothesisError("diameters do not shrink toward zero within the family")
 
+    # the family is nested and its members non-empty: the last is the intersection
+    inter = members[-1]
+    witnesses, note = (), ""
     if interval_mode:
-        inter = members[0]
-        for m in members[1:]:
-            inter = inter.intersect(m)
-            if inter is None:
-                raise HypothesisError("nested intervals failed to intersect")
         estimate = inter.center
-        for m in members:
-            if not m.contains(estimate):
-                raise HypothesisError("intersection estimate escapes a member")
-        if inter.width <= point_tol:
-            report = CheckReport(name="cantor_intersection", verdict=PASS,
-                                 samples_tested=len(members),
-                                 data={"width": inter.width, "estimate": estimate,
-                                       "diameters": diams})
-        else:
-            report = CheckReport(
-                name="cantor_intersection", verdict=INCONCLUSIVE, samples_tested=len(members),
-                note=f"intersection width {inter.width:.6g} exceeds the point tolerance; "
-                     "single-point limit estimated at the center",
-                data={"width": inter.width, "estimate": estimate, "diameters": diams})
-        return estimate, diams, report
-
-    inter = members[0]
-    for m in members[1:]:
-        inter = inter.intersection(m)
-    labels = inter.labels(inst.carrier)
-    if not labels:
-        raise HypothesisError("nested non-empty closed sets failed to intersect")
-    estimate = labels[0]
-    data = {"intersection": list(labels), "estimate": estimate, "diameters": diams}
-    if len(labels) == 1:
-        report = CheckReport(name="cantor_intersection", verdict=PASS,
-                             samples_tested=len(members), data=data)
+        if not inter.contains(estimate):  # lo + hi overflows near the float range
+            raise HypothesisError("intersection estimate escapes a member")
+        data = {"width": inter.width, "estimate": estimate, "diameters": diams}
+        if inter.width > point_tol:
+            note = (f"intersection width {inter.width:.6g} exceeds the point tolerance; "
+                    "single-point limit estimated at the center")
+        verdict = INCONCLUSIVE if note else PASS
     else:
-        report = CheckReport(name="cantor_intersection", verdict=FAIL,
-                             samples_tested=len(members),
-                             witnesses=(Witness(points=tuple(labels),
-                                                detail="intersection holds more than one point"),),
-                             data=data)
-    return estimate, diams, report
+        labels = inter.labels(inst.carrier)
+        estimate = labels[0]
+        data = {"intersection": list(labels), "estimate": estimate, "diameters": diams}
+        if len(labels) > 1:
+            witnesses = (Witness(points=labels, detail="intersection holds more than one point"),)
+        verdict = FAIL if witnesses else PASS
+    return estimate, diams, CheckReport(name="cantor_intersection", verdict=verdict,
+                                        samples_tested=len(members), note=note,
+                                        witnesses=witnesses, data=data)
 
 
 def subsequence_completeness_check(inst: GpmsInstance, seq: SequenceSpec,
@@ -576,3 +558,58 @@ def _compact_report(inst: GpmsInstance, s: SubsetMask, bounded: CheckReport) -> 
                        note="compact by pigeonhole: some point repeats infinitely often "
                             "in any sequence through a finite set",
                        data=dict(bounded.data))
+
+
+def _interval_frame(carrier):
+    """The middle of an interval carrier and a quarter of its width."""
+    return 0.5 * (carrier.lo + carrier.hi), 0.25 * (carrier.hi - carrier.lo)
+
+
+def sequence_battery(inst: GpmsInstance, tol: float):
+    """The ``sequences`` battery; returns ``(checks, rows)``.  On an interval,
+    with x_n, y_n = mid +- w/2^n (mid the middle, w a quarter of the width):
+    convergence, Cauchy, bounded, joint continuity and subsequence
+    completeness, all from one ``convergence_rows`` call of x_n and y_n, and
+    ``rows`` builds the CSV trace P(x_n, mid, t).  On a finite carrier: the
+    constant sequences' convergence, then bounded and compact from one K_t
+    table; ``rows`` is None."""
+    if inst.carrier.kind == "finite":
+        labels = inst.carrier.labels
+        consts = [SequenceSpec("explicit", points=(p,) * 40) for p in labels]
+        checks = convergence_rows(inst, consts, labels, tol)
+        for p, rep in zip(labels, checks):
+            rep.name = f"convergence[const@{p}]"
+        full = SubsetMask.full(inst.carrier.size)
+        bounded = _bounded(inst, full)
+        return checks + [bounded, _compact_report(inst, full, bounded)], None
+    mid, w = _interval_frame(inst.carrier)
+    seqx = SequenceSpec("geometric", c=mid, a=w, r=0.5, n_terms=200)
+    seqy = SequenceSpec("geometric", c=mid, a=-w, r=0.5, n_terms=200)
+    convergence, convergence_y = convergence_rows(inst, [seqx, seqy], [mid, mid], tol)
+    cauchy = check_cauchy(inst, seqx, tol)
+    checks = [convergence, cauchy, _couple(_bounded(inst, seqx), convergence),
+              guarded("joint_continuity", lambda: _joint_continuity(
+                  inst, seqx, seqy, mid, mid, tol, tol, (convergence, convergence_y))),
+              guarded("subsequence_completeness", lambda: _subsequence_report(
+                  inst, seqx, [2 ** k for k in range(1, 8)], mid, tol, cauchy, convergence))]
+
+    def rows():  # P(x_n, mid, t) over (t, n), one kernel call
+        u, v = coords(inst, seqx.terms(inst.carrier)), coords(inst, mid)
+        vals = P_at(inst, u, v, np.asarray(inst.t_grid)[:, None]).tolist()
+        return [["n", "t", "value"]] + [
+            [n + 1, t, value] for t, row in zip(inst.t_grid, vals) for n, value in enumerate(row)]
+    return checks, rows
+
+
+def cantor_battery(inst: GpmsInstance, tol: float) -> CheckReport:
+    """The ``cantor`` battery: ``cantor_intersection`` on the intervals
+    mid +- w/2^i, i = 1..24, or on the n prefixes of a finite carrier's
+    points.  Raises ``HypothesisError`` or ``DomainError`` as it does."""
+    if inst.carrier.kind == "interval":
+        mid, w = _interval_frame(inst.carrier)
+        # depth 24 halvings leave a width of about 1.2e-7, below default tol
+        fam = [ClosedInterval(mid - w * 0.5 ** i, mid + w * 0.5 ** i) for i in range(1, 25)]
+    else:
+        n = inst.carrier.size
+        fam = [SubsetMask.from_indices(n, range(n - k)) for k in range(n)]
+    return cantor_intersection(inst, fam, point_tol=tol)[2]

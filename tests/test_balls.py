@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gpmspace as g
 from gpmspace import balls as balls_module
-from gpmspace import cli, core
+from gpmspace import core
 from helpers import (ALPHA_GRID, T_GRID, gallery_instances, line_carrier, make_instance,
                      three_point_carrier, two_point_carrier)
 
@@ -428,7 +428,7 @@ def test_topology_battery_tests_no_set_for_openness(monkeypatch):
     monkeypatch.setattr(balls_module, "is_open", lambda *args: calls.append(args) or real(*args))
     counts = []
     for _ in range(2):
-        checks, _, _ = cli._topology_checks(inst, cli.Options(), 0, 1e-6)
+        checks = balls_module.topology_battery(inst)
         assert all(c.ok for c in checks)
         counts.append(len(calls))
     assert counts == [0, 0]

@@ -196,6 +196,22 @@ def test_an_unhashable_point_is_refused_on_a_finite_carrier(call):
         call(inst)
 
 
+@pytest.mark.parametrize("call", [
+    lambda inst, pts: core.coords(inst, pts),
+    lambda inst, pts: g.check_bounded(inst, pts),
+    lambda inst, pts: core.coords(inst, np.array(pts, dtype=object)),
+])
+@pytest.mark.parametrize("pts", [[[0.5], 0.7], [[0.5], [0.7, 0.8]]])
+def test_ragged_interval_points_are_refused(call, pts):
+    # numpy cannot make an array of them; eval_P already refuses [0.5] as a point
+    inst = g.gallery_construct("scaled", {}, g.IntervalCarrier(0.0, 2.0, 0.5), g.MAX,
+                               T_GRID, ALPHA_GRID)
+    with pytest.raises(g.DomainError, match="^point not in carrier: .* nested raggedly$"):
+        call(inst, pts)
+    with pytest.raises(g.DomainError, match="^point not in carrier"):
+        g.eval_P(inst, [0.5], 0.7, 1.0)
+
+
 @BOOL_POINTS
 def test_check_convergence_refuses_a_bool_point(point):
     inst, bools = unit_interval(), g.SequenceSpec("explicit", points=(point,) * 5)

@@ -265,7 +265,8 @@ def assert_rows_read_as_their_reports(inst, checks):
         if isinstance(c, separation.WitnessRow):
             error = c.batch.errors[c.row]
             want = (c.batch.report(c.row, c.name) if error is None
-                    else g.cli._inconclusive(c.name, error))
+                    else g.CheckReport(name=c.name, verdict=g.INCONCLUSIVE,
+                                       note=reports.not_certifiable(error)))
         elif c.name.startswith("countable_base["):
             local = c.name.startswith("countable_base[local@")
             depth_0 = c.witness is not None and c.witness.values["n_max"] == 0

@@ -158,6 +158,27 @@ def test_countable_base_refuses_a_negative_depth(mode):
     assert rep.witness.values == {"n_max": 0.0}
 
 
+@pytest.mark.parametrize("n_max, why", [
+    (2.5, "^n_max must be an int, got 2.5$"), (float("nan"), "^n_max must be an int, got nan$"),
+    ("3", "^n_max must be an int, got '3'$"), (True, "^n_max must be an int, got True$"),
+    (np.int64(3), "^n_max must be an int, got "),
+    (10 ** 20, "^n_max=100000000000000000000 needs a base pass of 4"),
+])
+def test_countable_base_refuses_a_depth_that_is_no_int_or_beyond_the_budget(monkeypatch,
+                                                                            n_max, why):
+    # refused before any P is read: no kernel tensor is built, however deep
+    inst = two_point_instance()
+    monkeypatch.setattr(core, "_kernel", lambda *args: pytest.fail("a tensor was built"))
+    with pytest.raises(g.DomainError, match=why):
+        g.countable_base(inst, "global", n_max=n_max)
+    with pytest.raises(g.DomainError, match=why):
+        separation.base_batch(inst, [0, None], n_max)
+    # the budget holds 2^22 (depth, n, n) entries: depth 2^20 on two points
+    budget = 1 << 20
+    with pytest.raises(g.DomainError, match=f"^n_max={budget + 1} needs"):
+        separation.base_batch(inst, [None], budget + 1)
+
+
 def test_global_base_generates_all_open_sets():
     inst = two_point_instance()
     specs, rep = g.countable_base(inst, "global")
@@ -219,7 +240,7 @@ def pick_t0_oracle(inst, xs, ys):
 def test_battery_witnesses_match_the_scalar_oracles(inst, data):
     labels = inst.carrier.labels
     n = len(labels)
-    battery = {c.name: c for c in cli._separation_checks(inst, cli.Options(), 0, 1e-6)[0]}
+    battery = {c.name: c for c in separation.separation_battery(inst)}
     single = [g.SubsetMask.from_indices(n, [i]) for i in range(n)]
     cases = [(f"{kind}({a},{b})", kind, dict(a=a, b=b), [a], [b])
              for i, a in enumerate(labels) for b in labels[i + 1:]
@@ -269,11 +290,11 @@ def test_battery_builds_each_witness_once(monkeypatch):
     for n in (4, 9):
         inst = make_instance("scaled", op=g.MAX, carrier=line_carrier(n))
         calls.clear()
-        checks, _, _ = cli._separation_checks(inst, cli.Options(), 0, 1e-6)
+        checks = separation.separation_battery(inst)
         assert all(c.ok for c in checks)
         cold = len(calls)
         calls.clear()
-        cli._separation_checks(inst, cli.Options(), 0, 1e-6)
+        separation.separation_battery(inst)
         assert (cold, len(calls)) == (3, 0)
 
 
@@ -281,7 +302,7 @@ def test_countable_base_scans_no_open_set_family(monkeypatch):
     # a base question is decided from reach[y]: once warm, no open set of the
     # 2^n family is tested for a point or against a base ball
     inst = make_instance("scaled", op=g.MAX, carrier=line_carrier(9))
-    cli._separation_checks(inst, cli.Options(), 0, 1e-6)  # warm the memo
+    separation.separation_battery(inst)  # warm the memo
     calls = {"issubset": 0, "contains": 0}
 
     def counting(name, fn):
@@ -338,12 +359,15 @@ def per_pair_witness(inst, kind, xs, ys):
 
 
 def batch_fields(batch):
-    """A batch's per-row values, read through its construction: the lists of
-    centers, t0, alpha0, alpha1, radius and scale, and the ball masks U and
-    V as (rows, n) arrays (T0 builds no V)."""
+    """A batch's per-row values, read through its construction and the
+    construction's alpha0 stage: the lists of centers, t0, alpha0, alpha1,
+    radius and scale, and the ball masks U and V as (rows, n) arrays (T0
+    builds no V)."""
     con, at = batch.construction, batch.rows
-    out = {field: [getattr(con, field)[i] for i in at]
-           for field in ("x_members", "y_members", "t0", "alpha0", "alpha1", "radius", "scale")}
+    out = {field: [getattr(con.stage, field)[i] for i in at]
+           for field in ("x_members", "y_members", "t0", "alpha0")}
+    out.update({field: [getattr(con, field)[i] for i in at]
+                for field in ("alpha1", "radius", "scale")})
     out["u"] = con.u[at]
     out["v"] = np.zeros_like(out["u"]) if batch.kind == "T0" else con.v[at]
     return out
@@ -595,7 +619,7 @@ SPILL = g.gallery_construct("scaled", {}, g.FiniteCarrier(
 def test_countable_bases_from_one_pass_match_per_call_reports(inst, n_max):
     # every report reads the instance's one pass over the base balls; the
     # battery's bases are the calls without n_max
-    battery = {c.name: c for c in cli._separation_checks(inst, cli.Options(), 0, 1e-6)[0]}
+    battery = {c.name: c for c in separation.separation_battery(inst)}
     for x in (*inst.carrier.labels, None):
         mode = "global" if x is None else "local"
         specs, rep = g.countable_base(inst, mode, x=x, n_max=n_max)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpmspace as g
-from gpmspace import cli, core, sequences
+from gpmspace import core, sequences
 from gpmspace.reports import canonical_json
 from helpers import (
     ALPHA_GRID,
@@ -658,12 +658,12 @@ def test_cauchy_matches_one_matrix_per_t(inst, seq, tol):
 def test_joint_continuity_matches_the_per_t_loop(inst, seqx, seqy, x, y, tol):
     # an infinite tolerance certifies the prerequisite convergence of any
     # sequence, so tails that stray and squeezes that fail are compared too;
-    # the reports passed in as the pair give the same report
+    # the pair of reports the sequences battery passes gives the same report
     want = joint_continuity_oracle(inst, seqx, seqy, x, y, tol, math.inf)
     same_witnesses(g.joint_continuity_check(inst, seqx, seqy, x, y, tol, math.inf), want)
     convergence = sequences.convergence_rows(inst, [seqx, seqy], [x, y], math.inf)
-    same_witnesses(g.joint_continuity_check(inst, seqx, seqy, x, y, tol, math.inf,
-                                            convergence=tuple(convergence)), want)
+    same_witnesses(sequences._joint_continuity(inst, seqx, seqy, x, y, tol, math.inf,
+                                               convergence), want)
 
 
 @pytest.mark.parametrize("n_terms, calls_made", [(200, 1), (300, 2), (1000, 6)])
@@ -682,17 +682,19 @@ def test_cauchy_reads_blocks_of_grid_t(monkeypatch, n_terms, calls_made, kind):
     same_witnesses(got, want)
 
 
-def test_joint_continuity_refuses_a_convergence_that_is_not_a_pair():
-    # one report, or a tuple of another length, would leave the y_n
-    # prerequisite unchecked
+def test_joint_continuity_checks_x_n_before_it_reads_y_n(monkeypatch):
+    # x_n does not certify its limit, so the check stops there: y_n, whose
+    # limit lies outside the carrier, is never read
     inst = scaled_interval()
-    rep = g.check_convergence(inst, RECIP, 0.0, SEQ_TOL)
-    for convergence in (rep, (rep,), [rep], (rep, rep, rep)):
-        with pytest.raises(g.DomainError, match="pair of reports"):
-            g.joint_continuity_check(inst, RECIP, RECIP, 0.0, 0.0, SEQ_TOL,
-                                     convergence=convergence)
-    assert g.joint_continuity_check(inst, RECIP, RECIP, 0.0, 0.0, SEQ_TOL,
-                                    convergence=[rep, rep]).ok
+    seen = []
+    real = sequences.check_convergence
+    monkeypatch.setattr(sequences, "check_convergence",
+                        lambda inst, seq, x, tol: seen.append(x) or real(inst, seq, x, tol))
+    with pytest.raises(g.PreconditionError, match="sequence x is not verified convergent"):
+        g.joint_continuity_check(inst, RECIP, RECIP, 1.0, 5.0, SEQ_TOL)
+    assert seen == [1.0]
+    with pytest.raises(g.DomainError, match="not in the carrier"):
+        g.joint_continuity_check(inst, RECIP, RECIP, 0.0, 5.0, SEQ_TOL)
 
 
 @settings(max_examples=80, deadline=None)
@@ -754,14 +756,17 @@ def test_sequences_and_cantor_batteries_make_a_fixed_number_of_kernel_calls(monk
     calls = _count_kernel_calls(monkeypatch)
     counts = {}
     for n in (6, 24):
-        for battery in (cli._sequences_checks, cli._cantor_checks):
-            inst = make_instance("constant", carrier=line_carrier(n))
-            del calls[:]
-            checks, notes, _ = battery(inst, cli.Options(), 0, 1e-6)
-            assert checks and not notes and all(c.ok for c in checks)
-            counts[battery.__name__, n] = len(calls)
-    assert counts["_sequences_checks", 6] == counts["_sequences_checks", 24] == 3
-    assert counts["_cantor_checks", 6] == counts["_cantor_checks", 24] == 1
+        inst = make_instance("constant", carrier=line_carrier(n))
+        del calls[:]
+        checks, rows = sequences.sequence_battery(inst, 1e-6)
+        assert checks and rows is None and all(c.ok for c in checks)
+        counts["sequences", n] = len(calls)
+        inst = make_instance("constant", carrier=line_carrier(n))
+        del calls[:]
+        assert sequences.cantor_battery(inst, 1e-6).ok
+        counts["cantor", n] = len(calls)
+    assert counts["sequences", 6] == counts["sequences", 24] == 3
+    assert counts["cantor", 6] == counts["cantor", 24] == 1
     # on an interval, cantor's 24 diameters read no P; the sequences battery
     # makes one kernel call per check over the whole t grid, on a grid of up
     # to 10 t: the convergence rows of x_n and y_n, cauchy, bounded (the K_t
@@ -777,11 +782,10 @@ def test_sequences_and_cantor_batteries_make_a_fixed_number_of_kernel_calls(monk
     for t_grid in ((1e-4, 0.5, 1.0, 2.0, 4.0, 50.0), (0.5,)):
         inst = interval_instance("damped", t_grid=t_grid)
         del calls[:]
-        checks, notes, _ = cli._cantor_checks(inst, cli.Options(), 0, 1e-6)
-        assert checks and not notes and len(calls) == 0
+        assert sequences.cantor_battery(inst, 1e-6).ok and len(calls) == 0
         del calls[:], evaluated[:]
-        checks, notes, rows = cli._sequences_checks(inst, cli.Options(), 0, 1e-6)
-        assert len(checks) == 5 and not notes and all(c.ok for c in checks)
+        checks, rows = sequences.sequence_battery(inst, 1e-6)
+        assert len(checks) == 5 and all(c.ok for c in checks)
         assert len(calls) == 5
         assert [seq.kind for seq in evaluated] == ["geometric", "geometric", "explicit"]
         assert evaluated[0].a == -evaluated[1].a != 0
