@@ -19,6 +19,8 @@ The axioms checked against an instance:
     P5        P(a,b,.) is continuous in t
     monotone  P(a,b,.) is non-increasing in t
 
+``check_P_axioms``, the battery of the ``axioms`` command, reports each.
+
 Only P3 involves the operation o, so P1, P2, P4, P5 and monotone are
 decided for all t > 0, exactly, on every family and under every op.  A
 formula family meets P1 (d is zero only on the diagonal), P2 (d is
