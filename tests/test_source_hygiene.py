@@ -162,8 +162,8 @@ def defined_functions():
 
 
 # the functions no command enters, each with its reason:
-#   replay     perfbench/replay.py calls it (item 11 deletes it once the
-#              replay drives the battery entry points)
+#   replay     the benchmark (perfbench/replay.py and run.py) calls it; item
+#              11 deletes it once the replay drives the battery entry points
 #   primitive  a public building block of the toolkit that no battery composes
 #   library    plumbing for library callers: dunders, reprs, alternate views,
 #              constructors run at import, and a branch only rare inputs reach
@@ -230,7 +230,7 @@ UNENTERED = {
     "separation.SeparationWitness.to_jsonable": "library",
     "separation.WitnessBatch.report": "replay",
     "separation.WitnessRow.data": "library",
-    "separation.WitnessRow.note": "replay",
+    "separation.WitnessRow.note": "library",
     "separation.WitnessRow.samples_tested": "replay",
     "separation._mask_of": "replay",
     "separation._require_closed": "replay",
