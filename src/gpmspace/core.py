@@ -73,11 +73,19 @@ diameters.  P over a finite carrier's pairs at every grid t is one tensor,
 ``grid_P``, derived once per instance when first read; the construction and
 ``p4_violations`` read P at the smallest grid t, which stands for the whole
 grid because P is non-increasing in t.  ``_triangle_rows`` is the one
-triangle scan.  Sampled P3 draws its seeded trials from one block of Mersenne
-Twister words, five per trial, by multiply-shift.  ``p3_violations`` and
-``p4_violations`` also stand as the test oracles of the exact decisions.  The
-P3 trials and the exact decisions keep their witnesses as index rows plus the
-values gathered there (``ScanWitnesses``), so a witness is built when read.
+triangle scan.  It and the exact P3 rows scan n x n x n in blocks of rows,
+and read a table in exact small integers where it has them
+(``_int_table``): int16 when every entry is an integer in [0, 2^14), int32
+in [0, 2^30), so that no sum of two entries wraps.  That is decided once per
+table, where it is built (the carrier's d, a finite d_alpha matrix), and only
+where the float scan spans more than one block.  On integers a slack in
+[0, 1) changes no comparison, so it is dropped; every other table, and the
+square-root rule of P3, is read in float64, and witness values always come
+from the float table.  Sampled P3 draws its seeded trials from one block of
+Mersenne Twister words, five per trial, by multiply-shift.  ``p3_violations``
+and ``p4_violations`` also stand as the test oracles of the exact decisions.
+The P3 trials and the exact decisions keep their witnesses as index rows plus
+the values gathered there (``ScanWitnesses``), so a witness is built when read.
 """
 from __future__ import annotations
 
@@ -104,11 +112,12 @@ _MAX_INTERVAL_POINTS = 65536  # sample points of an interval carrier
 
 _REALS = (int, float, np.integer, np.floating)  # what a grid may hold, bool excepted
 
-# entries of one block of rows of an n x n x n scan: ``_triangle_rows`` and
-# the exact P3 decision.  A float temporary of a block stays below 128 KiB,
-# glibc's default mmap threshold, so blocks reuse heap memory instead of
-# mapping fresh pages each time, which is slower and raises peak RSS
-_P3_BLOCK = 1 << 14
+# bytes of one block of rows of an n x n x n scan: ``_triangle_rows`` and the
+# exact P3 decision.  A temporary of a block in the dtype the scan reads stays
+# within 128 KiB, glibc's default mmap threshold, so blocks reuse heap memory
+# instead of mapping fresh pages each time, which is slower and raises peak
+# RSS: 2^14 float64 entries, 2^15 int32 or 2^16 int16 ones
+_P3_BLOCK = 1 << 17
 
 
 class FiniteCarrier:
@@ -138,8 +147,10 @@ class FiniteCarrier:
         off = d[~np.eye(n, dtype=bool)]
         if off.size and np.any(off <= 0.0):
             raise ConstructionError("off-diagonal distances must be positive", axiom="P1")
+        ints = _int_table(d)
         # the witness is the least failing (a, b, k) with k the middle point
-        rows = _triangle_rows(d, 1e-12 * max(1.0, float(d.max(initial=0.0))), first=True)
+        rows = _triangle_rows(d if ints is None else ints,
+                              1e-12 * max(1.0, float(d.max(initial=0.0))), first=True)
         if len(rows):
             i, k, j = min(rows.tolist(), key=lambda r: (r[0], r[2], r[1]))
             raise ConstructionError(f"triangle inequality fails on ({labels[i]}, {labels[j]}, "
@@ -147,6 +158,7 @@ class FiniteCarrier:
         d.flags.writeable = False
         self.labels = labels
         self.d = d
+        self._ints = ints  # d in exact small integers for the n^3 scans, or None
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     @property
@@ -228,24 +240,48 @@ class IntervalCarrier:
         return {"interval": [self.lo, self.hi], "resolution": self.resolution}
 
 
+def _int_table(D):
+    """D as exact small integers for the n x n x n scans, read-only, or None.
+
+    A table of integer entries in [0, 2^14) is copied to int16, and one in
+    [0, 2^30) to int32: there the sum of two entries cannot wrap, which numpy
+    would do silently.  Any other table keeps float64 alone, and so does one
+    whose float scan fits one block, where the test and the copy would cost
+    about as much as the scan."""
+    if len(D) ** 3 * D.itemsize <= _P3_BLOCK:
+        return None
+    top = D.max(initial=0.0)
+    if not (top < 2.0 ** 30 and D.min(initial=0.0) >= 0.0 and np.all(D == np.floor(D))):
+        return None
+    ints = D.astype(np.int16 if top < 2.0 ** 14 else np.int32)
+    ints.flags.writeable = False
+    return ints
+
+
 def _triangle_rows(D, slack, first=False) -> np.ndarray:
     """The (i, j, l) with D[i, l] > D[i, j] + D[j, l] + slack, as index rows in
     lexicographic order, for a D equal to its transpose (a carrier's table d,
-    a d_alpha matrix); a sum that overflows to inf bounds every entry.  Rows
-    i are scanned in blocks of about ``_P3_BLOCK`` entries, each at the
-    columns l from the block's start on: a violation with l before the start
-    is the mirror (l, j, i) of one found there, since float addition is
-    commutative.  With ``first`` the scan stops at the first block that finds
-    a row, which holds every row of the least i."""
+    a d_alpha matrix, or its ``_int_table``); a float sum that overflows to
+    inf bounds every entry.  An integer D is read with no slack, for a slack
+    in [0, 1): on integers, x > y + slack iff x > y.  Rows i are scanned in
+    blocks of about ``_P3_BLOCK`` bytes, each at the columns l from the
+    block's start on: a violation with l before the start is the mirror
+    (l, j, i) of one found there, since addition is commutative.  With
+    ``first`` the scan stops at the first block that finds a row, which holds
+    every row of the least i."""
     k = len(D)
-    step = max(1, _P3_BLOCK // (k * k))
+    exact = D.dtype.kind == "i"
+    step = max(1, _P3_BLOCK // (k * k * D.itemsize))
     found = []
     with np.errstate(over="ignore"):
         for lo in range(0, k, step):
             hi = min(lo + step, k)
             rows = D[lo:hi]
             # bad[a, j, b]: D[lo + a, lo + b] > D[lo + a, j] + D[j, lo + b] + slack
-            bad = rows[:, None, lo:] > (rows[:, :, None] + D[:, lo:]) + slack
+            if exact:
+                bad = rows[:, None, lo:] > rows[:, :, None] + D[:, lo:]
+            else:
+                bad = rows[:, None, lo:] > (rows[:, :, None] + D[:, lo:]) + slack
             if bad.any():
                 a, j, b = np.nonzero(bad)
                 i, l = a + lo, b + lo
@@ -884,7 +920,9 @@ def _check_P3_exact(inst):
         note += "; |x - y| on an interval is no ultrametric, so its ends and middle fail"
         pts, rows, samples = (car.lo, car.hi, 0.5 * (car.lo + car.hi)), np.array([[0, 1, 2]]), 0
     else:
-        pts, rows, samples = car.points(), _p3_exact_rows(car.d, rule), car.size ** 3
+        # the square-root bound squares its terms, so it reads the float table
+        table = car.d if rule == "sqrt" or car._ints is None else car._ints
+        pts, rows, samples = car.points(), _p3_exact_rows(table, rule), car.size ** 3
         if not len(rows):
             return CheckReport(name="P3", verdict=PASS, samples_tested=samples, note=note)
     c = coords(inst, pts)
@@ -917,21 +955,23 @@ def _exact_report(name, witnesses, n_lost, lost, samples, note):
 
 
 def _p3_exact_rows(d, rule):
-    """(a, b, x) index rows into a finite carrier's table ``d``, one per pair
-    a < b that breaks ``rule`` at some x, with the first such x, in (a, b)
-    order.  The rows of a are scanned in blocks of about ``_P3_BLOCK`` entries."""
+    """(a, b, x) index rows into a finite carrier's table ``d``, or its
+    ``_int_table``, one per pair a < b that breaks ``rule`` at some x, with
+    the first such x, in (a, b) order.  The rows of a are scanned in blocks of
+    about ``_P3_BLOCK`` bytes, each at the b from the block's first row on."""
     n = len(d)
     # integers up to 2^24: sums, squares and products are exact in floats
-    integral = bool(np.all(d == np.floor(d))) and d.max() <= 2.0 ** 24
-    step = max(1, _P3_BLOCK // (n * n))
+    integral = d.dtype.kind == "i" or (bool(np.all(d == np.floor(d))) and d.max() <= 2.0 ** 24)
+    step = max(1, _P3_BLOCK // (n * n * d.itemsize))
     found = [np.empty((0, 3), dtype=np.intp)]
     for lo in range(0, n, step):
         a = np.arange(lo, min(n, lo + step))
-        later = (a[:, None] < np.arange(n))[:, :, None]  # b after a
-        bad = later & ~_p3_holds(rule, d[a][:, :, None], d[a][:, None, :], d[None], integral,
-                                 later)
+        rows = d[lo:lo + step]
+        later = (a[:, None] < np.arange(lo, n))[:, :, None]  # b after a
+        bad = later & ~_p3_holds(rule, rows[:, lo:, None], rows[:, None, :], d[None, lo:],
+                                 integral, later)
         ia, b = np.nonzero(bad.any(axis=-1))
-        found.append(np.stack((a[ia], b, bad[ia, b].argmax(axis=-1)), axis=1))
+        found.append(np.stack((a[ia], b + lo, bad[ia, b].argmax(axis=-1)), axis=1))
     return np.concatenate(found)
 
 

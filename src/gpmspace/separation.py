@@ -48,8 +48,9 @@ Countable bases read the classes of tau_P, a partition topology
 (``balls``): every open set around a point y holds its class C(y), so a
 base question about all open sets around y is decided by C(y) alone,
 and the 2^k open sets, 2^(k-1) of them around each point, are counted, not
-listed.  The base balls B(x, 1/k, 1/k) for k = 1..64 are one kernel tensor
-per instance, and one pass over it and the classes (``_base_pass``) gives
+listed.  The base balls B(x, 1/k, 1/k) for k = 1..64 are read once per
+instance, in chunks of centers within ``_BASE_BUDGET`` entries, and one pass
+over them and the classes (``_base_pass``) gives
 each point's isolating depth and the first depth at which a base ball
 inside its class holds it: its own ball, for a local base, and any point's,
 for the global one.  Every local and global report reads that pass: the
@@ -161,7 +162,8 @@ _CLOSED = {"regular": (("Y closed", "subset"),),
            "normal": (("X closed", "subset"), ("Y closed", "subset_b"))}
 
 _BASE_DEPTH = 64  # the deepest base ball B(x, 1/k, 1/k) that isolating depths try
-# the most (depth, n, n) entries a pass deeper than _BASE_DEPTH may build
+# the most entries a chunk of a base pass holds, and the most (depth, n, n)
+# entries a pass deeper than _BASE_DEPTH may hold in all
 _BASE_BUDGET = 1 << 22
 
 
@@ -636,26 +638,37 @@ def _base_pass(inst, depth=_BASE_DEPTH):
     which y's own base ball (``own``), or some point's base ball that holds y
     (``some``), lies inside one class, which is then C(y) (else ``depth``).
 
-    One kernel tensor of the base balls for k = 1 up to ``depth`` and one
-    pass over them and the classes: kept per instance for the 64 depths that
-    isolating depths try, and made afresh for a deeper one.
+    The base balls for k = 1 up to ``depth`` are read in chunks of centers,
+    so that no kernel tensor holds more than ``_BASE_BUDGET`` entries (one
+    center at least), with one pass over each chunk and the classes: kept
+    per instance for the 64 depths that isolating depths try, and made
+    afresh for a deeper one.
     """
     def build(depth):
-        c = np.arange(inst.carrier.size)
+        n = inst.carrier.size
+        c = np.arange(n)
         r = (1.0 / np.arange(1, depth + 1))[:, None, None]
-        with np.errstate(over="ignore"):  # an overflow is +inf, inside no ball
-            balls = P_at(inst, c[:, None], c, r) < r  # [k, p, y]: y in B(p, 1/k, 1/k)
-        alone = balls[:_BASE_DEPTH].sum(-1) == 1
-        isolating = np.where(alone.any(0), alone.argmax(0) + 1, _BASE_DEPTH)
         classes = _classes(inst)
-        # a base ball meets no other class than its center's
-        one_class = np.where(balls, classes, c.size).min(-1) == np.where(balls, classes, -1).max(-1)
-        fits = balls & one_class[..., None]
+        alone, own, some = [], [], np.zeros((depth, n), dtype=bool)
+        step = max(1, _BASE_BUDGET // (depth * n))
+        for lo in range(0, n, step):
+            p = c[lo:lo + step]
+            with np.errstate(over="ignore"):  # an overflow is +inf, inside no ball
+                balls = P_at(inst, p[:, None], c, r) < r  # [k, p, y]: y in B(p, 1/k, 1/k)
+            alone.append(balls[:_BASE_DEPTH].sum(-1) == 1)
+            # a base ball meets no other class than its center's
+            one_class = (np.where(balls, classes, n).min(-1) ==
+                         np.where(balls, classes, -1).max(-1))
+            fits = balls & one_class[..., None]
+            own.append(fits[:, np.arange(p.size), p])  # [k, p]: p's own ball
+            some |= fits.any(1)
+        alone = np.concatenate(alone, 1)
+        isolating = np.where(alone.any(0), alone.argmax(0) + 1, _BASE_DEPTH)
 
         def first(f):  # [k, y] -> per y, the least k - 1 where f holds, else depth
             return np.where(f.any(0), f.argmax(0), depth)
 
-        return isolating, first(np.diagonal(fits, 0, 1, 2)), first(fits.any(1))
+        return isolating, first(np.concatenate(own, 1)), first(some)
 
     if depth > _BASE_DEPTH:
         return build(depth)

@@ -12,7 +12,7 @@ Rows are batched, and each check reads P over the whole t grid at once.
 ``convergence_rows`` checks many sequences against their limits in one
 kernel call over (t, row, window term), and ``check_convergence`` is a batch
 of one.  ``check_cauchy`` reads (t, window term, window term), one call per
-block of grid t holding at most ``_P3_BLOCK`` entries, and
+block of grid t holding at most ``_P3_BLOCK`` bytes of P, and
 ``joint_continuity_check`` one call over (t, window term), with (x, y) as
 one more column.
 ``check_bounded`` reads its K_t table over the grid t at the farthest pair
@@ -202,14 +202,14 @@ def check_cauchy(inst: GpmsInstance, seq: SequenceSpec, tol: float = 1e-6) -> Ch
     grid t reports its first worst pair.
 
     P is read over (t, n, m) in one kernel call per block of grid t, a block
-    holding at most ``_P3_BLOCK`` entries or a single t: one call for the
+    holding at most ``_P3_BLOCK`` bytes or a single t: one call for the
     battery's 40-term window on a grid of up to 10 t.
     """
     terms = seq.terms(inst.carrier)
     win, start = _window(terms)
     c = coords(inst, win)
     ts = np.asarray(inst.t_grid)
-    per = max(1, _P3_BLOCK // c.size ** 2)
+    per = max(1, _P3_BLOCK // (8 * c.size ** 2))  # float64 entries
     worst, top = [], []
     for lo in range(0, ts.size, per):
         vals = P_at(inst, c[:, None], c, ts[lo:lo + per, None, None]).reshape(-1, c.size ** 2)
@@ -611,5 +611,5 @@ def cantor_battery(inst: GpmsInstance, tol: float) -> CheckReport:
         fam = [ClosedInterval(mid - w * 0.5 ** i, mid + w * 0.5 ** i) for i in range(1, 25)]
     else:
         n = inst.carrier.size
-        fam = [SubsetMask.from_indices(n, range(n - k)) for k in range(n)]
+        fam = [SubsetMask(n, (1 << (n - k)) - 1) for k in range(n)]  # points 0 .. n-k-1
     return cantor_intersection(inst, fam, point_tol=tol)[2]

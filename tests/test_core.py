@@ -292,9 +292,10 @@ def test_triangle_check_matches_triple_loop(d):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 70), st.integers(0, 2 ** 32 - 1), st.sampled_from((0.0, 0.5, 1.0, 4e-6)))
 def test_triangle_rows_match_the_full_scan(k, seed, slack):
-    # up to 70 points: a block holds 16384 // k^2 rows, at least three, so
-    # past k = 25 the scan crosses blocks and takes the mirrors; stopped at
-    # the first block that finds a row, the scan holds every row of the least i
+    # up to 70 points: a block holds 2^17 bytes, 16384 // k^2 float rows, at
+    # least three, so past k = 25 the scan crosses blocks and takes the
+    # mirrors; stopped at the first block that finds a row, the scan holds
+    # every row of the least i
     D = planted_matrix(np.random.default_rng(seed), k)
     assert np.array_equal(D, D.T)
     rows = core._triangle_rows(D, slack)

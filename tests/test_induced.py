@@ -397,7 +397,7 @@ def test_distance_matrices_are_exactly_symmetric(inst, data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.sampled_from((0.0, 0.125, 0.25)),
-       st.sampled_from((1, 300, 700, 1 << 14)))
+       st.sampled_from((8, 2400, 5600, 1 << 17)))
 def test_metric_axioms_on_planted_matrices_match_the_triple_loop(k, seed, tol, block):
     # a planted d_alpha matrix in place of the closed form, as the instance's
     # derived entry, scanned in blocks of one row up to the whole matrix: the

@@ -160,11 +160,19 @@ def labels_of(n):
     (48, [(47, 2), (16, 40), (29, 31)]),
     (70, [(69, 0), (45, 50)]),
 ])
-def test_planted_triangle_violations_across_blocks(n, pairs):
-    # violations planted in later blocks of rows, one block or several apart
-    assert core._P3_BLOCK // (n * n) < n // 3  # the table spans several blocks of rows
-    got = assert_refusals_match(labels_of(n), plant(line_table(n), pairs, 3.0 * n))
-    assert got is not None and got[1] == "triangle"
+def test_planted_triangle_violations_across_blocks(monkeypatch, n, pairs):
+    # violations planted in later blocks of rows, one block or several apart,
+    # in an integer table, which the scan reads as int16, and in the same
+    # table halved, which it reads as float64; blocks of 2^15 bytes
+    monkeypatch.setattr(core, "_P3_BLOCK", 1 << 15)
+    for scale, dtype in ((1.0, np.int16), (0.5, np.float64)):
+        d = plant(line_table(n, scale), pairs, 3.0 * n * scale)
+        ints = core._int_table(np.array(d))
+        read = np.array(d) if ints is None else ints
+        assert read.dtype == dtype
+        assert core._P3_BLOCK // (n * n * read.itemsize) < n // 3  # several blocks of rows
+        got = assert_refusals_match(labels_of(n), d)
+        assert got is not None and got[1] == "triangle"
 
 
 def test_sums_that_overflow_bound_every_distance():

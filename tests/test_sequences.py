@@ -669,9 +669,10 @@ def test_joint_continuity_matches_the_per_t_loop(inst, seqx, seqy, x, y, tol):
 @pytest.mark.parametrize("n_terms, calls_made", [(200, 1), (300, 2), (1000, 6)])
 @pytest.mark.parametrize("kind", ["alternating", "geometric"])
 def test_cauchy_reads_blocks_of_grid_t(monkeypatch, n_terms, calls_made, kind):
-    # a block holds at most _P3_BLOCK = 2^14 entries: a 40-term window takes
-    # the 6 grid t in one kernel call, a 60-term window 4 per call and a
-    # 200-term window one; the alternating tail fails, the geometric passes
+    # a block holds at most _P3_BLOCK = 2^17 bytes, 2^14 float64 entries: a
+    # 40-term window takes the 6 grid t in one kernel call, a 60-term window
+    # 4 per call and a 200-term window one; the alternating tail fails, the
+    # geometric passes
     inst = interval_instance("damped", t_grid=(1e-4, 0.01, 0.5, 1.0, 1.01, 4.0))
     seq = g.SequenceSpec(kind, c=0.0, a=1.0, r=0.5, n_terms=n_terms)
     want = cauchy_oracle(inst, seq, 1e-9)

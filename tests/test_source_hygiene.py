@@ -176,6 +176,7 @@ UNENTERED = {
     "balls.SubsetMask.contains": "primitive",
     "balls.SubsetMask.difference": "primitive",
     "balls.SubsetMask.empty": "primitive",
+    "balls.SubsetMask.from_indices": "replay",
     "balls.SubsetMask.from_labels": "primitive",
     "balls.SubsetMask.intersection": "primitive",
     "balls.SubsetMask.union": "primitive",
