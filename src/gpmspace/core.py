@@ -262,15 +262,15 @@ def _triangle_rows(D, slack, first=False) -> np.ndarray:
     """The (i, j, l) with D[i, l] > D[i, j] + D[j, l] + slack, as index rows in
     lexicographic order, for a D equal to its transpose (a carrier's table d,
     a d_alpha matrix, or its ``_int_table``); a float sum that overflows to
-    inf bounds every entry.  An integer D is read with no slack, for a slack
-    in [0, 1): on integers, x > y + slack iff x > y.  Rows i are scanned in
-    blocks of about ``_P3_BLOCK`` bytes, each at the columns l from the
-    block's start on: a violation with l before the start is the mirror
-    (l, j, i) of one found there, since addition is commutative.  With
-    ``first`` the scan stops at the first block that finds a row, which holds
-    every row of the least i."""
+    inf bounds every entry.  An integer D drops a slack in [0, 1): on
+    integers, x > y + slack iff x > y.  Rows i are scanned in blocks of about
+    ``_P3_BLOCK`` bytes, each at the columns l from the block's start on: a
+    violation with l before the start is the mirror (l, j, i) of one found
+    there, since addition is commutative.  With ``first`` the scan stops at
+    the first block that finds a row, which holds every row of the least i."""
     k = len(D)
-    exact = D.dtype.kind == "i"
+    if D.dtype.kind == "i" and slack < 1:
+        slack = 0
     step = max(1, _P3_BLOCK // (k * k * D.itemsize))
     found = []
     with np.errstate(over="ignore"):
@@ -278,10 +278,10 @@ def _triangle_rows(D, slack, first=False) -> np.ndarray:
             hi = min(lo + step, k)
             rows = D[lo:hi]
             # bad[a, j, b]: D[lo + a, lo + b] > D[lo + a, j] + D[j, lo + b] + slack
-            if exact:
-                bad = rows[:, None, lo:] > rows[:, :, None] + D[:, lo:]
-            else:
+            if slack:
                 bad = rows[:, None, lo:] > (rows[:, :, None] + D[:, lo:]) + slack
+            else:
+                bad = rows[:, None, lo:] > rows[:, :, None] + D[:, lo:]
             if bad.any():
                 a, j, b = np.nonzero(bad)
                 i, l = a + lo, b + lo

@@ -98,9 +98,8 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
     real-valued, so metric-ness cannot be certified either way).  The
     triangle witnesses (``_triangle_rows``) follow the others in a
     ``ScanWitnesses``, built only when read.  On a finite carrier the scan
-    reads the matrix's ``_int_table`` where it has one and the slack is
-    below 1; the copy is derived once per instance and alpha, like the
-    matrix, and the witnesses' values come from D.
+    reads the matrix's ``_int_table`` where it has one, derived once per
+    instance and alpha like the matrix; the witnesses' values come from D.
     """
     inst = am.instance
     tol = am.solver.tolerance
@@ -125,8 +124,7 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
                           detail="distinct pair at d_alpha = 0 "
                                  "(the per-alpha separation hypothesis fails here)")
                   for i, j in np.argwhere(upper & not_positive)]
-    # integers read no slack below 1
-    rows = _triangle_rows(D if ints is None or 4 * tol >= 1 else ints, 4 * tol)
+    rows = _triangle_rows(D if ints is None else ints, 4 * tol)
     i, j, l = rows.T
     witnesses = ScanWitnesses(pts, rows, {"lhs": D[i, l], "rhs": D[i, j] + D[j, l]},
                               "triangle inequality fails", head=tuple(witnesses))

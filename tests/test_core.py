@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpmspace as g
-from gpmspace import core
+from gpmspace import core, induced
 from gpmspace.core import P_at, coords
 from gpmspace.reports import canonical_json
 from helpers import (ALPHA_GRID, T_GRID, full_triangle_scan, gallery_instances, interval_instance,
                      make_instance, planted_matrix, squared_distance_table_instance,
-                     three_point_carrier)
+                     three_point_carrier, workload_docs)
 
 
 def brute_force_p3(inst, points):
@@ -1224,11 +1224,13 @@ FORMULA_PARAMS = {"scaled": {}, "constant": {}, "damped": {}, "discrete": {"c": 
 def carrier_without_triangle_check(labels, d):
     """A carrier on a symmetric table that may break the triangle inequality,
     which construction refuses: built on the discrete metric, then handed
-    ``d`` behind its back, read-only as construction leaves it."""
+    ``d`` and its integer copy behind its back, read-only as construction
+    leaves them."""
     carrier = g.FiniteCarrier(labels, 1.0 - np.eye(len(labels)))
     d = np.array(d, dtype=float)
     d.flags.writeable = False
     carrier.d = d
+    carrier._ints = core._int_table(d)
     return carrier
 
 
@@ -1644,3 +1646,135 @@ def test_p4_on_an_interval_is_fixed_by_family(family, op):
     fine = g.GpmsInstance(g.IntervalCarrier(0.0, 1.0, 0.05), family, FORMULA_PARAMS[family], op,
                           T, alphas)
     assert all(bool(core.p4_violations(fine, alpha)) == bounded for alpha in alphas)
+
+
+# -- exact small integers: the n^3 scans on an integral table ----------------
+
+# an entry at the top of the int16 range, one past it, and the same at int32
+INT_EDGES = {2 ** 14 - 1: np.int16, 2 ** 14: np.int32, 2 ** 30 - 1: np.int32, 2 ** 30: None}
+
+
+@st.composite
+def integral_tables(draw):
+    """(top, D): a symmetric integer table of 26 to 40 points, zero on the
+    diagonal, whose largest entry is ``top``, an edge of the int16 or int32
+    range.  Its entries come from a few values whose sums tie ``top`` or miss
+    it by one, so that many triangles fail, some by 1 and some not at all."""
+    top = draw(st.sampled_from(sorted(INT_EDGES)))
+    n = draw(st.integers(26, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    half = top // 2
+    D = rng.choice([top, half, top - half, top - half - 1, top // 3, 1], size=(n, n))
+    D[rng.integers(n), rng.integers(1, n)] = top
+    D = np.where(np.tri(n, dtype=bool), D.T, D).astype(float)
+    np.fill_diagonal(D, 0.0)
+    D[0, 1:] = D[1:, 0] = np.maximum(D[0, 1:], 1.0)
+    return top, D
+
+
+def _same_rows(got, want):
+    assert got.dtype == want.dtype == np.intp
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(integral_tables(), st.sampled_from((1 << 17, 1 << 14, 1 << 11)))
+def test_integer_scans_match_the_float_scans(table, block):
+    # each edge of the ranges picks its dtype; the integer rows equal the
+    # float ones and the full scan at slacks below 1, which they drop, and
+    # at slacks of 1 and more, which they add in floats, in blocks of
+    # several rows or one, and the exact P3 rows equal the float ones.
+    # Stopped at the first block that finds a row, both hold every row of
+    # the least i, though their blocks differ in rows
+    top, D = table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_P3_BLOCK", block)
+        ints = core._int_table(D)
+        if INT_EDGES[top] is None:
+            assert ints is None
+            return
+        assert ints.dtype == INT_EDGES[top] and not ints.flags.writeable
+        np.testing.assert_array_equal(ints, D)
+        for slack in (0.0, 4e-6, 1e-12 * top, 0.5, 1.0, 2.5):
+            full = full_triangle_scan(D, slack)
+            _same_rows(core._triangle_rows(ints, slack), full)
+            _same_rows(core._triangle_rows(D, slack), full)
+            first = core._triangle_rows(ints, slack, first=True)
+            if len(full):
+                _same_rows(first[first[:, 0] == full[0, 0]], full[full[:, 0] == full[0, 0]])
+                assert first[:, 0].min() == full[0, 0]
+            else:
+                assert first.shape == (0, 3)
+        for rule in ("triangle", "ultrametric"):
+            _same_rows(core._p3_exact_rows(ints, rule), core._p3_exact_rows(D, rule))
+
+
+def _refusal(labels, D):
+    try:
+        g.FiniteCarrier(labels, D)
+    except g.ConstructionError as err:
+        return str(err), err.axiom
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(integral_tables())
+def test_integer_path_keeps_refusals_and_p3_reports(table):
+    # the carrier refuses a table with the same message on either path, and
+    # P3 on a carrier that takes the table behind its back reports the same
+    # bytes; the float path is the one a table without an integer copy takes
+    top, D = table
+    labels = [f"p{i}" for i in range(len(D))]
+    carrier = carrier_without_triangle_check(labels, D)
+    reports = []
+    for ints in (carrier._ints, None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_int_table", lambda d: ints)
+            refused = _refusal(labels, D)
+            carrier._ints = ints
+            for family, op in (("scaled", g.MAX), ("constant", g.MAX), ("constant", g.PLUS)):
+                inst = g.GpmsInstance(carrier, family, {}, op, T_GRID, ALPHA_GRID)
+                rep = g.check_P_axiom(inst, "P3")
+                reports.append((refused, canonical_json(rep.to_jsonable())))
+    half = len(reports) // 2
+    assert reports[:half] == reports[half:]
+    assert reports[0][0] is not None and reports[0][0][1] == "triangle"
+
+
+def test_each_scan_reads_the_dtype_its_table_allows(tmp_path, monkeypatch):
+    # the integral n = 48 tables of wide-finite are read as int16, except
+    # wide-constant's d_alpha matrix, which holds +inf; the tables of
+    # finite-topology (n <= 12) and the interval samples are read as float64
+    read = []
+
+    def spy(scan, fn):
+        def wrapped(D, *args, **kwargs):
+            read.append((scan, D.dtype.name))
+            return fn(D, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(core, "_triangle_rows", spy("d", core._triangle_rows))
+    monkeypatch.setattr(core, "_p3_exact_rows", spy("P3", core._p3_exact_rows))
+    monkeypatch.setattr(induced, "_triangle_rows", spy("D", induced._triangle_rows))
+    seen = {}
+    for workload in ("wide-finite", "finite-topology", "interval-sweep"):
+        for name, doc in workload_docs(workload, 11).items():
+            path = tmp_path / f"{workload}-{name}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            read.clear()
+            inst_file = g.load_instance(str(path))
+            g.run_command("axioms", inst_file)
+            if doc["op"] == "max":
+                g.run_command("dalpha", inst_file)
+            seen[name] = sorted(read)
+    assert seen == {
+        "wide-scaled": [("D", "int16"), ("P3", "int16"), ("d", "int16")],
+        "wide-constant": [("D", "float64"), ("P3", "int16"), ("d", "int16")],
+        "line": [("D", "float64"), ("P3", "float64"), ("d", "float64")],
+        "random-damped": [("P3", "float64"), ("d", "float64")],
+        "random-tabulated": [("D", "float64"), ("d", "float64")],
+        "clustered": [("D", "float64"), ("P3", "float64"), ("d", "float64")],
+        "scaled": [("D", "float64")],
+        "damped": [],
+        "discrete": [("D", "float64")],
+    }

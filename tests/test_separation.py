@@ -607,6 +607,40 @@ def per_call_countable_base(inst, mode, x=None, n_max=None):
                              detail=detail),))
 
 
+def _twelve_point_instances():
+    """A line under scaled/max and constant/max, and four clusters of three
+    under scaled/max on coarse grids, whose classes hold several points."""
+    clustered = [[0 if i == j else 1 if i // 3 == j // 3 else 4 + (i // 3 + j // 3) % 3
+                  for j in range(12)] for i in range(12)]
+    return [make_instance("scaled", carrier=line_carrier(12)),
+            make_instance("constant", carrier=line_carrier(12)),
+            g.gallery_construct("scaled", {}, g.FiniteCarrier([f"c{i}" for i in range(12)],
+                                                              clustered),
+                                g.MAX, (1, 2, 4), (2, 4, 8))]
+
+
+@pytest.mark.parametrize("centers", [1, 5])
+def test_base_pass_in_chunks_of_centers_matches_one_tensor(monkeypatch, centers):
+    # a budget of one or five centers' base balls: every kernel tensor of
+    # the pass stays within it, the last chunk of five is short, and every
+    # base_batch report and depth equals that of the pass in one tensor
+    points = [None, *range(12)]
+
+    def batches():
+        return [[(rep.to_jsonable(), depth)
+                 for rep, depth in zip(*separation.base_batch(inst, points, n_max))]
+                for inst in _twelve_point_instances() for n_max in (None, 3, 64)]
+
+    want = batches()
+    budget = centers * separation._BASE_DEPTH * 12
+    sizes = []
+    real = separation.P_at
+    monkeypatch.setattr(separation, "_BASE_BUDGET", budget)
+    monkeypatch.setattr(separation, "P_at", lambda *a: sizes.append(real(*a).size) or real(*a))
+    assert batches() == want
+    assert max(sizes) == budget and len(sizes) == 3 * -(-12 // centers)
+
+
 # B(p, 1, 1) = {p, x} lies inside C(x) = {p, x}, but B(x, 1, 1) holds q too:
 # the global base covers x at n = 1, the local base at x does not
 SPILL = g.gallery_construct("scaled", {}, g.FiniteCarrier(
