@@ -74,9 +74,8 @@ diameters.  P over a finite carrier's pairs at every grid t is one tensor,
 ``p4_violations`` read P at the smallest grid t, which stands for the whole
 grid because P is non-increasing in t.  ``_triangle_rows`` is the one
 triangle scan.  It and the exact P3 rows scan n x n x n in blocks of rows,
-and read a table in exact small integers where it has them
-(``_int_table``): int16 when every entry is an integer in [0, 2^14), int32
-in [0, 2^30), so that no sum of two entries wraps.  That is decided once per
+and read a table as int16 where every entry is an integer in [0, 2^14), so
+that no sum of two entries wraps (``_scan_table``).  That is decided once per
 table, where it is built (the carrier's d, a finite d_alpha matrix), and only
 where the float scan spans more than one block.  On integers a slack in
 [0, 1) changes no comparison, so it is dropped; every other table, and the
@@ -116,7 +115,7 @@ _REALS = (int, float, np.integer, np.floating)  # what a grid may hold, bool exc
 # exact P3 decision.  A temporary of a block in the dtype the scan reads stays
 # within 128 KiB, glibc's default mmap threshold, so blocks reuse heap memory
 # instead of mapping fresh pages each time, which is slower and raises peak
-# RSS: 2^14 float64 entries, 2^15 int32 or 2^16 int16 ones
+# RSS: 2^14 float64 entries or 2^16 int16 ones
 _P3_BLOCK = 1 << 17
 
 
@@ -147,10 +146,9 @@ class FiniteCarrier:
         off = d[~np.eye(n, dtype=bool)]
         if off.size and np.any(off <= 0.0):
             raise ConstructionError("off-diagonal distances must be positive", axiom="P1")
-        ints = _int_table(d)
+        scan = _scan_table(d)
         # the witness is the least failing (a, b, k) with k the middle point
-        rows = _triangle_rows(d if ints is None else ints,
-                              1e-12 * max(1.0, float(d.max(initial=0.0))), first=True)
+        rows = _triangle_rows(scan, 1e-12 * max(1.0, float(d.max(initial=0.0))), first=True)
         if len(rows):
             i, k, j = min(rows.tolist(), key=lambda r: (r[0], r[2], r[1]))
             raise ConstructionError(f"triangle inequality fails on ({labels[i]}, {labels[j]}, "
@@ -158,7 +156,7 @@ class FiniteCarrier:
         d.flags.writeable = False
         self.labels = labels
         self.d = d
-        self._ints = ints  # d in exact small integers for the n^3 scans, or None
+        self._scan = scan  # the table the n^3 scans read: d, or d as int16
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     @property
@@ -240,20 +238,18 @@ class IntervalCarrier:
         return {"interval": [self.lo, self.hi], "resolution": self.resolution}
 
 
-def _int_table(D):
-    """D as exact small integers for the n x n x n scans, read-only, or None.
-
-    A table of integer entries in [0, 2^14) is copied to int16, and one in
-    [0, 2^30) to int32: there the sum of two entries cannot wrap, which numpy
-    would do silently.  Any other table keeps float64 alone, and so does one
-    whose float scan fits one block, where the test and the copy would cost
-    about as much as the scan."""
+def _scan_table(D):
+    """The table the n x n x n scans read for the float table D: a read-only
+    int16 copy when every entry is an integer in [0, 2^14), where the sum of
+    two entries cannot wrap, which numpy would do silently; else D itself, and
+    so for a table whose float scan fits one block, where the test and the
+    copy would cost about as much as the scan."""
     if len(D) ** 3 * D.itemsize <= _P3_BLOCK:
-        return None
-    top = D.max(initial=0.0)
-    if not (top < 2.0 ** 30 and D.min(initial=0.0) >= 0.0 and np.all(D == np.floor(D))):
-        return None
-    ints = D.astype(np.int16 if top < 2.0 ** 14 else np.int32)
+        return D
+    if not (D.max(initial=0.0) < 2.0 ** 14 and D.min(initial=0.0) >= 0.0
+            and np.all(D == np.floor(D))):
+        return D
+    ints = D.astype(np.int16)
     ints.flags.writeable = False
     return ints
 
@@ -261,7 +257,7 @@ def _int_table(D):
 def _triangle_rows(D, slack, first=False) -> np.ndarray:
     """The (i, j, l) with D[i, l] > D[i, j] + D[j, l] + slack, as index rows in
     lexicographic order, for a D equal to its transpose (a carrier's table d,
-    a d_alpha matrix, or its ``_int_table``); a float sum that overflows to
+    a d_alpha matrix, or its ``_scan_table``); a float sum that overflows to
     inf bounds every entry.  An integer D drops a slack in [0, 1): on
     integers, x > y + slack iff x > y.  Rows i are scanned in blocks of about
     ``_P3_BLOCK`` bytes, each at the columns l from the block's start on: a
@@ -921,7 +917,7 @@ def _check_P3_exact(inst):
         pts, rows, samples = (car.lo, car.hi, 0.5 * (car.lo + car.hi)), np.array([[0, 1, 2]]), 0
     else:
         # the square-root bound squares its terms, so it reads the float table
-        table = car.d if rule == "sqrt" or car._ints is None else car._ints
+        table = car.d if rule == "sqrt" else car._scan
         pts, rows, samples = car.points(), _p3_exact_rows(table, rule), car.size ** 3
         if not len(rows):
             return CheckReport(name="P3", verdict=PASS, samples_tested=samples, note=note)
@@ -956,7 +952,7 @@ def _exact_report(name, witnesses, n_lost, lost, samples, note):
 
 def _p3_exact_rows(d, rule):
     """(a, b, x) index rows into a finite carrier's table ``d``, or its
-    ``_int_table``, one per pair a < b that breaks ``rule`` at some x, with
+    ``_scan_table``, one per pair a < b that breaks ``rule`` at some x, with
     the first such x, in (a, b) order.  The rows of a are scanned in blocks of
     about ``_P3_BLOCK`` bytes, each at the b from the block's first row on."""
     n = len(d)

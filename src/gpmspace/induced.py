@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balls import tau_p_classes
-from .core import GpmsInstance, _int_table, _triangle_rows, coords, derive, ray_start
+from .core import GpmsInstance, _scan_table, _triangle_rows, coords, derive, ray_start
 from .errors import DomainError, HypothesisError
 from .reports import FAIL, INCONCLUSIVE, PASS, CheckReport, ScanWitnesses, Witness, guarded
 
@@ -98,19 +98,19 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
     real-valued, so metric-ness cannot be certified either way).  The
     triangle witnesses (``_triangle_rows``) follow the others in a
     ``ScanWitnesses``, built only when read.  On a finite carrier the scan
-    reads the matrix's ``_int_table`` where it has one, derived once per
-    instance and alpha like the matrix; the witnesses' values come from D.
+    reads the matrix's ``_scan_table``, derived once per instance and alpha
+    like the matrix; the witnesses' values come from D.
     """
     inst = am.instance
     tol = am.solver.tolerance
     if inst.carrier.kind == "finite":
         pts, D = list(inst.carrier.labels), _matrix(am)
-        ints = derive(inst, ("d_alpha ints", am.alpha), lambda: _int_table(D))
+        scan = derive(inst, ("d_alpha scan", am.alpha), lambda: _scan_table(D))
     else:
         rng = random.Random(seed)
         lo, hi = inst.carrier.lo, inst.carrier.hi
         pts = sorted(lo + (hi - lo) * rng.random() for _ in range(max(3, n_samples)))
-        D, ints = _distance_matrix(am, pts), None
+        D = scan = _distance_matrix(am, pts)
     k = len(pts)
     witnesses = [Witness(points=(pts[i],), values={"value": float(D[i, i])},
                          detail="d_alpha(a,a) != 0")
@@ -124,7 +124,7 @@ def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 6
                           detail="distinct pair at d_alpha = 0 "
                                  "(the per-alpha separation hypothesis fails here)")
                   for i, j in np.argwhere(upper & not_positive)]
-    rows = _triangle_rows(D if ints is None else ints, 4 * tol)
+    rows = _triangle_rows(scan, 4 * tol)
     i, j, l = rows.T
     witnesses = ScanWitnesses(pts, rows, {"lhs": D[i, l], "rhs": D[i, j] + D[j, l]},
                               "triangle inequality fails", head=tuple(witnesses))

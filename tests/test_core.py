@@ -665,8 +665,7 @@ def kernel_instances(draw, tamper=False):
             d = np.array([[draw(st.sampled_from((0.0, -0.0) if i == j else
                                                 (-1.0, 0.0, 0.5, 1.0, 2.0)))
                            for j in range(n)] for i in range(n)])
-            d.flags.writeable = False
-            carrier.d = d
+            carrier = carrier_without_triangle_check(labels, d)
         if family == "tabulated":
             params = draw(step_params(carrier.labels, t_grid))
     alpha_grid = tuple(sorted(draw(st.sets(st.sampled_from((0.25, 0.5, 1.0, 2.0, 4.0)),
@@ -829,10 +828,8 @@ def test_p3_op_arrays_match_the_scalar_loop_with_signed_zeros(family, op):
     # = (a, b, a) gives the op (P(a,a,s), P(b,a,t)) = (0.0, -0.0) and (c, a, c)
     # gives (-0.0, 0.0), both with P(a,b,s+t) > 0, so the rhs zeros reach the
     # witnesses; np.maximum would return the other zero for (0.0, -0.0)
-    carrier = three_point_carrier()
-    d = np.array([[0.0, 1.0, 0.0], [-0.0, 0.0, 1.0], [1.0, 1.0, -0.0]])
-    d.flags.writeable = False
-    carrier.d = d
+    carrier = carrier_without_triangle_check(
+        three_point_carrier().labels, [[0.0, 1.0, 0.0], [-0.0, 0.0, 1.0], [1.0, 1.0, -0.0]])
     inst = g.GpmsInstance(carrier, family, {}, op, T_GRID, ALPHA_GRID)
     for seed in range(5):
         assert_p3_matches_loop(inst, seed, 400, exhaustive=False)
@@ -1222,15 +1219,15 @@ FORMULA_PARAMS = {"scaled": {}, "constant": {}, "damped": {}, "discrete": {"c": 
 
 
 def carrier_without_triangle_check(labels, d):
-    """A carrier on a symmetric table that may break the triangle inequality,
-    which construction refuses: built on the discrete metric, then handed
-    ``d`` and its integer copy behind its back, read-only as construction
-    leaves them."""
+    """A carrier on a table that construction would refuse, one that breaks
+    the triangle inequality, say: built on the discrete metric, then handed
+    ``d`` and the table its scans read behind its back, read-only as
+    construction leaves them."""
     carrier = g.FiniteCarrier(labels, 1.0 - np.eye(len(labels)))
     d = np.array(d, dtype=float)
     d.flags.writeable = False
     carrier.d = d
-    carrier._ints = core._int_table(d)
+    carrier._scan = core._scan_table(d)
     return carrier
 
 
@@ -1650,15 +1647,14 @@ def test_p4_on_an_interval_is_fixed_by_family(family, op):
 
 # -- exact small integers: the n^3 scans on an integral table ----------------
 
-# an entry at the top of the int16 range, one past it, and the same at int32
-INT_EDGES = {2 ** 14 - 1: np.int16, 2 ** 14: np.int32, 2 ** 30 - 1: np.int32, 2 ** 30: None}
+# an entry at the top of the int16 range, and one past it, read as float64
+INT_EDGES = {2 ** 14 - 1: np.int16, 2 ** 14: np.float64}
 
 
 @st.composite
 def integral_tables(draw):
     """(top, D): a symmetric integer table of 26 to 40 points, zero on the
-    diagonal, whose largest entry is ``top``, an edge of the int16 or int32
-    range.  Its entries come from a few values whose sums tie ``top`` or miss
+    diagonal, whose largest entry is ``top``, an edge of the int16 range.  Its entries come from a few values whose sums tie ``top`` or miss
     it by one, so that many triangles fail, some by 1 and some not at all."""
     top = draw(st.sampled_from(sorted(INT_EDGES)))
     n = draw(st.integers(26, 40))
@@ -1689,9 +1685,9 @@ def test_integer_scans_match_the_float_scans(table, block):
     top, D = table
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_P3_BLOCK", block)
-        ints = core._int_table(D)
-        if INT_EDGES[top] is None:
-            assert ints is None
+        ints = core._scan_table(D)
+        if INT_EDGES[top] is np.float64:
+            assert ints is D
             return
         assert ints.dtype == INT_EDGES[top] and not ints.flags.writeable
         np.testing.assert_array_equal(ints, D)
@@ -1727,11 +1723,11 @@ def test_integer_path_keeps_refusals_and_p3_reports(table):
     labels = [f"p{i}" for i in range(len(D))]
     carrier = carrier_without_triangle_check(labels, D)
     reports = []
-    for ints in (carrier._ints, None):
+    for scan in (carrier._scan, carrier.d):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_int_table", lambda d: ints)
+            mp.setattr(core, "_scan_table", lambda d: scan)
             refused = _refusal(labels, D)
-            carrier._ints = ints
+            carrier._scan = scan
             for family, op in (("scaled", g.MAX), ("constant", g.MAX), ("constant", g.PLUS)):
                 inst = g.GpmsInstance(carrier, family, {}, op, T_GRID, ALPHA_GRID)
                 rep = g.check_P_axiom(inst, "P3")

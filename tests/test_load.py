@@ -167,8 +167,7 @@ def test_planted_triangle_violations_across_blocks(monkeypatch, n, pairs):
     monkeypatch.setattr(core, "_P3_BLOCK", 1 << 15)
     for scale, dtype in ((1.0, np.int16), (0.5, np.float64)):
         d = plant(line_table(n, scale), pairs, 3.0 * n * scale)
-        ints = core._int_table(np.array(d))
-        read = np.array(d) if ints is None else ints
+        read = core._scan_table(np.array(d))
         assert read.dtype == dtype
         assert core._P3_BLOCK // (n * n * read.itemsize) < n // 3  # several blocks of rows
         got = assert_refusals_match(labels_of(n), d)
