@@ -182,7 +182,12 @@ class FiniteCarrier:
         return self.labels
 
     def describe(self):
-        return {"points": list(self.labels), "d": self.d.tolist()}
+        """The carrier's labels and its read-only float64 table ``d`` itself,
+        not a list.  The report writer gives an array the text of its
+        ``tolist()``; from 1,024 entries (32 points) on it writes that text
+        from the array, one text per distinct bit pattern, below that the
+        list is faster on tables of distinct floats (``reports._table_text``)."""
+        return {"points": list(self.labels), "d": self.d}
 
 
 class IntervalCarrier:
@@ -343,6 +348,12 @@ class GpmsInstance:
         return sub if sub[-1] == pts[-1] else sub + pts[-1:]
 
     def describe(self):
+        """The instance as a value tree, the body of its digest
+        (``cli.load_instance``): fresh lists and dicts, except a finite
+        carrier's ``d``, the carrier's read-only float64 array
+        (``FiniteCarrier.describe``), whose text is that of its list.  Two
+        descriptions compare with ``np.array_equal`` on ``d``: ``==`` on two
+        arrays is elementwise."""
         params = dict(self.params)
         if self.family == "tabulated":  # fresh lists: the caller may change what it is given
             params["tables"] = [{k: list(v) for k, v in e.items()} for e in params["tables"]]

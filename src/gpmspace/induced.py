@@ -84,9 +84,15 @@ def _distance_matrix(am: AlphaMetric, pts) -> np.ndarray:
 
 def _matrix(am: AlphaMetric) -> np.ndarray:
     """d_alpha over a finite carrier's labels, derived once per instance and
-    alpha and read by the table, the metric axioms and the topology identity."""
+    alpha and read by the table, the metric axioms and the topology identity;
+    read-only, since the table's report holds it."""
     inst = am.instance
-    return derive(inst, ("d_alpha", am.alpha), lambda: _distance_matrix(am, inst.carrier.labels))
+
+    def build():
+        D = _distance_matrix(am, inst.carrier.labels)
+        D.flags.writeable = False
+        return D
+    return derive(inst, ("d_alpha", am.alpha), build)
 
 
 def check_alpha_metric_axioms(am: AlphaMetric, seed: int = 0, n_samples: int = 64) -> CheckReport:
@@ -221,20 +227,23 @@ def dalpha_battery(inst: GpmsInstance, alpha: float | None, tol: float, seed: in
     """The table, metric axioms, monotonicity in alpha and topology identity
     at ``alpha`` (by default the middle of the alpha grid), at the slack
     ``min(tol, 1e-6)``; returns ``(checks, rows)``, ``rows`` building the
-    table's CSV rows on a finite carrier, else None."""
+    table's CSV rows on a finite carrier, else None.  The table's check
+    holds the d_alpha matrix itself (``_matrix``), which the report writer
+    writes from the array; its list is built only for the CSV rows."""
     if alpha is None:
         alpha = inst.alpha_grid[len(inst.alpha_grid) // 2]
     solver = BisectionSettings(tolerance=min(tol, 1e-6))
     am = AlphaMetric(inst, alpha, solver)  # one d_alpha matrix serves three checks
     checks, rows = [], None
     if inst.carrier.kind == "finite":
-        labels, table = inst.carrier.labels, alpha_metric_table(am)
+        labels, table = inst.carrier.labels, _matrix(am)
         checks.append(CheckReport(
             name=f"d_alpha_table[alpha={alpha:.12g}]", verdict=PASS,
-            samples_tested=len(table) ** 2, data={"labels": list(labels), "table": table}))
+            samples_tested=table.size, data={"labels": list(labels), "table": table}))
 
         def rows():
-            return [["", *labels]] + [[lab, *row] for lab, row in zip(labels, table)]
+            return [["", *labels]] + [[lab, *row]
+                                      for lab, row in zip(labels, alpha_metric_table(am))]
     checks.append(check_alpha_metric_axioms(am, seed=seed))
     pts = inst.carrier.points()
     checks.append(guarded("alpha_monotonicity", lambda: check_alpha_monotonicity(

@@ -43,6 +43,12 @@ def planted_matrix(rng, k):
     return np.where(np.tri(k, dtype=bool), D.T, D)
 
 
+# floats a table, a grid or a parameter may hold: subnormals, values near
+# 1e308 and values that move when rounded to 12 significant digits
+EDGE_FLOATS = (5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.1 + 0.2, 1 / 3,
+               1.0000000000001, 123456789012.5, 2.5, 7.0, 1e300, 1e307, 1e308,
+               1.7976931348623157e308)
+
 WORKLOAD_SEEDS = (1, 11, 23)  # the seeds CI replays the benchmark on
 
 

@@ -185,7 +185,10 @@ def test_p4_pass_and_the_topology_identity_agree_on_clustered6():
                                                    sorted(workload_docs("finite-topology", 11))])
 def test_topology_family_states_tau_p_by_its_classes(tmp_path, name):
     # tau_P is the partition topology of its classes: the report states the
-    # classes and the count 2^k, and their unions are the listing, the oracle
+    # classes and the count 2^k.  Each class holds the points that its least
+    # point reaches through shared least grid balls B(x, min alpha, min t),
+    # found with eval_P: an oracle that lists nothing.  Within the 15-class
+    # bound of generate_topology, the unions of the classes are its listing
     kind, key = name.split("/")
     doc = _load_doc(key) if kind == "golden" else workload_docs("finite-topology", 11)[key]
     path = tmp_path / "inst.json"
@@ -198,6 +201,17 @@ def test_topology_family_states_tau_p_by_its_classes(tmp_path, name):
     assert set(family.data) == {"classes", "count"}
     assert sorted(p for c in classes for p in c) == sorted(car.labels)
     assert all(classes) and family.data["count"] == 2 ** len(classes)
+    t, alpha = min(inst.t_grid), min(inst.alpha_grid)
+    least = {x: {y for y in car.labels if g.eval_P(inst, x, y, t) < alpha} for x in car.labels}
+    for c in classes:
+        reach, todo = {c[0]}, [c[0]]
+        while todo:
+            new = least[todo.pop()] - reach
+            reach |= new
+            todo += new
+        assert reach == set(c)
+    if len(classes) > 15:
+        return
     unions = [frozenset()]
     for c in classes:
         unions += [u | frozenset(c) for u in unions]

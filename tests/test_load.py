@@ -24,16 +24,11 @@ from hypothesis import strategies as st
 import gpmspace as g
 from gpmspace import core, reports
 from gpmspace.reports import canonical
-from helpers import WORKLOAD_SEEDS, line_carrier, step_tables_oracle, workload_docs
+from helpers import (EDGE_FLOATS, WORKLOAD_SEEDS, line_carrier, step_tables_oracle,
+                     workload_docs)
 
 T_GRID = [1e-4, 0.5, 1, 2, 4, 50]
 ALPHA_GRID = [0.25, 0.5, 1, 2, 4]
-
-# floats a table, a grid or a parameter may hold: subnormals, values near
-# 1e308 and values that move when rounded to 12 significant digits
-EDGE_FLOATS = (5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.1 + 0.2, 1 / 3,
-               1.0000000000001, 123456789012.5, 2.5, 7.0, 1e300, 1e307, 1e308,
-               1.7976931348623157e308)
 
 
 # -- oracles ----------------------------------------------------------------

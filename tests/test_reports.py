@@ -7,7 +7,9 @@ can hold.
 import enum
 import json
 import math
+import os
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import gpmspace as g
 from gpmspace import balls, reports, separation
 from gpmspace.reports import canonical, canonical_json
+from helpers import EDGE_FLOATS
 
 
 class Level(enum.IntEnum):
@@ -125,6 +128,102 @@ def test_scalars_and_empty_containers():
     assert canonical_json({"a": [], "b": {}}) == '{\n  "a": [],\n  "b": {}\n}\n'
 
 
+# -- float arrays: written from the array (``_table_text``) at or above the
+# size rule, else as their lists; the text is the text of ``tolist()`` either way
+
+ARRAY_FLOATS = st.floats() | st.sampled_from(
+    [*EDGE_FLOATS, *(-x for x in EDGE_FLOATS), 0.0, -0.0, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def float_arrays(draw):
+    """A 1-D or 2-D float64 array: empty, one row, one column or a table,
+    stored in order, as a transpose (Fortran order) or as every other column
+    of a wider array (a strided view)."""
+    n, m = draw(st.integers(0, 40)), draw(st.integers(0, 8))
+    shape = draw(st.sampled_from([(n,), (1, n), (n, 1), (m, n // 5)]))
+    layout = draw(st.sampled_from(["stored", "transposed", "strided"]))
+    full = shape[:-1] + (2 * shape[-1],) if layout == "strided" else shape
+    values = draw(st.lists(ARRAY_FLOATS, min_size=math.prod(full), max_size=math.prod(full)))
+    if layout == "transposed":  # a 1-D array is its own transpose
+        return np.array(values).reshape(full[::-1]).T
+    a = np.array(values).reshape(full)
+    return a[..., ::2] if layout == "strided" else a
+
+
+@st.composite
+def nested(draw, leaf):
+    """``leaf`` at depth 0 to 3 inside lists and dicts, beside other values."""
+    tree = draw(leaf)
+    for _ in range(draw(st.integers(0, 3))):
+        tree = draw(st.sampled_from([[tree], [1.5, tree, "x"], {"a": tree},
+                                     {"z": -0.0, "b": tree, "c": [tree]}]))
+    return tree
+
+
+def _listed(tree):
+    """``tree`` with each array replaced by its ``tolist()``."""
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, dict):
+        return {k: _listed(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_listed(v) for v in tree]
+    return tree
+
+
+def _assert_written_as_listed(tree):
+    listed = _listed(tree)
+    expected = json.dumps(canonical(listed), sort_keys=True, indent=2) + "\n"
+    assert canonical_json(tree) == canonical_json(listed) == expected
+    assert reports.compact_json(tree) == reports.compact_json(listed)
+    assert canonical(tree) == canonical(listed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 64), nested(float_arrays()))
+@example(0, np.zeros(0))
+@example(0, {"a": [np.zeros((0, 3)), np.zeros((3, 0))]})
+@example(0, np.array([[0.0, -0.0], [-0.0, 0.0]]))
+@example(0, np.array([math.nan, -math.nan, math.inf, -math.inf, 1e308, 5e-324]))
+@example(1, np.array([0.1 + 0.2, 0.3, 1 / 3, 0.1 + 0.2]))
+def test_float_arrays_write_as_their_lists(minimum, tree):
+    with mock.patch.object(reports, "_TABLE_MIN", minimum):  # the size rule, both sides
+        _assert_written_as_listed(tree)
+
+
+@pytest.mark.parametrize("array", [
+    np.arange(2000), np.arange(2000) % 3 == 0,
+    np.array([1.5, "a", None, math.nan] * 500, dtype=object),
+    np.linspace(0, 1, 13 ** 3).reshape(13, 13, 13),
+    np.linspace(0, 1, 48 * 48, dtype=np.float32).reshape(48, 48),
+    np.linspace(0, 1, 48 * 48).astype(">f8").reshape(48, 48),
+    np.array(0.1 + 0.2), np.array([[7.5, -0.0]])],
+    ids=["int", "bool", "object", "3-D", "float32", "big-endian", "0-D", "small"])
+def test_other_arrays_write_as_their_lists(array):
+    for tree in (array, {"a": [array]}):
+        _assert_written_as_listed(tree)
+
+
+@pytest.mark.parametrize(("name", "n"), [("scaled-max-paths32", 32), ("constant-max-paths32", 32),
+                                         ("scaled-max-plane48", 48), ("scaled-max-clusters15", 15)])
+def test_the_size_rule_routes_golden_tables(monkeypatch, name, n):
+    # a table of 1,024 entries or more is written from its array: the digest's
+    # d at load and the d_alpha table of the dalpha report, each once
+    shapes = []
+    real = reports._table_text
+
+    def counted(a, *rest):
+        shapes.append(a.shape)
+        return real(a, *rest)
+
+    monkeypatch.setattr(reports, "_table_text", counted)
+    inst_file = g.load_instance(os.path.join(os.path.dirname(__file__), "golden",
+                                             f"{name}.instance.json"))
+    g.run_command("dalpha", inst_file).to_canonical_json()
+    assert shapes == ([(n, n)] * 2 if n * n >= 1024 else [])
+
+
 def _shortest_path_doc(family, n=48, seed=48):
     """An n-point instance document: random integer weights closed under shortest paths."""
     rng = random.Random(seed)
@@ -165,6 +264,8 @@ def test_large_reports_match_the_indenting_encoder(wide_reports):
 def _exact_floats(tree):
     if type(tree) is float:
         yield tree
+    elif isinstance(tree, np.ndarray):
+        yield from _exact_floats(tree.tolist())
     elif isinstance(tree, dict):
         for v in tree.values():
             yield from _exact_floats(v)
