@@ -399,18 +399,17 @@ def _item_texts(items, kinds, newline, texts, shapes):
     return done
 
 
-# the fewest entries of a float array written from the array (``_table_text``):
-# below it a table of distinct floats writes faster as its list (module docstring)
+# the fewest entries of a float array written from the array (``_table_text``),
+# at least 1: below it a table of distinct floats writes faster as its list
+# (module docstring)
 _TABLE_MIN = 1024
 
 
 def _table_text(a, newline, text):
-    """The text of the 1-D or 2-D float64 array ``a``, exactly the text of
-    ``a.tolist()``: ``text`` makes one text per distinct bit pattern, so 0.0
-    and -0.0, and each NaN, keep their own, and one take of those texts and
-    one join per row write the array."""
-    if not len(a):
-        return "[]"
+    """The text of the non-empty 1-D or 2-D float64 array ``a``, exactly the
+    text of ``a.tolist()``: ``text`` makes one text per distinct bit
+    pattern, so 0.0 and -0.0, and each NaN, keep their own, and one take of
+    those texts and one join per row write the array."""
     patterns, inverse = np.unique(a.view(np.int64), return_inverse=True)
     words = np.array([text(x) for x in patterns.view(np.float64).tolist()], dtype=object)
     cells = words.take(inverse.reshape(a.shape)).tolist()
@@ -418,8 +417,6 @@ def _table_text(a, newline, text):
     if a.ndim == 1:
         return "[" + first + comma.join(cells) + last + "]"
     _, row_first, row_comma, row_last = _layout(inner)
-    if not a.shape[1]:
-        return "[" + first + comma.join(["[]"] * len(cells)) + last + "]"
     return "[" + first + comma.join(["[" + row_first + row_comma.join(row) + row_last + "]"
                                      for row in cells]) + last + "]"
 
